@@ -1,6 +1,6 @@
 """Fleet-serving throughput: wall-clock cost of one scenario grid.
 
-Cold-cache by design (like ``bench_parallel_speedup``): the benchmarked
+Cold-cache by design: the benchmarked
 call simulates the rush scenario for all three schedulers under the
 Sync-Switch policy in a fresh temporary cache, so the number tracks the
 cost of serving a multi-job stream through the fleet layer.  Simulated

@@ -9,37 +9,20 @@ regeneration-from-logs cost.  Rendered reports are printed and saved
 under ``results/``.
 
 Parallelism: the shared runner executes experiment batches with
-``--jobs N`` worker processes (or ``REPRO_JOBS``; default 1).
-``bench_parallel_speedup.py`` additionally measures one representative
-cold-cache switch-timing sweep at ``jobs=N`` vs ``jobs=1`` and records
-the wall-clock speedup under ``results/parallel_speedup.json`` and in
-the benchmark ``extra_info``, so the ``BENCH_*.json`` perf trajectory
-captures the parallelism win.  The probe honours an explicit
-``--jobs 1`` / ``REPRO_JOBS=1`` (stays serial, records speedup 1.0)
-and otherwise defaults to 4 workers.
+``--jobs N`` worker processes (or ``REPRO_JOBS``; default 1).  What a
+pool buys end to end is measured by the perf ledger's
+``fleet_trace_procs`` workload (``benchmarks/ledger``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentRunner, render_report, resolve_jobs
-from repro.experiments.setups import SETUPS
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
-
-#: Representative sweep for the speedup probe: Fig. 5b-style grid.
-SPEEDUP_PERCENTS = (0.0, 6.25, 25.0, 100.0)
-SPEEDUP_SEEDS = 2
-#: Probe scale: small enough that the cold jobs=1 + jobs=N passes stay
-#: in the seconds range regardless of REPRO_SCALE.
-SPEEDUP_SCALE = 0.01
 
 
 def pytest_addoption(parser):
@@ -76,65 +59,3 @@ def emit():
         (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n", encoding="utf-8")
 
     return _emit
-
-
-def timed_cold_sweep(jobs: int) -> float:
-    """Wall-clock seconds for the representative sweep on a cold cache."""
-    with tempfile.TemporaryDirectory(prefix="repro-speedup-") as cache:
-        sweep_runner = ExperimentRunner(
-            scale=SPEEDUP_SCALE,
-            seeds=SPEEDUP_SEEDS,
-            cache_dir=cache,
-            jobs=jobs,
-        )
-        start = time.perf_counter()
-        sweep_runner.sweep(SETUPS[1], percents=SPEEDUP_PERCENTS)
-        return time.perf_counter() - start
-
-
-@pytest.fixture(scope="session")
-def cold_sweep_timer():
-    """The cold-sweep timing helper (fixture-injected: benchmarks are
-    not an importable package)."""
-    return timed_cold_sweep
-
-
-@pytest.fixture(scope="session")
-def speedup_jobs(request) -> int:
-    """Worker count for the speedup probe.
-
-    An explicit ``--jobs`` / ``REPRO_JOBS`` is respected — including
-    ``1``, which keeps the probe serial; with no explicit choice the
-    probe defaults to 4 workers.
-    """
-    explicit = request.config.getoption("--jobs")
-    if explicit is None and os.environ.get("REPRO_JOBS"):
-        explicit = resolve_jobs(None)
-    return resolve_jobs(explicit) if explicit is not None else 4
-
-
-@pytest.fixture(scope="session")
-def record_parallel_speedup():
-    """Persist the speedup measurement for the perf trajectory."""
-
-    def _record(jobs: int, serial_s: float, parallel_s: float) -> dict:
-        info = {
-            "sweep": {
-                "setup": 1,
-                "percents": list(SPEEDUP_PERCENTS),
-                "seeds": SPEEDUP_SEEDS,
-                "scale": SPEEDUP_SCALE,
-                "cells": len(SPEEDUP_PERCENTS) * SPEEDUP_SEEDS,
-            },
-            "jobs": jobs,
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
-            "speedup": serial_s / parallel_s if parallel_s else None,
-        }
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / "parallel_speedup.json").write_text(
-            json.dumps(info, indent=2) + "\n", encoding="utf-8"
-        )
-        return info
-
-    return _record

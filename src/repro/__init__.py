@@ -27,14 +27,7 @@ It is organised in four layers:
     one generator per paper table and figure.
 """
 
-from repro.errors import (
-    ClusterError,
-    ConfigurationError,
-    DivergenceError,
-    ReproError,
-    SearchError,
-)
-from repro.version import __version__
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterError",
@@ -44,3 +37,17 @@ __all__ = [
     "SearchError",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.errors": (
+            "ClusterError",
+            "ConfigurationError",
+            "DivergenceError",
+            "ReproError",
+            "SearchError",
+        ),
+        "repro.version": ("__version__",),
+    },
+)

@@ -10,44 +10,15 @@ conventions the reproduction's bit-identity guarantees rest on.
   (semantic: fields via :mod:`dataclasses`, key reads via AST).
 * **D005** — engines draw RNG only via the per-worker session
   accessors.
+* **D006** — package ``__init__`` files and ``cli.py`` import their
+  collaborators lazily (the cold-start budget).
 
 See ``docs/static_analysis.md`` for the rule catalog (with the past
 incident each rule prevents), the suppression-comment syntax and the
 ratchet-baseline workflow.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    RatchetResult,
-    ratchet,
-)
-from repro.analysis.dataclass_keys import (
-    DEFAULT_TARGETS,
-    CacheKeyCompletenessRule,
-    CacheKeyTarget,
-    check_class,
-)
-from repro.analysis.framework import (
-    RULE_REGISTRY,
-    FileContext,
-    Finding,
-    LintReport,
-    ProjectRule,
-    Rule,
-    analyze_paths,
-    default_rules,
-    register,
-    repo_root,
-    suppressed_lines,
-)
-from repro.analysis.report import json_payload, render_text, write_json_report
-from repro.analysis.rules import (
-    DirectRngRule,
-    EngineSharedRngRule,
-    SetIterationRule,
-    WallClockRule,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Baseline",
@@ -56,6 +27,7 @@ __all__ = [
     "CacheKeyTarget",
     "DEFAULT_TARGETS",
     "DirectRngRule",
+    "EagerPackageImportRule",
     "EngineSharedRngRule",
     "FileContext",
     "Finding",
@@ -77,3 +49,46 @@ __all__ = [
     "suppressed_lines",
     "write_json_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.baseline": (
+            "Baseline",
+            "BaselineEntry",
+            "RatchetResult",
+            "ratchet",
+        ),
+        "repro.analysis.dataclass_keys": (
+            "DEFAULT_TARGETS",
+            "CacheKeyCompletenessRule",
+            "CacheKeyTarget",
+            "check_class",
+        ),
+        "repro.analysis.framework": (
+            "RULE_REGISTRY",
+            "FileContext",
+            "Finding",
+            "LintReport",
+            "ProjectRule",
+            "Rule",
+            "analyze_paths",
+            "default_rules",
+            "register",
+            "repo_root",
+            "suppressed_lines",
+        ),
+        "repro.analysis.report": (
+            "json_payload",
+            "render_text",
+            "write_json_report",
+        ),
+        "repro.analysis.rules": (
+            "DirectRngRule",
+            "EagerPackageImportRule",
+            "EngineSharedRngRule",
+            "SetIterationRule",
+            "WallClockRule",
+        ),
+    },
+)

@@ -1,10 +1,11 @@
-"""The per-file AST rules of ``repro lint`` (D001, D002, D003, D005).
+"""The per-file AST rules of ``repro lint`` (D001, D002, D003, D005, D006).
 
 Each rule is grounded in a past incident in this repo (see
 ``docs/static_analysis.md`` for the catalog): randomness outside
 :mod:`repro.rng` child streams, wall-clock reads inside the simulator,
-unordered-set iteration feeding event order, and engine code drawing
-from shared generators instead of the per-worker session accessors.
+unordered-set iteration feeding event order, engine code drawing from
+shared generators instead of the per-worker session accessors, and
+package ``__init__`` files or the CLI importing their layer eagerly.
 
 All rules resolve names through the file's imports (``import numpy as
 np``, ``from time import perf_counter``, ...) so aliasing cannot hide
@@ -20,6 +21,7 @@ from repro.analysis.framework import FileContext, Finding, Rule, register
 
 __all__ = [
     "DirectRngRule",
+    "EagerPackageImportRule",
     "EngineSharedRngRule",
     "SetIterationRule",
     "WallClockRule",
@@ -75,6 +77,21 @@ def dotted_call_name(
         return None
     parts.append(aliases[node.id])
     return ".".join(reversed(parts))
+
+
+def _import_time_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements that run when a module is imported: its body and the
+    blocks nested in it, but no function or class body."""
+    for node in body:
+        yield node
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            yield from _import_time_statements(getattr(node, field, []))
+        for handler in getattr(node, "handlers", []):
+            yield from _import_time_statements(handler.body)
 
 
 def _calls(tree: ast.Module) -> Iterator[ast.Call]:
@@ -346,4 +363,53 @@ class EngineSharedRngRule(Rule):
                         "accessors time_rng/compression_rng instead",
                     )
                 )
+        return findings
+
+
+@register
+class EagerPackageImportRule(Rule):
+    """D006 — package ``__init__`` files and ``cli.py`` import lazily.
+
+    Every ``repro`` command starts by importing ``repro.cli`` and the
+    packages on its path; an ``__init__`` that imports its layer's
+    modules, or a CLI that imports every command's stack, makes each
+    command pay for all of them (the warm ``report`` spent 0.19 s of
+    0.19 s that way before PR 12).  These files re-export through
+    :func:`repro._lazy.lazy_exports` / resolve targets on use; every
+    other module keeps ordinary top-level imports.
+    """
+
+    id = "D006"
+    title = "eager repro import in a package __init__ or the CLI"
+
+    _LAZY_HELPER = "repro._lazy"
+
+    def applies(self, relpath: str) -> bool:
+        return relpath == "repro/cli.py" or (
+            relpath.startswith("repro/") and relpath.endswith("/__init__.py")
+        )
+
+    def check(self, context: FileContext) -> list[Finding]:
+        findings: list[Finding] = []
+        for node in _import_time_statements(context.tree.body):
+            if isinstance(node, ast.Import):
+                modules = [name.name for name in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            for module in modules:
+                if module != self._LAZY_HELPER and (
+                    module.startswith(".") or module.split(".")[0] == "repro"
+                ):
+                    findings.append(
+                        context.finding(
+                            node,
+                            self.id,
+                            f"top-level import of {module}; re-export "
+                            "it through repro._lazy.lazy_exports (or "
+                            "resolve it on use) so importing this file "
+                            "stays cheap",
+                        )
+                    )
         return findings

@@ -1,0 +1,649 @@
+"""``sync-switch fleet`` — serve a multi-job stream on a shared pool.
+
+One command, five modes: the scheduler x policy grid (default), the
+sharded datacenter trace (a trace ``--scenario``), ``--tune``,
+``--trace`` and ``--policy-store``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from repro.commands.common import LOG, parse_protocols
+from repro.distsim.cluster import WorkerTier
+from repro.errors import ConfigurationError
+from repro.experiments.fleet import (
+    DEFAULT_FLEET_SCALE,
+    DEFAULT_TUNING_SEEDS,
+    fleet_grid,
+    fleet_report,
+    fleet_trace_scale_report,
+    fleet_tuning_report,
+    run_trace_scale,
+    run_traced_fleet,
+    trace_scale_payload,
+    tuning_grid,
+    tuning_summary_payload,
+    write_fleet_summary,
+    write_fleet_trace_scale,
+    write_tuning_summary,
+)
+from repro.experiments.reporting import render_report
+from repro.fleet.fleet_sim import RESIM_MODES, FleetConfig, FleetSimulator
+from repro.fleet.policy_store import PolicyStore
+from repro.fleet.scheduler import SCHEDULERS
+from repro.fleet.workload import (
+    FLEET_SCENARIOS,
+    SYNC_POLICIES,
+    TRACE_SCENARIOS,
+    load_trace,
+)
+from repro.obs.export import (
+    trace_categories,
+    write_chrome_trace,
+    write_metrics_dump,
+)
+from repro.obs.tracer import DETAIL_LEVELS
+
+
+def configure(parser) -> None:
+    parser.add_argument(
+        "--scenario",
+        default="rush",
+        choices=sorted(FLEET_SCENARIOS) + sorted(TRACE_SCENARIOS),
+        help="workload: a Poisson fleet scenario, or a datacenter trace "
+        "scenario (diurnal arrivals, tenant tiers, sharded pool)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="number of training jobs in the stream (default: scenario)",
+    )
+    parser.add_argument(
+        "--scheduler",
+        default="all",
+        choices=sorted(SCHEDULERS) + ["all"],
+    )
+    parser.add_argument(
+        "--policy",
+        default="all",
+        choices=sorted(SYNC_POLICIES) + ["all"],
+        help="synchronization policy of every job in the stream",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", type=float, default=DEFAULT_FLEET_SCALE)
+    parser.add_argument(
+        "--workload-trace",
+        default=None,
+        metavar="PATH",
+        help="JSON trace of job arrivals (replaces the scenario stream)",
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a Chrome trace-event JSON of the run here (load it "
+        "in Perfetto); runs one scheduler x policy stream, narrowing "
+        "'all' defaults to fifo / sync-switch",
+    )
+    parser.add_argument(
+        "--trace-detail",
+        default="job",
+        choices=DETAIL_LEVELS,
+        help="span granularity for --trace: fleet-level only, + per-job "
+        "lifecycle/segments (default), + per-update barriers/pushes",
+    )
+    parser.add_argument(
+        "--metrics-interval",
+        type=float,
+        default=None,
+        help="virtual-time seconds between metrics snapshots in the "
+        "--trace metrics dump (default 60)",
+    )
+    parser.add_argument(
+        "--procs",
+        type=int,
+        default=None,
+        help="worker processes for the scenario grid (default: REPRO_JOBS)",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="fleet summary artifact path (default: results/fleet_summary.json"
+        ", or results/fleet_tuning_summary.json with --tune)",
+    )
+    parser.add_argument(
+        "--tune",
+        action="store_true",
+        help="amortized in-fleet timing search: compare an all-BSP stream "
+        "against a tuned sync-switch stream (multi-seed, writes the "
+        "tuning summary artifact)",
+    )
+    parser.add_argument(
+        "--slo",
+        action="store_true",
+        help="serve the stream through the deadline/SLO-aware scheduler "
+        "(shorthand for --scheduler slo)",
+    )
+    parser.add_argument(
+        "--seeds",
+        type=int,
+        default=None,
+        help="seeds per cell for the --tune confidence intervals "
+        f"(default {DEFAULT_TUNING_SEEDS}; requires --tune)",
+    )
+    parser.add_argument(
+        "--resim",
+        default="exact",
+        choices=sorted(RESIM_MODES),
+        help="preempted ASP-tail timeline model: 'exact' re-simulates "
+        "the tail on the changed worker set, 'stretch' is the legacy "
+        "linear n/(n-k) model",
+    )
+    parser.add_argument(
+        "--protocols",
+        default=None,
+        metavar="SEQ",
+        help="comma-separated protocol schedule for sync-switch stream "
+        "jobs (e.g. bsp,ssp,asp); with --tune the in-fleet search "
+        "tunes its per-segment fractions, otherwise give --fractions",
+    )
+    parser.add_argument(
+        "--fractions",
+        default=None,
+        metavar="FRACS",
+        help="comma-separated per-segment step fractions aligned with "
+        "--protocols (e.g. 0.4,0.3,0.3; must sum to 1)",
+    )
+    parser.add_argument(
+        "--policy-store",
+        default=None,
+        metavar="PATH",
+        help="persist the per-class policy store as JSON: load it (if "
+        "present) to warm-start recurring classes, save it back after "
+        "the run; runs a single stream, so requires one --scheduler "
+        "and either --tune (tune that stream in place) or one --policy",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        help="independent pool shards for a trace scenario (default: "
+        "the scenario's shard count); requires a trace --scenario",
+    )
+    parser.add_argument(
+        "--tiers",
+        default=None,
+        metavar="SPEC",
+        help="heterogeneous worker classes as comma-separated "
+        "name:count:speed:bandwidth[:latency] entries (e.g. "
+        "fast:32:1.0:1.0,slow:32:1.35:1.6), or 'none' for a uniform "
+        "pool; default: trace scenarios get the built-in fast/slow "
+        "split, Poisson scenarios stay uniform",
+    )
+    parser.add_argument(
+        "--validate",
+        action="store_true",
+        help="run the fleet invariant checker at every event (pool "
+        "conservation, clock monotonicity, queue/running disjointness, "
+        "preemption floor); simulation-neutral but slower",
+    )
+
+
+def _parse_fractions(value: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in value.split(",") if part.strip())
+
+
+def _parse_tiers(value: str) -> tuple[WorkerTier, ...]:
+    """``--tiers`` spec: ``name:count:speed:bandwidth[:latency],...``.
+
+    ``'none'`` forces a uniform pool (overriding a trace scenario's
+    built-in fast/slow default).
+    """
+    if value.strip().lower() == "none":
+        return ()
+    tiers = []
+    for part in value.split(","):
+        fields = [field.strip() for field in part.strip().split(":")]
+        if len(fields) not in (4, 5):
+            raise ValueError(
+                f"tier {part.strip()!r} must be "
+                "name:count:speed:bandwidth[:latency]"
+            )
+        tiers.append(
+            WorkerTier(
+                name=fields[0],
+                count=int(fields[1]),
+                speed_factor=float(fields[2]),
+                bandwidth_factor=float(fields[3]),
+                extra_latency=float(fields[4]) if len(fields) == 5 else 0.0,
+            )
+        )
+    return tuple(tiers)
+
+
+def run(args) -> int:
+    if args.workload_trace and args.jobs is not None:
+        LOG.error(
+            "error: --jobs sets the generated stream length and cannot be "
+            "combined with --workload-trace (the trace fixes the stream)"
+        )
+        return 2
+    if args.seeds is not None and not args.tune:
+        LOG.error(
+            "error: --seeds controls the --tune confidence intervals; "
+            "without --tune the fleet grid runs the single --seed stream"
+        )
+        return 2
+    if args.slo and args.scheduler not in ("all", "slo"):
+        LOG.error(
+            "error: --slo selects the slo scheduler and cannot be "
+            "combined with --scheduler %s",
+            args.scheduler,
+        )
+        return 2
+    if args.metrics_interval is not None and not args.trace:
+        LOG.error(
+            "error: --metrics-interval tunes the --trace metrics dump; "
+            "give --trace PATH to enable tracing"
+        )
+        return 2
+    if args.trace and args.tune:
+        LOG.error(
+            "error: --trace records one stream and cannot be combined "
+            "with --tune (a multi-cell comparison grid)"
+        )
+        return 2
+    protocols = parse_protocols(args.protocols) if args.protocols else None
+    try:
+        fractions = (
+            _parse_fractions(args.fractions) if args.fractions else None
+        )
+    except ValueError:
+        LOG.error(
+            "error: --fractions must be comma-separated numbers "
+            "(e.g. 0.4,0.3,0.3)"
+        )
+        return 2
+    if fractions is not None and protocols is None:
+        LOG.error(
+            "error: --fractions needs --protocols to name the schedule "
+            "segments"
+        )
+        return 2
+    if protocols is not None and fractions is None and not args.tune:
+        LOG.error(
+            "error: --protocols without --tune needs --fractions (with "
+            "--tune the in-fleet search finds the fractions)"
+        )
+        return 2
+    if fractions is not None and args.tune:
+        LOG.error(
+            "error: --fractions fixes the schedule and cannot be "
+            "combined with --tune (which searches for it)"
+        )
+        return 2
+    tiers = None
+    if args.tiers is not None:
+        try:
+            tiers = _parse_tiers(args.tiers)
+        except (ValueError, ConfigurationError) as exc:
+            LOG.error("error: bad --tiers: %s", exc)
+            return 2
+    if (args.tiers is not None or args.validate) and (
+        args.tune or args.trace or args.policy_store
+    ):
+        LOG.error(
+            "error: --tiers/--validate apply to the fleet grid and the "
+            "trace scenarios; they do not combine with --tune, --trace "
+            "or --policy-store"
+        )
+        return 2
+    trace_scale = (
+        args.workload_trace is None and args.scenario in TRACE_SCENARIOS
+    )
+    if args.shards is not None and not trace_scale:
+        LOG.error(
+            "error: --shards partitions a trace scenario's pool; pick a "
+            "trace --scenario (%s)",
+            ", ".join(sorted(TRACE_SCENARIOS)),
+        )
+        return 2
+    if trace_scale:
+        for flag, given in (
+            ("--tune", args.tune),
+            ("--trace", args.trace is not None),
+            ("--policy-store", args.policy_store is not None),
+            ("--protocols", protocols is not None),
+        ):
+            if given:
+                LOG.error(
+                    "error: %s runs a single in-process stream and "
+                    "cannot be combined with the sharded trace "
+                    "scenario %r",
+                    flag,
+                    args.scenario,
+                )
+                return 2
+        return _cmd_fleet_trace_scale(args, tiers)
+    trace = load_trace(args.workload_trace) if args.workload_trace else None
+    # A trace replaces the scenario stream entirely; label the run (and
+    # its cache keys) accordingly instead of with the unused scenario.
+    scenario = "trace" if trace is not None else args.scenario
+    if args.policy_store:
+        return _cmd_fleet_store(args, scenario, trace, protocols, fractions)
+    if args.tune:
+        return _cmd_fleet_tune(args, scenario, trace, protocols)
+    if args.trace:
+        return _cmd_fleet_traced(args, scenario, trace, protocols, fractions)
+    schedulers = (
+        tuple(sorted(SCHEDULERS))
+        if args.scheduler == "all"
+        else (args.scheduler,)
+    )
+    if args.slo:
+        schedulers = ("slo",)
+    policies = (
+        SYNC_POLICIES if args.policy == "all" else (args.policy,)
+    )
+    grid = fleet_grid(
+        scenario=scenario,
+        schedulers=schedulers,
+        policies=policies,
+        seed=args.seed,
+        scale=args.scale,
+        n_jobs=args.jobs,
+        trace=trace,
+        jobs=args.procs,
+        resim=args.resim,
+        protocols=protocols,
+        fractions=fractions,
+        tiers=tiers,
+        validate=args.validate,
+    )
+    print(render_report(fleet_report(grid, scenario)))
+    target = write_fleet_summary(
+        grid, scenario, args.scale, args.seed, path=args.out
+    )
+    LOG.info("\nfleet summary written to %s", target)
+    return 0
+
+
+def _cmd_fleet_trace_scale(args, tiers) -> int:
+    """The trace-scenario path: sharded heterogeneous pool, merged summary.
+
+    Generates the datacenter trace once, serves each pool shard as its
+    own cached fleet cell (``--procs`` worker processes) and merges the
+    shard summaries — bit-identical at any ``--procs`` count.
+    """
+    if args.slo:
+        scheduler = "slo"
+    elif args.scheduler == "all":
+        scheduler = "slo"
+        LOG.info("trace scenario narrows --scheduler all to slo")
+    else:
+        scheduler = args.scheduler
+    if args.policy == "all":
+        policy = "sync-switch"
+        LOG.info("trace scenario narrows --policy all to sync-switch")
+    else:
+        policy = args.policy
+    try:
+        summary, shard_rows = run_trace_scale(
+            scenario=args.scenario,
+            scheduler=scheduler,
+            sync_policy=policy,
+            seed=args.seed,
+            scale=args.scale,
+            n_jobs=args.jobs,
+            shards=args.shards,
+            tiers=tiers,
+            jobs=args.procs,
+            resim=args.resim,
+            validate=args.validate,
+        )
+    except ConfigurationError as exc:
+        LOG.error("error: %s", exc)
+        return 2
+    payload = trace_scale_payload(
+        summary,
+        shard_rows,
+        args.scenario,
+        scheduler,
+        policy,
+        args.scale,
+        args.seed,
+    )
+    print(render_report(fleet_trace_scale_report(payload)))
+    target = write_fleet_trace_scale(payload, path=args.out)
+    LOG.info("\nfleet trace-scale summary written to %s", target)
+    return 0
+
+
+def _trace_cell_selection(args) -> tuple[str, str]:
+    """The single (scheduler, policy) a ``--trace`` run records.
+
+    Tracing the full grid would interleave unrelated runs in one
+    timeline, so the 'all' defaults narrow to the canonical traced
+    cell (fifo / sync-switch) with an INFO note.
+    """
+    if args.slo:
+        scheduler = "slo"
+    elif args.scheduler == "all":
+        scheduler = "fifo"
+        LOG.info("--trace narrows --scheduler all to fifo")
+    else:
+        scheduler = args.scheduler
+    if args.policy == "all":
+        policy = "sync-switch"
+        LOG.info("--trace narrows --policy all to sync-switch")
+    else:
+        policy = args.policy
+    return scheduler, policy
+
+
+def _write_trace_outputs(args, events: list, metrics: dict | None) -> None:
+    """Write the Chrome trace (and its sibling metrics dump)."""
+    trace_path = Path(args.trace)
+    write_chrome_trace(events, trace_path)
+    categories = trace_categories(events)
+    LOG.info(
+        "trace written to %s (%d events, %d categories: %s)",
+        trace_path,
+        len(events),
+        len(categories),
+        ", ".join(sorted(categories)),
+    )
+    if metrics is not None:
+        metrics_path = trace_path.with_name(trace_path.stem + ".metrics.json")
+        write_metrics_dump(metrics, metrics_path)
+        LOG.info("metrics dump written to %s", metrics_path)
+
+
+def _cmd_fleet_traced(args, scenario: str, trace, protocols, fractions) -> int:
+    """The ``fleet --trace`` path: one observed stream, span export.
+
+    Runs a single traced cell through the cached executor path — the
+    summary is bit-identical to the untraced cell's (tracing never
+    touches the simulation) — then exports the Perfetto-loadable
+    Chrome trace plus the interval-snapshot metrics dump.
+    """
+    scheduler, policy = _trace_cell_selection(args)
+    run = run_traced_fleet(
+        scenario=scenario,
+        scheduler=scheduler,
+        sync_policy=policy,
+        seed=args.seed,
+        scale=args.scale,
+        n_jobs=args.jobs,
+        trace=trace,
+        trace_detail=args.trace_detail,
+        metrics_interval=args.metrics_interval,
+        jobs=args.procs,
+        resim=args.resim,
+        protocols=protocols,
+        fractions=fractions,
+    )
+    print(render_report(fleet_report({(scheduler, policy): run.summary},
+                                     scenario)))
+    _write_trace_outputs(args, run.events, run.metrics)
+    target = write_fleet_summary(
+        {(scheduler, policy): run.summary}, scenario, args.scale, args.seed,
+        path=args.out,
+    )
+    LOG.info("fleet summary written to %s", target)
+    return 0
+
+
+def _cmd_fleet_store(args, scenario: str, trace, protocols, fractions) -> int:
+    """The ``fleet --policy-store`` path: one warm-startable stream.
+
+    Loads the persisted :class:`~repro.fleet.PolicyStore` (when the
+    file exists), serves a *single* stream against it — with ``--tune``
+    the stream searches un-tuned classes in place, without it the
+    stream simply reuses whatever the store already knows (the paper's
+    ``(Yes, 0, r)`` recurrence setting) — and saves the updated store
+    back.  Warm-started runs depend on the store's state, so this path
+    bypasses the experiment cache and always simulates.
+    """
+    if args.slo:
+        scheduler = "slo"
+    elif args.scheduler != "all":
+        scheduler = args.scheduler
+    else:
+        LOG.error(
+            "error: --policy-store runs a single stream; pick one "
+            "--scheduler (or --slo)"
+        )
+        return 2
+    if args.tune:
+        if args.policy not in ("all", "sync-switch"):
+            LOG.error(
+                "error: --policy-store --tune searches sync-switch "
+                "streams; --policy %s does not combine",
+                args.policy,
+            )
+            return 2
+        policy = "sync-switch"
+    elif args.policy != "all":
+        policy = args.policy
+    else:
+        LOG.error(
+            "error: --policy-store without --tune needs one --policy "
+            "for the stream"
+        )
+        return 2
+    if args.seeds is not None:
+        LOG.error(
+            "error: --seeds controls the --tune comparison grid and "
+            "does not combine with --policy-store (use --seed)"
+        )
+        return 2
+    store_path = Path(args.policy_store)
+    if store_path.exists():
+        try:
+            store = PolicyStore.load(store_path, scale=args.scale)
+        except ConfigurationError as exc:
+            LOG.error("error: %s", exc)
+            return 2
+    else:
+        store = PolicyStore()
+    warm_classes = len(store.report())
+    simulator = FleetSimulator(
+        FleetConfig(
+            scenario=scenario,
+            scheduler=scheduler,
+            sync_policy=policy,
+            seed=args.seed,
+            scale=args.scale,
+            n_jobs=args.jobs,
+            trace=trace,
+            tune=args.tune,
+            resim=args.resim,
+            protocols=protocols,
+            fractions=fractions,
+            trace_detail=args.trace_detail if args.trace else None,
+            metrics_interval=args.metrics_interval,
+        ),
+        store=store,
+    )
+    summary = simulator.run()
+    print(render_report(fleet_report({(scheduler, policy): summary}, scenario)))
+    print(
+        f"\npolicy store: {warm_classes} warm class(es) loaded, "
+        f"{len(store.report())} persisted"
+    )
+    for row in store.report():
+        realized = row["realized_service_mean_s"]
+        print(
+            f"  {row['job_class']}: {row['percent']:g}% BSP, "
+            f"{row['recurrences']} recurrence(s), "
+            f"realized savings {row['realized_savings_s']:.1f}s"
+            + (
+                f", realized service {realized:.1f}s"
+                if realized is not None
+                else ""
+            )
+        )
+    target = store.save(store_path, scale=args.scale)
+    LOG.info("policy store written to %s", target)
+    if args.trace:
+        _write_trace_outputs(
+            args, list(simulator.tracer.events), simulator.metrics_payload
+        )
+    out = write_fleet_summary(
+        {(scheduler, policy): summary}, scenario, args.scale, args.seed,
+        path=args.out,
+    )
+    LOG.info("fleet summary written to %s", out)
+    return 0
+
+
+def _cmd_fleet_tune(args, scenario: str, trace, protocols) -> int:
+    """The ``fleet --tune`` path: amortized search comparison grid.
+
+    Always compares the all-BSP baseline stream against the tuned
+    Sync-Switch stream (that pair *is* the amortization argument), so
+    ``--policy`` does not combine with it.
+    """
+    if args.policy != "all":
+        LOG.error(
+            "error: --policy cannot be combined with --tune (the tuning "
+            "grid always compares bsp vs tuned sync-switch)"
+        )
+        return 2
+    if args.seed != 0:
+        LOG.error(
+            "error: --seed cannot be combined with --tune; the tuning "
+            "grid always runs seeds 0..N-1 (choose N with --seeds)"
+        )
+        return 2
+    if args.slo:
+        scheduler = "slo"
+    elif args.scheduler == "all":
+        scheduler = "fifo"
+    else:
+        scheduler = args.scheduler
+    seeds = args.seeds if args.seeds is not None else DEFAULT_TUNING_SEEDS
+    if seeds < 1:
+        LOG.error("error: --seeds must be >= 1")
+        return 2
+    grid = tuning_grid(
+        scenarios=(scenario,),
+        seeds=seeds,
+        scale=args.scale,
+        scheduler=scheduler,
+        n_jobs=args.jobs,
+        trace=trace,
+        jobs=args.procs,
+        resim=args.resim,
+        protocols=protocols,
+    )
+    payload = tuning_summary_payload(
+        grid, (scenario,), seeds, args.scale, scheduler
+    )
+    print(render_report(fleet_tuning_report(payload)))
+    target = write_tuning_summary(payload, path=args.out)
+    LOG.info("\nfleet tuning summary written to %s", target)
+    return 0

@@ -16,28 +16,7 @@
     Fig. 16.
 """
 
-from repro.core.policies import (
-    ConfigurationPolicy,
-    ElasticPolicy,
-    GreedyPolicy,
-    PolicyManager,
-    ProtocolPolicy,
-    TimingPolicy,
-)
-from repro.core.runtime import (
-    CheckpointStore,
-    HookManager,
-    ParallelActuator,
-    SequentialActuator,
-    StragglerDetector,
-    SyncSwitchController,
-    ThroughputProfiler,
-)
-from repro.core.search import (
-    OfflineTimingSearch,
-    SearchCostSimulator,
-    SearchSetting,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CheckpointStore",
@@ -57,3 +36,31 @@ __all__ = [
     "ThroughputProfiler",
     "TimingPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.policies": (
+            "ConfigurationPolicy",
+            "ElasticPolicy",
+            "GreedyPolicy",
+            "PolicyManager",
+            "ProtocolPolicy",
+            "TimingPolicy",
+        ),
+        "repro.core.runtime": (
+            "CheckpointStore",
+            "HookManager",
+            "ParallelActuator",
+            "SequentialActuator",
+            "StragglerDetector",
+            "SyncSwitchController",
+            "ThroughputProfiler",
+        ),
+        "repro.core.search": (
+            "OfflineTimingSearch",
+            "SearchCostSimulator",
+            "SearchSetting",
+        ),
+    },
+)

@@ -1,15 +1,6 @@
 """Sync-Switch policy objects (protocol, timing, configuration, straggler)."""
 
-from repro.core.policies.config import ConfigurationPolicy, MOMENTUM_MODES
-from repro.core.policies.manager import PolicyManager
-from repro.core.policies.protocol import ProtocolPolicy, ProtocolSchedule
-from repro.core.policies.straggler import (
-    BaselinePolicy,
-    ElasticPolicy,
-    GreedyPolicy,
-    StragglerPolicy,
-)
-from repro.core.policies.timing import TimingPolicy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MOMENTUM_MODES",
@@ -23,3 +14,22 @@ __all__ = [
     "StragglerPolicy",
     "TimingPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.policies.config": (
+            "ConfigurationPolicy",
+            "MOMENTUM_MODES",
+        ),
+        "repro.core.policies.manager": ("PolicyManager",),
+        "repro.core.policies.protocol": ("ProtocolPolicy", "ProtocolSchedule"),
+        "repro.core.policies.straggler": (
+            "BaselinePolicy",
+            "ElasticPolicy",
+            "GreedyPolicy",
+            "StragglerPolicy",
+        ),
+        "repro.core.policies.timing": ("TimingPolicy",),
+    },
+)

@@ -1,12 +1,6 @@
 """Sync-Switch runtime: profiler, detector, checkpoints, actuators, hooks."""
 
-from repro.core.runtime.actuator import ParallelActuator, SequentialActuator
-from repro.core.runtime.checkpoint import Checkpoint, CheckpointStore
-from repro.core.runtime.controller import JobResult, SyncSwitchController
-from repro.core.runtime.detector import StragglerDetector
-from repro.core.runtime.elastic import ElasticTrainingRun
-from repro.core.runtime.hooks import HookManager, NodeHook
-from repro.core.runtime.profiler import ThroughputProfiler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Checkpoint",
@@ -21,3 +15,19 @@ __all__ = [
     "SyncSwitchController",
     "ThroughputProfiler",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.runtime.actuator": (
+            "ParallelActuator",
+            "SequentialActuator",
+        ),
+        "repro.core.runtime.checkpoint": ("Checkpoint", "CheckpointStore"),
+        "repro.core.runtime.controller": ("JobResult", "SyncSwitchController"),
+        "repro.core.runtime.detector": ("StragglerDetector",),
+        "repro.core.runtime.elastic": ("ElasticTrainingRun",),
+        "repro.core.runtime.hooks": ("HookManager", "NodeHook"),
+        "repro.core.runtime.profiler": ("ThroughputProfiler",),
+    },
+)

@@ -31,7 +31,7 @@ from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import synchronous_protocols
 from repro.distsim.job import JobConfig, Segment
 from repro.distsim.stragglers import StragglerSchedule
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.distsim.trainer import DistributedTrainer
 from repro.errors import DivergenceError
 from repro.obs.tracer import NULL_TRACER

@@ -55,7 +55,7 @@ from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous
 from repro.distsim.job import JobConfig, Segment
 from repro.distsim.stragglers import StragglerSchedule
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.distsim.trainer import DistributedTrainer
 from repro.errors import ConfigurationError, DivergenceError
 from repro.obs.tracer import NULL_TRACER

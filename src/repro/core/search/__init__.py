@@ -1,22 +1,6 @@
 """Timing and schedule search (Algorithm 1) and its cost analysis."""
 
-from repro.core.search.binary_search import (
-    OfflineTimingSearch,
-    ScheduleCandidate,
-    ScheduleSearch,
-    ScheduleSearchResult,
-    ScheduleTrialOutcome,
-    SearchConfig,
-    SearchResult,
-    TrialOutcome,
-    boundary_fractions,
-)
-from repro.core.search.cost_model import (
-    ProfileModel,
-    SearchCostReport,
-    SearchCostSimulator,
-    SearchSetting,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OfflineTimingSearch",
@@ -33,3 +17,26 @@ __all__ = [
     "TrialOutcome",
     "boundary_fractions",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.search.binary_search": (
+            "OfflineTimingSearch",
+            "ScheduleCandidate",
+            "ScheduleSearch",
+            "ScheduleSearchResult",
+            "ScheduleTrialOutcome",
+            "SearchConfig",
+            "SearchResult",
+            "TrialOutcome",
+            "boundary_fractions",
+        ),
+        "repro.core.search.cost_model": (
+            "ProfileModel",
+            "SearchCostReport",
+            "SearchCostSimulator",
+            "SearchSetting",
+        ),
+    },
+)

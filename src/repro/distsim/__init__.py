@@ -12,38 +12,7 @@ halves that the execution engines tie together:
   pulled), so staleness genuinely affects convergence.
 """
 
-from repro.distsim.cluster import Cluster, ClusterSpec
-from repro.distsim.engines import (
-    ASPEngine,
-    BSPEngine,
-    CASPEngine,
-    DSSPEngine,
-    EngineSpec,
-    OSPEngine,
-    SSPEngine,
-    engine_spec,
-    is_synchronous,
-    known_protocols,
-    make_engine,
-    precision_rank,
-    synchronous_protocols,
-)
-from repro.distsim.events import EventQueue, SimClock
-from repro.distsim.parameter_server import ShardedParameterServer
-from repro.distsim.stragglers import (
-    StragglerEvent,
-    StragglerSchedule,
-    ambient_contention,
-    transient_scenario,
-)
-from repro.distsim.telemetry import TrainingResult, TrainingTelemetry
-from repro.distsim.timing import TimingModel, timing_for
-from repro.distsim.trainer import (
-    DistributedTrainer,
-    JobConfig,
-    Segment,
-    TrainingPlan,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ASPEngine",
@@ -77,3 +46,38 @@ __all__ = [
     "timing_for",
     "transient_scenario",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.distsim.cluster": ("Cluster", "ClusterSpec"),
+        "repro.distsim.engines": (
+            "ASPEngine",
+            "BSPEngine",
+            "CASPEngine",
+            "DSSPEngine",
+            "EngineSpec",
+            "OSPEngine",
+            "SSPEngine",
+            "engine_spec",
+            "is_synchronous",
+            "known_protocols",
+            "make_engine",
+            "precision_rank",
+            "synchronous_protocols",
+        ),
+        "repro.distsim.events": ("EventQueue", "SimClock"),
+        "repro.distsim.job": ("JobConfig", "Segment", "TrainingPlan"),
+        "repro.distsim.parameter_server": ("ShardedParameterServer",),
+        "repro.distsim.stragglers": (
+            "StragglerEvent",
+            "StragglerSchedule",
+            "ambient_contention",
+            "transient_scenario",
+        ),
+        "repro.distsim.result": ("TrainingResult",),
+        "repro.distsim.telemetry": ("TrainingTelemetry",),
+        "repro.distsim.timing": ("TimingModel", "timing_for"),
+        "repro.distsim.trainer": ("DistributedTrainer",),
+    },
+)

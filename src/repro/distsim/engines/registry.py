@@ -1,0 +1,113 @@
+"""The engine registry: one :class:`EngineSpec` per protocol engine class.
+
+Built from the engine classes' own declarations (see the package
+docstring); :mod:`repro.distsim.engines` re-exports everything here.
+"""
+
+from dataclasses import dataclass, field
+
+from repro.distsim.engines.asp import ASPEngine
+from repro.distsim.engines.base import Engine
+from repro.distsim.engines.bsp import BSPEngine
+from repro.distsim.engines.casp import CASPEngine
+from repro.distsim.engines.dssp import DSSPEngine
+from repro.distsim.engines.osp import OSPEngine
+from repro.distsim.engines.ssp import SSPEngine
+from repro.errors import ConfigurationError
+
+__all__ = [
+    "ENGINE_REGISTRY",
+    "EngineSpec",
+    "engine_spec",
+    "is_synchronous",
+    "known_protocols",
+    "make_engine",
+    "precision_rank",
+    "synchronous_protocols",
+]
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """Registry entry derived from an engine class's declarations."""
+
+    name: str
+    factory: type
+    precision: int
+    synchronous: bool
+    config_schema: dict[str, str] = field(default_factory=dict)
+    summary: str = ""
+
+
+def _spec(cls: type) -> EngineSpec:
+    doc = (cls.__doc__ or "").strip().splitlines()
+    return EngineSpec(
+        name=cls.name,
+        factory=cls,
+        precision=int(cls.precision),
+        synchronous=bool(cls.synchronous),
+        config_schema=dict(getattr(cls, "config_schema", {})),
+        summary=doc[0] if doc else "",
+    )
+
+
+_ENGINE_CLASSES = (
+    BSPEngine,
+    OSPEngine,
+    SSPEngine,
+    DSSPEngine,
+    ASPEngine,
+    CASPEngine,
+)
+
+#: protocol name -> :class:`EngineSpec`, ordered most precise first.
+ENGINE_REGISTRY: dict[str, EngineSpec] = {
+    spec.name: spec
+    for spec in sorted(
+        (_spec(cls) for cls in _ENGINE_CLASSES),
+        key=lambda spec: spec.precision,
+    )
+}
+
+#: Cached name tuple (registry order: most precise first).
+_KNOWN = tuple(ENGINE_REGISTRY)
+
+#: Cached barrier-style protocol names (the fleet's "precise span").
+_SYNCHRONOUS = frozenset(
+    spec.name for spec in ENGINE_REGISTRY.values() if spec.synchronous
+)
+
+
+def known_protocols() -> tuple[str, ...]:
+    """Registered protocol names, most precise first."""
+    return _KNOWN
+
+
+def engine_spec(protocol: str) -> EngineSpec:
+    """The registry entry for ``protocol``."""
+    spec = ENGINE_REGISTRY.get(protocol)
+    if spec is None:
+        raise ConfigurationError(
+            f"unknown protocol {protocol!r}; known: {sorted(ENGINE_REGISTRY)}"
+        )
+    return spec
+
+
+def precision_rank(protocol: str) -> int:
+    """Staleness-ordering rank of ``protocol`` (lower = more precise)."""
+    return engine_spec(protocol).precision
+
+
+def is_synchronous(protocol: str) -> bool:
+    """Whether ``protocol`` is barrier-style (BSP-family semantics)."""
+    return engine_spec(protocol).synchronous
+
+
+def synchronous_protocols() -> frozenset[str]:
+    """Names of the registered barrier-style protocols."""
+    return _SYNCHRONOUS
+
+
+def make_engine(protocol: str) -> Engine:
+    """Instantiate the engine registered for ``protocol``."""
+    return engine_spec(protocol).factory()

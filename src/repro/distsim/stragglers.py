@@ -78,6 +78,9 @@ class StragglerSchedule:
 
     Events are indexed per worker and sorted by start time, so the
     active-state query used on every simulated batch is O(log m).
+    :meth:`add` only appends; a worker's index is (re)built by the
+    first query after it changed, with one stable sort by start — the
+    order repeated sort-on-insert would give, equal starts included.
     """
 
     def __init__(self, events: list[StragglerEvent] | None = None):
@@ -92,6 +95,8 @@ class StragglerSchedule:
         # one computed window serves every query until the next event
         # boundary.
         self._memo: dict[int, tuple[float, float, float, float]] = {}
+        #: Workers whose bucket grew since their index was built.
+        self._dirty: set[int] = set()
         self._first_start = float("inf")
         self._last_end = float("-inf")
         self.events: list[StragglerEvent] = []
@@ -99,21 +104,27 @@ class StragglerSchedule:
             self.add(event)
 
     def add(self, event: StragglerEvent) -> None:
-        """Insert one event (keeps per-worker ordering)."""
+        """Insert one event (per-worker ordering is restored on query)."""
         self.events.append(event)
-        bucket = self._by_worker.setdefault(event.worker, [])
-        bucket.append(event)
-        bucket.sort(key=lambda e: e.start)
-        self._starts[event.worker] = [e.start for e in bucket]
-        self._index[event.worker] = (
-            np.array([e.start for e in bucket]),
-            np.array([e.end for e in bucket]),
-            np.array([e.slow_factor for e in bucket]),
-            np.array([e.extra_latency for e in bucket]),
-        )
+        self._by_worker.setdefault(event.worker, []).append(event)
+        self._dirty.add(event.worker)
         self._first_start = min(self._first_start, event.start)
         self._last_end = max(self._last_end, event.end)
         self._memo.pop(event.worker, None)
+
+    def _reindex(self) -> None:
+        """Sort and re-column the bucket of every worker :meth:`add` touched."""
+        for worker in sorted(self._dirty):
+            bucket = self._by_worker[worker]
+            bucket.sort(key=lambda e: e.start)
+            self._starts[worker] = [e.start for e in bucket]
+            self._index[worker] = (
+                np.array(self._starts[worker]),
+                np.array([e.end for e in bucket]),
+                np.array([e.slow_factor for e in bucket]),
+                np.array([e.extra_latency for e in bucket]),
+            )
+        self._dirty.clear()
 
     def state_at(self, worker: int, time: float) -> tuple[float, float]:
         """``(slow_factor, extra_latency)`` for ``worker`` at ``time``.
@@ -123,6 +134,8 @@ class StragglerSchedule:
         per-worker columnar index; compounding runs in start order, so
         the floating-point result is identical to the event-loop form.
         """
+        if self._dirty:
+            self._reindex()
         index = self._index.get(worker)
         if index is None:
             return 1.0, 0.0
@@ -186,6 +199,8 @@ class StragglerSchedule:
 
     def events_for(self, worker: int) -> tuple[StragglerEvent, ...]:
         """All events of ``worker``, sorted by start time."""
+        if self._dirty:
+            self._reindex()
         return tuple(self._by_worker.get(worker, ()))
 
     def active_workers(self, time: float) -> set[int]:
@@ -195,6 +210,8 @@ class StragglerSchedule:
         called once per simulated step in the engines' hot loops), not a
         scan over the full event list.
         """
+        if self._dirty:
+            self._reindex()
         active = set()
         for worker, starts in self._starts.items():
             bucket = self._by_worker[worker]

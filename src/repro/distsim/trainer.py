@@ -4,7 +4,7 @@ This is the substrate equivalent of a TensorFlow training job plus the
 parts of Sync-Switch's runtime that live next to the framework: it
 sequences protocol segments, charges checkpoint/restart overhead at
 every protocol switch (Section V), detects divergence, and assembles
-the final :class:`~repro.distsim.telemetry.TrainingResult`.
+the final :class:`~repro.distsim.result.TrainingResult`.
 
 Policy *decisions* (which plan, when to react to stragglers) live in
 :mod:`repro.core`; this module only executes them.
@@ -18,7 +18,7 @@ from repro.distsim.engines.base import StopCondition, TrainingSession
 from repro.distsim.job import JobConfig, Segment, TrainingPlan
 from repro.distsim.overheads import ProvisioningModel
 from repro.distsim.stragglers import StragglerSchedule, ambient_contention
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.distsim.timing import timing_for
 from repro.errors import DivergenceError
 from repro.mlcore.datasets import make_dataset

@@ -8,127 +8,41 @@ cache makes overlapping artifacts (e.g. Fig. 2 ⊂ Fig. 5b ⊂ Fig. 11)
 reuse the same training runs.
 """
 
-from repro.experiments.endtoend import (
-    figure_10,
-    figure_11,
-    figure_12,
-    figure_13,
-    figure_14,
+from repro._lazy import LazyTable, lazy_exports
+
+#: Registry used by the CLI and the benchmark suite: artifact name ->
+#: generator, imported when the artifact is looked up.
+ARTIFACTS = LazyTable(
+    {
+        "fig2": "repro.experiments.figures:figure_2",
+        "fig4a": "repro.experiments.figures:figure_4a",
+        "fig4b": "repro.experiments.figures:figure_4b",
+        "fig5a": "repro.experiments.figures:figure_5a",
+        "fig5b": "repro.experiments.figures:figure_5b",
+        "fig8a": "repro.experiments.figures:figure_8a",
+        "fig8b": "repro.experiments.figures:figure_8b",
+        "fig10": "repro.experiments.endtoend:figure_10",
+        "fig11": "repro.experiments.endtoend:figure_11",
+        "fig12": "repro.experiments.endtoend:figure_12",
+        "fig13": "repro.experiments.endtoend:figure_13",
+        "fig14": "repro.experiments.endtoend:figure_14",
+        "fig15": "repro.experiments.straggler_fig:figure_15",
+        "fig16": "repro.experiments.search_analysis:figure_16",
+        "tab1": "repro.experiments.tables:table_1",
+        "tab2": "repro.experiments.search_analysis:table_2",
+        "tab3": "repro.experiments.tables:table_3",
+        "tab4": "repro.experiments.search_analysis:table_4",
+        "tab5": "repro.experiments.search_analysis:table_5",
+        "tab6": "repro.experiments.search_analysis:table_6",
+        "fleet": "repro.experiments.fleet:fleet_artifact",
+        "fleet-resim": "repro.experiments.fleet:fleet_resim_artifact",
+        "fleet-search": "repro.experiments.fleet:fleet_tuning_artifact",
+        "fleet-trace": "repro.experiments.fleet:fleet_trace_artifact",
+        "fleet-trace-scale": (
+            "repro.experiments.fleet:fleet_trace_scale_artifact"
+        ),
+    }
 )
-from repro.experiments.figures import (
-    figure_2,
-    figure_4a,
-    figure_4b,
-    figure_5a,
-    figure_5b,
-    figure_8a,
-    figure_8b,
-)
-from repro.experiments.executor import (
-    ParallelExecutor,
-    RunRequest,
-    resolve_jobs,
-)
-from repro.experiments.reporting import (
-    Report,
-    prefetch_union,
-    render_report,
-)
-from repro.experiments.runner import CollectionComplete, ExperimentRunner
-from repro.experiments.search_analysis import (
-    figure_16,
-    table_2,
-    table_4,
-    table_5,
-    table_6,
-)
-from repro.experiments.setups import (
-    SETUPS,
-    ExperimentSetup,
-    default_scale,
-    default_seeds,
-)
-from repro.experiments.straggler_fig import figure_15
-from repro.experiments.tables import table_1, table_3
-
-
-def fleet_artifact(runner):
-    """The fleet scheduler x sync-policy comparison (lazy import).
-
-    :mod:`repro.experiments.fleet` pulls in :mod:`repro.fleet`, which
-    itself builds on this package's setups — importing it here at
-    module level would be circular, so the registry resolves it on
-    first use.
-    """
-    from repro.experiments.fleet import fleet_artifact as _fleet_artifact
-
-    return _fleet_artifact(runner)
-
-
-def fleet_tuning_artifact(runner):
-    """The amortized fleet-search comparison (lazy import, see above)."""
-    from repro.experiments.fleet import (
-        fleet_tuning_artifact as _fleet_tuning_artifact,
-    )
-
-    return _fleet_tuning_artifact(runner)
-
-
-def fleet_resim_artifact(runner):
-    """The stretch-vs-exact preempted-tail delta table (lazy import)."""
-    from repro.experiments.fleet import (
-        fleet_resim_artifact as _fleet_resim_artifact,
-    )
-
-    return _fleet_resim_artifact(runner)
-
-
-def fleet_trace_artifact(runner):
-    """The traced-cell metrics timeline (lazy import, see above)."""
-    from repro.experiments.fleet import (
-        fleet_trace_artifact as _fleet_trace_artifact,
-    )
-
-    return _fleet_trace_artifact(runner)
-
-
-def fleet_trace_scale_artifact(runner):
-    """The sharded datacenter-trace run (lazy import, see above)."""
-    from repro.experiments.fleet import (
-        fleet_trace_scale_artifact as _fleet_trace_scale_artifact,
-    )
-
-    return _fleet_trace_scale_artifact(runner)
-
-
-#: Registry used by the CLI and the benchmark suite.
-ARTIFACTS = {
-    "fig2": figure_2,
-    "fig4a": figure_4a,
-    "fig4b": figure_4b,
-    "fig5a": figure_5a,
-    "fig5b": figure_5b,
-    "fig8a": figure_8a,
-    "fig8b": figure_8b,
-    "fig10": figure_10,
-    "fig11": figure_11,
-    "fig12": figure_12,
-    "fig13": figure_13,
-    "fig14": figure_14,
-    "fig15": figure_15,
-    "fig16": figure_16,
-    "tab1": table_1,
-    "tab2": table_2,
-    "tab3": table_3,
-    "tab4": table_4,
-    "tab5": table_5,
-    "tab6": table_6,
-    "fleet": fleet_artifact,
-    "fleet-resim": fleet_resim_artifact,
-    "fleet-search": fleet_tuning_artifact,
-    "fleet-trace": fleet_trace_artifact,
-    "fleet-trace-scale": fleet_trace_scale_artifact,
-}
 
 __all__ = [
     "ARTIFACTS",
@@ -170,3 +84,58 @@ __all__ = [
     "table_5",
     "table_6",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.endtoend": (
+            "figure_10",
+            "figure_11",
+            "figure_12",
+            "figure_13",
+            "figure_14",
+        ),
+        "repro.experiments.executor": (
+            "ParallelExecutor",
+            "RunRequest",
+            "resolve_jobs",
+        ),
+        "repro.experiments.figures": (
+            "figure_2",
+            "figure_4a",
+            "figure_4b",
+            "figure_5a",
+            "figure_5b",
+            "figure_8a",
+            "figure_8b",
+        ),
+        "repro.experiments.fleet": (
+            "fleet_artifact",
+            "fleet_resim_artifact",
+            "fleet_trace_artifact",
+            "fleet_trace_scale_artifact",
+            "fleet_tuning_artifact",
+        ),
+        "repro.experiments.reporting": (
+            "Report",
+            "prefetch_union",
+            "render_report",
+        ),
+        "repro.experiments.runner": ("CollectionComplete", "ExperimentRunner"),
+        "repro.experiments.search_analysis": (
+            "figure_16",
+            "table_2",
+            "table_4",
+            "table_5",
+            "table_6",
+        ),
+        "repro.experiments.setups": (
+            "SETUPS",
+            "ExperimentSetup",
+            "default_scale",
+            "default_seeds",
+        ),
+        "repro.experiments.straggler_fig": ("figure_15",),
+        "repro.experiments.tables": ("table_1", "table_3"),
+    },
+)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 
 __all__ = [
     "accuracy_stats",

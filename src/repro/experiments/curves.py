@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError
 
 __all__ = ["sparkline", "curve_panel", "loss_and_accuracy_panels"]

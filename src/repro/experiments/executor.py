@@ -43,7 +43,7 @@ safe to share between concurrent processes:
 Execution is deterministic per cell — every stochastic component is
 seeded from the ``(seed, label)`` pair (see :mod:`repro.rng`) — so
 ``jobs=N`` and ``jobs=1`` produce bit-identical
-:class:`~repro.distsim.telemetry.TrainingResult` values.
+:class:`~repro.distsim.result.TrainingResult` values.
 """
 
 from __future__ import annotations
@@ -52,13 +52,14 @@ import json
 import logging
 import os
 import tempfile
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable
 
-from repro.distsim.telemetry import TrainingResult
+from repro._lazy import resolve
+from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError
 from repro.experiments.setups import ExperimentSetup
 
@@ -201,22 +202,9 @@ class RunRequest:
         return cache_key(self.setup, self.spec, self.seed, scale)
 
 
-def _execute_cell(payload: tuple) -> tuple[str, dict]:
-    """Pool worker: train one cell through a fresh single-seed runner.
-
-    The runner's :meth:`run` re-checks the shared disk cache before
-    executing (a sibling may have finished the cell meanwhile) and
-    stores the result atomically on completion.
-    """
-    scale, cache_dir, request, key = payload
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = ExperimentRunner(
-        scale=scale,
-        seeds=1,
-        cache_dir=cache_dir if cache_dir is not None else "off",
-    )
-    return key, runner.run(request.setup, request.spec, request.seed).to_dict()
+#: The default cell function, named rather than imported: training
+#: cells need the whole training stack, which only a cache miss loads.
+TRAINING_CELL = "repro.experiments.materialize:execute_cell"
 
 
 @dataclass
@@ -230,7 +218,8 @@ class ParallelExecutor:
     The executor is generic over the cell type: requests only need a
     ``key(scale)`` identity, ``cell_fn`` is the (picklable, top-level)
     worker receiving ``(scale, cache_dir, request, key)`` and returning
-    ``(key, json_dict)``, and ``decode`` rebuilds the result object.
+    ``(key, json_dict)`` — or its ``"module:function"`` name, imported
+    on the first cache miss — and ``decode`` rebuilds the result object.
     The defaults execute :class:`RunRequest` training cells; the fleet
     scenario driver plugs in its own cell type.
     """
@@ -238,7 +227,7 @@ class ParallelExecutor:
     scale: float
     cache_dir: Path | None = None
     jobs: int | None = None
-    cell_fn: Callable = _execute_cell
+    cell_fn: Callable | str = TRAINING_CELL
     decode: Callable = TrainingResult.from_dict
     _resolved_jobs: int = field(init=False, repr=False)
 
@@ -270,6 +259,10 @@ class ParallelExecutor:
                 pending[key] = request
         if not pending:
             return results
+        if isinstance(self.cell_fn, str):
+            # Imported here, in the parent, so that pool workers fork
+            # with the cell function's stack already loaded.
+            self.cell_fn = resolve(self.cell_fn)
         workers = min(self._resolved_jobs, len(pending))
         _LOG.info(
             "batch: %d cell(s) requested, %d unique, %d cached, "
@@ -300,6 +293,10 @@ class ParallelExecutor:
             _LOG.info("batch progress: %d/%d cells done", done, len(pending))
 
     def _execute_pool(self, pending, results, workers: int) -> None:
+        # multiprocessing is a sixth of a cache-hit run's start-up;
+        # only a batch that fans out pays for it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(self.cell_fn, self._payload(key, request))

@@ -1,12 +1,13 @@
 """Experiment runner: executes harness configurations with caching.
 
 A *run spec* is a plain JSON-able dict describing one training
-configuration; the runner materialises it into policies + controller
-(or a raw trainer plan for engine-level ablations), executes it once
-per seed, and caches the resulting
-:class:`~repro.distsim.telemetry.TrainingResult` in memory and on disk
+configuration (see :mod:`repro.experiments.materialize` for the spec
+reference and the code that trains one); the runner executes it once
+per seed and caches the resulting
+:class:`~repro.distsim.result.TrainingResult` in memory and on disk
 (keyed by setup, scale, spec and seed), because many figures share the
 same underlying runs — exactly like the paper reuses its training logs.
+A run served entirely from the cache never imports the training stack.
 
 Batch execution and parallelism
 -------------------------------
@@ -27,49 +28,15 @@ writes go through a temp file + :func:`os.replace` (never a partial
 entry) and workers re-read the cache immediately before training so a
 cell computed by a sibling process is loaded, not recomputed.  See
 :mod:`repro.experiments.executor` for the full guarantees.
-
-Spec reference::
-
-    {"kind": "switch", "percent": 6.25}                  # Sync-Switch plan
-    {"kind": "switch", "percent": 6.25,
-     "momentum_mode": "zero"}                            # Fig 8b ablation
-    {"kind": "static", "protocol": "bsp"}                # baselines
-    {"kind": "schedule", "protocols": ["bsp", "ssp", "asp"],
-     "fractions": [0.1, 0.3, 0.6]}                       # N-segment plan
-    {"kind": "reversed", "percent": 50.0}                # ASP->BSP ablation
-    {"kind": "custom_static", "protocol": "asp",
-     "options": {"batch_size": 1024}}                    # Fig 8a ablation
-    + optional keys:
-      "steps_scale": 0.25          # shorten the run (throughput probes)
-      "ambient": false             # disable background cloud noise
-      "stragglers": {"n": 1, "occurrences": 1, "latency": 0.010,
-                     "permanent": false}
-      "online": "greedy" | "elastic"                     # Fig 15 policies
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
-from repro.core.policies import (
-    ConfigurationPolicy,
-    ElasticPolicy,
-    GreedyPolicy,
-    PolicyManager,
-    ProtocolPolicy,
-    ProtocolSchedule,
-    TimingPolicy,
-)
-from repro.core.runtime import SyncSwitchController
-from repro.distsim.cluster import Cluster, ClusterSpec
-from repro.distsim.job import JobConfig, Segment, TrainingPlan
-from repro.distsim.overheads import ProvisioningModel
-from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
-from repro.distsim.telemetry import TrainingResult
-from repro.distsim.timing import timing_for
-from repro.distsim.trainer import DistributedTrainer
+from repro.distsim.job import JobConfig
+from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     CALIBRATION_VERSION,
@@ -87,7 +54,6 @@ from repro.experiments.setups import (
     default_seeds,
     scaled_job,
 )
-from repro.rng import child_rng
 
 __all__ = ["ExperimentRunner", "CollectionComplete", "CALIBRATION_VERSION"]
 
@@ -173,7 +139,11 @@ class ExperimentRunner:
         if disk is not None:
             self._memory[key] = disk
             return disk
-        result = self._execute(setup, spec, seed)
+        # The cache-miss boundary: only a run that must train loads the
+        # training stack (see repro._lazy).
+        from repro.experiments.materialize import execute_spec
+
+        result = execute_spec(setup, spec, seed, self.scale)
         self._memory[key] = result
         self._disk_store(key, result)
         return result
@@ -268,166 +238,6 @@ class ExperimentRunner:
     def job(self, setup: ExperimentSetup, seed: int) -> JobConfig:
         """The scaled job config used for ``setup``."""
         return scaled_job(setup, self.scale, seed)
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def _execute(
-        self, setup: ExperimentSetup, spec: dict, seed: int
-    ) -> TrainingResult:
-        job = self.job(setup, seed)
-        steps_scale = float(spec.get("steps_scale", 1.0))
-        if steps_scale != 1.0:
-            job = self._with_steps_scale(job, steps_scale)
-        ambient = bool(spec.get("ambient", True))
-        stragglers = self._straggler_schedule(setup, spec, job, seed)
-
-        if spec["kind"] == "custom_static":
-            return self._execute_raw(setup, spec, job, stragglers, ambient)
-
-        policies = self._policies(setup, spec, job)
-        controller = SyncSwitchController(
-            job=job,
-            cluster_spec=ClusterSpec(n_workers=setup.n_workers),
-            policies=policies,
-            stragglers=stragglers,
-            ambient_noise=ambient,
-            overhead_time_scale=self.scale,
-        )
-        return controller.run_job().result
-
-    @staticmethod
-    def _with_steps_scale(job: JobConfig, steps_scale: float) -> JobConfig:
-        """Shorten the step budget, preserving every other job field.
-
-        Uses :func:`dataclasses.replace` so fields like
-        ``divergence_threshold`` are never silently reset to defaults.
-        """
-        return replace(
-            job, total_steps=max(int(job.total_steps * steps_scale), 200)
-        )
-
-    def _execute_raw(
-        self, setup, spec, job, stragglers, ambient
-    ) -> TrainingResult:
-        """Engine-level run for ablations outside the policy space."""
-        protocol = spec["protocol"]
-        options = dict(spec.get("options", {}))
-        plan = TrainingPlan((Segment(protocol, 1.0, options),))
-        trainer = DistributedTrainer(
-            job,
-            Cluster(ClusterSpec(n_workers=setup.n_workers)),
-            stragglers=stragglers,
-            ambient_noise=ambient,
-            provisioning=ProvisioningModel(time_scale=self.scale),
-        )
-        return trainer.run(plan)
-
-    def _policies(
-        self, setup: ExperimentSetup, spec: dict, job: JobConfig
-    ) -> PolicyManager:
-        kind = spec["kind"]
-        config = ConfigurationPolicy(
-            momentum_mode=spec.get("momentum_mode", "baseline")
-        )
-        online = None
-        if spec.get("online") == "greedy":
-            online = GreedyPolicy()
-        elif spec.get("online") == "elastic":
-            online = ElasticPolicy()
-
-        if kind == "switch":
-            timing = TimingPolicy(spec["percent"] / 100.0, source="harness")
-            return PolicyManager(
-                timing=timing, config=config, straggler=online
-            )
-        if kind == "static":
-            protocol = spec["protocol"]
-            if protocol == "bsp":
-                timing = TimingPolicy(1.0, source="static")
-                return PolicyManager(
-                    timing=timing, config=config, straggler=online
-                )
-            timing = TimingPolicy(0.0, source="static")
-            protocol_policy = ProtocolPolicy(first="bsp", second=protocol) if (
-                protocol != "bsp"
-            ) else ProtocolPolicy()
-            return PolicyManager(
-                timing=timing,
-                protocol=protocol_policy,
-                config=config,
-                straggler=online,
-            )
-        if kind == "schedule":
-            fractions = tuple(float(value) for value in spec["fractions"])
-            return PolicyManager(
-                timing=TimingPolicy.for_schedule(fractions, source="harness"),
-                protocol=ProtocolSchedule(
-                    tuple(str(name) for name in spec["protocols"])
-                ),
-                config=config,
-                straggler=online,
-            )
-        if kind == "reversed":
-            timing = TimingPolicy(spec["percent"] / 100.0, source="ablation")
-            return PolicyManager(
-                timing=timing,
-                protocol=ProtocolPolicy.allow_reversed("asp", "bsp"),
-                config=config,
-                straggler=online,
-            )
-        raise ConfigurationError(f"unknown run-spec kind {kind!r}")
-
-    def _straggler_schedule(
-        self, setup, spec, job: JobConfig, seed: int
-    ) -> StragglerSchedule | None:
-        raw = spec.get("stragglers")
-        if not raw:
-            return None
-        count = int(raw["n"])
-        latency = float(raw["latency"])
-        rng = child_rng(seed, f"straggler/{setup.key}")
-        if raw.get("permanent"):
-            horizon = 10_000_000.0
-            schedule = StragglerSchedule()
-            for worker in range(count):
-                schedule.add(
-                    StragglerEvent(
-                        worker=worker,
-                        start=0.0,
-                        duration=horizon,
-                        extra_latency=latency,
-                    )
-                )
-            return schedule
-        occurrences = int(raw.get("occurrences", 1))
-        duration = float(raw.get("duration", 100.0))
-        window_end = max(self._bsp_phase_estimate(setup, spec, job), 30.0)
-        schedule = StragglerSchedule()
-        workers = rng.choice(setup.n_workers, size=count, replace=False)
-        for worker in workers:
-            for _ in range(occurrences):
-                start = float(rng.uniform(2.0, max(window_end * 0.8, 3.0)))
-                schedule.add(
-                    StragglerEvent(
-                        worker=int(worker),
-                        start=start,
-                        duration=duration,
-                        extra_latency=latency,
-                    )
-                )
-        return schedule
-
-    def _bsp_phase_estimate(self, setup, spec, job: JobConfig) -> float:
-        """Rough simulated duration of the plan's BSP phase."""
-        percent = float(spec.get("percent", setup.policy_percent))
-        timing = timing_for(setup.model)
-        rounds = percent / 100.0 * job.total_steps / setup.n_workers
-        round_time = (
-            timing.mean_compute_time(job.batch_size) * 1.3
-            + timing.sync_overhead(setup.n_workers)
-        )
-        return rounds * round_time * 1.25
 
     # ------------------------------------------------------------------
     # caching

@@ -12,58 +12,7 @@ break-even ledger (:mod:`repro.fleet.policy_store`), and fleet
 telemetry (:mod:`repro.fleet.metrics`).
 """
 
-from repro.fleet.fleet_sim import (
-    RESIM_MODES,
-    FleetConfig,
-    FleetSimulator,
-    WorkerPool,
-    simulate_fleet,
-)
-from repro.fleet.metrics import (
-    FleetSummary,
-    JobRecord,
-    merge_fleet_summaries,
-    percentile,
-    summarize_fleet,
-)
-from repro.fleet.policy_store import (
-    STORE_FORMAT_VERSION,
-    ClassPolicy,
-    JobClass,
-    PolicyStore,
-    policy_from_schedule_search,
-    policy_from_search,
-)
-from repro.fleet.scheduler import (
-    SCHEDULERS,
-    BestFitScheduler,
-    FifoScheduler,
-    SchedulerContext,
-    SchedulerPolicy,
-    SloAwareScheduler,
-    SmallestJobFirstScheduler,
-    make_scheduler,
-)
-from repro.fleet.tuning import ScheduleSearchSession, TimingSearchSession
-from repro.fleet.workload import (
-    DEFAULT_TENANT_TIERS,
-    FLEET_SCENARIOS,
-    JOB_KINDS,
-    SYNC_POLICIES,
-    TRACE_SCENARIOS,
-    FleetScenario,
-    JobRequest,
-    TenantTier,
-    TraceScenario,
-    assign_shards,
-    bounded_pareto,
-    estimate_service_time,
-    load_trace,
-    poisson_stream,
-    resolve_percent,
-    save_trace,
-    trace_stream,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_TENANT_TIERS",
@@ -110,3 +59,61 @@ __all__ = [
     "summarize_fleet",
     "trace_stream",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.fleet_sim": (
+            "RESIM_MODES",
+            "FleetConfig",
+            "FleetSimulator",
+            "WorkerPool",
+            "simulate_fleet",
+        ),
+        "repro.fleet.metrics": (
+            "FleetSummary",
+            "JobRecord",
+            "merge_fleet_summaries",
+            "percentile",
+            "summarize_fleet",
+        ),
+        "repro.fleet.policy_store": (
+            "STORE_FORMAT_VERSION",
+            "ClassPolicy",
+            "JobClass",
+            "PolicyStore",
+            "policy_from_schedule_search",
+            "policy_from_search",
+        ),
+        "repro.fleet.scheduler": (
+            "SCHEDULERS",
+            "BestFitScheduler",
+            "FifoScheduler",
+            "SchedulerContext",
+            "SchedulerPolicy",
+            "SloAwareScheduler",
+            "SmallestJobFirstScheduler",
+            "make_scheduler",
+        ),
+        "repro.fleet.tuning": ("ScheduleSearchSession", "TimingSearchSession"),
+        "repro.fleet.workload": (
+            "DEFAULT_TENANT_TIERS",
+            "FLEET_SCENARIOS",
+            "JOB_KINDS",
+            "SYNC_POLICIES",
+            "TRACE_SCENARIOS",
+            "FleetScenario",
+            "JobRequest",
+            "TenantTier",
+            "TraceScenario",
+            "assign_shards",
+            "bounded_pareto",
+            "estimate_service_time",
+            "load_trace",
+            "poisson_stream",
+            "resolve_percent",
+            "save_trace",
+            "trace_stream",
+        ),
+    },
+)

@@ -89,7 +89,7 @@ from repro.distsim.stragglers import (
     ambient_contention,
     tier_slowdown,
 )
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError, FleetError, SearchError
 from repro.experiments.setups import SETUPS, scaled_job
 from repro.fleet.metrics import FleetSummary, JobRecord, summarize_fleet

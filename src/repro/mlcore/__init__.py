@@ -8,20 +8,7 @@ evaluates the gradient at the (old) vector it pulled — and lets the
 parameter server shard a single contiguous array.
 """
 
-from repro.mlcore.datasets import DatasetConfig, SyntheticDataset, make_dataset
-from repro.mlcore.losses import softmax_cross_entropy, softmax_probabilities
-from repro.mlcore.metrics import ConvergenceTracker, time_to_accuracy
-from repro.mlcore.models import ModelConfig, ResidualMLPClassifier, make_model
-from repro.mlcore.optim import (
-    ConstantMomentum,
-    FixedScaledMomentum,
-    LinearRampMomentum,
-    MomentumSGD,
-    NonlinearRampMomentum,
-    PiecewiseDecaySchedule,
-    ZeroMomentum,
-)
-from repro.mlcore.params import ParameterLayout
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConstantMomentum",
@@ -43,3 +30,34 @@ __all__ = [
     "softmax_probabilities",
     "time_to_accuracy",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mlcore.datasets": (
+            "DatasetConfig",
+            "SyntheticDataset",
+            "make_dataset",
+        ),
+        "repro.mlcore.losses": (
+            "softmax_cross_entropy",
+            "softmax_probabilities",
+        ),
+        "repro.mlcore.metrics": ("ConvergenceTracker", "time_to_accuracy"),
+        "repro.mlcore.models": (
+            "ModelConfig",
+            "ResidualMLPClassifier",
+            "make_model",
+        ),
+        "repro.mlcore.optim": (
+            "ConstantMomentum",
+            "FixedScaledMomentum",
+            "LinearRampMomentum",
+            "MomentumSGD",
+            "NonlinearRampMomentum",
+            "PiecewiseDecaySchedule",
+            "ZeroMomentum",
+        ),
+        "repro.mlcore.params": ("ParameterLayout",),
+    },
+)

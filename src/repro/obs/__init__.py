@@ -21,25 +21,7 @@ clock but never advances it, and never draws randomness — traced runs
 are bit-identical to untraced ones (golden-hash gated).
 """
 
-from repro.obs.export import (
-    load_chrome_trace,
-    trace_categories,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_metrics_dump,
-)
-from repro.obs.metrics import (
-    DEFAULT_METRICS_INTERVAL,
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from repro.obs.tracer import (
-    DETAIL_LEVELS,
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_METRICS_INTERVAL",
@@ -56,3 +38,28 @@ __all__ = [
     "write_chrome_trace",
     "write_metrics_dump",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": (
+            "load_chrome_trace",
+            "trace_categories",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+            "write_metrics_dump",
+        ),
+        "repro.obs.metrics": (
+            "DEFAULT_METRICS_INTERVAL",
+            "NULL_METRICS",
+            "MetricsRegistry",
+            "NullMetricsRegistry",
+        ),
+        "repro.obs.tracer": (
+            "DETAIL_LEVELS",
+            "NULL_TRACER",
+            "NullTracer",
+            "Tracer",
+        ),
+    },
+)

@@ -2,8 +2,9 @@
 
 This is the in-repo mirror of the CI ratchet gate: if a change
 reintroduces direct RNG use, wall-clock reads, unordered-set
-iteration, a keyless request field or a shared engine draw, this
-test names the exact file and line.
+iteration, a keyless request field, a shared engine draw or an eager
+import in a package ``__init__`` / the CLI, this test names the exact
+file and line.
 """
 
 from repro.analysis import (

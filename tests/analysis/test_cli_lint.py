@@ -33,7 +33,7 @@ def test_check_clean_tree_exits_zero(capsys):
     assert "0 new" in out
 
 
-@pytest.mark.parametrize("rule", ["D001", "D002", "D003", "D005"])
+@pytest.mark.parametrize("rule", ["D001", "D002", "D003", "D005", "D006"])
 def test_check_fails_per_rule_on_fixture_violations(fixture_copy, rule, capsys):
     code = main(["lint", str(fixture_copy), "--check", "--rules", rule])
     assert code == 1

@@ -39,7 +39,9 @@ def test_suppression_parsing():
 
 def test_registry_has_all_shipped_rules():
     default_rules()  # force registration
-    assert {"D001", "D002", "D003", "D004", "D005"} <= set(RULE_REGISTRY)
+    assert {"D001", "D002", "D003", "D004", "D005", "D006"} <= set(
+        RULE_REGISTRY
+    )
 
 
 def test_default_rules_subset_and_unknown_id():

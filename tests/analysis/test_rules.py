@@ -134,3 +134,40 @@ def test_d005_accessor_paths_are_clean(fixtures_root):
     flagged = by_file(findings_for(fixtures_root, ["D005"]))
     assert "repro/distsim/engines/d005_clean.py" not in flagged
     assert "repro/distsim/engines/base.py" not in flagged  # exempt owner
+
+
+# ----------------------------------------------------------------------
+# D006 — eager imports in package __init__ files and the CLI
+# ----------------------------------------------------------------------
+
+
+def test_d006_flags_import_time_repro_imports(fixtures_root):
+    findings = [
+        f
+        for f in findings_for(fixtures_root, ["D006"])
+        if f.path == "repro/d006_eager/__init__.py"
+    ]
+    # absolute, from-, relative and try-guarded imports all run at
+    # import time; stdlib, the lazy helper and function bodies do not
+    assert [f.line for f in findings] == [5, 7, 9, 12]
+    messages = " ".join(f.message for f in findings)
+    assert "repro.rng" in messages
+    assert "repro.d006_eager.impl" in messages
+    assert "top-level import of .;" in messages
+
+
+def test_d006_flags_the_cli_but_not_its_handlers(fixtures_root):
+    findings = [
+        f
+        for f in findings_for(fixtures_root, ["D006"])
+        if f.path == "repro/cli.py"
+    ]
+    assert [f.line for f in findings] == [6]
+    assert "repro.fleet" in findings[0].message
+
+
+def test_d006_scoped_to_init_files_and_cli(fixtures_root):
+    flagged = by_file(findings_for(fixtures_root, ["D006"]))
+    assert "repro/d006_lazy/__init__.py" not in flagged  # lazy_exports
+    assert "repro/d006_eager/impl.py" not in flagged  # implementation module
+    assert set(flagged) == {"repro/d006_eager/__init__.py", "repro/cli.py"}

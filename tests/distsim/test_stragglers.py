@@ -150,6 +150,69 @@ class TestStragglerSchedule:
         assert len(merged) == 2
         assert len(a) == 1  # original untouched
 
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # worker
+                st.integers(0, 4),  # start: few values, so many ties
+                st.integers(1, 4),  # duration
+                st.sampled_from((1.0, 1.5, 2.0, 3.0)),  # slow_factor
+                st.sampled_from((0.0, 0.01, 0.03)),  # extra_latency
+            ),
+            max_size=24,
+        ),
+        query_after=st.integers(0, 24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_add_matches_sort_on_every_insert(
+        self, events, query_after
+    ):
+        """Indexing on first query == re-sorting the bucket on each add.
+
+        The reference keeps every worker's bucket sorted by a stable
+        sort after every insert (what ``add`` used to do); the schedule
+        is filled incrementally, queried part-way (so later adds land
+        on an already-built index) and must order equal-start events
+        and compound overlapping ones exactly like the reference.
+        """
+        events = [
+            StragglerEvent(
+                worker=worker,
+                start=float(start),
+                duration=float(duration),
+                slow_factor=factor,
+                extra_latency=latency,
+            )
+            for worker, start, duration, factor, latency in events
+        ]
+        times = [step * 0.5 for step in range(18)]
+        reference: dict[int, list[StragglerEvent]] = {}
+        incremental = StragglerSchedule()
+        for count, event in enumerate(events):
+            if count == query_after:
+                incremental.state_at(event.worker, 1.0)
+            incremental.add(event)
+            bucket = reference.setdefault(event.worker, [])
+            bucket.append(event)
+            bucket.sort(key=lambda e: e.start)
+        bulk = StragglerSchedule(events)
+        for worker in range(3):
+            expected = tuple(reference.get(worker, ()))
+            for schedule in (incremental, bulk):
+                ordered = schedule.events_for(worker)
+                assert len(ordered) == len(expected)
+                assert all(a is b for a, b in zip(ordered, expected))
+            for time in times:
+                factor, latency = 1.0, 0.0
+                for event in expected:
+                    if event.start <= time < event.end:
+                        factor *= event.slow_factor
+                        latency += event.extra_latency
+                assert incremental.state_at(worker, time) == (factor, latency)
+                assert bulk.state_at(worker, time) == (factor, latency)
+        for time in times:
+            assert incremental.active_workers(time) == bulk.active_workers(time)
+
 
 class TestGenerators:
     def test_ambient_contention_covers_all_workers(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distsim.job import JobConfig
 from repro.errors import ConfigurationError
+from repro.experiments.materialize import with_steps_scale
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setups import SETUPS
 
@@ -95,7 +96,7 @@ def test_steps_scale_preserves_all_job_fields():
         divergence_threshold=7.5,
         seed=3,
     )
-    scaled = ExperimentRunner._with_steps_scale(job, 0.5)
+    scaled = with_steps_scale(job, 0.5)
     assert scaled.total_steps == 2000
     assert scaled.divergence_threshold == 7.5
     assert scaled.batch_size == 256
