@@ -58,7 +58,7 @@ COMMANDS = {
     ),
     "lint": (
         "AST-based determinism & invariant analyzer "
-        "(rules D001-D005, ratcheted baseline)",
+        "(rules D001-D006, ratcheted baseline)",
         "repro.commands.lint",
     ),
     "list": (
@@ -130,7 +130,15 @@ def main(argv: list[str] | None = None) -> int:
     invoked = next((arg for arg in argv if arg in COMMANDS), None)
     args = build_parser(only=invoked).parse_args(argv)
     _configure_logging(args.log_level, args.quiet)
-    return resolve(COMMANDS[args.command][1]).run(args)
+    from repro.errors import ConfigurationError
+
+    try:
+        return resolve(COMMANDS[args.command][1]).run(args)
+    except ConfigurationError as exc:
+        # Input the user can fix (a flag value, a trace or store file)
+        # is a usage error; any other failure keeps its traceback.
+        logging.getLogger("repro.cli").error("error: %s", exc)
+        return 2
 
 
 if __name__ == "__main__":

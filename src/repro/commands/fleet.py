@@ -29,7 +29,7 @@ from repro.experiments.fleet import (
     write_tuning_summary,
 )
 from repro.experiments.reporting import render_report
-from repro.fleet.fleet_sim import RESIM_MODES, FleetConfig, FleetSimulator
+from repro.fleet.fleet_sim import FleetConfig, FleetSimulator
 from repro.fleet.policy_store import PolicyStore
 from repro.fleet.scheduler import SCHEDULERS
 from repro.fleet.workload import (
@@ -136,10 +136,10 @@ def configure(parser) -> None:
     parser.add_argument(
         "--resim",
         default="exact",
-        choices=sorted(RESIM_MODES),
-        help="preempted ASP-tail timeline model: 'exact' re-simulates "
-        "the tail on the changed worker set, 'stretch' is the legacy "
-        "linear n/(n-k) model",
+        choices=("exact",),
+        help="accepted for compatibility; the only timeline model is "
+        "'exact' (a preempted ASP tail is re-simulated on the changed "
+        "worker set)",
     )
     parser.add_argument(
         "--protocols",
@@ -356,7 +356,6 @@ def run(args) -> int:
         n_jobs=args.jobs,
         trace=trace,
         jobs=args.procs,
-        resim=args.resim,
         protocols=protocols,
         fractions=fractions,
         tiers=tiers,
@@ -377,35 +376,19 @@ def _cmd_fleet_trace_scale(args, tiers) -> int:
     own cached fleet cell (``--procs`` worker processes) and merges the
     shard summaries — bit-identical at any ``--procs`` count.
     """
-    if args.slo:
-        scheduler = "slo"
-    elif args.scheduler == "all":
-        scheduler = "slo"
-        LOG.info("trace scenario narrows --scheduler all to slo")
-    else:
-        scheduler = args.scheduler
-    if args.policy == "all":
-        policy = "sync-switch"
-        LOG.info("trace scenario narrows --policy all to sync-switch")
-    else:
-        policy = args.policy
-    try:
-        summary, shard_rows = run_trace_scale(
-            scenario=args.scenario,
-            scheduler=scheduler,
-            sync_policy=policy,
-            seed=args.seed,
-            scale=args.scale,
-            n_jobs=args.jobs,
-            shards=args.shards,
-            tiers=tiers,
-            jobs=args.procs,
-            resim=args.resim,
-            validate=args.validate,
-        )
-    except ConfigurationError as exc:
-        LOG.error("error: %s", exc)
-        return 2
+    scheduler, policy = _single_cell(args, "slo", "trace scenario")
+    summary, shard_rows = run_trace_scale(
+        scenario=args.scenario,
+        scheduler=scheduler,
+        sync_policy=policy,
+        seed=args.seed,
+        scale=args.scale,
+        n_jobs=args.jobs,
+        shards=args.shards,
+        tiers=tiers,
+        jobs=args.procs,
+        validate=args.validate,
+    )
     payload = trace_scale_payload(
         summary,
         shard_rows,
@@ -421,23 +404,25 @@ def _cmd_fleet_trace_scale(args, tiers) -> int:
     return 0
 
 
-def _trace_cell_selection(args) -> tuple[str, str]:
-    """The single (scheduler, policy) a ``--trace`` run records.
+def _single_cell(args, default: str, note: str | None = None) -> tuple[str, str]:
+    """The one (scheduler, policy) cell a single-stream mode serves.
 
-    Tracing the full grid would interleave unrelated runs in one
-    timeline, so the 'all' defaults narrow to the canonical traced
-    cell (fifo / sync-switch) with an INFO note.
+    ``--slo`` wins and explicit picks are kept; 'all' narrows to the
+    mode's ``default`` scheduler and to sync-switch, each reported at
+    INFO as "``note`` narrows ..." when the mode gives a ``note``.
     """
     if args.slo:
         scheduler = "slo"
     elif args.scheduler == "all":
-        scheduler = "fifo"
-        LOG.info("--trace narrows --scheduler all to fifo")
+        scheduler = default
+        if note:
+            LOG.info("%s narrows --scheduler all to %s", note, default)
     else:
         scheduler = args.scheduler
     if args.policy == "all":
         policy = "sync-switch"
-        LOG.info("--trace narrows --policy all to sync-switch")
+        if note:
+            LOG.info("%s narrows --policy all to sync-switch", note)
     else:
         policy = args.policy
     return scheduler, policy
@@ -469,7 +454,9 @@ def _cmd_fleet_traced(args, scenario: str, trace, protocols, fractions) -> int:
     touches the simulation) — then exports the Perfetto-loadable
     Chrome trace plus the interval-snapshot metrics dump.
     """
-    scheduler, policy = _trace_cell_selection(args)
+    # Tracing the full grid would interleave unrelated runs in one
+    # timeline, so 'all' narrows to the canonical traced cell.
+    scheduler, policy = _single_cell(args, "fifo", "--trace")
     run = run_traced_fleet(
         scenario=scenario,
         scheduler=scheduler,
@@ -481,7 +468,6 @@ def _cmd_fleet_traced(args, scenario: str, trace, protocols, fractions) -> int:
         trace_detail=args.trace_detail,
         metrics_interval=args.metrics_interval,
         jobs=args.procs,
-        resim=args.resim,
         protocols=protocols,
         fractions=fractions,
     )
@@ -542,11 +528,7 @@ def _cmd_fleet_store(args, scenario: str, trace, protocols, fractions) -> int:
         return 2
     store_path = Path(args.policy_store)
     if store_path.exists():
-        try:
-            store = PolicyStore.load(store_path, scale=args.scale)
-        except ConfigurationError as exc:
-            LOG.error("error: %s", exc)
-            return 2
+        store = PolicyStore.load(store_path, scale=args.scale)
     else:
         store = PolicyStore()
     warm_classes = len(store.report())
@@ -560,7 +542,6 @@ def _cmd_fleet_store(args, scenario: str, trace, protocols, fractions) -> int:
             n_jobs=args.jobs,
             trace=trace,
             tune=args.tune,
-            resim=args.resim,
             protocols=protocols,
             fractions=fractions,
             trace_detail=args.trace_detail if args.trace else None,
@@ -619,12 +600,7 @@ def _cmd_fleet_tune(args, scenario: str, trace, protocols) -> int:
             "grid always runs seeds 0..N-1 (choose N with --seeds)"
         )
         return 2
-    if args.slo:
-        scheduler = "slo"
-    elif args.scheduler == "all":
-        scheduler = "fifo"
-    else:
-        scheduler = args.scheduler
+    scheduler, _ = _single_cell(args, "fifo")
     seeds = args.seeds if args.seeds is not None else DEFAULT_TUNING_SEEDS
     if seeds < 1:
         LOG.error("error: --seeds must be >= 1")
@@ -637,7 +613,6 @@ def _cmd_fleet_tune(args, scenario: str, trace, protocols) -> int:
         n_jobs=args.jobs,
         trace=trace,
         jobs=args.procs,
-        resim=args.resim,
         protocols=protocols,
     )
     payload = tuning_summary_payload(

@@ -37,9 +37,10 @@ exposes the execution as a *resumable* state machine:
   while keeping the live run paused for the next allocation change.
 
 A run that is never paused or resized is bit-identical to the
-controller's one-shot execution — the fleet's golden-parity suite
-pins ``resim=exact`` against ``resim=stretch`` on preemption-free
-streams.
+controller's one-shot execution — pinned per run by
+``tests/core/test_elastic_run.py::TestOneShotParity`` and per fleet
+job by the one-shot oracle in the fleet suite
+(``TestGoldenParity::test_unresized_jobs_match_one_shot_controller``).
 """
 
 from __future__ import annotations

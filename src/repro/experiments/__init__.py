@@ -35,7 +35,6 @@ ARTIFACTS = LazyTable(
         "tab5": "repro.experiments.search_analysis:table_5",
         "tab6": "repro.experiments.search_analysis:table_6",
         "fleet": "repro.experiments.fleet:fleet_artifact",
-        "fleet-resim": "repro.experiments.fleet:fleet_resim_artifact",
         "fleet-search": "repro.experiments.fleet:fleet_tuning_artifact",
         "fleet-trace": "repro.experiments.fleet:fleet_trace_artifact",
         "fleet-trace-scale": (
@@ -56,7 +55,6 @@ __all__ = [
     "default_scale",
     "default_seeds",
     "fleet_artifact",
-    "fleet_resim_artifact",
     "fleet_trace_artifact",
     "fleet_trace_scale_artifact",
     "fleet_tuning_artifact",
@@ -111,7 +109,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.experiments.fleet": (
             "fleet_artifact",
-            "fleet_resim_artifact",
             "fleet_trace_artifact",
             "fleet_trace_scale_artifact",
             "fleet_tuning_artifact",

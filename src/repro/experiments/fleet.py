@@ -36,7 +36,7 @@ from repro.experiments.executor import (
     resolve_cache_dir,
 )
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
-from repro.errors import ConfigurationError, FleetError
+from repro.errors import ConfigurationError
 from repro.experiments.reporting import Report
 from repro.experiments.runner import CollectionComplete, ExperimentRunner
 from repro.fleet import (
@@ -57,7 +57,6 @@ from repro.obs import trace_categories
 
 __all__ = [
     "DEFAULT_FLEET_SCALE",
-    "DEFAULT_RESIM_SCENARIO",
     "DEFAULT_TRACE_CELL",
     "DEFAULT_TUNING_SCENARIOS",
     "DEFAULT_TUNING_SEEDS",
@@ -70,15 +69,12 @@ __all__ = [
     "fleet_artifact",
     "fleet_grid",
     "fleet_report",
-    "fleet_resim_artifact",
-    "fleet_resim_report",
     "fleet_trace_artifact",
     "fleet_trace_report",
     "fleet_trace_scale_artifact",
     "fleet_trace_scale_report",
     "fleet_tuning_artifact",
     "fleet_tuning_report",
-    "resim_delta_payload",
     "run_trace_scale",
     "run_traced_fleet",
     "shard_worker_tiers",
@@ -88,7 +84,6 @@ __all__ = [
     "write_fleet_summary",
     "write_fleet_trace_metrics",
     "write_fleet_trace_scale",
-    "write_resim_delta",
     "write_tuning_summary",
 ]
 
@@ -108,17 +103,6 @@ DEFAULT_TUNING_PATH = (
 #: stream (amortization realized inside the run) and the contended
 #: rush stream (search cost paid under queueing).
 DEFAULT_TUNING_SCENARIOS = ("recurring", "rush")
-
-#: Preemption-heavy cell of the ``fleet-resim`` delta artifact: the
-#: rush stream under the best-fit scheduler reliably preempts and
-#: restores ASP tails, so the stretch-vs-exact timeline models
-#: measurably diverge on it.
-DEFAULT_RESIM_SCENARIO = ("rush", "best-fit")
-
-#: Default stretch-vs-exact delta artifact location.
-DEFAULT_RESIM_PATH = (
-    Path(__file__).resolve().parents[3] / "results" / "fleet_resim_delta.json"
-)
 
 #: Seeds per tuning cell (95% CIs need at least two).
 DEFAULT_TUNING_SEEDS = 3
@@ -179,7 +163,6 @@ class FleetRunRequest:
     trace: tuple[JobRequest, ...] | None = None
     tune: bool = False
     tune_runs: int = 1
-    resim: str = "exact"
     protocols: tuple[str, ...] | None = None
     fractions: tuple[float, ...] | None = None
     trace_detail: str | None = None
@@ -209,7 +192,8 @@ class FleetRunRequest:
             ),
             "tune": self.tune,
             "tune_runs": self.tune_runs,
-            "resim": self.resim,
+            # Frozen: the ledger's pinned digests hash cache file names.
+            "resim": "exact",
             "protocols": (
                 None if self.protocols is None else list(self.protocols)
             ),
@@ -235,7 +219,6 @@ class FleetRunRequest:
             trace=self.trace,
             tune=self.tune,
             tune_runs=self.tune_runs,
-            resim=self.resim,
             protocols=self.protocols,
             fractions=self.fractions,
             trace_detail=self.trace_detail,
@@ -257,6 +240,32 @@ def _execute_fleet_cell(payload: tuple) -> tuple[str, dict]:
     return key, summary.to_dict()
 
 
+def _execute_cells(
+    requests,
+    scale: float,
+    jobs: int | None,
+    cache_dir: str | Path | None,
+    cell_fn=_execute_fleet_cell,
+    decode=FleetSummary.from_dict,
+) -> dict:
+    """Run fleet cells as one deduplicated executor batch, by cache key."""
+    return ParallelExecutor(
+        scale=scale,
+        cache_dir=resolve_cache_dir(cache_dir),
+        jobs=jobs,
+        cell_fn=cell_fn,
+        decode=decode,
+    ).execute(requests)
+
+
+def _write_json(payload: dict, path: str | Path | None, default: Path) -> Path:
+    """Persist one results artifact (``path``, else its default location)."""
+    target = Path(path) if path is not None else default
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return target
+
+
 def fleet_grid(
     scenario: str = "rush",
     schedulers: tuple[str, ...] | None = None,
@@ -267,7 +276,6 @@ def fleet_grid(
     trace: tuple[JobRequest, ...] | None = None,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    resim: str = "exact",
     protocols: tuple[str, ...] | None = None,
     fractions: tuple[float, ...] | None = None,
     tiers: tuple[WorkerTier, ...] | None = None,
@@ -278,11 +286,9 @@ def fleet_grid(
     The grid executes as one deduplicated
     :class:`~repro.experiments.executor.ParallelExecutor` batch
     (``jobs`` worker processes, atomic shared disk cache), exactly like
-    the figure/table training grids.  ``resim`` picks the preempted-tail
-    timeline model (see :class:`~repro.fleet.fleet_sim.FleetConfig`);
-    ``protocols``/``fractions`` pin a fixed N-segment schedule for the
-    grid's Sync-Switch cells; ``tiers`` makes every cell's pool
-    heterogeneous.
+    the figure/table training grids.  ``protocols``/``fractions`` pin a
+    fixed N-segment schedule for the grid's Sync-Switch cells; ``tiers``
+    makes every cell's pool heterogeneous.
     """
     schedulers = schedulers or tuple(sorted(SCHEDULERS))
     policies = policies or SYNC_POLICIES
@@ -294,7 +300,6 @@ def fleet_grid(
             seed=seed,
             n_jobs=n_jobs,
             trace=trace,
-            resim=resim,
             protocols=protocols,
             fractions=fractions,
             tiers=tiers,
@@ -303,14 +308,7 @@ def fleet_grid(
         for scheduler in schedulers
         for policy in policies
     ]
-    executor = ParallelExecutor(
-        scale=scale,
-        cache_dir=resolve_cache_dir(cache_dir),
-        jobs=jobs,
-        cell_fn=_execute_fleet_cell,
-        decode=FleetSummary.from_dict,
-    )
-    results = executor.execute(requests)
+    results = _execute_cells(requests, scale, jobs, cache_dir)
     return {
         (request.scheduler, request.sync_policy): results[request.key(scale)]
         for request in requests
@@ -343,7 +341,6 @@ class FleetShardRequest:
     scheduler: str
     sync_policy: str
     seed: int = 0
-    resim: str = "exact"
     tiers: tuple[WorkerTier, ...] | None = None
     #: Simulation-neutral (summaries are identical either way), so
     #: deliberately keyless.
@@ -363,7 +360,8 @@ class FleetShardRequest:
                 "sync_policy": self.sync_policy,
                 "seed": self.seed,
                 "scale": scale,
-                "resim": self.resim,
+                # Frozen: the ledger's pinned digests hash cache file names.
+                "resim": "exact",
                 "tiers": (
                     None
                     if self.tiers is None
@@ -388,7 +386,6 @@ class FleetShardRequest:
             scale=scale,
             trace=self.trace,
             pool_size=self.pool_size,
-            resim=self.resim,
             tiers=self.tiers,
             validate=self.validate,
         )
@@ -423,7 +420,6 @@ def run_trace_scale(
     tiers: tuple[WorkerTier, ...] | None = None,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    resim: str = "exact",
     validate: bool = False,
 ) -> tuple[FleetSummary, list[dict]]:
     """Serve a datacenter-scale trace on a sharded heterogeneous pool.
@@ -481,21 +477,13 @@ def run_trace_scale(
             scheduler=scheduler,
             sync_policy=sync_policy,
             seed=seed,
-            resim=resim,
             tiers=shard_tiers,
             validate=validate,
         )
         for index, shard_stream in enumerate(shard_streams)
         if shard_stream
     }
-    executor = ParallelExecutor(
-        scale=scale,
-        cache_dir=resolve_cache_dir(cache_dir),
-        jobs=jobs,
-        cell_fn=_execute_fleet_cell,
-        decode=FleetSummary.from_dict,
-    )
-    results = executor.execute(list(requests.values()))
+    results = _execute_cells(list(requests.values()), scale, jobs, cache_dir)
     summaries = {
         index: results[request.key(scale)]
         for index, request in requests.items()
@@ -555,10 +543,7 @@ def write_fleet_trace_scale(
     payload: dict, path: str | Path | None = None
 ) -> Path:
     """Persist ``results/fleet_trace_scale.json``."""
-    target = Path(path) if path is not None else DEFAULT_TRACE_SCALE_PATH
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return target
+    return _write_json(payload, path, DEFAULT_TRACE_SCALE_PATH)
 
 
 def fleet_trace_scale_report(payload: dict) -> Report:
@@ -741,7 +726,6 @@ def run_traced_fleet(
     metrics_interval: float | None = None,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    resim: str = "exact",
     protocols: tuple[str, ...] | None = None,
     fractions: tuple[float, ...] | None = None,
     tune: bool = False,
@@ -766,21 +750,20 @@ def run_traced_fleet(
             trace=trace,
             tune=tune,
             tune_runs=tune_runs,
-            resim=resim,
             protocols=protocols,
             fractions=fractions,
             trace_detail=trace_detail,
             metrics_interval=metrics_interval,
         )
     )
-    executor = ParallelExecutor(
-        scale=scale,
-        cache_dir=resolve_cache_dir(cache_dir),
-        jobs=jobs,
+    results = _execute_cells(
+        [request],
+        scale,
+        jobs,
+        cache_dir,
         cell_fn=_execute_traced_fleet_cell,
         decode=TracedFleetRun.from_dict,
     )
-    results = executor.execute([request])
     return results[request.key(scale)]
 
 
@@ -800,8 +783,6 @@ def write_fleet_trace_metrics(
     census of the trace (event and per-category counts), not the raw
     event list itself (that is what ``fleet --trace PATH`` emits).
     """
-    target = Path(path) if path is not None else DEFAULT_TRACE_METRICS_PATH
-    target.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "scenario": scenario,
         "scheduler": scheduler,
@@ -820,8 +801,7 @@ def write_fleet_trace_metrics(
             "staleness_max": run.summary.staleness_max,
         },
     }
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return target
+    return _write_json(payload, path, DEFAULT_TRACE_METRICS_PATH)
 
 
 def fleet_trace_report(run: TracedFleetRun, scenario: str) -> Report:
@@ -945,8 +925,6 @@ def write_fleet_summary(
     path: str | Path | None = None,
 ) -> Path:
     """Persist the grid as the ``results/fleet_summary.json`` artifact."""
-    target = Path(path) if path is not None else DEFAULT_SUMMARY_PATH
-    target.parent.mkdir(parents=True, exist_ok=True)
     cells = [
         {
             "scheduler": scheduler,
@@ -981,8 +959,7 @@ def write_fleet_summary(
         "seed": seed,
         "cells": cells,
     }
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return target
+    return _write_json(payload, path, DEFAULT_SUMMARY_PATH)
 
 
 # ----------------------------------------------------------------------
@@ -1042,7 +1019,6 @@ def tuning_grid(
     trace: tuple[JobRequest, ...] | None = None,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    resim: str = "exact",
     protocols: tuple[str, ...] | None = None,
 ) -> dict[tuple[str, str, int], FleetSummary]:
     """The fleet-search comparison grid, one deduplicated batch.
@@ -1078,21 +1054,13 @@ def tuning_grid(
             scheduler=scheduler,
             seed=seed,
             n_jobs=n_jobs,
-            resim=resim,
             **options,
         )
         for scenario in scenarios
         for mode, options in modes.items()
         for seed in range(seeds)
     }
-    executor = ParallelExecutor(
-        scale=scale,
-        cache_dir=resolve_cache_dir(cache_dir),
-        jobs=jobs,
-        cell_fn=_execute_fleet_cell,
-        decode=FleetSummary.from_dict,
-    )
-    results = executor.execute(cells.values())
+    results = _execute_cells(cells.values(), scale, jobs, cache_dir)
     return {
         key: results[request.key(scale)] for key, request in cells.items()
     }
@@ -1213,10 +1181,7 @@ def tuning_summary_payload(
 
 def write_tuning_summary(payload: dict, path: str | Path | None = None) -> Path:
     """Persist ``results/fleet_tuning_summary.json``."""
-    target = Path(path) if path is not None else DEFAULT_TUNING_PATH
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return target
+    return _write_json(payload, path, DEFAULT_TUNING_PATH)
 
 
 def fleet_tuning_report(payload: dict) -> Report:
@@ -1335,205 +1300,6 @@ def fleet_tuning_artifact(runner: ExperimentRunner) -> Report:
     target = write_tuning_summary(payload)
     report = fleet_tuning_report(payload)
     report.notes.append(f"tuning summary artifact refreshed at {target}")
-    return report
-
-
-# ----------------------------------------------------------------------
-# fleet-resim: stretch-vs-exact preempted-tail timeline comparison
-# ----------------------------------------------------------------------
-
-
-def resim_delta_payload(
-    scenario: str = DEFAULT_RESIM_SCENARIO[0],
-    scheduler: str = DEFAULT_RESIM_SCENARIO[1],
-    seed: int = 0,
-    scale: float = DEFAULT_FLEET_SCALE,
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> dict:
-    """Per-job delta table between the two preempted-tail models.
-
-    Runs the same Sync-Switch stream twice — ``resim="stretch"`` (the
-    legacy linear ASP-stretch) and ``resim="exact"`` (elastic
-    re-simulation) — and tabulates, per job, the JCT and reported
-    accuracy under each model.  Jobs untouched by allocation changes in
-    *both* runs must be bit-identical across models (the golden-parity
-    invariant — enforced here with a hard failure, so the committed
-    artifact can never silently record a parity regression); preempted
-    jobs carry the measured deltas that motivated the re-simulation
-    rework.
-    """
-    requests = {
-        mode: FleetRunRequest(
-            scenario=scenario,
-            scheduler=scheduler,
-            sync_policy="sync-switch",
-            seed=seed,
-            resim=mode,
-        )
-        for mode in ("stretch", "exact")
-    }
-    executor = ParallelExecutor(
-        scale=scale,
-        cache_dir=resolve_cache_dir(cache_dir),
-        jobs=jobs,
-        cell_fn=_execute_fleet_cell,
-        decode=FleetSummary.from_dict,
-    )
-    results = executor.execute(requests.values())
-    summaries = {
-        mode: results[request.key(scale)]
-        for mode, request in requests.items()
-    }
-    stretch_jobs = {job.job_id: job for job in summaries["stretch"].jobs}
-    rows = []
-    for job in summaries["exact"].jobs:
-        other = stretch_jobs[job.job_id]
-        # The two modes' event timelines may legitimately diverge after
-        # the first allocation change, so a job counts as preempted if
-        # *either* model resized it — only both-untouched jobs carry
-        # the bit-identity invariant.
-        preempted = (
-            job.preemptions > 0
-            or job.restores > 0
-            or other.preemptions > 0
-            or other.restores > 0
-        )
-        rows.append(
-            {
-                "job_id": job.job_id,
-                "demand": job.demand,
-                "preemptions": job.preemptions,
-                "restores": job.restores,
-                "jct_stretch_s": other.jct,
-                "jct_exact_s": job.jct,
-                "jct_delta_s": job.jct - other.jct,
-                "accuracy_stretch": other.accuracy,
-                "accuracy_exact": job.accuracy,
-                "accuracy_delta": (
-                    job.accuracy - other.accuracy
-                    if job.accuracy is not None and other.accuracy is not None
-                    else None
-                ),
-                "preempted": preempted,
-                "identical": job.to_dict() == other.to_dict(),
-            }
-        )
-    preempted_rows = [row for row in rows if row["preempted"]]
-    broken = [
-        row["job_id"]
-        for row in rows
-        if not row["preempted"] and not row["identical"]
-    ]
-    if broken:
-        raise FleetError(
-            "golden-parity violation: jobs untouched by allocation changes "
-            f"differ between resim=exact and resim=stretch: {broken}"
-        )
-    return {
-        "scenario": scenario,
-        "scheduler": scheduler,
-        "sync_policy": "sync-switch",
-        "seed": seed,
-        "scale": scale,
-        "mean_jct_stretch_s": summaries["stretch"].mean_jct,
-        "mean_jct_exact_s": summaries["exact"].mean_jct,
-        "preemptions": summaries["exact"].preemptions,
-        "restores": summaries["exact"].restores,
-        "n_preempted_jobs": len(preempted_rows),
-        # Recorded for artifact consumers; necessarily True here — any
-        # violation raised FleetError above instead of being written.
-        "unpreempted_jobs_identical": True,
-        "max_abs_jct_delta_s": max(
-            (abs(row["jct_delta_s"]) for row in preempted_rows), default=0.0
-        ),
-        "max_abs_accuracy_delta": max(
-            (
-                abs(row["accuracy_delta"])
-                for row in preempted_rows
-                if row["accuracy_delta"] is not None
-            ),
-            default=0.0,
-        ),
-        "jobs": rows,
-    }
-
-
-def write_resim_delta(payload: dict, path: str | Path | None = None) -> Path:
-    """Persist ``results/fleet_resim_delta.json``."""
-    target = Path(path) if path is not None else DEFAULT_RESIM_PATH
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return target
-
-
-def fleet_resim_report(payload: dict) -> Report:
-    """Render a :func:`resim_delta_payload` as the fleet-resim report."""
-    rows = [
-        {
-            "job_id": row["job_id"],
-            "preempt": row["preemptions"],
-            "restore": row["restores"],
-            "jct_stretch_s": row["jct_stretch_s"],
-            "jct_exact_s": row["jct_exact_s"],
-            "jct_delta_s": row["jct_delta_s"],
-            "acc_stretch": row["accuracy_stretch"],
-            "acc_exact": row["accuracy_exact"],
-            "acc_delta": row["accuracy_delta"],
-        }
-        for row in payload["jobs"]
-    ]
-    return Report(
-        ident="Fleet resim",
-        title=(
-            "Preempted-tail timeline models: legacy linear stretch vs "
-            "elastic re-simulation"
-        ),
-        columns=[
-            "job_id",
-            "preempt",
-            "restore",
-            "jct_stretch_s",
-            "jct_exact_s",
-            "jct_delta_s",
-            "acc_stretch",
-            "acc_exact",
-            "acc_delta",
-        ],
-        rows=rows,
-        notes=[
-            f"scenario {payload['scenario']} / scheduler "
-            f"{payload['scheduler']} / seed {payload['seed']} at scale "
-            f"{payload['scale']:g}",
-            "stretch replays the unpreempted run and scales the ASP tail "
-            "by n/(n-k); exact re-simulates the tail on the changed "
-            "worker set (staleness, contention and reconfiguration "
-            "overheads included)",
-            "jobs with zero allocation changes are bit-identical across "
-            "the two models (golden-parity invariant): "
-            f"{payload['unpreempted_jobs_identical']}",
-        ],
-    )
-
-
-def fleet_resim_artifact(runner: ExperimentRunner) -> Report:
-    """The ``fleet-resim`` entry of the artifact registry.
-
-    Runs the default preemption-heavy comparison
-    (:data:`DEFAULT_RESIM_SCENARIO`) at :data:`DEFAULT_FLEET_SCALE` and
-    refreshes ``results/fleet_resim_delta.json`` — ``python -m repro
-    report fleet-resim`` regenerates the committed delta table exactly.
-    Not prefetchable as training cells.
-    """
-    if runner.is_collecting:
-        raise CollectionComplete
-    payload = resim_delta_payload(
-        jobs=runner.jobs,
-        cache_dir=runner.cache_dir if runner.cache_dir is not None else "off",
-    )
-    target = write_resim_delta(payload)
-    report = fleet_resim_report(payload)
-    report.notes.append(f"resim delta artifact refreshed at {target}")
     return report
 
 

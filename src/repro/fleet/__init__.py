@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_TENANT_TIERS",
     "FLEET_SCENARIOS",
     "JOB_KINDS",
-    "RESIM_MODES",
     "SCHEDULERS",
     "STORE_FORMAT_VERSION",
     "SYNC_POLICIES",
@@ -64,7 +63,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.fleet.fleet_sim": (
-            "RESIM_MODES",
             "FleetConfig",
             "FleetSimulator",
             "WorkerPool",

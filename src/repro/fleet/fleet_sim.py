@@ -3,10 +3,11 @@
 The fleet layer sits on top of the single-job reproduction: a stream
 of training jobs (Poisson arrivals or a trace file) is admitted onto a
 shared pool of simulated workers by a pluggable scheduler, every
-admitted job is trained through the existing
-:class:`~repro.core.runtime.controller.SyncSwitchController` with its
-own synchronization policy, and fleet-level telemetry (JCT, queueing
-delay, makespan, utilization) is aggregated into a
+admitted job is trained as a resumable
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun` (the
+controller-equivalent state machine) with its own synchronization
+policy, and fleet-level telemetry (JCT, queueing delay, makespan,
+utilization) is aggregated into a
 :class:`~repro.fleet.metrics.FleetSummary`.
 
 Timeline model
@@ -20,30 +21,26 @@ Each admitted job's telemetry yields two phase spans:
 * the **ASP tail** — the asynchronous remainder, the only span the
   scheduler may elastically preempt.
 
-How an allocation change affects the tail depends on
-``FleetConfig(resim=...)``:
+An allocation change is handled by **event-driven elastic
+re-simulation**.  The job is held as a paused
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun` at the tail
+boundary (the segment-level cache of the unchanged BSP span); its
+completion is *projected* by forking the paused run and training the
+tail to the end.  When the scheduler preempts or restores workers, the
+live run resumes to the allocation-change instant, checkpoints,
+resizes the cluster (charging the calibrated reconfiguration
+overhead), re-slices the shared contention schedule from the resume
+instant, and a fresh fork projects the new completion.  JCT, accuracy,
+staleness telemetry and divergence therefore reflect what the cluster
+would really do — per Section V, ASP dynamics change with the worker
+set.
 
-* ``"exact"`` (default) — **event-driven elastic re-simulation**.  The
-  job is held as a paused
-  :class:`~repro.core.runtime.elastic.ElasticTrainingRun` at the tail
-  boundary (the segment-level cache of the unchanged BSP span); its
-  completion is *projected* by forking the paused run and training the
-  tail to the end.  When the scheduler preempts or restores workers,
-  the live run resumes to the allocation-change instant, checkpoints,
-  resizes the cluster (charging the calibrated reconfiguration
-  overhead), re-slices the shared contention schedule from the resume
-  instant, and a fresh fork projects the new completion.  JCT,
-  accuracy, staleness telemetry and divergence therefore reflect what
-  the cluster would really do — per Section V, ASP dynamics change
-  with the worker set.
-* ``"stretch"`` (legacy) — the job is simulated once at admission and
-  the tail is linearly stretched by ``n / (n - k)`` on preemption
-  (contracting again on restore).  Kept for A/B comparisons and
-  benchmarks; its reported accuracy and telemetry are those of the
-  *unpreempted* run.
-
-Runs with zero allocation changes are bit-identical across the two
-modes (golden-hash gated).
+A job that is never resized is bit-identical to the controller's
+one-shot execution of the same inputs: pinned per run by
+``tests/core/test_elastic_run.py::TestOneShotParity`` and per fleet
+job by the one-shot oracle
+``TestGoldenParity::test_unresized_jobs_match_one_shot_controller`` in
+the fleet suite.
 
 Co-located jobs share contention: one fleet-wide straggler schedule is
 generated over the *physical* pool, and each admitted job sees the
@@ -79,7 +76,7 @@ from repro.core.policies import (
     ProtocolSchedule,
     TimingPolicy,
 )
-from repro.core.runtime import ElasticTrainingRun, SyncSwitchController
+from repro.core.runtime import ElasticTrainingRun
 from repro.core.search.binary_search import SearchConfig, validate_sequences
 from repro.distsim.cluster import ClusterSpec, WorkerTier, default_worker_tiers
 from repro.distsim.engines import synchronous_protocols
@@ -118,7 +115,6 @@ from repro.fleet.workload import (
 from repro.rng import child_rng, child_seed
 
 __all__ = [
-    "RESIM_MODES",
     "FleetConfig",
     "WorkerPool",
     "FleetSimulator",
@@ -128,11 +124,6 @@ __all__ = [
 #: Event priorities at equal timestamps: completions free workers
 #: before phase flips and new arrivals are considered.
 _FINISH, _PHASE, _ARRIVAL = 0, 1, 2
-
-#: Timeline models for preempted ASP tails: ``exact`` re-simulates the
-#: tail on the changed worker set, ``stretch`` is the legacy linear
-#: ``n / (n - k)`` model (see the module docstring).
-RESIM_MODES = ("exact", "stretch")
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,6 @@ class FleetConfig:
     tune: bool = False
     tune_runs: int = 1
     tune_beta: float = 0.02
-    resim: str = "exact"
     protocols: tuple[str, ...] | None = None
     fractions: tuple[float, ...] | None = None
     #: Observability: ``trace_detail`` turns on the virtual-time tracer
@@ -195,10 +185,6 @@ class FleetConfig:
     validate: bool = False
 
     def __post_init__(self):
-        if self.resim not in RESIM_MODES:
-            raise ConfigurationError(
-                f"unknown resim mode {self.resim!r}; known: {RESIM_MODES}"
-            )
         if (
             self.trace is None
             and self.scenario not in FLEET_SCENARIOS
@@ -369,14 +355,31 @@ class WorkerPool:
         self._free.extend(workers)
 
 
+def _project(sim: ElasticTrainingRun, tracer) -> tuple[TrainingResult, object]:
+    """Project a paused run's completion on its current worker set.
+
+    Trains a fork to the end while the live run stays paused for the
+    next allocation change.  Returns ``(result, trace_buffer)``: the
+    fork traces into a sandbox of ``tracer``, which becomes the job's
+    events past the pause instant only if no allocation change
+    supersedes the projection.
+    """
+    projection = sim.fork()
+    buffer = tracer.sandbox()
+    projection.set_tracer(buffer)
+    projection.run_to_completion()
+    return projection.result(), buffer
+
+
 class _RunningJob:
     """Bookkeeping for one admitted job's fleet timeline.
 
-    ``sim`` is the paused :class:`ElasticTrainingRun` of ``resim=exact``
-    jobs (None under the legacy stretch model): it sits at the last
-    allocation-change boundary (initially the ASP-tail start) and
+    ``sim`` is the job's :class:`ElasticTrainingRun`, paused at the
+    last allocation-change boundary (initially the ASP-tail start);
     ``result`` always holds the *projection* of the completion from
-    that state on the current worker set.
+    that state on the current worker set.  A job without an elastic
+    tail (all-BSP, or divergence inside the BSP phase) arrives with
+    ``sim`` already finished and ``result`` is the run's own.
     """
 
     def __init__(
@@ -384,18 +387,17 @@ class _RunningJob:
         request: JobRequest,
         workers: tuple[int, ...],
         start: float,
-        result: TrainingResult,
-        percent: float | None = None,
-        tuned: bool = False,
-        degraded: bool = False,
-        sim: ElasticTrainingRun | None = None,
+        sim: ElasticTrainingRun,
+        tracer,
+        percent: float,
+        tuned: bool,
+        degraded: bool,
     ):
         self.request = request
         self.workers = workers
         self.start = start
-        self.result = result
         self.sim = sim
-        self.percent = percent if percent is not None else request.percent
+        self.percent = percent
         self.tuned = tuned
         self.degraded = degraded
         self.demand = request.n_workers
@@ -404,11 +406,14 @@ class _RunningJob:
         self.preemptions = 0
         self.restores = 0
         #: Job-scoped tracer view (pid/offset pinned) and the sandbox
-        #: buffer of the latest completion projection (exact mode) —
-        #: absorbed into the live trace only when the projection turns
-        #: out to be the realized tail.
-        self.tracer = NULL_TRACER
-        self.trace_buffer = NULL_TRACER
+        #: buffer of the latest completion projection — absorbed into
+        #: the live trace only when the projection turns out to be the
+        #: realized tail.
+        self.tracer = tracer
+        if sim.finished:
+            self.result, self.trace_buffer = sim.result(), NULL_TRACER
+        else:
+            self.result, self.trace_buffer = _project(sim, tracer)
         #: Allocation history: one row per allocation-changing event.
         self.allocations: list[dict] = [
             {"time": start, "workers": len(workers), "cause": "admit"}
@@ -418,14 +423,12 @@ class _RunningJob:
         # (for a bsp -> ssp -> asp schedule that is the ssp+asp span).
         tail = 0.0
         synchronous = synchronous_protocols()
-        for record in reversed(result.segment_summary):
+        for record in reversed(self.result.segment_summary):
             if record["protocol"] in synchronous:
                 break
             tail += record["duration"]
-        self.asp_tail = min(tail, result.total_time)
-        self.bsp_span = result.total_time - self.asp_tail
-        self.asp_remaining = self.asp_tail
-        self._mark = start + self.bsp_span
+        self.asp_tail = min(tail, self.result.total_time)
+        self.bsp_span = self.result.total_time - self.asp_tail
 
     @property
     def ratio(self) -> float:
@@ -439,33 +442,20 @@ class _RunningJob:
         )
 
     def enter_asp(self, now: float) -> None:
-        """Flip to the (preemptible, elastic) ASP phase."""
+        """Flip to the (preemptible, elastic) ASP phase at ``now``."""
         self.phase = "asp"
-        self._mark = now
 
-    def settle(self, now: float) -> None:
-        """Account ASP progress since the last allocation change
-        (stretch-model bookkeeping; exact jobs track time in the sim)."""
-        if self.phase != "asp" or self.sim is not None:
-            return
-        self.asp_remaining = max(
-            self.asp_remaining - (now - self._mark) * self.ratio, 0.0
-        )
-        self._mark = now
-
-    def finish_time(self, now: float) -> float:
+    def finish_time(self) -> float:
         """Projected completion time at the current allocation.
 
-        Until the first allocation change the exact and stretch models
-        must agree to the bit, so both evaluate the same float
-        expression; after a resize the exact model's finish comes from
-        the re-simulated projection.
+        The admission-time projection is evaluated phase by phase and
+        a re-projection after a resize from the re-simulated total:
+        the two float expressions round differently, and the committed
+        golden hashes pin each.
         """
-        if self.sim is not None and len(self.allocations) > 1:
+        if len(self.allocations) > 1:
             return self.start + self.result.total_time
-        if self.phase == "bsp":
-            return self.start + self.bsp_span + self.asp_tail
-        return now + self.asp_remaining / self.ratio
+        return self.start + self.bsp_span + self.asp_tail
 
 
 @dataclass
@@ -474,8 +464,8 @@ class FleetSimulator:
 
     The fleet-scale realization of the paper's intended deployment
     (Section VI-C: recurring jobs on a shared cluster): every admitted
-    job trains through the
-    :class:`~repro.core.runtime.controller.SyncSwitchController`, and
+    job trains as a resumable
+    :class:`~repro.core.runtime.elastic.ElasticTrainingRun`, and
     with ``tune=True`` the switch timing itself is searched in-stream
     (Algorithm 1 trials as fleet jobs) and amortized via the
     :class:`~repro.fleet.policy_store.PolicyStore`.
@@ -701,10 +691,10 @@ class FleetSimulator:
         # Jobs already shrunk in this pass: repeated reclaims within one
         # pass must not double-count a victim's preemptions.
         shrunk_this_pass: set[int] = set()
-        # Exact-mode jobs resized in this pass: their completion is
-        # re-projected once, after the pass settles — nothing reads an
-        # intermediate projection, so a victim shrunk twice within one
-        # pass re-trains its tail once, not once per shrink.
+        # Jobs resized in this pass: their completion is re-projected
+        # once, after the pass settles — nothing reads an intermediate
+        # projection, so a victim shrunk twice within one pass
+        # re-trains its tail once, not once per shrink.
         reproject: dict[int, _RunningJob] = {}
         while True:
             admitted = self.scheduler.admit(
@@ -733,14 +723,9 @@ class FleetSimulator:
             break
         self._rebalance(now, reproject)
         for job in reproject.values():
-            projection = job.sim.fork()
-            buffer = job.tracer.sandbox()
-            projection.set_tracer(buffer)
-            projection.run_to_completion()
-            job.result = projection.result()
-            job.trace_buffer = buffer
+            job.result, job.trace_buffer = _project(job.sim, job.tracer)
             self._push(
-                job.finish_time(now),
+                job.finish_time(),
                 _FINISH,
                 ("finish", job.request.job_id, job.version),
             )
@@ -785,21 +770,13 @@ class FleetSimulator:
             if degraded:
                 metrics.inc("jobs_degraded")
             metrics.observe("queue_delay_s", now - request.arrival)
-        if self.config.resim == "exact":
-            sim, result, buffer = self._begin_exact(
-                request, workers, now, percent, schedule, job_tracer
-            )
-        else:
-            sim, buffer = None, NULL_TRACER
-            result = self._train(
-                request, workers, now, percent, schedule, job_tracer
-            )
-        job = _RunningJob(
-            request, workers, now, result,
-            percent=percent, tuned=tuned, degraded=degraded, sim=sim,
+        sim = self._start_run(
+            request, workers, now, percent, schedule, job_tracer
         )
-        job.tracer = job_tracer
-        job.trace_buffer = buffer
+        job = _RunningJob(
+            request, workers, now, sim, job_tracer,
+            percent=percent, tuned=tuned, degraded=degraded,
+        )
         self._running[request.job_id] = job
         if job.asp_tail > 0.0 and job.bsp_span > 0.0:
             self._push(
@@ -807,7 +784,7 @@ class FleetSimulator:
             )
         elif job.asp_tail > 0.0:
             job.enter_asp(now)
-        self._push(job.finish_time(now), _FINISH, ("finish", request.job_id, 0))
+        self._push(job.finish_time(), _FINISH, ("finish", request.job_id, 0))
         if self.config.tune:
             self._maybe_begin_search(request, now)
 
@@ -967,31 +944,27 @@ class FleetSimulator:
     ) -> bool:
         """Change a running ASP job's allocation and replan its finish.
 
-        Under ``resim=exact`` the job's paused run is first resumed to
-        this instant (replaying exactly what the previous projection
-        predicted), then resized and re-projected; under the stretch
-        model only the linear tail bookkeeping changes.  Each resize
-        charges its own reconfiguration overhead — two same-pass
-        shrinks are two real checkpoint→reconfigure→restart cycles —
-        but when the caller passes a pass-scoped ``reproject`` dict the
-        completion *projection* (and its finish event) is deferred to
-        the end of the scheduling pass, so a victim resized twice in
-        one pass re-trains its tail once; without the dict the
-        projection runs inline.
+        The job's paused run is first resumed to this instant
+        (replaying exactly what the previous projection predicted),
+        then resized and re-projected.  Each resize charges its own
+        reconfiguration overhead — two same-pass shrinks are two real
+        checkpoint→reconfigure→restart cycles — but when the caller
+        passes a pass-scoped ``reproject`` dict the completion
+        *projection* (and its finish event) is deferred to the end of
+        the scheduling pass, so a victim resized twice in one pass
+        re-trains its tail once; without the dict the projection runs
+        inline.
 
         Returns whether the resize affected the job's timeline.  The
-        pool always changes hands, but when the exact replay discovers
-        the run completing inside the final update interval (a float
-        edge: pauses land on update boundaries) the job's training is
-        over and nothing is re-simulated — the caller must then not
-        count a preemption/restore nor record an allocation segment.
+        pool always changes hands, but when the replay discovers the
+        run completing inside the final update interval (a float edge:
+        pauses land on update boundaries) the job's training is over
+        and nothing is re-simulated — the caller must then not count a
+        preemption/restore nor record an allocation segment.
         """
-        job.settle(now)
-        resumed = None
-        if job.sim is not None and not job.sim.finished:
-            # Resume before the pool changes hands: the re-slice below
-            # must see the *new* physical mapping, the replay the old.
-            resumed = job.sim.advance_to(now - job.start)
+        # Resume before the pool changes hands: the re-slice below
+        # must see the *new* physical mapping, the replay the old.
+        resumed = job.sim.advance_to(now - job.start)
         current = len(job.workers)
         if new_count < current:
             released = job.workers[new_count:]
@@ -999,7 +972,7 @@ class FleetSimulator:
             self.pool.release(released)
         elif new_count > current:
             job.workers = job.workers + self.pool.allocate(new_count - current)
-        if job.sim is not None and resumed != "paused":
+        if resumed != "paused":
             # Replay found the run already complete: the workers change
             # hands but the job's timeline — and its pending finish
             # event — stay exactly as projected.
@@ -1015,29 +988,23 @@ class FleetSimulator:
                 args={"workers": len(job.workers), "was": current},
             )
         self.metrics.inc(f"resize_{cause}")
-        if resumed == "paused":
-            contention = self._job_stragglers(
-                job.workers, job.start, active_after=now
-            )
-            if contention is None and self.contention is not None:
-                # An *empty* re-slice (no events survive the resume
-                # instant) must still replace the stale slice of the
-                # previous physical mapping; None means "keep" to the
-                # sim, which is only right when contention is off.
-                contention = StragglerSchedule([])
-            job.sim.resize(len(job.workers), contention)
-            if reproject is not None:
-                # Finish event deferred with the projection (end of pass).
-                reproject[job.request.job_id] = job
-                return True
-            projection = job.sim.fork()
-            buffer = job.tracer.sandbox()
-            projection.set_tracer(buffer)
-            projection.run_to_completion()
-            job.result = projection.result()
-            job.trace_buffer = buffer
+        contention = self._job_stragglers(
+            job.workers, job.start, active_after=now
+        )
+        if contention is None and self.contention is not None:
+            # An *empty* re-slice (no events survive the resume
+            # instant) must still replace the stale slice of the
+            # previous physical mapping; None means "keep" to the
+            # sim, which is only right when contention is off.
+            contention = StragglerSchedule([])
+        job.sim.resize(len(job.workers), contention)
+        if reproject is not None:
+            # Finish event deferred with the projection (end of pass).
+            reproject[job.request.job_id] = job
+            return True
+        job.result, job.trace_buffer = _project(job.sim, job.tracer)
         self._push(
-            job.finish_time(now),
+            job.finish_time(),
             _FINISH,
             ("finish", job.request.job_id, job.version),
         )
@@ -1284,58 +1251,24 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # training and shared contention
     # ------------------------------------------------------------------
-    def _train(
-        self,
-        request: JobRequest,
-        workers: tuple[int, ...],
-        now: float,
-        percent: float | None = None,
-        schedule: tuple | None = None,
-        tracer=NULL_TRACER,
-    ) -> TrainingResult:
-        """One full single-job simulation on the assigned workers.
-
-        ``percent`` is the effective BSP percentage the admission
-        resolved (tuned / degraded); defaults to the request's own.
-        ``schedule`` replaces the two-phase switch with a full
-        ``(protocols, fractions)`` plan when set.
-        """
-        if percent is None:
-            percent = request.percent
-        job, policies = self._training_inputs(request, percent, schedule)
-        controller = SyncSwitchController(
-            job=job,
-            cluster_spec=ClusterSpec(n_workers=len(workers)),
-            policies=policies,
-            stragglers=self._job_stragglers(workers, now),
-            ambient_noise=self.config.ambient,
-            overhead_time_scale=self.config.scale,
-            overhead_bandwidth=self._job_bandwidth(workers),
-            tracer=tracer,
-        )
-        return controller.run_job().result
-
-    def _begin_exact(
+    def _start_run(
         self,
         request: JobRequest,
         workers: tuple[int, ...],
         now: float,
         percent: float,
-        schedule: tuple | None = None,
-        tracer=NULL_TRACER,
-    ) -> tuple[ElasticTrainingRun, TrainingResult, object]:
-        """Start a resumable run and project its unpreempted completion.
+        schedule: tuple | None,
+        tracer,
+    ) -> ElasticTrainingRun:
+        """Start a job's resumable run, paused at the ASP-tail boundary.
 
-        The live run is paused at the ASP-tail boundary — the cached
-        BSP span no allocation change ever replays — and a fork trains
-        the tail to the end for the initial finish-time projection.
-        Jobs without an elastic tail (all-BSP, or divergence inside the
-        BSP phase) complete inside the live run directly.
-
-        Returns ``(sim, projected_result, trace_buffer)``: the live run
-        traces through ``tracer`` directly, while the projection writes
-        into a sandbox buffer that becomes the job's events past the
-        pause instant if no allocation change supersedes it.
+        The paused state is the cached BSP span no allocation change
+        ever replays.  Jobs without an elastic tail (all-BSP, or
+        divergence inside the BSP phase) come back already finished.
+        ``percent`` is the effective BSP percentage the admission
+        resolved (tuned / degraded); ``schedule`` replaces the
+        two-phase switch with a full ``(protocols, fractions)`` plan
+        when set.  The live run traces through ``tracer`` directly.
         """
         job, policies = self._training_inputs(request, percent, schedule)
         sim = ElasticTrainingRun(
@@ -1348,13 +1281,8 @@ class FleetSimulator:
             overhead_bandwidth=self._job_bandwidth(workers),
             tracer=tracer,
         )
-        if sim.run_to_tail() == "finished":
-            return sim, sim.result(), NULL_TRACER
-        projection = sim.fork()
-        buffer = tracer.sandbox()
-        projection.set_tracer(buffer)
-        projection.run_to_completion()
-        return sim, projection.result(), buffer
+        sim.run_to_tail()
+        return sim
 
     def _training_inputs(
         self,

@@ -704,6 +704,11 @@ def load_trace(path: str | Path) -> tuple[JobRequest, ...]:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"trace {path} must be a JSON object with a \"jobs\" list, "
+            f"not a {type(payload).__name__}"
+        )
     raw_jobs = payload.get("jobs")
     if not isinstance(raw_jobs, list) or not raw_jobs:
         raise ConfigurationError(f"trace {path} has no jobs")

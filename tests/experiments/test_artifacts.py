@@ -21,7 +21,6 @@ def test_artifact_registry_covers_every_paper_artifact():
         "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
         "tab1", "tab2", "tab3", "tab4", "tab5", "tab6",
         "fleet",  # beyond the paper: the multi-tenant scenario grid
-        "fleet-resim",  # beyond the paper: stretch-vs-exact tail deltas
         "fleet-search",  # beyond the paper: amortized in-fleet tuning
         "fleet-trace",  # beyond the paper: traced-run metrics timeline
         "fleet-trace-scale",  # beyond the paper: sharded datacenter trace

@@ -8,11 +8,12 @@ import repro.experiments.fleet as fleet_module
 from repro.experiments import ARTIFACTS, ExperimentRunner, prefetch_union
 from repro.experiments.fleet import (
     FleetRunRequest,
+    FleetShardRequest,
     fleet_grid,
     fleet_report,
     write_fleet_summary,
 )
-from repro.fleet import FleetSummary
+from repro.fleet import FleetSummary, JobRequest
 
 SCALE = 0.008
 
@@ -58,6 +59,39 @@ class TestFleetRunRequest:
             SETUPS[1], {"kind": "switch", "percent": 100.0}, 0, SCALE
         )
         assert fleet_key != training
+
+
+class TestCacheKeySchema:
+    """Literal digests of the three fleet key payloads.
+
+    The perf ledger's pinned digests hash cache *file names*, so a
+    changed key payload (a field added, dropped or renamed) must fail
+    here, in seconds, not as digest mismatches across three workloads.
+    """
+
+    CELL = FleetRunRequest("rush", "best-fit", "sync-switch", 0, n_jobs=3)
+
+    def test_run_request_key_is_pinned(self):
+        assert self.CELL.key(0.002) == "961328679c3fce9ba8d02f17"
+
+    def test_traced_wrapper_key_is_pinned(self):
+        traced = fleet_module._TracedFleetRequest(self.CELL)
+        assert traced.key(0.002) == "011fdec6d51fdf70b74b67bf"
+
+    def test_shard_request_key_is_pinned(self):
+        shard = FleetShardRequest(
+            scenario="trace",
+            shard_index=0,
+            n_shards=2,
+            trace=(
+                JobRequest(job_id=0, arrival=0.0, setup_index=1,
+                           n_workers=8, sync_policy="asp"),
+            ),
+            pool_size=32,
+            scheduler="slo",
+            sync_policy="sync-switch",
+        )
+        assert shard.key(0.001) == "4a0952191592df03fb2b72d8"
 
 
 class TestFleetGrid:

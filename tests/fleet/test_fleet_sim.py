@@ -235,52 +235,6 @@ class TestPreemptionFloorAudit:
             "shrinks within a pass"
         )
 
-    def test_stretch_factor_does_not_compound_across_same_pass_shrinks(self):
-        # Stretch model: two same-instant shrinks must cost exactly the
-        # same remaining-tail arithmetic as one direct shrink to the
-        # final size (no compounding of the n/(n-k) factor).
-        trace = (
-            JobRequest(job_id=0, arrival=0.0, setup_index=1, n_workers=8,
-                       sync_policy="asp"),
-        )
-        simulator = FleetSimulator(
-            config(
-                scheduler="fifo", trace=trace, pool_size=16, n_jobs=None,
-                resim="stretch",
-            )
-        )
-        simulator.run()
-        # Rebuild a running job and replay the two shrink paths on the
-        # recorded telemetry.
-        fresh = FleetSimulator(
-            config(
-                scheduler="fifo", trace=trace, pool_size=16, n_jobs=None,
-                resim="stretch",
-            )
-        )
-        fresh._advance(0.0)
-        fresh._queue.append(fresh.stream[0])
-        fresh._schedule(0.0)
-        job = fresh._running[0]
-        job.enter_asp(5.0)
-        fresh._resize(job, 6, 5.0, "preempt")
-        fresh._resize(job, 2, 5.0, "preempt")
-        stepwise = job.finish_time(5.0)
-
-        again = FleetSimulator(
-            config(
-                scheduler="fifo", trace=trace, pool_size=16, n_jobs=None,
-                resim="stretch",
-            )
-        )
-        again._advance(0.0)
-        again._queue.append(again.stream[0])
-        again._schedule(0.0)
-        direct = again._running[0]
-        direct.enter_asp(5.0)
-        again._resize(direct, 2, 5.0, "preempt")
-        assert stepwise == pytest.approx(direct.finish_time(5.0))
-
 
 class TestValidation:
     def test_unknown_scenario_rejected(self):

@@ -1,14 +1,15 @@
-"""Fleet-level tests for elastic re-simulation (``resim=exact``).
+"""Fleet-level tests for elastic re-simulation of preempted ASP tails.
 
-Pins the PR acceptance criteria:
+Pins:
 
-* ``resim=exact`` with zero allocation changes is **bit-identical** to
-  ``resim=stretch`` — full-summary equality at jobs=1 and jobs=N, plus
-  sha256 golden hashes committed in
-  ``tests/data/fleet_golden_hashes.json``;
-* a preemption-heavy stream (rush under best-fit) shows measurably
-  different per-job accuracy and JCT under ``resim=exact``, while its
-  never-preempted jobs stay bit-identical.
+* a job with zero allocation changes is **bit-identical** to a
+  one-shot :class:`~repro.core.runtime.SyncSwitchController` run of
+  the same inputs (a test-local oracle that runs on every BLAS
+  build), and the preemption-free streams match the sha256 golden
+  hashes committed in ``tests/data/fleet_golden_hashes.json``;
+* a preemption-heavy stream (rush under best-fit) really preempts and
+  restores, and its allocation history survives the summary
+  round-trip.
 
 The golden hashes are exact float bit patterns; like the distsim
 golden suite, set ``REPRO_GOLDEN_SKIP=1`` on machines whose BLAS
@@ -27,16 +28,23 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.fleet import FleetConfig, FleetSummary, simulate_fleet
+from repro.core.runtime import SyncSwitchController
+from repro.distsim.cluster import ClusterSpec
+from repro.distsim.engines import synchronous_protocols
+from repro.fleet import (
+    FleetConfig,
+    FleetSimulator,
+    FleetSummary,
+    simulate_fleet,
+)
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "data" / "fleet_golden_hashes.json"
 )
 SCALE = 0.008
 
-#: Preemption-free golden cells (FIFO never preempts): exact == stretch
-#: == the committed hash, at a single-job and a multi-job stream.
+#: Preemption-free golden cells (FIFO never preempts): the committed
+#: hash, at a single-job and a multi-job stream.
 GOLDEN_CELLS = {"jobs=1": 1, "jobs=4": 4}
 
 
@@ -74,83 +82,90 @@ def golden() -> dict:
 
 @pytest.fixture(scope="module")
 def preempted():
-    """Exact and stretch summaries of a preemption-heavy stream."""
-    return {
-        mode: simulate_fleet(
-            config(scheduler="best-fit", n_jobs=None, resim=mode)
-        )
-        for mode in ("exact", "stretch")
-    }
+    """Summary of a preemption-heavy stream."""
+    return simulate_fleet(config(scheduler="best-fit", n_jobs=None))
 
 
 class TestGoldenParity:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
-    def test_exact_matches_stretch_bitwise(self, name):
-        """No allocation changes -> the two timeline models coincide."""
-        n = GOLDEN_CELLS[name]
-        exact = simulate_fleet(config(n_jobs=n, resim="exact"))
-        stretch = simulate_fleet(config(n_jobs=n, resim="stretch"))
-        assert exact.preemptions == 0 and exact.restores == 0
-        assert exact.to_dict() == stretch.to_dict()
+    def test_unresized_jobs_match_one_shot_controller(self, name):
+        """Independent oracle for the fork-and-project admission path.
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
-    @pytest.mark.parametrize("resim", ["exact", "stretch"])
-    def test_committed_golden_hash(self, name, resim, golden):
+        On a preemption-free stream every admitted job is re-trained
+        with the one-shot controller on the simulator's own inputs; the
+        job record must equal that reference bit for bit.
+        """
+        simulator = FleetSimulator(config(n_jobs=GOLDEN_CELLS[name]))
+        admissions = []
+        start_run = simulator._start_run
+
+        def recording(request, workers, now, percent, schedule, tracer):
+            admissions.append((request, workers, now, percent, schedule))
+            return start_run(request, workers, now, percent, schedule, tracer)
+
+        simulator._start_run = recording
+        summary = simulator.run()
+        assert summary.preemptions == 0 and summary.restores == 0
+        records = {job.job_id: job for job in summary.jobs}
+        assert len(admissions) == len(records) == GOLDEN_CELLS[name]
+        synchronous = synchronous_protocols()
+        for request, workers, now, percent, schedule in admissions:
+            job, policies = simulator._training_inputs(
+                request, percent, schedule
+            )
+            reference = SyncSwitchController(
+                job=job,
+                cluster_spec=ClusterSpec(n_workers=len(workers)),
+                policies=policies,
+                stragglers=simulator._job_stragglers(workers, now),
+                ambient_noise=simulator.config.ambient,
+                overhead_time_scale=simulator.config.scale,
+                overhead_bandwidth=simulator._job_bandwidth(workers),
+            ).run_job().result
+            record = records[request.job_id]
+            assert record.accuracy == reference.reported_accuracy
+            assert record.completed_steps == reference.completed_steps
+            assert record.images == reference.images_processed
+            # The finish event is start + BSP span + async tail, the
+            # tail being the trailing non-barrier segments.
+            tail = 0.0
+            for segment in reversed(reference.segment_summary):
+                if segment["protocol"] in synchronous:
+                    break
+                tail += segment["duration"]
+            expected = now + (reference.total_time - tail) + tail
+            assert record.start == now
+            assert record.finish - record.start == expected - now
+            assert record.finish - record.start == pytest.approx(
+                reference.total_time
+            )
+
+    # ids keep the "exact-" prefix the cells have always reported under.
+    @pytest.mark.parametrize(
+        "name", sorted(GOLDEN_CELLS), ids=lambda name: f"exact-{name}"
+    )
+    def test_committed_golden_hash(self, name, golden):
         _skip_unless_golden_machine()
-        summary = simulate_fleet(
-            config(n_jobs=GOLDEN_CELLS[name], resim=resim)
-        )
+        summary = simulate_fleet(config(n_jobs=GOLDEN_CELLS[name]))
         assert summary_hash(summary) == golden["hashes"][name], (
-            f"{name} ({resim}): fleet summary changed vs the committed "
-            "golden hash — the preemption-free fleet timeline is no "
-            "longer bit-stable"
+            f"{name}: fleet summary changed vs the committed golden "
+            "hash — the preemption-free fleet timeline is no longer "
+            "bit-stable"
         )
 
     def test_exact_mode_is_reproducible(self):
-        first = simulate_fleet(config(resim="exact"))
-        second = simulate_fleet(config(resim="exact"))
+        first = simulate_fleet(config())
+        second = simulate_fleet(config())
         assert first.to_dict() == second.to_dict()
 
 
 class TestPreemptedDelta:
     def test_stream_actually_preempts(self, preempted):
-        assert preempted["exact"].preemptions > 0
-        assert preempted["exact"].restores > 0
-        assert (
-            preempted["exact"].preemptions
-            == preempted["stretch"].preemptions
-        )
-
-    def test_preempted_jobs_differ_measurably(self, preempted):
-        """The bug being fixed: stretch reports the unpreempted run."""
-        stretch = {job.job_id: job for job in preempted["stretch"].jobs}
-        deltas = []
-        for job in preempted["exact"].jobs:
-            if job.preemptions == 0 and job.restores == 0:
-                continue
-            other = stretch[job.job_id]
-            deltas.append(
-                (abs(job.jct - other.jct), job.accuracy, other.accuracy)
-            )
-        assert deltas, "fixture must contain preempted jobs"
-        assert any(delta > 0.1 for delta, _, _ in deltas)
-        assert any(exact != legacy for _, exact, legacy in deltas), (
-            "re-simulated tails must shift at least one reported accuracy"
-        )
-
-    def test_unpreempted_jobs_stay_identical(self, preempted):
-        stretch = {job.job_id: job for job in preempted["stretch"].jobs}
-        untouched = [
-            job
-            for job in preempted["exact"].jobs
-            if job.preemptions == 0 and job.restores == 0
-        ]
-        assert untouched, "fixture must contain unpreempted jobs"
-        for job in untouched:
-            assert job.to_dict() == stretch[job.job_id].to_dict()
+        assert preempted.preemptions > 0
+        assert preempted.restores > 0
 
     def test_allocation_history_records_every_resize(self, preempted):
-        for job in preempted["exact"].jobs:
+        for job in preempted.jobs:
             causes = [row["cause"] for row in job.allocations]
             assert causes[0] == "admit"
             assert causes.count("preempt") >= job.preemptions
@@ -164,9 +179,8 @@ class TestPreemptedDelta:
                 assert span["end"] == nxt["start"]
 
     def test_summary_roundtrip_keeps_allocations(self, preempted):
-        summary = preempted["exact"]
-        again = FleetSummary.from_dict(summary.to_dict())
-        assert again.to_dict() == summary.to_dict()
+        again = FleetSummary.from_dict(preempted.to_dict())
+        assert again.to_dict() == preempted.to_dict()
         record = next(job for job in again.jobs if job.preemptions > 0)
         assert record.allocations
 
@@ -210,15 +224,9 @@ class TestContentionReslice:
         ), "stale admission slice survived an empty re-slice"
 
 
-class TestValidation:
-    def test_unknown_resim_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            config(resim="approximate")
-
-
 def _regenerate() -> None:
     hashes = {
-        name: summary_hash(simulate_fleet(config(n_jobs=n, resim="exact")))
+        name: summary_hash(simulate_fleet(config(n_jobs=n)))
         for name, n in sorted(GOLDEN_CELLS.items())
     }
     import numpy as np

@@ -170,6 +170,13 @@ class TestTraces:
         with pytest.raises(ConfigurationError):
             load_trace(empty)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"jobs"', "null", "3"])
+    def test_non_object_payload_rejected(self, tmp_path, text):
+        path = tmp_path / "not-an-object.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            load_trace(path)
+
     def test_malformed_entry_rejected(self, tmp_path):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(

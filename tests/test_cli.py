@@ -200,18 +200,77 @@ def test_fleet_slo_command_tiny(capsys, tmp_path, monkeypatch):
     assert "slo_attained" in out
 
 
-def test_parser_resim_and_policy_store_flags():
+def test_parser_resim_and_policy_store_flags(capsys):
     parser = build_parser()
     args = parser.parse_args(
-        ["fleet", "--resim", "stretch", "--policy-store", "store.json"]
+        ["fleet", "--resim", "exact", "--policy-store", "store.json"]
     )
-    assert args.resim == "stretch"
     assert args.policy_store == "store.json"
-    defaults = parser.parse_args(["fleet"])
-    assert defaults.resim == "exact"
-    assert defaults.policy_store is None
-    with pytest.raises(SystemExit):
-        parser.parse_args(["fleet", "--resim", "approximate"])
+    assert parser.parse_args(["fleet"]).policy_store is None
+    # The flag survives for old command lines; the removed model and
+    # unknown ones are usage errors.
+    for removed in ("stretch", "approximate"):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["fleet", "--resim", removed])
+        assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def _assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--scenario", "surge", "--scale", "5"], "scale must be in (0, 1]"),
+        (["--jobs", "0"], "n_jobs must be positive"),
+        (["--procs", "0"], "jobs must be >= 1"),
+        (["--tiers", "fast:3:1.0:1.0"], "tier counts sum to 3"),
+    ],
+    ids=["scale", "jobs", "procs", "tiers"],
+)
+def test_fleet_bad_flag_value_is_a_usage_error(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "summary.json"
+    assert main(["--quiet", "fleet", *argv, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read trace"),
+        ('{"jobs": [', "cannot read trace"),
+        ("[1, 2]", "must be a JSON object"),
+    ],
+    ids=["missing", "truncated", "list"],
+)
+def test_fleet_bad_workload_trace_is_a_usage_error(
+    text, message, capsys, tmp_path
+):
+    trace = tmp_path / "trace.json"
+    if text is not None:
+        trace.write_text(text, encoding="utf-8")
+    assert main(["--quiet", "fleet", "--workload-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, message)
+
+
+def test_internal_fleet_error_keeps_its_traceback(monkeypatch):
+    import repro.commands.fleet as fleet_command
+    from repro.errors import FleetError
+
+    def inconsistent(**_kwargs):
+        raise FleetError("pool partition violated")
+
+    monkeypatch.setattr(fleet_command, "fleet_grid", inconsistent)
+    with pytest.raises(FleetError):
+        main(["--quiet", "fleet"])
 
 
 def test_fleet_policy_store_requires_single_scheduler(capsys):

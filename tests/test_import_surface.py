@@ -168,7 +168,9 @@ def test_cache_hit_report_never_loads_numpy_or_the_layers_below(cold_sweep):
         (
             ["--quiet", "fleet", "--scenario", "trace", "--jobs", "4",
              "--scale", "0.001", "--procs", "2", "--out", "OUT"],
-            TRAINING_STACK
+            # The fleet trains through the elastic run, never through
+            # the one-shot controller.
+            TRAINING_STACK - {"repro.core.runtime.controller"}
             | {"repro.fleet.fleet_sim", "repro.core.runtime.elastic"},
         ),
     ],
