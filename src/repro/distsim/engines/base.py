@@ -319,12 +319,24 @@ class GradientBatcher:
         self._session = session
         self._batch_size = batch_size
         self._cache: dict[int, tuple[float, np.ndarray, tuple, list]] = {}
-        # Staging matrices are fully consumed within each evaluation,
-        # hence reusable; gradient stacks return to a per-K pool once
-        # every row has been consumed.  Reuse keeps buffer ids stable,
-        # which keeps the model's stacked-view caches warm.
-        self._stages: dict[int, np.ndarray] = {}
-        self._grad_pool: dict[int, list[np.ndarray]] = {}
+        # Every buffer is sized for the session's provisioned worker
+        # count and serves all stack widths: a K-wide evaluation works
+        # on C-contiguous [:K] prefix views.  The staging matrix and
+        # the batch stacks are fully consumed within each evaluation,
+        # hence reusable; gradient stacks return to the pool once every
+        # row has been consumed.  Reuse keeps data pointers stable,
+        # which keeps the model's stacked-view cache warm.
+        capacity = session.cluster.spec.n_workers
+        x_train, y_train = session.dataset.x_train, session.dataset.y_train
+        self._stage = np.empty(
+            (capacity, session.model.layout.size),
+            dtype=session.ps.params.dtype,
+        )
+        self._inputs = np.empty(
+            (capacity, batch_size) + x_train.shape[1:], dtype=x_train.dtype
+        )
+        self._labels = np.empty((capacity, batch_size), dtype=y_train.dtype)
+        self._grad_pool: list[np.ndarray] = []
 
     def gradient_for(self, worker: int, states: dict) -> tuple[float, np.ndarray]:
         """Loss and gradient of ``worker``'s in-flight update."""
@@ -345,10 +357,8 @@ class GradientBatcher:
     def _consume(self, entry: tuple) -> None:
         record = entry[3]
         record[1] -= 1
-        if record[1] == 0:
-            pool = self._grad_pool.setdefault(record[0].shape[0], [])
-            if len(pool) < 4:
-                pool.append(record[0])
+        if record[1] == 0 and len(self._grad_pool) < 4:
+            self._grad_pool.append(record[0])
 
     def rollback_unconsumed(self) -> None:
         """Rewind every unconsumed eager draw (end of an engine run)."""
@@ -359,35 +369,25 @@ class GradientBatcher:
         session = self._session
         pending = sorted(w for w in states if w not in self._cache)
         count = len(pending)
-        model = session.model
-        stage = self._stages.get(count)
-        if stage is None:
-            stage = np.empty(
-                (count, model.layout.size), dtype=session.ps.params.dtype
-            )
-            self._stages[count] = stage
-        inputs_stack = None
-        labels_stack = None
+        stage = self._stage[:count]
+        inputs_stack = self._inputs[:count]
+        labels_stack = self._labels[:count]
         stream_marks = []
         for index, worker in enumerate(pending):
             stage[index] = states[worker].params
             stream_marks.append(session._index_streams[worker].snapshot())
-            inputs, labels = session.worker_batch(worker, self._batch_size)
-            if inputs_stack is None:
-                inputs_stack = np.empty(
-                    (count,) + inputs.shape, dtype=inputs.dtype
-                )
-                labels_stack = np.empty(
-                    (count,) + labels.shape, dtype=labels.dtype
-                )
-            inputs_stack[index] = inputs
-            labels_stack[index] = labels
-        pool = self._grad_pool.get(count)
-        grad_buffer = pool.pop() if pool else None
-        losses, grads = model.loss_and_grad_batch(
-            stage, inputs_stack, labels_stack, grad_out=grad_buffer
+            inputs_stack[index], labels_stack[index] = session.worker_batch(
+                worker, self._batch_size
+            )
+        grad_buffer = (
+            self._grad_pool.pop()
+            if self._grad_pool
+            else np.empty_like(self._stage)
         )
-        record = [grads, count]
+        losses, grads = session.model.loss_and_grad_batch(
+            stage, inputs_stack, labels_stack, grad_out=grad_buffer[:count]
+        )
+        record = [grad_buffer, count]
         for index, worker in enumerate(pending):
             self._cache[worker] = (
                 losses[index], grads[index], stream_marks[index], record

@@ -35,6 +35,11 @@ staleness telemetry and divergence therefore reflect what the cluster
 would really do — per Section V, ASP dynamics change with the worker
 set.
 
+Only a preemptive scheduler ever changes an allocation.  Under the
+others the paused run has no second use, so the admission trains the
+tail on the run itself — no fork — and lets go of it at once: a
+running job then holds its result and nothing of its training state.
+
 A job that is never resized is bit-identical to the controller's
 one-shot execution of the same inputs: pinned per run by
 ``tests/core/test_elastic_run.py::TestOneShotParity`` and per fleet
@@ -355,16 +360,20 @@ class WorkerPool:
         self._free.extend(workers)
 
 
-def _project(sim: ElasticTrainingRun, tracer) -> tuple[TrainingResult, object]:
+def _project(
+    sim: ElasticTrainingRun, tracer, fork: bool = True
+) -> tuple[TrainingResult, object]:
     """Project a paused run's completion on its current worker set.
 
     Trains a fork to the end while the live run stays paused for the
-    next allocation change.  Returns ``(result, trace_buffer)``: the
-    fork traces into a sandbox of ``tracer``, which becomes the job's
-    events past the pause instant only if no allocation change
+    next allocation change — or, with ``fork=False``, the live run
+    itself, when no allocation change can ever come and the caller
+    lets go of the run afterwards.  Returns ``(result, trace_buffer)``:
+    the tail traces into a sandbox of ``tracer``, which becomes the
+    job's events past the pause instant only if no allocation change
     supersedes the projection.
     """
-    projection = sim.fork()
+    projection = sim.fork() if fork else sim
     buffer = tracer.sandbox()
     projection.set_tracer(buffer)
     projection.run_to_completion()
@@ -380,6 +389,12 @@ class _RunningJob:
     that state on the current worker set.  A job without an elastic
     tail (all-BSP, or divergence inside the BSP phase) arrives with
     ``sim`` already finished and ``result`` is the run's own.
+
+    ``resizable`` says whether the scheduler can ever change this
+    job's allocation.  When it cannot, nothing will resume the paused
+    run: the tail is trained on the run itself instead of a fork, and
+    ``sim`` is None from then on — session, model and kernel scratch
+    are released at admission, not at the finish event.
     """
 
     def __init__(
@@ -392,11 +407,12 @@ class _RunningJob:
         percent: float,
         tuned: bool,
         degraded: bool,
+        resizable: bool,
     ):
         self.request = request
         self.workers = workers
         self.start = start
-        self.sim = sim
+        self.sim = sim if resizable else None
         self.percent = percent
         self.tuned = tuned
         self.degraded = degraded
@@ -413,7 +429,9 @@ class _RunningJob:
         if sim.finished:
             self.result, self.trace_buffer = sim.result(), NULL_TRACER
         else:
-            self.result, self.trace_buffer = _project(sim, tracer)
+            self.result, self.trace_buffer = _project(
+                sim, tracer, fork=resizable
+            )
         #: Allocation history: one row per allocation-changing event.
         self.allocations: list[dict] = [
             {"time": start, "workers": len(workers), "cause": "admit"}
@@ -776,6 +794,9 @@ class FleetSimulator:
         job = _RunningJob(
             request, workers, now, sim, job_tracer,
             percent=percent, tuned=tuned, degraded=degraded,
+            # _preempt is the only source of allocation changes
+            # (_rebalance restores what it shrank).
+            resizable=self.scheduler.preemptive,
         )
         self._running[request.job_id] = job
         if job.asp_tail > 0.0 and job.bsp_span > 0.0:

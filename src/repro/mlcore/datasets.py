@@ -133,6 +133,10 @@ class DatasetConfig:
             raise ConfigurationError("score_noise must be non-negative")
 
 
+#: Rows labelled per Gumbel draw in :class:`SyntheticDataset`.
+_LABEL_BLOCK_ROWS = 1024
+
+
 class SyntheticDataset:
     """A fixed train/test split sampled from a random teacher network."""
 
@@ -150,8 +154,15 @@ class SyntheticDataset:
         total = config.train_size + config.test_size
         inputs = rng.normal(0.0, 1.0, size=(total, config.input_dim))
         scores = np.maximum(inputs @ teacher_w1, 0.0) @ teacher_w2
-        noisy = scores + config.score_noise * rng.gumbel(size=scores.shape)
-        labels = noisy.argmax(axis=1)
+        # Gumbel noise and argmax in row blocks: the Generator fills a
+        # draw element by element in C order, so block draws are the
+        # one-shot draw's values, without three (total x n_classes)
+        # float64 temporaries alive at once.
+        labels = np.empty(total, dtype=np.intp)
+        for lo in range(0, total, _LABEL_BLOCK_ROWS):
+            block = scores[lo : lo + _LABEL_BLOCK_ROWS]
+            noisy = block + config.score_noise * rng.gumbel(size=block.shape)
+            labels[lo : lo + _LABEL_BLOCK_ROWS] = noisy.argmax(axis=1)
         flips = rng.random(total) < config.label_flip_prob
         labels[flips] = rng.integers(0, config.n_classes, size=int(flips.sum()))
 

@@ -67,12 +67,18 @@ class ModelConfig:
 
 
 class _BatchWorkspace:
-    """Buffers for a stacked pass over K independent parameter vectors."""
+    """Buffers for a stacked pass over up to ``capacity`` parameter vectors.
+
+    One buffer set serves every stack width: :meth:`prefix` hands a
+    ``K``-wide pass C-contiguous ``[:K]`` views of it, which have the
+    per-slice shapes and strides a ``K``-sized allocation would have.
+    """
 
     def __init__(
-        self, config: ModelConfig, k: int, batch: int, dtype: np.dtype
+        self, config: ModelConfig, capacity: int, batch: int, dtype: np.dtype
     ):
         hidden, classes = config.hidden_dim, config.n_classes
+        k = self.capacity = capacity
         self.z_pre = np.empty((k, batch, hidden), dtype=dtype)
         self.h = [
             np.empty((k, batch, hidden), dtype=dtype)
@@ -98,6 +104,26 @@ class _BatchWorkspace:
         self.du = np.empty((k, batch, hidden), dtype=dtype)
         self.mm = np.empty((k, batch, hidden), dtype=dtype)
         self.mask = np.empty((k, batch, hidden), dtype=bool)
+        # Width -> view set over the buffers above (no data of its own,
+        # and no reference back to this object: dropping the workspace
+        # frees its buffers at once, without waiting for the cycle GC).
+        self._prefixes: dict[int, _BatchWorkspace] = {}
+
+    def prefix(self, k: int) -> "_BatchWorkspace":
+        """The ``[:k]`` view set of this workspace (``k <= capacity``)."""
+        if k == self.capacity:
+            return self
+        views = self._prefixes.get(k)
+        if views is None:
+            views = object.__new__(_BatchWorkspace)
+            views.rows = self.rows
+            for name, value in vars(self).items():
+                if isinstance(value, list):
+                    setattr(views, name, [buffer[:k] for buffer in value])
+                elif isinstance(value, np.ndarray) and value.ndim > 1:
+                    setattr(views, name, value[:k])
+            self._prefixes[k] = views
+        return views
 
 
 class _Workspace:
@@ -165,6 +191,12 @@ class ResidualMLPClassifier:
         self.layout = ParameterLayout(shapes)
         self._workspaces: dict[tuple[int, str, str], _Workspace] = {}
         self._decay_scratch: dict[str, np.ndarray] = {}
+        # Stacked-pass scratch: one capacity-sized buffer set per
+        # (batch, dtypes) / per dtype, whatever the stack width — a
+        # K-wide call works on [:K] prefix views, so an n-worker
+        # segment holds n slices of scratch, not 1 + 2 + ... + n.
+        self._batch_workspaces: dict[tuple[int, str, str], _BatchWorkspace] = {}
+        self._batch_decay_scratch: dict[str, np.ndarray] = {}
         # Weight-decay targets (matrices only), in layout order.
         self._matrix_slices = tuple(
             self.layout.slice_of(name)
@@ -200,13 +232,14 @@ class ResidualMLPClassifier:
             )
             for block in range(config.n_blocks)
         )
-        # Views of recently seen parameter/gradient buffers, keyed by
-        # (id, data pointer) of the owning base array.  Entries hold
-        # STRONG references (the views pin their base), so a live key
-        # can never be recycled by a different array — that pinning is
-        # the safety argument, and the LRU caps bound the pinned
-        # memory.  The parameter server's buffer pool keeps the id set
-        # small and stable.
+        # Views of recently seen parameter/gradient buffers.  Flat
+        # vectors are keyed by (id, data pointer) of the owning base
+        # array, stacks by (data pointer, width).  Entries hold STRONG
+        # references (the views pin their base), so the memory behind
+        # a live key can never be recycled by a different array — that
+        # pinning is the safety argument, and the LRU caps bound the
+        # pinned memory.  The parameter server's buffer pool keeps the
+        # key set small and stable.
         self._views_cache: dict[tuple, list] = {}
         self._stacked_cache: dict[tuple, list] = {}
 
@@ -477,11 +510,14 @@ class ResidualMLPClassifier:
         decay = self.config.weight_decay
         if decay != 0.0:
             saved_bias = grads_stack[:, self._bias_index]
-            scratch_key = f"{params_stack.dtype.char}/{k}"
-            scratch = self._decay_scratch.get(scratch_key)
-            if scratch is None:
-                scratch = np.empty_like(params_stack)
-                self._decay_scratch[scratch_key] = scratch
+            char = params_stack.dtype.char
+            scratch = self._batch_decay_scratch.get(char)
+            if scratch is None or scratch.shape[0] < k:
+                # Growth replaces the narrower buffer, never keeps it.
+                scratch = self._batch_decay_scratch[char] = np.empty(
+                    (k, self.layout.size), dtype=params_stack.dtype
+                )
+            scratch = scratch[:k]
             np.multiply(params_stack, decay, out=scratch)
             grads_stack += scratch
             grads_stack[:, self._bias_index] = saved_bias
@@ -506,9 +542,17 @@ class ResidualMLPClassifier:
         caller-stable buffers (the batcher's staging matrices); cached
         entries pin their buffer, so per-call transients must not be
         cached.
+
+        The cache key is ``(data pointer, K)``, never ``id(stack)``:
+        the batcher passes ``[:K]`` prefix views of one buffer, the
+        cached views pin that *buffer* and not the prefix-view object,
+        so a collected view's id can come back on a view of another
+        width over the same pointer.  Pointer and width determine the
+        views of a C-contiguous stack; others are never cached.
         """
+        cacheable = cacheable and stack.flags.c_contiguous
         if cacheable:
-            key = (id(stack), stack.__array_interface__["data"][0])
+            key = (stack.__array_interface__["data"][0], stack.shape[0])
             views = self._stacked_cache.get(key)
             if views is not None:
                 return views
@@ -534,14 +578,20 @@ class ResidualMLPClassifier:
         inputs: np.ndarray,
         params_stack: np.ndarray,
     ) -> _BatchWorkspace:
-        """The cached stacked workspace for ``(K, batch, dtypes)``."""
-        key = (-k, batch, inputs.dtype.char, params_stack.dtype.char)
-        workspace = self._workspaces.get(key)
-        if workspace is None:
+        """``[:K]`` views of the stacked workspace for ``(batch, dtypes)``.
+
+        The workspace is sized for the widest stack seen so far (the
+        async engines open every segment at full width, so that is the
+        worker count from the first call on) and replaced, never kept
+        alongside, when a wider one arrives.
+        """
+        key = (batch, inputs.dtype.char, params_stack.dtype.char)
+        workspace = self._batch_workspaces.get(key)
+        if workspace is None or workspace.capacity < k:
             dtype = np.result_type(inputs.dtype, params_stack.dtype)
             workspace = _BatchWorkspace(self.config, k, batch, dtype)
-            self._workspaces[key] = workspace
-        return workspace
+            self._batch_workspaces[key] = workspace
+        return workspace.prefix(k)
 
     def evaluate(
         self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray

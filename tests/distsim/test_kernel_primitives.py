@@ -8,7 +8,11 @@ eviction, segment boundaries and buffer reuse.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.distsim.engines.asp as asp_module
+import repro.distsim.engines.ssp as ssp_module
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import ASPEngine, SSPEngine
 from repro.distsim.engines.base import GradientBatcher, TrainingSession
@@ -21,13 +25,15 @@ from repro.mlcore.models import make_model
 from repro.mlcore.optim import MomentumSGD
 
 
-def make_session(n_workers=4, total_steps=400, seed=0, batch_size=32):
+def make_session(
+    n_workers=4, total_steps=400, seed=0, batch_size=32, base_lr=0.004
+):
     job = JobConfig(
         model="resnet32-sim",
         dataset="cifar10-sim",
         total_steps=total_steps,
         batch_size=batch_size,
-        base_lr=0.004,
+        base_lr=base_lr,
         eval_every=200,
         loss_log_every=100,
         seed=seed,
@@ -211,6 +217,160 @@ class TestBatchedLossAndGrad:
         loss_a, _ = model.loss_and_grad(stack[0], inputs, labels)
         loss_b, _ = model.loss_and_grad(stack[1], inputs, labels)
         assert loss_a != loss_b  # different parameters, not cached views
+
+
+def _stack_inputs(model, k, dtype, batch=8):
+    """Deterministic ``(params, inputs, labels)`` stacks of width ``k``."""
+    rng = np.random.default_rng(k)
+    stack = np.stack(
+        [model.init_params(seed, dtype=dtype) for seed in range(k)]
+    )
+    inputs = rng.normal(size=(k, batch, 24)).astype(np.float32)
+    labels = rng.integers(0, 10, size=(k, batch))
+    return stack, inputs, labels
+
+
+class TestCapacityWorkspace:
+    """One capacity-sized scratch set serves every stack width."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        widths=st.lists(
+            st.integers(min_value=1, max_value=8), min_size=1, max_size=5
+        )
+    )
+    @example(widths=[8, 3, 8])
+    @example(widths=[1, 2, 8])  # growth replaces the workspace twice
+    @settings(max_examples=15, deadline=None)
+    def test_any_width_sequence_equals_a_fresh_model(self, dtype, widths):
+        """float64 parameters on float32 inputs is the mixed-precision
+        path (allocate-then-cast bias sums, float64 workspace)."""
+        served = make_model("resnet32-sim")
+        for k in widths:
+            stack, inputs, labels = _stack_inputs(served, k, dtype)
+            losses, grads = served.loss_and_grad_batch(stack, inputs, labels)
+            fresh = make_model("resnet32-sim")
+            expected_losses, expected = fresh.loss_and_grad_batch(
+                stack.copy(), inputs.copy(), labels.copy()
+            )
+            assert losses == expected_losses
+            assert grads.tobytes() == expected.tobytes()
+        # One workspace and one decay scratch, sized for the widest call.
+        [workspace] = served._batch_workspaces.values()
+        assert workspace.capacity == max(widths)
+        [scratch] = served._batch_decay_scratch.values()
+        assert scratch.shape[0] == max(widths)
+
+    def test_prefix_views_are_contiguous_windows_of_one_buffer(self):
+        model = make_model("resnet32-sim")
+        stack, inputs, labels = _stack_inputs(model, 8, np.float32)
+        model.loss_and_grad_batch(stack, inputs, labels)
+        [workspace] = model._batch_workspaces.values()
+        narrow = workspace.prefix(3)
+        assert narrow.dh.shape[0] == 3 and narrow.dh.flags.c_contiguous
+        assert narrow.dh.base is workspace.dh
+        assert np.shares_memory(narrow.h[1], workspace.h[1])
+        assert narrow.dh.strides == workspace.dh.strides
+        assert workspace.prefix(8) is workspace
+
+    def test_stacked_view_cache_keys_on_pointer_and_width(self):
+        """Two prefix widths of one staging buffer never share cached
+        views — even when the first view object was collected and its
+        ``id`` came back on the second (the cached views pin the
+        buffer, not the view object)."""
+        model = make_model("resnet32-sim")
+        stage = np.zeros((8, model.layout.size), dtype=np.float32)
+        first = stage[:5]
+        first_id = id(first)
+        wide = model._stacked_views(first, cacheable=True)
+        del first
+        # CPython hands the freed object's address to the next ndarray
+        # (first try in practice); hold the misses so it has to.
+        misses = []
+        for _ in range(64):
+            second = stage[:3]
+            if id(second) == first_id:
+                break
+            misses.append(second)
+        narrow = model._stacked_views(second, cacheable=True)
+        assert wide[0][0].shape[0] == 5 and narrow[0][0].shape[0] == 3
+        # Same pointer and width: served from the cache, whatever view
+        # object carries them; another pointer is another entry.
+        assert model._stacked_views(stage[:5], cacheable=True) is wide
+        assert model._stacked_views(stage[:3], cacheable=True) is narrow
+        assert model._stacked_views(stage[1:4], cacheable=True) is not narrow
+        # A strided window with a cached pointer and width is not a
+        # prefix: it is built fresh and never cached.
+        strided = model._stacked_views(stage[::2][:3], cacheable=True)
+        assert strided is not narrow
+        assert strided[0][0].strides[0] == 2 * stage.strides[0]
+
+
+class _RecordingBatcher(GradientBatcher):
+    """A batcher that stays reachable after the engine run."""
+
+    instances: list = []
+
+    def __init__(self, session, batch_size):
+        super().__init__(session, batch_size)
+        self.instances.append(self)
+        self.widths: list[int] = []
+
+    def _evaluate_pending(self, states):
+        self.widths.append(sum(1 for w in states if w not in self._cache))
+        super()._evaluate_pending(states)
+
+
+class TestBoundedSegmentScratch:
+    @pytest.mark.parametrize(
+        "engine_module, engine_class",
+        [(asp_module, ASPEngine), (ssp_module, SSPEngine)],
+        ids=["asp", "ssp"],
+    )
+    def test_sixteen_workers_with_evictions_hold_one_buffer_set(
+        self, engine_module, engine_class, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "GradientBatcher", _RecordingBatcher)
+        monkeypatch.setattr(_RecordingBatcher, "instances", [])
+        # 16-worker ASP diverges at the suite's learning rate (Fig. 13).
+        session = make_session(n_workers=16, total_steps=4000, base_lr=0.0005)
+
+        def evict_mid_segment(current):
+            if current.step == 40:
+                for worker in (15, 14, 13, 12, 11):
+                    current.cluster.evict(worker)
+            return None
+
+        engine_class().run(session, steps=160, stop=evict_mid_segment)
+        [batcher] = _RecordingBatcher.instances
+        # The segment really exercised many stack widths...
+        assert batcher.widths[0] == 16 and len(set(batcher.widths)) >= 3
+        # ...on one stacked workspace, one staging matrix, one pair of
+        # batch stacks and a bounded gradient pool, all 16 wide.
+        [workspace] = session.model._batch_workspaces.values()
+        assert workspace.capacity == 16
+        assert batcher._stage.shape == (16, session.model.layout.size)
+        assert batcher._inputs.shape[0] == batcher._labels.shape[0] == 16
+        assert 1 <= len(batcher._grad_pool) <= 4
+        assert all(
+            stack.shape == batcher._stage.shape for stack in batcher._grad_pool
+        )
+        [scratch] = session.model._batch_decay_scratch.values()
+        assert scratch.shape[0] == 16
+        # Every eager draw that was never applied — the evicted
+        # workers' and the ones in flight at the segment end — was
+        # rewound: each stream advanced by exactly one batch per update
+        # its worker applied (no refill this early: offset = draws).
+        assert batcher._cache == {}
+        applied = [0] * 16
+        for _, worker, _ in session.telemetry.worker_durations:
+            applied[int(worker)] += 1
+        # (SSP stalls on the evicted workers' frozen iteration counts
+        # before the budget is spent; ASP applies all 160.)
+        assert sum(applied) == session.step > 40 and min(applied) > 0
+        for worker in session.cluster.all_workers:
+            position = session._index_streams[worker].snapshot()[1]
+            assert position == 32 * applied[worker]
 
 
 class TestGradientBatcherRollback:

@@ -198,7 +198,7 @@ class TestContentionReslice:
         )
         simulator = FleetSimulator(
             config(
-                scheduler="fifo", trace=trace, pool_size=16, n_jobs=None,
+                scheduler="best-fit", trace=trace, pool_size=16, n_jobs=None,
                 contention=False,
             )
         )
