@@ -3,13 +3,12 @@
 The paper's related work (Section VII) marks TernGrad/QSGD-style
 gradient compression as orthogonal work that "might be combined with
 Sync-Switch to achieve further training speedup".  This benchmark
-exercises that combination two ways: the legacy ASP ``compression``
-option (quantization noise interleaved with the jitter stream) and the
-registry's ``casp`` engine, which draws from a dedicated per-worker
-compression stream and is the protocol N-segment schedules use.
-Expected shape: compressed variants finish faster (smaller pushes) at
-near-identical accuracy (unbiased quantization adds modest gradient
-variance); ``casp`` matches legacy qsgd's time while keeping the
+exercises that combination through the registry's ``casp`` engine (the
+protocol N-segment schedules use), which draws quantization noise from
+a dedicated per-worker compression stream: its default QSGD compressor
+and the ternary one, next to dense ASP.  Expected shape: compressed
+variants finish faster (smaller pushes) at near-identical accuracy
+(unbiased quantization adds modest gradient variance), with the
 timing/data streams bit-identical to plain ASP.
 
 Besides the rendered table, the accuracy/time/bits trade-off lands in
@@ -19,6 +18,7 @@ Besides the rendered table, the accuracy/time/bits trade-off lands in
 import json
 from pathlib import Path
 
+from repro.distsim.engines.casp import DEFAULT_COMPRESSION
 from repro.experiments.aggregate import accuracy_stats, time_stats
 from repro.experiments.reporting import Report
 from repro.experiments.setups import SETUPS
@@ -26,19 +26,12 @@ from repro.mlcore.compression import make_compressor
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 
-#: (row label, engine protocol, legacy compression option or None)
+#: (row label, engine protocol, casp compressor or None for its default)
 VARIANTS = (
     ("dense", "asp", None),
-    ("ternary", "asp", "ternary"),
-    ("qsgd", "asp", "qsgd"),
     ("casp", "casp", None),
+    ("casp-ternary", "casp", "ternary"),
 )
-
-
-def _bits_per_coordinate(compression) -> float:
-    if compression is None:
-        return 32.0
-    return make_compressor(compression).bits_per_coordinate()
 
 
 def _compression_report(runner) -> Report:
@@ -59,8 +52,12 @@ def _compression_report(runner) -> Report:
             for run in runs
             if not run.diverged
         ]
-        bits = _bits_per_coordinate(
-            "qsgd" if label == "casp" else compression
+        bits = (
+            32.0
+            if protocol == "asp"
+            else make_compressor(
+                compression or DEFAULT_COMPRESSION
+            ).bits_per_coordinate()
         )
         rows.append(
             {

@@ -1,17 +1,20 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one paper artifact through the shared
-:class:`ExperimentRunner`.  The first (cold-cache) pass trains every
-underlying configuration — expect ~10 minutes at the default
-``REPRO_SCALE=0.0625`` / ``REPRO_SEEDS=3``; subsequent passes replay
-from the on-disk cache, so the benchmark numbers measure harness
-regeneration-from-logs cost.  Rendered reports are printed and saved
-under ``results/``.
+``bench_artifacts.py`` regenerates every ``ARTIFACTS`` entry (one case
+per key) and ``bench_ext_compression.py`` the compression extension,
+all through the shared :class:`ExperimentRunner`.  The first
+(cold-cache) pass trains every underlying configuration — expect ~10
+minutes at the default ``REPRO_SCALE=0.0625`` / ``REPRO_SEEDS=3``;
+subsequent passes replay from the on-disk cache, so the numbers
+pytest-benchmark prints are harness regeneration-from-logs cost.
+Rendered reports are printed and saved under ``results/``.
 
 Parallelism: the shared runner executes experiment batches with
-``--jobs N`` worker processes (or ``REPRO_JOBS``; default 1).  What a
-pool buys end to end is measured by the perf ledger's
-``fleet_trace_procs`` workload (``benchmarks/ledger``).
+``--jobs N`` worker processes (or ``REPRO_JOBS``; default 1).
+
+These files produce artifacts; they are not the performance harness.
+Host time is measured by the perf ledger (``benchmarks/ledger``,
+named by ``BENCHMARK.json``) and nowhere else.
 """
 
 from __future__ import annotations

@@ -144,15 +144,14 @@ class WallClockRule(Rule):
     The simulator's only clock is ``SimClock`` (virtual seconds);
     ``time.time``/``perf_counter``/``datetime.now`` inside simulation
     or library code makes results machine- and load-dependent.  The
-    perf harness, benchmarks and observability export are the
-    sanctioned consumers (allowlisted below).
+    benchmarks (the perf ledger among them) and observability export
+    are the sanctioned consumers (allowlisted below).
     """
 
     id = "D002"
     title = "wall-clock read in simulated code"
     scope = ("repro/", "benchmarks/")
     exempt = (
-        "repro/experiments/hotpath.py",  # the perf harness measures wall time
         "repro/obs/",  # export stamps traces for external viewers
         "benchmarks/",  # pytest-benchmark timing loops
     )
@@ -186,8 +185,7 @@ class WallClockRule(Rule):
                         self.id,
                         f"wall-clock call {dotted}; simulated code must "
                         "use the virtual SimClock (wall time is allowed "
-                        "only in the perf harness, benchmarks and obs "
-                        "export)",
+                        "only in benchmarks and obs export)",
                     )
                 )
         return findings

@@ -12,8 +12,6 @@ simulator:
   pool and write the fleet summary artifact; ``--tune`` runs the
   amortized in-fleet timing search comparison, ``--slo`` serves the
   stream through the deadline-aware scheduler.
-* ``sync-switch bench`` — hot-path steps/sec benchmark with an optional
-  regression check against the committed baseline.
 * ``sync-switch lint`` — AST-based determinism & invariant analyzer
   (rules D001–D006) with a ratcheted baseline gate.
 * ``sync-switch list`` — show setups, artifacts and fleet scenarios.
@@ -51,10 +49,6 @@ COMMANDS = {
     "fleet": (
         "serve a multi-job stream on a shared worker pool",
         "repro.commands.fleet",
-    ),
-    "bench": (
-        "hot-path steps/sec benchmark (per engine + fig5b cell)",
-        "repro.commands.bench",
     ),
     "lint": (
         "AST-based determinism & invariant analyzer "

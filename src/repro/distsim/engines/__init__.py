@@ -6,7 +6,8 @@ attributes — ``name`` (the protocol string plans use), ``precision``
 layer's monotone-precision validation and the paper-order check derive
 from it), ``synchronous`` (barrier-style protocols; the controller and
 fleet count the "precise span" from this flag) and ``config_schema``
-(the options the engine understands).  Registering a new protocol is a
+(the options the engine reads; a plan segment carrying any other key
+is rejected).  Registering a new protocol is a
 one-file change: write the engine module and add the class to
 ``_ENGINE_CLASSES`` in :mod:`~repro.distsim.engines.registry`; plans,
 policies, the schedule search, the CLI and the docs all pick it up
@@ -38,6 +39,7 @@ __all__ = [
     "OSPEngine",
     "SSPEngine",
     "TrainingSession",
+    "check_options",
     "engine_spec",
     "is_synchronous",
     "known_protocols",
@@ -59,6 +61,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.distsim.engines.registry": (
             "ENGINE_REGISTRY",
             "EngineSpec",
+            "check_options",
             "engine_spec",
             "is_synchronous",
             "known_protocols",

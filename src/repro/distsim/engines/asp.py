@@ -24,7 +24,7 @@ from repro.distsim.engines.base import (
     TrainingSession,
 )
 from repro.distsim.events import EventQueue
-from repro.mlcore.compression import GradientCompressor, make_compressor
+from repro.mlcore.compression import GradientCompressor
 
 __all__ = ["ASPEngine"]
 
@@ -52,8 +52,9 @@ class ASPEngine:
         "batch_size": "per-worker mini-batch size (default: job batch size)",
         "lr_multiplier": "learning-rate scale (default: 1.0)",
         "momentum_schedule": "post-switch momentum ramp (MomentumSchedule)",
-        "compression": "gradient compressor name or instance (default: none)",
     }
+    #: Set by :class:`~repro.distsim.engines.casp.CASPEngine`; plain
+    #: ASP pushes dense gradients.
     _compressor: GradientCompressor | None = None
 
     def run(
@@ -66,7 +67,6 @@ class ASPEngine:
         options = options or {}
         batch_size = int(options.get("batch_size", session.job.batch_size))
         lr_multiplier = float(options.get("lr_multiplier", 1.0))
-        self._compressor = self._resolve_compressor(options.get("compression"))
         session.note_async_phase(options.get("momentum_schedule"))
 
         target = session.step + steps
@@ -100,7 +100,7 @@ class ASPEngine:
                 session.ps.release(state.params)
                 if self._compressor is not None:
                     grad = self._compressor.compress(
-                        grad, self._compression_rng(session, worker)
+                        grad, session.compression_rng(worker)
                     )
                 lr = session.base_lr_now() * lr_multiplier
                 session.ps.push(grad, lr, momentum=session.momentum_now())
@@ -159,26 +159,6 @@ class ASPEngine:
         )
         duration = max(duration - self._comm_saving(session), 1e-4)
         queue.push(now + duration, worker)
-
-    def _compression_rng(
-        self, session: TrainingSession, worker: int
-    ) -> np.random.Generator:
-        """Stream compression randomness draws from.
-
-        The legacy ASP ``compression`` option interleaves with the
-        timing-jitter stream (pre-registry behaviour, kept bit-exact);
-        :class:`~repro.distsim.engines.casp.CASPEngine` overrides this
-        with the session's dedicated compression stream.
-        """
-        return session.time_rng(worker)
-
-    def _resolve_compressor(self, spec) -> GradientCompressor | None:
-        """Accept a compressor instance, a name, or None."""
-        if spec is None:
-            return None
-        if isinstance(spec, str):
-            return make_compressor(spec)
-        return spec
 
     def _comm_saving(self, session: TrainingSession) -> float:
         """Per-batch seconds saved by compressing gradient traffic."""

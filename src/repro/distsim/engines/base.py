@@ -172,9 +172,8 @@ class TrainingSession:
     def time_rng(self, worker: int) -> np.random.Generator:
         """The raw timing-noise generator of ``worker``.
 
-        Shared with :meth:`time_noise` — components that draw other
-        distributions from it (gradient compression) interleave with
-        the jitter stream.
+        Shared with :meth:`time_noise` — anything else drawn from it
+        interleaves with the jitter stream.
         """
         return self._time_rngs[worker]
 
@@ -185,10 +184,10 @@ class TrainingSession:
     def compression_rng(self, worker: int) -> np.random.Generator:
         """Dedicated per-worker stream for gradient-compression draws.
 
-        Unlike the legacy path through :meth:`time_rng`, draws from this
-        stream never interleave with the timing jitter: compressed runs
-        keep the exact jitter/data streams of uncompressed ones, and
-        uncompressed runs never advance it (lazy creation).
+        Draws from this stream never interleave with the timing jitter
+        (:meth:`time_rng`): compressed runs keep the exact jitter/data
+        streams of uncompressed ones, and uncompressed runs never
+        advance it (lazy creation).
         """
         rng = self._compression_rngs.get(worker)
         if rng is None:

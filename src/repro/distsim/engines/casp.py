@@ -8,22 +8,18 @@ passes through an unbiased compressor from
 per-batch communication share of the fixed overhead shrinks by the
 compression ratio (see ``ASPEngine._comm_saving``).
 
-The one behavioural difference from passing ``compression`` to plain
-ASP is *where the randomness comes from*: the legacy option draws
-compression noise from the worker's timing-jitter stream (shifting
-every subsequent jitter draw — the PR-4 stream-shift note), while this
-engine draws from the session's dedicated lazily-created
-``compress/{worker}`` child streams.  Uncompressed runs therefore stay
-bit-identical to the committed golden hashes, and a casp run's timing
-and data streams are bit-identical to the equivalent plain-ASP run's.
+Compression noise is drawn from the session's dedicated lazily-created
+``compress/{worker}`` child streams, never from the timing-jitter
+stream: uncompressed runs stay bit-identical to the committed golden
+hashes, and a casp run's timing and data streams are bit-identical to
+the equivalent plain-ASP run's.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.distsim.engines.asp import ASPEngine
 from repro.distsim.engines.base import StopCondition, TrainingSession
+from repro.mlcore.compression import make_compressor
 
 __all__ = ["CASPEngine", "DEFAULT_COMPRESSION"]
 
@@ -52,11 +48,8 @@ class CASPEngine(ASPEngine):
         options: dict | None = None,
         stop: StopCondition | None = None,
     ) -> str:
-        options = dict(options or {})
-        options.setdefault("compression", DEFAULT_COMPRESSION)
+        spec = (options or {}).get("compression", DEFAULT_COMPRESSION)
+        self._compressor = (
+            make_compressor(spec) if isinstance(spec, str) else spec
+        )
         return super().run(session, steps, options, stop)
-
-    def _compression_rng(
-        self, session: TrainingSession, worker: int
-    ) -> np.random.Generator:
-        return session.compression_rng(worker)

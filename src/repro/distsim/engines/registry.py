@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ENGINE_REGISTRY",
     "EngineSpec",
+    "check_options",
     "engine_spec",
     "is_synchronous",
     "known_protocols",
@@ -91,6 +92,30 @@ def engine_spec(protocol: str) -> EngineSpec:
             f"unknown protocol {protocol!r}; known: {sorted(ENGINE_REGISTRY)}"
         )
     return spec
+
+
+def check_options(protocol: str, options: dict) -> None:
+    """Reject an unknown ``protocol`` and option keys its engine does
+    not read.
+
+    An engine looks its options up by name and ignores the rest, so a
+    misspelt or misplaced key would otherwise train with the default
+    without a word.
+    """
+    schema = engine_spec(protocol).config_schema
+    for key in options:
+        if key in schema:
+            continue
+        takers = [
+            repr(name)
+            for name, spec in ENGINE_REGISTRY.items()
+            if key in spec.config_schema
+        ]
+        hint = f"; use protocol {' or '.join(takers)}" if takers else ""
+        raise ConfigurationError(
+            f"engine {protocol!r} does not take option {key!r} "
+            f"(known: {', '.join(sorted(schema))}){hint}"
+        )
 
 
 def precision_rank(protocol: str) -> int:

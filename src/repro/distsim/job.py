@@ -61,7 +61,8 @@ class Segment:
 
     ``fraction`` is the share of the job's step budget this segment
     covers.  ``options`` carries protocol-specific knobs (e.g. the SSP
-    staleness bound).
+    staleness bound): keys of the engine's registered ``config_schema``,
+    anything else is a :class:`ConfigurationError`.
     """
 
     protocol: str
@@ -70,14 +71,11 @@ class Segment:
 
     def __post_init__(self):
         # Local import: the engine registry is the single source of
-        # protocol names, and the engines package imports this module.
-        from repro.distsim.engines import known_protocols
+        # protocol names and option keys, and the engines package
+        # imports this module.
+        from repro.distsim.engines import check_options
 
-        if self.protocol not in known_protocols():
-            raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; "
-                f"known: {known_protocols()}"
-            )
+        check_options(self.protocol, self.options)  # unknown protocol too
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigurationError("fraction must be in [0, 1]")
 

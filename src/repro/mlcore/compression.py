@@ -5,7 +5,7 @@ reduction techniques — TernGrad (Wen et al., NeurIPS 2017) and QSGD
 (Alistarh et al., NeurIPS 2017) — are orthogonal to Sync-Switch and
 "might be combined with Sync-Switch to achieve further training
 speedup".  This module implements both schemes so that combination can
-actually be exercised (see the ``compression`` engine option and
+actually be exercised (see the ``casp`` engine and
 ``benchmarks/bench_ext_compression.py``):
 
 * :class:`TernaryCompressor` — TernGrad-style: each coordinate becomes

@@ -78,7 +78,6 @@ def test_d002_flags_wall_clock_in_simulation_code(fixtures_root):
 
 def test_d002_allowlist_and_locals(fixtures_root):
     flagged = by_file(findings_for(fixtures_root, ["D002"]))
-    assert "repro/experiments/hotpath.py" not in flagged  # perf harness
     assert "repro/obs/export_clock.py" not in flagged  # obs export
     assert "repro/distsim/d002_clean.py" not in flagged  # local `time`
 

@@ -7,8 +7,9 @@ from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import ASPEngine, CASPEngine, make_engine
 from repro.distsim.engines.asp import COMM_FRACTION
 from repro.distsim.engines.base import TrainingSession
-from repro.distsim.job import JobConfig
+from repro.distsim.job import JobConfig, Segment
 from repro.distsim.timing import timing_for
+from repro.errors import ConfigurationError
 from repro.mlcore.compression import (
     IdentityCompressor,
     QSGDCompressor,
@@ -81,10 +82,9 @@ class TestDedicatedStream:
     def test_compression_draws_do_not_shift_jitter_stream(self):
         """casp keeps ASP's timing/data streams bit-identical.
 
-        The legacy ASP ``compression`` option draws quantization noise
-        from the worker jitter stream (shifting every later draw); casp
-        must not.  Jitter streams are position-identical when the next
-        raw draws match.
+        Quantization noise drawn from the worker jitter stream would
+        shift every later draw; casp must not.  Jitter streams are
+        position-identical when the next raw draws match.
         """
         asp = make_session(seed=5)
         ASPEngine().run(asp, steps=40)
@@ -97,16 +97,16 @@ class TestDedicatedStream:
             ), worker
 
     def test_legacy_asp_compression_interleaves_instead(self):
-        plain = make_session(seed=5)
-        ASPEngine().run(plain, steps=40)
-        legacy = make_session(seed=5)
-        ASPEngine().run(legacy, steps=40, options={"compression": "qsgd"})
-        drifted = any(
-            plain.time_rng(worker).random()
-            != legacy.time_rng(worker).random()
-            for worker in range(4)
+        """The pre-registry ASP ``compression`` option (it drew from the
+        jitter stream) is gone: plain ASP rejects the key and names the
+        engine that takes it, instead of training dense without a word."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            Segment("asp", 1.0, {"compression": "qsgd"})
+        assert str(excinfo.value) == (
+            "engine 'asp' does not take option 'compression' (known: "
+            "batch_size, lr_multiplier, momentum_schedule); "
+            "use protocol 'casp'"
         )
-        assert drifted
 
     def test_compression_stream_is_deterministic(self):
         first = make_session(seed=7).compression_rng(2).random(8)

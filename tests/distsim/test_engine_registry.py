@@ -13,7 +13,7 @@ from repro.distsim.engines import (
 )
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines.base import TrainingSession
-from repro.distsim.job import JobConfig
+from repro.distsim.job import JobConfig, Segment, TrainingPlan
 from repro.distsim.timing import timing_for
 from repro.errors import ConfigurationError
 from repro.mlcore.datasets import make_dataset
@@ -64,6 +64,31 @@ class TestRegistryShape:
             engine_spec("allreduce")
         with pytest.raises(ConfigurationError):
             make_engine("allreduce")
+
+
+class TestOptionKeysChecked:
+    """A segment may only carry keys of its engine's ``config_schema``:
+    engines look options up by name, so any other key would be ignored
+    without a word."""
+
+    @pytest.mark.parametrize("protocol", known_protocols())
+    def test_bogus_key_rejected(self, protocol):
+        known = ", ".join(sorted(engine_spec(protocol).config_schema))
+        with pytest.raises(ConfigurationError) as excinfo:
+            Segment(protocol, 1.0, {"compresion": "qsgd"})
+        assert str(excinfo.value) == (
+            f"engine {protocol!r} does not take option 'compresion' "
+            f"(known: {known})"
+        )
+
+    @pytest.mark.parametrize("protocol", known_protocols())
+    def test_every_schema_key_accepted(self, protocol):
+        options = dict.fromkeys(engine_spec(protocol).config_schema, 1)
+        assert Segment(protocol, 1.0, options).options == options
+
+    def test_misplaced_key_names_the_engines_that_take_it(self):
+        with pytest.raises(ConfigurationError, match="use protocol 'ssp'$"):
+            TrainingPlan.static("asp", staleness_bound=3)
 
 
 class TestEveryEngineRuns:

@@ -2,11 +2,14 @@
 
 Walks every subcommand and option of :func:`repro.cli.build_parser`
 and fails if any is missing from the CLI reference, so a flag can not
-be added (or renamed) without documenting it.  Run by the tier-1 suite
-and by the dedicated docs job in CI.
+be added (or renamed) without documenting it — and walks the
+reference's command sections and flag tables the other way, so a
+removed command or flag can not stay documented.  Run by the tier-1
+suite and by the dedicated docs job in CI.
 """
 
 import argparse
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,38 @@ def test_positional_arguments_documented(reference_text):
                 f"positional argument {name} {action.dest!r} missing "
                 "from docs/cli.md"
             )
+
+
+def documented_commands(reference_text: str) -> dict[str, list[str]]:
+    """``## <name>`` section -> the flags its table rows start with."""
+    sections: dict[str, list[str]] = {}
+    current = None
+    for line in reference_text.splitlines():
+        heading = re.match(r"## (.+)", line)
+        if heading:
+            current = heading.group(1).strip()
+            sections[current] = []
+        elif current is not None:
+            row = re.match(r"\| `(--[a-z-]+)`", line)
+            if row:
+                sections[current].append(row.group(1))
+    sections.pop("Environment knobs")
+    return sections
+
+
+def test_every_documented_command_and_flag_exists(reference_text):
+    """The reverse direction: a stale ``## <command>`` section or flag
+    row (a command or flag the parser no longer has) fails."""
+    commands = subparsers(build_parser())
+    stale = []
+    for name, flags in documented_commands(reference_text).items():
+        if name not in commands:
+            stale.append(f"## {name}")
+            continue
+        options = {
+            option
+            for action in commands[name]._actions
+            for option in action.option_strings
+        }
+        stale.extend(f"{name} {flag}" for flag in flags if flag not in options)
+    assert not stale, f"docs/cli.md documents what the parser lacks: {stale}"

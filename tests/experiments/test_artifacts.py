@@ -5,6 +5,11 @@ quantitative paper-shape assertions live in
 ``tests/integration/test_paper_claims.py`` and the benchmark harness.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ARTIFACTS, render_report
@@ -26,6 +31,34 @@ def test_artifact_registry_covers_every_paper_artifact():
         "fleet-trace-scale",  # beyond the paper: sharded datacenter trace
     }
     assert set(ARTIFACTS) == expected
+
+
+def test_bench_artifacts_collects_one_case_per_registry_key():
+    """``benchmarks/bench_artifacts.py`` is the registry, nothing more:
+    its collected ids are ``sorted(ARTIFACTS)`` (collect-only, nothing
+    is trained)."""
+    repo = Path(__file__).resolve().parents[2]
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "benchmarks/bench_artifacts.py",
+            "--collect-only", "-q", "-p", "no:cacheprovider",
+            "-o", "python_files=bench_*.py",
+            "-o", "python_functions=bench_*",
+        ],
+        cwd=repo,
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    prefix = "benchmarks/bench_artifacts.py::bench_artifact["
+    collected = [
+        line[len(prefix):-1]
+        for line in done.stdout.splitlines()
+        if line.startswith(prefix)
+    ]
+    assert collected == sorted(ARTIFACTS)
 
 
 def test_figure_2_report_structure(tiny_runner):

@@ -137,7 +137,7 @@ class TestEngineIntegration:
             job, ClusterSpec(n_workers=8), ambient_noise=False
         ).run(
             TrainingPlan(
-                (Segment("asp", 1.0, {"compression": "ternary"}),)
+                (Segment("casp", 1.0, {"compression": "ternary"}),)
             )
         )
         assert ternary.total_time < dense.total_time

@@ -16,6 +16,20 @@ def test_parser_subcommands():
     assert args.setup == 2
 
 
+def test_retired_bench_command_is_a_usage_error(capsys):
+    """The perf ledger (BENCHMARK.json) is the only perf harness."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "bench" not in help_text
+    assert "{run,search,report,fleet,lint,list}" in help_text
+
+
 def test_parser_report_multiple_artifacts():
     parser = build_parser()
     args = parser.parse_args(["report", "fig2", "fig5b"])
