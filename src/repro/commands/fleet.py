@@ -223,38 +223,149 @@ def _parse_tiers(value: str) -> tuple[WorkerTier, ...]:
     return tuple(tiers)
 
 
+def _sharded_trace(args) -> bool:
+    """Whether the run is the sharded trace-scenario mode."""
+    return args.workload_trace is None and args.scenario in TRACE_SCENARIOS
+
+
+def _in_process_only(flag: str, given) -> tuple:
+    """The row refusing single-stream ``flag`` in the sharded trace mode."""
+    return (
+        f"sharded-trace-with{flag[1:]}",
+        lambda a: _sharded_trace(a) and given(a),
+        f"error: {flag} runs a single in-process stream and cannot be "
+        "combined with the sharded trace scenario {args.scenario!r}",
+    )
+
+
+#: Every refused flag combination as ``(name, predicate over the parsed
+#: args, error line)``, checked in order before dispatch: the first row
+#: that trips is the one reported (exit 2).  Rows of a mode
+#: (``--policy-store``, ``--tune``) rely on the rows above them having
+#: let the mode through.  Messages are ``str.format`` templates over
+#: ``args`` and ``traces`` (the trace scenario names).
+CONFLICTS: tuple[tuple, ...] = (
+    (
+        "jobs-with-workload-trace",
+        lambda a: a.workload_trace and a.jobs is not None,
+        "error: --jobs sets the generated stream length and cannot be "
+        "combined with --workload-trace (the trace fixes the stream)",
+    ),
+    (
+        "seeds-without-tune",
+        lambda a: a.seeds is not None and not a.tune,
+        "error: --seeds controls the --tune confidence intervals; "
+        "without --tune the fleet grid runs the single --seed stream",
+    ),
+    (
+        "slo-with-scheduler",
+        lambda a: a.slo and a.scheduler not in ("all", "slo"),
+        "error: --slo selects the slo scheduler and cannot be "
+        "combined with --scheduler {args.scheduler}",
+    ),
+    (
+        "metrics-interval-without-trace",
+        lambda a: a.metrics_interval is not None and not a.trace,
+        "error: --metrics-interval tunes the --trace metrics dump; "
+        "give --trace PATH to enable tracing",
+    ),
+    (
+        "trace-with-tune",
+        lambda a: a.trace and a.tune,
+        "error: --trace records one stream and cannot be combined "
+        "with --tune (a multi-cell comparison grid)",
+    ),
+    (
+        "fractions-without-protocols",
+        lambda a: a.fractions and not a.protocols,
+        "error: --fractions needs --protocols to name the schedule "
+        "segments",
+    ),
+    (
+        "protocols-without-fractions",
+        lambda a: a.protocols and not a.fractions and not a.tune,
+        "error: --protocols without --tune needs --fractions (with "
+        "--tune the in-fleet search finds the fractions)",
+    ),
+    (
+        "fractions-with-tune",
+        lambda a: a.fractions and a.tune,
+        "error: --fractions fixes the schedule and cannot be "
+        "combined with --tune (which searches for it)",
+    ),
+    (
+        "tiers-or-validate-with-single-stream",
+        lambda a: (a.tiers is not None or a.validate)
+        and (a.tune or a.trace or a.policy_store),
+        "error: --tiers/--validate apply to the fleet grid and the "
+        "trace scenarios; they do not combine with --tune, --trace "
+        "or --policy-store",
+    ),
+    (
+        "shards-without-trace-scenario",
+        lambda a: a.shards is not None and not _sharded_trace(a),
+        "error: --shards partitions a trace scenario's pool; pick a "
+        "trace --scenario ({traces})",
+    ),
+    _in_process_only("--tune", lambda a: a.tune),
+    _in_process_only("--trace", lambda a: a.trace is not None),
+    _in_process_only("--policy-store", lambda a: a.policy_store is not None),
+    _in_process_only("--protocols", lambda a: a.protocols),
+    (
+        "policy-store-needs-scheduler",
+        lambda a: a.policy_store and not a.slo and a.scheduler == "all",
+        "error: --policy-store runs a single stream; pick one "
+        "--scheduler (or --slo)",
+    ),
+    (
+        "policy-store-tune-policy",
+        lambda a: a.policy_store
+        and a.tune
+        and a.policy not in ("all", "sync-switch"),
+        "error: --policy-store --tune searches sync-switch "
+        "streams; --policy {args.policy} does not combine",
+    ),
+    (
+        "policy-store-needs-policy",
+        lambda a: a.policy_store and not a.tune and a.policy == "all",
+        "error: --policy-store without --tune needs one --policy "
+        "for the stream",
+    ),
+    (
+        "policy-store-with-seeds",
+        lambda a: a.policy_store and a.seeds is not None,
+        "error: --seeds controls the --tune comparison grid and "
+        "does not combine with --policy-store (use --seed)",
+    ),
+    (
+        "tune-with-policy",
+        lambda a: a.tune and not a.policy_store and a.policy != "all",
+        "error: --policy cannot be combined with --tune (the tuning "
+        "grid always compares bsp vs tuned sync-switch)",
+    ),
+    (
+        "tune-with-seed",
+        lambda a: a.tune and not a.policy_store and a.seed != 0,
+        "error: --seed cannot be combined with --tune; the tuning "
+        "grid always runs seeds 0..N-1 (choose N with --seeds)",
+    ),
+    (
+        "tune-seeds-below-one",
+        lambda a: a.tune
+        and not a.policy_store
+        and a.seeds is not None
+        and a.seeds < 1,
+        "error: --seeds must be >= 1",
+    ),
+)
+
+
 def run(args) -> int:
-    if args.workload_trace and args.jobs is not None:
-        LOG.error(
-            "error: --jobs sets the generated stream length and cannot be "
-            "combined with --workload-trace (the trace fixes the stream)"
-        )
-        return 2
-    if args.seeds is not None and not args.tune:
-        LOG.error(
-            "error: --seeds controls the --tune confidence intervals; "
-            "without --tune the fleet grid runs the single --seed stream"
-        )
-        return 2
-    if args.slo and args.scheduler not in ("all", "slo"):
-        LOG.error(
-            "error: --slo selects the slo scheduler and cannot be "
-            "combined with --scheduler %s",
-            args.scheduler,
-        )
-        return 2
-    if args.metrics_interval is not None and not args.trace:
-        LOG.error(
-            "error: --metrics-interval tunes the --trace metrics dump; "
-            "give --trace PATH to enable tracing"
-        )
-        return 2
-    if args.trace and args.tune:
-        LOG.error(
-            "error: --trace records one stream and cannot be combined "
-            "with --tune (a multi-cell comparison grid)"
-        )
-        return 2
+    for _name, trips, message in CONFLICTS:
+        if trips(args):
+            traces = ", ".join(sorted(TRACE_SCENARIOS))
+            LOG.error("%s", message.format(args=args, traces=traces))
+            return 2
     protocols = parse_protocols(args.protocols) if args.protocols else None
     try:
         fractions = (
@@ -266,24 +377,6 @@ def run(args) -> int:
             "(e.g. 0.4,0.3,0.3)"
         )
         return 2
-    if fractions is not None and protocols is None:
-        LOG.error(
-            "error: --fractions needs --protocols to name the schedule "
-            "segments"
-        )
-        return 2
-    if protocols is not None and fractions is None and not args.tune:
-        LOG.error(
-            "error: --protocols without --tune needs --fractions (with "
-            "--tune the in-fleet search finds the fractions)"
-        )
-        return 2
-    if fractions is not None and args.tune:
-        LOG.error(
-            "error: --fractions fixes the schedule and cannot be "
-            "combined with --tune (which searches for it)"
-        )
-        return 2
     tiers = None
     if args.tiers is not None:
         try:
@@ -291,41 +384,7 @@ def run(args) -> int:
         except (ValueError, ConfigurationError) as exc:
             LOG.error("error: bad --tiers: %s", exc)
             return 2
-    if (args.tiers is not None or args.validate) and (
-        args.tune or args.trace or args.policy_store
-    ):
-        LOG.error(
-            "error: --tiers/--validate apply to the fleet grid and the "
-            "trace scenarios; they do not combine with --tune, --trace "
-            "or --policy-store"
-        )
-        return 2
-    trace_scale = (
-        args.workload_trace is None and args.scenario in TRACE_SCENARIOS
-    )
-    if args.shards is not None and not trace_scale:
-        LOG.error(
-            "error: --shards partitions a trace scenario's pool; pick a "
-            "trace --scenario (%s)",
-            ", ".join(sorted(TRACE_SCENARIOS)),
-        )
-        return 2
-    if trace_scale:
-        for flag, given in (
-            ("--tune", args.tune),
-            ("--trace", args.trace is not None),
-            ("--policy-store", args.policy_store is not None),
-            ("--protocols", protocols is not None),
-        ):
-            if given:
-                LOG.error(
-                    "error: %s runs a single in-process stream and "
-                    "cannot be combined with the sharded trace "
-                    "scenario %r",
-                    flag,
-                    args.scenario,
-                )
-                return 2
+    if _sharded_trace(args):
         return _cmd_fleet_trace_scale(args, tiers)
     trace = load_trace(args.workload_trace) if args.workload_trace else None
     # A trace replaces the scenario stream entirely; label the run (and
@@ -493,39 +552,10 @@ def _cmd_fleet_store(args, scenario: str, trace, protocols, fractions) -> int:
     back.  Warm-started runs depend on the store's state, so this path
     bypasses the experiment cache and always simulates.
     """
-    if args.slo:
-        scheduler = "slo"
-    elif args.scheduler != "all":
-        scheduler = args.scheduler
-    else:
-        LOG.error(
-            "error: --policy-store runs a single stream; pick one "
-            "--scheduler (or --slo)"
-        )
-        return 2
-    if args.tune:
-        if args.policy not in ("all", "sync-switch"):
-            LOG.error(
-                "error: --policy-store --tune searches sync-switch "
-                "streams; --policy %s does not combine",
-                args.policy,
-            )
-            return 2
-        policy = "sync-switch"
-    elif args.policy != "all":
-        policy = args.policy
-    else:
-        LOG.error(
-            "error: --policy-store without --tune needs one --policy "
-            "for the stream"
-        )
-        return 2
-    if args.seeds is not None:
-        LOG.error(
-            "error: --seeds controls the --tune comparison grid and "
-            "does not combine with --policy-store (use --seed)"
-        )
-        return 2
+    # CONFLICTS refused --scheduler all here (the default is never
+    # taken) and left a policy that is explicit or, with --tune,
+    # narrows to sync-switch.
+    scheduler, policy = _single_cell(args, "fifo")
     store_path = Path(args.policy_store)
     if store_path.exists():
         store = PolicyStore.load(store_path, scale=args.scale)
@@ -588,23 +618,8 @@ def _cmd_fleet_tune(args, scenario: str, trace, protocols) -> int:
     Sync-Switch stream (that pair *is* the amortization argument), so
     ``--policy`` does not combine with it.
     """
-    if args.policy != "all":
-        LOG.error(
-            "error: --policy cannot be combined with --tune (the tuning "
-            "grid always compares bsp vs tuned sync-switch)"
-        )
-        return 2
-    if args.seed != 0:
-        LOG.error(
-            "error: --seed cannot be combined with --tune; the tuning "
-            "grid always runs seeds 0..N-1 (choose N with --seeds)"
-        )
-        return 2
     scheduler, _ = _single_cell(args, "fifo")
     seeds = args.seeds if args.seeds is not None else DEFAULT_TUNING_SEEDS
-    if seeds < 1:
-        LOG.error("error: --seeds must be >= 1")
-        return 2
     grid = tuning_grid(
         scenarios=(scenario,),
         seeds=seeds,

@@ -153,7 +153,9 @@ def disk_load(cache_dir: Path | None, key: str, decode=None):
     try:
         with path.open("r", encoding="utf-8") as handle:
             return decode(json.load(handle))
-    except (json.JSONDecodeError, KeyError, TypeError, OSError):
+    except (ValueError, KeyError, TypeError, OSError):
+        # ValueError covers truncated JSON, non-UTF-8 bytes and a
+        # decoder handed the wrong top-level type.
         return None
 
 

@@ -5,7 +5,10 @@ serving-scale simulator of the paper's intended setting — recurring
 training jobs on a shared cluster (Section VI-C): job arrival streams
 (:mod:`repro.fleet.workload`), pluggable schedulers including
 deadline/SLO-aware admission (:mod:`repro.fleet.scheduler`), the
-discrete-event loop (:mod:`repro.fleet.fleet_sim`), the amortized
+discrete-event loop (:mod:`repro.fleet.fleet_sim`) and what it drives
+— the worker pool and its shared contention (:mod:`repro.fleet.pool`),
+each job's elastic lifecycle (:mod:`repro.fleet.running`) and the
+invariant checker (:mod:`repro.fleet.invariants`) — the amortized
 Algorithm 1 timing search run as fleet jobs
 (:mod:`repro.fleet.tuning`) with its per-class policy cache and
 break-even ledger (:mod:`repro.fleet.policy_store`), and fleet
@@ -65,9 +68,9 @@ __getattr__, __dir__ = lazy_exports(
         "repro.fleet.fleet_sim": (
             "FleetConfig",
             "FleetSimulator",
-            "WorkerPool",
             "simulate_fleet",
         ),
+        "repro.fleet.pool": ("WorkerPool",),
         "repro.fleet.metrics": (
             "FleetSummary",
             "JobRecord",

@@ -1,4 +1,4 @@
-"""Discrete-event multi-tenant fleet simulator.
+"""Discrete-event multi-tenant fleet simulator: the event loop.
 
 The fleet layer sits on top of the single-job reproduction: a stream
 of training jobs (Poisson arrivals or a trace file) is admitted onto a
@@ -9,6 +9,15 @@ controller-equivalent state machine) with its own synchronization
 policy, and fleet-level telemetry (JCT, queueing delay, makespan,
 utilization) is aggregated into a
 :class:`~repro.fleet.metrics.FleetSummary`.
+
+:class:`FleetSimulator` owns the heap, the clock, the scheduling pass
+(admit / preempt / rebalance / complete / reject) and policy
+resolution, and hands everything else to collaborators that never see
+it: the physical pool and the contention its tenants share
+(:mod:`repro.fleet.pool`), one job's train / fork / project / resize
+lifecycle (:mod:`repro.fleet.running`), the in-fleet Algorithm 1
+search (:class:`repro.fleet.tuning.InFleetSearch`) and the invariant
+checker (:mod:`repro.fleet.invariants`).
 
 Timeline model
 --------------
@@ -22,18 +31,10 @@ Each admitted job's telemetry yields two phase spans:
   scheduler may elastically preempt.
 
 An allocation change is handled by **event-driven elastic
-re-simulation**.  The job is held as a paused
-:class:`~repro.core.runtime.elastic.ElasticTrainingRun` at the tail
-boundary (the segment-level cache of the unchanged BSP span); its
-completion is *projected* by forking the paused run and training the
-tail to the end.  When the scheduler preempts or restores workers, the
-live run resumes to the allocation-change instant, checkpoints,
-resizes the cluster (charging the calibrated reconfiguration
-overhead), re-slices the shared contention schedule from the resume
-instant, and a fresh fork projects the new completion.  JCT, accuracy,
-staleness telemetry and divergence therefore reflect what the cluster
-would really do — per Section V, ASP dynamics change with the worker
-set.
+re-simulation** (:mod:`repro.fleet.running`): the job's paused run
+resumes to the allocation-change instant, is resized, and a fresh fork
+projects the new completion, whose finish event supersedes the old one
+(events carry the job's version).
 
 Only a preemptive scheduler ever changes an allocation.  Under the
 others the paused run has no second use, so the admission trains the
@@ -47,23 +48,6 @@ job by the one-shot oracle
 ``TestGoldenParity::test_unresized_jobs_match_one_shot_controller`` in
 the fleet suite.
 
-Co-located jobs share contention: one fleet-wide straggler schedule is
-generated over the *physical* pool, and each admitted job sees the
-slice of that schedule covering its assigned workers from its start
-time onward — two jobs overlapping on a worker observe the same burst.
-(The contention horizon is sized from the workload stream; a tuning
-search that stretches the makespan beyond it simply sees a calm tail.)
-
-Amortized tuning (``tune=True``) implements the paper's Section VI-C
-economics at fleet scale: admitting the *first* Sync-Switch job of a
-recurring class (setup x cluster shape) launches the Algorithm 1
-binary search *as fleet jobs* — each search trial queues, occupies
-workers and counts toward JCT/utilization like any other job — and
-the finished policy lands in a :class:`~repro.fleet.policy_store.
-PolicyStore`, whose cached switch timing every later recurrence of
-the class reuses while the store accrues realized savings against the
-search cost.
-
 Determinism: every stochastic choice derives from the fleet seed via
 :func:`repro.rng.child_rng`, so the same configuration always produces
 an identical :class:`FleetSummary`.
@@ -75,49 +59,29 @@ import heapq
 import os
 from dataclasses import dataclass, field, replace
 
-from repro.core.policies import (
-    ConfigurationPolicy,
-    PolicyManager,
-    ProtocolSchedule,
-    TimingPolicy,
-)
-from repro.core.runtime import ElasticTrainingRun
-from repro.core.search.binary_search import SearchConfig, validate_sequences
-from repro.distsim.cluster import ClusterSpec, WorkerTier, default_worker_tiers
-from repro.distsim.engines import synchronous_protocols
-from repro.distsim.stragglers import (
-    StragglerEvent,
-    StragglerSchedule,
-    ambient_contention,
-    tier_slowdown,
-)
-from repro.distsim.result import TrainingResult
+from repro.core.search.binary_search import validate_sequences
+from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.errors import ConfigurationError, FleetError, SearchError
-from repro.experiments.setups import SETUPS, scaled_job
+from repro.fleet.invariants import check_invariants
 from repro.fleet.metrics import FleetSummary, JobRecord, summarize_fleet
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.tracer import DETAIL_LEVELS, NULL_TRACER, Tracer
-from repro.fleet.policy_store import (
-    JobClass,
-    PolicyStore,
-    policy_from_schedule_search,
-    policy_from_search,
-)
+from repro.fleet.policy_store import JobClass, PolicyStore
+from repro.fleet.pool import PREEMPTION_FLOOR, WorkerPool, fleet_contention
+from repro.fleet.running import RunningJob, job_record, start_run
 from repro.fleet.scheduler import (
     SchedulerContext,
     SchedulerPolicy,
     make_scheduler,
 )
-from repro.fleet.tuning import ScheduleSearchSession, TimingSearchSession
+from repro.fleet.tuning import InFleetSearch
 from repro.fleet.workload import (
     FLEET_SCENARIOS,
     TRACE_SCENARIOS,
     JobRequest,
-    estimate_service_time,
     poisson_stream,
     trace_stream,
 )
-from repro.rng import child_rng, child_seed
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.tracer import DETAIL_LEVELS, NULL_TRACER, Tracer
 
 __all__ = [
     "FleetConfig",
@@ -138,12 +102,9 @@ class FleetConfig:
     ``tune`` enables the amortized timing search: the first admitted
     Sync-Switch job of each recurring class launches Algorithm 1 as
     fleet jobs (``tune_runs`` static-BSP target runs, then
-    ``tune_runs`` sessions per explored setting with acceptance band
-    ``tune_beta``, mirroring the paper's ``(recurring, bn, r)`` search
-    settings of Tables II/IV-VI).  The default band is wider than the
-    offline search's 0.01: fleet trials are single sessions trained
-    under shared-cluster contention, whose accuracy noise at the small
-    fleet scale exceeds the paper's multi-run band.
+    ``tune_runs`` sessions per explored setting, mirroring the paper's
+    ``(recurring, bn, r)`` search settings of Tables II/IV-VI; the
+    acceptance band is :data:`repro.fleet.tuning.TUNE_BETA`).
 
     ``protocols`` generalizes both knobs from the two-phase switch to
     an N-segment schedule: with ``tune=True`` the search explores that
@@ -161,13 +122,10 @@ class FleetConfig:
     scale: float = 0.008
     n_jobs: int | None = None
     pool_size: int | None = None
-    preemption_floor: int = 2
-    ambient: bool = True
     contention: bool = True
     trace: tuple[JobRequest, ...] | None = None
     tune: bool = False
     tune_runs: int = 1
-    tune_beta: float = 0.02
     protocols: tuple[str, ...] | None = None
     fractions: tuple[float, ...] | None = None
     #: Observability: ``trace_detail`` turns on the virtual-time tracer
@@ -185,7 +143,7 @@ class FleetConfig:
     tiers: tuple[WorkerTier, ...] | None = None
     #: Debug-mode invariant checking: assert pool/queue/clock
     #: conservation invariants at every event (see
-    #: :meth:`FleetSimulator._check_invariants`).  Also enabled
+    #: :func:`repro.fleet.invariants.check_invariants`).  Also enabled
     #: suite-wide by the ``REPRO_FLEET_VALIDATE`` environment knob.
     validate: bool = False
 
@@ -205,14 +163,10 @@ class FleetConfig:
             # A trace fixes the stream; a silently ignored n_jobs would
             # still split the cache key per value.
             raise ConfigurationError("n_jobs cannot be combined with a trace")
-        if self.preemption_floor < 1:
-            raise ConfigurationError("preemption_floor must be >= 1")
         if not 0.0 < self.scale <= 1.0:
             raise ConfigurationError("scale must be in (0, 1]")
         if self.tune_runs < 1:
             raise ConfigurationError("tune_runs must be >= 1")
-        if self.tune_beta < 0:
-            raise ConfigurationError("tune_beta must be non-negative")
         if self.trace_detail is not None and self.trace_detail not in DETAIL_LEVELS:
             raise ConfigurationError(
                 f"unknown trace detail {self.trace_detail!r}; "
@@ -252,228 +206,6 @@ class FleetConfig:
                         f"schedule fractions must sum to 1, "
                         f"got {sum(fractions)}"
                     )
-
-
-class WorkerPool:
-    """Allocatable pool of physical worker ids (lowest-id-first).
-
-    The shared cluster of the paper's recurring-job setting
-    (Section VI-C): every admitted job's workers come from here, and
-    co-location on a worker id is what makes two jobs share the same
-    contention bursts.
-
-    ``tiers`` makes the pool heterogeneous: worker ids are assigned to
-    tiers in declaration order (tier counts must sum to the pool
-    size), so with the fast tier declared first the lowest-id-first
-    allocation policy doubles as fastest-first placement.
-    """
-
-    def __init__(self, size: int, tiers: tuple[WorkerTier, ...] | None = None):
-        if size <= 0:
-            raise ConfigurationError("pool size must be positive")
-        self.size = size
-        self._free = list(range(size))
-        self.tiers = tuple(tiers) if tiers else ()
-        #: Tier of each worker id (empty when the pool is uniform).
-        self._tier_of: tuple[WorkerTier, ...] = ()
-        if self.tiers:
-            total = sum(tier.count for tier in self.tiers)
-            if total != size:
-                raise ConfigurationError(
-                    f"tier counts sum to {total}, pool has {size} workers"
-                )
-            names = [tier.name for tier in self.tiers]
-            if len(set(names)) != len(names):
-                raise ConfigurationError("tier names must be unique")
-            assignment: list[WorkerTier] = []
-            for tier in self.tiers:
-                assignment.extend([tier] * tier.count)
-            self._tier_of = tuple(assignment)
-
-    @property
-    def free_count(self) -> int:
-        """Number of unallocated workers."""
-        return len(self._free)
-
-    @property
-    def busy_count(self) -> int:
-        """Number of allocated workers."""
-        return self.size - len(self._free)
-
-    @property
-    def free_workers(self) -> tuple[int, ...]:
-        """Sorted ids of the unallocated workers (invariant checking)."""
-        return tuple(sorted(self._free))
-
-    def tier_of(self, worker: int) -> WorkerTier | None:
-        """Hardware tier of one worker id (None on a uniform pool)."""
-        if not self._tier_of:
-            return None
-        if not 0 <= worker < self.size:
-            raise FleetError(f"worker {worker} does not exist")
-        return self._tier_of[worker]
-
-    def speed_factor(self, worker: int) -> float:
-        """Step-time multiplier of one worker (1.0 on a uniform pool)."""
-        tier = self.tier_of(worker)
-        return tier.speed_factor if tier is not None else 1.0
-
-    def bandwidth_factor(self, worker: int) -> float:
-        """Provisioning-cost multiplier of one worker id."""
-        tier = self.tier_of(worker)
-        return tier.bandwidth_factor if tier is not None else 1.0
-
-    def placement_slowdown(self, count: int) -> float:
-        """Step-time slowdown a ``count``-worker allocation would see.
-
-        The workers a job would get are the ``count`` lowest free ids
-        (the allocation policy); synchronous training is bounded by the
-        slowest of them, so this is their *worst* speed factor.  Falls
-        back to the pool's overall best-case placement when fewer than
-        ``count`` workers are free (the job cannot be admitted yet, but
-        SLO triage still wants a feasibility estimate), and is exactly
-        1.0 on a uniform pool.
-        """
-        if not self._tier_of:
-            return 1.0
-        candidates = sorted(self._free)[:count]
-        if len(candidates) < count:
-            candidates = list(range(min(count, self.size)))
-        return max(self.speed_factor(worker) for worker in candidates)
-
-    def allocate(self, count: int) -> tuple[int, ...]:
-        """Take the ``count`` lowest free worker ids."""
-        if count > len(self._free):
-            raise FleetError(
-                f"cannot allocate {count} workers; only {len(self._free)} free"
-            )
-        self._free.sort()
-        taken = tuple(self._free[:count])
-        del self._free[:count]
-        return taken
-
-    def release(self, workers: tuple[int, ...]) -> None:
-        """Return workers to the pool."""
-        for worker in workers:
-            if worker in self._free or not 0 <= worker < self.size:
-                raise FleetError(f"cannot release worker {worker}")
-        self._free.extend(workers)
-
-
-def _project(
-    sim: ElasticTrainingRun, tracer, fork: bool = True
-) -> tuple[TrainingResult, object]:
-    """Project a paused run's completion on its current worker set.
-
-    Trains a fork to the end while the live run stays paused for the
-    next allocation change — or, with ``fork=False``, the live run
-    itself, when no allocation change can ever come and the caller
-    lets go of the run afterwards.  Returns ``(result, trace_buffer)``:
-    the tail traces into a sandbox of ``tracer``, which becomes the
-    job's events past the pause instant only if no allocation change
-    supersedes the projection.
-    """
-    projection = sim.fork() if fork else sim
-    buffer = tracer.sandbox()
-    projection.set_tracer(buffer)
-    projection.run_to_completion()
-    return projection.result(), buffer
-
-
-class _RunningJob:
-    """Bookkeeping for one admitted job's fleet timeline.
-
-    ``sim`` is the job's :class:`ElasticTrainingRun`, paused at the
-    last allocation-change boundary (initially the ASP-tail start);
-    ``result`` always holds the *projection* of the completion from
-    that state on the current worker set.  A job without an elastic
-    tail (all-BSP, or divergence inside the BSP phase) arrives with
-    ``sim`` already finished and ``result`` is the run's own.
-
-    ``resizable`` says whether the scheduler can ever change this
-    job's allocation.  When it cannot, nothing will resume the paused
-    run: the tail is trained on the run itself instead of a fork, and
-    ``sim`` is None from then on — session, model and kernel scratch
-    are released at admission, not at the finish event.
-    """
-
-    def __init__(
-        self,
-        request: JobRequest,
-        workers: tuple[int, ...],
-        start: float,
-        sim: ElasticTrainingRun,
-        tracer,
-        percent: float,
-        tuned: bool,
-        degraded: bool,
-        resizable: bool,
-    ):
-        self.request = request
-        self.workers = workers
-        self.start = start
-        self.sim = sim if resizable else None
-        self.percent = percent
-        self.tuned = tuned
-        self.degraded = degraded
-        self.demand = request.n_workers
-        self.phase = "bsp"
-        self.version = 0
-        self.preemptions = 0
-        self.restores = 0
-        #: Job-scoped tracer view (pid/offset pinned) and the sandbox
-        #: buffer of the latest completion projection — absorbed into
-        #: the live trace only when the projection turns out to be the
-        #: realized tail.
-        self.tracer = tracer
-        if sim.finished:
-            self.result, self.trace_buffer = sim.result(), NULL_TRACER
-        else:
-            self.result, self.trace_buffer = _project(
-                sim, tracer, fork=resizable
-            )
-        #: Allocation history: one row per allocation-changing event.
-        self.allocations: list[dict] = [
-            {"time": start, "workers": len(workers), "cause": "admit"}
-        ]
-        # Phase spans from the training telemetry: everything after the
-        # last barrier-synchronized segment is the elastic async tail
-        # (for a bsp -> ssp -> asp schedule that is the ssp+asp span).
-        tail = 0.0
-        synchronous = synchronous_protocols()
-        for record in reversed(self.result.segment_summary):
-            if record["protocol"] in synchronous:
-                break
-            tail += record["duration"]
-        self.asp_tail = min(tail, self.result.total_time)
-        self.bsp_span = self.result.total_time - self.asp_tail
-
-    @property
-    def ratio(self) -> float:
-        """Current allocation as a fraction of the full demand."""
-        return len(self.workers) / self.demand
-
-    def note_allocation(self, now: float, cause: str) -> None:
-        """Record one allocation change for the per-segment telemetry."""
-        self.allocations.append(
-            {"time": now, "workers": len(self.workers), "cause": cause}
-        )
-
-    def enter_asp(self, now: float) -> None:
-        """Flip to the (preemptible, elastic) ASP phase at ``now``."""
-        self.phase = "asp"
-
-    def finish_time(self) -> float:
-        """Projected completion time at the current allocation.
-
-        The admission-time projection is evaluated phase by phase and
-        a re-projection after a resize from the re-simulated total:
-        the two float expressions round differently, and the committed
-        golden hashes pin each.
-        """
-        if len(self.allocations) > 1:
-            return self.start + self.result.total_time
-        return self.start + self.bsp_span + self.asp_tail
 
 
 @dataclass
@@ -570,7 +302,14 @@ class FleetSimulator:
             tiers = None
         self.pool = WorkerPool(self.pool_size, tiers)
         self.scheduler: SchedulerPolicy = make_scheduler(config.scheduler)
-        self.contention = self._fleet_contention()
+        self.contention = fleet_contention(
+            self.pool,
+            self.stream,
+            config.scale,
+            config.seed,
+            self.scenario_name,
+            ambient=config.contention,
+        )
         self._validate = config.validate or os.environ.get(
             "REPRO_FLEET_VALIDATE", "0"
         ) not in ("", "0")
@@ -578,17 +317,20 @@ class FleetSimulator:
             self.store = PolicyStore()
         self._heap: list[tuple[float, int, int, object]] = []
         self._queue: list[JobRequest] = []
-        self._running: dict[int, _RunningJob] = {}
+        self._running: dict[int, RunningJob] = {}
         self._records: list[JobRecord] = []
         self._busy_seconds = 0.0
         self._last_time = 0.0
-        # Tuning state: in-flight search sessions (two-phase or
-        # schedule) and the class of every injected search-trial job.
-        self._sessions: dict[
-            JobClass, TimingSearchSession | ScheduleSearchSession
-        ] = {}
-        self._trial_class: dict[int, JobClass] = {}
-        self._next_trial_id = max(ids, default=-1) + 1
+        # In-fleet Algorithm 1 (consulted only with ``config.tune``);
+        # its trial jobs take ids above the stream's.
+        self.search = InFleetSearch(
+            self.store,
+            config.tune_runs,
+            config.protocols,
+            first_trial_id=max(ids, default=-1) + 1,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
         # SLO state: pending degrade decisions from scheduler triage.
         self._degraded: dict[int, float] = {}
 
@@ -623,17 +365,17 @@ class FleetSimulator:
                 if job is None or job.version != version:
                     continue  # superseded by a reallocation
                 if kind == "phase":
-                    job.enter_asp(now)
+                    job.enter_asp()
                 else:
                     self._complete(job, now)
             self._schedule(now)
             if self._validate:
-                self._check_invariants(now)
-        if self._queue or self._running or self._sessions:
+                self._check(now)
+        if self._queue or self._running or self.search.open_searches:
             raise FleetError(
                 f"stream ended with {len(self._queue)} queued, "
                 f"{len(self._running)} running job(s) and "
-                f"{len(self._sessions)} unfinished search(es)"
+                f"{self.search.open_searches} unfinished search(es)"
             )
         if self.metrics.enabled:
             self.metrics_payload = self.metrics.payload(self._last_time)
@@ -656,9 +398,19 @@ class FleetSimulator:
         self._seq += 1
         heapq.heappush(self._heap, (time, priority, self._seq, payload))
 
+    def _check(self, now: float) -> None:
+        check_invariants(
+            self.pool,
+            self._queue,
+            self._running,
+            PREEMPTION_FLOOR,
+            self._last_time,
+            now,
+        )
+
     def _advance(self, now: float) -> None:
         if self._validate:
-            self._check_invariants(now)
+            self._check(now)
         self._busy_seconds += self.pool.busy_count * (now - self._last_time)
         self._last_time = now
         metrics = self.metrics
@@ -713,7 +465,7 @@ class FleetSimulator:
         # once, after the pass settles — nothing reads an intermediate
         # projection, so a victim shrunk twice within one pass
         # re-trains its tail once, not once per shrink.
-        reproject: dict[int, _RunningJob] = {}
+        reproject: dict[int, RunningJob] = {}
         while True:
             admitted = self.scheduler.admit(
                 self._queue, self.pool.free_count, self.config.scale, context
@@ -741,20 +493,18 @@ class FleetSimulator:
             break
         self._rebalance(now, reproject)
         for job in reproject.values():
-            job.result, job.trace_buffer = _project(job.sim, job.tracer)
             self._push(
-                job.finish_time(),
+                job.reproject(),
                 _FINISH,
                 ("finish", job.request.job_id, job.version),
             )
 
     def _preemptible_surplus(self) -> int:
         """Workers reclaimable from ASP-phase jobs above the floor."""
-        floor = self.config.preemption_floor
         return sum(
-            len(job.workers) - floor
+            len(job.workers) - PREEMPTION_FLOOR
             for job in self._running.values()
-            if job.phase == "asp" and len(job.workers) > floor
+            if job.phase == "asp" and len(job.workers) > PREEMPTION_FLOOR
         )
 
     def _admit(self, request: JobRequest, now: float) -> None:
@@ -788,10 +538,14 @@ class FleetSimulator:
             if degraded:
                 metrics.inc("jobs_degraded")
             metrics.observe("queue_delay_s", now - request.arrival)
-        sim = self._start_run(
-            request, workers, now, percent, schedule, job_tracer
+        sim = start_run(
+            request, workers, now, percent, schedule, job_tracer,
+            seed=self.config.seed,
+            scale=self.config.scale,
+            pool=self.pool,
+            contention=self.contention,
         )
-        job = _RunningJob(
+        job = RunningJob(
             request, workers, now, sim, job_tracer,
             percent=percent, tuned=tuned, degraded=degraded,
             # _preempt is the only source of allocation changes
@@ -804,10 +558,11 @@ class FleetSimulator:
                 now + job.bsp_span, _PHASE, ("phase", request.job_id, 0)
             )
         elif job.asp_tail > 0.0:
-            job.enter_asp(now)
+            job.enter_asp()
         self._push(job.finish_time(), _FINISH, ("finish", request.job_id, 0))
         if self.config.tune:
-            self._maybe_begin_search(request, now)
+            for trial in self.search.job_admitted(request, now):
+                self._push(now, _ARRIVAL, trial)
 
     def _resolve_percent(
         self, request: JobRequest
@@ -861,30 +616,7 @@ class FleetSimulator:
                 args={"deadline": request.deadline},
             )
         self.metrics.inc("jobs_rejected")
-        self._records.append(
-            JobRecord(
-                job_id=request.job_id,
-                setup_index=request.setup_index,
-                sync_policy=request.sync_policy,
-                percent=request.percent,
-                demand=request.n_workers,
-                arrival=request.arrival,
-                start=now,
-                finish=now,
-                preemptions=0,
-                restores=0,
-                accuracy=None,
-                diverged=False,
-                completed_steps=0,
-                images=0,
-                kind=request.kind,
-                deadline=request.deadline,
-                tuned=False,
-                degraded=False,
-                outcome="rejected",
-                tier=request.tier,
-            )
-        )
+        self._records.append(job_record(request, now, now, "rejected"))
         self._degraded.pop(request.job_id, None)
 
     def _preempt(
@@ -892,7 +624,7 @@ class FleetSimulator:
         wanted: int,
         now: float,
         shrunk_this_pass: set[int],
-        reproject: dict[int, _RunningJob] | None = None,
+        reproject: dict[int, RunningJob],
     ) -> int:
         """Reclaim up to ``wanted`` workers from ASP-phase jobs.
 
@@ -902,7 +634,7 @@ class FleetSimulator:
         once within one scheduling pass counts a single preemption
         (``shrunk_this_pass`` spans the pass, not this call).
         """
-        floor = self.config.preemption_floor
+        floor = PREEMPTION_FLOOR
         victims = sorted(
             (
                 job
@@ -929,11 +661,7 @@ class FleetSimulator:
             freed += take
         return freed
 
-    def _rebalance(
-        self,
-        now: float,
-        reproject: dict[int, _RunningJob] | None = None,
-    ) -> None:
+    def _rebalance(self, now: float, reproject: dict[int, RunningJob]) -> None:
         """Give leftover free workers back to shrunk ASP jobs."""
         while self.pool.free_count > 0:
             starved = sorted(
@@ -942,7 +670,10 @@ class FleetSimulator:
                     for job in self._running.values()
                     if job.phase == "asp" and len(job.workers) < job.demand
                 ),
-                key=lambda job: (job.ratio, job.request.job_id),
+                key=lambda job: (
+                    len(job.workers) / job.demand,
+                    job.request.job_id,
+                ),
             )
             if not starved:
                 break
@@ -957,90 +688,33 @@ class FleetSimulator:
 
     def _resize(
         self,
-        job: _RunningJob,
+        job: RunningJob,
         new_count: int,
         now: float,
         cause: str,
-        reproject: dict[int, _RunningJob] | None = None,
+        reproject: dict[int, RunningJob],
     ) -> bool:
-        """Change a running ASP job's allocation and replan its finish.
+        """Change a running ASP job's allocation (:meth:`RunningJob.resize`).
 
-        The job's paused run is first resumed to this instant
-        (replaying exactly what the previous projection predicted),
-        then resized and re-projected.  Each resize charges its own
-        reconfiguration overhead — two same-pass shrinks are two real
-        checkpoint→reconfigure→restart cycles — but when the caller
-        passes a pass-scoped ``reproject`` dict the completion
-        *projection* (and its finish event) is deferred to the end of
-        the scheduling pass, so a victim resized twice in one pass
-        re-trains its tail once; without the dict the projection runs
-        inline.
-
-        Returns whether the resize affected the job's timeline.  The
-        pool always changes hands, but when the replay discovers the
-        run completing inside the final update interval (a float edge:
-        pauses land on update boundaries) the job's training is over
-        and nothing is re-simulated — the caller must then not count a
-        preemption/restore nor record an allocation segment.
+        The new completion is projected once per scheduling pass, from
+        the pass-scoped ``reproject`` dict.  Returns whether the job's
+        timeline changed; when not, the workers still changed hands but
+        the caller must not count a preemption/restore.
         """
-        # Resume before the pool changes hands: the re-slice below
-        # must see the *new* physical mapping, the replay the old.
-        resumed = job.sim.advance_to(now - job.start)
-        current = len(job.workers)
-        if new_count < current:
-            released = job.workers[new_count:]
-            job.workers = job.workers[:new_count]
-            self.pool.release(released)
-        elif new_count > current:
-            job.workers = job.workers + self.pool.allocate(new_count - current)
-        if resumed != "paused":
-            # Replay found the run already complete: the workers change
-            # hands but the job's timeline — and its pending finish
-            # event — stay exactly as projected.
+        if not job.resize(
+            new_count, now, cause, self.pool, self.contention, self.tracer
+        ):
             return False
-        job.note_allocation(now, cause)
-        job.version += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                cause,
-                "preemption",
-                now,
-                pid=job.request.job_id + 1,
-                args={"workers": len(job.workers), "was": current},
-            )
         self.metrics.inc(f"resize_{cause}")
-        contention = self._job_stragglers(
-            job.workers, job.start, active_after=now
-        )
-        if contention is None and self.contention is not None:
-            # An *empty* re-slice (no events survive the resume
-            # instant) must still replace the stale slice of the
-            # previous physical mapping; None means "keep" to the
-            # sim, which is only right when contention is off.
-            contention = StragglerSchedule([])
-        job.sim.resize(len(job.workers), contention)
-        if reproject is not None:
-            # Finish event deferred with the projection (end of pass).
-            reproject[job.request.job_id] = job
-            return True
-        job.result, job.trace_buffer = _project(job.sim, job.tracer)
-        self._push(
-            job.finish_time(),
-            _FINISH,
-            ("finish", job.request.job_id, job.version),
-        )
+        reproject[job.request.job_id] = job
         return True
 
-    def _complete(self, job: _RunningJob, now: float) -> None:
+    def _complete(self, job: RunningJob, now: float) -> None:
         self.pool.release(job.workers)
         del self._running[job.request.job_id]
         result = job.result
-        tracer = self.tracer
-        if tracer.enabled:
-            # The last projection became the realized tail: its sandbox
-            # events are the job's events from the final pause onward.
-            tracer.absorb(job.trace_buffer)
-            self._emit_job_spans(job, now)
+        if self.tracer.enabled:
+            job.emit_spans(self.tracer, now)
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc("jobs_completed")
@@ -1050,452 +724,14 @@ class FleetSimulator:
             )
             metrics.inc("overhead_paid_s", result.total_overhead)
             metrics.inc("protocol_switches", result.switch_count)
-        self._records.append(
-            JobRecord(
-                job_id=job.request.job_id,
-                setup_index=job.request.setup_index,
-                sync_policy=job.request.sync_policy,
-                percent=job.percent,
-                demand=job.demand,
-                arrival=job.request.arrival,
-                start=job.start,
-                finish=now,
-                preemptions=job.preemptions,
-                restores=job.restores,
-                accuracy=result.reported_accuracy,
-                diverged=result.diverged,
-                completed_steps=result.completed_steps,
-                images=result.images_processed,
-                kind=job.request.kind,
-                deadline=job.request.deadline,
-                tuned=job.tuned,
-                degraded=job.degraded,
-                outcome="completed",
-                allocations=tuple(job.allocations),
-                staleness=dict(result.staleness),
-                tier=job.request.tier,
-            )
-        )
+        self._records.append(job.record(now))
         if job.request.kind == "search-trial":
-            self._finish_trial(job, now)
+            for trial in self.search.trial_finished(
+                job.request.job_id, result, now - job.start, now
+            ):
+                self._push(now, _ARRIVAL, trial)
         elif job.tuned:
             self.store.note_recurrence(JobClass.of(job.request), now - job.start)
-
-    def _emit_job_spans(self, job: _RunningJob, now: float) -> None:
-        """Lifecycle spans of one completed job, emitted at completion
-        (queue wait, the job itself, its BSP/ASP phases, and — at job
-        detail — one span per allocation segment)."""
-        tracer = self.tracer
-        request = job.request
-        pid = request.job_id + 1
-        arrival = request.arrival
-        cat = "search" if request.kind == "search-trial" else "job"
-        result = job.result
-        tracer.span(
-            f"job-{request.job_id}",
-            cat,
-            job.start,
-            now - job.start,
-            pid=pid,
-            tid=0,
-            args={
-                "sync_policy": request.sync_policy,
-                "accuracy": result.reported_accuracy,
-                "diverged": result.diverged,
-                "preemptions": job.preemptions,
-                "restores": job.restores,
-                "tuned": job.tuned,
-                "degraded": job.degraded,
-            },
-        )
-        if job.start > arrival:
-            tracer.span(
-                "queued", "queue", arrival, job.start - arrival, pid=pid, tid=0
-            )
-        bsp_span = min(job.bsp_span, now - job.start)
-        if bsp_span > 0.0:
-            tracer.span("bsp-phase", "phase", job.start, bsp_span, pid=pid, tid=0)
-        tail_start = job.start + bsp_span
-        if now > tail_start:
-            tracer.span(
-                "async-tail", "phase", tail_start, now - tail_start, pid=pid, tid=0
-            )
-        if tracer.wants("job"):
-            for index, row in enumerate(job.allocations):
-                end = (
-                    job.allocations[index + 1]["time"]
-                    if index + 1 < len(job.allocations)
-                    else now
-                )
-                tracer.span(
-                    f"{row['workers']}w",
-                    "alloc",
-                    row["time"],
-                    end - row["time"],
-                    pid=pid,
-                    tid=2,
-                    args={"cause": row["cause"]},
-                )
-
-    # ------------------------------------------------------------------
-    # amortized tuning (Section VI-C at fleet scale)
-    # ------------------------------------------------------------------
-    def _maybe_begin_search(self, request: JobRequest, now: float) -> None:
-        """Launch Algorithm 1 for a class on its first admission.
-
-        Only Sync-Switch stream jobs are tunable (static BSP/ASP jobs
-        have no switch point, and a job pinning its own schedule has
-        nothing left to search) and each class searches exactly once.
-        With ``FleetConfig.protocols`` set the search is the N-segment
-        schedule search over that sequence's boundaries; otherwise the
-        paper's two-phase Algorithm 1.
-        """
-        if request.kind != "train" or request.sync_policy != "sync-switch":
-            return
-        if request.percent_override is not None or request.protocols is not None:
-            return
-        job_class = JobClass.of(request)
-        if (
-            self.store.lookup(job_class) is not None
-            or self.store.is_searching(job_class)
-        ):
-            return
-        setup = SETUPS[request.setup_index]
-        search_config = SearchConfig(
-            beta=self.config.tune_beta,
-            max_settings=setup.search_max_settings,
-            runs_per_setting=self.config.tune_runs,
-            bsp_runs=self.config.tune_runs,
-        )
-        if self.config.protocols is not None:
-            session = ScheduleSearchSession(
-                search_config, sequences=(self.config.protocols,)
-            )
-        else:
-            session = TimingSearchSession(search_config)
-        session.tracer = self.tracer
-        self.store.begin_search(job_class)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "search-begin",
-                "search",
-                now,
-                args={
-                    "setup": job_class.setup_index,
-                    "n_workers": job_class.n_workers,
-                },
-            )
-        self.metrics.inc("searches_started")
-        self._sessions[job_class] = session
-        self._inject_trials(job_class, session, now)
-
-    def _inject_trials(
-        self, job_class: JobClass, session, now: float
-    ) -> None:
-        """Enqueue the session's next batch of trials as fleet jobs.
-
-        Two-phase sessions hand out switch fractions; schedule sessions
-        hand out per-segment fraction vectors, which ride on the trial
-        request's ``protocols``/``fractions`` fields (the override
-        still pins the segment-0 share so service estimates and reports
-        see the familiar BSP percentage).
-        """
-        for item in session.next_batch():
-            job_id = self._next_trial_id
-            self._next_trial_id += 1
-            if isinstance(item, tuple):
-                trial = JobRequest(
-                    job_id=job_id,
-                    arrival=now,
-                    setup_index=job_class.setup_index,
-                    n_workers=job_class.n_workers,
-                    sync_policy="sync-switch",
-                    kind="search-trial",
-                    percent_override=item[0] * 100.0,
-                    protocols=session.protocols,
-                    fractions=item,
-                )
-            else:
-                trial = JobRequest(
-                    job_id=job_id,
-                    arrival=now,
-                    setup_index=job_class.setup_index,
-                    n_workers=job_class.n_workers,
-                    sync_policy="sync-switch",
-                    kind="search-trial",
-                    percent_override=item * 100.0,
-                )
-            self._trial_class[job_id] = job_class
-            self._push(now, _ARRIVAL, trial)
-
-    def _finish_trial(self, job: _RunningJob, now: float) -> None:
-        """Feed one finished search trial back into its session.
-
-        The trial's *service time* (preemption stretches included) is
-        charged to the search cost, like the paper charges whole
-        sessions.  When the batch completes the session either emits
-        the next batch or, once done, publishes the found policy to
-        the store for every later recurrence to reuse.
-        """
-        job_class = self._trial_class.pop(job.request.job_id)
-        session = self._sessions[job_class]
-        result = job.result
-        accuracy = (
-            0.0 if result.diverged else (result.reported_accuracy or 0.0)
-        )
-        session.record(accuracy, now - job.start, now=now)
-        self.metrics.inc("search_trials_completed")
-        if session.awaiting:
-            return
-        if session.done:
-            del self._sessions[job_class]
-            if isinstance(session, ScheduleSearchSession):
-                policy = policy_from_schedule_search(
-                    job_class, session.result(), tuned_at=now
-                )
-            else:
-                policy = policy_from_search(
-                    job_class, session.result(), tuned_at=now
-                )
-            self.store.install(policy)
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "search-complete",
-                    "search",
-                    now,
-                    args={"percent": policy.percent},
-                )
-            self.metrics.inc("policies_installed")
-        else:
-            self._inject_trials(job_class, session, now)
-
-    # ------------------------------------------------------------------
-    # training and shared contention
-    # ------------------------------------------------------------------
-    def _start_run(
-        self,
-        request: JobRequest,
-        workers: tuple[int, ...],
-        now: float,
-        percent: float,
-        schedule: tuple | None,
-        tracer,
-    ) -> ElasticTrainingRun:
-        """Start a job's resumable run, paused at the ASP-tail boundary.
-
-        The paused state is the cached BSP span no allocation change
-        ever replays.  Jobs without an elastic tail (all-BSP, or
-        divergence inside the BSP phase) come back already finished.
-        ``percent`` is the effective BSP percentage the admission
-        resolved (tuned / degraded); ``schedule`` replaces the
-        two-phase switch with a full ``(protocols, fractions)`` plan
-        when set.  The live run traces through ``tracer`` directly.
-        """
-        job, policies = self._training_inputs(request, percent, schedule)
-        sim = ElasticTrainingRun(
-            job=job,
-            cluster_spec=ClusterSpec(n_workers=len(workers)),
-            policies=policies,
-            stragglers=self._job_stragglers(workers, now),
-            ambient_noise=self.config.ambient,
-            overhead_time_scale=self.config.scale,
-            overhead_bandwidth=self._job_bandwidth(workers),
-            tracer=tracer,
-        )
-        sim.run_to_tail()
-        return sim
-
-    def _training_inputs(
-        self,
-        request: JobRequest,
-        percent: float,
-        schedule: tuple | None = None,
-    ) -> tuple[object, PolicyManager]:
-        """Scaled job config + offline policy set for one admission.
-
-        ``schedule`` is an optional ``(protocols, fractions)`` pair: an
-        N-segment plan built with the registry-validated
-        :class:`ProtocolSchedule`; without one the admission trains the
-        paper's two-phase BSP->ASP switch at ``percent``.
-        """
-        setup = SETUPS[request.setup_index]
-        seed = child_seed(
-            self.config.seed, f"fleet/job/{request.job_id}"
-        ) % (2**31)
-        job = scaled_job(setup, self.config.scale, seed, request.steps_scale)
-        if schedule is not None:
-            protocols, fractions = schedule
-            policies = PolicyManager(
-                timing=TimingPolicy.for_schedule(fractions, source="fleet"),
-                protocol=ProtocolSchedule(tuple(protocols)),
-                config=ConfigurationPolicy(),
-            )
-        else:
-            policies = PolicyManager(
-                timing=TimingPolicy(percent / 100.0, source="fleet"),
-                config=ConfigurationPolicy(),
-            )
-        return job, policies
-
-    def _job_bandwidth(self, workers: tuple[int, ...]) -> float:
-        """Provisioning bandwidth multiplier for one allocation.
-
-        Checkpoint/reconfigure/restart traffic crosses every assigned
-        worker's link, so the allocation pays the *worst* (max)
-        bandwidth factor among them; exactly 1.0 on a uniform pool, so
-        homogeneous runs keep their bit-identical overhead arithmetic.
-        """
-        if not self.pool.tiers:
-            return 1.0
-        return max(self.pool.bandwidth_factor(worker) for worker in workers)
-
-    def _check_invariants(self, now: float) -> None:
-        """Conservation invariants checked at every event when enabled.
-
-        The fleet-wide safety net behind ``FleetConfig(validate=True)``
-        (and the ``REPRO_FLEET_VALIDATE`` environment knob): the
-        simulated clock never runs backwards, the physical pool is
-        exactly partitioned between free workers and running jobs (no
-        double allocation, per-tier capacity respected), no job is
-        simultaneously queued and running, and every running job's
-        allocation sits between the preemption floor and its demand.
-        """
-        if now < self._last_time - 1e-9:
-            raise FleetError(
-                f"fleet clock moved backwards: {now} < {self._last_time}"
-            )
-        allocated: list[int] = []
-        for job in self._running.values():
-            allocated.extend(job.workers)
-        if len(allocated) != len(set(allocated)):
-            raise FleetError("worker allocated to two running jobs at once")
-        if sorted(allocated + list(self.pool.free_workers)) != list(
-            range(self.pool.size)
-        ):
-            raise FleetError(
-                "pool partition violated: free + allocated != pool"
-            )
-        if self.pool.tiers:
-            used: dict[str, int] = {}
-            for worker in allocated:
-                name = self.pool.tier_of(worker).name
-                used[name] = used.get(name, 0) + 1
-            for tier in self.pool.tiers:
-                if used.get(tier.name, 0) > tier.count:
-                    raise FleetError(
-                        f"tier {tier.name!r} over-allocated: "
-                        f"{used[tier.name]} > {tier.count}"
-                    )
-        overlap = {
-            request.job_id for request in self._queue
-        } & set(self._running)
-        if overlap:
-            raise FleetError(
-                f"job(s) {sorted(overlap)} both queued and running"
-            )
-        floor = self.config.preemption_floor
-        for job in self._running.values():
-            count = len(job.workers)
-            if count > job.demand:
-                raise FleetError(
-                    f"job {job.request.job_id} holds {count} workers "
-                    f"above its demand {job.demand}"
-                )
-            if count < min(floor, job.demand):
-                raise FleetError(
-                    f"job {job.request.job_id} shrunk to {count} workers, "
-                    f"below the preemption floor {floor}"
-                )
-
-    def _fleet_contention(self) -> StragglerSchedule | None:
-        """Pool-wide contention events shared by co-located jobs.
-
-        Two event populations compose by schedule merge: transient
-        ambient bursts (``config.contention``) and permanent hardware
-        slowdowns of heterogeneous tiers — a slow-tier worker is a
-        straggler that never recovers, so per-job slicing and resume
-        re-slicing treat both uniformly.
-        """
-        hardware = [
-            tier_slowdown(worker, tier.speed_factor, tier.extra_latency)
-            for worker in range(self.pool.size)
-            for tier in (self.pool.tier_of(worker),)
-            if tier is not None
-            and (tier.speed_factor > 1.0 or tier.extra_latency > 0.0)
-        ]
-        ambient = None
-        if self.config.contention:
-            last_arrival = max(
-                (request.arrival for request in self.stream), default=0.0
-            )
-            longest = max(
-                estimate_service_time(
-                    request.setup_index,
-                    100.0,
-                    self.config.scale,
-                    request.steps_scale,
-                )
-                for request in self.stream
-            )
-            horizon = last_arrival + 3.0 * longest
-            ambient = ambient_contention(
-                self.pool_size,
-                horizon,
-                child_rng(
-                    self.config.seed,
-                    f"fleet/{self.scenario_name}/contention",
-                ),
-                mean_interval=horizon / 6.0,
-                mean_duration=max(horizon / 50.0, 0.5),
-                slow_factor=3.0,
-            )
-        if ambient is None and not hardware:
-            return None
-        if not hardware:
-            return ambient
-        if ambient is None:
-            return StragglerSchedule(hardware)
-        return ambient.merged_with(StragglerSchedule(hardware))
-
-    def _job_stragglers(
-        self,
-        workers: tuple[int, ...],
-        now: float,
-        active_after: float | None = None,
-    ) -> StragglerSchedule | None:
-        """Slice of the fleet contention seen by a job starting at ``now``.
-
-        Physical-worker events still active (or future) at the cut
-        instant are remapped to the job's local worker indices with
-        starts shifted into job-relative time, so two jobs co-located
-        on a worker see the same burst during their overlap.
-
-        ``active_after`` re-slices at a resume instant: events are
-        still expressed relative to the job's start ``now``, but only
-        the portion active after the (later) fleet instant
-        ``active_after`` is kept — the elastic re-simulation swaps this
-        slice in when an allocation change remaps local workers onto
-        different physical ones mid-run.
-        """
-        if self.contention is None:
-            return None
-        cut = now if active_after is None else active_after
-        events = []
-        for local, physical in enumerate(workers):
-            for event in self.contention.events_for(physical):
-                if event.end <= cut:
-                    continue
-                begin = max(event.start, cut)
-                events.append(
-                    StragglerEvent(
-                        worker=local,
-                        start=begin - now,
-                        duration=event.end - begin,
-                        slow_factor=event.slow_factor,
-                        extra_latency=event.extra_latency,
-                    )
-                )
-        return StragglerSchedule(events) if events else None
 
 
 def simulate_fleet(

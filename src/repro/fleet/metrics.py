@@ -69,12 +69,12 @@ class JobRecord:
     arrival: float
     start: float
     finish: float
-    preemptions: int
-    restores: int
-    accuracy: float | None
-    diverged: bool
-    completed_steps: int
-    images: int
+    preemptions: int = 0
+    restores: int = 0
+    accuracy: float | None = None
+    diverged: bool = False
+    completed_steps: int = 0
+    images: int = 0
     kind: str = "train"
     deadline: float | None = None
     tuned: bool = False

@@ -66,7 +66,7 @@ class SchedulerContext:
     scale: float = 1.0
     store: PolicyStore | None = None
     preemptible: int = 0
-    #: The fleet's :class:`~repro.fleet.fleet_sim.WorkerPool` (None in
+    #: The fleet's :class:`~repro.fleet.pool.WorkerPool` (None in
     #: bare unit-test contexts).  Heterogeneous pools expose tiered
     #: capacity through it: placement-aware policies ask
     #: ``pool.placement_slowdown(count)`` what a ``count``-worker

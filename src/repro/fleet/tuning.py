@@ -26,6 +26,15 @@ Given the same per-trial outcomes, a session produces a
 :class:`OfflineTimingSearch` — the equivalence is covered by tests —
 so the fleet-scale search inherits the cost accounting of the paper's
 Tables II/IV-VI.
+
+:class:`InFleetSearch` drives those sessions for one fleet run —
+Section VI-C's economics at fleet scale.  Admitting the *first*
+Sync-Switch job of a recurring class (setup x cluster shape) launches
+the search *as fleet jobs*: each trial queues, occupies workers and
+counts toward JCT/utilization like any other job, and the finished
+policy lands in the :class:`~repro.fleet.policy_store.PolicyStore`,
+whose cached switch timing every later recurrence of the class reuses
+while the store accrues realized savings against the search cost.
 """
 
 from __future__ import annotations
@@ -41,10 +50,26 @@ from repro.core.search.binary_search import (
     pick_best_schedule,
     validate_sequences,
 )
+from repro.distsim.result import TrainingResult
 from repro.errors import SearchError
+from repro.experiments.setups import SETUPS
+from repro.fleet.policy_store import (
+    JobClass,
+    PolicyStore,
+    policy_from_schedule_search,
+    policy_from_search,
+)
+from repro.fleet.workload import JobRequest
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
-__all__ = ["ScheduleSearchSession", "TimingSearchSession"]
+__all__ = ["InFleetSearch", "ScheduleSearchSession", "TimingSearchSession"]
+
+#: Acceptance band of the in-fleet search.  Wider than the offline
+#: search's 0.01: fleet trials are single sessions trained under
+#: shared-cluster contention, whose accuracy noise at the small fleet
+#: scale exceeds the paper's multi-run band.
+TUNE_BETA = 0.02
 
 
 class TimingSearchSession:
@@ -378,3 +403,165 @@ class ScheduleSearchSession:
         else:
             self._finals.append(boundary_fractions(self._boundaries))
             self._begin_sequence(self._seq_index + 1)
+
+
+class InFleetSearch:
+    """Algorithm 1 searches in flight inside one fleet run.
+
+    The event loop reports "job admitted" / "trial finished" and
+    enqueues the trial requests it gets back (ids from
+    ``first_trial_id`` up).  ``runs`` is the paper's ``r`` (also the
+    number of static-BSP target runs); with ``protocols`` set the
+    search is the N-segment schedule search over that sequence's
+    boundaries, otherwise the two-phase Algorithm 1.
+    """
+
+    def __init__(
+        self,
+        store: PolicyStore,
+        runs: int,
+        protocols: tuple[str, ...] | None,
+        first_trial_id: int,
+        tracer=NULL_TRACER,
+        metrics=NULL_METRICS,
+    ):
+        self.store = store
+        self.runs = runs
+        self.protocols = protocols
+        self.tracer = tracer
+        self.metrics = metrics
+        self._sessions: dict[
+            JobClass, TimingSearchSession | ScheduleSearchSession
+        ] = {}
+        self._trial_class: dict[int, JobClass] = {}
+        self._next_trial_id = first_trial_id
+
+    @property
+    def open_searches(self) -> int:
+        """Searches begun and not yet finished."""
+        return len(self._sessions)
+
+    def job_admitted(
+        self, request: JobRequest, now: float
+    ) -> tuple[JobRequest, ...]:
+        """Launch Algorithm 1 for a class on its first admission.
+
+        Returns the first batch of trial jobs to enqueue (empty when
+        nothing starts).  Only Sync-Switch stream jobs are tunable
+        (static BSP/ASP jobs have no switch point, and a job pinning
+        its own schedule has nothing left to search) and each class
+        searches exactly once.
+        """
+        if request.kind != "train" or request.sync_policy != "sync-switch":
+            return ()
+        if request.percent_override is not None or request.protocols is not None:
+            return ()
+        job_class = JobClass.of(request)
+        if (
+            self.store.lookup(job_class) is not None
+            or self.store.is_searching(job_class)
+        ):
+            return ()
+        setup = SETUPS[request.setup_index]
+        search_config = SearchConfig(
+            beta=TUNE_BETA,
+            max_settings=setup.search_max_settings,
+            runs_per_setting=self.runs,
+            bsp_runs=self.runs,
+        )
+        if self.protocols is not None:
+            session = ScheduleSearchSession(
+                search_config, sequences=(self.protocols,)
+            )
+        else:
+            session = TimingSearchSession(search_config)
+        session.tracer = self.tracer
+        self.store.begin_search(job_class)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "search-begin",
+                "search",
+                now,
+                args={
+                    "setup": job_class.setup_index,
+                    "n_workers": job_class.n_workers,
+                },
+            )
+        self.metrics.inc("searches_started")
+        self._sessions[job_class] = session
+        return self._next_trials(job_class, session, now)
+
+    def trial_finished(
+        self, job_id: int, result: TrainingResult, service_time: float, now: float
+    ) -> tuple[JobRequest, ...]:
+        """Feed one finished search trial back into its session.
+
+        The trial's ``service_time`` (preemption stretches included) is
+        charged to the search cost, like the paper charges whole
+        sessions.  When the batch completes the session either emits
+        the next batch — returned for the caller to enqueue — or, once
+        done, publishes the found policy to the store for every later
+        recurrence to reuse.
+        """
+        job_class = self._trial_class.pop(job_id)
+        session = self._sessions[job_class]
+        accuracy = (
+            0.0 if result.diverged else (result.reported_accuracy or 0.0)
+        )
+        session.record(accuracy, service_time, now=now)
+        self.metrics.inc("search_trials_completed")
+        if session.awaiting:
+            return ()
+        if not session.done:
+            return self._next_trials(job_class, session, now)
+        del self._sessions[job_class]
+        if isinstance(session, ScheduleSearchSession):
+            policy = policy_from_schedule_search(
+                job_class, session.result(), tuned_at=now
+            )
+        else:
+            policy = policy_from_search(
+                job_class, session.result(), tuned_at=now
+            )
+        self.store.install(policy)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "search-complete",
+                "search",
+                now,
+                args={"percent": policy.percent},
+            )
+        self.metrics.inc("policies_installed")
+        return ()
+
+    def _next_trials(
+        self, job_class: JobClass, session, now: float
+    ) -> tuple[JobRequest, ...]:
+        """The session's next batch of trials, as fleet jobs.
+
+        Two-phase sessions hand out switch fractions; schedule sessions
+        hand out per-segment fraction vectors, which ride on the trial
+        request's ``protocols``/``fractions`` fields (the override
+        still pins the segment-0 share so service estimates and reports
+        see the familiar BSP percentage).
+        """
+        trials = []
+        for item in session.next_batch():
+            vector = item if isinstance(item, tuple) else None
+            share = item if vector is None else vector[0]
+            trials.append(
+                JobRequest(
+                    job_id=self._next_trial_id,
+                    arrival=now,
+                    setup_index=job_class.setup_index,
+                    n_workers=job_class.n_workers,
+                    sync_policy="sync-switch",
+                    kind="search-trial",
+                    percent_override=share * 100.0,
+                    protocols=None if vector is None else session.protocols,
+                    fractions=vector,
+                )
+            )
+            self._trial_class[self._next_trial_id] = job_class
+            self._next_trial_id += 1
+        return tuple(trials)

@@ -18,6 +18,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setups import SETUPS
+from repro.fleet.metrics import FleetSummary
 
 SCALE = 0.008
 
@@ -116,6 +117,20 @@ class TestAtomicCache:
         (tmp_path / "k.json").write_text('{"plan": "tru', encoding="utf-8")
         assert disk_load(tmp_path, "k") is None
 
+    @pytest.mark.parametrize(
+        "decode",
+        [TrainingResult.from_dict, FleetSummary.from_dict],
+        ids=["training-result", "fleet-summary"],
+    )
+    @pytest.mark.parametrize(
+        "blob",
+        [b'{"plan": "tru', b'{"plan": "\xff"}', b'"a bare string"'],
+        ids=["truncated", "non-utf8", "wrong-top-level-type"],
+    )
+    def test_malformed_blob_is_a_miss(self, tmp_path, blob, decode):
+        (tmp_path / "k.json").write_bytes(blob)
+        assert disk_load(tmp_path, "k", decode) is None
+
     def test_disabled_cache(self):
         disk_store(None, "k", tiny_result())
         assert disk_load(None, "k") is None
@@ -155,6 +170,15 @@ class TestParallelExecutor:
         executor = ParallelExecutor(scale=SCALE, cache_dir=tmp_path, jobs=2)
         results = executor.execute([request])
         assert results[request.key(SCALE)].total_time == 123456.0
+
+    def test_malformed_cell_is_recomputed_and_overwritten(self, tmp_path):
+        request = requests()[0]
+        blob = tmp_path / f"{request.key(SCALE)}.json"
+        blob.write_bytes(b'{"plan": "\xff"}')
+        executor = ParallelExecutor(scale=SCALE, cache_dir=tmp_path, jobs=1)
+        results = executor.execute([request])
+        stored = json.loads(blob.read_text(encoding="utf-8"))
+        assert stored == results[request.key(SCALE)].to_dict()
 
     def test_jobs_parallel_bit_identical_to_serial(self, tmp_path):
         serial = ExperimentRunner(

@@ -1,6 +1,6 @@
 """Fleet-suite fixtures: the invariant checker guards every test here.
 
-The checker (``FleetSimulator._check_invariants``) only asserts — it
+The checker (``repro.fleet.invariants.check_invariants``) only asserts — it
 never touches clocks, RNG or allocation decisions — so arming it for
 the whole package turns every existing fleet test into a probe of the
 simulator's structural invariants (pool conservation, clock

@@ -16,6 +16,7 @@ from repro.fleet import (
     WorkerPool,
     simulate_fleet,
 )
+from repro.fleet.pool import job_stragglers
 
 SCALE = 0.008
 
@@ -241,10 +242,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FleetConfig(scenario="nope")
 
-    def test_bad_floor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FleetConfig(preemption_floor=0)
-
     def test_trace_demand_exceeding_pool_rejected(self):
         trace = (JobRequest(job_id=0, arrival=0.0, n_workers=8),)
         with pytest.raises(ConfigurationError):
@@ -276,8 +273,7 @@ class TestValidation:
 
 class TestSharedContention:
     def test_job_slice_remaps_and_shifts(self):
-        simulator = FleetSimulator(config(contention=False))
-        simulator.contention = StragglerSchedule(
+        contention = StragglerSchedule(
             [
                 StragglerEvent(worker=5, start=10.0, duration=10.0,
                                slow_factor=2.0),
@@ -285,7 +281,7 @@ class TestSharedContention:
                                slow_factor=3.0),
             ]
         )
-        sliced = simulator._job_stragglers((5, 7), now=12.0)
+        sliced = job_stragglers(contention, (5, 7), now=12.0)
         # Worker 5's burst is mid-flight: 8 seconds remain at local t=0.
         assert sliced.state_at(0, 0.0) == (2.0, 0.0)
         assert sliced.state_at(0, 7.9) == (2.0, 0.0)
@@ -296,4 +292,4 @@ class TestSharedContention:
     def test_contention_disabled(self):
         simulator = FleetSimulator(config(contention=False))
         assert simulator.contention is None
-        assert simulator._job_stragglers((0, 1), 0.0) is None
+        assert job_stragglers(simulator.contention, (0, 1), 0.0) is None

@@ -37,6 +37,9 @@ from repro.fleet import (
     FleetSummary,
     simulate_fleet,
 )
+from repro.fleet import fleet_sim
+from repro.fleet.pool import job_stragglers
+from repro.fleet.running import training_inputs
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "data" / "fleet_golden_hashes.json"
@@ -88,7 +91,7 @@ def preempted():
 
 class TestGoldenParity:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
-    def test_unresized_jobs_match_one_shot_controller(self, name):
+    def test_unresized_jobs_match_one_shot_controller(self, name, monkeypatch):
         """Independent oracle for the fork-and-project admission path.
 
         On a preemption-free stream every admitted job is re-trained
@@ -97,30 +100,31 @@ class TestGoldenParity:
         """
         simulator = FleetSimulator(config(n_jobs=GOLDEN_CELLS[name]))
         admissions = []
-        start_run = simulator._start_run
+        start_run = fleet_sim.start_run
 
-        def recording(request, workers, now, percent, schedule, tracer):
-            admissions.append((request, workers, now, percent, schedule))
-            return start_run(request, workers, now, percent, schedule, tracer)
+        def recording(request, workers, now, percent, schedule, tracer, **fleet):
+            admissions.append((request, workers, now, percent, schedule, fleet))
+            return start_run(
+                request, workers, now, percent, schedule, tracer, **fleet
+            )
 
-        simulator._start_run = recording
+        monkeypatch.setattr(fleet_sim, "start_run", recording)
         summary = simulator.run()
         assert summary.preemptions == 0 and summary.restores == 0
         records = {job.job_id: job for job in summary.jobs}
         assert len(admissions) == len(records) == GOLDEN_CELLS[name]
         synchronous = synchronous_protocols()
-        for request, workers, now, percent, schedule in admissions:
-            job, policies = simulator._training_inputs(
-                request, percent, schedule
+        for request, workers, now, percent, schedule, fleet in admissions:
+            job, policies = training_inputs(
+                request, percent, schedule, fleet["seed"], fleet["scale"]
             )
             reference = SyncSwitchController(
                 job=job,
                 cluster_spec=ClusterSpec(n_workers=len(workers)),
                 policies=policies,
-                stragglers=simulator._job_stragglers(workers, now),
-                ambient_noise=simulator.config.ambient,
-                overhead_time_scale=simulator.config.scale,
-                overhead_bandwidth=simulator._job_bandwidth(workers),
+                stragglers=job_stragglers(fleet["contention"], workers, now),
+                overhead_time_scale=fleet["scale"],
+                overhead_bandwidth=fleet["pool"].bandwidth_for(workers),
             ).run_job().result
             record = records[request.job_id]
             assert record.accuracy == reference.reported_accuracy
@@ -216,8 +220,8 @@ class TestContentionReslice:
             event.slow_factor == 7.0
             for event in job.sim.session.stragglers.events
         )
-        job.enter_asp(0.0)
-        simulator._resize(job, 6, 2.0, "preempt")
+        job.enter_asp()
+        simulator._resize(job, 6, 2.0, "preempt", {})
         assert not any(
             event.slow_factor == 7.0
             for event in job.sim.session.stragglers.events

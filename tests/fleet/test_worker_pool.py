@@ -1,11 +1,14 @@
 """Tests for heterogeneous worker tiers and the fleet invariant checker."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.distsim.stragglers import PERMANENT_DURATION, tier_slowdown
 from repro.errors import ConfigurationError, FleetError
-from repro.fleet import FleetConfig, FleetSimulator, WorkerPool
+from repro.fleet import FleetConfig, FleetSimulator, JobRequest, WorkerPool
+from repro.fleet.invariants import check_invariants
 
 
 FAST = WorkerTier(name="fast", count=4)
@@ -112,6 +115,65 @@ class TestInvariantChecker:
         simulator._last_time = 1e12
         with pytest.raises(FleetError):
             simulator.run()
+
+    @staticmethod
+    def _held(pool, **demands):
+        """Running jobs ``j<id>=demand``, each holding its full demand."""
+        return {
+            int(name[1:]): SimpleNamespace(
+                workers=pool.allocate(demand), demand=demand
+            )
+            for name, demand in demands.items()
+        }
+
+    def test_consistent_state_passes(self):
+        pool = WorkerPool(8, tiers=(FAST, SLOW))
+        running = self._held(pool, j11=4, j12=2)
+        queue = [JobRequest(job_id=13, arrival=0.0, n_workers=4)]
+        check_invariants(pool, queue, running, 2, last_time=7.5, now=7.5)
+
+    @pytest.mark.parametrize(
+        "violation, message, jobs",
+        [
+            ("clock", "clock moved backwards", ()),
+            ("double-allocation", "two running jobs at once", (11, 12)),
+            ("partition", "pool partition violated", ()),
+            ("tier", "tier 'fast' over-allocated", (11,)),
+            ("queued-and-running", "both queued and running", (12,)),
+            ("above-demand", "above its demand", (12,)),
+            ("below-floor", "below the preemption floor", (11,)),
+        ],
+    )
+    def test_each_violation_names_time_and_job(self, violation, message, jobs):
+        pool = WorkerPool(8, tiers=(FAST, SLOW))
+        running = self._held(pool, j11=4, j12=2)
+        queue, last_time = [], 7.5
+        if violation == "clock":
+            last_time = 8.0
+        elif violation == "double-allocation":
+            pool.release(running[12].workers)
+            running[12].workers = running[11].workers[:2]
+        elif violation == "partition":
+            pool.allocate(1)  # a worker busy that no job owns
+        elif violation == "tier":
+            pool.tiers = (
+                WorkerTier(name="fast", count=3),
+                WorkerTier(name="slow", count=5),
+            )
+        elif violation == "queued-and-running":
+            queue = [JobRequest(job_id=12, arrival=0.0, n_workers=2)]
+        elif violation == "above-demand":
+            running[12].demand = 1
+        elif violation == "below-floor":
+            pool.release(running[11].workers[1:])
+            running[11].workers = running[11].workers[:1]
+        with pytest.raises(FleetError) as caught:
+            check_invariants(pool, queue, running, 2, last_time, now=7.5)
+        text = str(caught.value)
+        assert message in text
+        assert text.startswith("t=7.5: ")
+        for job_id in jobs:
+            assert str(job_id) in text.removeprefix("t=7.5: ")
 
     def test_validate_flag_does_not_change_results(self, monkeypatch):
         monkeypatch.delenv("REPRO_FLEET_VALIDATE", raising=False)

@@ -243,8 +243,12 @@ def _assert_one_error_line(capsys, message):
         (["--jobs", "0"], "n_jobs must be positive"),
         (["--procs", "0"], "jobs must be >= 1"),
         (["--tiers", "fast:3:1.0:1.0"], "tier counts sum to 3"),
+        (
+            ["--scenario", "trace", "--shards", "3"],
+            "pool size 64 not divisible into 3 shards",
+        ),
     ],
-    ids=["scale", "jobs", "procs", "tiers"],
+    ids=["scale", "jobs", "procs", "tiers", "shards"],
 )
 def test_fleet_bad_flag_value_is_a_usage_error(
     argv, message, capsys, tmp_path, monkeypatch
@@ -332,6 +336,78 @@ def test_fleet_policy_store_scale_mismatch_rejected(capsys, tmp_path):
                  "--scheduler", "fifo", "--policy", "bsp",
                  "--scale", "0.02"]) == 2
     assert "not comparable across scales" in capsys.readouterr().err
+
+
+def test_fleet_policy_store_unknown_version_is_a_usage_error(capsys, tmp_path):
+    store_path = tmp_path / "store.json"
+    store_path.write_text('{"version": 99, "policies": []}', encoding="utf-8")
+    assert main(["--quiet", "fleet", "--policy-store", str(store_path),
+                 "--scheduler", "fifo", "--policy", "bsp"]) == 2
+    _assert_one_error_line(capsys, "payload version 99 is not supported")
+
+
+#: A minimal ``fleet`` argv that trips each row of the conflict table.
+CONFLICT_ARGV = {
+    "jobs-with-workload-trace": ["--workload-trace", "t.json", "--jobs", "2"],
+    "seeds-without-tune": ["--seeds", "2"],
+    "slo-with-scheduler": ["--slo", "--scheduler", "best-fit"],
+    "metrics-interval-without-trace": ["--metrics-interval", "5"],
+    "trace-with-tune": ["--trace", "t.json", "--tune"],
+    "fractions-without-protocols": ["--fractions", "0.5,0.5"],
+    "protocols-without-fractions": ["--protocols", "bsp,asp"],
+    "fractions-with-tune": ["--tune", "--protocols", "bsp,asp",
+                            "--fractions", "0.5,0.5"],
+    "tiers-or-validate-with-single-stream": ["--validate", "--tune"],
+    "shards-without-trace-scenario": ["--shards", "2"],
+    "sharded-trace-with-tune": ["--scenario", "trace", "--tune"],
+    "sharded-trace-with-trace": ["--scenario", "trace", "--trace", "t.json"],
+    "sharded-trace-with-policy-store": ["--scenario", "trace",
+                                        "--policy-store", "s.json"],
+    "sharded-trace-with-protocols": ["--scenario", "trace", "--protocols",
+                                     "bsp,asp", "--fractions", "0.5,0.5"],
+    "policy-store-needs-scheduler": ["--policy-store", "s.json",
+                                     "--policy", "sync-switch"],
+    "policy-store-tune-policy": ["--policy-store", "s.json", "--scheduler",
+                                 "fifo", "--tune", "--policy", "bsp"],
+    "policy-store-needs-policy": ["--policy-store", "s.json",
+                                  "--scheduler", "fifo"],
+    "policy-store-with-seeds": ["--policy-store", "s.json", "--scheduler",
+                                "fifo", "--tune", "--seeds", "2"],
+    "tune-with-policy": ["--tune", "--policy", "bsp"],
+    "tune-with-seed": ["--tune", "--seed", "7"],
+    "tune-seeds-below-one": ["--tune", "--seeds", "0"],
+}
+
+
+def test_every_fleet_conflict_row_has_an_argv():
+    from repro.commands.fleet import CONFLICTS
+
+    assert [name for name, _, _ in CONFLICTS] == list(CONFLICT_ARGV)
+
+
+@pytest.mark.parametrize("name", CONFLICT_ARGV)
+def test_fleet_flag_conflict_is_a_usage_error(
+    name, capsys, tmp_path, monkeypatch
+):
+    """Each table row: exit 2, exactly its message, nothing simulated."""
+    from repro.commands.fleet import CONFLICTS
+    from repro.fleet import TRACE_SCENARIOS, FleetSimulator
+
+    def simulated(self):
+        raise AssertionError("a refused flag combination was simulated")
+
+    monkeypatch.setattr(FleetSimulator, "run", simulated)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    argv = ["fleet", *CONFLICT_ARGV[name]]
+    [message] = [text for row, _, text in CONFLICTS if row == name]
+    expected = message.format(
+        args=build_parser().parse_args(argv),
+        traces=", ".join(sorted(TRACE_SCENARIOS)),
+    )
+    assert main(["--quiet", *argv]) == 2
+    assert capsys.readouterr().err == expected + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_schedule_flags():
