@@ -415,6 +415,10 @@ class ElasticTrainingRun:
         memo[id(self.checkpoints)] = CheckpointStore(
             keep_last=self.checkpoints.keep_last
         )
+        # Likewise the parameter server's spare push targets: they are
+        # written before they are read, so the copy allocates its own
+        # on demand instead of duplicating up to n_workers vectors.
+        memo[id(self.session.ps._free)] = []
         # Projections are speculative: they start untraced (callers
         # attach a sandbox via set_tracer when they want the events).
         memo[id(self.trainer.tracer)] = NULL_TRACER

@@ -22,6 +22,7 @@ from repro.distsim.stragglers import StragglerSchedule
 from repro.distsim.telemetry import TrainingTelemetry
 from repro.distsim.timing import ChunkedLognormalNoise, TimingModel
 from repro.errors import DivergenceError
+from repro.mlcore import scratch
 from repro.mlcore.datasets import ShardIndexStream, SyntheticDataset
 from repro.mlcore.metrics import ConvergenceTracker
 from repro.mlcore.models import ResidualMLPClassifier
@@ -268,8 +269,8 @@ class TrainingSession:
         and — crucially — every RNG stream (data index streams, chunked
         jitter buffers) are deep-copied at their exact positions.  The
         immutable substrate (job config, model, dataset, timing model,
-        straggler schedule) is shared, not copied: the model's scratch
-        workspaces and the schedule's query memos are value-stable, so
+        straggler schedule) is shared, not copied: the model's view
+        caches and the schedule's query memos are value-stable, so
         sharing them never perturbs either run.
 
         The session-level primitive behind
@@ -310,8 +311,15 @@ class GradientBatcher:
     order.  The pre-draw generator state is saved with each entry, so
     discarding an unconsumed gradient (worker evicted, segment budget
     exhausted mid-flight) rewinds the stream to exactly where lazy
-    evaluation would have left it.  Engines must call
-    :meth:`rollback_unconsumed` before returning.
+    evaluation would have left it.
+
+    Scratch discipline: the staging matrix and the gradient stacks are
+    borrowed from the process's
+    :class:`~repro.mlcore.scratch.StackLender` and belong to this
+    batcher until it hands them back.  Engines must call
+    :meth:`rollback_unconsumed` before returning (both users do, in
+    ``finally``): it rewinds the streams *and* returns the stacks, and
+    ends the batcher's life — no gradient it served may be read after.
     """
 
     def __init__(self, session: "TrainingSession", batch_size: int):
@@ -322,20 +330,24 @@ class GradientBatcher:
         # count and serves all stack widths: a K-wide evaluation works
         # on C-contiguous [:K] prefix views.  The staging matrix and
         # the batch stacks are fully consumed within each evaluation,
-        # hence reusable; gradient stacks return to the pool once every
-        # row has been consumed.  Reuse keeps data pointers stable,
-        # which keeps the model's stacked-view cache warm.
-        capacity = session.cluster.spec.n_workers
+        # hence reusable.  The staging matrix is on loan from the
+        # process's lender until rollback_unconsumed(), each gradient
+        # stack until its last row has been consumed; the lender hands
+        # the most recently returned stack out first, which keeps data
+        # pointers stable and the model's stacked-view cache warm.
+        self._capacity = capacity = session.cluster.spec.n_workers
         x_train, y_train = session.dataset.x_train, session.dataset.y_train
-        self._stage = np.empty(
-            (capacity, session.model.layout.size),
-            dtype=session.ps.params.dtype,
-        )
         self._inputs = np.empty(
             (capacity, batch_size) + x_train.shape[1:], dtype=x_train.dtype
         )
         self._labels = np.empty((capacity, batch_size), dtype=y_train.dtype)
-        self._grad_pool: list[np.ndarray] = []
+        self._stage = self._borrow()
+
+    def _borrow(self) -> np.ndarray:
+        session = self._session
+        return scratch.STACKS.borrow(
+            self._capacity, session.model.layout.size, session.ps.params.dtype
+        )
 
     def gradient_for(self, worker: int, states: dict) -> tuple[float, np.ndarray]:
         """Loss and gradient of ``worker``'s in-flight update."""
@@ -356,13 +368,16 @@ class GradientBatcher:
     def _consume(self, entry: tuple) -> None:
         record = entry[3]
         record[1] -= 1
-        if record[1] == 0 and len(self._grad_pool) < 4:
-            self._grad_pool.append(record[0])
+        if record[1] == 0:
+            scratch.STACKS.give_back(record[0])
 
     def rollback_unconsumed(self) -> None:
-        """Rewind every unconsumed eager draw (end of an engine run)."""
+        """Rewind every unconsumed eager draw and return every borrowed
+        stack (end of an engine run, and of this batcher)."""
         for worker in list(self._cache):
             self.invalidate(worker)
+        scratch.STACKS.give_back(self._stage)
+        self._stage = None
 
     def _evaluate_pending(self, states: dict) -> None:
         session = self._session
@@ -378,11 +393,7 @@ class GradientBatcher:
             inputs_stack[index], labels_stack[index] = session.worker_batch(
                 worker, self._batch_size
             )
-        grad_buffer = (
-            self._grad_pool.pop()
-            if self._grad_pool
-            else np.empty_like(self._stage)
-        )
+        grad_buffer = self._borrow()
         losses, grads = session.model.loss_and_grad_batch(
             stage, inputs_stack, labels_stack, grad_out=grad_buffer[:count]
         )

@@ -67,6 +67,7 @@ __all__ = [
     "CALIBRATION_VERSION",
     "ParallelExecutor",
     "RunRequest",
+    "atomic_write",
     "cache_key",
     "digest_key",
     "disk_load",
@@ -159,29 +160,24 @@ def disk_load(cache_dir: Path | None, key: str, decode=None):
         return None
 
 
-def disk_store(cache_dir: Path | None, key: str, result) -> None:
-    """Atomically persist one cell: write a temp file, then ``os.replace``.
+def atomic_write(path: Path, write: Callable) -> None:
+    """``write(handle)`` into a temp file beside ``path``, then ``os.replace``.
 
-    ``result`` is anything with a ``to_dict()`` (or a plain dict).
-    Concurrent writers of the same key race benignly (last replace
-    wins with identical content); readers never see a partial file.
+    Readers see the previous file or the whole new one, never a partial
+    write; an interrupted writer leaves ``path`` as it was and no temp
+    file behind.
     """
-    if cache_dir is None:
-        return
-    cache_dir = Path(cache_dir)
-    path = cache_dir / f"{key}.json"
-    payload = result.to_dict() if hasattr(result, "to_dict") else result
     handle = tempfile.NamedTemporaryFile(
         mode="w",
         encoding="utf-8",
-        dir=cache_dir,
-        prefix=f".{key}.",
+        dir=path.parent,
+        prefix=f".{path.name}.",
         suffix=".tmp",
         delete=False,
     )
     try:
         with handle:
-            json.dump(payload, handle)
+            write(handle)
         os.replace(handle.name, path)
     except BaseException:
         try:
@@ -189,6 +185,22 @@ def disk_store(cache_dir: Path | None, key: str, result) -> None:
         except OSError:
             pass
         raise
+
+
+def disk_store(cache_dir: Path | None, key: str, result) -> None:
+    """Atomically persist one cell (:func:`atomic_write`).
+
+    ``result`` is anything with a ``to_dict()`` (or a plain dict).
+    Concurrent writers of the same key race benignly (last replace
+    wins with identical content); readers never see a partial file.
+    """
+    if cache_dir is None:
+        return
+    payload = result.to_dict() if hasattr(result, "to_dict") else result
+    atomic_write(
+        Path(cache_dir) / f"{key}.json",
+        lambda handle: json.dump(payload, handle),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro.core.search.binary_search import ScheduleSearchResult, SearchResult
 from repro.errors import ConfigurationError, FleetError
+from repro.experiments.executor import atomic_write
 from repro.fleet.workload import JobRequest, estimate_service_time
 
 __all__ = [
@@ -468,6 +469,20 @@ class PolicyStore:
                 "re-create the store with the current code"
             )
         stored_scale = payload.get("scale")
+        if stored_scale is not None and (
+            isinstance(stored_scale, bool)
+            or not isinstance(stored_scale, (int, float))
+        ):
+            raise ConfigurationError(
+                f"policy-store payload scale {stored_scale!r} is not a "
+                "number or null"
+            )
+        classes = payload.get("classes", [])
+        if not isinstance(classes, list):
+            raise ConfigurationError(
+                "policy-store payload classes must be a list, not "
+                f"{type(classes).__name__}"
+            )
         if (
             scale is not None
             and stored_scale is not None
@@ -479,7 +494,7 @@ class PolicyStore:
                 "comparable across scales — use a separate store per scale"
             )
         store = cls()
-        for entry in payload.get("classes", []):
+        for entry in classes:
             try:
                 job_class = JobClass(
                     setup_index=int(entry["setup_index"]),
@@ -537,13 +552,15 @@ class PolicyStore:
         return store
 
     def save(self, path: str | Path, scale: float | None = None) -> Path:
-        """Persist the store as JSON (for ``fleet --policy-store``)."""
+        """Persist the store as JSON (for ``fleet --policy-store``).
+
+        Atomic, like the result cache: an interrupted run leaves the
+        previous store, never a half-written one the next run rejects.
+        """
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.to_payload(scale=scale), indent=2) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(self.to_payload(scale=scale), indent=2) + "\n"
+        atomic_write(target, lambda handle: handle.write(text))
         return target
 
     @classmethod
@@ -553,7 +570,8 @@ class PolicyStore:
         step-budget scale mismatch)."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and non-UTF-8 bytes.
             raise ConfigurationError(
                 f"cannot read policy store {path}: {exc}"
             ) from exc

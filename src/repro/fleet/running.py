@@ -100,8 +100,8 @@ class RunningJob:
     ``resizable`` says whether the scheduler can ever change this
     job's allocation.  When it cannot, nothing will resume the paused
     run: the tail is trained on the run itself instead of a fork, and
-    ``sim`` is None from then on — session, model and kernel scratch
-    are released at admission, not at the finish event.
+    ``sim`` is None from then on — session and model are released at
+    admission, not at the finish event.
     """
 
     def __init__(

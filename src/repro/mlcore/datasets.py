@@ -133,7 +133,11 @@ class DatasetConfig:
             raise ConfigurationError("score_noise must be non-negative")
 
 
-#: Rows labelled per Gumbel draw in :class:`SyntheticDataset`.
+#: Rows labelled per Gumbel draw in :class:`SyntheticDataset`.  Only
+#: the label loop is blocked.  The two teacher matmuls stay whole:
+#: row-blocked dgemm was measured NOT bit-equal to the one-shot product
+#: on this OpenBLAS (first matmul of ``cifar10-sim`` at every block size
+#: tried, second of ``cifar100-sim`` at 256 rows) — do not retry it.
 _LABEL_BLOCK_ROWS = 1024
 
 
@@ -153,7 +157,13 @@ class SyntheticDataset:
         )
         total = config.train_size + config.test_size
         inputs = rng.normal(0.0, 1.0, size=(total, config.input_dim))
-        scores = np.maximum(inputs @ teacher_w1, 0.0) @ teacher_w2
+        hidden = inputs @ teacher_w1
+        # The float64 draw is dead once the teacher has seen it: at most
+        # three big arrays (inputs, hidden, scores) are alive from here.
+        inputs = inputs.astype(np.float32)
+        np.maximum(hidden, 0.0, out=hidden)
+        scores = hidden @ teacher_w2
+        del hidden
         # Gumbel noise and argmax in row blocks: the Generator fills a
         # draw element by element in C order, so block draws are the
         # one-shot draw's values, without three (total x n_classes)
@@ -163,10 +173,10 @@ class SyntheticDataset:
             block = scores[lo : lo + _LABEL_BLOCK_ROWS]
             noisy = block + config.score_noise * rng.gumbel(size=block.shape)
             labels[lo : lo + _LABEL_BLOCK_ROWS] = noisy.argmax(axis=1)
+        del scores
         flips = rng.random(total) < config.label_flip_prob
         labels[flips] = rng.integers(0, config.n_classes, size=int(flips.sum()))
 
-        inputs = inputs.astype(np.float32)
         self.x_train = inputs[: config.train_size]
         self.y_train = labels[: config.train_size]
         self.x_test = inputs[config.train_size :]

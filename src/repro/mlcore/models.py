@@ -13,17 +13,20 @@ analogue that preserves what the paper's phenomena actually depend on:
 Models are *functional*: parameters live in a flat vector (see
 :mod:`repro.mlcore.params`) and :meth:`ResidualMLPClassifier.loss_and_grad`
 is a pure function of ``(params, batch)``.  An ASP worker expresses a
-stale gradient simply by calling it with an old vector.
+stale gradient simply by calling it with an old vector.  That holds for
+memory too: an instance keeps its layout, tensor positions and two
+view caches, and owns no buffer.
 
 Hot path: every simulated update calls :meth:`loss_and_grad`, so the
-forward/backward pass runs on preallocated workspaces — one set of
-activation and backward buffers per ``(batch_size, dtype)``, reused
-across calls via ``out=`` ufuncs/matmuls — instead of allocating ~20
-temporaries per call.  Callers that own a long-lived gradient buffer
-(the engines) pass it as ``grad_out`` to skip the output allocation
-too.  The buffered pass is bit-identical to the naive one: every
-operation, operand order and reduction is unchanged, only the
-destination memory is reused.
+forward/backward pass runs on preallocated memory — typed windows of
+the process-wide arena in :mod:`repro.mlcore.scratch`, written via
+``out=`` ufuncs/matmuls — instead of allocating ~20 temporaries per
+call.  The windows are valid for the pass that asked for them and
+nothing backed by them is returned.  Callers that own a long-lived
+gradient buffer (the engines) pass it as ``grad_out`` to skip the
+output allocation too.  The buffered pass is bit-identical to the
+naive one: every operation, operand order and reduction is unchanged,
+only the destination memory is reused.
 
 Two registry entries mirror the paper's workloads:
 
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.mlcore import scratch
 from repro.mlcore.losses import accuracy_from_logits
 from repro.mlcore.params import ParameterLayout
 from repro.rng import make_rng
@@ -66,105 +70,6 @@ class ModelConfig:
             raise ConfigurationError("weight_decay must be non-negative")
 
 
-class _BatchWorkspace:
-    """Buffers for a stacked pass over up to ``capacity`` parameter vectors.
-
-    One buffer set serves every stack width: :meth:`prefix` hands a
-    ``K``-wide pass C-contiguous ``[:K]`` views of it, which have the
-    per-slice shapes and strides a ``K``-sized allocation would have.
-    """
-
-    def __init__(
-        self, config: ModelConfig, capacity: int, batch: int, dtype: np.dtype
-    ):
-        hidden, classes = config.hidden_dim, config.n_classes
-        k = self.capacity = capacity
-        self.z_pre = np.empty((k, batch, hidden), dtype=dtype)
-        self.h = [
-            np.empty((k, batch, hidden), dtype=dtype)
-            for _ in range(config.n_blocks + 1)
-        ]
-        self.u_pre = [
-            np.empty((k, batch, hidden), dtype=dtype)
-            for _ in range(config.n_blocks)
-        ]
-        self.u = [
-            np.empty((k, batch, hidden), dtype=dtype)
-            for _ in range(config.n_blocks)
-        ]
-        self.logits = np.empty((k, batch, classes), dtype=dtype)
-        self.row_max = np.empty((k, batch, 1), dtype=dtype)
-        self.shifted = np.empty((k, batch, classes), dtype=dtype)
-        self.sum_exp = np.empty((k, batch, 1), dtype=dtype)
-        self.log_probs = np.empty((k, batch, classes), dtype=dtype)
-        self.dlogits = np.empty((k, batch, classes), dtype=dtype)
-        self.rows = np.arange(batch)
-        self.slices = np.arange(k).reshape(k, 1)
-        self.dh = np.empty((k, batch, hidden), dtype=dtype)
-        self.du = np.empty((k, batch, hidden), dtype=dtype)
-        self.mm = np.empty((k, batch, hidden), dtype=dtype)
-        self.mask = np.empty((k, batch, hidden), dtype=bool)
-        # Width -> view set over the buffers above (no data of its own,
-        # and no reference back to this object: dropping the workspace
-        # frees its buffers at once, without waiting for the cycle GC).
-        self._prefixes: dict[int, _BatchWorkspace] = {}
-
-    def prefix(self, k: int) -> "_BatchWorkspace":
-        """The ``[:k]`` view set of this workspace (``k <= capacity``)."""
-        if k == self.capacity:
-            return self
-        views = self._prefixes.get(k)
-        if views is None:
-            views = object.__new__(_BatchWorkspace)
-            views.rows = self.rows
-            for name, value in vars(self).items():
-                if isinstance(value, list):
-                    setattr(views, name, [buffer[:k] for buffer in value])
-                elif isinstance(value, np.ndarray) and value.ndim > 1:
-                    setattr(views, name, value[:k])
-            self._prefixes[k] = views
-        return views
-
-
-class _Workspace:
-    """Preallocated forward/backward buffers for one ``(batch, dtype)``.
-
-    Holds every ``(batch, hidden)`` / ``(batch, classes)`` array the
-    pass needs; the tiny per-tensor bias reductions still allocate
-    (a few dozen floats) because reusing them would change reduction
-    dtypes in mixed-precision calls.
-    """
-
-    def __init__(self, config: ModelConfig, batch: int, dtype: np.dtype):
-        hidden, classes = config.hidden_dim, config.n_classes
-        self.z_pre = np.empty((batch, hidden), dtype=dtype)
-        self.h = [
-            np.empty((batch, hidden), dtype=dtype)
-            for _ in range(config.n_blocks + 1)
-        ]
-        self.u_pre = [
-            np.empty((batch, hidden), dtype=dtype)
-            for _ in range(config.n_blocks)
-        ]
-        self.u = [
-            np.empty((batch, hidden), dtype=dtype)
-            for _ in range(config.n_blocks)
-        ]
-        self.logits = np.empty((batch, classes), dtype=dtype)
-        # softmax cross-entropy scratch
-        self.row_max = np.empty((batch, 1), dtype=dtype)
-        self.shifted = np.empty((batch, classes), dtype=dtype)
-        self.sum_exp = np.empty((batch, 1), dtype=dtype)
-        self.log_probs = np.empty((batch, classes), dtype=dtype)
-        self.dlogits = np.empty((batch, classes), dtype=dtype)
-        self.rows = np.arange(batch)
-        # backward scratch
-        self.dh = np.empty((batch, hidden), dtype=dtype)
-        self.du = np.empty((batch, hidden), dtype=dtype)
-        self.mm = np.empty((batch, hidden), dtype=dtype)
-        self.mask = np.empty((batch, hidden), dtype=bool)
-
-
 class ResidualMLPClassifier:
     """A residual MLP with manual forward/backward passes.
 
@@ -189,14 +94,6 @@ class ResidualMLPClassifier:
         shapes["w_out"] = (config.hidden_dim, config.n_classes)
         shapes["b_out"] = (config.n_classes,)
         self.layout = ParameterLayout(shapes)
-        self._workspaces: dict[tuple[int, str, str], _Workspace] = {}
-        self._decay_scratch: dict[str, np.ndarray] = {}
-        # Stacked-pass scratch: one capacity-sized buffer set per
-        # (batch, dtypes) / per dtype, whatever the stack width — a
-        # K-wide call works on [:K] prefix views, so an n-worker
-        # segment holds n slices of scratch, not 1 + 2 + ... + n.
-        self._batch_workspaces: dict[tuple[int, str, str], _BatchWorkspace] = {}
-        self._batch_decay_scratch: dict[str, np.ndarray] = {}
         # Weight-decay targets (matrices only), in layout order.
         self._matrix_slices = tuple(
             self.layout.slice_of(name)
@@ -280,8 +177,8 @@ class ResidualMLPClassifier:
     def logits(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Forward pass only; returns ``(batch, n_classes)`` scores.
 
-        The result is a fresh array (the internal forward buffers are
-        reused by the next call).
+        The result is a fresh array (the forward windows belong to
+        the next pass of any model).
         """
         workspace, _ = self._run_forward(
             params, inputs, self._views_list(params)
@@ -363,7 +260,9 @@ class ResidualMLPClassifier:
         else:
             grads[self._pos_b_in][:] = dh.sum(axis=0)
 
-        reg_loss = self._apply_weight_decay(params, grad_vector)
+        reg_loss = self._apply_weight_decay(
+            params, grad_vector, workspace.decay
+        )
         return data_loss + reg_loss, grad_vector
 
     def loss_and_grad_batch(
@@ -392,7 +291,7 @@ class ResidualMLPClassifier:
         k, batch = inputs.shape[0], inputs.shape[1]
         if params_stack.shape != (k, self.layout.size):
             raise ConfigurationError("params_stack does not match layout")
-        workspace = self._batch_workspace(k, batch, inputs, params_stack)
+        workspace = self._scratch(k, batch, inputs, params_stack)
         tensors = self._stacked_views(params_stack, cacheable=True)
 
         # Forward (stacked mirror of _run_forward).
@@ -510,16 +409,8 @@ class ResidualMLPClassifier:
         decay = self.config.weight_decay
         if decay != 0.0:
             saved_bias = grads_stack[:, self._bias_index]
-            char = params_stack.dtype.char
-            scratch = self._batch_decay_scratch.get(char)
-            if scratch is None or scratch.shape[0] < k:
-                # Growth replaces the narrower buffer, never keeps it.
-                scratch = self._batch_decay_scratch[char] = np.empty(
-                    (k, self.layout.size), dtype=params_stack.dtype
-                )
-            scratch = scratch[:k]
-            np.multiply(params_stack, decay, out=scratch)
-            grads_stack += scratch
+            np.multiply(params_stack, decay, out=workspace.decay)
+            grads_stack += workspace.decay
             grads_stack[:, self._bias_index] = saved_bias
             for index in range(k):
                 row = params_stack[index]
@@ -571,27 +462,17 @@ class ResidualMLPClassifier:
             cache[key] = views
         return views
 
-    def _batch_workspace(
-        self,
-        k: int,
-        batch: int,
-        inputs: np.ndarray,
-        params_stack: np.ndarray,
-    ) -> _BatchWorkspace:
-        """``[:K]`` views of the stacked workspace for ``(batch, dtypes)``.
-
-        The workspace is sized for the widest stack seen so far (the
-        async engines open every segment at full width, so that is the
-        worker count from the first call on) and replaced, never kept
-        alongside, when a wider one arrives.
-        """
-        key = (batch, inputs.dtype.char, params_stack.dtype.char)
-        workspace = self._batch_workspaces.get(key)
-        if workspace is None or workspace.capacity < k:
-            dtype = np.result_type(inputs.dtype, params_stack.dtype)
-            workspace = _BatchWorkspace(self.config, k, batch, dtype)
-            self._batch_workspaces[key] = workspace
-        return workspace.prefix(k)
+    def _scratch(
+        self, k: int | None, batch: int, inputs: np.ndarray, params: np.ndarray
+    ) -> scratch.PassViews:
+        """The process arena's windows for a ``k``-wide pass of ``batch``
+        rows; valid until the next pass (of any model) asks."""
+        config = self.config
+        dtype = np.result_type(inputs.dtype, params.dtype)
+        return scratch.ARENA.views(
+            config.hidden_dim, config.n_classes, config.n_blocks, k, batch,
+            dtype, self.layout.size, params.dtype,
+        )
 
     def evaluate(
         self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
@@ -602,35 +483,19 @@ class ResidualMLPClassifier:
         )
         return accuracy_from_logits(workspace.logits, labels)
 
-    def _forward(self, params: np.ndarray, inputs: np.ndarray):
-        """Compatibility wrapper: ``(activations, caches)`` like the
-        pre-workspace implementation (arrays are reused buffers)."""
-        workspace, h_final = self._run_forward(
-            params, inputs, self._views_list(params)
-        )
-        caches: dict[str, dict | np.ndarray] = {"z_pre": workspace.z_pre}
-        for block in range(self.config.n_blocks):
-            caches[f"block{block}"] = {
-                "h_in": workspace.h[block],
-                "u_pre": workspace.u_pre[block],
-                "u": workspace.u[block],
-            }
-        caches["h_final"] = h_final
-        return {"logits": workspace.logits}, caches
-
     def _run_forward(
         self,
         params: np.ndarray,
         inputs: np.ndarray,
         tensors: list[np.ndarray],
-    ) -> tuple[_Workspace, np.ndarray]:
+    ) -> tuple[scratch.PassViews, np.ndarray]:
         """Buffered forward pass; returns ``(workspace, h_final)``.
 
         Operation-for-operation identical to the allocating version
         (``x @ W + b`` becomes matmul-into-buffer plus in-place add,
         which produces the same bits), so fixed-seed runs are unchanged.
         """
-        workspace = self._workspace(inputs, params)
+        workspace = self._scratch(None, inputs.shape[0], inputs, params)
         z_pre = workspace.z_pre
         np.matmul(inputs, tensors[self._pos_w_in], out=z_pre)
         z_pre += tensors[self._pos_b_in]
@@ -655,7 +520,7 @@ class ResidualMLPClassifier:
         return workspace, h
 
     def _softmax_loss(
-        self, workspace: _Workspace, labels: np.ndarray
+        self, workspace: scratch.PassViews, labels: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Buffered softmax cross-entropy on ``workspace.logits``.
 
@@ -679,16 +544,6 @@ class ResidualMLPClassifier:
         workspace.dlogits[rows, labels] -= 1.0
         workspace.dlogits /= logits.shape[0]
         return loss, workspace.dlogits
-
-    def _workspace(self, inputs: np.ndarray, params: np.ndarray) -> _Workspace:
-        """The cached workspace for this batch size and dtype pair."""
-        key = (inputs.shape[0], inputs.dtype.char, params.dtype.char)
-        workspace = self._workspaces.get(key)
-        if workspace is None:
-            dtype = np.result_type(inputs.dtype, params.dtype)
-            workspace = _Workspace(self.config, inputs.shape[0], dtype)
-            self._workspaces[key] = workspace
-        return workspace
 
     def _views_list(self, vector: np.ndarray) -> list[np.ndarray]:
         """Positional tensor views of a flat vector, cached per buffer.
@@ -714,10 +569,7 @@ class ResidualMLPClassifier:
             ]
         base = vector if vector.base is None else vector.base
         # The data pointer disambiguates different windows into the
-        # same base (e.g. rows of a staging matrix).  Entries pin their
-        # base (views hold it alive), so a cached key can never be
-        # recycled by a different live array; a small LRU cap bounds
-        # the pinned memory.
+        # same base (e.g. rows of a staging matrix).
         key = (id(base), vector.__array_interface__["data"][0])
         cache = self._views_cache
         views = cache.get(key)
@@ -732,7 +584,9 @@ class ResidualMLPClassifier:
         cache[key] = views
         return views
 
-    def _apply_weight_decay(self, params: np.ndarray, grad: np.ndarray) -> float:
+    def _apply_weight_decay(
+        self, params: np.ndarray, grad: np.ndarray, window: np.ndarray
+    ) -> float:
         """Add L2 gradient in place; return the L2 loss contribution.
 
         Fused form: one full-vector multiply + add, with the bias lanes
@@ -744,13 +598,9 @@ class ResidualMLPClassifier:
         decay = self.config.weight_decay
         if decay == 0.0:
             return 0.0
-        scratch = self._decay_scratch.get(params.dtype.char)
-        if scratch is None:
-            scratch = np.empty(self.layout.size, dtype=params.dtype)
-            self._decay_scratch[params.dtype.char] = scratch
         saved_bias = grad[self._bias_index]
-        np.multiply(params, decay, out=scratch)
-        grad += scratch
+        np.multiply(params, decay, out=window)
+        grad += window
         grad[self._bias_index] = saved_bias
         reg_loss = 0.0
         for view in self._matrix_slices:

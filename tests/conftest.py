@@ -8,9 +8,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.policies import (
+    ConfigurationPolicy,
+    PolicyManager,
+    ProtocolPolicy,
+    TimingPolicy,
+)
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.job import JobConfig
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.setups import SETUPS, scaled_job
 from repro.mlcore.datasets import make_dataset
 from repro.mlcore.models import make_model
 
@@ -65,3 +73,28 @@ def tiny_runner(tmp_path_factory) -> ExperimentRunner:
     """Session-scoped cached runner at tiny scale."""
     cache = tmp_path_factory.mktemp("exp_cache")
     return ExperimentRunner(scale=0.01, seeds=2, cache_dir=cache)
+
+
+@pytest.fixture(scope="session")
+def paused_run():
+    """Factory: a Table-I setup's Sync-Switch job as the fleet admits
+    it — an :class:`ElasticTrainingRun` held at its ASP-tail boundary."""
+
+    def build(setup_index: int, seed: int, scale: float = 0.002):
+        setup = SETUPS[setup_index]
+        run = ElasticTrainingRun(
+            job=scaled_job(setup, scale, seed),
+            cluster_spec=ClusterSpec(n_workers=setup.n_workers),
+            policies=PolicyManager(
+                timing=TimingPolicy(
+                    setup.policy_percent / 100.0, source="fleet"
+                ),
+                protocol=ProtocolPolicy(first="bsp", second="asp"),
+                config=ConfigurationPolicy(),
+            ),
+            overhead_time_scale=scale,
+        )
+        assert run.run_to_tail() == "paused"
+        return run
+
+    return build

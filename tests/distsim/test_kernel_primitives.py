@@ -6,6 +6,9 @@ replaced; these tests check exactly that, plus the bookkeeping
 eviction, segment boundaries and buffer reuse.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,7 @@ from repro.distsim.job import JobConfig
 from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
 from repro.distsim.telemetry import TrainingTelemetry, TypedLog
 from repro.distsim.timing import ChunkedLognormalNoise, timing_for
+from repro.mlcore import scratch
 from repro.mlcore.datasets import ShardIndexStream, make_dataset
 from repro.mlcore.models import make_model
 from repro.mlcore.optim import MomentumSGD
@@ -225,13 +229,32 @@ def _stack_inputs(model, k, dtype, batch=8):
     stack = np.stack(
         [model.init_params(seed, dtype=dtype) for seed in range(k)]
     )
-    inputs = rng.normal(size=(k, batch, 24)).astype(np.float32)
-    labels = rng.integers(0, 10, size=(k, batch))
+    config = model.config
+    inputs = rng.normal(size=(k, batch, config.input_dim)).astype(np.float32)
+    labels = rng.integers(0, config.n_classes, size=(k, batch))
     return stack, inputs, labels
 
 
+@contextmanager
+def installed_scratch(arena=None, lender=None):
+    """Run the body on its own arena and lender (default: fresh ones)."""
+    arena, lender = arena or scratch.Arena(), lender or scratch.StackLender()
+    with mock.patch.multiple(scratch, ARENA=arena, STACKS=lender):
+        yield arena, lender
+
+
+def _windows(views):
+    """Every arena window of a view set, flattened."""
+    found = []
+    for name in scratch.PassViews.__slots__:
+        value = getattr(views, name)
+        if name not in ("rows", "slices"):
+            found.extend(value if isinstance(value, list) else [value])
+    return found
+
+
 class TestCapacityWorkspace:
-    """One capacity-sized scratch set serves every stack width."""
+    """One process-wide arena serves every stack width."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(
@@ -240,38 +263,102 @@ class TestCapacityWorkspace:
         )
     )
     @example(widths=[8, 3, 8])
-    @example(widths=[1, 2, 8])  # growth replaces the workspace twice
+    @example(widths=[1, 2, 8])  # growth replaces the arena twice
     @settings(max_examples=15, deadline=None)
     def test_any_width_sequence_equals_a_fresh_model(self, dtype, widths):
         """float64 parameters on float32 inputs is the mixed-precision
-        path (allocate-then-cast bias sums, float64 workspace)."""
-        served = make_model("resnet32-sim")
-        for k in widths:
-            stack, inputs, labels = _stack_inputs(served, k, dtype)
-            losses, grads = served.loss_and_grad_batch(stack, inputs, labels)
-            fresh = make_model("resnet32-sim")
-            expected_losses, expected = fresh.loss_and_grad_batch(
-                stack.copy(), inputs.copy(), labels.copy()
-            )
-            assert losses == expected_losses
-            assert grads.tobytes() == expected.tobytes()
-        # One workspace and one decay scratch, sized for the widest call.
-        [workspace] = served._batch_workspaces.values()
-        assert workspace.capacity == max(widths)
-        [scratch] = served._batch_decay_scratch.values()
-        assert scratch.shape[0] == max(widths)
+        path (allocate-then-cast bias sums, float64 windows).  A fresh
+        model no longer means fresh scratch, so the reference runs on a
+        fresh *arena*."""
+        with installed_scratch() as (arena, _):
+            served = make_model("resnet32-sim")
+            for k in widths:
+                stack, inputs, labels = _stack_inputs(served, k, dtype)
+                losses, grads = served.loss_and_grad_batch(
+                    stack, inputs, labels
+                )
+                with installed_scratch():
+                    fresh = make_model("resnet32-sim")
+                    expected_losses, expected = fresh.loss_and_grad_batch(
+                        stack.copy(), inputs.copy(), labels.copy()
+                    )
+                assert losses == expected_losses
+                assert grads.tobytes() == expected.tobytes()
+            # One block, exactly as large as the widest call needs.
+            with installed_scratch() as (widest, _):
+                fresh.loss_and_grad_batch(
+                    *_stack_inputs(fresh, max(widths), dtype)
+                )
+            assert arena._bytes.nbytes == widest._bytes.nbytes
 
     def test_prefix_views_are_contiguous_windows_of_one_buffer(self):
+        """Window geometry: what a pass gets from the arena looks, to
+        numpy and BLAS, exactly like dedicated allocations."""
+        with installed_scratch() as (arena, _):
+            model = make_model("resnet32-sim")
+            stack, inputs, labels = _stack_inputs(model, 8, np.float32)
+            model.loss_and_grad_batch(stack, inputs, labels)
+            block = arena._bytes
+            narrow = model._scratch(3, 8, inputs[:3], stack[:3])
+            assert arena._bytes is block  # a narrower pass fits: no growth
+            windows = _windows(narrow)
+            assert narrow.dh.shape == (3, 8, 64) and narrow.mask.dtype == bool
+            assert narrow.decay.shape == (3, model.layout.size)
+            spans = []
+            for window in windows:
+                assert window.base is block and window.flags.c_contiguous
+                dedicated = np.empty(window.shape, dtype=window.dtype)
+                assert window.strides == dedicated.strides
+                address = window.__array_interface__["data"][0]
+                assert address % 64 == 0
+                spans.append((address, address + window.nbytes))
+            spans.sort()
+            assert all(
+                end <= start for (_, end), (start, _) in zip(spans, spans[1:])
+            )
+            # A stacked (K, b, H) window and the single-vector (K*b, H)
+            # one are the same rows of the same bytes.
+            flat = model._scratch(None, 24, inputs[0], stack[0])
+            assert [w.__array_interface__["data"][0] for w in windows] == [
+                w.__array_interface__["data"][0] for w in _windows(flat)
+            ]
+            assert flat.dh.shape == (24, 64)
+            assert model._scratch(3, 8, inputs[:3], stack[:3]) is narrow
+
+    def test_growth_mid_sequence_and_a_bounded_view_set_cache(self):
+        """Small pass, large pass (the arena is replaced under the
+        cached view sets), small pass again; then more distinct batch
+        sizes than the view-set cache holds."""
         model = make_model("resnet32-sim")
-        stack, inputs, labels = _stack_inputs(model, 8, np.float32)
-        model.loss_and_grad_batch(stack, inputs, labels)
-        [workspace] = model._batch_workspaces.values()
-        narrow = workspace.prefix(3)
-        assert narrow.dh.shape[0] == 3 and narrow.dh.flags.c_contiguous
-        assert narrow.dh.base is workspace.dh
-        assert np.shares_memory(narrow.h[1], workspace.h[1])
-        assert narrow.dh.strides == workspace.dh.strides
-        assert workspace.prefix(8) is workspace
+        params = model.init_params(0)
+        rng = np.random.default_rng(7)
+        sizes = [4, 512, 4] + [int(n) for n in rng.integers(1, 200, size=90)]
+        batches = [
+            (
+                rng.normal(size=(n, 24)).astype(np.float32),
+                rng.integers(0, 10, size=n),
+            )
+            for n in sizes
+        ]
+        with installed_scratch() as (arena, _):
+            served = []
+            for position, (inputs, labels) in enumerate(batches):
+                served.append(model.loss_and_grad(params, inputs, labels))
+                if position == 0:
+                    small = arena._bytes
+                elif position == 1:
+                    assert arena._bytes is not small  # grown by replacement
+                    large = arena._bytes
+            assert arena._bytes is large  # nothing after it was larger
+            assert len(set(sizes)) > scratch.Arena.MAX_VIEW_SETS
+            assert len(arena._view_sets) == scratch.Arena.MAX_VIEW_SETS
+        for (inputs, labels), (loss, grad) in zip(batches, served):
+            with installed_scratch():
+                expected_loss, expected = model.loss_and_grad(
+                    params, inputs, labels
+                )
+            assert loss == expected_loss
+            assert grad.tobytes() == expected.tobytes()
 
     def test_stacked_view_cache_keys_on_pointer_and_width(self):
         """Two prefix widths of one staging buffer never share cached
@@ -306,6 +393,79 @@ class TestCapacityWorkspace:
         assert strided[0][0].strides[0] == 2 * stage.strides[0]
 
 
+class _PoisonArena(scratch.Arena):
+    """Every arena byte is 0xFF (NaN to a float) when a pass starts."""
+
+    def views(self, *request):
+        views = super().views(*request)
+        self._bytes.fill(0xFF)
+        return views
+
+
+class _PoisonLender(scratch.StackLender):
+    """Every stack is 0xFF throughout when it is handed out."""
+
+    def borrow(self, rows, width, dtype):
+        stack = super().borrow(rows, width, dtype)
+        stack.view(np.uint8).fill(0xFF)
+        return stack
+
+
+class TestPoisonedScratch:
+    """Write-before-read is what makes shared scratch value-stable:
+    nothing may depend on what the previous user left behind."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["resnet32-sim", "resnet50-sim"])
+    def test_kernel_results_do_not_depend_on_scratch_contents(
+        self, name, dtype
+    ):
+        def results():
+            model = make_model(name)
+            stack, inputs, labels = _stack_inputs(model, 3, dtype)
+            single = model.loss_and_grad(stack[0], inputs[0], labels[0])
+            reused = model.loss_and_grad(
+                stack[1], inputs[1], labels[1],
+                grad_out=np.full(model.layout.size, np.nan, dtype=dtype),
+            )
+            stacked = model.loss_and_grad_batch(stack, inputs, labels)
+            wide = inputs.reshape(-1, inputs.shape[-1])
+            return (
+                single[0], single[1].tobytes(),
+                reused[0], reused[1].tobytes(),
+                stacked[0], stacked[1].tobytes(),
+                model.evaluate(stack[2], wide, labels.reshape(-1)),
+                model.logits(stack[2], wide).tobytes(),
+            )
+
+        with installed_scratch():
+            clean = results()
+        with installed_scratch(_PoisonArena(), _PoisonLender()):
+            assert results() == clean
+            assert results() == clean  # and on the warmed view sets
+
+    @pytest.mark.parametrize("protocol", ["bsp", "asp", "ssp"])
+    def test_engine_runs_do_not_depend_on_scratch_contents(self, protocol):
+        from repro.distsim.engines import make_engine
+
+        def trajectory():
+            session = make_session(seed=5)
+            engine = make_engine(protocol)
+            engine.run(session, steps=40)
+            engine.run(session, steps=40)  # re-borrows returned stacks
+            return (
+                session.ps.peek().tobytes(),
+                list(session.telemetry.loss_log),
+                list(session.telemetry.eval_log),
+                session.clock.now,
+            )
+
+        with installed_scratch():
+            clean = trajectory()
+        with installed_scratch(_PoisonArena(), _PoisonLender()):
+            assert trajectory() == clean
+
+
 class _RecordingBatcher(GradientBatcher):
     """A batcher that stays reachable after the engine run."""
 
@@ -319,6 +479,24 @@ class _RecordingBatcher(GradientBatcher):
     def _evaluate_pending(self, states):
         self.widths.append(sum(1 for w in states if w not in self._cache))
         super()._evaluate_pending(states)
+
+
+class _RecordingLender(scratch.StackLender):
+    """A lender that remembers what it lent and what came back."""
+
+    def __init__(self):
+        super().__init__()
+        self.lent: list[np.ndarray] = []
+        self.returned: list[np.ndarray] = []
+
+    def borrow(self, rows, width, dtype):
+        stack = super().borrow(rows, width, dtype)
+        self.lent.append(stack)
+        return stack
+
+    def give_back(self, stack):
+        self.returned.append(stack)
+        super().give_back(stack)
 
 
 class TestBoundedSegmentScratch:
@@ -341,22 +519,29 @@ class TestBoundedSegmentScratch:
                     current.cluster.evict(worker)
             return None
 
-        engine_class().run(session, steps=160, stop=evict_mid_segment)
+        with installed_scratch(lender=_RecordingLender()) as (arena, lender):
+            engine_class().run(session, steps=160, stop=evict_mid_segment)
+            wide = session.model._scratch(
+                16, 32, session.dataset.x_train, session.ps.params
+            )
         [batcher] = _RecordingBatcher.instances
         # The segment really exercised many stack widths...
         assert batcher.widths[0] == 16 and len(set(batcher.widths)) >= 3
-        # ...on one stacked workspace, one staging matrix, one pair of
-        # batch stacks and a bounded gradient pool, all 16 wide.
-        [workspace] = session.model._batch_workspaces.values()
-        assert workspace.capacity == 16
-        assert batcher._stage.shape == (16, session.model.layout.size)
+        # ...on one arena sized by the 16-wide pass and one pair of
+        # batch stacks.  The staging stack was borrowed once, a gradient
+        # stack per evaluation; all of it was 16 wide, came out of at
+        # most 1 + 4 distinct stacks, and went back exactly once.
+        assert wide.dh.base is arena._bytes and wide.dh.shape[0] == 16
         assert batcher._inputs.shape[0] == batcher._labels.shape[0] == 16
-        assert 1 <= len(batcher._grad_pool) <= 4
+        assert len(lender.lent) == 1 + len(batcher.widths)
         assert all(
-            stack.shape == batcher._stage.shape for stack in batcher._grad_pool
+            stack.shape == (16, session.model.layout.size)
+            for stack in lender.lent
         )
-        [scratch] = session.model._batch_decay_scratch.values()
-        assert scratch.shape[0] == 16
+        assert 2 <= len({id(stack.base) for stack in lender.lent}) <= 1 + 4
+        assert sorted(map(id, lender.returned)) == sorted(map(id, lender.lent))
+        assert batcher._stage is None
+        assert len(lender._free) == len({id(raw) for raw in lender._free}) <= 5
         # Every eager draw that was never applied — the evicted
         # workers' and the ones in flight at the segment end — was
         # rewound: each stream advanced by exactly one batch per update

@@ -346,6 +346,84 @@ def test_fleet_policy_store_unknown_version_is_a_usage_error(capsys, tmp_path):
     _assert_one_error_line(capsys, "payload version 99 is not supported")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe\x00store", "cannot read policy store"),
+        (b'{"version": 2, "classes": 3}', "classes must be a list, not int"),
+        (
+            b'{"version": 2, "scale": "big", "classes": []}',
+            "scale 'big' is not a number or null",
+        ),
+    ],
+    ids=["non-utf8", "classes-not-a-list", "scale-not-a-number"],
+)
+def test_fleet_hostile_policy_store_is_a_usage_error(
+    content, message, capsys, tmp_path, monkeypatch
+):
+    from repro.fleet import FleetSimulator
+
+    def simulated(self):
+        raise AssertionError("the stream ran on a store that cannot load")
+
+    monkeypatch.setattr(FleetSimulator, "run", simulated)
+    store_path = tmp_path / "store.json"
+    store_path.write_bytes(content)
+    assert main(["--quiet", "fleet", "--policy-store", str(store_path),
+                 "--scheduler", "fifo", "--policy", "bsp"]) == 2
+    _assert_one_error_line(capsys, message)
+    assert store_path.read_bytes() == content
+
+
+@pytest.mark.parametrize("dies_in", ["json.dumps", "os.replace"])
+def test_policy_store_save_is_atomic(dies_in, tmp_path, monkeypatch):
+    """A save that dies on the way — while serializing, or at the
+    commit itself — leaves the previous store readable and no litter."""
+    import json
+    import os
+
+    from repro.fleet import PolicyStore
+
+    store_path = tmp_path / "store.json"
+    PolicyStore().save(store_path, scale=0.008)
+    before = store_path.read_bytes()
+
+    def interrupted(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    module, name = {"json.dumps": (json, "dumps"), "os.replace": (os, "replace")}[
+        dies_in
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            PolicyStore().save(store_path, scale=0.016)
+    assert store_path.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["store.json"]
+    PolicyStore.load(store_path, scale=0.008)
+
+
+def test_report_recomputes_a_half_written_cache_blob(
+    capsys, tmp_path, monkeypatch
+):
+    """A truncated blob in a warm cache is a miss, not a traceback: the
+    report is unchanged and the blob is whole again afterwards."""
+    import json
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["--quiet", "report", "fig5b", "fig10", "--scale", "0.002",
+            "--seeds", "1"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    blob = sorted(tmp_path.glob("*.json"))[0]
+    whole = blob.read_bytes()
+    blob.write_bytes(whole[: len(whole) // 2])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold and "Traceback" not in captured.err
+    assert json.loads(blob.read_text(encoding="utf-8")) == json.loads(whole)
+
+
 #: A minimal ``fleet`` argv that trips each row of the conflict table.
 CONFLICT_ARGV = {
     "jobs-with-workload-trace": ["--workload-trace", "t.json", "--jobs", "2"],
