@@ -271,7 +271,7 @@ CONFLICTS: tuple[tuple, ...] = (
     ),
     (
         "trace-with-tune",
-        lambda a: a.trace and a.tune,
+        lambda a: a.trace and a.tune and not a.policy_store,
         "error: --trace records one stream and cannot be combined "
         "with --tune (a multi-cell comparison grid)",
     ),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.commands.common import LOG, add_jobs_argument, parse_protocols
 from repro.core.search.binary_search import (
-    OfflineTimingSearch,
+    TWO_PHASE,
     ScheduleSearch,
     SearchConfig,
 )
@@ -33,17 +33,19 @@ def configure(parser) -> None:
 def run(args) -> int:
     setup = SETUPS[args.setup]
     runner = ExperimentRunner(scale=args.scale, seeds=args.runs, jobs=args.jobs)
-    config = SearchConfig(
-        beta=args.beta,
-        max_settings=setup.search_max_settings,
-        runs_per_setting=args.runs,
-        bsp_runs=args.runs,
-    )
-    if args.protocols:
-        return _search_schedule(args, setup, runner, config)
 
-    def trial(fraction: float, run_index: int):
-        spec = {"kind": "switch", "percent": fraction * 100.0}
+    def trial(
+        protocols: tuple[str, ...], fractions: tuple[float, ...],
+        run_index: int,
+    ):
+        if args.protocols:
+            spec = {
+                "kind": "schedule",
+                "protocols": list(protocols),
+                "fractions": [float(value) for value in fractions],
+            }
+        else:
+            spec = {"kind": "switch", "percent": fractions[0] * 100.0}
         # Batch all of this setting's repetitions up front so --jobs
         # parallelises them; later run_index calls replay from cache.
         runner.prefetch([(setup, spec)], seeds=args.runs)
@@ -51,42 +53,29 @@ def run(args) -> int:
         accuracy = 0.0 if result.diverged else (result.reported_accuracy or 0.0)
         return accuracy, result.total_time
 
-    outcome = OfflineTimingSearch(trial, config).search()
-    print(f"setup            : {setup.describe()}")
-    print(f"found switch     : {outcome.switch_percent:g}%")
-    print(f"target accuracy  : {outcome.target_accuracy:.4f}")
-    print(f"sessions trained : {outcome.n_sessions}")
-    print(f"search time      : {outcome.search_time:.0f} simulated seconds")
-    return 0
-
-
-def _search_schedule(args, setup, runner, config) -> int:
-    """The ``search --protocols`` path: N-segment schedule search."""
-    sequences = tuple(parse_protocols(value) for value in args.protocols)
-
-    def trial(
-        protocols: tuple[str, ...], fractions: tuple[float, ...],
-        run_index: int,
-    ):
-        spec = {
-            "kind": "schedule",
-            "protocols": list(protocols),
-            "fractions": [float(value) for value in fractions],
-        }
-        runner.prefetch([(setup, spec)], seeds=args.runs)
-        result = runner.run(setup, spec, run_index)
-        accuracy = 0.0 if result.diverged else (result.reported_accuracy or 0.0)
-        return accuracy, result.total_time
-
     try:
+        config = SearchConfig(
+            beta=args.beta,
+            max_settings=setup.search_max_settings,
+            runs_per_setting=args.runs,
+            bsp_runs=args.runs,
+        )
+        sequences = (
+            tuple(parse_protocols(value) for value in args.protocols)
+            if args.protocols
+            else TWO_PHASE
+        )
         outcome = ScheduleSearch(trial, config, sequences).search()
     except SearchError as exc:
         LOG.error("error: %s", exc)
         return 2
-    fractions = ", ".join(f"{value:g}" for value in outcome.fractions)
     print(f"setup            : {setup.describe()}")
-    print(f"found schedule   : {outcome.describe()}")
-    print(f"fractions        : {fractions}")
+    if args.protocols:
+        fractions = ", ".join(f"{value:g}" for value in outcome.fractions)
+        print(f"found schedule   : {outcome.describe()}")
+        print(f"fractions        : {fractions}")
+    else:
+        print(f"found switch     : {outcome.switch_percent:g}%")
     print(f"target accuracy  : {outcome.target_accuracy:.4f}")
     print(f"sessions trained : {outcome.n_sessions}")
     print(f"search time      : {outcome.search_time:.0f} simulated seconds")

@@ -7,8 +7,6 @@ __all__ = [
     "ProfileModel",
     "ScheduleCandidate",
     "ScheduleSearch",
-    "ScheduleSearchResult",
-    "ScheduleTrialOutcome",
     "SearchConfig",
     "SearchCostReport",
     "SearchCostSimulator",
@@ -25,8 +23,6 @@ __getattr__, __dir__ = lazy_exports(
             "OfflineTimingSearch",
             "ScheduleCandidate",
             "ScheduleSearch",
-            "ScheduleSearchResult",
-            "ScheduleTrialOutcome",
             "SearchConfig",
             "SearchResult",
             "TrialOutcome",

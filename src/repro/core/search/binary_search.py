@@ -18,38 +18,44 @@ Two fidelity notes:
   mean test on line 16 only makes sense per setting — so this
   implementation resets it for every candidate.
 
-:class:`ScheduleSearch` generalizes the same halving rule from one
-switch fraction to an N-segment protocol schedule: for each candidate
+The algorithm is written once, as the coroutine :func:`search_steps`:
+it yields the next :class:`TrialBatch` to train and is sent that
+batch's ``(accuracy, time)`` outcomes, so whoever trains the sessions
+decides *how* — :class:`ScheduleSearch` calls a runner in a closed
+loop, the fleet (:class:`repro.fleet.tuning.InFleetSearch`) admits
+each trial as a job and sends the batch when its last job completes.
+
+It searches an N-segment protocol schedule: for each candidate
 protocol sequence it runs coordinate descent over the cumulative
 segment boundaries ``b_1 <= ... <= b_{N-1}``, searching one boundary
-at a time with Algorithm 1's interval halving (later boundaries pinned
-at 1.0, i.e. the still-unsearched segments get zero budget), then
-picks the sequence whose found schedule trains fastest.  With a single
-two-protocol sequence the trial stream is *exactly* the one
-:class:`OfflineTimingSearch` produces — the two-phase search is the
-N=2 special case, which the tests pin.
+at a time with the interval halving above (later boundaries pinned at
+1.0, i.e. the still-unsearched segments get zero budget), then picks
+the sequence whose found schedule trains fastest.  The paper's
+two-phase search is the single sequence :data:`TWO_PHASE`: one
+boundary, the switch fraction (:class:`OfflineTimingSearch`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 from repro.distsim.engines import known_protocols, precision_rank
 from repro.errors import SearchError
 
 __all__ = [
+    "TWO_PHASE",
     "SearchConfig",
+    "TrialBatch",
     "TrialOutcome",
     "SearchResult",
     "OfflineTimingSearch",
     "ScheduleCandidate",
     "ScheduleSearch",
-    "ScheduleSearchResult",
-    "ScheduleTrialOutcome",
     "boundary_fractions",
     "pick_best_schedule",
+    "search_steps",
     "validate_sequences",
 ]
 
@@ -58,6 +64,18 @@ __all__ = [
 #: ``(converged_accuracy, total_time)``; diverged runs report accuracy
 #: 0.0 and the time until divergence.
 TrialRunner = Callable[[float, int], tuple[float, float]]
+
+#: A schedule trial runner trains one session under the named
+#: ``protocols`` sequence with per-segment budget ``fractions`` (aligned
+#: with the sequence) and the given repetition index, returning
+#: ``(converged_accuracy, total_time)``; diverged runs report
+#: accuracy 0.0.
+ScheduleTrialRunner = Callable[
+    [tuple[str, ...], tuple[float, ...], int], tuple[float, float]
+]
+
+#: The paper's search space: one BSP -> ASP sequence, one boundary.
+TWO_PHASE = (("bsp", "asp"),)
 
 
 @dataclass(frozen=True)
@@ -89,127 +107,24 @@ class SearchConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialBatch(NamedTuple):
+    """What :func:`search_steps` asks for next: ``count`` sessions of
+    the ``protocols`` sequence at per-segment budget ``fractions``."""
+
+    protocols: tuple[str, ...]
+    fractions: tuple[float, ...]
+    count: int
+
+
+class TrialOutcome(NamedTuple):
     """One training session executed during the search.
 
-    Every session — BSP target runs and candidate runs alike — counts
+    Every session — target runs and candidate runs alike — counts
     toward the search cost of the paper's Tables II/IV-VI; ``valid``
     marks it as *effective training* (a model within the accuracy
-    band, Section VI-C).
-    """
-
-    switch_fraction: float
-    run_index: int
-    accuracy: float
-    time: float
-    valid: bool
-
-
-@dataclass
-class SearchResult:
-    """Outcome of one full Algorithm 1 run (Appendix B).
-
-    ``search_time`` is the quantity the paper normalizes into the
-    *search cost* column of Tables II/IV-VI.
-    """
-
-    switch_fraction: float
-    target_accuracy: float
-    trials: list[TrialOutcome] = field(default_factory=list)
-
-    @property
-    def search_time(self) -> float:
-        """Total simulated time of every session trained while searching."""
-        return sum(trial.time for trial in self.trials)
-
-    @property
-    def n_sessions(self) -> int:
-        """Number of sessions trained while searching."""
-        return len(self.trials)
-
-    @property
-    def valid_sessions(self) -> int:
-        """Sessions that produced a model at the target accuracy."""
-        return sum(1 for trial in self.trials if trial.valid)
-
-    @property
-    def switch_percent(self) -> float:
-        """Found switch point in percent (paper notation)."""
-        return self.switch_fraction * 100.0
-
-
-class OfflineTimingSearch:
-    """Algorithm 1 driver over an arbitrary trial runner."""
-
-    def __init__(self, trial_runner: TrialRunner, config: SearchConfig):
-        self.trial_runner = trial_runner
-        self.config = config
-
-    def search(self) -> SearchResult:
-        """Run the binary search and return the found timing policy."""
-        config = self.config
-        trials: list[TrialOutcome] = []
-        target = config.target_accuracy
-        if target is None:
-            accuracies = []
-            for run in range(config.bsp_runs):
-                accuracy, time = self.trial_runner(1.0, run)
-                accuracies.append(accuracy)
-                trials.append(
-                    TrialOutcome(1.0, run, accuracy, time, valid=True)
-                )
-            target = sum(accuracies) / len(accuracies)
-
-        upper, lower = 1.0, 0.0
-        for _ in range(config.max_settings):
-            candidate = (upper + lower) / 2.0
-            mean_accuracy = 0.0
-            candidate_trials = []
-            for run in range(config.runs_per_setting):
-                accuracy, time = self.trial_runner(candidate, run)
-                mean_accuracy += accuracy
-                candidate_trials.append((run, accuracy, time))
-            mean_accuracy /= config.runs_per_setting
-            good = abs(mean_accuracy - target) <= config.beta
-            for run, accuracy, time in candidate_trials:
-                trials.append(
-                    TrialOutcome(
-                        candidate,
-                        run,
-                        accuracy,
-                        time,
-                        valid=abs(accuracy - target) <= config.beta,
-                    )
-                )
-            if good:
-                upper = candidate
-            else:
-                lower = candidate
-
-        result = SearchResult(switch_fraction=upper, target_accuracy=target)
-        result.trials = trials
-        return result
-
-
-#: A schedule trial runner trains one session under the named
-#: ``protocols`` sequence with per-segment budget ``fractions`` (aligned
-#: with the sequence) and the given repetition index, returning
-#: ``(converged_accuracy, total_time)``; diverged runs report
-#: accuracy 0.0.
-ScheduleTrialRunner = Callable[
-    [tuple[str, ...], tuple[float, ...], int], tuple[float, float]
-]
-
-
-@dataclass(frozen=True)
-class ScheduleTrialOutcome:
-    """One training session executed during a schedule search.
-
-    Like :class:`TrialOutcome` but self-describing: ``protocols`` names
-    the sequence trained (two sequences of equal length can explore the
-    same ``fractions`` vector) and every session still counts toward
-    the search cost.
+    band, Section VI-C).  ``protocols`` names the sequence trained:
+    two sequences of equal length can explore the same ``fractions``
+    vector.
     """
 
     protocols: tuple[str, ...]
@@ -218,6 +133,11 @@ class ScheduleTrialOutcome:
     accuracy: float
     time: float
     valid: bool
+
+    @property
+    def switch_fraction(self) -> float:
+        """First segment's budget share (the two-phase switch point)."""
+        return self.fractions[0]
 
 
 @dataclass(frozen=True)
@@ -230,14 +150,18 @@ class ScheduleCandidate:
 
 
 @dataclass
-class ScheduleSearchResult:
-    """Outcome of one full N-segment schedule search."""
+class SearchResult:
+    """Outcome of one full Algorithm 1 run (Appendix B).
+
+    ``search_time`` is the quantity the paper normalizes into the
+    *search cost* column of Tables II/IV-VI.
+    """
 
     protocols: tuple[str, ...]
     fractions: tuple[float, ...]
     target_accuracy: float
     expected_time: float
-    trials: list[ScheduleTrialOutcome] = field(default_factory=list)
+    trials: list[TrialOutcome] = field(default_factory=list)
     candidates: tuple[ScheduleCandidate, ...] = ()
 
     @property
@@ -257,8 +181,13 @@ class ScheduleSearchResult:
 
     @property
     def switch_fraction(self) -> float:
-        """First segment's budget share (two-phase ``switch_fraction``)."""
+        """First segment's budget share (the two-phase switch point)."""
         return self.fractions[0]
+
+    @property
+    def switch_percent(self) -> float:
+        """Found switch point in percent (paper notation)."""
+        return self.switch_fraction * 100.0
 
     def describe(self) -> str:
         """Human-readable ``BSP -> SSP -> ASP`` style schedule label."""
@@ -324,7 +253,7 @@ def validate_sequences(sequences) -> tuple[tuple[str, ...], ...]:
 def pick_best_schedule(
     sequences: Sequence[tuple[str, ...]],
     finals: Sequence[tuple[float, ...]],
-    trials: Sequence[ScheduleTrialOutcome],
+    trials: Sequence[TrialOutcome],
     fallback_time: float | None,
 ) -> tuple[int, tuple[float, ...]]:
     """Price each sequence's found schedule and pick the fastest.
@@ -353,101 +282,137 @@ def pick_best_schedule(
     return best_index, tuple(prices)
 
 
-class ScheduleSearch:
-    """Coordinate-descent schedule search over candidate sequences.
+def search_steps(
+    config: SearchConfig, sequences: Sequence[Sequence[str]] = TWO_PHASE
+) -> Generator[TrialBatch, list[tuple[float, float]], SearchResult]:
+    """Algorithm 1 as a coroutine over candidate protocol ``sequences``.
 
-    One Algorithm 1 halving run per schedule boundary: searching
-    boundary ``i`` keeps the already-found boundaries ``b_1..b_{i-1}``
-    fixed (they bound the interval from below) and pins the later
-    boundaries at 1.0, so every trial is a valid monotone schedule and
-    the first boundary of a two-protocol sequence reproduces the
-    two-phase search verbatim.
+    ``next()`` yields the first :class:`TrialBatch`; ``send()`` takes
+    the ``(accuracy, time)`` outcomes of its ``count`` sessions (any
+    order — the list index becomes the trial's ``run_index``) and
+    yields the next batch; the :class:`SearchResult` is the
+    ``StopIteration`` value.  Sequences are checked here, before the
+    first batch is asked for.
     """
+    return _search_steps(config, validate_sequences(sequences))
+
+
+def _search_steps(config, sequences):
+    """:func:`search_steps` over already-validated sequences.
+
+    One halving run per schedule boundary: searching boundary ``i``
+    keeps the already-found boundaries ``b_1..b_{i-1}`` fixed (they
+    bound the interval from below) and pins the later boundaries at
+    1.0, so every trial is a valid monotone schedule.
+    """
+    trials: list[TrialOutcome] = []
+    target = config.target_accuracy
+    opener_time = None
+    if target is None:
+        # Algorithm 1 lines 2-5, shared across sequences: the
+        # opener protocol at the full budget sets the target.
+        opener = sequences[0]
+        base = boundary_fractions([1.0] * (len(opener) - 1))
+        outcomes = yield TrialBatch(opener, base, config.bsp_runs)
+        for run, (accuracy, time) in enumerate(outcomes):
+            trials.append(
+                TrialOutcome(opener, base, run, accuracy, time, valid=True)
+            )
+        target = sum(accuracy for accuracy, _ in outcomes) / len(outcomes)
+        opener_time = sum(time for _, time in outcomes) / len(outcomes)
+
+    finals = []
+    for sequence in sequences:
+        boundaries = [1.0] * (len(sequence) - 1)
+        for index in range(len(boundaries)):
+            lower = boundaries[index - 1] if index else 0.0
+            upper = 1.0
+            for _ in range(config.max_settings):
+                candidate = (upper + lower) / 2.0
+                boundaries[index] = candidate
+                vector = boundary_fractions(boundaries)
+                outcomes = yield TrialBatch(
+                    sequence, vector, config.runs_per_setting
+                )
+                mean_accuracy = 0.0
+                for run, (accuracy, time) in enumerate(outcomes):
+                    mean_accuracy += accuracy
+                    trials.append(
+                        TrialOutcome(
+                            sequence,
+                            vector,
+                            run,
+                            accuracy,
+                            time,
+                            valid=abs(accuracy - target) <= config.beta,
+                        )
+                    )
+                mean_accuracy /= len(outcomes)
+                # Lines 11-15: a good-enough candidate becomes the new
+                # upper bound (try switching even earlier), otherwise
+                # the lower.
+                if abs(mean_accuracy - target) <= config.beta:
+                    upper = candidate
+                else:
+                    lower = candidate
+            boundaries[index] = upper
+        finals.append(boundary_fractions(boundaries))
+
+    best, prices = pick_best_schedule(sequences, finals, trials, opener_time)
+    return SearchResult(
+        protocols=sequences[best],
+        fractions=finals[best],
+        target_accuracy=target,
+        expected_time=prices[best],
+        trials=trials,
+        candidates=tuple(
+            ScheduleCandidate(sequence, finals[index], prices[index])
+            for index, sequence in enumerate(sequences)
+        ),
+    )
+
+
+class ScheduleSearch:
+    """The closed loop around :func:`search_steps`: every batch the
+    search asks for is trained on the spot by calling ``trial_runner``
+    once per repetition."""
 
     def __init__(
         self,
         trial_runner: ScheduleTrialRunner,
         config: SearchConfig,
-        sequences: Sequence[Sequence[str]] = (("bsp", "asp"),),
+        sequences: Sequence[Sequence[str]] = TWO_PHASE,
     ):
         self.trial_runner = trial_runner
         self.config = config
         self.sequences = validate_sequences(sequences)
 
-    def search(self) -> ScheduleSearchResult:
+    def search(self) -> SearchResult:
         """Run the search and return the fastest found schedule."""
-        config = self.config
-        trials: list[ScheduleTrialOutcome] = []
-        target = config.target_accuracy
-        opener_time = None
-        if target is None:
-            # Algorithm 1 lines 2-5, shared across sequences: the
-            # opener protocol at the full budget sets the target.
-            opener = self.sequences[0]
-            base = boundary_fractions([1.0] * (len(opener) - 1))
-            accuracies, times = [], []
-            for run in range(config.bsp_runs):
-                accuracy, time = self.trial_runner(opener, base, run)
-                accuracies.append(accuracy)
-                times.append(time)
-                trials.append(
-                    ScheduleTrialOutcome(
-                        opener, base, run, accuracy, time, valid=True
-                    )
-                )
-            target = sum(accuracies) / len(accuracies)
-            opener_time = sum(times) / len(times)
+        steps = _search_steps(self.config, self.sequences)
+        outcomes = None
+        while True:
+            try:
+                batch = steps.send(outcomes)
+            except StopIteration as finished:
+                return finished.value
+            outcomes = self._train(batch)
 
-        finals = []
-        for sequence in self.sequences:
-            boundaries = [1.0] * (len(sequence) - 1)
-            for index in range(len(boundaries)):
-                lower = boundaries[index - 1] if index else 0.0
-                upper = 1.0
-                for _ in range(config.max_settings):
-                    candidate = (upper + lower) / 2.0
-                    probe = list(boundaries)
-                    probe[index] = candidate
-                    vector = boundary_fractions(probe)
-                    batch = []
-                    for run in range(config.runs_per_setting):
-                        accuracy, time = self.trial_runner(
-                            sequence, vector, run
-                        )
-                        batch.append((run, accuracy, time))
-                    mean_accuracy = sum(
-                        accuracy for _, accuracy, _ in batch
-                    ) / len(batch)
-                    for run, accuracy, time in batch:
-                        trials.append(
-                            ScheduleTrialOutcome(
-                                sequence,
-                                vector,
-                                run,
-                                accuracy,
-                                time,
-                                valid=abs(accuracy - target) <= config.beta,
-                            )
-                        )
-                    if abs(mean_accuracy - target) <= config.beta:
-                        upper = candidate
-                    else:
-                        lower = candidate
-                boundaries[index] = upper
-            finals.append(boundary_fractions(boundaries))
+    def _train(self, batch: TrialBatch) -> list[tuple[float, float]]:
+        runner = self.trial_runner
+        return [
+            runner(batch.protocols, batch.fractions, run)
+            for run in range(batch.count)
+        ]
 
-        best, prices = pick_best_schedule(
-            self.sequences, finals, trials, opener_time
-        )
-        result = ScheduleSearchResult(
-            protocols=self.sequences[best],
-            fractions=finals[best],
-            target_accuracy=target,
-            expected_time=prices[best],
-            candidates=tuple(
-                ScheduleCandidate(sequence, finals[index], prices[index])
-                for index, sequence in enumerate(self.sequences)
-            ),
-        )
-        result.trials = trials
-        return result
+
+class OfflineTimingSearch(ScheduleSearch):
+    """The paper's two-phase search: :class:`ScheduleSearch` over
+    :data:`TWO_PHASE`, for a ``(switch_fraction, run)`` trial runner."""
+
+    def __init__(self, trial_runner: TrialRunner, config: SearchConfig):
+        super().__init__(trial_runner, config)
+
+    def _train(self, batch: TrialBatch) -> list[tuple[float, float]]:
+        runner, fraction = self.trial_runner, batch.fractions[0]
+        return [runner(fraction, run) for run in range(batch.count)]

@@ -217,21 +217,24 @@ class SearchCostSimulator:
         bsp_time = self.profile.bsp_mean_time()
         bsp_accuracy = self.profile.bsp_mean_accuracy()
 
-        costs = np.empty(n_simulations)
-        valids = np.empty(n_simulations)
-        successes = 0
-        for sim in range(n_simulations):
-            def trial(fraction: float, run: int) -> tuple[float, float]:
-                return self.profile.sample(fraction, rng)
+        def trial(fraction: float, run: int) -> tuple[float, float]:
+            return self.profile.sample(fraction, rng)
 
-            config = SearchConfig(
+        search = OfflineTimingSearch(
+            trial,
+            SearchConfig(
                 beta=self.beta,
                 max_settings=self.max_settings,
                 runs_per_setting=setting.candidate_runs,
                 target_accuracy=bsp_accuracy if setting.recurring else None,
                 bsp_runs=max(setting.bsp_runs, 1),
-            )
-            result = OfflineTimingSearch(trial, config).search()
+            ),
+        )
+        costs = np.empty(n_simulations)
+        valids = np.empty(n_simulations)
+        successes = 0
+        for sim in range(n_simulations):
+            result = search.search()
             costs[sim] = result.search_time
             valids[sim] = result.valid_sessions
             if abs(result.switch_fraction - self._ground_truth) < 1e-9:

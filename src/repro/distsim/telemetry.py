@@ -11,12 +11,8 @@ The per-update feeds (:meth:`TrainingTelemetry.record_worker_duration`,
 they land in growable typed numpy columns (:class:`TypedLog`) and a
 dense staleness histogram instead of per-update tuple appends.  The
 ``record_*`` API, sequence-style access (``log[-1]``, iteration,
-``len``) and the :class:`TrainingResult` ``to_dict``/``from_dict``
-round-trip are unchanged.
-
-:class:`~repro.distsim.result.TrainingResult`, the JSON-serializable
-summary consumed by the experiment harness and its on-disk cache, is
-re-exported here.
+``len``) and the :class:`~repro.distsim.result.TrainingResult`
+``to_dict``/``from_dict`` round-trip are unchanged.
 """
 
 from __future__ import annotations
@@ -25,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distsim.result import TrainingResult
-
-__all__ = ["TrainingTelemetry", "TrainingResult", "SegmentRecord", "TypedLog"]
+__all__ = ["TrainingTelemetry", "SegmentRecord", "TypedLog"]
 
 _INITIAL_CAPACITY = 64
 

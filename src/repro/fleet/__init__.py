@@ -36,13 +36,11 @@ __all__ = [
     "JobRecord",
     "JobRequest",
     "PolicyStore",
-    "ScheduleSearchSession",
     "SchedulerContext",
     "SchedulerPolicy",
     "SloAwareScheduler",
     "SmallestJobFirstScheduler",
     "TenantTier",
-    "TimingSearchSession",
     "TraceScenario",
     "WorkerPool",
     "assign_shards",
@@ -53,7 +51,6 @@ __all__ = [
     "merge_fleet_summaries",
     "percentile",
     "poisson_stream",
-    "policy_from_schedule_search",
     "policy_from_search",
     "resolve_percent",
     "save_trace",
@@ -83,7 +80,6 @@ __getattr__, __dir__ = lazy_exports(
             "ClassPolicy",
             "JobClass",
             "PolicyStore",
-            "policy_from_schedule_search",
             "policy_from_search",
         ),
         "repro.fleet.scheduler": (
@@ -96,7 +92,6 @@ __getattr__, __dir__ = lazy_exports(
             "SmallestJobFirstScheduler",
             "make_scheduler",
         ),
-        "repro.fleet.tuning": ("ScheduleSearchSession", "TimingSearchSession"),
         "repro.fleet.workload": (
             "DEFAULT_TENANT_TIERS",
             "FLEET_SCENARIOS",

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.search.binary_search import ScheduleSearchResult, SearchResult
+from repro.core.search.binary_search import SearchResult
 from repro.errors import ConfigurationError, FleetError
 from repro.experiments.executor import atomic_write
 from repro.fleet.workload import JobRequest, estimate_service_time
@@ -43,7 +43,6 @@ __all__ = [
     "JobClass",
     "ClassPolicy",
     "PolicyStore",
-    "policy_from_schedule_search",
     "policy_from_search",
 ]
 
@@ -100,12 +99,17 @@ class ClassPolicy:
     search_cost: float
     n_trials: int
     tuned_at: float
-    #: The searched protocol sequence.  Two-phase timing searches (and
-    #: version-1 payloads) leave ``fractions`` at None: the policy is
-    #: the paper's percent-only switch point and recurrences train
-    #: exactly as before the schedule generalization.  Schedule
-    #: searches fill both fields and recurrences replay the full
-    #: N-segment plan.
+    #: The searched protocol sequence and its per-segment budget
+    #: shares; recurrences replay the full N-segment plan.
+    #: ``fractions=None`` is the paper's percent-only switch point
+    #: (also what version-1 payloads load as): recurrences then train
+    #: through the two-phase controller.  For a new policy that form
+    #: is chosen in exactly one place —
+    #: :class:`repro.fleet.tuning.InFleetSearch` asks
+    #: :func:`policy_from_search` for it when the fleet was given no
+    #: ``protocols`` — and it stays until "an N=2 ``ProtocolSchedule``
+    #: equals the two-phase controller" is pinned (ROADMAP item 5);
+    #: only then may ``(f, 1 - f)`` replace it.
     protocols: tuple[str, ...] = ("bsp", "asp")
     fractions: tuple[float, ...] | None = None
 
@@ -138,54 +142,24 @@ class ClassPolicy:
 
 
 def policy_from_search(
-    job_class: JobClass, result: SearchResult, tuned_at: float
+    job_class: JobClass,
+    result: SearchResult,
+    tuned_at: float,
+    *,
+    percent_only: bool,
 ) -> ClassPolicy:
     """Fold a finished Algorithm 1 run into a :class:`ClassPolicy`.
 
-    The baseline time is the mean of the search's static-BSP sessions
-    and the tuned time the mean of the sessions trained at the found
-    switch fraction (Algorithm 1 only ever returns a fraction it
-    visited, so both sets are non-empty for new-job searches).
+    The baseline is the mean of the sessions that kept the full budget
+    on the opener protocol (the static-BSP target runs of the two-phase
+    search); the tuned time is the mean of the sessions trained at the
+    winning schedule, falling back to the baseline when the winner is a
+    degenerate all-opener schedule that only the target runs visited.
+    ``percent_only`` drops the fraction vector (see
+    :attr:`ClassPolicy.fractions`).
     """
     bsp_times = [
         trial.time for trial in result.trials if trial.switch_fraction == 1.0
-    ]
-    if not bsp_times:
-        raise FleetError(
-            f"search for {job_class.label()} trained no static-BSP session; "
-            "cannot price the baseline"
-        )
-    tuned_times = [
-        trial.time
-        for trial in result.trials
-        if trial.switch_fraction == result.switch_fraction
-    ]
-    return ClassPolicy(
-        job_class=job_class,
-        percent=result.switch_percent,
-        target_accuracy=result.target_accuracy,
-        bsp_time=sum(bsp_times) / len(bsp_times),
-        policy_time=sum(tuned_times) / len(tuned_times),
-        search_cost=result.search_time,
-        n_trials=result.n_sessions,
-        tuned_at=tuned_at,
-    )
-
-
-def policy_from_schedule_search(
-    job_class: JobClass, result: ScheduleSearchResult, tuned_at: float
-) -> ClassPolicy:
-    """Fold a finished N-segment schedule search into a :class:`ClassPolicy`.
-
-    The baseline is the mean of the sessions that kept the full budget
-    on the opener protocol (the schedule-search analogue of the
-    static-BSP target runs); the tuned time is the mean of the sessions
-    trained at the winning schedule, falling back to the baseline when
-    the winner is a degenerate all-opener schedule that only the target
-    runs visited.
-    """
-    bsp_times = [
-        trial.time for trial in result.trials if trial.fractions[0] == 1.0
     ]
     if not bsp_times:
         raise FleetError(
@@ -200,7 +174,7 @@ def policy_from_schedule_search(
     ] or bsp_times
     return ClassPolicy(
         job_class=job_class,
-        percent=result.fractions[0] * 100.0,
+        percent=result.switch_percent,
         target_accuracy=result.target_accuracy,
         bsp_time=sum(bsp_times) / len(bsp_times),
         policy_time=sum(tuned_times) / len(tuned_times),
@@ -208,7 +182,7 @@ def policy_from_schedule_search(
         n_trials=result.n_sessions,
         tuned_at=tuned_at,
         protocols=result.protocols,
-        fractions=result.fractions,
+        fractions=None if percent_only else result.fractions,
     )
 
 

@@ -1,69 +1,42 @@
-"""Incremental Algorithm 1: the timing search driven by fleet jobs.
+"""Algorithm 1 run as fleet jobs: the amortized in-fleet search.
 
-The offline search (paper Appendix B, reproduced in
-:class:`~repro.core.search.binary_search.OfflineTimingSearch`) is a
-closed loop: it *calls* a trial runner and blocks until each training
-session returns.  Inside the fleet simulator a search trial is itself a
-fleet job — it queues, occupies workers, may be preempted, and finishes
-at some later simulated time — so the search must be driven the other
-way around: the simulator asks for the next batch of candidate
-sessions, admits them as jobs, and reports their outcomes as they
-complete.
-
-:class:`TimingSearchSession` is that inversion.  It holds the state of
-one Algorithm 1 run (target accuracy, binary-search bounds, explored
-settings) and exposes a two-call protocol:
-
-* :meth:`next_batch` — the switch fractions of the sessions to train
-  next (the ``R`` static-BSP target runs first, then ``r`` repetitions
-  per candidate setting);
-* :meth:`record` — one finished trial's ``(accuracy, time)``; when the
-  whole batch has reported, the bounds advance exactly like
-  Algorithm 1 lines 6-16.
-
-Given the same per-trial outcomes, a session produces a
-:class:`~repro.core.search.binary_search.SearchResult` identical to
-:class:`OfflineTimingSearch` — the equivalence is covered by tests —
-so the fleet-scale search inherits the cost accounting of the paper's
-Tables II/IV-VI.
-
-:class:`InFleetSearch` drives those sessions for one fleet run —
 Section VI-C's economics at fleet scale.  Admitting the *first*
 Sync-Switch job of a recurring class (setup x cluster shape) launches
-the search *as fleet jobs*: each trial queues, occupies workers and
-counts toward JCT/utilization like any other job, and the finished
-policy lands in the :class:`~repro.fleet.policy_store.PolicyStore`,
-whose cached switch timing every later recurrence of the class reuses
-while the store accrues realized savings against the search cost.
+the search *as fleet jobs*: each trial queues, occupies workers, may be
+preempted and counts toward JCT/utilization like any other job, and the
+finished policy lands in the
+:class:`~repro.fleet.policy_store.PolicyStore`, whose cached switch
+timing every later recurrence of the class reuses while the store
+accrues realized savings against the search cost.
+
+The algorithm itself is
+:func:`repro.core.search.binary_search.search_steps`, the same
+coroutine the offline search drives in a closed loop, so the fleet
+search inherits the cost accounting of the paper's Tables II/IV-VI.
+Per searching class :class:`InFleetSearch` holds that coroutine, the
+batch it last asked for and the outcomes reported for it so far;
+trials report in completion order and the batch is sent back when the
+last one has.
 """
 
 from __future__ import annotations
 
+from typing import Generator, NamedTuple
+
 from repro.core.search.binary_search import (
-    ScheduleCandidate,
-    ScheduleSearchResult,
-    ScheduleTrialOutcome,
+    TWO_PHASE,
     SearchConfig,
-    SearchResult,
-    TrialOutcome,
-    boundary_fractions,
-    pick_best_schedule,
-    validate_sequences,
+    TrialBatch,
+    search_steps,
 )
 from repro.distsim.result import TrainingResult
-from repro.errors import SearchError
 from repro.experiments.setups import SETUPS
-from repro.fleet.policy_store import (
-    JobClass,
-    PolicyStore,
-    policy_from_schedule_search,
-    policy_from_search,
-)
+from repro.fleet.policy_store import JobClass, PolicyStore, policy_from_search
 from repro.fleet.workload import JobRequest
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
-__all__ = ["InFleetSearch", "ScheduleSearchSession", "TimingSearchSession"]
+__all__ = ["InFleetSearch"]
 
 #: Acceptance band of the in-fleet search.  Wider than the offline
 #: search's 0.01: fleet trials are single sessions trained under
@@ -72,337 +45,13 @@ __all__ = ["InFleetSearch", "ScheduleSearchSession", "TimingSearchSession"]
 TUNE_BETA = 0.02
 
 
-class TimingSearchSession:
-    """One in-flight Algorithm 1 search, advanced by trial completions.
+class _OpenSearch(NamedTuple):
+    """One class's search in flight: the coroutine, the batch it is
+    waiting for and that batch's outcomes so far, in completion order."""
 
-    The session is deterministic given the sequence of recorded
-    outcomes: trials within a batch all train the same switch fraction,
-    so the order completions are reported in does not matter.
-    """
-
-    def __init__(self, config: SearchConfig):
-        self.config = config
-        self._target = config.target_accuracy
-        self._upper = 1.0
-        self._lower = 0.0
-        self._settings_done = 0
-        self._trials: list[TrialOutcome] = []
-        self._phase = "bsp" if self._target is None else "candidates"
-        self._batch_fraction: float | None = None
-        self._outstanding = 0
-        self._batch_results: list[tuple[float, float]] = []
-        # Observability sink; the fleet installs its tracer so trial
-        # completions land on the timeline (never affects the search).
-        self.tracer = NULL_TRACER
-
-    @property
-    def done(self) -> bool:
-        """Whether all ``max_settings`` settings have been explored."""
-        return self._phase == "done"
-
-    @property
-    def awaiting(self) -> int:
-        """Trials of the current batch not yet reported."""
-        return self._outstanding
-
-    @property
-    def target_accuracy(self) -> float | None:
-        """The search target ``A`` (None until the BSP runs finish)."""
-        return self._target
-
-    def next_batch(self) -> tuple[float, ...]:
-        """Switch fractions of the sessions to train next.
-
-        Returns the BSP target batch (all at fraction 1.0) first when
-        no target accuracy was supplied, then one batch per binary
-        search setting; an empty tuple once the search is done.
-        """
-        if self._phase == "done":
-            return ()
-        if self._outstanding:
-            raise SearchError("previous batch still has outstanding trials")
-        if self._phase == "bsp":
-            count = self.config.bsp_runs
-            self._batch_fraction = 1.0
-        else:
-            count = self.config.runs_per_setting
-            self._batch_fraction = (self._upper + self._lower) / 2.0
-        self._outstanding = count
-        self._batch_results = []
-        return (self._batch_fraction,) * count
-
-    def record(self, accuracy: float, time: float, now: float | None = None) -> None:
-        """Report one finished trial of the current batch.
-
-        ``accuracy`` is the converged accuracy (0.0 for diverged runs)
-        and ``time`` the session's training time — in the fleet, its
-        service time, so preemption stretches are charged to the
-        search cost like the paper charges full sessions.  ``now`` is
-        an optional fleet timestamp used only for tracing.
-        """
-        if self._outstanding <= 0:
-            raise SearchError("no outstanding trial to record")
-        self._outstanding -= 1
-        self._batch_results.append((float(accuracy), float(time)))
-        if now is not None and self.tracer.enabled:
-            self.tracer.instant(
-                "search-trial-done",
-                "search",
-                now,
-                args={
-                    "fraction": self._batch_fraction,
-                    "accuracy": float(accuracy),
-                    "awaiting": self._outstanding,
-                },
-            )
-        if self._outstanding == 0:
-            self._advance()
-
-    def result(self) -> SearchResult:
-        """The finished search (Algorithm 1's found timing policy)."""
-        if not self.done:
-            raise SearchError("search has not finished")
-        result = SearchResult(
-            switch_fraction=self._upper, target_accuracy=self._target
-        )
-        result.trials = list(self._trials)
-        return result
-
-    # ------------------------------------------------------------------
-    def _advance(self) -> None:
-        """Fold the completed batch into the Algorithm 1 state."""
-        fraction = self._batch_fraction
-        mean_accuracy = sum(
-            accuracy for accuracy, _ in self._batch_results
-        ) / len(self._batch_results)
-        if self._phase == "bsp":
-            # Algorithm 1 lines 2-5: the target is the mean static-BSP
-            # accuracy; the target runs count toward search cost.
-            self._target = mean_accuracy
-            for run, (accuracy, time) in enumerate(self._batch_results):
-                self._trials.append(
-                    TrialOutcome(1.0, run, accuracy, time, valid=True)
-                )
-            self._phase = "candidates"
-            return
-        for run, (accuracy, time) in enumerate(self._batch_results):
-            self._trials.append(
-                TrialOutcome(
-                    fraction,
-                    run,
-                    accuracy,
-                    time,
-                    valid=abs(accuracy - self._target) <= self.config.beta,
-                )
-            )
-        # Lines 11-15: a good-enough candidate becomes the new upper
-        # bound (try switching even earlier), otherwise the lower.
-        if abs(mean_accuracy - self._target) <= self.config.beta:
-            self._upper = fraction
-        else:
-            self._lower = fraction
-        self._settings_done += 1
-        if self._settings_done >= self.config.max_settings:
-            self._phase = "done"
-
-
-class ScheduleSearchSession:
-    """One in-flight N-segment schedule search, advanced by completions.
-
-    The inverted-control twin of
-    :class:`~repro.core.search.binary_search.ScheduleSearch`: the same
-    coordinate descent over per-boundary switch fractions, one
-    Algorithm 1 halving run per schedule boundary, but batches are
-    handed out through :meth:`next_batch` and folded back in through
-    :meth:`record` so the fleet can train trials as ordinary jobs.
-    Given the same per-trial outcomes it reports the same trials and
-    the same found schedule — covered by tests — and with a single
-    two-protocol sequence its batches are the fraction vectors
-    ``(f, 1-f)`` of the two-phase :class:`TimingSearchSession`.
-    """
-
-    def __init__(self, config: SearchConfig, sequences=(("bsp", "asp"),)):
-        self.config = config
-        self.sequences = validate_sequences(sequences)
-        self._target = config.target_accuracy
-        self._opener_time: float | None = None
-        self._trials: list[ScheduleTrialOutcome] = []
-        self._finals: list[tuple[float, ...]] = []
-        self._phase = "bsp" if self._target is None else "candidates"
-        self._seq_index = 0
-        self._boundaries: list[float] = []
-        self._boundary_index = 0
-        self._lower = 0.0
-        self._upper = 1.0
-        self._settings_done = 0
-        self._batch_protocols = self.sequences[0]
-        self._batch_vector: tuple[float, ...] | None = None
-        self._batch_candidate: float | None = None
-        self._outstanding = 0
-        self._batch_results: list[tuple[float, float]] = []
-        self.tracer = NULL_TRACER
-        if self._phase == "candidates":
-            self._begin_sequence(0)
-
-    @property
-    def done(self) -> bool:
-        """Whether every candidate sequence has been searched."""
-        return self._phase == "done"
-
-    @property
-    def awaiting(self) -> int:
-        """Trials of the current batch not yet reported."""
-        return self._outstanding
-
-    @property
-    def target_accuracy(self) -> float | None:
-        """The search target ``A`` (None until the opener runs finish)."""
-        return self._target
-
-    @property
-    def protocols(self) -> tuple[str, ...]:
-        """Protocol sequence trained by the current batch's trials."""
-        return self._batch_protocols
-
-    def next_batch(self) -> tuple[tuple[float, ...], ...]:
-        """Per-segment fraction vectors of the sessions to train next.
-
-        The opener-protocol target batch (the full budget on segment 0)
-        comes first when no target accuracy was supplied, then one
-        batch per halving setting of the boundary under search; an
-        empty tuple once the search is done.
-        """
-        if self._phase == "done":
-            return ()
-        if self._outstanding:
-            raise SearchError("previous batch still has outstanding trials")
-        if self._phase == "bsp":
-            count = self.config.bsp_runs
-            opener = self.sequences[0]
-            self._batch_protocols = opener
-            self._batch_vector = boundary_fractions([1.0] * (len(opener) - 1))
-        else:
-            count = self.config.runs_per_setting
-            self._batch_candidate = (self._upper + self._lower) / 2.0
-            probe = list(self._boundaries)
-            probe[self._boundary_index] = self._batch_candidate
-            self._batch_protocols = self.sequences[self._seq_index]
-            self._batch_vector = boundary_fractions(probe)
-        self._outstanding = count
-        self._batch_results = []
-        return (self._batch_vector,) * count
-
-    def record(self, accuracy: float, time: float, now: float | None = None) -> None:
-        """Report one finished trial of the current batch.
-
-        ``now`` is an optional fleet timestamp used only for tracing.
-        """
-        if self._outstanding <= 0:
-            raise SearchError("no outstanding trial to record")
-        self._outstanding -= 1
-        self._batch_results.append((float(accuracy), float(time)))
-        if now is not None and self.tracer.enabled:
-            self.tracer.instant(
-                "search-trial-done",
-                "search",
-                now,
-                args={
-                    "protocols": "+".join(self._batch_protocols),
-                    "accuracy": float(accuracy),
-                    "awaiting": self._outstanding,
-                },
-            )
-        if self._outstanding == 0:
-            self._advance()
-
-    def result(self) -> ScheduleSearchResult:
-        """The finished search (fastest found schedule across sequences)."""
-        if not self.done:
-            raise SearchError("search has not finished")
-        best, prices = pick_best_schedule(
-            self.sequences, self._finals, self._trials, self._opener_time
-        )
-        result = ScheduleSearchResult(
-            protocols=self.sequences[best],
-            fractions=self._finals[best],
-            target_accuracy=self._target,
-            expected_time=prices[best],
-            candidates=tuple(
-                ScheduleCandidate(sequence, self._finals[index], prices[index])
-                for index, sequence in enumerate(self.sequences)
-            ),
-        )
-        result.trials = list(self._trials)
-        return result
-
-    # ------------------------------------------------------------------
-    def _begin_sequence(self, index: int) -> None:
-        """Open the boundary search of sequence ``index``.
-
-        Single-protocol sequences have no boundary to search: their
-        schedule is the full budget on the one segment, finalized
-        immediately.
-        """
-        while index < len(self.sequences):
-            sequence = self.sequences[index]
-            if len(sequence) > 1:
-                self._seq_index = index
-                self._boundaries = [1.0] * (len(sequence) - 1)
-                self._boundary_index = 0
-                self._lower = 0.0
-                self._upper = 1.0
-                self._settings_done = 0
-                return
-            self._finals.append(boundary_fractions([]))
-            index += 1
-        self._phase = "done"
-
-    def _advance(self) -> None:
-        """Fold the completed batch into the coordinate-descent state."""
-        vector = self._batch_vector
-        results = self._batch_results
-        mean_accuracy = sum(accuracy for accuracy, _ in results) / len(results)
-        if self._phase == "bsp":
-            self._target = mean_accuracy
-            self._opener_time = sum(time for _, time in results) / len(results)
-            for run, (accuracy, time) in enumerate(results):
-                self._trials.append(
-                    ScheduleTrialOutcome(
-                        self.sequences[0], vector, run, accuracy, time,
-                        valid=True,
-                    )
-                )
-            self._phase = "candidates"
-            self._begin_sequence(0)
-            return
-        sequence = self.sequences[self._seq_index]
-        for run, (accuracy, time) in enumerate(results):
-            self._trials.append(
-                ScheduleTrialOutcome(
-                    sequence,
-                    vector,
-                    run,
-                    accuracy,
-                    time,
-                    valid=abs(accuracy - self._target) <= self.config.beta,
-                )
-            )
-        if abs(mean_accuracy - self._target) <= self.config.beta:
-            self._upper = self._batch_candidate
-        else:
-            self._lower = self._batch_candidate
-        self._settings_done += 1
-        if self._settings_done < self.config.max_settings:
-            return
-        self._boundaries[self._boundary_index] = self._upper
-        self._boundary_index += 1
-        if self._boundary_index < len(self._boundaries):
-            self._lower = self._boundaries[self._boundary_index - 1]
-            self._upper = 1.0
-            self._settings_done = 0
-        else:
-            self._finals.append(boundary_fractions(self._boundaries))
-            self._begin_sequence(self._seq_index + 1)
+    steps: Generator
+    batch: TrialBatch
+    outcomes: list[tuple[float, float]]
 
 
 class InFleetSearch:
@@ -412,8 +61,11 @@ class InFleetSearch:
     enqueues the trial requests it gets back (ids from
     ``first_trial_id`` up).  ``runs`` is the paper's ``r`` (also the
     number of static-BSP target runs); with ``protocols`` set the
-    search is the N-segment schedule search over that sequence's
-    boundaries, otherwise the two-phase Algorithm 1.
+    search tunes that sequence's boundaries and everything it emits
+    carries the schedule, otherwise it is the two-phase BSP -> ASP
+    search in its percent-only form: trial jobs pin a switch percent,
+    ``search-trial-done`` names the fraction, and the installed policy
+    has no fraction vector.
     """
 
     def __init__(
@@ -427,19 +79,18 @@ class InFleetSearch:
     ):
         self.store = store
         self.runs = runs
-        self.protocols = protocols
+        self.sequences = TWO_PHASE if protocols is None else (protocols,)
+        self.percent_only = protocols is None
         self.tracer = tracer
         self.metrics = metrics
-        self._sessions: dict[
-            JobClass, TimingSearchSession | ScheduleSearchSession
-        ] = {}
+        self._searches: dict[JobClass, _OpenSearch] = {}
         self._trial_class: dict[int, JobClass] = {}
         self._next_trial_id = first_trial_id
 
     @property
     def open_searches(self) -> int:
         """Searches begun and not yet finished."""
-        return len(self._sessions)
+        return len(self._searches)
 
     def job_admitted(
         self, request: JobRequest, now: float
@@ -463,19 +114,15 @@ class InFleetSearch:
         ):
             return ()
         setup = SETUPS[request.setup_index]
-        search_config = SearchConfig(
-            beta=TUNE_BETA,
-            max_settings=setup.search_max_settings,
-            runs_per_setting=self.runs,
-            bsp_runs=self.runs,
+        steps = search_steps(
+            SearchConfig(
+                beta=TUNE_BETA,
+                max_settings=setup.search_max_settings,
+                runs_per_setting=self.runs,
+                bsp_runs=self.runs,
+            ),
+            self.sequences,
         )
-        if self.protocols is not None:
-            session = ScheduleSearchSession(
-                search_config, sequences=(self.protocols,)
-            )
-        else:
-            session = TimingSearchSession(search_config)
-        session.tracer = self.tracer
         self.store.begin_search(job_class)
         if self.tracer.enabled:
             self.tracer.instant(
@@ -488,41 +135,54 @@ class InFleetSearch:
                 },
             )
         self.metrics.inc("searches_started")
-        self._sessions[job_class] = session
-        return self._next_trials(job_class, session, now)
+        # No target is supplied, so the opener batch always comes first.
+        return self._open_batch(job_class, steps, next(steps), now)
 
     def trial_finished(
         self, job_id: int, result: TrainingResult, service_time: float, now: float
     ) -> tuple[JobRequest, ...]:
-        """Feed one finished search trial back into its session.
+        """Feed one finished search trial back into its class's search.
 
         The trial's ``service_time`` (preemption stretches included) is
         charged to the search cost, like the paper charges whole
-        sessions.  When the batch completes the session either emits
+        sessions.  When the batch completes the search either asks for
         the next batch — returned for the caller to enqueue — or, once
         done, publishes the found policy to the store for every later
         recurrence to reuse.
         """
         job_class = self._trial_class.pop(job_id)
-        session = self._sessions[job_class]
-        accuracy = (
+        search = self._searches[job_class]
+        batch = search.batch
+        accuracy = float(
             0.0 if result.diverged else (result.reported_accuracy or 0.0)
         )
-        session.record(accuracy, service_time, now=now)
+        search.outcomes.append((accuracy, float(service_time)))
+        awaiting = batch.count - len(search.outcomes)
+        if self.tracer.enabled:
+            trained = (
+                {"fraction": batch.fractions[0]}
+                if self.percent_only
+                else {"protocols": "+".join(batch.protocols)}
+            )
+            self.tracer.instant(
+                "search-trial-done",
+                "search",
+                now,
+                args={**trained, "accuracy": accuracy, "awaiting": awaiting},
+            )
         self.metrics.inc("search_trials_completed")
-        if session.awaiting:
+        if awaiting:
             return ()
-        if not session.done:
-            return self._next_trials(job_class, session, now)
-        del self._sessions[job_class]
-        if isinstance(session, ScheduleSearchSession):
-            policy = policy_from_schedule_search(
-                job_class, session.result(), tuned_at=now
-            )
+        try:
+            batch = search.steps.send(search.outcomes)
+        except StopIteration as finished:
+            found = finished.value
         else:
-            policy = policy_from_search(
-                job_class, session.result(), tuned_at=now
-            )
+            return self._open_batch(job_class, search.steps, batch, now)
+        del self._searches[job_class]
+        policy = policy_from_search(
+            job_class, found, tuned_at=now, percent_only=self.percent_only
+        )
         self.store.install(policy)
         if self.tracer.enabled:
             self.tracer.instant(
@@ -534,21 +194,18 @@ class InFleetSearch:
         self.metrics.inc("policies_installed")
         return ()
 
-    def _next_trials(
-        self, job_class: JobClass, session, now: float
+    def _open_batch(
+        self, job_class: JobClass, steps: Generator, batch: TrialBatch, now: float
     ) -> tuple[JobRequest, ...]:
-        """The session's next batch of trials, as fleet jobs.
+        """Make ``batch`` the class's open one: a fleet job per session.
 
-        Two-phase sessions hand out switch fractions; schedule sessions
-        hand out per-segment fraction vectors, which ride on the trial
-        request's ``protocols``/``fractions`` fields (the override
-        still pins the segment-0 share so service estimates and reports
-        see the familiar BSP percentage).
+        The override always pins the segment-0 share, so service
+        estimates and reports see the familiar BSP percentage; a
+        schedule search's trials also carry the full plan.
         """
+        self._searches[job_class] = _OpenSearch(steps, batch, [])
         trials = []
-        for item in session.next_batch():
-            vector = item if isinstance(item, tuple) else None
-            share = item if vector is None else vector[0]
+        for _ in range(batch.count):
             trials.append(
                 JobRequest(
                     job_id=self._next_trial_id,
@@ -557,9 +214,9 @@ class InFleetSearch:
                     n_workers=job_class.n_workers,
                     sync_policy="sync-switch",
                     kind="search-trial",
-                    percent_override=share * 100.0,
-                    protocols=None if vector is None else session.protocols,
-                    fractions=vector,
+                    percent_override=batch.fractions[0] * 100.0,
+                    protocols=None if self.percent_only else batch.protocols,
+                    fractions=None if self.percent_only else batch.fractions,
                 )
             )
             self._trial_class[self._next_trial_id] = job_class

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_search import reference_search
+
 from repro.core.search import OfflineTimingSearch, SearchConfig
 from repro.errors import SearchError
 
@@ -171,3 +173,66 @@ class TestOfflineTimingSearch:
         found = search.search().switch_fraction
         accuracy, _ = knee_runner(knee=knee, bad_slope=slope)(found, 0)
         assert abs(accuracy - 0.92) <= beta + 1e-12
+
+
+#: Accuracies cluster around a plausible target so the beta band is hit
+#: from both sides; 0.0 is a diverged session.
+ACCURACIES = st.one_of(st.just(0.0), st.floats(min_value=0.85, max_value=0.95))
+OUTCOMES = st.tuples(ACCURACIES, st.floats(min_value=1.0, max_value=500.0))
+
+
+@st.composite
+def search_configs(draw):
+    supplied = draw(st.booleans())
+    return SearchConfig(
+        beta=draw(st.floats(min_value=0.0, max_value=0.05)),
+        max_settings=draw(st.integers(min_value=1, max_value=6)),
+        runs_per_setting=draw(st.integers(min_value=1, max_value=4)),
+        target_accuracy=draw(ACCURACIES) if supplied else None,
+        bsp_runs=0 if supplied else draw(st.integers(min_value=1, max_value=4)),
+    )
+
+
+class TestAgainstAppendixBReference:
+    """The production coroutine vs the naive transcription of
+    Appendix B (``reference_search.py``): they share no code."""
+
+    @given(search_configs(), st.lists(OUTCOMES, min_size=1, max_size=28))
+    @settings(max_examples=200, deadline=None)
+    def test_same_trial_stream_policy_and_cost(self, config, table):
+        def replay(calls):
+            """The k-th session trained gets the table's k-th outcome."""
+
+            def trial(fraction, run_index):
+                calls.append((fraction, run_index))
+                return table[(len(calls) - 1) % len(table)]
+
+            return trial
+
+        asked, expected = [], []
+        found = OfflineTimingSearch(replay(asked), config).search()
+        reference = reference_search(
+            replay(expected),
+            beta=config.beta,
+            max_settings=config.max_settings,
+            runs_per_setting=config.runs_per_setting,
+            target_accuracy=config.target_accuracy,
+            bsp_runs=config.bsp_runs,
+        )
+        assert asked == expected
+        assert found.switch_fraction == reference.switch_fraction
+        assert found.switch_percent == reference.switch_fraction * 100.0
+        assert found.target_accuracy == reference.target_accuracy
+        assert [
+            (t.switch_fraction, t.run_index, t.accuracy, t.time, t.valid)
+            for t in found.trials
+        ] == reference.trials
+        assert found.search_time == reference.search_time
+        assert found.valid_sessions == reference.valid_sessions
+        # The schedule form of every two-phase trial is (f, 1 - f).
+        assert found.protocols == ("bsp", "asp")
+        assert all(
+            t.protocols == ("bsp", "asp")
+            and t.fractions == (t.switch_fraction, 1.0 - t.switch_fraction)
+            for t in found.trials
+        )

@@ -3,15 +3,13 @@
 import math
 
 import pytest
+from reference_search import reference_search
 
-from repro.core.search import (
-    OfflineTimingSearch,
-    ScheduleSearch,
-    SearchConfig,
-    boundary_fractions,
-)
+from repro.core.search import ScheduleSearch, SearchConfig, boundary_fractions
 from repro.core.search.binary_search import (
+    TrialBatch,
     pick_best_schedule,
+    search_steps,
     validate_sequences,
 )
 from repro.errors import SearchError
@@ -81,11 +79,23 @@ class TestValidateSequences:
         validate_sequences((("bsp", "ssp", "casp"),))
 
 
+def reference(config):
+    return reference_search(
+        two_phase_trial,
+        beta=config.beta,
+        max_settings=config.max_settings,
+        runs_per_setting=config.runs_per_setting,
+        target_accuracy=config.target_accuracy,
+        bsp_runs=config.bsp_runs,
+    )
+
+
 class TestTwoPhaseSpecialCase:
-    """N=2 bsp,asp must reproduce OfflineTimingSearch verbatim."""
+    """N=2 bsp,asp must reproduce the two-phase Algorithm 1 verbatim
+    (the Appendix B reference, ``reference_search.py``)."""
 
     def test_same_trial_stream_and_result(self):
-        offline = OfflineTimingSearch(two_phase_trial, CONFIG).search()
+        offline = reference(CONFIG)
         schedule = ScheduleSearch(schedule_trial, CONFIG).search()
         assert schedule.protocols == ("bsp", "asp")
         assert schedule.switch_fraction == offline.switch_fraction
@@ -95,20 +105,69 @@ class TestTwoPhaseSpecialCase:
         assert [
             (t.fractions[0], t.run_index, t.accuracy, t.time, t.valid)
             for t in schedule.trials
-        ] == [
-            (t.switch_fraction, t.run_index, t.accuracy, t.time, t.valid)
-            for t in offline.trials
-        ]
+        ] == offline.trials
 
     def test_supplied_target_skips_opener_runs(self):
         config = SearchConfig(
             beta=0.01, max_settings=3, runs_per_setting=1,
             target_accuracy=0.92,
         )
-        offline = OfflineTimingSearch(two_phase_trial, config).search()
+        offline = reference(config)
         schedule = ScheduleSearch(schedule_trial, config).search()
         assert schedule.fractions[0] == offline.switch_fraction
-        assert schedule.n_sessions == offline.n_sessions == 3
+        assert schedule.n_sessions == len(offline.trials) == 3
+
+
+class TestSearchSteps:
+    """The coroutine protocol: batches out, outcome lists in."""
+
+    def test_three_segment_batch_stream(self):
+        """Hand-computed: knee at 0.25 on the opener share only, so
+        boundary 1 walks 0.5, 0.25, 0.125, 0.1875 and settles on 0.25;
+        boundary 2 then halves down from 1.0 inside [0.25, 1]."""
+        steps = search_steps(CONFIG, (("bsp", "ssp", "asp"),))
+        sequence = ("bsp", "ssp", "asp")
+        asked = [next(steps)]
+        try:
+            while True:
+                batch = asked[-1]
+                asked.append(
+                    steps.send(
+                        [
+                            schedule_trial(batch.protocols, batch.fractions, run)
+                            for run in range(batch.count)
+                        ]
+                    )
+                )
+        except StopIteration as finished:
+            result = finished.value
+        assert asked == [
+            TrialBatch(sequence, (1.0, 0.0, 0.0), 2),
+            TrialBatch(sequence, (0.5, 0.5, 0.0), 1),
+            TrialBatch(sequence, (0.25, 0.75, 0.0), 1),
+            TrialBatch(sequence, (0.125, 0.875, 0.0), 1),
+            TrialBatch(sequence, (0.1875, 0.8125, 0.0), 1),
+            TrialBatch(sequence, (0.25, 0.375, 0.375), 1),
+            TrialBatch(sequence, (0.25, 0.1875, 0.5625), 1),
+            TrialBatch(sequence, (0.25, 0.09375, 0.65625), 1),
+            TrialBatch(sequence, (0.25, 0.046875, 0.703125), 1),
+        ]
+        assert result.fractions == (0.25, 0.046875, 0.703125)
+        assert result.n_sessions == 10
+        assert result.valid_sessions == 2 + 2 + 4
+
+    def test_invalid_sequences_rejected_before_the_first_batch(self):
+        """At the call, not at the first ``next()``."""
+        with pytest.raises(SearchError):
+            search_steps(CONFIG, (("asp", "bsp"),))
+
+    def test_single_protocol_sequence_has_nothing_to_search(self):
+        steps = search_steps(CONFIG, (("bsp",),))
+        assert next(steps) == TrialBatch(("bsp",), (1.0,), 2)
+        with pytest.raises(StopIteration) as finished:
+            steps.send([(0.9, 100.0), (0.9, 100.0)])
+        assert finished.value.value.fractions == (1.0,)
+        assert finished.value.value.expected_time == 100.0
 
 
 class TestCoordinateDescent:

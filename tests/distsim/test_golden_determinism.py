@@ -30,7 +30,7 @@ import pytest
 
 from repro.distsim.cluster import ClusterSpec
 from repro.distsim.job import JobConfig, TrainingPlan
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.distsim.trainer import DistributedTrainer
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_hashes.json"

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distsim.telemetry import TrainingResult, TrainingTelemetry
+from repro.distsim.result import TrainingResult
+from repro.distsim.telemetry import TrainingTelemetry
 
 
 class TestTelemetry:

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 import repro.experiments.executor as executor_module
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     ParallelExecutor,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distsim.telemetry import TrainingResult
+from repro.distsim.result import TrainingResult
 from repro.experiments import ExperimentRunner
 from repro.experiments.aggregate import (
     accuracy_stats,

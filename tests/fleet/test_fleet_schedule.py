@@ -77,7 +77,7 @@ class TestTunedScheduleStream:
             assert sum(row["fractions"]) == pytest.approx(1.0)
 
     def test_two_phase_config_unchanged_by_default(self):
-        """No protocols given -> the classic TimingSearchSession path."""
+        """No protocols given -> the percent-only two-phase policy."""
         store = PolicyStore()
         FleetSimulator(
             FleetConfig(

@@ -1,11 +1,14 @@
 """Tests for the per-class policy store and amortization accounting."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.core.search import (
+    OfflineTimingSearch,
     ProfileModel,
+    SearchConfig,
     SearchCostSimulator,
     SearchSetting,
 )
@@ -16,8 +19,6 @@ from repro.fleet.policy_store import (
     PolicyStore,
     policy_from_search,
 )
-from repro.fleet.tuning import TimingSearchSession
-from repro.core.search.binary_search import SearchConfig
 from repro.fleet.workload import JobRequest, estimate_service_time
 
 CLS = JobClass(setup_index=1, n_workers=8)
@@ -93,25 +94,31 @@ class TestAmortizationAccounting:
         )
 
     def test_policy_from_search_session(self):
-        # Drive an incremental session with the same noise-free trial
-        # economics and fold it into a policy: identical accounting.
+        # Run a search with the same noise-free trial economics and
+        # fold it into a policy: identical accounting.
         def trial(fraction, run):
             return 0.9, 60.0 if fraction == 0.5 else 100.0
 
-        session = TimingSearchSession(
+        result = OfflineTimingSearch(
+            trial,
             SearchConfig(beta=0.01, max_settings=1, runs_per_setting=1,
-                         bsp_runs=1)
+                         bsp_runs=1),
+        ).search()
+        policy = policy_from_search(
+            CLS, result, tuned_at=7.0, percent_only=True
         )
-        while not session.done:
-            for run, fraction in enumerate(session.next_batch()):
-                session.record(*trial(fraction, run))
-        policy = policy_from_search(CLS, session.result(), tuned_at=7.0)
         assert policy.percent == 50.0
         assert policy.bsp_time == pytest.approx(100.0)
         assert policy.policy_time == pytest.approx(60.0)
         assert policy.search_cost == pytest.approx(160.0)
         assert policy.amortized_recurrences == pytest.approx(4.0)
         assert policy.tuned_at == 7.0
+        assert policy.protocols == ("bsp", "asp")
+        assert policy.fractions is None
+        # The schedule form of the same search differs in nothing else.
+        assert policy_from_search(
+            CLS, result, tuned_at=7.0, percent_only=False
+        ) == dataclasses.replace(policy, fractions=(0.5, 0.5))
 
     def test_never_beating_bsp_is_infinite_and_reported_none(self):
         policy = make_policy(policy_time=100.0)  # no saving at all

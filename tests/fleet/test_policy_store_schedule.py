@@ -9,7 +9,7 @@ from repro.fleet.policy_store import (
     ClassPolicy,
     JobClass,
     PolicyStore,
-    policy_from_schedule_search,
+    policy_from_search,
 )
 from repro.fleet.workload import JobRequest
 
@@ -114,7 +114,9 @@ class TestPolicyFromScheduleSearch:
 
     def test_installable_policy_records_full_schedule(self):
         result = self.run_search()
-        policy = policy_from_schedule_search(CLS, result, tuned_at=5.0)
+        policy = policy_from_search(
+            CLS, result, tuned_at=5.0, percent_only=False
+        )
         assert policy.protocols == ("bsp", "ssp", "asp")
         assert policy.fractions == result.fractions
         assert policy.percent == pytest.approx(result.fractions[0] * 100.0)
@@ -130,7 +132,9 @@ class TestPolicyFromScheduleSearch:
             trial for trial in result.trials if trial.fractions[0] != 1.0
         ]
         with pytest.raises(FleetError):
-            policy_from_schedule_search(CLS, result, tuned_at=0.0)
+            policy_from_search(
+                CLS, result, tuned_at=0.0, percent_only=False
+            )
 
 
 class TestPredictServiceWithSchedules:

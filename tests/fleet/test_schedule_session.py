@@ -1,10 +1,14 @@
-"""Tests for the incremental N-segment schedule search session."""
+"""Tests for the N-segment schedule search driven by fleet completions."""
 
 import pytest
 
 from repro.core.search import ScheduleSearch, SearchConfig
 from repro.errors import SearchError
-from repro.fleet.tuning import ScheduleSearchSession
+from repro.experiments.setups import SETUPS
+from repro.fleet.policy_store import JobClass, PolicyStore, policy_from_search
+from repro.fleet.tuning import TUNE_BETA, InFleetSearch
+
+CLS = JobClass(setup_index=1, n_workers=8)
 
 
 def schedule_trial(protocols, fractions, run):
@@ -13,97 +17,101 @@ def schedule_trial(protocols, fractions, run):
     return accuracy, 50.0 + 100.0 * fractions[0]
 
 
-CONFIG = SearchConfig(beta=0.05, max_settings=4, runs_per_setting=2, bsp_runs=2)
+def fleet_trial(job, run):
+    """``schedule_trial`` as seen through a schedule-carrying trial job."""
+    return schedule_trial(job.protocols, job.fractions, run)
 
 
-def drive(session):
-    while not session.done:
-        batch = session.next_batch()
-        protocols = session.protocols
-        for run, fractions in enumerate(batch):
-            session.record(*schedule_trial(protocols, fractions, run))
-    return session.result()
+#: The configuration ``InFleetSearch(runs=2)`` derives for setup 1.
+CONFIG = SearchConfig(
+    beta=TUNE_BETA,
+    max_settings=SETUPS[1].search_max_settings,
+    runs_per_setting=2,
+    bsp_runs=2,
+)
+
+
+def in_fleet(store, protocols):
+    return InFleetSearch(store, 2, protocols=protocols, first_trial_id=100)
 
 
 class TestEquivalenceWithOfflineScheduleSearch:
-    """The session must replay ScheduleSearch exactly."""
+    """Completions fed one by one must replay ScheduleSearch exactly."""
 
     @pytest.mark.parametrize(
-        "sequences",
-        [
-            (("bsp", "asp"),),
-            (("bsp", "ssp", "asp"),),
-            (("bsp", "asp"), ("bsp", "ssp", "asp"), ("bsp", "dssp")),
-        ],
+        "protocols", [("bsp", "asp"), ("bsp", "ssp", "asp"), ("bsp", "dssp")]
     )
-    def test_same_schedule_target_and_trials(self, sequences):
-        offline = ScheduleSearch(schedule_trial, CONFIG, sequences).search()
-        result = drive(ScheduleSearchSession(CONFIG, sequences))
-        assert result.protocols == offline.protocols
-        assert result.fractions == offline.fractions
-        assert result.target_accuracy == offline.target_accuracy
-        assert result.search_time == pytest.approx(offline.search_time)
+    def test_same_schedule_target_and_trials(self, protocols, drive_search):
+        offline = ScheduleSearch(schedule_trial, CONFIG, (protocols,)).search()
+        store = PolicyStore()
+        batches = drive_search(in_fleet(store, protocols), fleet_trial)
+        policy = store.lookup(CLS)
+        assert policy == policy_from_search(
+            CLS, offline, tuned_at=policy.tuned_at, percent_only=False
+        )
+        assert policy.protocols == offline.protocols
+        assert policy.fractions == offline.fractions
+        assert policy.target_accuracy == offline.target_accuracy
+        assert policy.search_cost == pytest.approx(offline.search_time)
         assert [
-            (t.protocols, t.fractions, t.run_index, t.accuracy, t.time,
-             t.valid)
-            for t in result.trials
+            (job.protocols, job.fractions, job.percent_override)
+            for batch in batches
+            for job in batch
         ] == [
-            (t.protocols, t.fractions, t.run_index, t.accuracy, t.time,
-             t.valid)
+            (t.protocols, t.fractions, t.fractions[0] * 100.0)
             for t in offline.trials
         ]
 
     def test_candidate_prices_match(self):
+        """Two sequences whose found schedules train equally fast: each
+        is priced at the mean time of its final vector's sessions
+        (the opener share walks 0.5, 0.25, 0.125, 0.1875, 0.21875 and
+        settles there -> 71.875 s) and the tie goes to the earlier."""
         sequences = (("bsp", "asp"), ("bsp", "ssp", "asp"))
-        offline = ScheduleSearch(schedule_trial, CONFIG, sequences).search()
-        result = drive(ScheduleSearchSession(CONFIG, sequences))
+        result = ScheduleSearch(schedule_trial, CONFIG, sequences).search()
         assert [
-            (c.protocols, c.fractions, c.expected_time)
+            (c.protocols, c.fractions[0], c.expected_time)
             for c in result.candidates
         ] == [
-            (c.protocols, c.fractions, c.expected_time)
-            for c in offline.candidates
+            (("bsp", "asp"), 0.21875, 71.875),
+            (("bsp", "ssp", "asp"), 0.21875, 71.875),
         ]
+        assert result.protocols == ("bsp", "asp")
+        assert result.expected_time == 71.875
 
 
 class TestSessionProtocol:
-    def test_opener_batch_first_then_candidates(self):
-        session = ScheduleSearchSession(
-            CONFIG, (("bsp", "ssp", "asp"),)
+    def test_opener_batch_first_then_candidates(self, drive_search):
+        sequence = ("bsp", "ssp", "asp")
+        store = PolicyStore()
+        batches = drive_search(
+            in_fleet(store, sequence), lambda job, run: (0.9, 100.0)
         )
-        assert session.target_accuracy is None
-        batch = session.next_batch()
-        assert batch == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        assert session.protocols == ("bsp", "ssp", "asp")
-        assert session.awaiting == 2
-        session.record(0.9, 100.0)
-        session.record(0.9, 100.0)
-        assert session.target_accuracy == pytest.approx(0.9)
+        assert store.lookup(CLS).target_accuracy == pytest.approx(0.9)
+        first, second = batches[0], batches[1]
+        assert [job.fractions for job in first] == [(1.0, 0.0, 0.0)] * 2
         # First candidate: boundary 1 at 0.5, boundary 2 pinned at 1.0.
-        assert session.next_batch() == ((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
+        assert [job.fractions for job in second] == [(0.5, 0.5, 0.0)] * 2
+        for job in first + second:
+            assert job.kind == "search-trial"
+            assert job.protocols == sequence
+            assert job.percent_override == job.fractions[0] * 100.0
 
-    def test_next_batch_with_outstanding_trials_rejected(self):
-        session = ScheduleSearchSession(CONFIG)
-        session.next_batch()
+    def test_done_session_yields_empty_batch(self, drive_search, stream_job):
+        store = PolicyStore()
+        search = in_fleet(store, ("bsp", "ssp", "asp"))
+        batches = drive_search(search, fleet_trial)
+        assert len(batches) == 1 + 2 * CONFIG.max_settings
+        assert search.open_searches == 0
+        assert not store.is_searching(CLS)
+        assert len(store.lookup(CLS).fractions) == 3
+        assert search.job_admitted(stream_job(job_id=1), now=9.0) == ()
+
+    def test_invalid_sequences_rejected_up_front(self, stream_job):
+        """Before the class is marked searching or any trial is issued."""
+        store = PolicyStore()
+        search = in_fleet(store, ("asp", "bsp"))
         with pytest.raises(SearchError):
-            session.next_batch()
-
-    def test_record_without_batch_rejected(self):
-        session = ScheduleSearchSession(CONFIG)
-        with pytest.raises(SearchError):
-            session.record(0.9, 100.0)
-
-    def test_result_before_done_rejected(self):
-        session = ScheduleSearchSession(CONFIG)
-        with pytest.raises(SearchError):
-            session.result()
-
-    def test_done_session_yields_empty_batch(self):
-        session = ScheduleSearchSession(CONFIG)
-        drive(session)
-        assert session.done
-        assert session.next_batch() == ()
-
-    def test_invalid_sequences_rejected_up_front(self):
-        with pytest.raises(SearchError):
-            ScheduleSearchSession(CONFIG, (("asp", "bsp"),))
+            search.job_admitted(stream_job(), now=0.0)
+        assert search.open_searches == 0
+        assert not store.is_searching(CLS)

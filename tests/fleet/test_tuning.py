@@ -1,10 +1,21 @@
-"""Tests for the incremental Algorithm 1 session (fleet tuning)."""
+"""Tests for Algorithm 1 driven by fleet job completions (two-phase).
+
+:class:`InFleetSearch` is handed trial completions by hand here — no
+simulator — and checked against the closed loop
+(:class:`OfflineTimingSearch`), which ``tests/core`` checks against the
+Appendix B reference.
+"""
 
 import pytest
 
 from repro.core.search import OfflineTimingSearch, SearchConfig
-from repro.errors import SearchError
-from repro.fleet.tuning import TimingSearchSession
+from repro.core.search.binary_search import TrialBatch, search_steps
+from repro.experiments.fleet import run_traced_fleet
+from repro.experiments.setups import SETUPS
+from repro.fleet.policy_store import JobClass, PolicyStore, policy_from_search
+from repro.fleet.tuning import TUNE_BETA, InFleetSearch
+
+CLS = JobClass(setup_index=1, n_workers=8)
 
 
 def deterministic_trial(fraction, run):
@@ -13,33 +24,48 @@ def deterministic_trial(fraction, run):
     return accuracy, 50.0 + 100.0 * fraction
 
 
-CONFIG = SearchConfig(beta=0.05, max_settings=4, runs_per_setting=2, bsp_runs=2)
+def fleet_trial(trial):
+    """``trial(fraction, run)`` as seen through a percent-only trial job."""
+    return lambda job, run: trial(job.percent_override / 100.0, run)
 
 
-def drive(session):
-    while not session.done:
-        batch = session.next_batch()
-        for run, fraction in enumerate(batch):
-            session.record(*deterministic_trial(fraction, run))
-    return session.result()
+#: The configuration ``InFleetSearch(runs=2)`` derives for setup 1.
+CONFIG = SearchConfig(
+    beta=TUNE_BETA,
+    max_settings=SETUPS[1].search_max_settings,
+    runs_per_setting=2,
+    bsp_runs=2,
+)
+
+
+def in_fleet(store=None, runs=2):
+    return InFleetSearch(
+        store if store is not None else PolicyStore(),
+        runs,
+        protocols=None,
+        first_trial_id=100,
+    )
 
 
 class TestEquivalenceWithOfflineSearch:
-    """The session must replay Algorithm 1 exactly (same trial stream)."""
+    """Completions fed one by one must replay the closed loop exactly."""
 
-    def test_same_policy_target_and_trials(self):
+    def test_same_policy_target_and_trials(self, drive_search):
         offline = OfflineTimingSearch(deterministic_trial, CONFIG).search()
-        result = drive(TimingSearchSession(CONFIG))
-        assert result.switch_fraction == offline.switch_fraction
-        assert result.target_accuracy == offline.target_accuracy
-        assert result.search_time == pytest.approx(offline.search_time)
+        store = PolicyStore()
+        batches = drive_search(
+            in_fleet(store), fleet_trial(deterministic_trial)
+        )
+        policy = store.lookup(CLS)
+        assert policy == policy_from_search(
+            CLS, offline, tuned_at=policy.tuned_at, percent_only=True
+        )
+        assert policy.percent == offline.switch_percent
+        assert policy.target_accuracy == offline.target_accuracy
+        assert policy.search_cost == pytest.approx(offline.search_time)
         assert [
-            (t.switch_fraction, t.run_index, t.accuracy, t.time, t.valid)
-            for t in result.trials
-        ] == [
-            (t.switch_fraction, t.run_index, t.accuracy, t.time, t.valid)
-            for t in offline.trials
-        ]
+            job.percent_override for batch in batches for job in batch
+        ] == [trial.switch_fraction * 100.0 for trial in offline.trials]
 
     def test_supplied_target_skips_bsp_runs(self):
         config = SearchConfig(
@@ -47,75 +73,99 @@ class TestEquivalenceWithOfflineSearch:
             target_accuracy=0.90,
         )
         offline = OfflineTimingSearch(deterministic_trial, config).search()
-        session = TimingSearchSession(config)
-        first = session.next_batch()
-        assert first == (0.5,)  # no BSP batch: straight to candidates
-        session.record(*deterministic_trial(0.5, 0))
-        result = drive(session)
+        steps = search_steps(config)
+        batch = next(steps)
+        # no BSP batch: straight to candidates
+        assert batch == TrialBatch(("bsp", "asp"), (0.5, 0.5), 1)
+        with pytest.raises(StopIteration) as finished:
+            while True:
+                batch = steps.send([deterministic_trial(batch.fractions[0], 0)])
+        result = finished.value.value
         assert result.switch_fraction == offline.switch_fraction
         assert result.n_sessions == offline.n_sessions == 3
 
 
 class TestSessionProtocol:
-    def test_bsp_batch_first_then_candidates(self):
-        session = TimingSearchSession(CONFIG)
-        assert session.target_accuracy is None
-        batch = session.next_batch()
-        assert batch == (1.0, 1.0)
-        assert session.awaiting == 2
-        session.record(0.9, 100.0)
-        session.record(0.9, 100.0)
-        assert session.target_accuracy == pytest.approx(0.9)
-        assert session.next_batch() == (0.5, 0.5)
+    def test_bsp_batch_first_then_candidates(self, drive_search):
+        store = PolicyStore()
+        batches = drive_search(in_fleet(store), lambda job, run: (0.9, 100.0))
+        assert store.lookup(CLS).target_accuracy == pytest.approx(0.9)
+        first, second = batches[0], batches[1]
+        assert [job.percent_override for job in first] == [100.0, 100.0]
+        assert [job.percent_override for job in second] == [50.0, 50.0]
+        assert [job.job_id for job in first + second] == [100, 101, 102, 103]
+        for job in first + second:
+            assert job.kind == "search-trial"
+            assert (job.setup_index, job.n_workers) == (1, 8)
+            # percent-only: the two-phase controller trains the trial
+            assert job.protocols is None and job.fractions is None
 
-    def test_next_batch_with_outstanding_trials_rejected(self):
-        session = TimingSearchSession(CONFIG)
-        session.next_batch()
-        with pytest.raises(SearchError):
-            session.next_batch()
+    def test_done_session_yields_empty_batch(self, drive_search, stream_job):
+        store = PolicyStore()
+        search = in_fleet(store)
+        batches = drive_search(search, fleet_trial(deterministic_trial))
+        assert len(batches) == 1 + CONFIG.max_settings
+        assert search.open_searches == 0
+        assert not store.is_searching(CLS)
+        assert store.lookup(CLS).fractions is None
+        # The class is tuned: a recurrence starts no second search.
+        assert search.job_admitted(stream_job(job_id=1), now=9.0) == ()
 
-    def test_record_without_batch_rejected(self):
-        session = TimingSearchSession(CONFIG)
-        with pytest.raises(SearchError):
-            session.record(0.9, 100.0)
-
-    def test_result_before_done_rejected(self):
-        session = TimingSearchSession(CONFIG)
-        with pytest.raises(SearchError):
-            session.result()
-
-    def test_done_session_yields_empty_batch(self):
-        session = TimingSearchSession(CONFIG)
-        drive(session)
-        assert session.done
-        assert session.next_batch() == ()
-
-    def test_record_order_within_batch_is_irrelevant(self):
+    def test_record_order_within_batch_is_irrelevant(self, drive_search):
         def noisy(fraction, run):
             accuracy = (0.92 if run == 0 else 0.88) if fraction >= 0.2 else 0.8
             return accuracy, 50.0 + run
-        config = SearchConfig(
-            beta=0.05, max_settings=2, runs_per_setting=2, bsp_runs=1
+
+        forward, backward = PolicyStore(), PolicyStore()
+        asked_f = drive_search(in_fleet(forward), fleet_trial(noisy))
+        asked_b = drive_search(
+            in_fleet(backward), fleet_trial(noisy), order=reversed
         )
-        forward = TimingSearchSession(config)
-        backward = TimingSearchSession(config)
-        while not forward.done:
-            batch_f = forward.next_batch()
-            batch_b = backward.next_batch()
-            assert batch_f == batch_b
-            outcomes = [
-                noisy(fraction, run) for run, fraction in enumerate(batch_f)
-            ]
-            for outcome in outcomes:
-                forward.record(*outcome)
-            for outcome in reversed(outcomes):
-                backward.record(*outcome)
+        assert [[job.percent_override for job in batch] for batch in asked_f] == [
+            [job.percent_override for job in batch] for batch in asked_b
+        ]
         # Same policy and total cost either way (the mean test is
         # order-free; only per-trial run indices may swap).
-        assert (
-            forward.result().switch_fraction
-            == backward.result().switch_fraction
+        assert forward.lookup(CLS).percent == backward.lookup(CLS).percent
+        assert forward.lookup(CLS).search_cost == pytest.approx(
+            backward.lookup(CLS).search_cost
         )
-        assert forward.result().search_time == pytest.approx(
-            backward.result().search_time
-        )
+
+
+@pytest.mark.parametrize("protocols", [None, ("bsp", "ssp", "asp")])
+def test_search_instants_of_a_traced_tuned_cell(protocols):
+    """Names, order and ``args`` keys of the ``search`` lane's instants."""
+    run = run_traced_fleet(
+        scenario="recurring", scheduler="fifo", n_jobs=5, scale=0.002,
+        tune=True, tune_runs=2, protocols=protocols, cache_dir="off",
+    )
+    instants = [
+        event
+        for event in run.events
+        if event.get("cat") == "search" and event["ph"] == "i"
+    ]
+    boundaries = 1 if protocols is None else len(protocols) - 1
+    batches = 1 + boundaries * SETUPS[1].search_max_settings
+    assert [event["name"] for event in instants] == (
+        ["search-begin"] + ["search-trial-done"] * 2 * batches
+        + ["search-complete"]
+    )
+    begin, *trials, complete = instants
+    assert begin["args"] == {"setup": 1, "n_workers": 8}
+    described = "fraction" if protocols is None else "protocols"
+    for event in trials:
+        assert list(event["args"]) == [described, "accuracy", "awaiting"]
+    if protocols is None:
+        assert [event["args"]["fraction"] for event in trials[:4]] == [
+            1.0, 1.0, 0.5, 0.5
+        ]
+    else:
+        assert {event["args"]["protocols"] for event in trials} == {
+            "bsp+ssp+asp"
+        }
+    # Every batch of two counts down to 0 before the next one opens.
+    assert [event["args"]["awaiting"] for event in trials] == [1, 0] * batches
+    assert list(complete["args"]) == ["percent"]
+    assert complete["ts"] == trials[-1]["ts"]
+    [policy] = run.summary.tuning
+    assert complete["args"]["percent"] == policy["percent"]

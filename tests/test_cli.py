@@ -261,6 +261,26 @@ def test_fleet_bad_flag_value_is_a_usage_error(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--runs", "0"], "runs_per_setting must be >= 1"),
+        (["--beta", "-1"], "beta must be non-negative"),
+        (["--protocols", "bsp,asp", "--runs", "0"],
+         "runs_per_setting must be >= 1"),
+    ],
+    ids=["runs", "beta", "schedule-runs"],
+)
+def test_search_bad_number_is_a_usage_error(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    """Both search modes build their config inside the one ``try``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["--quiet", "search", *argv]) == 2
+    _assert_one_error_line(capsys, message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (None, "cannot read trace"),
@@ -486,6 +506,29 @@ def test_fleet_flag_conflict_is_a_usage_error(
     assert main(["--quiet", *argv]) == 2
     assert capsys.readouterr().err == expected + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fleet_policy_store_tune_stream_can_be_traced(
+    capsys, tmp_path, monkeypatch
+):
+    """``--trace --tune`` is refused for the comparison grid only: with
+    ``--policy-store`` the run is one stream, and the only CLI route to
+    the in-fleet search's trace instants."""
+    from repro.obs import validate
+    from repro.obs.export import load_chrome_trace
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    trace = tmp_path / "trace.json"
+    argv = ["fleet", "--scenario", "recurring", "--jobs", "3", "--scale",
+            "0.002", "--scheduler", "fifo", "--tune", "--policy-store",
+            str(tmp_path / "store.json"), "--trace", str(trace),
+            "--out", str(tmp_path / "summary.json")]
+    assert main(["--quiet", *argv]) == 0
+    assert validate.main([str(trace), "--min-categories", "6"]) == 0
+    assert capsys.readouterr().err == ""
+    events = load_chrome_trace(trace)
+    names = {e["name"] for e in events if e.get("cat") == "search"}
+    assert {"search-begin", "search-trial-done", "search-complete"} <= names
 
 
 def test_parser_schedule_flags():
