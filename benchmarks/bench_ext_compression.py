@@ -18,7 +18,7 @@ Besides the rendered table, the accuracy/time/bits trade-off lands in
 import json
 from pathlib import Path
 
-from repro.distsim.engines.casp import DEFAULT_COMPRESSION
+from repro.distsim.engines.asynchronous import DEFAULT_COMPRESSION
 from repro.experiments.aggregate import accuracy_stats, time_stats
 from repro.experiments.reporting import Report
 from repro.experiments.setups import SETUPS

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 from repro.core.policies.config import ConfigurationPolicy
 from repro.core.policies.protocol import ProtocolPolicy, ProtocolSchedule
-from repro.distsim.job import JobConfig, Segment, TrainingPlan
+from repro.distsim.job import (
+    JobConfig,
+    Segment,
+    TrainingPlan,
+    cumulative_step_targets,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["TimingPolicy"]
@@ -102,23 +107,10 @@ class TimingPolicy:
         return (self.switch_fraction, 1.0 - self.switch_fraction)
 
     def segment_boundaries(self, total_steps: int) -> tuple[int, ...]:
-        """Cumulative end step of each segment.
-
-        Mirrors the trainer's segment targeting exactly: boundary ``i``
-        is ``round(cumulative_fraction_i * total_steps)`` and the final
-        boundary is pinned to ``total_steps``, so consecutive segments
-        never overlap and together exhaust the budget.
-        """
-        fractions = self.plan_fractions()
-        boundaries = []
-        cumulative = 0.0
-        for index, fraction in enumerate(fractions):
-            cumulative += fraction
-            if index == len(fractions) - 1:
-                boundaries.append(total_steps)
-            else:
-                boundaries.append(int(round(cumulative * total_steps)))
-        return tuple(boundaries)
+        """Cumulative end step of each segment, zero-fraction ones
+        included — the step targets of the plan this policy builds
+        (:meth:`~repro.distsim.job.TrainingPlan.step_targets`)."""
+        return cumulative_step_targets(self.plan_fractions(), total_steps)
 
     def build_plan(
         self,

@@ -16,6 +16,7 @@ machine is exercised exactly as in the real system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.core.runtime.hooks import HookManager
 from repro.distsim.overheads import ProvisioningModel
@@ -27,7 +28,21 @@ __all__ = ["SequentialActuator", "ParallelActuator"]
 class _ActuatorBase:
     """Shared switch/init orchestration."""
 
+    time_scale: float = 1.0
+    #: Link-quality multiplier on every provisioning cost (see
+    #: :class:`~repro.distsim.overheads.ProvisioningModel`); the fleet
+    #: sets it to the worst tier bandwidth among a job's workers.
+    bandwidth_factor: float = 1.0
     provisioning: ProvisioningModel = field(init=False)
+    #: Whether nodes are contacted concurrently (set by the subclass).
+    parallel: ClassVar[bool]
+
+    def __post_init__(self):
+        self.provisioning = ProvisioningModel(
+            parallel=self.parallel,
+            time_scale=self.time_scale,
+            bandwidth_factor=self.bandwidth_factor,
+        )
 
     def init_time(self, n_workers: int) -> float:
         """Seconds to set up the training cluster."""
@@ -53,35 +68,13 @@ class _ActuatorBase:
         return self.switch_time(hooks.n_nodes)
 
 
-@dataclass
 class SequentialActuator(_ActuatorBase):
     """Contacts nodes one at a time (the naive baseline of Table III)."""
 
-    time_scale: float = 1.0
-    #: Link-quality multiplier on every provisioning cost (see
-    #: :class:`~repro.distsim.overheads.ProvisioningModel`); the fleet
-    #: sets it to the worst tier bandwidth among a job's workers.
-    bandwidth_factor: float = 1.0
-
-    def __post_init__(self):
-        self.provisioning = ProvisioningModel(
-            parallel=False,
-            time_scale=self.time_scale,
-            bandwidth_factor=self.bandwidth_factor,
-        )
+    parallel = False
 
 
-@dataclass
 class ParallelActuator(_ActuatorBase):
     """Propagates configurations concurrently (Sync-Switch's choice)."""
 
-    time_scale: float = 1.0
-    #: See :class:`SequentialActuator.bandwidth_factor`.
-    bandwidth_factor: float = 1.0
-
-    def __post_init__(self):
-        self.provisioning = ProvisioningModel(
-            parallel=True,
-            time_scale=self.time_scale,
-            bandwidth_factor=self.bandwidth_factor,
-        )
+    parallel = True

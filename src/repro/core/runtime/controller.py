@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 
 from repro.core.policies.manager import PolicyManager
 from repro.core.policies.straggler import GreedyPolicy
-from repro.core.runtime.actuator import ParallelActuator, SequentialActuator
-from repro.core.runtime.checkpoint import CheckpointStore
 from repro.core.runtime.detector import StragglerDetector
-from repro.core.runtime.hooks import HookManager
 from repro.core.runtime.profiler import ThroughputProfiler
+from repro.core.runtime.switching import ProtocolSwitcher
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import synchronous_protocols
 from repro.distsim.job import JobConfig, Segment
@@ -64,7 +62,6 @@ class SyncSwitchController:
     policies: PolicyManager
     stragglers: StragglerSchedule | None = None
     ambient_noise: bool = True
-    parallel_actuator: bool = True
     profiler_window: int = 5
     overhead_time_scale: float = 1.0
     #: Link-quality multiplier on provisioning costs (worst tier
@@ -77,27 +74,19 @@ class SyncSwitchController:
         if self.tracer is None:
             self.tracer = NULL_TRACER
         self.cluster = Cluster(self.cluster_spec)
-        self.actuator = (
-            ParallelActuator(
-                time_scale=self.overhead_time_scale,
-                bandwidth_factor=self.overhead_bandwidth,
-            )
-            if self.parallel_actuator
-            else SequentialActuator(
-                time_scale=self.overhead_time_scale,
-                bandwidth_factor=self.overhead_bandwidth,
-            )
+        self.switcher = ProtocolSwitcher(
+            self.cluster_spec.n_workers,
+            time_scale=self.overhead_time_scale,
+            bandwidth_factor=self.overhead_bandwidth,
         )
         self.trainer = DistributedTrainer(
             self.job,
             self.cluster,
             stragglers=self.stragglers,
             ambient_noise=self.ambient_noise,
-            provisioning=self.actuator.provisioning,
+            provisioning=self.switcher.provisioning,
             tracer=self.tracer,
         )
-        self.hooks = HookManager(self.cluster_spec.n_workers)
-        self.checkpoints = CheckpointStore()
 
     def run_job(self) -> JobResult:
         """Execute the job under the configured policies."""
@@ -108,7 +97,7 @@ class SyncSwitchController:
             if len(plan.segments) == 1:
                 self._run_static(session, plan.segments[0])
             else:
-                self._run_switching(session, plan.segments)
+                self._run_switching(session, plan)
         except DivergenceError:
             pass
         result = self.trainer.finalize(session, plan)
@@ -129,9 +118,10 @@ class SyncSwitchController:
             session, segment, self.job.total_steps, charge_switch=False
         )
 
-    def _run_switching(self, session, segments) -> None:
+    def _run_switching(self, session, plan) -> None:
+        segments = plan.segments
         first, second = segments[0], segments[1]
-        targets = self._segment_targets(segments)
+        targets = plan.step_targets(self.job.total_steps)
         online = self.policies.straggler
         if online is not None and online.reacts_online():
             finished_in_async = self._run_bsp_phase_online(
@@ -144,34 +134,13 @@ class SyncSwitchController:
                 session, first, targets[0], charge_switch=False
             )
         # Each planned switch: checkpoint, actuate, restore, run next.
-        for index in range(1, len(segments)):
-            segment = segments[index]
-            self._switch_protocol(session, segment)
-            remaining = targets[index] - session.step
+        for segment, target in zip(segments[1:], targets[1:]):
+            self.switcher.switch(session, segment)
+            remaining = target - session.step
             if remaining > 0:
                 self.trainer.run_segment(
                     session, segment, remaining, charge_switch=False
                 )
-
-    def _segment_targets(self, segments) -> tuple[int, ...]:
-        """Cumulative step target of each plan segment.
-
-        Same rounding as the trainer's segment targeting (and as
-        :meth:`TimingPolicy.segment_boundaries`): the final segment is
-        pinned to the full budget, so segments never overlap and
-        together exhaust it.  For the two-phase plan the first target
-        is exactly ``TimingPolicy.switch_step``.
-        """
-        total = self.job.total_steps
-        targets = []
-        cumulative = 0.0
-        for index, segment in enumerate(segments):
-            cumulative += segment.fraction
-            if index == len(segments) - 1:
-                targets.append(total)
-            else:
-                targets.append(int(round(cumulative * total)))
-        return tuple(targets)
 
     def _run_bsp_phase_online(
         self, session, bsp_segment, async_segment, bsp_budget, policy
@@ -230,7 +199,7 @@ class SyncSwitchController:
         self._log_intervention(
             session, "greedy-switch-to-asp", {"flagged": flagged}
         )
-        self._switch_protocol(session, async_segment)
+        self.switcher.switch(session, async_segment)
         profiler.reset()
         detector.reset()
         stop = self._clearance_stop(session, profiler, detector)
@@ -243,7 +212,7 @@ class SyncSwitchController:
         profiler.reset()
         detector.reset()
         # Switch back to BSP (second switch of the round trip).
-        self._switch_protocol(session, bsp_segment)
+        self.switcher.switch(session, bsp_segment)
         return False
 
     def _elastic_evict(
@@ -269,31 +238,6 @@ class SyncSwitchController:
             session, "elastic-restore", {"workers": sorted(evicted)}
         )
         evicted.clear()
-
-    def _switch_protocol(self, session, segment: Segment) -> None:
-        """Checkpoint -> actuate -> restore -> (caller runs new engine)."""
-        checkpoint = self.checkpoints.save(session, tag=f"pre-{segment.protocol}")
-        seconds = self.actuator.actuate_switch(
-            self.hooks,
-            segment.protocol,
-            {
-                key: value
-                for key, value in segment.options.items()
-                if isinstance(value, (int, float, str))
-            },
-        )
-        session.clock.advance(seconds)
-        session.telemetry.record_overhead(session.clock.now, "switch", seconds)
-        if self.tracer.wants("job"):
-            self.tracer.span(
-                "switch",
-                "overhead",
-                session.clock.now - seconds,
-                seconds,
-                tid=1,
-                args={"to": segment.protocol},
-            )
-        self.checkpoints.restore(session, checkpoint)
 
     # ------------------------------------------------------------------
     # stop conditions (the profiler/detector feed)

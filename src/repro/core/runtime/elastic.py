@@ -49,12 +49,11 @@ import copy
 import math
 
 from repro.core.policies.manager import PolicyManager
-from repro.core.runtime.actuator import ParallelActuator, SequentialActuator
 from repro.core.runtime.checkpoint import CheckpointStore
-from repro.core.runtime.hooks import HookManager
+from repro.core.runtime.switching import ProtocolSwitcher
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous
-from repro.distsim.job import JobConfig, Segment
+from repro.distsim.job import JobConfig
 from repro.distsim.stragglers import StragglerSchedule
 from repro.distsim.result import TrainingResult
 from repro.distsim.trainer import DistributedTrainer
@@ -83,7 +82,6 @@ class ElasticTrainingRun:
         policies: PolicyManager,
         stragglers: StragglerSchedule | None = None,
         ambient_noise: bool = True,
-        parallel_actuator: bool = True,
         overhead_time_scale: float = 1.0,
         overhead_bandwidth: float = 1.0,
         tracer=None,
@@ -97,42 +95,22 @@ class ElasticTrainingRun:
         self.cluster_spec = cluster_spec
         self.policies = policies
         self.cluster = Cluster(cluster_spec)
-        self.actuator = (
-            ParallelActuator(
-                time_scale=overhead_time_scale,
-                bandwidth_factor=overhead_bandwidth,
-            )
-            if parallel_actuator
-            else SequentialActuator(
-                time_scale=overhead_time_scale,
-                bandwidth_factor=overhead_bandwidth,
-            )
+        self.switcher = ProtocolSwitcher(
+            cluster_spec.n_workers,
+            time_scale=overhead_time_scale,
+            bandwidth_factor=overhead_bandwidth,
         )
         self.trainer = DistributedTrainer(
             job,
             self.cluster,
             stragglers=stragglers,
             ambient_noise=ambient_noise,
-            provisioning=self.actuator.provisioning,
+            provisioning=self.switcher.provisioning,
             tracer=tracer,
         )
-        self.hooks = HookManager(cluster_spec.n_workers)
-        self.checkpoints = CheckpointStore()
         self.session = self.trainer.new_session()
         self.plan = policies.build_plan(job, cluster_spec.n_workers)
-        # Cumulative step target per segment, trainer rounding (final
-        # segment pinned to the full budget).  For the two-phase plan
-        # the first target equals TimingPolicy.switch_step.
-        targets = []
-        cumulative = 0.0
-        segments = self.plan.segments
-        for index, segment in enumerate(segments):
-            cumulative += segment.fraction
-            if index == len(segments) - 1:
-                targets.append(job.total_steps)
-            else:
-                targets.append(int(round(cumulative * job.total_steps)))
-        self._targets = tuple(targets)
+        self._targets = self.plan.step_targets(job.total_steps)
         self._index = 0
         self._opened = False
         self._switch_paid = False
@@ -259,7 +237,7 @@ class ElasticTrainingRun:
                 # Pause *before* paying the switch: the overhead
                 # belongs to the instant the switch actually runs.
                 return False
-            self._switch_protocol(segment)
+            self.switcher.switch(session, segment)
             self._switch_paid = True
             return True
         target = self._targets[index]
@@ -280,36 +258,6 @@ class ElasticTrainingRun:
         self._index += 1
         self._switch_paid = False
         return True
-
-    def _switch_protocol(self, segment: Segment) -> None:
-        """Checkpoint -> actuate -> restore (the controller's switch)."""
-        checkpoint = self.checkpoints.save(
-            self.session, tag=f"pre-{segment.protocol}"
-        )
-        seconds = self.actuator.actuate_switch(
-            self.hooks,
-            segment.protocol,
-            {
-                key: value
-                for key, value in segment.options.items()
-                if isinstance(value, (int, float, str))
-            },
-        )
-        self.session.clock.advance(seconds)
-        self.session.telemetry.record_overhead(
-            self.session.clock.now, "switch", seconds
-        )
-        tracer = self.trainer.tracer
-        if tracer.wants("job"):
-            tracer.span(
-                "switch",
-                "overhead",
-                self.session.clock.now - seconds,
-                seconds,
-                tid=1,
-                args={"to": segment.protocol},
-            )
-        self.checkpoints.restore(self.session, checkpoint)
 
     # ------------------------------------------------------------------
     # elastic resizing
@@ -343,9 +291,8 @@ class ElasticTrainingRun:
         current = self.cluster.n_active
         if n_active == current and contention is None:
             return
-        checkpoint = self.checkpoints.save(
-            self.session, tag=f"resize-{n_active}"
-        )
+        checkpoints = self.switcher.checkpoints
+        checkpoint = checkpoints.save(self.session, tag=f"resize-{n_active}")
         while self.cluster.n_active > n_active:
             self.cluster.evict(max(self.cluster.active_workers))
         while self.cluster.n_active < n_active:
@@ -359,7 +306,7 @@ class ElasticTrainingRun:
             self.trainer.charge_resize_overhead(
                 self.session, "evict" if n_active < current else "restore"
             )
-        self.checkpoints.restore(self.session, checkpoint)
+        checkpoints.restore(self.session, checkpoint)
 
     def set_contention(self, contention: StragglerSchedule | None) -> None:
         """Replace the external straggler slice (ambient re-merged)."""
@@ -412,9 +359,8 @@ class ElasticTrainingRun:
         # Past checkpoints hold full parameter snapshots a projection
         # never restores; the copy starts with an empty store instead
         # of duplicating up to keep_last of them.
-        memo[id(self.checkpoints)] = CheckpointStore(
-            keep_last=self.checkpoints.keep_last
-        )
+        checkpoints = self.switcher.checkpoints
+        memo[id(checkpoints)] = CheckpointStore(keep_last=checkpoints.keep_last)
         # Likewise the parameter server's spare push targets: they are
         # written before they are read, so the copy allocates its own
         # on demand instead of duplicating up to n_workers vectors.

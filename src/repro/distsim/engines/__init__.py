@@ -6,12 +6,17 @@ attributes — ``name`` (the protocol string plans use), ``precision``
 layer's monotone-precision validation and the paper-order check derive
 from it), ``synchronous`` (barrier-style protocols; the controller and
 fleet count the "precise span" from this flag) and ``config_schema``
-(the options the engine reads; a plan segment carrying any other key
-is rejected).  Registering a new protocol is a
-one-file change: write the engine module and add the class to
-``_ENGINE_CLASSES`` in :mod:`~repro.distsim.engines.registry`; plans,
-policies, the schedule search, the CLI and the docs all pick it up
-through the helpers re-exported here.
+(the options the engine reads; a plan segment carrying any other key,
+or a value outside its range, is rejected).  The semantics are two
+loops, each written once: the barrier round (``barrier.py``, taking
+the super-round length) and the asynchronous push loop
+(``asynchronous.py``, taking an optional staleness bound and an
+optional compressor).  Registering a new protocol is a class with the
+attributes above and a ``run`` that chooses a loop and its parameters,
+plus one entry in ``_ENGINE_CLASSES`` in
+:mod:`~repro.distsim.engines.registry`; plans, policies, the schedule
+search, the CLI and the docs all pick it up through the helpers
+re-exported here.
 
 Registered protocols, most precise first:
 
@@ -51,13 +56,14 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.distsim.engines.asp": ("ASPEngine",),
+        "repro.distsim.engines.asynchronous": (
+            "ASPEngine",
+            "CASPEngine",
+            "DSSPEngine",
+            "SSPEngine",
+        ),
+        "repro.distsim.engines.barrier": ("BSPEngine", "OSPEngine"),
         "repro.distsim.engines.base": ("Engine", "TrainingSession"),
-        "repro.distsim.engines.bsp": ("BSPEngine",),
-        "repro.distsim.engines.casp": ("CASPEngine",),
-        "repro.distsim.engines.dssp": ("DSSPEngine",),
-        "repro.distsim.engines.osp": ("OSPEngine",),
-        "repro.distsim.engines.ssp": ("SSPEngine",),
         "repro.distsim.engines.registry": (
             "ENGINE_REGISTRY",
             "EngineSpec",

@@ -316,9 +316,9 @@ class GradientBatcher:
     Scratch discipline: the staging matrix and the gradient stacks are
     borrowed from the process's
     :class:`~repro.mlcore.scratch.StackLender` and belong to this
-    batcher until it hands them back.  Engines must call
-    :meth:`rollback_unconsumed` before returning (both users do, in
-    ``finally``): it rewinds the streams *and* returns the stacks, and
+    batcher until it hands them back.  Its user must call
+    :meth:`rollback_unconsumed` before returning (the push loop does,
+    in ``finally``): it rewinds the streams *and* returns the stacks, and
     ends the batcher's life — no gradient it served may be read after.
     """
 

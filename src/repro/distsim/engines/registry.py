@@ -6,13 +6,16 @@ docstring); :mod:`repro.distsim.engines` re-exports everything here.
 
 from dataclasses import dataclass, field
 
-from repro.distsim.engines.asp import ASPEngine
+from repro.distsim.engines.asynchronous import (
+    DEFAULT_LOWER_BOUND,
+    DEFAULT_UPPER_BOUND,
+    ASPEngine,
+    CASPEngine,
+    DSSPEngine,
+    SSPEngine,
+)
+from repro.distsim.engines.barrier import BSPEngine, OSPEngine
 from repro.distsim.engines.base import Engine
-from repro.distsim.engines.bsp import BSPEngine
-from repro.distsim.engines.casp import CASPEngine
-from repro.distsim.engines.dssp import DSSPEngine
-from repro.distsim.engines.osp import OSPEngine
-from repro.distsim.engines.ssp import SSPEngine
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -94,13 +97,22 @@ def engine_spec(protocol: str) -> EngineSpec:
     return spec
 
 
+#: Smallest value each integer option takes.
+_OPTION_MINIMUM = {
+    "batch_size": 1, "sync_period": 1, "adapt_every": 1,
+    "staleness_bound": 0, "lower_bound": 0, "upper_bound": 0,
+}
+
+
 def check_options(protocol: str, options: dict) -> None:
-    """Reject an unknown ``protocol`` and option keys its engine does
-    not read.
+    """Reject an unknown ``protocol``, option keys its engine does not
+    read and option values outside their range.
 
     An engine looks its options up by name and ignores the rest, so a
     misspelt or misplaced key would otherwise train with the default
-    without a word.
+    without a word — and an out-of-range value would stall the run
+    (a negative staleness bound admits no worker) or never end it
+    (``adapt_every`` 0 trains in chunks of no steps).
     """
     schema = engine_spec(protocol).config_schema
     for key in options:
@@ -116,6 +128,20 @@ def check_options(protocol: str, options: dict) -> None:
             f"engine {protocol!r} does not take option {key!r} "
             f"(known: {', '.join(sorted(schema))}){hint}"
         )
+    for key, minimum in _OPTION_MINIMUM.items():
+        if key in options and int(options[key]) < minimum:
+            raise ConfigurationError(
+                f"engine {protocol!r} option {key!r} is {options[key]!r}; "
+                f"it must be >= {minimum}"
+            )
+    if "lower_bound" in schema:
+        lower = options.get("lower_bound", DEFAULT_LOWER_BOUND)
+        upper = options.get("upper_bound", DEFAULT_UPPER_BOUND)
+        if int(upper) < int(lower):
+            raise ConfigurationError(
+                f"engine {protocol!r} option 'upper_bound' is {upper!r}; "
+                f"it must be >= 'lower_bound' ({lower!r})"
+            )
 
 
 def precision_rank(protocol: str) -> int:

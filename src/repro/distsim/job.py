@@ -15,7 +15,26 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["JobConfig", "Segment", "TrainingPlan"]
+__all__ = ["JobConfig", "Segment", "TrainingPlan", "cumulative_step_targets"]
+
+
+def cumulative_step_targets(
+    fractions: "Sequence[float]", total_steps: int
+) -> tuple[int, ...]:
+    """Cumulative end step of each share of a ``total_steps`` budget.
+
+    The one rounding rule for where a plan's segments end: target ``i``
+    is ``round(cumulative_fraction_i * total_steps)`` (half to even)
+    and the final target is pinned to the full budget, so consecutive
+    segments never overlap and together exhaust it.
+    """
+    targets = []
+    cumulative = 0.0
+    for fraction in fractions:
+        cumulative += fraction
+        targets.append(int(round(cumulative * total_steps)))
+    targets[-1] = total_steps
+    return tuple(targets)
 
 
 @dataclass(frozen=True)
@@ -167,6 +186,13 @@ class TrainingPlan:
     def n_switches(self) -> int:
         """Number of protocol transitions in the plan."""
         return len(self.segments) - 1
+
+    def step_targets(self, total_steps: int) -> tuple[int, ...]:
+        """Cumulative step target of each segment (for the two-phase
+        plan the first is exactly ``TimingPolicy.switch_step``)."""
+        return cumulative_step_targets(
+            [segment.fraction for segment in self.segments], total_steps
+        )
 
     def describe(self) -> str:
         """Human-readable plan summary, e.g. ``bsp:6.2% -> asp:93.8%``."""

@@ -103,8 +103,8 @@ class DistributedTrainer:
         """
         session = session or self.new_session()
         try:
-            for index, segment in enumerate(plan.segments):
-                target = self._segment_target(plan, index, session)
+            targets = plan.step_targets(self.job.total_steps)
+            for segment, target in zip(plan.segments, targets):
                 steps = target - session.step
                 if steps <= 0:
                     continue
@@ -247,15 +247,6 @@ class DistributedTrainer:
             total_overhead=telemetry.total_overhead,
             images_processed=telemetry.images_processed,
         )
-
-    def _segment_target(
-        self, plan: TrainingPlan, index: int, session: TrainingSession
-    ) -> int:
-        """Cumulative step target after plan segment ``index``."""
-        cumulative = sum(s.fraction for s in plan.segments[: index + 1])
-        if index == len(plan.segments) - 1:
-            return self.job.total_steps
-        return int(round(cumulative * self.job.total_steps))
 
     def _time_horizon(self) -> float:
         """Generous upper bound on simulated run time (for noise horizon)."""

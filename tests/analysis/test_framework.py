@@ -56,7 +56,7 @@ def test_rule_scoping():
     rule.scope = ("repro/distsim",)
     rule.exempt = ("repro/distsim/engines/base.py",)
     assert rule.applies("repro/distsim/events.py")
-    assert rule.applies("repro/distsim/engines/asp.py")
+    assert rule.applies("repro/distsim/engines/asynchronous.py")
     assert not rule.applies("repro/distsim/engines/base.py")
     assert not rule.applies("repro/mlcore/models.py")
 

@@ -186,15 +186,3 @@ class TestElasticPolicy:
         ).run_job()
         assert elastic.result.total_time < baseline.result.total_time
 
-
-class TestActuatorChoice:
-    def test_sequential_actuator_costs_more(self):
-        parallel = controller(
-            PolicyManager(timing=TimingPolicy(0.25)), parallel_actuator=True
-        ).run_job()
-        sequential = controller(
-            PolicyManager(timing=TimingPolicy(0.25)), parallel_actuator=False
-        ).run_job()
-        assert (
-            sequential.result.total_overhead > parallel.result.total_overhead
-        )

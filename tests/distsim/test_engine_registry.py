@@ -90,6 +90,39 @@ class TestOptionKeysChecked:
         with pytest.raises(ConfigurationError, match="use protocol 'ssp'$"):
             TrainingPlan.static("asp", staleness_bound=3)
 
+    @pytest.mark.parametrize(
+        "protocol, options, complaint",
+        [
+            # no worker is ever admitted: 4 of 240 steps, "completed"
+            ("ssp", {"staleness_bound": -1},
+             "'staleness_bound' is -1; it must be >= 0"),
+            # chunks of no steps: the run never returned
+            ("dssp", {"adapt_every": 0}, "'adapt_every' is 0; it must be >= 1"),
+            # these two used to be rewritten to other values without a word
+            ("osp", {"sync_period": 0}, "'sync_period' is 0; it must be >= 1"),
+            ("dssp", {"lower_bound": 9, "upper_bound": 2},
+             "'upper_bound' is 2; it must be >= 'lower_bound' (9)"),
+            ("dssp", {"lower_bound": 9},  # against the default upper bound
+             "'upper_bound' is 8; it must be >= 'lower_bound' (9)"),
+            ("dssp", {"lower_bound": -1}, "'lower_bound' is -1; it must be >= 0"),
+            ("dssp", {"upper_bound": -2}, "'upper_bound' is -2; it must be >= 0"),
+            ("asp", {"batch_size": 0}, "'batch_size' is 0; it must be >= 1"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, protocol, options, complaint):
+        """Values are checked where the keys are: none of these trains,
+        stalls or hangs, from whichever constructor the segment comes."""
+        for build in (
+            lambda: Segment(protocol, 1.0, options),
+            lambda: TrainingPlan.static(protocol, **options),
+            lambda: TrainingPlan.schedule([protocol], [1.0], [options]),
+        ):
+            with pytest.raises(ConfigurationError) as excinfo:
+                build()
+            assert str(excinfo.value) == (
+                f"engine {protocol!r} option {complaint}"
+            )
+
 
 class TestEveryEngineRuns:
     """The completeness guarantee: registration implies runnability.

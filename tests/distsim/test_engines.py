@@ -1,14 +1,19 @@
 """Tests for the BSP/ASP/SSP/DSSP execution engines."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import ASPEngine, BSPEngine, SSPEngine, make_engine
 from repro.distsim.engines.base import TrainingSession
-from repro.distsim.job import JobConfig
+from repro.distsim.job import JobConfig, TrainingPlan
 from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
 from repro.distsim.timing import timing_for
+from repro.distsim.trainer import DistributedTrainer
 from repro.errors import ConfigurationError, DivergenceError
 from repro.mlcore.datasets import make_dataset
 from repro.mlcore.models import make_model
@@ -35,6 +40,35 @@ def make_session(
         cluster=Cluster(ClusterSpec(n_workers=n_workers)),
         stragglers=stragglers,
     )
+
+
+def result_payload(protocol, seed, n_workers, steps, **options) -> str:
+    """The full ``TrainingResult`` of a static ``protocol`` run as
+    canonical JSON, protocol labels stripped."""
+    job = JobConfig(
+        model="resnet32-sim",
+        dataset="cifar10-sim",
+        total_steps=steps,
+        batch_size=16,
+        eval_every=40,
+        loss_log_every=20,
+        seed=seed,
+    )
+    trainer = DistributedTrainer(job, ClusterSpec(n_workers=n_workers))
+    result = trainer.run(TrainingPlan.static(protocol, **options)).to_dict()
+    assert result.pop("plan") == f"{protocol}:100%"
+    for record in result["segment_summary"]:
+        assert record.pop("protocol") == protocol
+    return json.dumps(result, sort_keys=True)
+
+
+#: Hypothesis axes of the degenerate-parameter relations below.
+RUN = dict(
+    seed=st.integers(0, 2**16),
+    n_workers=st.integers(2, 8),
+    steps=st.integers(8, 96),
+)
+relation = settings(max_examples=8, deadline=None)
 
 
 def test_make_engine_registry():
@@ -208,12 +242,13 @@ class TestSSPEngine:
         SSPEngine().run(loose, steps=160, options={"staleness_bound": 50})
         assert tight.clock.now > loose.clock.now
 
-    def test_huge_bound_behaves_like_asp(self):
-        ssp = make_session(n_workers=4, seed=7)
-        SSPEngine().run(ssp, steps=100, options={"staleness_bound": 10_000})
-        asp = make_session(n_workers=4, seed=7)
-        ASPEngine().run(asp, steps=100)
-        assert ssp.clock.now == pytest.approx(asp.clock.now, rel=0.05)
+    @given(**RUN)
+    @relation
+    def test_huge_bound_behaves_like_asp(self, seed, n_workers, steps):
+        """A bound no push reaches is ASP — the same payload, not a
+        close one (see :class:`TestDegenerateParameters`)."""
+        ssp = result_payload("ssp", seed, n_workers, steps, staleness_bound=steps)
+        assert ssp == result_payload("asp", seed, n_workers, steps)
 
 
 class TestDSSPEngine:
@@ -234,3 +269,50 @@ class TestDSSPEngine:
         asp = make_session(n_workers=8, seed=8)
         ASPEngine().run(asp, steps=120)
         assert asp.clock.now <= dssp.clock.now <= tight.clock.now * 1.05
+
+
+class TestDegenerateParameters:
+    """Metamorphic relations between the registered protocols.
+
+    Six protocols run on two loops (``engines/barrier.py``,
+    ``engines/asynchronous.py``), so at its degenerate parameter each
+    protocol *is* its neighbour: the whole result payload — every loss,
+    accuracy, clock reading, staleness count and step count — is equal,
+    not close.  A relation fails as soon as its two classes stop
+    sharing a loop body.  (SSP ≡ ASP is
+    ``TestSSPEngine::test_huge_bound_behaves_like_asp``.)
+    """
+
+    @given(**RUN)
+    @relation
+    def test_osp_at_period_one_is_bsp(self, seed, n_workers, steps):
+        osp = result_payload("osp", seed, n_workers, steps, sync_period=1)
+        assert osp == result_payload("bsp", seed, n_workers, steps)
+
+    @given(**RUN)
+    @relation
+    def test_casp_with_the_identity_compressor_is_asp(
+        self, seed, n_workers, steps
+    ):
+        casp = result_payload(
+            "casp", seed, n_workers, steps, compression="identity"
+        )
+        assert casp == result_payload("asp", seed, n_workers, steps)
+
+    @given(**RUN, bound=st.integers(0, 4))
+    @relation
+    def test_dssp_with_a_pinned_bound_is_ssp_until_it_adapts(
+        self, seed, n_workers, steps, bound
+    ):
+        dssp = result_payload(
+            "dssp",
+            seed,
+            n_workers,
+            steps,
+            lower_bound=bound,
+            upper_bound=bound,
+            adapt_every=steps,
+        )
+        assert dssp == result_payload(
+            "ssp", seed, n_workers, steps, staleness_bound=bound
+        )

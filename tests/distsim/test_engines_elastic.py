@@ -1,11 +1,12 @@
 """Engine behaviour under elastic cluster membership (evictions)."""
 
 import numpy as np
-import pytest
 
 from repro.distsim.cluster import Cluster, ClusterSpec
-from repro.distsim.engines import ASPEngine, BSPEngine
+from repro.distsim.engines import BSPEngine, make_engine
+from repro.distsim.engines.asynchronous import pull_and_schedule
 from repro.distsim.engines.base import TrainingSession
+from repro.distsim.events import EventQueue
 from repro.distsim.job import JobConfig
 from repro.distsim.timing import timing_for
 from repro.mlcore.datasets import make_dataset
@@ -74,8 +75,12 @@ class TestBSPWithEvictions:
         assert small.clock.now < big.clock.now
 
 
-class TestASPElasticShrinkMidRun:
-    """Elastic shrink during an ASP tail (fleet-style preemption)."""
+class ShrinkMidRunCases:
+    """Elastic shrink during an asynchronous tail (fleet-style
+    preemption).  The four asynchronous protocols share one push loop,
+    so the ``Test*`` classes below run every case on each of them."""
+
+    protocol: str
 
     def test_stop_hook_eviction_completes_with_remaining_workers(self):
         session = make_session(n_workers=4, total_steps=400)
@@ -87,7 +92,8 @@ class TestASPElasticShrinkMidRun:
                 evicted_at["time"] = current.clock.now
             return None
 
-        ASPEngine().run(session, steps=80, stop=shrink)
+        reason = make_engine(self.protocol).run(session, 80, None, shrink)
+        assert reason == "completed"
         assert session.step == 80  # remaining workers absorb the budget
         late_pushes = [
             worker
@@ -95,16 +101,6 @@ class TestASPElasticShrinkMidRun:
             if worker == 0 and time > evicted_at["time"]
         ]
         assert not late_pushes, "evicted worker kept pushing updates"
-
-    def test_pull_and_schedule_skips_evicted_worker(self):
-        from repro.distsim.events import EventQueue
-
-        session = make_session(n_workers=4)
-        session.cluster.evict(3)
-        queue, states = EventQueue(), {}
-        ASPEngine()._pull_and_schedule(session, queue, states, 3, 32)
-        assert len(queue) == 0
-        assert 3 not in states
 
     def test_shrink_then_restore_next_segment(self):
         session = make_session(n_workers=4, total_steps=400)
@@ -114,10 +110,11 @@ class TestASPElasticShrinkMidRun:
                 current.cluster.evict(1)
             return None
 
-        engine = ASPEngine()
+        engine = make_engine(self.protocol)
         engine.run(session, steps=40, stop=shrink)
         session.cluster.restore(1)
         engine.run(session, steps=40)
+        assert session.step == 80
         workers_seen = {
             worker
             for _, worker, _ in session.telemetry.worker_durations[-30:]
@@ -125,10 +122,36 @@ class TestASPElasticShrinkMidRun:
         assert 1 in workers_seen  # restored worker rejoined
 
 
-class TestASPWithEvictions:
+class TestASPElasticShrinkMidRun(ShrinkMidRunCases):
+    protocol = "asp"
+
+    def test_pull_and_schedule_skips_evicted_worker(self):
+        session = make_session(n_workers=4)
+        session.cluster.evict(3)
+        queue, states = EventQueue(), {}
+        pull_and_schedule(session, queue, states, 3, 32)
+        assert len(queue) == 0
+        assert 3 not in states
+
+
+class TestCASPElasticShrinkMidRun(ShrinkMidRunCases):
+    protocol = "casp"
+
+
+class TestSSPElasticShrinkMidRun(ShrinkMidRunCases):
+    protocol = "ssp"
+
+
+class TestDSSPElasticShrinkMidRun(ShrinkMidRunCases):
+    protocol = "dssp"
+
+
+class BetweenRunEvictionCases:
+    protocol: str
+
     def test_evicted_worker_events_are_skipped(self):
         session = make_session(n_workers=4)
-        engine = ASPEngine()
+        engine = make_engine(self.protocol)
         engine.run(session, steps=8)
         session.cluster.evict(0)
         engine.run(session, steps=8)
@@ -138,10 +161,26 @@ class TestASPWithEvictions:
     def test_restored_worker_rejoins_next_segment(self):
         session = make_session(n_workers=4)
         session.cluster.evict(0)
-        ASPEngine().run(session, steps=8)
+        make_engine(self.protocol).run(session, steps=8)
         session.cluster.restore(0)
-        ASPEngine().run(session, steps=40)
+        make_engine(self.protocol).run(session, steps=40)
         workers_seen = {
             worker for _, worker, _ in session.telemetry.worker_durations
         }
         assert 0 in workers_seen
+
+
+class TestASPWithEvictions(BetweenRunEvictionCases):
+    protocol = "asp"
+
+
+class TestCASPWithEvictions(BetweenRunEvictionCases):
+    protocol = "casp"
+
+
+class TestSSPWithEvictions(BetweenRunEvictionCases):
+    protocol = "ssp"
+
+
+class TestDSSPWithEvictions(BetweenRunEvictionCases):
+    protocol = "dssp"

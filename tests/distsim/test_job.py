@@ -1,6 +1,8 @@
 """Tests for job configs and training plans."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.distsim.job import JobConfig, Segment, TrainingPlan
 from repro.errors import ConfigurationError
@@ -98,3 +100,38 @@ class TestTrainingPlan:
         )
         assert plan.segments[0].protocol == "ssp"
         assert plan.segments[0].options == {"staleness_bound": 2}
+
+
+@st.composite
+def fraction_vectors(draw):
+    """Segment shares summing to 1 (within the plan's tolerance)."""
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=6))
+    total = sum(weights)
+    return [weight / total for weight in weights]
+
+
+class TestStepTargets:
+    """The one rounding rule every plan executor shares."""
+
+    def test_two_phase_target_is_the_switch_step(self):
+        assert TrainingPlan.switch_at(0.0625).step_targets(6400) == (400, 6400)
+        # int(round(.)) is half-to-even: 0.5 * 3 = 1.5 -> 2
+        assert TrainingPlan.switch_at(0.5).step_targets(3) == (2, 3)
+
+    @given(fractions=fraction_vectors(), total_steps=st.integers(1, 10**6))
+    def test_targets_are_monotone_exhaustive_and_the_old_formula(
+        self, fractions, total_steps
+    ):
+        plan = TrainingPlan.schedule(["bsp"] * len(fractions), fractions)
+        targets = plan.step_targets(total_steps)
+        assert len(targets) == len(fractions)
+        assert list(targets) == sorted(targets) and targets[0] >= 0
+        assert targets[-1] == total_steps
+        # What DistributedTrainer._segment_target computed per index
+        # before the rule moved onto the plan.
+        assert targets == tuple(
+            total_steps
+            if index == len(fractions) - 1
+            else int(round(sum(fractions[: index + 1]) * total_steps))
+            for index in range(len(fractions))
+        )
