@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -129,6 +130,26 @@ class JobRequest:
     steps_scale: float = 1.0
 
     def __post_init__(self):
+        # Types first: a trace file can put anything in any field, and
+        # the range checks below compare without asking.
+        for name in ("job_id", "setup_index", "n_workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in ("arrival", "deadline", "percent_override", "steps_scale"):
+            value = getattr(self, name)
+            if value is None and name in ("deadline", "percent_override"):
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.job_id < 0:
             raise ConfigurationError("job_id must be non-negative")
         if self.arrival < 0:
@@ -712,12 +733,19 @@ def load_trace(path: str | Path) -> tuple[JobRequest, ...]:
     raw_jobs = payload.get("jobs")
     if not isinstance(raw_jobs, list) or not raw_jobs:
         raise ConfigurationError(f"trace {path} has no jobs")
-    try:
-        requests = [JobRequest.from_dict(entry) for entry in raw_jobs]
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"trace {path} has a malformed job entry: {exc}"
-        ) from exc
+    requests = []
+    for entry in raw_jobs:
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"trace {path} has a job entry that is not a JSON object: "
+                f"{entry!r}"
+            )
+        try:
+            requests.append(JobRequest.from_dict(entry))
+        except (TypeError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"trace {path} has a malformed job entry: {exc}"
+            ) from exc
     ids = [request.job_id for request in requests]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"trace {path} has duplicate job ids")

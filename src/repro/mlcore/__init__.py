@@ -5,7 +5,9 @@ numpy.  Models are *functional*: parameters live in a flat vector and
 ``loss_and_grad`` is a pure function of ``(params, batch)``.  This makes
 gradient staleness trivially expressible — an ASP worker simply
 evaluates the gradient at the (old) vector it pulled — and lets the
-parameter server shard a single contiguous array.
+parameter server shard a single contiguous array.  The gradient pass is
+written once, for ``K`` parameter vectors at a time; a barrier round
+or an evaluation is that pass at ``K = 1``.
 """
 
 from repro._lazy import lazy_exports

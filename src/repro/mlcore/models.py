@@ -14,10 +14,17 @@ Models are *functional*: parameters live in a flat vector (see
 :mod:`repro.mlcore.params`) and :meth:`ResidualMLPClassifier.loss_and_grad`
 is a pure function of ``(params, batch)``.  An ASP worker expresses a
 stale gradient simply by calling it with an old vector.  That holds for
-memory too: an instance keeps its layout, tensor positions and two
-view caches, and owns no buffer.
+memory too: an instance keeps its layout, tensor positions and one
+view cache, and owns no buffer.
 
-Hot path: every simulated update calls :meth:`loss_and_grad`, so the
+The pass is written once, on ``(K, batch, ·)`` windows: the push loop
+evaluates ``K`` in-flight workers per call
+(:meth:`~ResidualMLPClassifier.loss_and_grad_batch`), and barrier
+rounds and evaluation are the same pass at ``K = 1``
+(:meth:`~ResidualMLPClassifier.loss_and_grad`, ``evaluate``,
+``logits`` add the leading axis and strip it again).
+
+Hot path: every simulated update goes through it, so the
 forward/backward pass runs on preallocated memory — typed windows of
 the process-wide arena in :mod:`repro.mlcore.scratch`, written via
 ``out=`` ufuncs/matmuls — instead of allocating ~20 temporaries per
@@ -129,15 +136,11 @@ class ResidualMLPClassifier:
             )
             for block in range(config.n_blocks)
         )
-        # Views of recently seen parameter/gradient buffers.  Flat
-        # vectors are keyed by (id, data pointer) of the owning base
-        # array, stacks by (data pointer, width).  Entries hold STRONG
-        # references (the views pin their base), so the memory behind
-        # a live key can never be recycled by a different array — that
-        # pinning is the safety argument, and the LRU caps bound the
-        # pinned memory.  The parameter server's buffer pool keeps the
-        # key set small and stable.
-        self._views_cache: dict[tuple, list] = {}
+        # Views of recently seen parameter/gradient stacks, keyed by
+        # (data pointer, width).  Entries hold STRONG references (the
+        # views pin their base), so the memory behind a live key can
+        # never be recycled by a different array — that pinning is the
+        # safety argument, and the LRU cap bounds the pinned memory.
         self._stacked_cache: dict[tuple, list] = {}
 
     @property
@@ -180,10 +183,15 @@ class ResidualMLPClassifier:
         The result is a fresh array (the forward windows belong to
         the next pass of any model).
         """
-        workspace, _ = self._run_forward(
-            params, inputs, self._views_list(params)
-        )
-        return workspace.logits.copy()
+        workspace, _ = self._forward(params[None], inputs[None])
+        return workspace.logits[0].copy()
+
+    def evaluate(
+        self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    ) -> float:
+        """Top-1 accuracy of ``params`` on ``(inputs, labels)``."""
+        workspace, _ = self._forward(params[None], inputs[None])
+        return accuracy_from_logits(workspace.logits[0], labels)
 
     def loss_and_grad(
         self,
@@ -202,68 +210,18 @@ class ResidualMLPClassifier:
         returned; every component is overwritten, so the buffer needs
         no zeroing between calls.  Without it a fresh vector is
         allocated — the pure-functional default.
+
+        This is the pass of :meth:`loss_and_grad_batch` at ``K = 1``:
+        the arguments get a leading axis of one (views, no copies) and
+        the result loses it again.
         """
-        tensors = self._views_list(params)
-        workspace, h_final = self._run_forward(params, inputs, tensors)
-        data_loss, dlogits = self._softmax_loss(workspace, labels)
-
-        if grad_out is None:
-            grad_vector = self.layout.zeros(dtype=params.dtype)
-        else:
-            if grad_out.shape != (self.layout.size,):
-                raise ConfigurationError("grad_out does not match layout")
-            grad_vector = grad_out
-        grads = self._views_list(grad_vector)
-
-        # Reductions write straight into the gradient views only when
-        # the accumulation dtype is unchanged by it (mixed-precision
-        # calls keep the allocate-then-cast order of the naive form).
-        fused_sums = dlogits.dtype == grad_vector.dtype
-
-        np.matmul(h_final.T, dlogits, out=grads[self._pos_w_out])
-        if fused_sums:
-            np.add.reduce(dlogits, axis=0, out=grads[self._pos_b_out])
-        else:
-            grads[self._pos_b_out][:] = dlogits.sum(axis=0)
-        dh = workspace.dh
-        np.matmul(dlogits, tensors[self._pos_w_out].T, out=dh)
-
-        scale = self.config.residual_scale
-        du, mm, mask = workspace.du, workspace.mm, workspace.mask
-        for block in reversed(range(self.config.n_blocks)):
-            pos_a, pos_a_bias, pos_b, pos_b_bias = self._pos_blocks[block]
-            h_in = workspace.h[block]
-            u_pre, u = workspace.u_pre[block], workspace.u[block]
-            np.matmul(u.T, dh, out=grads[pos_b])
-            grads[pos_b] *= scale
-            if fused_sums:
-                np.add.reduce(dh, axis=0, out=grads[pos_b_bias])
-            else:
-                grads[pos_b_bias][:] = dh.sum(axis=0)
-            np.matmul(dh, tensors[pos_b].T, out=du)
-            du *= scale
-            np.greater(u_pre, 0, out=mask)
-            du *= mask
-            np.matmul(h_in.T, du, out=grads[pos_a])
-            if fused_sums:
-                np.add.reduce(du, axis=0, out=grads[pos_a_bias])
-            else:
-                grads[pos_a_bias][:] = du.sum(axis=0)
-            np.matmul(du, tensors[pos_a].T, out=mm)
-            dh += mm
-
-        np.greater(workspace.z_pre, 0, out=mask)
-        dh *= mask
-        np.matmul(inputs.T, dh, out=grads[self._pos_w_in])
-        if fused_sums:
-            np.add.reduce(dh, axis=0, out=grads[self._pos_b_in])
-        else:
-            grads[self._pos_b_in][:] = dh.sum(axis=0)
-
-        reg_loss = self._apply_weight_decay(
-            params, grad_vector, workspace.decay
+        losses, grads = self._loss_and_grad(
+            params[None],
+            inputs[None],
+            labels[None],
+            None if grad_out is None else grad_out[None],
         )
-        return data_loss + reg_loss, grad_vector
+        return losses[0], (grads[0] if grad_out is None else grad_out)
 
     def loss_and_grad_batch(
         self,
@@ -279,27 +237,41 @@ class ResidualMLPClassifier:
         ``labels`` ``(K, batch)``.  Returns per-slice losses and a
         ``(K, n_parameters)`` gradient stack.
 
-        Every operation is the stacked (leading-``K``-axis) form of the
-        single-vector pass: numpy applies matmuls and reductions per
-        slice with the same accumulation order, so slice ``k`` is
+        numpy applies matmuls and reductions per slice with the same
+        accumulation order whatever ``K`` is, so slice ``k`` is
         bit-identical to ``loss_and_grad(params_stack[k], inputs[k],
         labels[k])``.  The asynchronous engines batch all in-flight
         workers' pending gradients through this — one dispatch per
         operation per ``n_workers`` simulated updates instead of one
         per update.
         """
+        return self._loss_and_grad(params_stack, inputs, labels, grad_out)
+
+    def _forward(
+        self, params_stack: np.ndarray, inputs: np.ndarray
+    ) -> tuple[scratch.PassViews, list[tuple]]:
+        """Forward pass of ``K`` parameter vectors on ``K`` batches.
+
+        Returns ``(workspace, tensors)``: the scores are in
+        ``workspace.logits``, the last hidden state in
+        ``workspace.h[-1]`` and every pre-activation the backward pass
+        needs in its window; ``tensors`` are the stacked parameter
+        views.  ``x @ W + b`` is a matmul into the window plus an
+        in-place add, which produces the same bits.
+        """
         k, batch = inputs.shape[0], inputs.shape[1]
         if params_stack.shape != (k, self.layout.size):
-            raise ConfigurationError("params_stack does not match layout")
+            raise ConfigurationError(
+                f"parameters have shape {params_stack.shape}, "
+                f"expected {(k, self.layout.size)}"
+            )
         workspace = self._scratch(k, batch, inputs, params_stack)
         tensors = self._stacked_views(params_stack, cacheable=True)
-
-        # Forward (stacked mirror of _run_forward).
         z_pre = workspace.z_pre
         np.matmul(inputs, tensors[self._pos_w_in][0], out=z_pre)
         z_pre += tensors[self._pos_b_in][1]
-        np.maximum(z_pre, 0.0, out=workspace.h[0])
         h = workspace.h[0]
+        np.maximum(z_pre, 0.0, out=h)
         scale = self.config.residual_scale
         for block in range(self.config.n_blocks):
             pos_a, pos_a_bias, pos_b, pos_b_bias = self._pos_blocks[block]
@@ -314,17 +286,32 @@ class ResidualMLPClassifier:
             nxt += h
             nxt += tensors[pos_b_bias][1]
             h = nxt
-        h_final = h
         np.matmul(h, tensors[self._pos_w_out][0], out=workspace.logits)
         workspace.logits += tensors[self._pos_b_out][1]
+        return workspace, tensors
 
-        # Softmax cross-entropy (stacked mirror of _softmax_loss).
+    def _loss_and_grad(
+        self,
+        params_stack: np.ndarray,
+        inputs: np.ndarray,
+        labels: np.ndarray,
+        grad_out: np.ndarray | None,
+    ) -> tuple[list[float], np.ndarray]:
+        """The gradient pass, written once: forward, softmax
+        cross-entropy, backward and weight decay on ``(K, batch, ·)``
+        windows.  ``grad_out``, when given, is ``(K, n_parameters)``."""
+        workspace, tensors = self._forward(params_stack, inputs)
+        k, batch = inputs.shape[0], inputs.shape[1]
+
+        # Softmax cross-entropy: the op sequence of
+        # repro.mlcore.losses.softmax_cross_entropy (log-sum-exp trick,
+        # mean loss, 1/batch-scaled gradient), per slice.
         logits = workspace.logits
         np.maximum.reduce(
             logits, axis=2, keepdims=True, out=workspace.row_max
         )
         np.subtract(logits, workspace.row_max, out=workspace.shifted)
-        np.exp(workspace.shifted, out=workspace.dlogits)
+        np.exp(workspace.shifted, out=workspace.dlogits)  # scratch use
         np.add.reduce(
             workspace.dlogits, axis=2, keepdims=True, out=workspace.sum_exp
         )
@@ -346,32 +333,40 @@ class ResidualMLPClassifier:
         dlogits[slices, rows, labels] -= 1.0
         dlogits /= batch
 
-        # Backward (stacked mirror of the single-vector backward).
         if grad_out is None:
             grads_stack = np.empty_like(params_stack)
             grads = self._stacked_views(grads_stack)
         else:
             if grad_out.shape != params_stack.shape:
-                raise ConfigurationError("grad_out does not match the stack")
+                raise ConfigurationError(
+                    "grad_out does not match the parameters"
+                )
             grads_stack = grad_out
             grads = self._stacked_views(grads_stack, cacheable=True)
+        # Reductions write straight into the gradient views only when
+        # the accumulation dtype is unchanged by it (mixed-precision
+        # calls keep the allocate-then-cast order of the naive form).
         fused_sums = dlogits.dtype == grads_stack.dtype
+
+        def sum_rows(delta, position):
+            if fused_sums:
+                np.add.reduce(delta, axis=1, out=grads[position][0])
+            else:
+                grads[position][0][:] = delta.sum(axis=1)
 
         def transposed(stack):
             return stack.transpose(0, 2, 1)
 
         np.matmul(
-            transposed(h_final), dlogits, out=grads[self._pos_w_out][0]
+            transposed(workspace.h[-1]), dlogits, out=grads[self._pos_w_out][0]
         )
-        if fused_sums:
-            np.add.reduce(dlogits, axis=1, out=grads[self._pos_b_out][0])
-        else:
-            grads[self._pos_b_out][0][:] = dlogits.sum(axis=1)
+        sum_rows(dlogits, self._pos_b_out)
         dh = workspace.dh
         np.matmul(
             dlogits, transposed(tensors[self._pos_w_out][0]), out=dh
         )
 
+        scale = self.config.residual_scale
         du, mm, mask = workspace.du, workspace.mm, workspace.mask
         for block in reversed(range(self.config.n_blocks)):
             pos_a, pos_a_bias, pos_b, pos_b_bias = self._pos_blocks[block]
@@ -380,32 +375,26 @@ class ResidualMLPClassifier:
             grad_b = grads[pos_b][0]
             np.matmul(transposed(u), dh, out=grad_b)
             grad_b *= scale
-            if fused_sums:
-                np.add.reduce(dh, axis=1, out=grads[pos_b_bias][0])
-            else:
-                grads[pos_b_bias][0][:] = dh.sum(axis=1)
+            sum_rows(dh, pos_b_bias)
             np.matmul(dh, transposed(tensors[pos_b][0]), out=du)
             du *= scale
             np.greater(u_pre, 0, out=mask)
             du *= mask
             np.matmul(transposed(h_in), du, out=grads[pos_a][0])
-            if fused_sums:
-                np.add.reduce(du, axis=1, out=grads[pos_a_bias][0])
-            else:
-                grads[pos_a_bias][0][:] = du.sum(axis=1)
+            sum_rows(du, pos_a_bias)
             np.matmul(du, transposed(tensors[pos_a][0]), out=mm)
             dh += mm
 
         np.greater(workspace.z_pre, 0, out=mask)
         dh *= mask
         np.matmul(transposed(inputs), dh, out=grads[self._pos_w_in][0])
-        if fused_sums:
-            np.add.reduce(dh, axis=1, out=grads[self._pos_b_in][0])
-        else:
-            grads[self._pos_b_in][0][:] = dh.sum(axis=1)
+        sum_rows(dh, self._pos_b_in)
 
-        # Weight decay: stacked multiply-add with exact bias restore,
-        # per-slice L2 terms in the per-tensor accumulation order.
+        # Weight decay, fused: one full-stack multiply + add with the
+        # bias lanes saved before and restored after — an exact no-op
+        # on biases for any float values (signed zeros included), and
+        # elementwise identical to the per-tensor loop on the weight
+        # lanes.  The L2 loss keeps the per-tensor accumulation order.
         decay = self.config.weight_decay
         if decay != 0.0:
             saved_bias = grads_stack[:, self._bias_index]
@@ -430,16 +419,20 @@ class ResidualMLPClassifier:
         ``((K, s0, s1), None)``; biases get ``((K, n), (K, 1, n))`` —
         the flat form for reductions, the broadcast form for the
         forward bias adds.  Pass ``cacheable=True`` only for reused,
-        caller-stable buffers (the batcher's staging matrices); cached
+        caller-stable buffers (parameter-server snapshots, session
+        gradient buffers, the batcher's staging matrices); cached
         entries pin their buffer, so per-call transients must not be
         cached.
 
         The cache key is ``(data pointer, K)``, never ``id(stack)``:
-        the batcher passes ``[:K]`` prefix views of one buffer, the
-        cached views pin that *buffer* and not the prefix-view object,
-        so a collected view's id can come back on a view of another
-        width over the same pointer.  Pointer and width determine the
-        views of a C-contiguous stack; others are never cached.
+        the batcher passes ``[:K]`` prefix views of one buffer and the
+        single-vector adaptors a new ``[None]`` view per call, the
+        cached views pin that *buffer* and not the view object, so a
+        collected view's id can come back on a view of another width
+        over the same pointer.  Pointer and width determine the views
+        of a C-contiguous stack; others are never cached.  The
+        parameter server's copy-on-write pool cycles a small stable
+        set of buffers, which keeps the key set small.
         """
         cacheable = cacheable and stack.flags.c_contiguous
         if cacheable:
@@ -463,7 +456,7 @@ class ResidualMLPClassifier:
         return views
 
     def _scratch(
-        self, k: int | None, batch: int, inputs: np.ndarray, params: np.ndarray
+        self, k: int, batch: int, inputs: np.ndarray, params: np.ndarray
     ) -> scratch.PassViews:
         """The process arena's windows for a ``k``-wide pass of ``batch``
         rows; valid until the next pass (of any model) asks."""
@@ -473,140 +466,6 @@ class ResidualMLPClassifier:
             config.hidden_dim, config.n_classes, config.n_blocks, k, batch,
             dtype, self.layout.size, params.dtype,
         )
-
-    def evaluate(
-        self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-    ) -> float:
-        """Top-1 accuracy of ``params`` on ``(inputs, labels)``."""
-        workspace, _ = self._run_forward(
-            params, inputs, self._views_list(params)
-        )
-        return accuracy_from_logits(workspace.logits, labels)
-
-    def _run_forward(
-        self,
-        params: np.ndarray,
-        inputs: np.ndarray,
-        tensors: list[np.ndarray],
-    ) -> tuple[scratch.PassViews, np.ndarray]:
-        """Buffered forward pass; returns ``(workspace, h_final)``.
-
-        Operation-for-operation identical to the allocating version
-        (``x @ W + b`` becomes matmul-into-buffer plus in-place add,
-        which produces the same bits), so fixed-seed runs are unchanged.
-        """
-        workspace = self._scratch(None, inputs.shape[0], inputs, params)
-        z_pre = workspace.z_pre
-        np.matmul(inputs, tensors[self._pos_w_in], out=z_pre)
-        z_pre += tensors[self._pos_b_in]
-        np.maximum(z_pre, 0.0, out=workspace.h[0])
-        h = workspace.h[0]
-        scale = self.config.residual_scale
-        for block in range(self.config.n_blocks):
-            pos_a, pos_a_bias, pos_b, pos_b_bias = self._pos_blocks[block]
-            u_pre = workspace.u_pre[block]
-            np.matmul(h, tensors[pos_a], out=u_pre)
-            u_pre += tensors[pos_a_bias]
-            u = workspace.u[block]
-            np.maximum(u_pre, 0.0, out=u)
-            nxt = workspace.h[block + 1]
-            np.matmul(u, tensors[pos_b], out=nxt)
-            nxt *= scale
-            nxt += h
-            nxt += tensors[pos_b_bias]
-            h = nxt
-        np.matmul(h, tensors[self._pos_w_out], out=workspace.logits)
-        workspace.logits += tensors[self._pos_b_out]
-        return workspace, h
-
-    def _softmax_loss(
-        self, workspace: scratch.PassViews, labels: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Buffered softmax cross-entropy on ``workspace.logits``.
-
-        Same op sequence as :func:`repro.mlcore.losses.softmax_cross_entropy`
-        (log-sum-exp trick, mean loss, ``1/batch``-scaled gradient).
-        """
-        logits = workspace.logits
-        np.maximum.reduce(
-            logits, axis=1, keepdims=True, out=workspace.row_max
-        )
-        np.subtract(logits, workspace.row_max, out=workspace.shifted)
-        np.exp(workspace.shifted, out=workspace.dlogits)  # scratch use
-        np.add.reduce(
-            workspace.dlogits, axis=1, keepdims=True, out=workspace.sum_exp
-        )
-        np.log(workspace.sum_exp, out=workspace.sum_exp)
-        np.subtract(workspace.shifted, workspace.sum_exp, out=workspace.log_probs)
-        rows = workspace.rows
-        loss = float(-workspace.log_probs[rows, labels].mean())
-        np.exp(workspace.log_probs, out=workspace.dlogits)
-        workspace.dlogits[rows, labels] -= 1.0
-        workspace.dlogits /= logits.shape[0]
-        return loss, workspace.dlogits
-
-    def _views_list(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Positional tensor views of a flat vector, cached per buffer.
-
-        Cache entries are keyed by (id, data pointer) of the owning
-        base array and hold the views — which pin the base alive, so a
-        cached key can never be recycled by a different live array.
-        The parameter server's copy-on-write pool cycles a small stable
-        set of buffers, which makes this cache hit on nearly every
-        call; an LRU cap bounds the pinned memory.
-        """
-        if vector.ndim != 1 or vector.shape[0] != self.layout.size:
-            raise ConfigurationError(
-                f"vector has shape {vector.shape}, "
-                f"expected ({self.layout.size},)"
-            )
-        if not vector.flags.c_contiguous:
-            # Rare path (works like the historical layout.views): no
-            # caching — the pointer+id key assumes contiguous layout.
-            return [
-                vector[view_slice].reshape(shape)
-                for _, view_slice, shape in self.layout.view_specs
-            ]
-        base = vector if vector.base is None else vector.base
-        # The data pointer disambiguates different windows into the
-        # same base (e.g. rows of a staging matrix).
-        key = (id(base), vector.__array_interface__["data"][0])
-        cache = self._views_cache
-        views = cache.get(key)
-        if views is not None:
-            return views
-        views = [
-            vector[view_slice].reshape(shape)
-            for _, view_slice, shape in self.layout.view_specs
-        ]
-        if len(cache) >= 32:
-            cache.pop(next(iter(cache)))
-        cache[key] = views
-        return views
-
-    def _apply_weight_decay(
-        self, params: np.ndarray, grad: np.ndarray, window: np.ndarray
-    ) -> float:
-        """Add L2 gradient in place; return the L2 loss contribution.
-
-        Fused form: one full-vector multiply + add, with the bias lanes
-        saved before and restored after — an exact no-op on biases for
-        any float values (including signed zeros), and elementwise
-        identical to the per-tensor loop on the weight lanes.  The L2
-        loss term keeps the per-tensor accumulation order.
-        """
-        decay = self.config.weight_decay
-        if decay == 0.0:
-            return 0.0
-        saved_bias = grad[self._bias_index]
-        np.multiply(params, decay, out=window)
-        grad += window
-        grad[self._bias_index] = saved_bias
-        reg_loss = 0.0
-        for view in self._matrix_slices:
-            weights = params[view]
-            reg_loss += 0.5 * decay * float(weights @ weights)
-        return reg_loss
 
     def __repr__(self) -> str:
         return (

@@ -39,9 +39,9 @@ _TAIL = (
 class PassViews:
     """The arena windows of one forward/backward pass.
 
-    Shapes are ``lead + (batch, ·)`` with ``lead = (K,)`` for a stacked
-    pass and ``()`` for a single-vector one; every window is
-    C-contiguous with the strides a dedicated allocation would have.
+    Shapes are ``(K, batch, ·)`` — a single-vector pass is ``K = 1`` —
+    and every window is C-contiguous with the strides a dedicated
+    allocation would have.
     ``rows``/``slices`` are the label-gather index vectors: read-only
     constants owned by the view set, not arena bytes.
     """
@@ -64,10 +64,10 @@ class Arena:
     def views(
         self, hidden, classes, blocks, k, batch, dtype, n_params, params_dtype
     ) -> PassViews:
-        """The view set of a ``k``-wide (``None``: single-vector) pass.
+        """The view set of a ``k``-wide pass.
 
         ``dtype`` is the activation dtype; the weight-decay scratch is
-        one more window, ``lead + (n_params,)`` in ``params_dtype``.
+        one more window, ``(k, n_params)`` in ``params_dtype``.
         Valid until the next call, which may reuse or replace the bytes.
         """
         key = (
@@ -77,17 +77,16 @@ class Arena:
         views = self._view_sets.get(key)
         if views is not None:
             return views
-        lead = () if k is None else (k,)
-        wide = (lead + (batch, hidden), dtype)
-        narrow = (lead + (batch, classes), dtype)
-        column = (lead + (batch, 1), dtype)
+        wide = ((k, batch, hidden), dtype)
+        narrow = ((k, batch, classes), dtype)
+        column = ((k, batch, 1), dtype)
         # Forward windows first: a forward-only call (evaluation, the
         # largest batch of most runs) then touches one compact prefix.
         specs = (
             [wide] * (2 + 3 * blocks)
             + [narrow, column, narrow, column, narrow, narrow]
             + [wide] * 3
-            + [(wide[0], np.dtype(bool)), (lead + (n_params,), params_dtype)]
+            + [(wide[0], np.dtype(bool)), ((k, n_params), params_dtype)]
         )
         offsets, cursor = [], 0
         for shape, kind in specs:
@@ -112,7 +111,7 @@ class Arena:
         for name, window in zip(_TAIL, rest[3 * blocks + 1 :]):
             setattr(views, name, window)
         views.rows = np.arange(batch)
-        views.slices = None if k is None else np.arange(k).reshape(k, 1)
+        views.slices = np.arange(k).reshape(k, 1)
         return views
 
 

@@ -3,9 +3,10 @@
 Each configuration runs one small-but-real training job through a
 protocol engine and hashes the full ``TrainingResult.to_dict()``.  The
 hashes committed in ``tests/data/golden_hashes.json`` were produced
-*before* the zero-copy kernel rewrite (PR 4), so any change to the
-numeric stream — parameter updates, RNG consumption order, telemetry
-contents — fails this suite.
+*before* the zero-copy kernel rewrite (PR 4) — ``osp`` and ``casp``
+before the single-vector and stacked passes became one (PR 22) — so
+any change to the numeric stream — parameter updates, RNG consumption
+order, telemetry contents — fails this suite.
 
 The committed hashes are exact float bit patterns and therefore depend
 on the BLAS build: on a machine whose numpy produces different matmul
@@ -53,6 +54,8 @@ PLANS: dict[str, TrainingPlan] = {
     "asp": TrainingPlan.static("asp"),
     "ssp": TrainingPlan.static("ssp"),
     "dssp": TrainingPlan.static("dssp"),
+    "osp": TrainingPlan.static("osp"),
+    "casp": TrainingPlan.static("casp"),
     "switch-bsp-asp": TrainingPlan.switch_at(0.25),
 }
 

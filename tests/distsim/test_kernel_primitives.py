@@ -6,7 +6,9 @@ replaced; these tests check exactly that, plus the bookkeeping
 eviction, segment boundaries and buffer reuse.
 """
 
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +28,11 @@ from repro.mlcore import scratch
 from repro.mlcore.datasets import ShardIndexStream, make_dataset
 from repro.mlcore.models import make_model
 from repro.mlcore.optim import MomentumSGD
+
+# The textbook kernel lives beside the mlcore tests (tests/ has no
+# packages; a test directory is importable once it is on the path).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "mlcore"))
+import reference_model  # noqa: E402
 
 
 def make_session(
@@ -182,6 +189,9 @@ class TestMomentumAdvance:
 
 class TestBatchedLossAndGrad:
     def test_bitwise_equal_to_single_evaluations(self):
+        """Metamorphic: one width-5 pass equals five width-1 passes —
+        and both equal the textbook kernel, so they are not merely
+        wrong in the same way (they are one pass now)."""
         model = make_model("resnet32-sim")
         rng = np.random.default_rng(0)
         k, batch = 5, 16
@@ -195,6 +205,11 @@ class TestBatchedLossAndGrad:
             )
             assert loss == losses[index]
             assert np.array_equal(grad, grads[index])
+            expected_loss, expected = reference_model.loss_and_grad(
+                model.config, stack[index], inputs[index], labels[index]
+            )
+            assert loss == expected_loss
+            assert np.array_equal(grad, expected)
 
     def test_grad_out_reuse_is_identical(self):
         model = make_model("resnet32-sim")
@@ -212,6 +227,9 @@ class TestBatchedLossAndGrad:
         assert np.array_equal(grad_fresh, grad_reused)
 
     def test_views_cache_distinguishes_rows_of_one_base(self):
+        """The ``(data pointer, K)`` cache at ``K = 1``: two rows of one
+        base are two entries, and a new ``[None]`` view of a row hits
+        the entry of its pointer."""
         model = make_model("resnet32-sim")
         rng = np.random.default_rng(4)
         stack = np.stack([model.init_params(seed) for seed in range(2)])
@@ -220,6 +238,14 @@ class TestBatchedLossAndGrad:
         loss_a, _ = model.loss_and_grad(stack[0], inputs, labels)
         loss_b, _ = model.loss_and_grad(stack[1], inputs, labels)
         assert loss_a != loss_b  # different parameters, not cached views
+        pointers = {
+            row.__array_interface__["data"][0] for row in (stack[0], stack[1])
+        }
+        assert {(pointer, 1) for pointer in pointers} == set(
+            model._stacked_cache
+        )
+        assert model.loss_and_grad(stack[0], inputs, labels)[0] == loss_a
+        assert len(model._stacked_cache) == 2
 
 
 def _stack_inputs(model, k, dtype, batch=8):
@@ -315,13 +341,16 @@ class TestCapacityWorkspace:
             assert all(
                 end <= start for (_, end), (start, _) in zip(spans, spans[1:])
             )
-            # A stacked (K, b, H) window and the single-vector (K*b, H)
-            # one are the same rows of the same bytes.
-            flat = model._scratch(None, 24, inputs[0], stack[0])
+            # A stacked (K, b, H) window and the K = 1 window of K*b
+            # rows — what a barrier round of that global batch gets —
+            # are the same flat rows of the same bytes.
+            flat = model._scratch(1, 24, inputs[0], stack[0])
             assert [w.__array_interface__["data"][0] for w in windows] == [
                 w.__array_interface__["data"][0] for w in _windows(flat)
             ]
-            assert flat.dh.shape == (24, 64)
+            assert flat.dh.shape == (1, 24, 64)
+            assert flat.dh[0].strides == np.empty((24, 64), np.float32).strides
+            assert flat.dh.nbytes == narrow.dh.nbytes
             assert model._scratch(3, 8, inputs[:3], stack[:3]) is narrow
 
     def test_growth_mid_sequence_and_a_bounded_view_set_cache(self):

@@ -8,8 +8,9 @@ Pins:
   build), and the preemption-free streams match the sha256 golden
   hashes committed in ``tests/data/fleet_golden_hashes.json``;
 * a preemption-heavy stream (rush under best-fit) really preempts and
-  restores, and its allocation history survives the summary
-  round-trip.
+  restores, its allocation history survives the summary round-trip,
+  and its summary — fork, resize, re-project — matches a committed
+  hash, as a two-phase switch and as a three-segment schedule.
 
 The golden hashes are exact float bit patterns; like the distsim
 golden suite, set ``REPRO_GOLDEN_SKIP=1`` on machines whose BLAS
@@ -50,6 +51,17 @@ SCALE = 0.008
 #: hash, at a single-job and a multi-job stream.
 GOLDEN_CELLS = {"jobs=1": 1, "jobs=4": 4}
 
+#: Preempting golden cells (rush under best-fit): the ``preempted``
+#: fixture's stream, and the same stream on a three-segment schedule
+#: whose paused segments are SSP as well as BSP.
+PREEMPTING_CELLS = {
+    "preempted": {},
+    "preempted-bsp-ssp-asp": {
+        "protocols": ("bsp", "ssp", "asp"),
+        "fractions": (0.1, 0.3, 0.6),
+    },
+}
+
 
 def config(**overrides) -> FleetConfig:
     base = {
@@ -83,10 +95,16 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
+def preempting(name: str) -> FleetSummary:
+    return simulate_fleet(
+        config(scheduler="best-fit", n_jobs=None, **PREEMPTING_CELLS[name])
+    )
+
+
 @pytest.fixture(scope="module")
 def preempted():
     """Summary of a preemption-heavy stream."""
-    return simulate_fleet(config(scheduler="best-fit", n_jobs=None))
+    return preempting("preempted")
 
 
 class TestGoldenParity:
@@ -155,6 +173,16 @@ class TestGoldenParity:
             f"{name}: fleet summary changed vs the committed golden "
             "hash — the preemption-free fleet timeline is no longer "
             "bit-stable"
+        )
+
+    @pytest.mark.parametrize("name", sorted(PREEMPTING_CELLS))
+    def test_committed_preempting_hash(self, name, golden, preempted):
+        _skip_unless_golden_machine()
+        summary = preempted if name == "preempted" else preempting(name)
+        assert summary.preemptions > 0
+        assert summary_hash(summary) == golden["preempting"]["hashes"][name], (
+            f"{name}: fleet summary changed vs the committed golden "
+            "hash — fork, resize or re-projection moved a bit"
         )
 
     def test_exact_mode_is_reproducible(self):
@@ -242,6 +270,9 @@ def _regenerate() -> None:
         if GOLDEN_PATH.exists()
         else {}
     )
+    preempting_hashes = {
+        name: summary_hash(preempting(name)) for name in sorted(PREEMPTING_CELLS)
+    }
     payload.update(
         {
             "scenario": "rush",
@@ -251,6 +282,10 @@ def _regenerate() -> None:
             "scale": SCALE,
             "numpy": np.__version__,
             "hashes": hashes,
+            "preempting": {
+                "scheduler": "best-fit",
+                "hashes": preempting_hashes,
+            },
         }
     )
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -258,7 +293,7 @@ def _regenerate() -> None:
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {GOLDEN_PATH}")
-    for name, value in hashes.items():
+    for name, value in {**hashes, **preempting_hashes}.items():
         print(f"  {name}: {value}")
 
 

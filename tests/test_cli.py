@@ -299,6 +299,52 @@ def test_fleet_bad_workload_trace_is_a_usage_error(
     _assert_one_error_line(capsys, message)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('"abc"', "has a job entry that is not a JSON object: 'abc'"),
+        ('{"job_id": 0, "arrival": 0.0, "n_workers": 2.5}',
+         "n_workers must be an integer, got 2.5"),
+        ('{"job_id": 0, "arrival": NaN}',
+         "arrival must be a finite number, got nan"),
+        ('{"job_id": 0.5, "arrival": 0.0}',
+         "job_id must be an integer, got 0.5"),
+        ('{"job_id": 0, "arrival": 0.0, "deadline": true}',
+         "deadline must be a finite number, got True"),
+        ('{"job_id": 0, "arrival": 0.0, "setup_index": true}',
+         "setup_index must be an integer, got True"),
+        ('{"job_id": 0, "arrival": 0.0, "steps_scale": Infinity}',
+         "steps_scale must be a finite number, got inf"),
+        ('{"job_id": 0, "arrival": 0.0, "percent_override": "5"}',
+         "percent_override must be a finite number, got '5'"),
+        ('{"job_id": 0, "arrival": 0.0, "n_workers": -1}',
+         "n_workers must be positive"),
+    ],
+    ids=["not-an-object", "fractional-workers", "nan-arrival",
+         "fractional-id", "bool-deadline", "bool-setup", "infinite-scale",
+         "string-percent", "negative-workers"],
+)
+def test_fleet_hostile_trace_entry_is_a_usage_error(
+    entry, message, capsys, tmp_path, monkeypatch
+):
+    """Every bad field of a job entry is one line naming the trace —
+    not a traceback from the pool, and not a job that gets simulated."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    trace = tmp_path / "trace.json"
+    trace.write_text(
+        '{"jobs": [{"job_id": 7, "arrival": 1.0}, %s]}' % entry,
+        encoding="utf-8",
+    )
+    out = tmp_path / "summary.json"
+    argv = ["--quiet", "fleet", "--workload-trace", str(trace),
+            "--scheduler", "fifo", "--policy", "bsp", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace {trace} has a ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_internal_fleet_error_keeps_its_traceback(monkeypatch):
     import repro.commands.fleet as fleet_command
     from repro.errors import FleetError
