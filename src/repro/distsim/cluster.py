@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import coded, decode, encode, validate
 from repro.errors import ClusterError, ConfigurationError
 
 __all__ = ["ClusterSpec", "Cluster", "WorkerTier", "default_worker_tiers"]
@@ -37,38 +38,23 @@ class WorkerTier:
     calibration stays an upper bound on per-worker performance.
     """
 
-    name: str
-    count: int
-    speed_factor: float = 1.0
-    bandwidth_factor: float = 1.0
-    extra_latency: float = 0.0
+    name: str = coded(nonempty=True)
+    count: int = coded(min=1)
+    speed_factor: float = coded(1.0, min=1.0)
+    bandwidth_factor: float = coded(1.0, min=1.0)
+    extra_latency: float = coded(0.0, min=0.0)
 
     def __post_init__(self):
-        if not self.name:
-            raise ConfigurationError("tier name must be non-empty")
-        if self.count <= 0:
-            raise ConfigurationError("tier count must be positive")
-        if self.speed_factor < 1.0:
-            raise ConfigurationError("speed_factor must be >= 1")
-        if self.bandwidth_factor < 1.0:
-            raise ConfigurationError("bandwidth_factor must be >= 1")
-        if self.extra_latency < 0.0:
-            raise ConfigurationError("extra_latency must be non-negative")
+        validate(self)
 
     def to_dict(self) -> dict:
         """Plain-python dict for cache keys and artifacts."""
-        return {
-            "name": self.name,
-            "count": self.count,
-            "speed_factor": self.speed_factor,
-            "bandwidth_factor": self.bandwidth_factor,
-            "extra_latency": self.extra_latency,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkerTier":
         """Inverse of :meth:`to_dict`."""
-        return cls(**data)
+        return decode(cls, data, "worker tier")
 
 
 def default_worker_tiers(pool_size: int) -> tuple[WorkerTier, ...]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import coded, decode, encode
+
 __all__ = ["TrainingResult"]
 
 
@@ -19,27 +21,28 @@ class TrainingResult:
 
     plan: str
     seed: int
-    n_workers: int
-    total_steps: int
-    completed_steps: int
-    total_time: float
+    n_workers: int = coded(min=1)
+    total_steps: int = coded(min=0)
+    completed_steps: int = coded(min=0)
+    total_time: float = coded(min=0.0)
     diverged: bool
-    diverged_step: int | None
+    diverged_step: int | None = coded(min=0)
     converged: bool
-    converged_accuracy: float | None
-    reported_accuracy: float | None
-    best_accuracy: float | None
-    final_loss: float | None
-    eval_steps: tuple[int, ...]
-    eval_times: tuple[float, ...]
-    eval_accuracies: tuple[float, ...]
-    loss_steps: tuple[int, ...]
+    converged_accuracy: float | None = coded(min=0.0, max=1.0)
+    reported_accuracy: float | None = coded(min=0.0, max=1.0)
+    best_accuracy: float | None = coded(min=0.0, max=1.0)
+    #: The loss that tripped the divergence check may be NaN or inf.
+    final_loss: float | None = coded(finite=False)
+    eval_steps: tuple[int, ...] = coded(items={"min": 0})
+    eval_times: tuple[float, ...] = coded(items={"min": 0.0})
+    eval_accuracies: tuple[float, ...] = coded(items={"min": 0.0, "max": 1.0})
+    loss_steps: tuple[int, ...] = coded(items={"min": 0})
     loss_values: tuple[float, ...]
     segment_summary: tuple[dict, ...]
     staleness: dict
-    switch_count: int
-    total_overhead: float
-    images_processed: int
+    switch_count: int = coded(min=0)
+    total_overhead: float = coded(min=0.0)
+    images_processed: int = coded(min=0)
 
     @property
     def throughput(self) -> float:
@@ -69,57 +72,9 @@ class TrainingResult:
 
     def to_dict(self) -> dict:
         """Plain-python dict for JSON caching."""
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "n_workers": self.n_workers,
-            "total_steps": self.total_steps,
-            "completed_steps": self.completed_steps,
-            "total_time": self.total_time,
-            "diverged": self.diverged,
-            "diverged_step": self.diverged_step,
-            "converged": self.converged,
-            "converged_accuracy": self.converged_accuracy,
-            "reported_accuracy": self.reported_accuracy,
-            "best_accuracy": self.best_accuracy,
-            "final_loss": self.final_loss,
-            "eval_steps": list(self.eval_steps),
-            "eval_times": list(self.eval_times),
-            "eval_accuracies": list(self.eval_accuracies),
-            "loss_steps": list(self.loss_steps),
-            "loss_values": list(self.loss_values),
-            "segment_summary": list(self.segment_summary),
-            "staleness": self.staleness,
-            "switch_count": self.switch_count,
-            "total_overhead": self.total_overhead,
-            "images_processed": self.images_processed,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainingResult":
         """Inverse of :meth:`to_dict`."""
-        return cls(
-            plan=data["plan"],
-            seed=data["seed"],
-            n_workers=data["n_workers"],
-            total_steps=data["total_steps"],
-            completed_steps=data["completed_steps"],
-            total_time=data["total_time"],
-            diverged=data["diverged"],
-            diverged_step=data["diverged_step"],
-            converged=data["converged"],
-            converged_accuracy=data["converged_accuracy"],
-            reported_accuracy=data["reported_accuracy"],
-            best_accuracy=data["best_accuracy"],
-            final_loss=data["final_loss"],
-            eval_steps=tuple(data["eval_steps"]),
-            eval_times=tuple(data["eval_times"]),
-            eval_accuracies=tuple(data["eval_accuracies"]),
-            loss_steps=tuple(data["loss_steps"]),
-            loss_values=tuple(data["loss_values"]),
-            segment_summary=tuple(data["segment_summary"]),
-            staleness=data["staleness"],
-            switch_count=data["switch_count"],
-            total_overhead=data["total_overhead"],
-            images_processed=data["images_processed"],
-        )
+        return decode(cls, data, "training result")

@@ -154,9 +154,10 @@ def disk_load(cache_dir: Path | None, key: str, decode=None):
     try:
         with path.open("r", encoding="utf-8") as handle:
             return decode(json.load(handle))
-    except (ValueError, KeyError, TypeError, OSError):
-        # ValueError covers truncated JSON, non-UTF-8 bytes and a
-        # decoder handed the wrong top-level type.
+    except (ValueError, KeyError, TypeError, OSError, ConfigurationError):
+        # ValueError covers truncated JSON and non-UTF-8 bytes; a blob
+        # that parses but fails its class's table (repro.codec) is the
+        # same miss, so the caller recomputes and rewrites it.
         return None
 
 

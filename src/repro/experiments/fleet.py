@@ -35,6 +35,7 @@ from repro.experiments.executor import (
     disk_store,
     resolve_cache_dir,
 )
+from repro.codec import decode, encode
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Report
@@ -663,19 +664,11 @@ class TracedFleetRun:
     metrics: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "summary": self.summary.to_dict(),
-            "events": list(self.events),
-            "metrics": self.metrics,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TracedFleetRun":
-        return cls(
-            summary=FleetSummary.from_dict(payload["summary"]),
-            events=list(payload["events"]),
-            metrics=payload.get("metrics"),
-        )
+        return decode(cls, payload, "traced fleet run")
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,7 @@ from repro.fleet.workload import (
     FLEET_SCENARIOS,
     TRACE_SCENARIOS,
     JobRequest,
+    check_schedule,
     poisson_stream,
     trace_stream,
 )
@@ -193,19 +194,11 @@ class FleetConfig:
             else:
                 fractions = tuple(float(value) for value in self.fractions)
                 object.__setattr__(self, "fractions", fractions)
-                if len(fractions) != len(self.protocols):
-                    raise ConfigurationError(
-                        "fractions must have one entry per protocol"
-                    )
                 if any(not 0.0 <= value <= 1.0 for value in fractions):
                     raise ConfigurationError(
                         "schedule fractions must be in [0, 1]"
                     )
-                if abs(sum(fractions) - 1.0) > 1e-9:
-                    raise ConfigurationError(
-                        f"schedule fractions must sum to 1, "
-                        f"got {sum(fractions)}"
-                    )
+                check_schedule(self.protocols, fractions)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.codec import coded, decode, encode
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -61,33 +62,35 @@ class JobRecord:
     before the elastic re-simulation landed.
     """
 
-    job_id: int
-    setup_index: int
+    job_id: int = coded(min=0)
+    setup_index: int = coded(min=0)
     sync_policy: str
-    percent: float
-    demand: int
-    arrival: float
-    start: float
-    finish: float
-    preemptions: int = 0
-    restores: int = 0
-    accuracy: float | None = None
+    percent: float = coded(min=0.0, max=100.0)
+    demand: int = coded(min=1)
+    arrival: float = coded(min=0.0)
+    start: float = coded(min=0.0)
+    finish: float = coded(min=0.0)
+    preemptions: int = coded(0, min=0)
+    restores: int = coded(0, min=0)
+    accuracy: float | None = coded(None, min=0.0, max=1.0)
     diverged: bool = False
-    completed_steps: int = 0
-    images: int = 0
+    completed_steps: int = coded(0, min=0)
+    images: int = coded(0, min=0)
     kind: str = "train"
-    deadline: float | None = None
+    deadline: float | None = coded(None, above=0.0)
     tuned: bool = False
     degraded: bool = False
-    outcome: str = "completed"
+    outcome: str = coded("completed", choices=("completed", "rejected"))
     allocations: tuple[dict, ...] = ()
     #: Staleness percentile summary of the job's training telemetry
     #: (``{"mean", "p50", "p95", "max"}``); None for rejected jobs and
     #: payloads cached before staleness surfaced in fleet records.
     staleness: dict | None = None
     #: Tenant tier of trace-workload jobs (``"prod"``/``"batch"``/...);
-    #: None for classic scenario streams and legacy payloads.
-    tier: str | None = None
+    #: None for classic scenario streams and legacy payloads.  Written
+    #: only when set: classic-scenario payloads keep their historical
+    #: byte shape, which the fleet golden hashes pin.
+    tier: str | None = coded(None, omit_none=True)
 
     @property
     def jct(self) -> float:
@@ -142,52 +145,14 @@ class JobRecord:
         return tuple(spans)
 
     def to_dict(self) -> dict:
-        """Plain-python dict for JSON caching.
-
-        The ``tier`` key appears only when set: classic-scenario
-        payloads keep their historical byte shape, which the fleet
-        golden hashes pin.
-        """
-        payload = {
-            "job_id": self.job_id,
-            "setup_index": self.setup_index,
-            "sync_policy": self.sync_policy,
-            "percent": self.percent,
-            "demand": self.demand,
-            "arrival": self.arrival,
-            "start": self.start,
-            "finish": self.finish,
-            "preemptions": self.preemptions,
-            "restores": self.restores,
-            "accuracy": self.accuracy,
-            "diverged": self.diverged,
-            "completed_steps": self.completed_steps,
-            "images": self.images,
-            "kind": self.kind,
-            "deadline": self.deadline,
-            "tuned": self.tuned,
-            "degraded": self.degraded,
-            "outcome": self.outcome,
-            "allocations": [dict(row) for row in self.allocations],
-            "staleness": (
-                dict(self.staleness) if self.staleness is not None else None
-            ),
-        }
-        if self.tier is not None:
-            payload["tier"] = self.tier
-        return payload
+        """Plain-python dict for JSON caching."""
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobRecord":
         """Inverse of :meth:`to_dict` (tolerates pre-SLO and
         pre-re-simulation payloads)."""
-        payload = dict(data)
-        payload["allocations"] = tuple(
-            dict(row) for row in payload.get("allocations", ())
-        )
-        if payload.get("staleness") is not None:
-            payload["staleness"] = dict(payload["staleness"])
-        return cls(**payload)
+        return decode(cls, data, "job record")
 
 
 @dataclass(frozen=True)
@@ -207,40 +172,41 @@ class FleetSummary:
     scheduler: str
     sync_policy: str
     seed: int
-    scale: float
-    pool_size: int
-    n_jobs: int
+    scale: float = coded(above=0.0)
+    pool_size: int = coded(min=1)
+    n_jobs: int = coded(min=0)
     jobs: tuple[JobRecord, ...]
-    makespan: float
-    mean_jct: float
-    p95_jct: float
-    max_jct: float
-    mean_queue_delay: float
-    max_queue_delay: float
-    utilization: float
-    images_per_second: float
-    preemptions: int
-    restores: int
-    diverged_jobs: int
-    mean_accuracy: float | None
-    n_search_jobs: int = 0
-    search_time: float = 0.0
-    n_rejected: int = 0
-    n_degraded: int = 0
-    n_deadline_jobs: int = 0
-    slo_attainment: float | None = None
+    makespan: float = coded(min=0.0)
+    mean_jct: float = coded(min=0.0)
+    p95_jct: float = coded(min=0.0)
+    max_jct: float = coded(min=0.0)
+    mean_queue_delay: float = coded(min=0.0)
+    max_queue_delay: float = coded(min=0.0)
+    utilization: float = coded(min=0.0)
+    images_per_second: float = coded(min=0.0)
+    preemptions: int = coded(min=0)
+    restores: int = coded(min=0)
+    diverged_jobs: int = coded(min=0)
+    mean_accuracy: float | None = coded(min=0.0, max=1.0)
+    n_search_jobs: int = coded(0, min=0)
+    search_time: float = coded(0.0, min=0.0)
+    n_rejected: int = coded(0, min=0)
+    n_degraded: int = coded(0, min=0)
+    n_deadline_jobs: int = coded(0, min=0)
+    slo_attainment: float | None = coded(None, min=0.0, max=1.0)
     tuning: tuple[dict, ...] | None = None
     #: Fleet staleness aggregates over completed jobs carrying a
     #: staleness summary: mean of the per-job p50/p95 percentiles and
     #: the largest per-job max.  All zero when no job reported one.
-    staleness_p50: float = 0.0
-    staleness_p95: float = 0.0
-    staleness_max: float = 0.0
+    staleness_p50: float = coded(0.0, min=0.0)
+    staleness_p95: float = coded(0.0, min=0.0)
+    staleness_max: float = coded(0.0, min=0.0)
     #: Per-tenant-tier aggregate rows (trace workloads): one dict per
     #: tier name seen in the records, with JCT/SLO/makespan aggregates
-    #: over that tier's jobs.  None when no record carries a tier, so
-    #: classic-scenario payloads keep their historical byte shape.
-    tiers: tuple[dict, ...] | None = None
+    #: over that tier's jobs.  None (and the key left out) when no
+    #: record carries a tier, so classic-scenario payloads keep their
+    #: historical byte shape.
+    tiers: tuple[dict, ...] | None = coded(None, omit_none=True)
 
     def jobs_in(
         self, tier: str | None = None, kind: str | None = None
@@ -289,54 +255,12 @@ class FleetSummary:
 
     def to_dict(self) -> dict:
         """Plain-python dict for JSON caching and the results artifact."""
-        payload = {
-            "scenario": self.scenario,
-            "scheduler": self.scheduler,
-            "sync_policy": self.sync_policy,
-            "seed": self.seed,
-            "scale": self.scale,
-            "pool_size": self.pool_size,
-            "n_jobs": self.n_jobs,
-            "jobs": [record.to_dict() for record in self.jobs],
-            "makespan": self.makespan,
-            "mean_jct": self.mean_jct,
-            "p95_jct": self.p95_jct,
-            "max_jct": self.max_jct,
-            "mean_queue_delay": self.mean_queue_delay,
-            "max_queue_delay": self.max_queue_delay,
-            "utilization": self.utilization,
-            "images_per_second": self.images_per_second,
-            "preemptions": self.preemptions,
-            "restores": self.restores,
-            "diverged_jobs": self.diverged_jobs,
-            "mean_accuracy": self.mean_accuracy,
-            "n_search_jobs": self.n_search_jobs,
-            "search_time": self.search_time,
-            "n_rejected": self.n_rejected,
-            "n_degraded": self.n_degraded,
-            "n_deadline_jobs": self.n_deadline_jobs,
-            "slo_attainment": self.slo_attainment,
-            "tuning": list(self.tuning) if self.tuning is not None else None,
-            "staleness_p50": self.staleness_p50,
-            "staleness_p95": self.staleness_p95,
-            "staleness_max": self.staleness_max,
-        }
-        if self.tiers is not None:
-            payload["tiers"] = [dict(row) for row in self.tiers]
-        return payload
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSummary":
         """Inverse of :meth:`to_dict` (tolerates pre-SLO payloads)."""
-        payload = dict(data)
-        payload["jobs"] = tuple(
-            JobRecord.from_dict(record) for record in payload["jobs"]
-        )
-        if payload.get("tuning") is not None:
-            payload["tuning"] = tuple(dict(row) for row in payload["tuning"])
-        if payload.get("tiers") is not None:
-            payload["tiers"] = tuple(dict(row) for row in payload["tiers"])
-        return cls(**payload)
+        return decode(cls, data, "fleet summary")
 
 
 def percentile(values: list[float], fraction: float) -> float | None:

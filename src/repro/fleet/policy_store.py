@@ -30,13 +30,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from repro.codec import coded, decode, encode, read_json, reject
 from repro.core.search.binary_search import SearchResult
-from repro.errors import ConfigurationError, FleetError
+from repro.errors import FleetError
 from repro.experiments.executor import atomic_write
-from repro.fleet.workload import JobRequest, estimate_service_time
+from repro.fleet.workload import (
+    FRACTIONS_RULE,
+    PROTOCOLS_RULE,
+    JobRequest,
+    check_schedule,
+    estimate_service_time,
+)
 
 __all__ = [
     "STORE_FORMAT_VERSION",
@@ -184,6 +191,60 @@ def policy_from_search(
         protocols=result.protocols,
         fractions=None if percent_only else result.fractions,
     )
+
+
+#: The :class:`ClassPolicy` fields a stored row carries under the same
+#: name (everything but the class key, which a row spells out).
+_POLICY_COLUMNS = tuple(
+    spec.name for spec in fields(ClassPolicy) if spec.name != "job_class"
+)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _StoredClass:
+    """One ``classes`` row of a store file: the class key, the policy's
+    columns and the class's ledger state.
+
+    Version-1 rows predate schedules: they lack ``protocols`` and
+    ``fractions`` and load as two-phase percent-only policies.
+    """
+
+    setup_index: int = coded(min=0)
+    n_workers: int = coded(min=1)
+    protocols: tuple[str, ...] = coded(("bsp", "asp"), **PROTOCOLS_RULE)
+    fractions: tuple[float, ...] | None = coded(None, **FRACTIONS_RULE)
+    percent: float = coded(min=0.0, max=100.0)
+    target_accuracy: float = coded(min=0.0, max=1.0)
+    bsp_time: float = coded(min=0.0)
+    policy_time: float = coded(min=0.0)
+    search_cost: float = coded(min=0.0)
+    n_trials: int = coded(min=0)
+    tuned_at: float = coded(min=0.0)
+    recurrences: int = coded(min=0)
+    realized_savings: float
+    breakeven_recurrence: int | None = coded(min=1)
+    realized_service_sum: float = coded(min=0.0)
+    realized_service_count: int = coded(min=0)
+
+    def __post_init__(self):
+        if self.fractions is not None:
+            check_schedule(self.protocols, self.fractions)
+
+
+@dataclass(frozen=True)
+class _StoreFile:
+    """The object a store file holds."""
+
+    version: int = coded(
+        min=_OLDEST_READABLE_VERSION, max=STORE_FORMAT_VERSION
+    )
+    scale: float | None = coded(None, above=0.0)
+    classes: tuple[_StoredClass, ...] = ()
+
+    def __post_init__(self):
+        keys = [(row.setup_index, row.n_workers) for row in self.classes]
+        if len(set(keys)) != len(keys):
+            reject("", "classes", "one row per job class", keys)
 
 
 class PolicyStore:
@@ -371,6 +432,48 @@ class PolicyStore:
     # ------------------------------------------------------------------
     # persistence (warm-starting recurring classes across fleet runs)
     # ------------------------------------------------------------------
+    def _rows(self) -> tuple[_StoredClass, ...]:
+        """Every policy with its ledger state, in class order."""
+        rows = []
+        for job_class in sorted(
+            self._policies, key=lambda cls: (cls.setup_index, cls.n_workers)
+        ):
+            policy = self._policies[job_class]
+            total, count = self._realized_service.get(job_class, (0.0, 0))
+            rows.append(
+                _StoredClass(
+                    **vars(job_class),
+                    **{name: getattr(policy, name) for name in _POLICY_COLUMNS},
+                    recurrences=self._recurrences[job_class],
+                    realized_savings=self._savings[job_class],
+                    breakeven_recurrence=self._breakeven_at[job_class],
+                    realized_service_sum=total,
+                    realized_service_count=count,
+                )
+            )
+        return tuple(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[_StoredClass, ...]) -> "PolicyStore":
+        """A store holding each row's policy and ledger state."""
+        store = cls()
+        for row in rows:
+            job_class = JobClass(row.setup_index, row.n_workers)
+            store.install(
+                ClassPolicy(
+                    job_class=job_class,
+                    **{name: getattr(row, name) for name in _POLICY_COLUMNS},
+                )
+            )
+            store._recurrences[job_class] = row.recurrences
+            store._savings[job_class] = row.realized_savings
+            store._breakeven_at[job_class] = row.breakeven_recurrence
+            if row.realized_service_count > 0:
+                store._realized_service[job_class] = (
+                    row.realized_service_sum, row.realized_service_count
+                )
+        return store
+
     def to_payload(self, scale: float | None = None) -> dict:
         """JSON-serializable snapshot of policies and ledger state.
 
@@ -382,148 +485,32 @@ class PolicyStore:
         at: absolute service times are only comparable within one
         scale, so loading checks it (see :meth:`from_payload`).
         """
-        classes = []
-        for job_class in sorted(
-            self._policies, key=lambda cls: (cls.setup_index, cls.n_workers)
-        ):
-            policy = self._policies[job_class]
-            total, count = self._realized_service.get(job_class, (0.0, 0))
-            classes.append(
-                {
-                    "setup_index": job_class.setup_index,
-                    "n_workers": job_class.n_workers,
-                    "protocols": list(policy.protocols),
-                    "fractions": (
-                        None
-                        if policy.fractions is None
-                        else list(policy.fractions)
-                    ),
-                    "percent": policy.percent,
-                    "target_accuracy": policy.target_accuracy,
-                    "bsp_time": policy.bsp_time,
-                    "policy_time": policy.policy_time,
-                    "search_cost": policy.search_cost,
-                    "n_trials": policy.n_trials,
-                    "tuned_at": policy.tuned_at,
-                    "recurrences": self._recurrences[job_class],
-                    "realized_savings": self._savings[job_class],
-                    "breakeven_recurrence": self._breakeven_at[job_class],
-                    "realized_service_sum": total,
-                    "realized_service_count": count,
-                }
-            )
-        return {
-            "version": STORE_FORMAT_VERSION,
-            "scale": scale,
-            "classes": classes,
-        }
+        return encode(_StoreFile(STORE_FORMAT_VERSION, scale, self._rows()))
 
     @classmethod
     def from_payload(
-        cls, payload: dict, scale: float | None = None
+        cls,
+        payload: dict,
+        scale: float | None = None,
+        where: str = "policy-store payload",
     ) -> "PolicyStore":
         """Rebuild a store from :meth:`to_payload`.
 
-        Checks the payload version and — when both sides declare one —
-        the step-budget scale: a store measured at one ``--scale``
-        must not warm-start predictions at another (the absolute
-        service times would be in different units).
+        The table checks the payload version and every row; when both
+        sides declare one, the step-budget scale must match too: a
+        store measured at one ``--scale`` must not warm-start
+        predictions at another (the absolute service times would be in
+        different units).  ``where`` names the source in error lines.
         """
-        if not isinstance(payload, dict):
-            raise ConfigurationError("policy-store payload must be an object")
-        version = payload.get("version")
-        if (
-            not isinstance(version, int)
-            or not _OLDEST_READABLE_VERSION <= version <= STORE_FORMAT_VERSION
-        ):
-            raise ConfigurationError(
-                f"policy-store payload version {version!r} is not supported "
-                f"(this build reads versions {_OLDEST_READABLE_VERSION}"
-                f"-{STORE_FORMAT_VERSION}); "
-                "re-create the store with the current code"
+        stored = decode(_StoreFile, payload, where)
+        if scale is not None and stored.scale not in (None, scale):
+            reject(
+                where, "scale",
+                f"{scale:g}, the scale of this run (service times are not "
+                "comparable across scales — use a separate store per scale)",
+                stored.scale,
             )
-        stored_scale = payload.get("scale")
-        if stored_scale is not None and (
-            isinstance(stored_scale, bool)
-            or not isinstance(stored_scale, (int, float))
-        ):
-            raise ConfigurationError(
-                f"policy-store payload scale {stored_scale!r} is not a "
-                "number or null"
-            )
-        classes = payload.get("classes", [])
-        if not isinstance(classes, list):
-            raise ConfigurationError(
-                "policy-store payload classes must be a list, not "
-                f"{type(classes).__name__}"
-            )
-        if (
-            scale is not None
-            and stored_scale is not None
-            and stored_scale != scale
-        ):
-            raise ConfigurationError(
-                f"policy store was measured at scale {stored_scale:g} but "
-                f"this run uses scale {scale:g}; service times are not "
-                "comparable across scales — use a separate store per scale"
-            )
-        store = cls()
-        for entry in classes:
-            try:
-                job_class = JobClass(
-                    setup_index=int(entry["setup_index"]),
-                    n_workers=int(entry["n_workers"]),
-                )
-                # Version-1 entries predate schedules: they carry only
-                # the switch percent and load as two-phase policies.
-                protocols = entry.get("protocols")
-                fractions = entry.get("fractions")
-                policy = ClassPolicy(
-                    job_class=job_class,
-                    percent=float(entry["percent"]),
-                    target_accuracy=float(entry["target_accuracy"]),
-                    bsp_time=float(entry["bsp_time"]),
-                    policy_time=float(entry["policy_time"]),
-                    search_cost=float(entry["search_cost"]),
-                    n_trials=int(entry["n_trials"]),
-                    tuned_at=float(entry["tuned_at"]),
-                    protocols=(
-                        ("bsp", "asp")
-                        if protocols is None
-                        else tuple(str(name) for name in protocols)
-                    ),
-                    fractions=(
-                        None
-                        if fractions is None
-                        else tuple(float(value) for value in fractions)
-                    ),
-                )
-                recurrences = int(entry["recurrences"])
-                savings = float(entry["realized_savings"])
-                breakeven = entry["breakeven_recurrence"]
-                breakeven = None if breakeven is None else int(breakeven)
-                service_sum = float(entry["realized_service_sum"])
-                service_count = int(entry["realized_service_count"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"malformed policy-store class entry: {exc}"
-                ) from exc
-            try:
-                store.install(policy)
-            except FleetError as exc:
-                # e.g. duplicate class entries in a hand-edited file —
-                # surface as the load contract's configuration error.
-                raise ConfigurationError(
-                    f"invalid policy-store payload: {exc}"
-                ) from exc
-            store._recurrences[job_class] = recurrences
-            store._savings[job_class] = savings
-            store._breakeven_at[job_class] = breakeven
-            if service_count > 0:
-                store._realized_service[job_class] = (
-                    service_sum, service_count
-                )
-        return store
+        return cls._from_rows(stored.classes)
 
     def save(self, path: str | Path, scale: float | None = None) -> Path:
         """Persist the store as JSON (for ``fleet --policy-store``).
@@ -542,11 +529,5 @@ class PolicyStore:
         """Load a persisted store (raises ``ConfigurationError`` on a
         missing/corrupt file, an unsupported payload version, or a
         step-budget scale mismatch)."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            # ValueError covers JSONDecodeError and non-UTF-8 bytes.
-            raise ConfigurationError(
-                f"cannot read policy store {path}: {exc}"
-            ) from exc
-        return cls.from_payload(payload, scale=scale)
+        where = f"policy store {path}"
+        return cls.from_payload(read_json(path, where), scale=scale, where=where)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from repro.codec import coded, decode, encode, read_json, reject, validate
 from repro.distsim.engines import known_protocols
 from repro.distsim.timing import timing_for
 from repro.errors import ConfigurationError
@@ -47,6 +47,7 @@ __all__ = [
     "DEFAULT_TENANT_TIERS",
     "assign_shards",
     "bounded_pareto",
+    "check_schedule",
     "resolve_percent",
     "estimate_service_time",
     "poisson_stream",
@@ -64,6 +65,19 @@ SYNC_POLICIES = ("bsp", "asp", "sync-switch")
 #: tuning layer injects when the first job of a recurring class is
 #: admitted (Section VI-C's amortized search, run as fleet jobs).
 JOB_KINDS = ("train", "search-trial")
+
+#: Table rules of a pinned schedule's two halves, shared with the
+#: policy store's rows (one share in [0, 1] per known protocol).
+PROTOCOLS_RULE = {"nonempty": True, "items": {"choices": known_protocols}}
+FRACTIONS_RULE = {"nonempty": True, "items": {"min": 0.0, "max": 1.0}}
+
+
+def check_schedule(protocols: tuple, fractions: tuple) -> None:
+    """Cross-field rules of a schedule: a share per protocol, summing to 1."""
+    if len(protocols) != len(fractions):
+        reject("", "fractions", f"{len(protocols)} shares", fractions)
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        reject("", "fractions", "shares summing to 1", fractions)
 
 
 def resolve_percent(setup_index: int, sync_policy: str) -> float:
@@ -116,94 +130,34 @@ class JobRequest:
     :func:`repro.experiments.setups.scaled_steps`).
     """
 
-    job_id: int
-    arrival: float
-    setup_index: int = 1
-    n_workers: int = 8
-    sync_policy: str = "sync-switch"
-    deadline: float | None = None
-    kind: str = "train"
-    percent_override: float | None = None
-    protocols: tuple[str, ...] | None = None
-    fractions: tuple[float, ...] | None = None
-    tier: str | None = None
-    steps_scale: float = 1.0
+    job_id: int = coded(min=0)
+    arrival: float = coded(min=0)
+    setup_index: int = coded(1, choices=SETUPS)
+    n_workers: int = coded(8, min=1)
+    sync_policy: str = coded("sync-switch", choices=SYNC_POLICIES)
+    deadline: float | None = coded(None, above=0)
+    kind: str = coded("train", choices=JOB_KINDS)
+    percent_override: float | None = coded(None, min=0.0, max=100.0)
+    protocols: tuple[str, ...] | None = coded(None, **PROTOCOLS_RULE)
+    fractions: tuple[float, ...] | None = coded(None, **FRACTIONS_RULE)
+    tier: str | None = coded(None, nonempty=True)
+    steps_scale: float = coded(1.0, above=0)
 
     def __post_init__(self):
-        # Types first: a trace file can put anything in any field, and
-        # the range checks below compare without asking.
-        for name in ("job_id", "setup_index", "n_workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-        for name in ("arrival", "deadline", "percent_override", "steps_scale"):
-            value = getattr(self, name)
-            if value is None and name in ("deadline", "percent_override"):
-                continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ConfigurationError(
-                    f"{name} must be a finite number, got {value!r}"
-                )
-        if self.job_id < 0:
-            raise ConfigurationError("job_id must be non-negative")
-        if self.arrival < 0:
-            raise ConfigurationError("arrival must be non-negative")
-        if self.setup_index not in SETUPS:
-            raise ConfigurationError(f"unknown setup index {self.setup_index}")
-        if self.n_workers <= 0:
-            raise ConfigurationError("n_workers must be positive")
-        if self.sync_policy not in SYNC_POLICIES:
-            raise ConfigurationError(
-                f"unknown sync policy {self.sync_policy!r}"
-            )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ConfigurationError("deadline must be positive")
-        if self.kind not in JOB_KINDS:
-            raise ConfigurationError(
-                f"unknown job kind {self.kind!r}; known: {JOB_KINDS}"
-            )
-        if self.percent_override is not None and not (
-            0.0 <= self.percent_override <= 100.0
-        ):
-            raise ConfigurationError("percent_override must be in [0, 100]")
+        # A trace file can put anything in any field: the table first,
+        # then the rules that span two fields.
+        validate(self)
         if (self.protocols is None) != (self.fractions is None):
-            raise ConfigurationError(
-                "protocols and fractions must be given together"
+            reject(
+                "", "fractions", "protocols and fractions given together",
+                self.fractions,
             )
         if self.protocols is not None:
-            protocols = tuple(str(name) for name in self.protocols)
-            fractions = tuple(float(value) for value in self.fractions)
-            object.__setattr__(self, "protocols", protocols)
-            object.__setattr__(self, "fractions", fractions)
-            if not protocols or len(protocols) != len(fractions):
-                raise ConfigurationError(
-                    "protocols and fractions must be non-empty and of "
-                    "matching length"
-                )
-            known = known_protocols()
-            for name in protocols:
-                if name not in known:
-                    raise ConfigurationError(
-                        f"unknown protocol {name!r}; known: {known}"
-                    )
-            if any(not 0.0 <= value <= 1.0 for value in fractions):
-                raise ConfigurationError(
-                    "schedule fractions must be in [0, 1]"
-                )
-            if abs(sum(fractions) - 1.0) > 1e-9:
-                raise ConfigurationError(
-                    f"schedule fractions must sum to 1, got {sum(fractions)}"
-                )
-        if self.tier is not None and not self.tier:
-            raise ConfigurationError("tier name must be non-empty")
-        if self.steps_scale <= 0.0:
-            raise ConfigurationError("steps_scale must be positive")
+            object.__setattr__(self, "protocols", tuple(self.protocols))
+            object.__setattr__(
+                self, "fractions", tuple(float(v) for v in self.fractions)
+            )
+            check_schedule(self.protocols, self.fractions)
 
     @property
     def percent(self) -> float:
@@ -214,20 +168,7 @@ class JobRequest:
 
     def to_dict(self) -> dict:
         """Plain-python dict for trace files and cache keys."""
-        return {
-            "job_id": self.job_id,
-            "arrival": self.arrival,
-            "setup_index": self.setup_index,
-            "n_workers": self.n_workers,
-            "sync_policy": self.sync_policy,
-            "deadline": self.deadline,
-            "kind": self.kind,
-            "percent_override": self.percent_override,
-            "protocols": None if self.protocols is None else list(self.protocols),
-            "fractions": None if self.fractions is None else list(self.fractions),
-            "tier": self.tier,
-            "steps_scale": self.steps_scale,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobRequest":
@@ -237,11 +178,7 @@ class JobRequest:
         keys and load as two-phase jobs; pre-trace-scale payloads lack
         ``tier``/``steps_scale`` and load as tierless unit-size jobs.
         """
-        data = dict(data)
-        for key in ("protocols", "fractions"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return decode(cls, data, "job request")
 
 
 @dataclass(frozen=True)
@@ -707,9 +644,16 @@ def assign_shards(
     return tuple(tuple(shard) for shard in shards)
 
 
+@dataclass(frozen=True)
+class _TraceFile:
+    """The object a trace file holds: ``{"jobs": [...]}``."""
+
+    jobs: tuple[JobRequest, ...] = coded(nonempty=True)
+
+
 def save_trace(path: str | Path, requests: tuple[JobRequest, ...]) -> None:
     """Write an arrival stream as a JSON trace file."""
-    payload = {"jobs": [request.to_dict() for request in requests]}
+    payload = encode(_TraceFile(jobs=tuple(requests)))
     Path(path).write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
@@ -721,34 +665,11 @@ def load_trace(path: str | Path) -> tuple[JobRequest, ...]:
     Jobs are sorted by arrival time (ties by job id) so hand-written
     traces need not be pre-sorted.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"trace {path} must be a JSON object with a \"jobs\" list, "
-            f"not a {type(payload).__name__}"
-        )
-    raw_jobs = payload.get("jobs")
-    if not isinstance(raw_jobs, list) or not raw_jobs:
-        raise ConfigurationError(f"trace {path} has no jobs")
-    requests = []
-    for entry in raw_jobs:
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"trace {path} has a job entry that is not a JSON object: "
-                f"{entry!r}"
-            )
-        try:
-            requests.append(JobRequest.from_dict(entry))
-        except (TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(
-                f"trace {path} has a malformed job entry: {exc}"
-            ) from exc
+    where = f"trace {path}"
+    requests = decode(_TraceFile, read_json(path, where), where).jobs
     ids = [request.job_id for request in requests]
     if len(set(ids)) != len(ids):
-        raise ConfigurationError(f"trace {path} has duplicate job ids")
+        reject(where, "jobs", "distinct job ids", ids)
     return tuple(
         sorted(requests, key=lambda request: (request.arrival, request.job_id))
     )

@@ -7,6 +7,7 @@ a session-scoped result cache so repeated fixtures don't retrain.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -21,6 +22,11 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setups import SETUPS, scaled_job
 from repro.mlcore.datasets import make_dataset
 from repro.mlcore.models import make_model
+
+
+#: ``--hypothesis-profile=deep``: five times the default example budget;
+#: CI runs tests/test_codec_fuzz.py under it (budgets there scale with it).
+settings.register_profile("deep", max_examples=500)
 
 
 @pytest.fixture(scope="session")

@@ -283,9 +283,9 @@ def test_search_bad_number_is_a_usage_error(
 @pytest.mark.parametrize(
     "text, message",
     [
-        (None, "cannot read trace"),
-        ('{"jobs": [', "cannot read trace"),
-        ("[1, 2]", "must be a JSON object"),
+        (None, ": expected a readable JSON file, got FileNotFoundError("),
+        ('{"jobs": [', ": expected a readable JSON file, got JSONDecodeError("),
+        ("[1, 2]", ": expected a JSON object, got [1, 2]"),
     ],
     ids=["missing", "truncated", "list"],
 )
@@ -296,39 +296,63 @@ def test_fleet_bad_workload_trace_is_a_usage_error(
     if text is not None:
         trace.write_text(text, encoding="utf-8")
     assert main(["--quiet", "fleet", "--workload-trace", str(trace)]) == 2
-    _assert_one_error_line(capsys, message)
+    _assert_one_error_line(capsys, f"error: trace {trace}{message}")
 
 
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ('"abc"', "has a job entry that is not a JSON object: 'abc'"),
+        ('"abc"', "jobs[1]: expected a JSON object, got 'abc'"),
         ('{"job_id": 0, "arrival": 0.0, "n_workers": 2.5}',
-         "n_workers must be an integer, got 2.5"),
+         "jobs[1].n_workers: expected an integer >= 1, got 2.5"),
         ('{"job_id": 0, "arrival": NaN}',
-         "arrival must be a finite number, got nan"),
+         "jobs[1].arrival: expected a finite number >= 0, got nan"),
         ('{"job_id": 0.5, "arrival": 0.0}',
-         "job_id must be an integer, got 0.5"),
+         "jobs[1].job_id: expected an integer >= 0, got 0.5"),
         ('{"job_id": 0, "arrival": 0.0, "deadline": true}',
-         "deadline must be a finite number, got True"),
+         "jobs[1].deadline: expected a finite number > 0 or null, got True"),
         ('{"job_id": 0, "arrival": 0.0, "setup_index": true}',
-         "setup_index must be an integer, got True"),
+         "jobs[1].setup_index: expected one of (1, 2, 3), got True"),
         ('{"job_id": 0, "arrival": 0.0, "steps_scale": Infinity}',
-         "steps_scale must be a finite number, got inf"),
+         "jobs[1].steps_scale: expected a finite number > 0, got inf"),
         ('{"job_id": 0, "arrival": 0.0, "percent_override": "5"}',
-         "percent_override must be a finite number, got '5'"),
+         "jobs[1].percent_override: expected a finite number >= 0.0 "
+         "and <= 100.0 or null, got '5'"),
         ('{"job_id": 0, "arrival": 0.0, "n_workers": -1}',
-         "n_workers must be positive"),
+         "jobs[1].n_workers: expected an integer >= 1, got -1"),
+        ('{"job_id": 0, "arrival": 0.0, "protocols": ["bsp", "asp"], '
+         '"fractions": "ab"}',
+         "jobs[1].fractions: expected a non-empty list or null, got 'ab'"),
+        ('{"job_id": 0, "arrival": 0.0, "protocols": ["bsp", "asp"], '
+         '"fractions": [0.5, "x"]}',
+         "jobs[1].fractions[1]: expected a finite number >= 0.0 and "
+         "<= 1.0, "
+         "got 'x'"),
+        ('{"job_id": 0, "arrival": 0.0, "protocols": "bsp", '
+         '"fractions": [1.0]}',
+         "jobs[1].protocols: expected a non-empty list or null, got 'bsp'"),
+        ('{"job_id": 0, "arrival": 0.0, "tier": 3}',
+         "jobs[1].tier: expected a non-empty string or null, got 3"),
+        ('{"job_id": 0, "arrival": 0.0, "protocols": ["bsp", "asp"], '
+         '"fractions": [0.3, 0.3]}',
+         "jobs[1].fractions: expected shares summing to 1, got (0.3, 0.3)"),
+        ('{"job_id": 0, "arrival": 0.0, "priority": 9}',
+         "jobs[1].priority: expected no such key, got 9"),
+        ('{"arrival": 0.0}',
+         "jobs[1].job_id: expected an integer >= 0, got no such key"),
     ],
     ids=["not-an-object", "fractional-workers", "nan-arrival",
          "fractional-id", "bool-deadline", "bool-setup", "infinite-scale",
-         "string-percent", "negative-workers"],
+         "string-percent", "negative-workers", "string-fractions",
+         "string-in-fractions", "string-protocols", "integer-tier",
+         "fractions-sum", "unknown-key", "missing-key"],
 )
 def test_fleet_hostile_trace_entry_is_a_usage_error(
     entry, message, capsys, tmp_path, monkeypatch
 ):
-    """Every bad field of a job entry is one line naming the trace —
-    not a traceback from the pool, and not a job that gets simulated."""
+    """Every bad field of a job entry is one line naming the trace and
+    the field's JSON path — not a traceback from the pool, and not a job
+    that gets simulated."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     trace = tmp_path / "trace.json"
     trace.write_text(
@@ -340,8 +364,7 @@ def test_fleet_hostile_trace_entry_is_a_usage_error(
             "--scheduler", "fifo", "--policy", "bsp", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: trace {trace} has a ") and message in err
-    assert len(err.strip().splitlines()) == 1
+    assert err == f"error: trace {trace}: {message}\n"
     assert not out.exists()
 
 
@@ -409,20 +432,66 @@ def test_fleet_policy_store_unknown_version_is_a_usage_error(capsys, tmp_path):
     store_path.write_text('{"version": 99, "policies": []}', encoding="utf-8")
     assert main(["--quiet", "fleet", "--policy-store", str(store_path),
                  "--scheduler", "fifo", "--policy", "bsp"]) == 2
-    _assert_one_error_line(capsys, "payload version 99 is not supported")
+    _assert_one_error_line(
+        capsys,
+        f"error: policy store {store_path}: version: expected an integer "
+        ">= 1 and <= 2, got 99",
+    )
+
+
+def _store_with(**edits) -> bytes:
+    """A one-class version-2 store file with ``edits`` applied to its row."""
+    import json
+
+    row = {
+        "setup_index": 1, "n_workers": 8, "protocols": ["bsp", "asp"],
+        "fractions": None, "percent": 6.25, "target_accuracy": 0.3,
+        "bsp_time": 40.0, "policy_time": 20.0, "search_cost": 200.0,
+        "n_trials": 5, "tuned_at": 3.0, "recurrences": 2,
+        "realized_savings": 40.0, "breakeven_recurrence": None,
+        "realized_service_sum": 40.0, "realized_service_count": 2,
+    }
+    row.update(edits)
+    payload = {"version": 2, "scale": None, "classes": [row]}
+    return json.dumps(payload).encode("utf-8")
 
 
 @pytest.mark.parametrize(
     "content, message",
     [
-        (b"\xff\xfe\x00store", "cannot read policy store"),
-        (b'{"version": 2, "classes": 3}', "classes must be a list, not int"),
-        (
-            b'{"version": 2, "scale": "big", "classes": []}',
-            "scale 'big' is not a number or null",
-        ),
+        (b"\xff\xfe\x00store",
+         ": expected a readable JSON file, got UnicodeDecodeError("),
+        (b'{"version": 2, "classes": 3}',
+         ": classes: expected a list, got 3"),
+        (b'{"version": 2, "scale": "big", "classes": []}',
+         ": scale: expected a finite number > 0.0 or null, got 'big'"),
+        (_store_with(percent=float("nan")),
+         ": classes[0].percent: expected a finite number >= 0.0 and "
+         "<= 100.0, got nan"),
+        (_store_with(percent=640),
+         ": classes[0].percent: expected a finite number >= 0.0 and "
+         "<= 100.0, got 640"),
+        (_store_with(percent="6.25"),
+         ": classes[0].percent: expected a finite number >= 0.0 and "
+         "<= 100.0, got '6.25'"),
+        (_store_with(n_workers=8.9),
+         ": classes[0].n_workers: expected an integer >= 1, got 8.9"),
+        (_store_with(n_workers=True),
+         ": classes[0].n_workers: expected an integer >= 1, got True"),
+        (_store_with(recurrences=-5),
+         ": classes[0].recurrences: expected an integer >= 0, got -5"),
+        (_store_with(policy_time=-1),
+         ": classes[0].policy_time: expected a finite number >= 0.0, got -1"),
+        (_store_with(protocols="bsp"),
+         ": classes[0].protocols: expected a non-empty list, got 'bsp'"),
+        (_store_with(fractions=[0.3, 0.3]),
+         ": classes[0].fractions: expected shares summing to 1, "
+         "got (0.3, 0.3)"),
     ],
-    ids=["non-utf8", "classes-not-a-list", "scale-not-a-number"],
+    ids=["non-utf8", "classes-not-a-list", "scale-not-a-number",
+         "nan-percent", "percent-640", "string-percent",
+         "fractional-workers", "bool-workers", "negative-recurrences",
+         "negative-time", "string-protocols", "fractions-sum"],
 )
 def test_fleet_hostile_policy_store_is_a_usage_error(
     content, message, capsys, tmp_path, monkeypatch
@@ -437,7 +506,9 @@ def test_fleet_hostile_policy_store_is_a_usage_error(
     store_path.write_bytes(content)
     assert main(["--quiet", "fleet", "--policy-store", str(store_path),
                  "--scheduler", "fifo", "--policy", "bsp"]) == 2
-    _assert_one_error_line(capsys, message)
+    _assert_one_error_line(
+        capsys, f"error: policy store {store_path}{message}"
+    )
     assert store_path.read_bytes() == content
 
 
@@ -488,6 +559,92 @@ def test_report_recomputes_a_half_written_cache_blob(
     captured = capsys.readouterr()
     assert captured.out == cold and "Traceback" not in captured.err
     assert json.loads(blob.read_text(encoding="utf-8")) == json.loads(whole)
+
+
+@pytest.fixture(scope="module")
+def sweep_cache(tmp_path_factory):
+    """The cache a cold ``report fig5b fig10`` leaves, and its stdout."""
+    import contextlib
+    import io
+
+    cache = tmp_path_factory.mktemp("sweep-cache")
+    argv = ["--quiet", "report", "fig5b", "fig10", "--scale", "0.002",
+            "--seeds", "1"]
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache))
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+    return cache, argv, stdout.getvalue()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reported_accuracy", float("nan")),
+        ("reported_accuracy", 2.5),
+        ("diverged", "no"),
+        ("total_time", "x"),
+    ],
+    ids=["nan-accuracy", "accuracy-2.5", "string-diverged", "string-time"],
+)
+def test_report_recomputes_a_blob_that_fails_its_table(
+    field, value, sweep_cache, capsys, monkeypatch
+):
+    """A blob that parses but holds a value its class's table rejects is
+    the same miss as a truncated one — not a different table, exit 0."""
+    import json
+
+    cache, argv, cold = sweep_cache
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    for blob in sorted(cache.glob("*.json"))[:2]:  # every blob is shown
+        whole = blob.read_bytes()
+        edited = json.loads(whole)
+        edited[field] = value
+        blob.write_text(json.dumps(edited), encoding="utf-8")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold and captured.err == ""
+        assert blob.read_bytes() == whole
+
+
+def test_fleet_recomputes_a_summary_blob_that_fails_its_table(
+    capsys, tmp_path, monkeypatch
+):
+    """Same for a fleet cell; an *older-shape* blob (keys added later
+    are absent) still loads and is left as it is."""
+    import json
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["--quiet", "fleet", "--scenario", "surge", "--jobs", "1",
+            "--scheduler", "fifo", "--policy", "bsp", "--scale", "0.002",
+            "--out", str(tmp_path / "summary.json")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    (blob,) = (tmp_path / "cache").glob("*.json")
+    whole = blob.read_bytes()
+
+    hostile = dict(json.loads(whole), jobs=[{"job_id": "a"}])
+    blob.write_text(json.dumps(hostile), encoding="utf-8")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold and captured.err == ""
+    assert blob.read_bytes() == whole
+
+    older = json.loads(whole)
+    for key in ("n_search_jobs", "search_time", "n_rejected", "n_degraded",
+                "n_deadline_jobs", "slo_attainment", "tuning",
+                "staleness_p50", "staleness_p95", "staleness_max"):
+        del older[key]
+    for record in older["jobs"]:
+        for key in ("kind", "deadline", "tuned", "degraded", "outcome",
+                    "allocations", "staleness"):
+            del record[key]
+    blob.write_text(json.dumps(older), encoding="utf-8")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold and captured.err == ""
+    assert json.loads(blob.read_bytes()) == older
 
 
 #: A minimal ``fleet`` argv that trips each row of the conflict table.
