@@ -15,9 +15,8 @@ phase, checkpoint -> actuate -> restore switch, asynchronous tail) but
 exposes the execution as a *resumable* state machine:
 
 * :meth:`run_to_tail` runs the precise phase and the protocol switch,
-  then pauses at the asynchronous-tail boundary.  The paused run is the
-  segment-level cache of the unchanged BSP span: no allocation change
-  ever replays it.
+  then pauses at the asynchronous-tail boundary.  The paused run holds
+  the unchanged BSP span: no allocation change trains it again.
 * :meth:`advance_to` resumes training until the simulated clock
   reaches a target instant, pausing at the first update boundary at or
   after it (engines only observe stop conditions between updates, so a
@@ -30,11 +29,11 @@ exposes the execution as a *resumable* state machine:
   the calibrated evict/restore reconfiguration overhead.  The external
   contention schedule may be re-sliced at the same instant (the job's
   own ambient noise is preserved and re-merged).
-* :meth:`fork` produces an exact independent copy (shared immutable
-  substrate, deep-copied mutable state — see
-  :meth:`~repro.distsim.engines.base.TrainingSession.fork`), which the
-  fleet uses to *project* the completion of the current allocation
-  while keeping the live run paused for the next allocation change.
+* :meth:`project` predicts the completion on the current worker set
+  from a :meth:`timing_fork` — a copy with null numerics whose clock is
+  bit-identical to this run's (the timing model alone decides it) — and
+  leaves this run paused for the next allocation change.  :meth:`fork`
+  is the exact copy with numerics.
 
 A run that is never paused or resized is bit-identical to the
 controller's one-shot execution — pinned per run by
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import math
+from typing import NamedTuple
 
 from repro.core.policies.manager import PolicyManager
 from repro.core.runtime.checkpoint import CheckpointStore
@@ -54,25 +54,38 @@ from repro.core.runtime.switching import ProtocolSwitcher
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous
 from repro.distsim.job import JobConfig
+from repro.distsim.numerics_free import numerics_free
 from repro.distsim.stragglers import StragglerSchedule
 from repro.distsim.result import TrainingResult
 from repro.distsim.trainer import DistributedTrainer
 from repro.errors import ConfigurationError, DivergenceError
 from repro.obs.tracer import NULL_TRACER
 
-__all__ = ["ElasticTrainingRun"]
+__all__ = ["Completion", "ElasticTrainingRun"]
 
 #: Stop reason used for time-based pauses.
 _PAUSE = "elastic-pause"
+
+
+class Completion(NamedTuple):
+    """When and how a run ends: what a completion projection predicts
+    and a finished run realizes (``segments`` holds one
+    ``(protocol, duration)`` pair per telemetry segment record)."""
+
+    total_time: float
+    completed_steps: int
+    diverged: bool
+    diverged_step: int | None
+    segments: tuple[tuple[str, float], ...]
 
 
 class ElasticTrainingRun:
     """Resumable controller-equivalent execution of one training job.
 
     Supports the offline policy set only (timing + configuration):
-    online straggler policies react to mid-segment telemetry and are
-    not replayable across pause boundaries, so they stay on the
-    one-shot :class:`SyncSwitchController` path.
+    online straggler policies react to mid-segment telemetry, which
+    no pause boundary preserves, so they stay on the one-shot
+    :class:`SyncSwitchController` path.
     """
 
     def __init__(
@@ -162,9 +175,9 @@ class ElasticTrainingRun:
         Returns ``"paused"`` with the run held at the instant the
         asynchronous tail would open (the fleet's preemptible span), or
         ``"finished"`` when the plan has no elastic tail (all-BSP) or
-        training diverged inside the precise phase.  The paused state is
-        the cached BSP span: later re-simulation resumes from here and
-        never replays it.
+        training diverged inside the precise phase.  The paused state
+        holds the BSP span: training resumes from here and never runs
+        it again.
         """
         if self._finished:
             return "finished"
@@ -318,27 +331,19 @@ class ElasticTrainingRun:
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to this run (and its live session).
 
-        Used by the fleet to give a forked completion projection a
-        sandbox trace buffer: the fork starts with the null tracer so
-        speculative work never pollutes the live trace, and the fleet
-        absorbs the buffer of whichever projection became the job's
-        realized tail.
+        Used by the fleet to trace a tail it trains at admission into
+        a buffer, emitted when the job completes.
         """
         self.trainer.tracer = tracer
         self.session.tracer = tracer
 
     # ------------------------------------------------------------------
-    # projection and results
+    # copies, projections and results
     # ------------------------------------------------------------------
-    def fork(self) -> "ElasticTrainingRun":
-        """Exact independent copy (for completion projections).
-
-        Mutable state — session, cluster, checkpoints, stage cursor —
-        is deep-copied at its exact position; the immutable substrate
-        (job, model, dataset, timing, straggler schedules, policies,
-        plan) is shared.  The copy continues bit-identically to what
-        this run would have done.
-        """
+    def _copy_memo(self) -> dict[int, object]:
+        """Deep-copy memo sharing the immutable substrate (job, model,
+        dataset, timing, straggler schedules, policies, plan) and
+        starting the copy untraced with an empty checkpoint store."""
         memo: dict[int, object] = {}
         for shared in (
             self.job,
@@ -356,20 +361,73 @@ class ElasticTrainingRun:
         ):
             if schedule is not None:
                 memo[id(schedule)] = schedule
-        # Past checkpoints hold full parameter snapshots a projection
-        # never restores; the copy starts with an empty store instead
-        # of duplicating up to keep_last of them.
+        # Past checkpoints hold full parameter snapshots a copy never
+        # restores; it starts with an empty store instead of
+        # duplicating up to keep_last of them.
         checkpoints = self.switcher.checkpoints
         memo[id(checkpoints)] = CheckpointStore(keep_last=checkpoints.keep_last)
-        # Likewise the parameter server's spare push targets: they are
-        # written before they are read, so the copy allocates its own
-        # on demand instead of duplicating up to n_workers vectors.
-        memo[id(self.session.ps._free)] = []
-        # Projections are speculative: they start untraced (callers
-        # attach a sandbox via set_tracer when they want the events).
+        # Copies are speculative: they start untraced.
         memo[id(self.trainer.tracer)] = NULL_TRACER
         memo[id(self.session.tracer)] = NULL_TRACER
+        return memo
+
+    def fork(self) -> "ElasticTrainingRun":
+        """Exact independent copy.
+
+        Mutable state — session, cluster, checkpoints, stage cursor —
+        is deep-copied at its exact position; the immutable substrate
+        is shared.  The copy continues bit-identically to what this run
+        would have done.
+        """
+        memo = self._copy_memo()
+        # The parameter server's spare push targets are written before
+        # they are read, so the copy allocates its own on demand
+        # instead of duplicating up to n_workers vectors.
+        memo[id(self.session.ps._free)] = []
         return copy.deepcopy(self, memo)
+
+    def timing_fork(
+        self, diverges_at: int | None = None
+    ) -> "ElasticTrainingRun":
+        """A numerics-free copy: this run's clock without its numbers.
+
+        The copy's session is a
+        :class:`~repro.distsim.numerics_free.NumericsFreeSession`: it
+        advances, pauses, resizes and switches exactly like this run —
+        same clock, steps, segment log and worker-duration log, bit for
+        bit — but computes no gradient, loss or evaluation.  It cannot
+        see a divergence: ``diverges_at`` is the step at which the
+        numeric run is known to diverge, if one is.
+        """
+        memo = self._copy_memo()
+        numerics_free(self.session, memo, diverges_at)
+        return copy.deepcopy(self, memo)
+
+    def project(self, diverges_at: int | None = None) -> Completion:
+        """How this run would complete on its current worker set.
+
+        Runs a :meth:`timing_fork` to the end; this run stays where it
+        is, for the next allocation change.
+        """
+        projection = self.timing_fork(diverges_at)
+        projection.run_to_completion()
+        return projection.completion()
+
+    def completion(self) -> Completion:
+        """How this finished run ended, in the terms a projection
+        predicts."""
+        self._require_finished()
+        session = self.session
+        return Completion(
+            total_time=session.clock.now,
+            completed_steps=session.step,
+            diverged=session.diverged,
+            diverged_step=session.diverged_step,
+            segments=tuple(
+                (record.protocol, record.duration)
+                for record in session.telemetry.segments
+            ),
+        )
 
     def result(self) -> TrainingResult:
         """Finalized result of a completed run.
@@ -377,8 +435,16 @@ class ElasticTrainingRun:
         Like the controller, finalization may record one trailing
         evaluation — call exactly once, after completion.
         """
+        self._require_finished()
+        if not self.session.numerics:
+            raise ConfigurationError(
+                "a numerics-free run has no training result; "
+                "read its completion() instead"
+            )
+        return self.trainer.finalize(self.session, self.plan)
+
+    def _require_finished(self) -> None:
         if not self._finished:
             raise ConfigurationError(
                 "run is still in progress; advance it to completion first"
             )
-        return self.trainer.finalize(self.session, self.plan)

@@ -50,11 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distsim.engines.base import (
-    GradientBatcher,
-    StopCondition,
-    TrainingSession,
-)
+from repro.distsim.engines.base import StopCondition, TrainingSession
 from repro.distsim.events import EventQueue
 from repro.mlcore.compression import GradientCompressor, make_compressor
 
@@ -146,7 +142,7 @@ def run_push_loop(
     target = session.step + steps
     queue = EventQueue()
     states: dict[int, _WorkerState] = {}
-    batcher = GradientBatcher(session, batch_size)
+    batcher = session.gradient_batcher(batch_size, compressor)
     ps_free_at = session.clock.now
     # Pushes applied per worker and the workers held at the bound:
     # only a bounded run reads or updates either.
@@ -174,10 +170,6 @@ def run_push_loop(
             loss, grad = batcher.gradient_for(worker, states)
             del states[worker]
             session.ps.release(state.params)
-            if compressor is not None:
-                grad = compressor.compress(
-                    grad, session.compression_rng(worker)
-                )
             lr = session.base_lr_now() * lr_multiplier
             session.ps.push(grad, lr, momentum=session.momentum_now())
             session.telemetry.record_worker_duration(

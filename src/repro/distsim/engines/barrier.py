@@ -92,12 +92,7 @@ def run_barrier_rounds(
 
         # Numeric half: one aggregated update over the accumulated
         # global batch (all mini-batches share the pulled version).
-        inputs, labels = session.global_batch(
-            workers, local_rounds * batch_size
-        )
-        loss, grad = session.model.loss_and_grad(
-            session.ps.peek(), inputs, labels, grad_out=session.grad_buffer()
-        )
+        loss, grad = session.gradient(workers, local_rounds * batch_size)
         lr = session.base_lr_now() * lr_multiplier
         session.ps.push(grad, lr, momentum=session.job.momentum)
         session.telemetry.record_staleness(0)

@@ -23,6 +23,7 @@ from repro.distsim.telemetry import TrainingTelemetry
 from repro.distsim.timing import ChunkedLognormalNoise, TimingModel
 from repro.errors import DivergenceError
 from repro.mlcore import scratch
+from repro.mlcore.compression import GradientCompressor
 from repro.mlcore.datasets import ShardIndexStream, SyntheticDataset
 from repro.mlcore.metrics import ConvergenceTracker
 from repro.mlcore.models import ResidualMLPClassifier
@@ -40,6 +41,10 @@ StopCondition = Callable[["TrainingSession"], str | None]
 
 class TrainingSession:
     """All mutable state of one training run."""
+
+    #: Whether updates compute gradients, losses and evaluations (see
+    #: :class:`~repro.distsim.numerics_free.NumericsFreeSession`).
+    numerics = True
 
     def __init__(
         self,
@@ -209,6 +214,29 @@ class TrainingSession:
         return self._grad_buffer
 
     # ------------------------------------------------------------------
+    # gradients (the numeric half of an update)
+    # ------------------------------------------------------------------
+    def gradient(
+        self, workers: tuple[int, ...], batch_size: int
+    ) -> tuple[float, np.ndarray]:
+        """Loss and gradient of one barrier round at the live parameters.
+
+        ``workers`` each contribute ``batch_size`` samples; the mean of
+        their mean-gradients is the gradient of the concatenated batch,
+        so this is one big-batch pass.
+        """
+        inputs, labels = self.global_batch(workers, batch_size)
+        return self.model.loss_and_grad(
+            self.ps.peek(), inputs, labels, grad_out=self.grad_buffer()
+        )
+
+    def gradient_batcher(
+        self, batch_size: int, compressor: GradientCompressor | None = None
+    ) -> "GradientBatcher":
+        """The push loop's source of per-worker (compressed) gradients."""
+        return GradientBatcher(self, batch_size, compressor)
+
+    # ------------------------------------------------------------------
     # logging, evaluation, divergence
     # ------------------------------------------------------------------
     def after_update(self, loss: float) -> None:
@@ -287,9 +315,8 @@ class TrainingSession:
             self.stragglers,
         ):
             memo[id(shared)] = shared
-        # Forks are speculative by default: the copy must not write
-        # into the live trace.  Callers that want a traced projection
-        # attach a sandbox tracer afterwards.
+        # Forks are speculative: the copy must not write into the live
+        # trace.
         memo[id(self.tracer)] = NULL_TRACER
         return copy.deepcopy(self, memo)
 
@@ -322,9 +349,15 @@ class GradientBatcher:
     ends the batcher's life — no gradient it served may be read after.
     """
 
-    def __init__(self, session: "TrainingSession", batch_size: int):
+    def __init__(
+        self,
+        session: "TrainingSession",
+        batch_size: int,
+        compressor: GradientCompressor | None = None,
+    ):
         self._session = session
         self._batch_size = batch_size
+        self._compressor = compressor
         self._cache: dict[int, tuple[float, np.ndarray, tuple, list]] = {}
         # Every buffer is sized for the session's provisioned worker
         # count and serves all stack widths: a K-wide evaluation works
@@ -350,13 +383,19 @@ class GradientBatcher:
         )
 
     def gradient_for(self, worker: int, states: dict) -> tuple[float, np.ndarray]:
-        """Loss and gradient of ``worker``'s in-flight update."""
+        """Loss and gradient of ``worker``'s in-flight update, compressed
+        from the worker's dedicated stream when a compressor is set."""
         entry = self._cache.pop(worker, None)
         if entry is None:
             self._evaluate_pending(states)
             entry = self._cache.pop(worker)
         self._consume(entry)
-        return entry[0], entry[1]
+        grad = entry[1]
+        if self._compressor is not None:
+            grad = self._compressor.compress(
+                grad, self._session.compression_rng(worker)
+            )
+        return entry[0], grad
 
     def invalidate(self, worker: int) -> None:
         """Drop a cached gradient and rewind the worker's data stream."""

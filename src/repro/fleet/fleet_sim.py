@@ -32,13 +32,25 @@ Each admitted job's telemetry yields two phase spans:
 
 An allocation change is handled by **event-driven elastic
 re-simulation** (:mod:`repro.fleet.running`): the job's paused run
-resumes to the allocation-change instant, is resized, and a fresh fork
-projects the new completion, whose finish event supersedes the old one
-(events carry the job's version).
+trains up to the allocation-change instant, is resized, and a fresh
+projection predicts the new completion, whose finish event supersedes
+the old one (events carry the job's version).
+
+**Timing first.**  When a job ends is the timing model's alone, so a
+projection is a *numerics-free* fork of the paused run
+(:meth:`~repro.core.runtime.elastic.ElasticTrainingRun.project`) with a
+bit-identical clock, and the live run trains each realized step once:
+up to every allocation change, and to the end at the finish event,
+where it must end as the projection that scheduled the event said.
+Divergence, the one way numerics move the clock, is invisible to a
+projection: when a live run diverges where its projection did not,
+:meth:`FleetSimulator.run` discards the attempt and simulates the
+stream again knowing it (docs/architecture.md, *Timeline model*, has
+the bound and the one residual input class).
 
 Only a preemptive scheduler ever changes an allocation.  Under the
 others the paused run has no second use, so the admission trains the
-tail on the run itself — no fork — and lets go of it at once: a
+tail on the run itself — no projection — and lets go of it at once: a
 running job then holds its result and nothing of its training state.
 
 A job that is never resized is bit-identical to the controller's
@@ -55,9 +67,10 @@ an identical :class:`FleetSummary`.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.search.binary_search import validate_sequences
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
@@ -66,7 +79,12 @@ from repro.fleet.invariants import check_invariants
 from repro.fleet.metrics import FleetSummary, JobRecord, summarize_fleet
 from repro.fleet.policy_store import JobClass, PolicyStore
 from repro.fleet.pool import PREEMPTION_FLOOR, WorkerPool, fleet_contention
-from repro.fleet.running import RunningJob, job_record, start_run
+from repro.fleet.running import (
+    RunningJob,
+    UnforeseenDivergence,
+    job_record,
+    start_run,
+)
 from repro.fleet.scheduler import (
     SchedulerContext,
     SchedulerPolicy,
@@ -223,7 +241,6 @@ class FleetSimulator:
     #: ``__post_init__`` (null objects when off).  Injectable for tests.
     tracer: object | None = None
     metrics: object | None = None
-    _seq: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         config = self.config
@@ -293,7 +310,15 @@ class FleetSimulator:
             tiers = default_worker_tiers(self.pool_size)
         else:
             tiers = None
-        self.pool = WorkerPool(self.pool_size, tiers)
+        self._tiers = tiers
+        if self.store is None:
+            self.store = PolicyStore()
+        self._first_trial_id = max(ids, default=-1) + 1
+        #: Live trajectories known to diverge -> the step they do it
+        #: at (:attr:`RunningJob.trajectory`), learnt by discarded
+        #: attempts of :meth:`run`.
+        self._diverging: dict[tuple, int] = {}
+        self._reset()
         self.scheduler: SchedulerPolicy = make_scheduler(config.scheduler)
         self.contention = fleet_contention(
             self.pool,
@@ -306,8 +331,11 @@ class FleetSimulator:
         self._validate = config.validate or os.environ.get(
             "REPRO_FLEET_VALIDATE", "0"
         ) not in ("", "0")
-        if self.store is None:
-            self.store = PolicyStore()
+
+    def _reset(self) -> None:
+        """Loop state of a fresh attempt: nothing queued or running."""
+        self.pool = WorkerPool(self.pool_size, self._tiers)
+        self._seq = 0
         self._heap: list[tuple[float, int, int, object]] = []
         self._queue: list[JobRequest] = []
         self._running: dict[int, RunningJob] = {}
@@ -318,9 +346,9 @@ class FleetSimulator:
         # its trial jobs take ids above the stream's.
         self.search = InFleetSearch(
             self.store,
-            config.tune_runs,
-            config.protocols,
-            first_trial_id=max(ids, default=-1) + 1,
+            self.config.tune_runs,
+            self.config.protocols,
+            first_trial_id=self._first_trial_id,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -331,7 +359,27 @@ class FleetSimulator:
     # public API
     # ------------------------------------------------------------------
     def run(self) -> FleetSummary:
-        """Simulate the whole stream and return the fleet summary."""
+        """Simulate the whole stream and return the fleet summary.
+
+        An attempt a live run voids (it diverged where its numerics-free
+        projection did not) is discarded — the tracer, the metrics
+        registry and the policy store are put back as they were — and
+        the stream is simulated again knowing that divergence: at most
+        one more attempt per divergence found.
+        """
+        sinks = (self.tracer, self.metrics, self.store)
+        before = copy.deepcopy([vars(sink) for sink in sinks])
+        while True:
+            try:
+                return self._attempt()
+            except UnforeseenDivergence as found:
+                self._diverging[found.key] = found.step
+            for sink, state in zip(sinks, copy.deepcopy(before)):
+                vars(sink).clear()
+                vars(sink).update(state)
+            self._reset()
+
+    def _attempt(self) -> FleetSummary:
         tracer = self.tracer
         if tracer.enabled:
             tracer.process_name(
@@ -456,8 +504,8 @@ class FleetSimulator:
         shrunk_this_pass: set[int] = set()
         # Jobs resized in this pass: their completion is re-projected
         # once, after the pass settles — nothing reads an intermediate
-        # projection, so a victim shrunk twice within one pass
-        # re-trains its tail once, not once per shrink.
+        # projection, so a victim shrunk twice within one pass is
+        # projected once, not once per shrink.
         reproject: dict[int, RunningJob] = {}
         while True:
             admitted = self.scheduler.admit(
@@ -544,6 +592,7 @@ class FleetSimulator:
             # _preempt is the only source of allocation changes
             # (_rebalance restores what it shrank).
             resizable=self.scheduler.preemptive,
+            diverging=self._diverging,
         )
         self._running[request.job_id] = job
         if job.asp_tail > 0.0 and job.bsp_span > 0.0:
@@ -703,9 +752,9 @@ class FleetSimulator:
         return True
 
     def _complete(self, job: RunningJob, now: float) -> None:
+        result = job.finish()
         self.pool.release(job.workers)
         del self._running[job.request.job_id]
-        result = job.result
         if self.tracer.enabled:
             job.emit_spans(self.tracer, now)
         metrics = self.metrics

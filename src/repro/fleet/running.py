@@ -1,11 +1,15 @@
-"""One admitted job's lifecycle: train, fork, project, resize, record.
+"""One admitted job's lifecycle: train, project, resize, record.
 
 A job trains as a resumable
 :class:`~repro.core.runtime.elastic.ElasticTrainingRun` held paused at
-its ASP-tail boundary (:func:`start_run`); :class:`RunningJob` projects
-its completion from that state and re-simulates it whenever the
-allocation changes.  Nothing here knows the event loop: the pool, the
-contention schedule and the tracer a method needs are handed in.
+its ASP-tail boundary (:func:`start_run`).  When the scheduler can
+resize it, :class:`RunningJob` predicts its completion with a
+numerics-free projection — the run's clock without its numbers — and
+the live run trains each realized step once: up to every allocation
+change, and to the end at the finish event, where it must end as the
+projection that scheduled that event said it would.  Nothing here
+knows the event loop: the pool, the contention schedule and the tracer
+a method needs are handed in.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from repro.core.policies import (
     TimingPolicy,
 )
 from repro.core.runtime import ElasticTrainingRun
+from repro.core.runtime.elastic import Completion
 from repro.distsim.cluster import ClusterSpec
 from repro.distsim.engines import synchronous_protocols
 from repro.distsim.result import TrainingResult
 from repro.distsim.stragglers import StragglerSchedule
+from repro.errors import FleetError
 from repro.experiments.setups import SETUPS, scaled_job
 from repro.fleet.metrics import JobRecord
 from repro.fleet.pool import WorkerPool, job_stragglers
@@ -30,31 +36,28 @@ from repro.rng import child_seed
 
 __all__ = [
     "RunningJob",
+    "UnforeseenDivergence",
     "job_record",
-    "project",
     "start_run",
     "training_inputs",
 ]
 
 
-def project(
-    sim: ElasticTrainingRun, tracer, fork: bool = True
-) -> tuple[TrainingResult, object]:
-    """Project a paused run's completion on its current worker set.
+class UnforeseenDivergence(Exception):
+    """A live run diverged where its numerics-free projection could not
+    see it coming: the fleet timeline built on that projection is void.
 
-    Trains a fork to the end while the live run stays paused for the
-    next allocation change — or, with ``fork=False``, the live run
-    itself, when no allocation change can ever come and the caller
-    lets go of the run afterwards.  Returns ``(result, trace_buffer)``:
-    the tail traces into a sandbox of ``tracer``, which becomes the
-    job's events past the pause instant only if no allocation change
-    supersedes the projection.
+    ``key`` names the live trajectory (:attr:`RunningJob.trajectory`),
+    ``step`` the update at which it diverged.
     """
-    projection = sim.fork() if fork else sim
-    buffer = tracer.sandbox()
-    projection.set_tracer(buffer)
-    projection.run_to_completion()
-    return projection.result(), buffer
+
+    def __init__(self, key: tuple, step: int):
+        super().__init__(
+            f"job {key[0]} diverged at step {step}, after a projection "
+            "that could not see it"
+        )
+        self.key = key
+        self.step = step
 
 
 def job_record(
@@ -90,18 +93,27 @@ def job_record(
 class RunningJob:
     """One admitted job's fleet timeline.
 
-    ``sim`` is the job's :class:`ElasticTrainingRun`, paused at the
-    last allocation-change boundary (initially the ASP-tail start);
-    ``result`` always holds the *projection* of the completion from
-    that state on the current worker set.  A job without an elastic
-    tail (all-BSP, or divergence inside the BSP phase) arrives with
-    ``sim`` already finished and ``result`` is the run's own.
-
     ``resizable`` says whether the scheduler can ever change this
-    job's allocation.  When it cannot, nothing will resume the paused
-    run: the tail is trained on the run itself instead of a fork, and
-    ``sim`` is None from then on — session and model are released at
-    admission, not at the finish event.
+    job's allocation.  When it can, ``sim`` is the job's live run,
+    paused at the last allocation change (initially the ASP-tail
+    start), and ``projection`` predicts its completion from there on
+    the current worker set without computing a gradient
+    (:meth:`~repro.core.runtime.elastic.ElasticTrainingRun.project`);
+    the live run trains the steps in between at the next allocation
+    change (:meth:`resize`) or at the finish event (:meth:`finish`).
+
+    When it cannot, nothing will ever pause the run again: the tail is
+    trained at admission on the run itself, traced into
+    ``trace_buffer`` (emitted when the job completes), and ``sim`` is
+    None from then on — session and model are released at admission,
+    not at the finish event.  So is a job that arrives finished (no
+    elastic tail: all-BSP, or divergence inside the BSP phase).
+
+    ``result`` holds the training result once there is one: from
+    admission for those jobs, from :meth:`finish` for resizable ones.
+    ``diverging`` maps live trajectories known to diverge
+    (:attr:`trajectory`) to the step at which they do; a projection of
+    one diverges there too.
     """
 
     def __init__(
@@ -115,11 +127,11 @@ class RunningJob:
         tuned: bool,
         degraded: bool,
         resizable: bool,
+        diverging: dict[tuple, int],
     ):
         self.request = request
         self.workers = workers
         self.start = start
-        self.sim = sim if resizable else None
         self.percent = percent
         self.tuned = tuned
         self.degraded = degraded
@@ -128,17 +140,26 @@ class RunningJob:
         self.version = 0
         self.preemptions = 0
         self.restores = 0
-        #: Job-scoped tracer view (pid/offset pinned) and the sandbox
-        #: buffer of the latest completion projection — absorbed into
-        #: the live trace only when the projection turns out to be the
-        #: realized tail.
-        self.tracer = tracer
-        if sim.finished:
-            self.result, self.trace_buffer = sim.result(), NULL_TRACER
+        self.trace_buffer = NULL_TRACER
+        self.diverging = diverging
+        #: Every (instant, physical workers) the job has trained on.
+        self.placements = ((start, workers),)
+        self._plan = tuple(
+            (segment.protocol, segment.fraction)
+            for segment in sim.plan.segments
+        )
+        self.sim: ElasticTrainingRun | None = None
+        self.result: TrainingResult | None = None
+        if resizable and not sim.finished:
+            self.sim = sim
+            self.projection = sim.project(diverging.get(self.trajectory))
         else:
-            self.result, self.trace_buffer = project(
-                sim, tracer, fork=resizable
-            )
+            if not sim.finished:
+                self.trace_buffer = tracer.sandbox()
+                sim.set_tracer(self.trace_buffer)
+                sim.run_to_completion()
+            self.result = sim.result()
+            self.projection = sim.completion()
         #: Allocation history: one row per allocation-changing event.
         self.allocations: list[dict] = [
             {"time": start, "workers": len(workers), "cause": "admit"}
@@ -148,12 +169,19 @@ class RunningJob:
         # (for a bsp -> ssp -> asp schedule that is the ssp+asp span).
         tail = 0.0
         synchronous = synchronous_protocols()
-        for record in reversed(self.result.segment_summary):
-            if record["protocol"] in synchronous:
+        for protocol, duration in reversed(self.projection.segments):
+            if protocol in synchronous:
                 break
-            tail += record["duration"]
-        self.asp_tail = min(tail, self.result.total_time)
-        self.bsp_span = self.result.total_time - self.asp_tail
+            tail += duration
+        total = self.projection.total_time
+        self.asp_tail = min(tail, total)
+        self.bsp_span = total - self.asp_tail
+
+    @property
+    def trajectory(self) -> tuple:
+        """What fixes the live run's numbers: the job, its plan and
+        every placement it has trained on."""
+        return (self.request.job_id, self._plan, self.placements)
 
     def enter_asp(self) -> None:
         """Flip to the (preemptible, elastic) ASP phase."""
@@ -163,12 +191,12 @@ class RunningJob:
         """Projected completion time at the current allocation.
 
         The admission-time projection is evaluated phase by phase and
-        a re-projection after a resize from the re-simulated total:
-        the two float expressions round differently, and the committed
+        a re-projection after a resize from the projected total: the
+        two float expressions round differently, and the committed
         golden hashes pin each.
         """
         if len(self.allocations) > 1:
-            return self.start + self.result.total_time
+            return self.start + self.projection.total_time
         return self.start + self.bsp_span + self.asp_tail
 
     def resize(
@@ -182,24 +210,23 @@ class RunningJob:
     ) -> bool:
         """Change the job's allocation to ``new_count`` workers at ``now``.
 
-        The paused run is first resumed to this instant (replaying
-        exactly what the previous projection predicted), then the
-        workers change hands with ``pool`` and the run is resized on
-        the slice of ``contention`` its new physical mapping sees.
-        Each resize charges its own reconfiguration overhead — two
-        same-pass shrinks are two real checkpoint→reconfigure→restart
-        cycles — but the completion is re-projected by the caller, once
-        per scheduling pass (:meth:`reproject`).
+        The live run first trains up to this instant, then the workers
+        change hands with ``pool`` and the run is resized on the slice
+        of ``contention`` its new physical mapping sees.  Each resize
+        charges its own reconfiguration overhead — two same-pass
+        shrinks are two real checkpoint→reconfigure→restart cycles —
+        but the completion is re-projected by the caller, once per
+        scheduling pass (:meth:`reproject`).
 
         Returns whether the resize affected the job's timeline.  The
-        pool always changes hands, but when the replay discovers the
-        run completing inside the final update interval (a float edge:
-        pauses land on update boundaries) the job's training is over
-        and nothing is re-simulated — the caller must then not count a
+        pool always changes hands, but when the run completes inside
+        the final update interval (a float edge: pauses land on update
+        boundaries) the job's training is over and nothing is
+        re-projected — the caller must then not count a
         preemption/restore, and no allocation segment is recorded.
         """
-        # Resume before the pool changes hands: the re-slice below
-        # must see the *new* physical mapping, the replay the old.
+        # Train before the pool changes hands: the re-slice below must
+        # see the *new* physical mapping, these steps the old.
         resumed = self.sim.advance_to(now - self.start)
         current = len(self.workers)
         if new_count < current:
@@ -209,10 +236,12 @@ class RunningJob:
         elif new_count > current:
             self.workers = self.workers + pool.allocate(new_count - current)
         if resumed != "paused":
-            # Replay found the run already complete: the workers change
-            # hands but the job's timeline — and its pending finish
-            # event — stay exactly as projected.
+            # The workers change hands but the job's timeline — and
+            # its pending finish event — stay exactly as projected,
+            # provided the projection saw this ending.
+            self._check(self.sim.completion())
             return False
+        self.placements += ((now, self.workers),)
         self.allocations.append(
             {"time": now, "workers": len(self.workers), "cause": cause}
         )
@@ -239,8 +268,43 @@ class RunningJob:
 
     def reproject(self) -> float:
         """Project the completion afresh; returns the new finish time."""
-        self.result, self.trace_buffer = project(self.sim, self.tracer)
+        self.projection = self.sim.project(
+            self.diverging.get(self.trajectory)
+        )
         return self.finish_time()
+
+    def finish(self) -> TrainingResult:
+        """The job's training result, at its finish event.
+
+        A resizable job's live run trains its last steps here, and
+        must end as its latest projection said; the result is its own.
+        """
+        if self.sim is not None:
+            self.sim.run_to_completion()
+            self._check(self.sim.completion())
+            self.result = self.sim.result()
+            self.sim = None
+        return self.result
+
+    def _check(self, realized: Completion) -> None:
+        """The live run ends as projected, or the timeline is void.
+
+        Only a divergence can part the two — the clock is the timing
+        model's alone — so any other difference is a defect, raised as
+        one.
+        """
+        projected = self.projection
+        if realized == projected:
+            return
+        if realized.diverged and not projected.diverged:
+            raise UnforeseenDivergence(self.trajectory, realized.diverged_step)
+        raise FleetError(
+            f"job {self.request.job_id}: the live run ended at "
+            f"t={realized.total_time!r} after {realized.completed_steps} "
+            f"steps (diverged: {realized.diverged}); its projection said "
+            f"t={projected.total_time!r} after {projected.completed_steps} "
+            f"(diverged: {projected.diverged})"
+        )
 
     def record(self, now: float) -> JobRecord:
         """The job's fleet record, completing at ``now``."""
@@ -264,10 +328,11 @@ class RunningJob:
         )
 
     def emit_spans(self, tracer, now: float) -> None:
-        """Lifecycle spans of the job completing at ``now``: the last
-        projection's events (it became the realized tail), queue wait,
-        the job itself, its BSP/ASP phases, and — at job detail — one
-        span per allocation segment."""
+        """Lifecycle spans of the job completing at ``now``: the events
+        of a tail trained at admission, queue wait, the job itself, its
+        BSP/ASP phases, and — at job detail — one span per allocation
+        segment.  (A resizable job's live run traced its last steps at
+        :meth:`finish`, just before.)"""
         tracer.absorb(self.trace_buffer)
         request = self.request
         pid = request.job_id + 1
@@ -336,8 +401,8 @@ def start_run(
 ) -> ElasticTrainingRun:
     """Start a job's resumable run, paused at the ASP-tail boundary.
 
-    The paused state is the cached BSP span no allocation change
-    ever replays.  Jobs without an elastic tail (all-BSP, or
+    The paused state holds the BSP span, which no allocation change
+    trains again.  Jobs without an elastic tail (all-BSP, or
     divergence inside the BSP phase) come back already finished.
     ``percent`` is the effective BSP percentage the admission
     resolved (tuned / degraded); ``schedule`` replaces the

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.distsim.engines.asynchronous as push_loop_module
+import repro.distsim.engines.base as session_module
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import ASPEngine, SSPEngine
 from repro.distsim.engines.base import GradientBatcher, TrainingSession
@@ -499,8 +499,8 @@ class _RecordingBatcher(GradientBatcher):
 
     instances: list = []
 
-    def __init__(self, session, batch_size):
-        super().__init__(session, batch_size)
+    def __init__(self, session, batch_size, compressor=None):
+        super().__init__(session, batch_size, compressor)
         self.instances.append(self)
         self.widths: list[int] = []
 
@@ -535,7 +535,7 @@ class TestBoundedSegmentScratch:
         self, engine_class, monkeypatch
     ):
         monkeypatch.setattr(
-            push_loop_module, "GradientBatcher", _RecordingBatcher
+            session_module, "GradientBatcher", _RecordingBatcher
         )
         monkeypatch.setattr(_RecordingBatcher, "instances", [])
         # 16-worker ASP diverges at the suite's learning rate (Fig. 13).

@@ -1,9 +1,10 @@
-"""Admissions that can never be resized: no fork, no retained run.
+"""Admissions that can never be resized: no projection, no retained run.
 
 Only a preemptive scheduler changes a running job's allocation.  Under
 the others the fleet trains the asynchronous tail on the job's own run
-and lets go of it at admission; under best-fit it still forks and keeps
-the paused run for the next resize.  Either way the numbers are the
+and lets go of it at admission; under best-fit it projects the
+completion from a numerics-free fork and keeps the paused run for the
+next resize.  Either way the numbers are the
 committed ones: ``results/fleet_summary.json`` (one rush cell per
 scheduler), the trace-scenario hashes and the trace-file hash in
 ``tests/data/fleet_golden_hashes.json``.
@@ -85,10 +86,11 @@ def admitted_sims(monkeypatch):
 
 @pytest.fixture
 def no_fork(monkeypatch):
-    def fork(self):
+    def fork(self, *args):
         raise AssertionError("a job that cannot be resized was forked")
 
     monkeypatch.setattr(ElasticTrainingRun, "fork", fork)
+    monkeypatch.setattr(ElasticTrainingRun, "timing_fork", fork)
 
 
 class TestNonPreemptiveSchedulers:
@@ -130,10 +132,10 @@ class TestNonPreemptiveSchedulers:
         assert admitted_sims and all(sim is None for sim in admitted_sims)
 
     def test_trace_file_is_byte_identical(self, no_fork, tmp_path, monkeypatch):
-        """``fleet --trace PATH``: the tail's events reach the file
-        through the same sandbox whether a fork or the run itself
-        produced them.  The hash was taken at the commit before the
-        in-place tail existed."""
+        """``fleet --trace PATH``: the in-place tail's events reach the
+        file at the job's completion, where a projection's used to.
+        The hash was taken at the commit before the in-place tail
+        existed."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         section = GOLDEN["trace_file"]
         trace_path = tmp_path / "trace.json"
@@ -150,13 +152,13 @@ class TestPreemptiveScheduler:
         self, admitted_sims, monkeypatch
     ):
         forks = []
-        fork = ElasticTrainingRun.fork
+        fork = ElasticTrainingRun.timing_fork
 
-        def counting(self):
+        def counting(self, diverges_at=None):
             forks.append(self)
-            return fork(self)
+            return fork(self, diverges_at)
 
-        monkeypatch.setattr(ElasticTrainingRun, "fork", counting)
+        monkeypatch.setattr(ElasticTrainingRun, "timing_fork", counting)
         summary = rush_cell("best-fit")
         assert_committed_cell(summary, "best-fit")
         assert summary.preemptions > 0 and summary.restores > 0

@@ -17,9 +17,6 @@ import tracemalloc
 
 import numpy as np
 
-from repro.fleet.running import project
-from repro.obs.tracer import NULL_TRACER
-
 MB = 1 << 20
 
 
@@ -45,7 +42,7 @@ def test_each_further_live_paused_run_adds_a_few_megabytes(paused_run):
         kept, traced = [], []
         for seed in range(5):
             run = paused_run(1, seed)
-            kept.append((run, project(run, NULL_TRACER)[0]))
+            kept.append((run, run.project()))
             gc.collect()
             traced.append(tracemalloc.get_traced_memory()[0])
     finally:
@@ -57,8 +54,8 @@ def test_each_further_live_paused_run_adds_a_few_megabytes(paused_run):
     # (0.9 MB each) during whichever later run first needs them.
     per_run = (traced[-1] - traced[0]) / (len(traced) - 1) / MB
     assert per_run < 4.0, [count / MB for count in traced]
-    for run, result in kept:
-        assert result.completed_steps == run.job.total_steps
+    for run, projection in kept:
+        assert projection.completed_steps == run.job.total_steps
         model = run.trainer.model
         oversized = [
             array.shape
