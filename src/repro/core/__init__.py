@@ -6,9 +6,10 @@
 
 ``repro.core.runtime``
     The system half of Fig. 9: profiler, straggler detector,
-    checkpoint store, configuration actuators, per-node hook manager
-    and the :class:`~repro.core.runtime.controller.SyncSwitchController`
-    that ties policies to the execution substrate.
+    checkpoint store, configuration actuators, per-node hook manager,
+    the :class:`~repro.core.runtime.elastic.ElasticTrainingRun` that
+    ties policies to the execution substrate and the one-shot
+    :class:`~repro.core.runtime.controller.SyncSwitchController` around it.
 
 ``repro.core.search``
     The offline binary-search timing algorithm (Algorithm 1) and the

@@ -1,18 +1,10 @@
-"""Elastic, resumable execution of one Sync-Switch training job.
+"""The plan runner: one Sync-Switch training job, resumable.
 
-The fleet simulator used to train every admitted job *once* at
-admission and model preemption by linearly stretching the ASP tail by
-``n / (n - k)``.  That is wrong in exactly the way the paper says it
-is wrong (Section V): changing the worker set changes ASP dynamics —
-per-push staleness, per-worker throughput, divergence behaviour — so a
-preempted job's accuracy and telemetry cannot be those of the
-unpreempted run.
-
-:class:`ElasticTrainingRun` replaces that model with event-driven
-re-simulation.  It executes the same two-phase plan as
-:class:`~repro.core.runtime.controller.SyncSwitchController` (BSP
-phase, checkpoint -> actuate -> restore switch, asynchronous tail) but
-exposes the execution as a *resumable* state machine:
+:class:`ElasticTrainingRun` is the only code that walks a policy plan.
+It executes the plan segment by segment, entering every later segment
+through the paper's switch mechanism (Section V: checkpoint -> actuate
+-> restore, charging the calibrated overhead), and exposes the
+execution as a *resumable* state machine:
 
 * :meth:`run_to_tail` runs the precise phase and the protocol switch,
   then pauses at the asynchronous-tail boundary.  The paused run holds
@@ -35,11 +27,19 @@ exposes the execution as a *resumable* state machine:
   leaves this run paused for the next allocation change.  :meth:`fork`
   is the exact copy with numerics.
 
-A run that is never paused or resized is bit-identical to the
-controller's one-shot execution — pinned per run by
-``tests/core/test_elastic_run.py::TestOneShotParity`` and per fleet
-job by the one-shot oracle in the fleet suite
-(``TestGoldenParity::test_unresized_jobs_match_one_shot_controller``).
+The online straggler policies (Section IV-B2) act inside stage 0, the
+precise phase, at update boundaries raised by the profiler/detector
+feed: the greedy policy's interlude is an unplanned segment switch,
+the elastic policy's eviction a resize.  They read mid-segment
+telemetry that no pause boundary preserves, so an online run only runs
+to completion — :class:`~repro.core.runtime.controller.SyncSwitchController`
+is that one-shot wrapper.
+
+A run that is never paused or resized is bit-identical to the plain
+per-segment transcription in ``tests/core/reference_controller.py`` —
+pinned per run by ``tests/core/test_elastic_run.py::TestOneShotParity``
+and per fleet job by
+``TestGoldenParity::test_unresized_jobs_match_one_shot_controller``.
 """
 
 from __future__ import annotations
@@ -49,11 +49,15 @@ import math
 from typing import NamedTuple
 
 from repro.core.policies.manager import PolicyManager
+from repro.core.policies.straggler import GreedyPolicy, StragglerPolicy
+from repro.core.runtime.actuator import ParallelActuator
 from repro.core.runtime.checkpoint import CheckpointStore
-from repro.core.runtime.switching import ProtocolSwitcher
+from repro.core.runtime.detector import StragglerDetector
+from repro.core.runtime.hooks import HookManager
+from repro.core.runtime.profiler import ThroughputProfiler
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous
-from repro.distsim.job import JobConfig
+from repro.distsim.job import JobConfig, Segment
 from repro.distsim.numerics_free import numerics_free
 from repro.distsim.stragglers import StragglerSchedule
 from repro.distsim.result import TrainingResult
@@ -65,6 +69,10 @@ __all__ = ["Completion", "ElasticTrainingRun"]
 
 #: Stop reason used for time-based pauses.
 _PAUSE = "elastic-pause"
+
+#: Sliding-window length (updates per worker) of the online policies'
+#: throughput profiler.
+PROFILER_WINDOW = 5
 
 
 class Completion(NamedTuple):
@@ -80,13 +88,7 @@ class Completion(NamedTuple):
 
 
 class ElasticTrainingRun:
-    """Resumable controller-equivalent execution of one training job.
-
-    Supports the offline policy set only (timing + configuration):
-    online straggler policies react to mid-segment telemetry, which
-    no pause boundary preserves, so they stay on the one-shot
-    :class:`SyncSwitchController` path.
-    """
+    """Resumable execution of one training job under its policy set."""
 
     def __init__(
         self,
@@ -99,26 +101,23 @@ class ElasticTrainingRun:
         overhead_bandwidth: float = 1.0,
         tracer=None,
     ):
-        if policies.straggler is not None and policies.straggler.reacts_online():
-            raise ConfigurationError(
-                "elastic re-simulation does not support online straggler "
-                "policies; use SyncSwitchController for those runs"
-            )
         self.job = job
         self.cluster_spec = cluster_spec
         self.policies = policies
         self.cluster = Cluster(cluster_spec)
-        self.switcher = ProtocolSwitcher(
-            cluster_spec.n_workers,
-            time_scale=overhead_time_scale,
-            bandwidth_factor=overhead_bandwidth,
+        # The switch mechanism: the parallel actuator, the node hooks
+        # it drives and the checkpoints a switch or resize restarts from.
+        self.actuator = ParallelActuator(
+            time_scale=overhead_time_scale, bandwidth_factor=overhead_bandwidth
         )
+        self.hooks = HookManager(cluster_spec.n_workers)
+        self.checkpoints = CheckpointStore()
         self.trainer = DistributedTrainer(
             job,
             self.cluster,
             stragglers=stragglers,
             ambient_noise=ambient_noise,
-            provisioning=self.switcher.provisioning,
+            provisioning=self.actuator.provisioning,
             tracer=tracer,
         )
         self.session = self.trainer.new_session()
@@ -128,6 +127,8 @@ class ElasticTrainingRun:
         self._opened = False
         self._switch_paid = False
         self._finished = False
+        #: Online-policy actions, in order: time, step, kind, details.
+        self.interventions: list[dict] = []
 
     # ------------------------------------------------------------------
     # state
@@ -191,7 +192,7 @@ class ElasticTrainingRun:
             while not self._finished and (
                 self._index < tail or not self._switch_paid
             ):
-                self._advance_stage(None, math.inf)
+                self._advance_stage(None, math.inf, pausing=True)
         except DivergenceError:
             self._finished = True
             return "finished"
@@ -203,8 +204,7 @@ class ElasticTrainingRun:
         Pauses at the first update boundary at or after ``until``
         (``"paused"``); runs to completion when ``until`` is infinite
         or the step budget is reached first (``"finished"``).
-        Divergence counts as completion, exactly as on the controller
-        path.
+        Divergence counts as completion.
         """
         if self._finished:
             return "finished"
@@ -218,7 +218,7 @@ class ElasticTrainingRun:
             while True:
                 if not unbounded and session.clock.now >= until:
                     return "paused"
-                if not self._advance_stage(stop, until):
+                if not self._advance_stage(stop, until, pausing=not unbounded):
                     return "paused"
                 if self._finished:
                     return "finished"
@@ -230,16 +230,16 @@ class ElasticTrainingRun:
         """Resume and run the remaining plan to the end."""
         return self.advance_to(math.inf)
 
-    def _advance_stage(self, stop, until: float) -> bool:
+    def _advance_stage(self, stop, until: float, pausing: bool) -> bool:
         """Execute (part of) the current segment's stage.
 
         Returns False when a stop condition paused mid-stage; True when
         the stage completed (a switch was paid, the segment cursor
-        advanced, or the run finished).  Mirrors
-        ``SyncSwitchController._run_switching`` / ``_run_static``
-        exactly: the first segment always opens (even for a zero-step
-        budget), every later segment pays its switch unconditionally
-        but only trains when steps remain.
+        advanced, or the run finished).  The first segment always opens
+        (even for a zero-step budget); every later segment pays its
+        switch unconditionally but only trains when steps remain.
+        ``pausing`` says whether the caller will pause the run, which
+        an online straggler policy forbids.
         """
         session = self.session
         segments = self.plan.segments
@@ -250,11 +250,19 @@ class ElasticTrainingRun:
                 # Pause *before* paying the switch: the overhead
                 # belongs to the instant the switch actually runs.
                 return False
-            self.switcher.switch(session, segment)
+            self._switch(segment)
             self._switch_paid = True
             return True
         target = self._targets[index]
-        if (index == 0 and not self._opened) or session.step < target:
+        online = self.policies.straggler
+        if index == 0 and not self._opened and (
+            online is not None and online.reacts_online()
+        ):
+            self._opened = True
+            if self._run_online_stage(online, pausing):
+                self._finished = True
+                return True
+        elif (index == 0 and not self._opened) or session.step < target:
             self._opened = True
             self.trainer.run_segment(
                 session,
@@ -271,6 +279,210 @@ class ElasticTrainingRun:
         self._index += 1
         self._switch_paid = False
         return True
+
+    def _switch(self, segment: Segment) -> None:
+        """Checkpoint -> actuate -> restore; the caller then runs
+        ``segment``'s engine."""
+        session = self.session
+        checkpoint = self.checkpoints.save(session, tag=f"pre-{segment.protocol}")
+        seconds = self.actuator.actuate_switch(
+            self.hooks,
+            segment.protocol,
+            {
+                key: value
+                for key, value in segment.options.items()
+                if isinstance(value, (int, float, str))
+            },
+        )
+        self.trainer.charge_overhead(
+            session, "switch", seconds, {"to": segment.protocol}
+        )
+        self.checkpoints.restore(session, checkpoint)
+
+    # ------------------------------------------------------------------
+    # online straggler policies (stage 0)
+    # ------------------------------------------------------------------
+    def _run_online_stage(self, policy: StragglerPolicy, pausing: bool) -> bool:
+        """The precise phase under an online straggler policy.
+
+        Trains the barrier segment while the profiler/detector pipeline
+        watches per-worker throughput, and reacts to each detection.
+        The budget counts barrier-protocol steps, so the steps of a
+        greedy interlude extend the stage; evicted workers are restored
+        at its end.  Returns True when the whole job finished inside an
+        interlude.
+        """
+        segments = self.plan.segments
+        if (
+            len(segments) < 2
+            or not is_synchronous(segments[0].protocol)
+            or is_synchronous(segments[1].protocol)
+        ):
+            raise ConfigurationError(
+                f"the {policy.name} straggler policy needs a barrier phase "
+                f"followed by an asynchronous one; the plan is "
+                f"{self.plan.describe()}"
+            )
+        if pausing:
+            raise ConfigurationError(
+                "a run under an online straggler policy cannot pause: the "
+                "policy reacts to mid-segment telemetry that no pause "
+                "boundary preserves"
+            )
+        session = self.session
+        precise, fast = segments[0], segments[1]
+        budget = self._targets[0]
+        profiler = ThroughputProfiler(
+            batch_size=self.job.batch_size, window=PROFILER_WINDOW
+        )
+        detector = StragglerDetector(
+            consecutive=policy.detection_windows,
+            clear_windows=policy.clear_windows,
+        )
+        evicted: list[int] = []
+        done = 0
+        while done < budget:
+            start = session.step
+            reason = self.trainer.run_segment(
+                session,
+                precise,
+                budget - done,
+                stop=self._detection_stop(profiler, detector),
+                charge_switch=False,
+            )
+            done += session.step - start
+            if reason == "completed" or done >= budget:
+                break
+            flagged = sorted(detector.flagged)
+            if isinstance(policy, GreedyPolicy):
+                if self._greedy_interlude(
+                    precise, fast, profiler, detector, flagged
+                ):
+                    return True
+            else:
+                self._elastic_evict(profiler, detector, flagged, evicted)
+        if evicted:
+            self.cluster.restore_all()
+            self._charge_resize("restore")
+            self._log_intervention("elastic-restore", {"workers": sorted(evicted)})
+        return False
+
+    def _greedy_interlude(
+        self, precise, fast, profiler, detector, flagged
+    ) -> bool:
+        """Greedy policy: the fast protocol until the cluster is clear."""
+        session = self.session
+        remaining = self.job.total_steps - session.step
+        if remaining <= 0:
+            # Already at the step budget: switching protocols now would
+            # charge a pointless checkpoint->actuate->restore overhead.
+            return True
+        self._log_intervention("greedy-switch-to-asp", {"flagged": flagged})
+        self._switch(fast)
+        profiler.reset()
+        detector.reset()
+        reason = self.trainer.run_segment(
+            session,
+            fast,
+            remaining,
+            stop=self._clearance_stop(profiler, detector),
+            charge_switch=False,
+        )
+        if reason == "completed":
+            return True
+        self._log_intervention("greedy-switch-back-to-bsp", {})
+        profiler.reset()
+        detector.reset()
+        # Switch back (second switch of the round trip).
+        self._switch(precise)
+        return False
+
+    def _elastic_evict(self, profiler, detector, flagged, evicted) -> None:
+        """Elastic policy: drop stragglers from the barrier cluster."""
+        for worker in flagged:
+            if not self.cluster.is_active(worker) or self.cluster.n_active <= 2:
+                continue
+            self.cluster.evict(worker)
+            evicted.append(worker)
+            detector.unflag(worker)
+            profiler.forget(worker)
+            self._charge_resize("evict")
+            self._log_intervention("elastic-evict", {"worker": worker})
+        detector.reset()
+
+    def _detection_stop(self, profiler, detector):
+        """Stop the barrier engine when a straggler is detected."""
+        cursor = len(self.session.telemetry.worker_durations)
+
+        def stop(current_session) -> str | None:
+            nonlocal cursor
+            entries = current_session.telemetry.worker_durations
+            while cursor < len(entries):
+                _, worker, duration = entries[cursor]
+                if duration > 0:
+                    profiler.observe(worker, duration)
+                cursor += 1
+            newly = detector.observe_window(profiler.throughputs())
+            if newly:
+                return "straggler-detected"
+            return None
+
+        return stop
+
+    def _clearance_stop(self, profiler, detector):
+        """Stop the greedy interlude when the cluster looks clear again."""
+        cursor = len(self.session.telemetry.worker_durations)
+        pushes = 0
+        window = max(self.cluster.n_active, 1)
+
+        def stop(current_session) -> str | None:
+            nonlocal cursor, pushes
+            entries = current_session.telemetry.worker_durations
+            while cursor < len(entries):
+                _, worker, duration = entries[cursor]
+                if duration > 0:
+                    profiler.observe(worker, duration)
+                cursor += 1
+                pushes += 1
+            if pushes >= window:
+                pushes = 0
+                detector.observe_window(profiler.throughputs())
+                if detector.stable_clear():
+                    return "cluster-clear"
+            return None
+
+        return stop
+
+    def _log_intervention(self, kind: str, details: dict) -> None:
+        session = self.session
+        self.interventions.append(
+            {
+                "time": session.clock.now,
+                "step": session.step,
+                "kind": kind,
+                **details,
+            }
+        )
+        tracer = self.trainer.tracer
+        if tracer.wants("job"):
+            tracer.instant(
+                kind,
+                "intervention",
+                session.clock.now,
+                tid=1,
+                args={"step": session.step, **details},
+            )
+
+    def _charge_resize(self, kind: str) -> None:
+        """Charge one elastic ``"evict"`` or ``"restore"`` reconfiguration."""
+        provisioning = self.actuator.provisioning
+        n_workers = self.cluster_spec.n_workers
+        seconds = (
+            provisioning.evict_time(n_workers)
+            if kind == "evict"
+            else provisioning.restore_time(n_workers)
+        )
+        self.trainer.charge_overhead(self.session, kind, seconds)
 
     # ------------------------------------------------------------------
     # elastic resizing
@@ -304,7 +516,7 @@ class ElasticTrainingRun:
         current = self.cluster.n_active
         if n_active == current and contention is None:
             return
-        checkpoints = self.switcher.checkpoints
+        checkpoints = self.checkpoints
         checkpoint = checkpoints.save(self.session, tag=f"resize-{n_active}")
         while self.cluster.n_active > n_active:
             self.cluster.evict(max(self.cluster.active_workers))
@@ -316,9 +528,7 @@ class ElasticTrainingRun:
         if contention is not None:
             self.set_contention(contention)
         if n_active != current:
-            self.trainer.charge_resize_overhead(
-                self.session, "evict" if n_active < current else "restore"
-            )
+            self._charge_resize("evict" if n_active < current else "restore")
         checkpoints.restore(self.session, checkpoint)
 
     def set_contention(self, contention: StragglerSchedule | None) -> None:
@@ -364,7 +574,7 @@ class ElasticTrainingRun:
         # Past checkpoints hold full parameter snapshots a copy never
         # restores; it starts with an empty store instead of
         # duplicating up to keep_last of them.
-        checkpoints = self.switcher.checkpoints
+        checkpoints = self.checkpoints
         memo[id(checkpoints)] = CheckpointStore(keep_last=checkpoints.keep_last)
         # Copies are speculative: they start untraced.
         memo[id(self.trainer.tracer)] = NULL_TRACER
@@ -432,8 +642,8 @@ class ElasticTrainingRun:
     def result(self) -> TrainingResult:
         """Finalized result of a completed run.
 
-        Like the controller, finalization may record one trailing
-        evaluation — call exactly once, after completion.
+        Finalization may record one trailing evaluation — call exactly
+        once, after completion.
         """
         self._require_finished()
         if not self.session.numerics:

@@ -301,10 +301,9 @@ class TrainingSession:
         caches and the schedule's query memos are value-stable, so
         sharing them never perturbs either run.
 
-        The session-level primitive behind
-        :meth:`repro.core.runtime.elastic.ElasticTrainingRun.fork`
-        (which copies the surrounding run state the same way, sharing
-        the same substrate objects).
+        :meth:`repro.core.runtime.elastic.ElasticTrainingRun.fork` does
+        not call this: it deep-copies the whole run, session included,
+        through its own memo with the same sharing rules.
         """
         memo: dict[int, object] = {}
         for shared in (

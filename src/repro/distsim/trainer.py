@@ -95,11 +95,11 @@ class DistributedTrainer:
     ) -> TrainingResult:
         """Execute ``plan`` to completion (or divergence).
 
-        ``stop`` is an optional per-update hook used by the online
-        policies; when it fires the current segment ends early and the
-        remaining budget continues with the next segment (the
-        Sync-Switch controller builds richer behaviour on top via
-        :meth:`run_segment`).
+        ``stop`` is an optional per-update hook; when it fires the
+        current segment ends early and the remaining budget continues
+        with the next segment (the plan runner,
+        :class:`~repro.core.runtime.elastic.ElasticTrainingRun`, builds
+        the Sync-Switch job on :meth:`run_segment` instead).
         """
         session = session or self.new_session()
         try:
@@ -133,7 +133,9 @@ class DistributedTrainer:
         if charge_switch is None:
             charge_switch = previous is not None and previous != segment.protocol
         if charge_switch:
-            self.charge_switch_overhead(session)
+            # Checkpoint + reconfigure + restart cost of a protocol switch.
+            seconds = self.provisioning.switch_time(self.cluster.spec.n_workers)
+            self.charge_overhead(session, "switch", seconds)
         tracer = self.tracer
         cursor = len(session.telemetry.worker_durations) if tracer.enabled else 0
         session.telemetry.open_segment(
@@ -176,27 +178,21 @@ class DistributedTrainer:
                 start = t if synchronous else t - duration
                 tracer.span(name, name, start, duration, tid=3 + int(worker))
 
-    def charge_switch_overhead(self, session: TrainingSession) -> None:
-        """Checkpoint + reconfigure + restart cost of a protocol switch."""
-        seconds = self.provisioning.switch_time(self.cluster.spec.n_workers)
-        session.clock.advance(seconds)
-        session.telemetry.record_overhead(session.clock.now, "switch", seconds)
-        if self.tracer.wants("job"):
-            self.tracer.span(
-                "switch", "overhead", session.clock.now - seconds, seconds, tid=1
-            )
-
-    def charge_resize_overhead(self, session: TrainingSession, kind: str) -> None:
-        """Elastic evict/restore reconfiguration cost."""
-        if kind == "evict":
-            seconds = self.provisioning.evict_time(self.cluster.spec.n_workers)
-        else:
-            seconds = self.provisioning.restore_time(self.cluster.spec.n_workers)
+    def charge_overhead(
+        self,
+        session: TrainingSession,
+        kind: str,
+        seconds: float,
+        args: dict | None = None,
+    ) -> None:
+        """Charge ``seconds`` of framework overhead (``"switch"``,
+        ``"evict"``, ``"restore"``) to the job's clock; ``args`` go on
+        its trace span."""
         session.clock.advance(seconds)
         session.telemetry.record_overhead(session.clock.now, kind, seconds)
         if self.tracer.wants("job"):
             self.tracer.span(
-                kind, "overhead", session.clock.now - seconds, seconds, tid=1
+                kind, "overhead", session.clock.now - seconds, seconds, tid=1, args=args
             )
 
     def finalize(

@@ -899,7 +899,7 @@ def fleet_report(
         rows=rows,
         notes=[
             "JCT = arrival to completion, simulated seconds; every job "
-            "trains through the SyncSwitchController on its allocation",
+            "trains through the ElasticTrainingRun on its allocation",
             "sync-switch amortizes the paper's recurring-job argument "
             "across a shared cluster: faster service drains the queue",
             "search_jobs/rejected/degraded/slo_attained only apply to "

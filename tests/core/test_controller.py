@@ -1,4 +1,19 @@
-"""End-to-end tests for the Sync-Switch controller."""
+"""End-to-end tests for the Sync-Switch controller.
+
+The online straggler policies are pinned by sha256 hashes of their
+``JobResult`` (``tests/data/golden_hashes.json``, section ``online``).
+Like the distsim golden suite, set ``REPRO_GOLDEN_SKIP=1`` on machines
+whose BLAS rounds differently.  Regenerate after an intentional numeric
+change::
+
+    PYTHONPATH=src python tests/core/test_controller.py regen
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +21,11 @@ from repro.core.policies import (
     ElasticPolicy,
     GreedyPolicy,
     PolicyManager,
+    ProtocolSchedule,
     TimingPolicy,
 )
 from repro.core.runtime import (
+    ElasticTrainingRun,
     StragglerDetector,
     SyncSwitchController,
     ThroughputProfiler,
@@ -41,11 +58,64 @@ def controller(policies, stragglers=None, total_steps=640, **kwargs):
     )
 
 
-def straggler_during_bsp(latency=0.030) -> StragglerSchedule:
+def straggler_during_bsp(
+    latency=0.030, duration=25.0, workers=(3,)
+) -> StragglerSchedule:
     return StragglerSchedule(
-        [StragglerEvent(worker=3, start=3.0, duration=25.0,
-                        extra_latency=latency)]
+        [
+            StragglerEvent(worker=worker, start=3.0, duration=duration,
+                           extra_latency=latency)
+            for worker in workers
+        ]
     )
+
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_hashes.json"
+
+#: The pinned online cases: both policies under the BSP-phase
+#: straggler, the elastic policy under the 120 s one and under two
+#: stragglers (two evictions, one restore), and the greedy policy on a
+#: three-segment schedule (its interlude runs SSP).
+ONLINE_CASES = {
+    "greedy-bsp-straggler": lambda: controller(
+        PolicyManager(timing=TimingPolicy(0.5), straggler=GreedyPolicy()),
+        stragglers=straggler_during_bsp(),
+    ),
+    "elastic-bsp-straggler": lambda: controller(
+        PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
+        stragglers=straggler_during_bsp(),
+    ),
+    "elastic-long-straggler": lambda: controller(
+        PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
+        stragglers=straggler_during_bsp(duration=120.0),
+        total_steps=960,
+        overhead_time_scale=0.05,
+    ),
+    "elastic-two-stragglers": lambda: controller(
+        PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
+        stragglers=straggler_during_bsp(workers=(3, 5)),
+    ),
+    "greedy-bsp-ssp-asp": lambda: controller(
+        PolicyManager(
+            timing=TimingPolicy.for_schedule((0.5, 0.25, 0.25)),
+            protocol=ProtocolSchedule(("bsp", "ssp", "asp")),
+            straggler=GreedyPolicy(),
+        ),
+        stragglers=straggler_during_bsp(),
+    ),
+}
+
+
+def outcome_hash(outcome) -> str:
+    """Canonical sha256 of a ``JobResult``: result plus interventions."""
+    payload = json.dumps(
+        {
+            "result": outcome.result.to_dict(),
+            "interventions": list(outcome.interventions),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestOfflinePlans:
@@ -111,33 +181,48 @@ class TestGreedyPolicy:
         """Regression: no switch may be charged (or logged) once the job
         is already at its step budget."""
         policy = GreedyPolicy()
-        ctrl = controller(
-            PolicyManager(timing=TimingPolicy(0.5), straggler=policy)
+        run = ElasticTrainingRun(
+            job=job(),
+            cluster_spec=ClusterSpec(n_workers=8),
+            policies=PolicyManager(timing=TimingPolicy(0.5), straggler=policy),
+            ambient_noise=False,
         )
-        session = ctrl.trainer.new_session()
+        session = run.session
         bsp = Segment("bsp", 0.5)
         asp = Segment("asp", 0.5)
-        ctrl.trainer.run_segment(
-            session, bsp, ctrl.job.total_steps, charge_switch=False
+        run.trainer.run_segment(
+            session, bsp, run.job.total_steps, charge_switch=False
         )
-        assert session.step >= ctrl.job.total_steps
+        assert session.step >= run.job.total_steps
         overhead_before = session.telemetry.total_overhead
-        ctrl._interventions = []
-        finished = ctrl._greedy_interlude(
-            session,
+        finished = run._greedy_interlude(
             bsp,
             asp,
+            ThroughputProfiler(batch_size=run.job.batch_size, window=5),
             StragglerDetector(
                 consecutive=policy.detection_windows,
                 clear_windows=policy.clear_windows,
             ),
-            ThroughputProfiler(batch_size=ctrl.job.batch_size, window=5),
             [3],
         )
         assert finished is True
-        assert ctrl._interventions == []
+        assert run.interventions == []
         assert session.telemetry.total_overhead == overhead_before
         assert session.telemetry.switch_count == 0
+
+
+class TestOnlineGolden:
+    @pytest.mark.parametrize("name", sorted(ONLINE_CASES))
+    def test_committed_online_hash(self, name):
+        if os.environ.get("REPRO_GOLDEN_SKIP", "") not in ("", "0"):
+            pytest.skip("REPRO_GOLDEN_SKIP set (BLAS float bits differ here)")
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        outcome = ONLINE_CASES[name]().run_job()
+        assert outcome.interventions, f"{name}: the policy never intervened"
+        assert outcome_hash(outcome) == golden["online"]["hashes"][name], (
+            f"{name}: JobResult changed vs the committed golden hash — "
+            "the online stage is no longer bit-identical"
+        )
 
 
 class TestElasticPolicy:
@@ -168,10 +253,7 @@ class TestElasticPolicy:
         assert outcome.result.completed_steps >= 640
 
     def test_faster_than_baseline_under_long_straggler(self):
-        schedule = StragglerSchedule(
-            [StragglerEvent(worker=3, start=3.0, duration=120.0,
-                            extra_latency=0.030)]
-        )
+        schedule = straggler_during_bsp(duration=120.0)
         baseline = controller(
             PolicyManager(timing=TimingPolicy(0.5)),
             stragglers=schedule,
@@ -186,3 +268,24 @@ class TestElasticPolicy:
         ).run_job()
         assert elastic.result.total_time < baseline.result.total_time
 
+
+def _regenerate() -> None:
+    hashes = {
+        name: outcome_hash(ONLINE_CASES[name]().run_job())
+        for name in sorted(ONLINE_CASES)
+    }
+    # Read-modify-write: the distsim golden suite owns the other keys.
+    payload = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    payload["online"] = {"hashes": hashes}
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH}")
+    for name, value in hashes.items():
+        print(f"  {name}: {value}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 2 and sys.argv[1] == "regen":
+        _regenerate()
+    else:
+        print(__doc__)
+        sys.exit(2)

@@ -1,13 +1,15 @@
 """Engine-level tests for the resumable :class:`ElasticTrainingRun`.
 
-Covers the satellite acceptance cases: pause/resume parity with the
-one-shot controller, and the elastic shrink -> resume -> restore
+Covers pause/resume parity with the one-shot job (the plain
+per-segment transcription in ``reference_controller.py``, which shares
+no code with the runner), and the elastic shrink -> resume -> restore
 round-trip at the engine level for both ASP and DSSP tails.
 """
 
 import math
 
 import pytest
+from reference_controller import reference_run
 
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -16,7 +18,7 @@ from repro.core.policies import (
     TimingPolicy,
 )
 from repro.core.policies.straggler import GreedyPolicy
-from repro.core.runtime import ElasticTrainingRun, SyncSwitchController
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.experiments.setups import SETUPS, scaled_job
@@ -43,17 +45,17 @@ def make_run(fraction=0.0625, second="asp", n_workers=8, seed=11):
 
 
 def controller_result(job, fraction, second="asp", n_workers=8):
-    controller = SyncSwitchController(
-        job=job,
-        cluster_spec=ClusterSpec(n_workers=n_workers),
-        policies=make_policies(fraction, second),
+    """The one-shot job, from the independent reference."""
+    return reference_run(
+        job,
+        ClusterSpec(n_workers=n_workers),
+        make_policies(fraction, second),
         overhead_time_scale=SCALE,
     )
-    return controller.run_job().result
 
 
 class TestOneShotParity:
-    """A never-paused elastic run is bit-identical to the controller."""
+    """A never-paused elastic run is bit-identical to the one-shot job."""
 
     @pytest.mark.parametrize("fraction", [0.0625, 0.0, 1.0])
     def test_run_to_completion_matches_controller(self, fraction):
@@ -199,18 +201,29 @@ class TestElasticRoundTrip:
             run.resize(4)
 
     def test_online_policies_rejected(self):
+        """An online policy reacts to mid-segment telemetry: its run
+        cannot pause, but it runs to completion."""
         job = scaled_job(SETUPS[1], SCALE, 0)
         policies = PolicyManager(
             timing=TimingPolicy(0.0625),
             config=ConfigurationPolicy(),
             straggler=GreedyPolicy(),
         )
-        with pytest.raises(ConfigurationError):
-            ElasticTrainingRun(
+
+        def make():
+            return ElasticTrainingRun(
                 job=job,
                 cluster_spec=ClusterSpec(n_workers=4),
                 policies=policies,
             )
+
+        with pytest.raises(ConfigurationError, match="cannot pause"):
+            make().run_to_tail()
+        with pytest.raises(ConfigurationError, match="cannot pause"):
+            make().advance_to(1.0)
+        run = make()
+        assert run.run_to_completion() == "finished"
+        assert run.result().completed_steps == job.total_steps
 
     def test_advance_to_infinity_finishes(self):
         job, run = make_run()

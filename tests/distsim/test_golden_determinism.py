@@ -132,19 +132,24 @@ def _regenerate() -> None:
     hashes = {name: result_hash(build_result(name)) for name in sorted(PLANS)}
     import numpy as np
 
+    # Read-modify-write: tests/core/test_controller.py keeps its
+    # ``online`` section in the same goldens file.
+    payload = (
+        json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        if GOLDEN_PATH.exists()
+        else {}
+    )
+    payload.update(
+        {
+            "job": _GOLDEN_JOB,
+            "n_workers": 4,
+            "numpy": np.__version__,
+            "hashes": hashes,
+        }
+    )
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(
-        json.dumps(
-            {
-                "job": _GOLDEN_JOB,
-                "n_workers": 4,
-                "numpy": np.__version__,
-                "hashes": hashes,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {GOLDEN_PATH}")
     for name, value in hashes.items():

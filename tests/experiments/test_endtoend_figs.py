@@ -1,6 +1,8 @@
-"""Structure tests for the end-to-end figure generators (tiny scale)."""
+"""Structure tests for the end-to-end figure generators (tiny scale).
 
-import pytest
+They read through the session's ``tiny_runner`` cache, so the cells
+Table I and Fig. 2 trained are not trained again here.
+"""
 
 from repro.experiments.endtoend import figure_10, figure_13, figure_14
 from repro.experiments.figures import figure_5b
@@ -8,24 +10,16 @@ from repro.experiments.search_analysis import profile_model
 from repro.experiments.setups import SETUPS
 
 
-@pytest.fixture(scope="module")
-def small_runner(tmp_path_factory):
-    from repro.experiments.runner import ExperimentRunner
-
-    cache = tmp_path_factory.mktemp("fig_cache")
-    return ExperimentRunner(scale=0.01, seeds=2, cache_dir=cache)
-
-
-def test_figure_10_covers_three_setups(small_runner):
-    report = figure_10(small_runner)
+def test_figure_10_covers_three_setups(tiny_runner):
+    report = figure_10(tiny_runner)
     setups = report.column_values("setup")
     assert setups == [1, 1, 1, 2, 2, 2, 3, 3, 3]
     labels = {row["configuration"] for row in report.rows}
     assert labels == {"BSP", "ASP", "Sync-Switch"}
 
 
-def test_figure_10_asp_fails_on_setup_3(small_runner):
-    report = figure_10(small_runner)
+def test_figure_10_asp_fails_on_setup_3(tiny_runner):
+    report = figure_10(tiny_runner)
     asp3 = next(
         row
         for row in report.rows
@@ -34,8 +28,8 @@ def test_figure_10_asp_fails_on_setup_3(small_runner):
     assert asp3["accuracy"] == "FAIL"
 
 
-def test_figure_10_syncswitch_faster_than_bsp(small_runner):
-    report = figure_10(small_runner)
+def test_figure_10_syncswitch_faster_than_bsp(tiny_runner):
+    report = figure_10(tiny_runner)
     for setup in (1, 2, 3):
         sync = next(
             row
@@ -46,8 +40,8 @@ def test_figure_10_syncswitch_faster_than_bsp(small_runner):
         assert sync["normalized_time"] < 1.0
 
 
-def test_figure_13_marks_divergence(small_runner):
-    report = figure_13(small_runner)
+def test_figure_13_marks_divergence(tiny_runner):
+    report = figure_13(tiny_runner)
     asp_row = next(
         row for row in report.rows if row["switch_percent"] == 0.0
     )
@@ -58,20 +52,20 @@ def test_figure_13_marks_divergence(small_runner):
     assert bsp_row["accuracy"] != "FAIL"
 
 
-def test_figure_14_grid_is_complete(small_runner):
-    report = figure_14(small_runner)
+def test_figure_14_grid_is_complete(tiny_runner):
+    report = figure_14(tiny_runner)
     assert len(report.rows) == 9  # 3 policies x 3 setups
     policies = {row["policy"] for row in report.rows}
     assert policies == {"P1 (6.25%)", "P2 (12.5%)", "P3 (50%)"}
 
 
-def test_figure_5b_grid_matches_setup_sweep(small_runner):
-    report = figure_5b(small_runner)
+def test_figure_5b_grid_matches_setup_sweep(tiny_runner):
+    report = figure_5b(tiny_runner)
     assert tuple(report.column_values("bsp_percent")) == SETUPS[1].sweep_percents
 
 
-def test_profile_model_built_from_sweep(small_runner):
-    model = profile_model(small_runner, SETUPS[3])
+def test_profile_model_built_from_sweep(tiny_runner):
+    model = profile_model(tiny_runner, SETUPS[3])
     fractions = model.fractions
     assert 0.0 in fractions and 1.0 in fractions
     # ASP runs diverged -> accuracy 0 recorded at fraction 0

@@ -3,10 +3,11 @@
 Pins:
 
 * a job with zero allocation changes is **bit-identical** to a
-  one-shot :class:`~repro.core.runtime.SyncSwitchController` run of
-  the same inputs (a test-local oracle that runs on every BLAS
-  build), and the preemption-free streams match the sha256 golden
-  hashes committed in ``tests/data/fleet_golden_hashes.json``;
+  one-shot run of the same inputs (``tests/core/reference_controller.py``,
+  a plain per-segment transcription that shares no code with the
+  runtime and runs on every BLAS build), and the preemption-free
+  streams match the sha256 golden hashes committed in
+  ``tests/data/fleet_golden_hashes.json``;
 * a preemption-heavy stream (rush under best-fit) really preempts and
   restores, its allocation history survives the summary round-trip,
   and its summary — fork, resize, re-project — matches a committed
@@ -29,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.runtime import SyncSwitchController
 from repro.distsim.cluster import ClusterSpec
 from repro.distsim.engines import synchronous_protocols
 from repro.fleet import (
@@ -41,6 +41,11 @@ from repro.fleet import (
 from repro.fleet import fleet_sim
 from repro.fleet.pool import job_stragglers
 from repro.fleet.running import training_inputs
+
+# The one-shot oracle lives beside the runtime tests (tests/ has no
+# packages; a test directory is importable once it is on the path).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from reference_controller import reference_run  # noqa: E402
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "data" / "fleet_golden_hashes.json"
@@ -113,8 +118,8 @@ class TestGoldenParity:
         """Independent oracle for the fork-and-project admission path.
 
         On a preemption-free stream every admitted job is re-trained
-        with the one-shot controller on the simulator's own inputs; the
-        job record must equal that reference bit for bit.
+        by the one-shot reference on the simulator's own inputs; the
+        job record must equal it bit for bit.
         """
         simulator = FleetSimulator(config(n_jobs=GOLDEN_CELLS[name]))
         admissions = []
@@ -136,14 +141,14 @@ class TestGoldenParity:
             job, policies = training_inputs(
                 request, percent, schedule, fleet["seed"], fleet["scale"]
             )
-            reference = SyncSwitchController(
-                job=job,
-                cluster_spec=ClusterSpec(n_workers=len(workers)),
-                policies=policies,
+            reference = reference_run(
+                job,
+                ClusterSpec(n_workers=len(workers)),
+                policies,
                 stragglers=job_stragglers(fleet["contention"], workers, now),
                 overhead_time_scale=fleet["scale"],
                 overhead_bandwidth=fleet["pool"].bandwidth_for(workers),
-            ).run_job().result
+            )
             record = records[request.job_id]
             assert record.accuracy == reference.reported_accuracy
             assert record.completed_steps == reference.completed_steps

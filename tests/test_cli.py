@@ -98,6 +98,28 @@ def test_run_command_tiny(capsys, tmp_path, monkeypatch):
     assert "throughput" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--percent", "100", "--online", "greedy"],
+        ["--percent", "0", "--online", "elastic"],
+    ],
+    ids=["greedy-all-bsp", "elastic-all-asp"],
+)
+def test_run_online_policy_without_switch_is_a_usage_error(
+    argv, capsys, tmp_path, monkeypatch
+):
+    """An online policy acts in the barrier phase before the switch; a
+    plan with no such phase must not silently train without it."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["--quiet", "run", "--setup", "1", "--scale", "0.004",
+                 *argv]) == 2
+    _assert_one_error_line(
+        capsys, "needs a barrier phase followed by an asynchronous one"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_command_tiny(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["search", "--setup", "3", "--scale", "0.008", "--runs",
