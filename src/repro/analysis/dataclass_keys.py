@@ -57,7 +57,6 @@ DEFAULT_TARGETS: tuple[CacheKeyTarget, ...] = (
     CacheKeyTarget("repro.experiments.executor", "RunRequest"),
     CacheKeyTarget("repro.experiments.fleet", "FleetRunRequest"),
     CacheKeyTarget("repro.experiments.fleet", "FleetShardRequest"),
-    CacheKeyTarget("repro.experiments.fleet", "_TracedFleetRequest"),
 )
 
 

@@ -2,7 +2,9 @@
 
 One command, five modes: the scheduler x policy grid (default), the
 sharded datacenter trace (a trace ``--scenario``), ``--tune``,
-``--trace`` and ``--policy-store``.
+``--trace`` and ``--policy-store``.  :data:`CONFLICTS` refuses flag
+combinations, :data:`DISPATCH` picks the mode, and every mode publishes
+through :func:`repro.experiments.fleet.run_mode`.
 """
 
 from __future__ import annotations
@@ -15,21 +17,13 @@ from repro.errors import ConfigurationError
 from repro.experiments.fleet import (
     DEFAULT_FLEET_SCALE,
     DEFAULT_TUNING_SEEDS,
-    fleet_grid,
-    fleet_report,
-    fleet_trace_scale_report,
-    fleet_tuning_report,
-    run_trace_scale,
+    MODES,
+    FleetRunRequest,
+    run_mode,
     run_traced_fleet,
-    trace_scale_payload,
-    tuning_grid,
-    tuning_summary_payload,
-    write_fleet_summary,
-    write_fleet_trace_scale,
-    write_tuning_summary,
 )
 from repro.experiments.reporting import render_report
-from repro.fleet.fleet_sim import FleetConfig, FleetSimulator
+from repro.fleet.fleet_sim import FleetSimulator
 from repro.fleet.policy_store import PolicyStore
 from repro.fleet.scheduler import SCHEDULERS
 from repro.fleet.workload import (
@@ -107,12 +101,7 @@ def configure(parser) -> None:
         default=None,
         help="worker processes for the scenario grid (default: REPRO_JOBS)",
     )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="fleet summary artifact path (default: results/fleet_summary.json"
-        ", or results/fleet_tuning_summary.json with --tune)",
-    )
+    parser.add_argument("--out", default=None, help=_out_help())
     parser.add_argument(
         "--tune",
         action="store_true",
@@ -357,6 +346,11 @@ CONFLICTS: tuple[tuple, ...] = (
         and a.seeds < 1,
         "error: --seeds must be >= 1",
     ),
+    (
+        "procs-below-one",
+        lambda a: a.procs is not None and a.procs < 1,
+        "error: --procs must be >= 1",
+    ),
 )
 
 
@@ -384,83 +378,116 @@ def run(args) -> int:
         except (ValueError, ConfigurationError) as exc:
             LOG.error("error: bad --tiers: %s", exc)
             return 2
-    if _sharded_trace(args):
-        return _cmd_fleet_trace_scale(args, tiers)
     trace = load_trace(args.workload_trace) if args.workload_trace else None
     # A trace replaces the scenario stream entirely; label the run (and
     # its cache keys) accordingly instead of with the unused scenario.
-    scenario = "trace" if trace is not None else args.scenario
-    if args.policy_store:
-        return _cmd_fleet_store(args, scenario, trace, protocols, fractions)
-    if args.tune:
-        return _cmd_fleet_tune(args, scenario, trace, protocols)
-    if args.trace:
-        return _cmd_fleet_traced(args, scenario, trace, protocols, fractions)
-    schedulers = (
-        tuple(sorted(SCHEDULERS))
-        if args.scheduler == "all"
-        else (args.scheduler,)
+    stream = {
+        "scenario": "trace" if trace is not None else args.scenario,
+        "seed": args.seed,
+        "n_jobs": args.jobs,
+        "trace": trace,
+        "protocols": protocols,
+        "fractions": fractions,
+    }
+    _, _, mode, handler = next(row for row in DISPATCH if row[1](args))
+    return handler(args, mode, stream, tiers)
+
+
+def _publish(args, mode: str, extra=None, **cells) -> int:
+    """Run ``mode`` (or publish the ``result`` a handler holds) through
+    :func:`~repro.experiments.fleet.run_mode`: print the report, write
+    ``--out``.  ``extra`` writes a mode's further outputs in between."""
+    _, report, target = run_mode(
+        MODES[mode], out=args.out, jobs=args.procs, scale=args.scale, **cells
     )
-    if args.slo:
-        schedulers = ("slo",)
-    policies = (
-        SYNC_POLICIES if args.policy == "all" else (args.policy,)
+    print(render_report(report))
+    if extra is not None:
+        extra()
+    # A blank line parts the log line from the table unless extra
+    # output already stands between them.
+    LOG.info(
+        "%s%s written to %s", "" if extra else "\n", MODES[mode].noun, target
     )
-    grid = fleet_grid(
-        scenario=scenario,
-        schedulers=schedulers,
-        policies=policies,
-        seed=args.seed,
-        scale=args.scale,
-        n_jobs=args.jobs,
-        trace=trace,
-        jobs=args.procs,
-        protocols=protocols,
-        fractions=fractions,
-        tiers=tiers,
-        validate=args.validate,
-    )
-    print(render_report(fleet_report(grid, scenario)))
-    target = write_fleet_summary(
-        grid, scenario, args.scale, args.seed, path=args.out
-    )
-    LOG.info("\nfleet summary written to %s", target)
     return 0
 
 
-def _cmd_fleet_trace_scale(args, tiers) -> int:
-    """The trace-scenario path: sharded heterogeneous pool, merged summary.
+def _run_grid(args, mode: str, stream: dict, tiers) -> int:
+    """The default: a scheduler x sync-policy grid of cached cells."""
+    # fleet_grid reads None as every scheduler / every policy.
+    schedulers = None if args.scheduler == "all" else (args.scheduler,)
+    return _publish(
+        args,
+        mode,
+        schedulers=("slo",) if args.slo else schedulers,
+        policies=None if args.policy == "all" else (args.policy,),
+        tiers=tiers,
+        validate=args.validate,
+        **stream,
+    )
 
-    Generates the datacenter trace once, serves each pool shard as its
-    own cached fleet cell (``--procs`` worker processes) and merges the
-    shard summaries — bit-identical at any ``--procs`` count.
-    """
+
+def _run_sharded(args, mode: str, stream: dict, tiers) -> int:
+    """A trace ``--scenario``: the datacenter trace, generated once, is
+    served shard by shard as cached cells and merged — bit-identical at
+    any ``--procs`` count."""
     scheduler, policy = _single_cell(args, "slo", "trace scenario")
-    summary, shard_rows = run_trace_scale(
+    return _publish(
+        args,
+        mode,
         scenario=args.scenario,
         scheduler=scheduler,
         sync_policy=policy,
         seed=args.seed,
-        scale=args.scale,
         n_jobs=args.jobs,
         shards=args.shards,
         tiers=tiers,
-        jobs=args.procs,
         validate=args.validate,
     )
-    payload = trace_scale_payload(
-        summary,
-        shard_rows,
-        args.scenario,
-        scheduler,
-        policy,
-        args.scale,
-        args.seed,
+
+
+def _run_tune(args, mode: str, stream: dict, tiers) -> int:
+    """``--tune``: the amortized search comparison grid.
+
+    Always compares the all-BSP baseline stream against the tuned
+    Sync-Switch stream (that pair *is* the amortization argument), so
+    ``--policy`` does not combine with it.
+    """
+    scheduler, _ = _single_cell(args, "fifo")
+    return _publish(
+        args,
+        mode,
+        scenarios=(stream["scenario"],),
+        seeds=args.seeds if args.seeds is not None else DEFAULT_TUNING_SEEDS,
+        scheduler=scheduler,
+        n_jobs=args.jobs,
+        trace=stream["trace"],
+        protocols=stream["protocols"],
     )
-    print(render_report(fleet_trace_scale_report(payload)))
-    target = write_fleet_trace_scale(payload, path=args.out)
-    LOG.info("\nfleet trace-scale summary written to %s", target)
-    return 0
+
+
+def _run_traced(args, mode: str, stream: dict, tiers) -> int:
+    """``--trace``: one observed stream as a cached traced cell — its
+    summary is bit-identical to the untraced cell's — plus the
+    Perfetto-loadable Chrome trace and the metrics dump."""
+    # Tracing the full grid would interleave unrelated runs in one
+    # timeline, so 'all' narrows to the canonical traced cell.
+    scheduler, policy = _single_cell(args, "fifo", "--trace")
+    run = run_traced_fleet(
+        scheduler=scheduler,
+        sync_policy=policy,
+        scale=args.scale,
+        trace_detail=args.trace_detail,
+        metrics_interval=args.metrics_interval,
+        jobs=args.procs,
+        **stream,
+    )
+    return _publish(
+        args,
+        mode,
+        result={(scheduler, policy): run.summary},
+        extra=lambda: _write_trace_outputs(args, run.events, run.metrics),
+        **stream,
+    )
 
 
 def _single_cell(args, default: str, note: str | None = None) -> tuple[str, str]:
@@ -505,44 +532,8 @@ def _write_trace_outputs(args, events: list, metrics: dict | None) -> None:
         LOG.info("metrics dump written to %s", metrics_path)
 
 
-def _cmd_fleet_traced(args, scenario: str, trace, protocols, fractions) -> int:
-    """The ``fleet --trace`` path: one observed stream, span export.
-
-    Runs a single traced cell through the cached executor path — the
-    summary is bit-identical to the untraced cell's (tracing never
-    touches the simulation) — then exports the Perfetto-loadable
-    Chrome trace plus the interval-snapshot metrics dump.
-    """
-    # Tracing the full grid would interleave unrelated runs in one
-    # timeline, so 'all' narrows to the canonical traced cell.
-    scheduler, policy = _single_cell(args, "fifo", "--trace")
-    run = run_traced_fleet(
-        scenario=scenario,
-        scheduler=scheduler,
-        sync_policy=policy,
-        seed=args.seed,
-        scale=args.scale,
-        n_jobs=args.jobs,
-        trace=trace,
-        trace_detail=args.trace_detail,
-        metrics_interval=args.metrics_interval,
-        jobs=args.procs,
-        protocols=protocols,
-        fractions=fractions,
-    )
-    print(render_report(fleet_report({(scheduler, policy): run.summary},
-                                     scenario)))
-    _write_trace_outputs(args, run.events, run.metrics)
-    target = write_fleet_summary(
-        {(scheduler, policy): run.summary}, scenario, args.scale, args.seed,
-        path=args.out,
-    )
-    LOG.info("fleet summary written to %s", target)
-    return 0
-
-
-def _cmd_fleet_store(args, scenario: str, trace, protocols, fractions) -> int:
-    """The ``fleet --policy-store`` path: one warm-startable stream.
+def _run_store(args, mode: str, stream: dict, tiers) -> int:
+    """``--policy-store``: one warm-startable stream.
 
     Loads the persisted :class:`~repro.fleet.PolicyStore` (when the
     file exists), serves a *single* stream against it — with ``--tune``
@@ -562,78 +553,68 @@ def _cmd_fleet_store(args, scenario: str, trace, protocols, fractions) -> int:
     else:
         store = PolicyStore()
     warm_classes = len(store.report())
-    simulator = FleetSimulator(
-        FleetConfig(
-            scenario=scenario,
-            scheduler=scheduler,
-            sync_policy=policy,
-            seed=args.seed,
-            scale=args.scale,
-            n_jobs=args.jobs,
-            trace=trace,
-            tune=args.tune,
-            protocols=protocols,
-            fractions=fractions,
-            trace_detail=args.trace_detail if args.trace else None,
-            metrics_interval=args.metrics_interval,
-        ),
-        store=store,
-    )
-    summary = simulator.run()
-    print(render_report(fleet_report({(scheduler, policy): summary}, scenario)))
-    print(
-        f"\npolicy store: {warm_classes} warm class(es) loaded, "
-        f"{len(store.report())} persisted"
-    )
-    for row in store.report():
-        realized = row["realized_service_mean_s"]
-        print(
-            f"  {row['job_class']}: {row['percent']:g}% BSP, "
-            f"{row['recurrences']} recurrence(s), "
-            f"realized savings {row['realized_savings_s']:.1f}s"
-            + (
-                f", realized service {realized:.1f}s"
-                if realized is not None
-                else ""
-            )
-        )
-    target = store.save(store_path, scale=args.scale)
-    LOG.info("policy store written to %s", target)
-    if args.trace:
-        _write_trace_outputs(
-            args, list(simulator.tracer.events), simulator.metrics_payload
-        )
-    out = write_fleet_summary(
-        {(scheduler, policy): summary}, scenario, args.scale, args.seed,
-        path=args.out,
-    )
-    LOG.info("fleet summary written to %s", out)
-    return 0
-
-
-def _cmd_fleet_tune(args, scenario: str, trace, protocols) -> int:
-    """The ``fleet --tune`` path: amortized search comparison grid.
-
-    Always compares the all-BSP baseline stream against the tuned
-    Sync-Switch stream (that pair *is* the amortization argument), so
-    ``--policy`` does not combine with it.
-    """
-    scheduler, _ = _single_cell(args, "fifo")
-    seeds = args.seeds if args.seeds is not None else DEFAULT_TUNING_SEEDS
-    grid = tuning_grid(
-        scenarios=(scenario,),
-        seeds=seeds,
-        scale=args.scale,
+    request = FleetRunRequest(
         scheduler=scheduler,
-        n_jobs=args.jobs,
-        trace=trace,
-        jobs=args.procs,
-        protocols=protocols,
+        sync_policy=policy,
+        tune=args.tune,
+        trace_detail=args.trace_detail if args.trace else None,
+        metrics_interval=args.metrics_interval,
+        **stream,
     )
-    payload = tuning_summary_payload(
-        grid, (scenario,), seeds, args.scale, scheduler
+    simulator = FleetSimulator(request.config(args.scale), store=store)
+    summary = simulator.run()
+
+    def persist() -> None:
+        print(
+            f"\npolicy store: {warm_classes} warm class(es) loaded, "
+            f"{len(store.report())} persisted"
+        )
+        for row in store.report():
+            realized = row["realized_service_mean_s"]
+            print(
+                f"  {row['job_class']}: {row['percent']:g}% BSP, "
+                f"{row['recurrences']} recurrence(s), "
+                f"realized savings {row['realized_savings_s']:.1f}s"
+                + (
+                    f", realized service {realized:.1f}s"
+                    if realized is not None
+                    else ""
+                )
+            )
+        target = store.save(store_path, scale=args.scale)
+        LOG.info("policy store written to %s", target)
+        if args.trace:
+            _write_trace_outputs(
+                args, list(simulator.tracer.events), simulator.metrics_payload
+            )
+
+    return _publish(
+        args,
+        mode,
+        result={(scheduler, policy): summary},
+        extra=persist,
+        **stream,
     )
-    print(render_report(fleet_tuning_report(payload)))
-    target = write_tuning_summary(payload, path=args.out)
-    LOG.info("\nfleet tuning summary written to %s", target)
-    return 0
+
+
+#: The modes ``run`` dispatches to, first match wins, as ``(when — for
+#: the --out help, selects, the MODES entry it publishes, handler)``.
+#: Every handler but ``--policy-store`` (whose warm-started stream
+#: depends on the store, so is never cached) runs cached cells.
+DISPATCH: tuple[tuple, ...] = (
+    (" for a trace --scenario", _sharded_trace, "trace-scale", _run_sharded),
+    (" with --policy-store", lambda a: a.policy_store, "grid", _run_store),
+    (" with --tune", lambda a: a.tune, "tuning", _run_tune),
+    (" with --trace", lambda a: a.trace, "grid", _run_traced),
+    ("", lambda a: True, "grid", _run_grid),
+)
+
+
+def _out_help() -> str:
+    """``--out``'s help text: each mode's default artifact path."""
+    defaults: dict[str, str] = {}
+    for when, _, mode, _ in reversed(DISPATCH):
+        defaults.setdefault(MODES[mode].artifact, when)
+    return "summary artifact path (default: " + ", or ".join(
+        f"results/{name}{when}" for name, when in defaults.items()
+    ) + ")"

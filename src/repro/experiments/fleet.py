@@ -1,4 +1,4 @@
-"""Fleet scenario driver: comparison grids and the tuning artifact.
+"""Fleet scenario driver: comparison grids, traces and the tuning artifact.
 
 One *fleet cell* is a full multi-job fleet simulation
 (:func:`repro.fleet.simulate_fleet`) for one ``(scenario, scheduler,
@@ -19,14 +19,22 @@ stream whose switch timing is searched *inside* the fleet
 is amortized across the recurring class), repeated over several seeds
 so ``results/fleet_tuning_summary.json`` reports mean JCTs with 95%
 confidence intervals and per-class break-even recurrence counts.
+
+Every mode — grid, sharded trace, traced cell, tuning — is one
+:class:`FleetMode` in :data:`MODES` and publishes through one chain,
+:func:`run_mode`: run the cells, fold the payload, write the artifact,
+render the report.  The ``report`` registry entries and the ``fleet``
+CLI are thin callers of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.experiments.executor import (
     ParallelExecutor,
@@ -58,11 +66,12 @@ from repro.obs import trace_categories
 
 __all__ = [
     "DEFAULT_FLEET_SCALE",
-    "DEFAULT_TRACE_CELL",
     "DEFAULT_TUNING_SCENARIOS",
     "DEFAULT_TUNING_SEEDS",
     "DEFAULT_TRACE_SCALE_JOBS",
     "DEFAULT_TRACE_SCALE_SHARDS",
+    "MODES",
+    "FleetMode",
     "FleetRunRequest",
     "FleetShardRequest",
     "TracedFleetRun",
@@ -76,29 +85,19 @@ __all__ = [
     "fleet_trace_scale_report",
     "fleet_tuning_artifact",
     "fleet_tuning_report",
+    "run_mode",
     "run_trace_scale",
     "run_traced_fleet",
     "shard_worker_tiers",
+    "summary_payload",
+    "trace_metrics_payload",
     "trace_scale_payload",
     "tuning_grid",
     "tuning_summary_payload",
-    "write_fleet_summary",
-    "write_fleet_trace_metrics",
-    "write_fleet_trace_scale",
-    "write_tuning_summary",
 ]
 
-#: Default results artifact location (repo root / results).
-DEFAULT_SUMMARY_PATH = (
-    Path(__file__).resolve().parents[3] / "results" / "fleet_summary.json"
-)
-
-#: Default tuning-summary artifact location (repo root / results).
-DEFAULT_TUNING_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "results"
-    / "fleet_tuning_summary.json"
-)
+#: Where every mode's artifact goes by default (repo root / results).
+RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
 #: Scenarios the ``fleet-search`` artifact compares: a long recurring
 #: stream (amortization realized inside the run) and the contended
@@ -107,19 +106,6 @@ DEFAULT_TUNING_SCENARIOS = ("recurring", "rush")
 
 #: Seeds per tuning cell (95% CIs need at least two).
 DEFAULT_TUNING_SEEDS = 3
-
-#: Cell the ``fleet-trace`` artifact records: the contended rush
-#: stream under FIFO keeps the timeline readable (one admission wave,
-#: clear queue build-up) while Sync-Switch exercises every span
-#: category (segments, switches, phases, evals).
-DEFAULT_TRACE_CELL = ("rush", "fifo", "sync-switch")
-
-#: Default metrics-timeline artifact location.
-DEFAULT_TRACE_METRICS_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "results"
-    / "fleet_trace_metrics.json"
-)
 
 #: Step-budget scale used by every fleet entry point (the ``fleet``
 #: CLI and the ``report fleet`` artifact).  Fleet cells multiply one
@@ -134,13 +120,6 @@ DEFAULT_FLEET_SCALE = 0.008
 DEFAULT_TRACE_SCALE_JOBS = 600
 DEFAULT_TRACE_SCALE_SHARDS = 4
 
-#: Default trace-scale artifact location.
-DEFAULT_TRACE_SCALE_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "results"
-    / "fleet_trace_scale.json"
-)
-
 
 @dataclass(frozen=True)
 class FleetRunRequest:
@@ -150,10 +129,10 @@ class FleetRunRequest:
     cell (see :class:`~repro.fleet.fleet_sim.FleetConfig`);
     ``protocols``/``fractions`` select an N-segment schedule — searched
     over when tuning, trained directly when the fractions are fixed.
-    ``trace_detail``/``metrics_interval`` switch on the observability
-    layer for the cell; they are part of the cache key because a traced
-    cell stores a :class:`TracedFleetRun` payload rather than a bare
-    summary (the simulated outcome itself is tracing-invariant).
+    A cell is *traced* exactly when ``trace_detail`` is set: it then
+    stores a :class:`TracedFleetRun` (summary, events, and the
+    ``metrics_interval`` timeline) instead of a bare summary, under its
+    own key namespace (the simulated outcome is tracing-invariant).
     """
 
     scenario: str
@@ -206,39 +185,42 @@ class FleetRunRequest:
         }
         if self.tiers is not None:
             payload["tiers"] = [tier.to_dict() for tier in self.tiers]
-        return digest_key(payload)
+        if self.trace_detail is None:
+            return digest_key(payload)
+        # A traced cell stores a TracedFleetRun, not a bare summary, so
+        # it gets its own namespace (frozen: TestCacheKeySchema pins it).
+        return digest_key({"kind": "fleet-trace", "cell": digest_key(payload)})
 
     def config(self, scale: float) -> FleetConfig:
-        """The simulator configuration for this cell."""
+        """The simulator configuration for this cell (every field of
+        the request is a :class:`FleetConfig` field of the same name)."""
         return FleetConfig(
-            scenario=self.scenario,
-            scheduler=self.scheduler,
-            sync_policy=self.sync_policy,
-            seed=self.seed,
             scale=scale,
-            n_jobs=self.n_jobs,
-            trace=self.trace,
-            tune=self.tune,
-            tune_runs=self.tune_runs,
-            protocols=self.protocols,
-            fractions=self.fractions,
-            trace_detail=self.trace_detail,
-            metrics_interval=self.metrics_interval,
-            tiers=self.tiers,
-            validate=self.validate,
+            **{field.name: getattr(self, field.name) for field in fields(self)}
         )
 
 
 def _execute_fleet_cell(payload: tuple) -> tuple[str, dict]:
-    """Pool worker: simulate one fleet cell (re-checking the disk cache)."""
+    """Pool worker: simulate one fleet or shard cell (re-checking the
+    disk cache); a traced cell also captures its events and metrics."""
     scale, cache_dir, request, key = payload
+    traced = getattr(request, "trace_detail", None) is not None
+    kind = TracedFleetRun if traced else FleetSummary
     cache_path = Path(cache_dir) if cache_dir is not None else None
-    cached = disk_load(cache_path, key, FleetSummary.from_dict)
+    cached = disk_load(cache_path, key, kind.from_dict)
     if cached is not None:
         return key, cached.to_dict()
-    summary = simulate_fleet(request.config(scale))
-    disk_store(cache_path, key, summary)
-    return key, summary.to_dict()
+    if traced:
+        simulator = FleetSimulator(request.config(scale))
+        result = TracedFleetRun(
+            simulator.run(),
+            list(simulator.tracer.events),
+            simulator.metrics_payload,
+        )
+    else:
+        result = simulate_fleet(request.config(scale))
+    disk_store(cache_path, key, result)
+    return key, result.to_dict()
 
 
 def _execute_cells(
@@ -246,7 +228,6 @@ def _execute_cells(
     scale: float,
     jobs: int | None,
     cache_dir: str | Path | None,
-    cell_fn=_execute_fleet_cell,
     decode=FleetSummary.from_dict,
 ) -> dict:
     """Run fleet cells as one deduplicated executor batch, by cache key."""
@@ -254,58 +235,35 @@ def _execute_cells(
         scale=scale,
         cache_dir=resolve_cache_dir(cache_dir),
         jobs=jobs,
-        cell_fn=cell_fn,
+        cell_fn=_execute_fleet_cell,
         decode=decode,
     ).execute(requests)
-
-
-def _write_json(payload: dict, path: str | Path | None, default: Path) -> Path:
-    """Persist one results artifact (``path``, else its default location)."""
-    target = Path(path) if path is not None else default
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return target
 
 
 def fleet_grid(
     scenario: str = "rush",
     schedulers: tuple[str, ...] | None = None,
     policies: tuple[str, ...] | None = None,
-    seed: int = 0,
-    scale: float = 0.008,
-    n_jobs: int | None = None,
-    trace: tuple[JobRequest, ...] | None = None,
+    scale: float = DEFAULT_FLEET_SCALE,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    protocols: tuple[str, ...] | None = None,
-    fractions: tuple[float, ...] | None = None,
-    tiers: tuple[WorkerTier, ...] | None = None,
-    validate: bool = False,
+    **cell_fields,
 ) -> dict[tuple[str, str], FleetSummary]:
     """Simulate a scheduler x sync-policy grid for one scenario.
 
-    The grid executes as one deduplicated
+    ``cell_fields`` are further :class:`FleetRunRequest` fields shared by
+    every cell (``seed``, ``n_jobs``, ``trace``; ``protocols``/
+    ``fractions`` pin a fixed N-segment schedule for the Sync-Switch
+    cells; ``tiers`` makes every cell's pool heterogeneous).  The grid
+    executes as one deduplicated
     :class:`~repro.experiments.executor.ParallelExecutor` batch
     (``jobs`` worker processes, atomic shared disk cache), exactly like
-    the figure/table training grids.  ``protocols``/``fractions`` pin a
-    fixed N-segment schedule for the grid's Sync-Switch cells; ``tiers``
-    makes every cell's pool heterogeneous.
+    the figure/table training grids.
     """
     schedulers = schedulers or tuple(sorted(SCHEDULERS))
     policies = policies or SYNC_POLICIES
     requests = [
-        FleetRunRequest(
-            scenario=scenario,
-            scheduler=scheduler,
-            sync_policy=policy,
-            seed=seed,
-            n_jobs=n_jobs,
-            trace=trace,
-            protocols=protocols,
-            fractions=fractions,
-            tiers=tiers,
-            validate=validate,
-        )
+        FleetRunRequest(scenario, scheduler, policy, **cell_fields)
         for scheduler in schedulers
         for policy in policies
     ]
@@ -510,20 +468,22 @@ def run_trace_scale(
 
 
 def trace_scale_payload(
-    summary: FleetSummary,
-    shard_rows: list[dict],
+    result: tuple[FleetSummary, list[dict]],
     scenario: str,
     scheduler: str,
     sync_policy: str,
     scale: float,
     seed: int,
+    **_cells,
 ) -> dict:
-    """The ``results/fleet_trace_scale.json`` payload.
+    """The ``results/fleet_trace_scale.json`` payload of a
+    :func:`run_trace_scale` result.
 
     The merged summary without the per-job record list (thousands of
     rows belong in the cache, not the committed artifact) plus the
     per-tenant-tier aggregates and the per-shard telemetry.
     """
+    summary, shard_rows = result
     headline = summary.to_dict()
     headline.pop("jobs", None)
     tier_rows = headline.pop("tiers", None)
@@ -538,13 +498,6 @@ def trace_scale_payload(
         "tenant_tiers": tier_rows,
         "shards": shard_rows,
     }
-
-
-def write_fleet_trace_scale(
-    payload: dict, path: str | Path | None = None
-) -> Path:
-    """Persist ``results/fleet_trace_scale.json``."""
-    return _write_json(payload, path, DEFAULT_TRACE_SCALE_PATH)
 
 
 def fleet_trace_scale_report(payload: dict) -> Report:
@@ -582,16 +535,7 @@ def fleet_trace_scale_report(payload: dict) -> Report:
             "Datacenter-scale trace on a heterogeneous, sharded pool: "
             "per-tenant-tier and per-shard aggregates"
         ),
-        columns=[
-            "group",
-            "jobs",
-            "completed",
-            "rejected",
-            "mean_jct_s",
-            "p95_jct_s",
-            "makespan_s",
-            "slo_attained",
-        ],
+        columns=list(rows[0]),
         rows=rows,
         notes=[
             f"{summary['n_jobs']} jobs over {payload['n_shards']} pool "
@@ -604,43 +548,6 @@ def fleet_trace_scale_report(payload: dict) -> Report:
             "the summary is bit-identical at any --procs count",
         ],
     )
-
-
-def fleet_trace_scale_artifact(runner: ExperimentRunner) -> Report:
-    """The ``fleet-trace-scale`` entry of the artifact registry.
-
-    Serves :data:`DEFAULT_TRACE_SCALE_JOBS` trace jobs over
-    :data:`DEFAULT_TRACE_SCALE_SHARDS` pool shards at
-    :data:`DEFAULT_FLEET_SCALE` under the SLO scheduler (the trace's
-    prod tier carries deadlines) and refreshes
-    ``results/fleet_trace_scale.json`` — ``python -m repro report
-    fleet-trace-scale`` regenerates the committed artifact exactly.
-    Not prefetchable as training cells.
-    """
-    if runner.is_collecting:
-        raise CollectionComplete
-    summary, shard_rows = run_trace_scale(
-        scenario="trace",
-        scheduler="slo",
-        n_jobs=DEFAULT_TRACE_SCALE_JOBS,
-        shards=DEFAULT_TRACE_SCALE_SHARDS,
-        scale=DEFAULT_FLEET_SCALE,
-        jobs=runner.jobs,
-        cache_dir=runner.cache_dir if runner.cache_dir is not None else "off",
-    )
-    payload = trace_scale_payload(
-        summary,
-        shard_rows,
-        scenario="trace",
-        scheduler="slo",
-        sync_policy="sync-switch",
-        scale=DEFAULT_FLEET_SCALE,
-        seed=0,
-    )
-    target = write_fleet_trace_scale(payload)
-    report = fleet_trace_scale_report(payload)
-    report.notes.append(f"trace-scale artifact refreshed at {target}")
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -671,112 +578,57 @@ class TracedFleetRun:
         return decode(cls, payload, "traced fleet run")
 
 
-@dataclass(frozen=True)
-class _TracedFleetRequest:
-    """Executor wrapper giving traced cells their own cache namespace.
-
-    A traced cell persists a full :class:`TracedFleetRun` payload, so
-    its key must never collide with a plain summary cell even if some
-    caller sets ``trace_detail`` on an untraced grid request.
-    """
-
-    base: FleetRunRequest
-
-    def key(self, scale: float) -> str:
-        return digest_key({"kind": "fleet-trace", "cell": self.base.key(scale)})
-
-    def config(self, scale: float) -> FleetConfig:
-        return self.base.config(scale)
-
-
-def _execute_traced_fleet_cell(payload: tuple) -> tuple[str, dict]:
-    """Pool worker: simulate one traced cell, capturing events + metrics."""
-    scale, cache_dir, request, key = payload
-    cache_path = Path(cache_dir) if cache_dir is not None else None
-    cached = disk_load(cache_path, key, TracedFleetRun.from_dict)
-    if cached is not None:
-        return key, cached.to_dict()
-    simulator = FleetSimulator(request.config(scale))
-    summary = simulator.run()
-    run = TracedFleetRun(
-        summary=summary,
-        events=list(simulator.tracer.events),
-        metrics=simulator.metrics_payload,
-    )
-    disk_store(cache_path, key, run)
-    return key, run.to_dict()
-
-
 def run_traced_fleet(
     scenario: str = "rush",
     scheduler: str = "fifo",
     sync_policy: str = "sync-switch",
-    seed: int = 0,
     scale: float = DEFAULT_FLEET_SCALE,
-    n_jobs: int | None = None,
-    trace: tuple[JobRequest, ...] | None = None,
     trace_detail: str = "job",
-    metrics_interval: float | None = None,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    protocols: tuple[str, ...] | None = None,
-    fractions: tuple[float, ...] | None = None,
-    tune: bool = False,
-    tune_runs: int = 1,
+    **cell_fields,
 ) -> TracedFleetRun:
     """Simulate one fleet cell with the observability layer on.
 
-    Runs through the same :class:`ParallelExecutor` + disk-cache path
-    as :func:`fleet_grid`, so a traced run is cached, resumable, and —
-    because tracing never touches the simulation's clocks or RNG —
-    produces the bit-identical :class:`FleetSummary` the untraced cell
-    would.  The event list is deterministic too: the worker-process
-    count (``jobs``) cannot affect it.
+    ``cell_fields`` are further :class:`FleetRunRequest` fields (``seed``,
+    ``n_jobs``, ``trace``, ``metrics_interval``, ``tune``, ...).  The
+    cell runs through the same :class:`ParallelExecutor` + disk-cache
+    path as :func:`fleet_grid`, so a traced run is cached, resumable,
+    and — because tracing never touches the simulation's clocks or RNG
+    — produces the bit-identical :class:`FleetSummary` the untraced
+    cell would.  The event list is deterministic too: the
+    worker-process count (``jobs``) cannot affect it.
     """
-    request = _TracedFleetRequest(
-        FleetRunRequest(
-            scenario=scenario,
-            scheduler=scheduler,
-            sync_policy=sync_policy,
-            seed=seed,
-            n_jobs=n_jobs,
-            trace=trace,
-            tune=tune,
-            tune_runs=tune_runs,
-            protocols=protocols,
-            fractions=fractions,
-            trace_detail=trace_detail,
-            metrics_interval=metrics_interval,
-        )
+    request = FleetRunRequest(
+        scenario,
+        scheduler,
+        sync_policy,
+        trace_detail=trace_detail,
+        **cell_fields,
     )
     results = _execute_cells(
-        [request],
-        scale,
-        jobs,
-        cache_dir,
-        cell_fn=_execute_traced_fleet_cell,
-        decode=TracedFleetRun.from_dict,
+        [request], scale, jobs, cache_dir, decode=TracedFleetRun.from_dict
     )
     return results[request.key(scale)]
 
 
-def write_fleet_trace_metrics(
+def trace_metrics_payload(
     run: TracedFleetRun,
     scenario: str,
     scheduler: str,
     sync_policy: str,
     scale: float,
     seed: int,
-    path: str | Path | None = None,
-) -> Path:
-    """Persist the ``results/fleet_trace_metrics.json`` artifact.
+    **_cells,
+) -> dict:
+    """The ``results/fleet_trace_metrics.json`` payload of a traced cell.
 
     The artifact is the metrics *timeline* — interval snapshots of the
     fleet gauges/counters plus the final totals — alongside a compact
     census of the trace (event and per-category counts), not the raw
     event list itself (that is what ``fleet --trace PATH`` emits).
     """
-    payload = {
+    return {
         "scenario": scenario,
         "scheduler": scheduler,
         "sync_policy": sync_policy,
@@ -794,7 +646,6 @@ def write_fleet_trace_metrics(
             "staleness_max": run.summary.staleness_max,
         },
     }
-    return _write_json(payload, path, DEFAULT_TRACE_METRICS_PATH)
 
 
 def fleet_trace_report(run: TracedFleetRun, scenario: str) -> Report:
@@ -878,24 +729,7 @@ def fleet_report(
     return Report(
         ident=f"Fleet ({scenario})",
         title=f"Multi-tenant fleet JCT: {description}",
-        columns=[
-            "scheduler",
-            "sync_policy",
-            "mean_jct_s",
-            "p95_jct_s",
-            "queue_delay_s",
-            "makespan_s",
-            "utilization",
-            "imgs_per_s",
-            "stale_p50",
-            "stale_p95",
-            "preempt",
-            "diverged",
-            "search_jobs",
-            "rejected",
-            "degraded",
-            "slo_attained",
-        ],
+        columns=list(rows[0]),
         rows=rows,
         notes=[
             "JCT = arrival to completion, simulated seconds; every job "
@@ -910,14 +744,14 @@ def fleet_report(
     )
 
 
-def write_fleet_summary(
+def summary_payload(
     grid: dict[tuple[str, str], FleetSummary],
     scenario: str,
     scale: float,
     seed: int,
-    path: str | Path | None = None,
-) -> Path:
-    """Persist the grid as the ``results/fleet_summary.json`` artifact."""
+    **_cells,
+) -> dict:
+    """The ``results/fleet_summary.json`` payload of a fleet grid."""
     cells = [
         {
             "scheduler": scheduler,
@@ -946,13 +780,7 @@ def write_fleet_summary(
         }
         for (scheduler, policy), summary in sorted(grid.items())
     ]
-    payload = {
-        "scenario": scenario,
-        "scale": scale,
-        "seed": seed,
-        "cells": cells,
-    }
-    return _write_json(payload, path, DEFAULT_SUMMARY_PATH)
+    return {"scenario": scenario, "scale": scale, "seed": seed, "cells": cells}
 
 
 # ----------------------------------------------------------------------
@@ -1116,6 +944,7 @@ def tuning_summary_payload(
     seeds: int,
     scale: float,
     scheduler: str,
+    **_cells,
 ) -> dict:
     """Fold a tuning grid into the JSON artifact payload.
 
@@ -1170,11 +999,6 @@ def tuning_summary_payload(
         )
         payload["scenarios"][scenario] = entry
     return payload
-
-
-def write_tuning_summary(payload: dict, path: str | Path | None = None) -> Path:
-    """Persist ``results/fleet_tuning_summary.json``."""
-    return _write_json(payload, path, DEFAULT_TUNING_PATH)
 
 
 def fleet_tuning_report(payload: dict) -> Report:
@@ -1239,18 +1063,7 @@ def fleet_tuning_report(payload: dict) -> Report:
             "Amortized in-fleet timing search: all-BSP vs tuned "
             "Sync-Switch streams"
         ),
-        columns=[
-            "scenario",
-            "mode",
-            "schedule",
-            "mean_jct_s",
-            "ci95_s",
-            "speedup_x",
-            "search_s",
-            "amortized_rec",
-            "breakeven_rec",
-            "slo_attained",
-        ],
+        columns=list(rows[0]),
         rows=rows,
         notes=[
             f"{seeds} seed(s) per cell; ci95_s is the Student-t 95% "
@@ -1264,95 +1077,144 @@ def fleet_tuning_report(payload: dict) -> Report:
     )
 
 
-def fleet_tuning_artifact(runner: ExperimentRunner) -> Report:
-    """The ``fleet-search`` entry of the artifact registry.
 
-    Runs the default tuning comparison (recurring + rush scenarios,
-    :data:`DEFAULT_TUNING_SEEDS` seeds) at :data:`DEFAULT_FLEET_SCALE`
-    sharing the runner's cache directory and worker-process count, and
-    refreshes ``results/fleet_tuning_summary.json`` as a side effect —
-    ``python -m repro report fleet-search`` regenerates the committed
-    artifact exactly.  Not prefetchable as training cells.
+
+# ----------------------------------------------------------------------
+# the mode chain: run -> payload -> artifact -> report
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FleetMode:
+    """One fleet output mode: what runs, and how its result is published.
+
+    ``run`` names the module-level function that executes the mode's
+    cells, looked up at call time so a wrapper installed on the module
+    attribute (the perf ledger's spans) sees every call.
+    ``payload(result, **cells)`` folds the result into the JSON
+    artifact (ignoring the run-only keywords) and ``report(payload,
+    result)`` renders it, so the printed report and the artifact come
+    from one fold.  ``artifact`` is the default file under
+    ``results/``; ``noun`` names it in log lines and report notes.
     """
+
+    run: str
+    payload: Callable[..., dict]
+    report: Callable[[dict, Any], Report]
+    artifact: str
+    noun: str
+
+    @property
+    def default_path(self) -> Path:
+        return RESULTS_DIR / self.artifact
+
+
+def run_mode(
+    mode: FleetMode, out: str | Path | None = None, result=None, **cells
+) -> tuple[Any, Report, Path]:
+    """The one fleet driver chain: run, fold, write, render.
+
+    Runs ``mode``'s cells (unless the caller already holds the
+    ``result``), writes the payload to ``out`` (else the mode's
+    ``results/`` file) and returns ``(result, report, written path)``.
+    """
+    if result is None:
+        result = globals()[mode.run](**cells)
+    payload = mode.payload(result, **cells)
+    target = Path(out) if out is not None else mode.default_path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return result, mode.report(payload, result), target
+
+
+#: The four fleet modes, by the artifact each writes.
+MODES = {
+    "grid": FleetMode(
+        "fleet_grid",
+        summary_payload,
+        lambda payload, grid: fleet_report(grid, payload["scenario"]),
+        "fleet_summary.json",
+        "fleet summary",
+    ),
+    "trace-scale": FleetMode(
+        "run_trace_scale",
+        trace_scale_payload,
+        lambda payload, _: fleet_trace_scale_report(payload),
+        "fleet_trace_scale.json",
+        "fleet trace-scale summary",
+    ),
+    "trace-metrics": FleetMode(
+        "run_traced_fleet",
+        trace_metrics_payload,
+        lambda payload, run: fleet_trace_report(run, payload["scenario"]),
+        "fleet_trace_metrics.json",
+        "fleet metrics timeline",
+    ),
+    "tuning": FleetMode(
+        "tuning_grid",
+        tuning_summary_payload,
+        lambda payload, _: fleet_tuning_report(payload),
+        "fleet_tuning_summary.json",
+        "fleet tuning summary",
+    ),
+}
+
+
+def _artifact(mode: str, runner: ExperimentRunner, **cells) -> Report:
+    """A registry entry: ``mode`` at its committed cell, refreshing
+    ``results/``, on the runner's cache and worker count.  Fleet cells
+    are not training cells, so a collect-only runner gets nothing."""
     if runner.is_collecting:
         raise CollectionComplete
-    grid = tuning_grid(
-        scenarios=DEFAULT_TUNING_SCENARIOS,
-        seeds=DEFAULT_TUNING_SEEDS,
-        scale=DEFAULT_FLEET_SCALE,
-        jobs=runner.jobs,
-        cache_dir=runner.cache_dir if runner.cache_dir is not None else "off",
+    cache_dir = runner.cache_dir if runner.cache_dir is not None else "off"
+    _, report, target = run_mode(
+        MODES[mode], jobs=runner.jobs, cache_dir=cache_dir, **cells
     )
-    payload = tuning_summary_payload(
-        grid,
-        DEFAULT_TUNING_SCENARIOS,
-        DEFAULT_TUNING_SEEDS,
-        DEFAULT_FLEET_SCALE,
-        "fifo",
-    )
-    target = write_tuning_summary(payload)
-    report = fleet_tuning_report(payload)
-    report.notes.append(f"tuning summary artifact refreshed at {target}")
+    report.notes.append(f"{MODES[mode].noun} artifact refreshed at {target}")
     return report
 
 
-def fleet_artifact(runner: ExperimentRunner) -> Report:
-    """The ``fleet`` entry of the artifact registry.
+#: ``report fleet``: every scheduler x sync policy on the rush stream,
+#: at the ``fleet`` CLI's default scale, so the two surfaces agree.
+fleet_artifact = partial(
+    _artifact, "grid", scenario="rush", scale=DEFAULT_FLEET_SCALE, seed=0
+)
 
-    Runs the default comparison grid (rush scenario, all schedulers x
-    all sync policies) sharing the runner's cache directory and
-    worker-process count.  Always simulates at
-    :data:`DEFAULT_FLEET_SCALE` — the same scale as the ``fleet`` CLI
-    — so ``report fleet`` matches ``results/fleet_summary.json`` and
-    ``report all`` stays affordable; vary the scale through the
-    ``fleet`` command instead.  Not prefetchable as training cells, so
-    under collect-only mode it contributes nothing to a cross-artifact
-    union batch.
-    """
-    if runner.is_collecting:
-        raise CollectionComplete
-    grid = fleet_grid(
-        scenario="rush",
-        scale=DEFAULT_FLEET_SCALE,
-        jobs=runner.jobs,
-        cache_dir=runner.cache_dir if runner.cache_dir is not None else "off",
-    )
-    report = fleet_report(grid, "rush")
-    report.notes.append(
-        f"fleet cells always run at scale {DEFAULT_FLEET_SCALE:g} (the "
-        "fleet CLI default); use `fleet --scale` to vary it"
-    )
-    return report
+#: ``report fleet-trace-scale``: a 600-job trace slice on 4 shards
+#: under the SLO scheduler (the trace's prod tier carries deadlines).
+fleet_trace_scale_artifact = partial(
+    _artifact,
+    "trace-scale",
+    scenario="trace",
+    scheduler="slo",
+    sync_policy="sync-switch",
+    n_jobs=DEFAULT_TRACE_SCALE_JOBS,
+    shards=DEFAULT_TRACE_SCALE_SHARDS,
+    scale=DEFAULT_FLEET_SCALE,
+    seed=0,
+)
 
+#: ``report fleet-trace``: the metrics timeline of one traced cell at
+#: job detail.  The contended rush stream under FIFO keeps the timeline
+#: readable (one admission wave, clear queue build-up) while
+#: Sync-Switch exercises every span category.
+fleet_trace_artifact = partial(
+    _artifact,
+    "trace-metrics",
+    scenario="rush",
+    scheduler="fifo",
+    sync_policy="sync-switch",
+    scale=DEFAULT_FLEET_SCALE,
+    seed=0,
+)
 
-def fleet_trace_artifact(runner: ExperimentRunner) -> Report:
-    """The ``fleet-trace`` entry of the artifact registry.
-
-    Runs the default traced cell (:data:`DEFAULT_TRACE_CELL`) at
-    :data:`DEFAULT_FLEET_SCALE` with job-level detail and the default
-    metrics interval, then refreshes
-    ``results/fleet_trace_metrics.json`` — the metrics-timeline
-    artifact.  Not prefetchable as training cells.
-    """
-    if runner.is_collecting:
-        raise CollectionComplete
-    scenario, scheduler, sync_policy = DEFAULT_TRACE_CELL
-    run = run_traced_fleet(
-        scenario=scenario,
-        scheduler=scheduler,
-        sync_policy=sync_policy,
-        scale=DEFAULT_FLEET_SCALE,
-        jobs=runner.jobs,
-        cache_dir=runner.cache_dir if runner.cache_dir is not None else "off",
-    )
-    target = write_fleet_trace_metrics(
-        run,
-        scenario=scenario,
-        scheduler=scheduler,
-        sync_policy=sync_policy,
-        scale=DEFAULT_FLEET_SCALE,
-        seed=0,
-    )
-    report = fleet_trace_report(run, scenario)
-    report.notes.append(f"metrics timeline artifact refreshed at {target}")
-    return report
+#: ``report fleet-search``: the amortized tuning comparison over
+#: :data:`DEFAULT_TUNING_SCENARIOS` x :data:`DEFAULT_TUNING_SEEDS`.
+fleet_tuning_artifact = partial(
+    _artifact,
+    "tuning",
+    scenarios=DEFAULT_TUNING_SCENARIOS,
+    seeds=DEFAULT_TUNING_SEEDS,
+    scale=DEFAULT_FLEET_SCALE,
+    scheduler="fifo",
+)

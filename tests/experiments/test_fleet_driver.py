@@ -1,17 +1,19 @@
 """Tests for the fleet scenario driver and its executor integration."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.fleet as fleet_module
 from repro.experiments import ARTIFACTS, ExperimentRunner, prefetch_union
 from repro.experiments.fleet import (
+    MODES,
     FleetRunRequest,
     FleetShardRequest,
     fleet_grid,
     fleet_report,
-    write_fleet_summary,
+    run_mode,
 )
 from repro.fleet import FleetSummary, JobRequest
 
@@ -62,7 +64,7 @@ class TestFleetRunRequest:
 
 
 class TestCacheKeySchema:
-    """Literal digests of the three fleet key payloads.
+    """Literal digests of the fleet key payloads: plain, traced, shard.
 
     The perf ledger's pinned digests hash cache *file names*, so a
     changed key payload (a field added, dropped or renamed) must fail
@@ -74,9 +76,11 @@ class TestCacheKeySchema:
     def test_run_request_key_is_pinned(self):
         assert self.CELL.key(0.002) == "961328679c3fce9ba8d02f17"
 
-    def test_traced_wrapper_key_is_pinned(self):
-        traced = fleet_module._TracedFleetRequest(self.CELL)
-        assert traced.key(0.002) == "011fdec6d51fdf70b74b67bf"
+    def test_traced_key_is_pinned(self):
+        # A cell is traced exactly when trace_detail is set; its key
+        # wraps the plain payload's digest in the "fleet-trace" kind.
+        traced = replace(self.CELL, trace_detail="job")
+        assert traced.key(0.002) == "15c3e06a0cc7c1328e9da11d"
 
     def test_shard_request_key_is_pinned(self):
         shard = FleetShardRequest(
@@ -143,8 +147,13 @@ class TestFleetReportAndArtifact:
 
     def test_write_summary_artifact(self, tiny_grid, tmp_path):
         grid, _ = tiny_grid
-        target = write_fleet_summary(
-            grid, "rush", SCALE, 0, path=tmp_path / "fleet_summary.json"
+        _, _, target = run_mode(
+            MODES["grid"],
+            out=tmp_path / "fleet_summary.json",
+            result=grid,
+            scenario="rush",
+            scale=SCALE,
+            seed=0,
         )
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["scenario"] == "rush"

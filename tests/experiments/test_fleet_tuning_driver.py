@@ -13,11 +13,12 @@ import pytest
 from repro.experiments import ARTIFACTS
 from repro.experiments.fleet import (
     DEFAULT_TUNING_SCENARIOS,
+    MODES,
     confidence_interval95,
     fleet_tuning_report,
+    run_mode,
     tuning_grid,
     tuning_summary_payload,
-    write_tuning_summary,
 )
 from repro.fleet import FLEET_SCENARIOS, FleetSummary, JobRequest
 
@@ -125,8 +126,11 @@ class TestTuningGrid:
 
 class TestTuningSummaryPayload:
     @pytest.fixture(scope="class")
-    def payload(self, tmp_path_factory):
-        grid = small_grid(tmp_path_factory.mktemp("payload"), seeds=2)
+    def grid(self, tmp_path_factory):
+        return small_grid(tmp_path_factory.mktemp("payload"), seeds=2)
+
+    @pytest.fixture(scope="class")
+    def payload(self, grid):
         return tuning_summary_payload(grid, ("trace",), 2, SCALE, "fifo")
 
     def test_shape(self, payload):
@@ -148,8 +152,16 @@ class TestTuningSummaryPayload:
         assert len(row["tuned_percent_per_seed"]) == 2
         assert len(row["breakeven_recurrence_per_seed"]) == 2
 
-    def test_payload_is_json_serializable(self, payload, tmp_path):
-        target = write_tuning_summary(payload, path=tmp_path / "tuning.json")
+    def test_payload_is_json_serializable(self, grid, payload, tmp_path):
+        _, _, target = run_mode(
+            MODES["tuning"],
+            out=tmp_path / "tuning.json",
+            result=grid,
+            scenarios=("trace",),
+            seeds=2,
+            scale=SCALE,
+            scheduler="fifo",
+        )
         loaded = json.loads(target.read_text(encoding="utf-8"))
         assert loaded == json.loads(json.dumps(payload))
 

@@ -263,7 +263,7 @@ def _assert_one_error_line(capsys, message):
     [
         (["--scenario", "surge", "--scale", "5"], "scale must be in (0, 1]"),
         (["--jobs", "0"], "n_jobs must be positive"),
-        (["--procs", "0"], "jobs must be >= 1"),
+        (["--procs", "0"], "--procs must be >= 1"),
         (["--tiers", "fast:3:1.0:1.0"], "tier counts sum to 3"),
         (
             ["--scenario", "trace", "--shards", "3"],
@@ -390,16 +390,17 @@ def test_fleet_hostile_trace_entry_is_a_usage_error(
     assert not out.exists()
 
 
-def test_internal_fleet_error_keeps_its_traceback(monkeypatch):
-    import repro.commands.fleet as fleet_command
+def test_internal_fleet_error_keeps_its_traceback(monkeypatch, tmp_path):
     from repro.errors import FleetError
+    from repro.fleet import FleetSimulator
 
-    def inconsistent(**_kwargs):
+    def inconsistent(self):
         raise FleetError("pool partition violated")
 
-    monkeypatch.setattr(fleet_command, "fleet_grid", inconsistent)
+    monkeypatch.setattr(FleetSimulator, "run", inconsistent)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     with pytest.raises(FleetError):
-        main(["--quiet", "fleet"])
+        main(["--quiet", "fleet", "--out", str(tmp_path / "summary.json")])
 
 
 def test_fleet_policy_store_requires_single_scheduler(capsys):
@@ -699,6 +700,7 @@ CONFLICT_ARGV = {
     "tune-with-policy": ["--tune", "--policy", "bsp"],
     "tune-with-seed": ["--tune", "--seed", "7"],
     "tune-seeds-below-one": ["--tune", "--seeds", "0"],
+    "procs-below-one": ["--procs", "0"],
 }
 
 
