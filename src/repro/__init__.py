@@ -20,7 +20,7 @@ It is organised in four layers:
     The paper's contribution: protocol / timing / configuration /
     straggler policies, the offline binary-search timing algorithm, the
     search-cost simulator, and the Sync-Switch runtime (profiler,
-    straggler detector, checkpointing, actuators, controller).
+    straggler detector, plan runner, controller).
 
 ``repro.experiments``
     The evaluation harness: the three experiment setups of Table I and

@@ -32,7 +32,6 @@ def configure(parser) -> None:
 
 def run(args) -> int:
     setup = SETUPS[args.setup]
-    runner = ExperimentRunner(scale=args.scale, seeds=args.runs, jobs=args.jobs)
 
     def trial(
         protocols: tuple[str, ...], fractions: tuple[float, ...],
@@ -59,6 +58,10 @@ def run(args) -> int:
             max_settings=setup.search_max_settings,
             runs_per_setting=args.runs,
             bsp_runs=args.runs,
+        )
+        # After the config: it names a bad --runs in its own terms.
+        runner = ExperimentRunner(
+            scale=args.scale, seeds=args.runs, jobs=args.jobs
         )
         sequences = (
             tuple(parse_protocols(value) for value in args.protocols)

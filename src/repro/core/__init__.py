@@ -6,7 +6,6 @@
 
 ``repro.core.runtime``
     The system half of Fig. 9: profiler, straggler detector,
-    checkpoint store, configuration actuators, per-node hook manager,
     the :class:`~repro.core.runtime.elastic.ElasticTrainingRun` that
     ties policies to the execution substrate and the one-shot
     :class:`~repro.core.runtime.controller.SyncSwitchController` around it.
@@ -20,18 +19,14 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "CheckpointStore",
     "ConfigurationPolicy",
     "ElasticPolicy",
     "GreedyPolicy",
-    "HookManager",
     "OfflineTimingSearch",
-    "ParallelActuator",
     "PolicyManager",
     "ProtocolPolicy",
     "SearchCostSimulator",
     "SearchSetting",
-    "SequentialActuator",
     "StragglerDetector",
     "SyncSwitchController",
     "ThroughputProfiler",
@@ -50,10 +45,6 @@ __getattr__, __dir__ = lazy_exports(
             "TimingPolicy",
         ),
         "repro.core.runtime": (
-            "CheckpointStore",
-            "HookManager",
-            "ParallelActuator",
-            "SequentialActuator",
             "StragglerDetector",
             "SyncSwitchController",
             "ThroughputProfiler",

@@ -1,16 +1,10 @@
-"""Sync-Switch runtime: profiler, detector, checkpoints, actuators, hooks."""
+"""Sync-Switch runtime: profiler, detector and the plan runner."""
 
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointStore",
     "ElasticTrainingRun",
-    "HookManager",
     "JobResult",
-    "NodeHook",
-    "ParallelActuator",
-    "SequentialActuator",
     "StragglerDetector",
     "SyncSwitchController",
     "ThroughputProfiler",
@@ -19,15 +13,9 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.core.runtime.actuator": (
-            "ParallelActuator",
-            "SequentialActuator",
-        ),
-        "repro.core.runtime.checkpoint": ("Checkpoint", "CheckpointStore"),
         "repro.core.runtime.controller": ("JobResult", "SyncSwitchController"),
         "repro.core.runtime.detector": ("StragglerDetector",),
         "repro.core.runtime.elastic": ("ElasticTrainingRun",),
-        "repro.core.runtime.hooks": ("HookManager", "NodeHook"),
         "repro.core.runtime.profiler": ("ThroughputProfiler",),
     },
 )

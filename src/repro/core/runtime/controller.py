@@ -5,8 +5,8 @@ the paper's standalone cluster manager plus its in-framework hooks
 (Fig. 9).  Given a job, a cluster and a :class:`PolicyManager`, it runs
 the job to completion through the plan runner,
 :class:`~repro.core.runtime.elastic.ElasticTrainingRun` — the offline
-plan, the online straggler policies, every protocol switch through
-checkpoint -> actuate -> restore — and returns a :class:`JobResult`
+plan, the online straggler policies, every protocol switch charged at
+its calibrated Table III cost — and returns a :class:`JobResult`
 combining the training outcome with the intervention log.
 """
 

@@ -2,9 +2,11 @@
 
 :class:`ElasticTrainingRun` is the only code that walks a policy plan.
 It executes the plan segment by segment, entering every later segment
-through the paper's switch mechanism (Section V: checkpoint -> actuate
--> restore, charging the calibrated overhead), and exposes the
-execution as a *resumable* state machine:
+through a protocol switch.  A switch is what the paper measures of its
+checkpoint -> actuate -> restart mechanism (Section V): the calibrated
+Table III cost from :class:`~repro.distsim.overheads.ProvisioningModel`,
+charged to the job's clock.  The execution is a *resumable* state
+machine:
 
 * :meth:`run_to_tail` runs the precise phase and the protocol switch,
   then pauses at the asynchronous-tail boundary.  The paused run holds
@@ -15,10 +17,8 @@ execution as a *resumable* state machine:
   pause is always a consistent event boundary with no in-flight
   state — the batcher rewinds eager draws, snapshots are released).
 * :meth:`resize` elastically shrinks or regrows the active worker set
-  at the pause instant, mirroring the real system's
-  checkpoint -> reconfigure -> restart flow through
-  :class:`~repro.core.runtime.checkpoint.CheckpointStore` and charging
-  the calibrated evict/restore reconfiguration overhead.  The external
+  at the pause instant, charging the calibrated evict/restore
+  reconfiguration overhead to the job's clock.  The external
   contention schedule may be re-sliced at the same instant (the job's
   own ambient noise is preserved and re-merged).
 * :meth:`project` predicts the completion on the current worker set
@@ -50,15 +50,13 @@ from typing import NamedTuple
 
 from repro.core.policies.manager import PolicyManager
 from repro.core.policies.straggler import GreedyPolicy, StragglerPolicy
-from repro.core.runtime.actuator import ParallelActuator
-from repro.core.runtime.checkpoint import CheckpointStore
 from repro.core.runtime.detector import StragglerDetector
-from repro.core.runtime.hooks import HookManager
 from repro.core.runtime.profiler import ThroughputProfiler
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous
 from repro.distsim.job import JobConfig, Segment
 from repro.distsim.numerics_free import numerics_free
+from repro.distsim.overheads import ProvisioningModel
 from repro.distsim.stragglers import StragglerSchedule
 from repro.distsim.result import TrainingResult
 from repro.distsim.trainer import DistributedTrainer
@@ -105,19 +103,19 @@ class ElasticTrainingRun:
         self.cluster_spec = cluster_spec
         self.policies = policies
         self.cluster = Cluster(cluster_spec)
-        # The switch mechanism: the parallel actuator, the node hooks
-        # it drives and the checkpoints a switch or resize restarts from.
-        self.actuator = ParallelActuator(
-            time_scale=overhead_time_scale, bandwidth_factor=overhead_bandwidth
+        # What a switch or resize costs: the parallel actuator's
+        # calibrated Table III seconds.
+        self.provisioning = ProvisioningModel(
+            parallel=True,
+            time_scale=overhead_time_scale,
+            bandwidth_factor=overhead_bandwidth,
         )
-        self.hooks = HookManager(cluster_spec.n_workers)
-        self.checkpoints = CheckpointStore()
         self.trainer = DistributedTrainer(
             job,
             self.cluster,
             stragglers=stragglers,
             ambient_noise=ambient_noise,
-            provisioning=self.actuator.provisioning,
+            provisioning=self.provisioning,
             tracer=tracer,
         )
         self.session = self.trainer.new_session()
@@ -269,7 +267,6 @@ class ElasticTrainingRun:
                 segment,
                 target - session.step,
                 stop=stop,
-                charge_switch=False,
             )
             if session.step < target:
                 return False
@@ -281,23 +278,14 @@ class ElasticTrainingRun:
         return True
 
     def _switch(self, segment: Segment) -> None:
-        """Checkpoint -> actuate -> restore; the caller then runs
+        """Charge one protocol switch; the caller then runs
         ``segment``'s engine."""
-        session = self.session
-        checkpoint = self.checkpoints.save(session, tag=f"pre-{segment.protocol}")
-        seconds = self.actuator.actuate_switch(
-            self.hooks,
-            segment.protocol,
-            {
-                key: value
-                for key, value in segment.options.items()
-                if isinstance(value, (int, float, str))
-            },
-        )
         self.trainer.charge_overhead(
-            session, "switch", seconds, {"to": segment.protocol}
+            self.session,
+            "switch",
+            self.provisioning.switch_time(self.cluster_spec.n_workers),
+            {"to": segment.protocol},
         )
-        self.checkpoints.restore(session, checkpoint)
 
     # ------------------------------------------------------------------
     # online straggler policies (stage 0)
@@ -348,7 +336,6 @@ class ElasticTrainingRun:
                 precise,
                 budget - done,
                 stop=self._detection_stop(profiler, detector),
-                charge_switch=False,
             )
             done += session.step - start
             if reason == "completed" or done >= budget:
@@ -375,7 +362,7 @@ class ElasticTrainingRun:
         remaining = self.job.total_steps - session.step
         if remaining <= 0:
             # Already at the step budget: switching protocols now would
-            # charge a pointless checkpoint->actuate->restore overhead.
+            # charge a pointless switch overhead.
             return True
         self._log_intervention("greedy-switch-to-asp", {"flagged": flagged})
         self._switch(fast)
@@ -386,7 +373,6 @@ class ElasticTrainingRun:
             fast,
             remaining,
             stop=self._clearance_stop(profiler, detector),
-            charge_switch=False,
         )
         if reason == "completed":
             return True
@@ -475,12 +461,11 @@ class ElasticTrainingRun:
 
     def _charge_resize(self, kind: str) -> None:
         """Charge one elastic ``"evict"`` or ``"restore"`` reconfiguration."""
-        provisioning = self.actuator.provisioning
         n_workers = self.cluster_spec.n_workers
         seconds = (
-            provisioning.evict_time(n_workers)
+            self.provisioning.evict_time(n_workers)
             if kind == "evict"
-            else provisioning.restore_time(n_workers)
+            else self.provisioning.restore_time(n_workers)
         )
         self.trainer.charge_overhead(self.session, kind, seconds)
 
@@ -502,9 +487,9 @@ class ElasticTrainingRun:
         caller for the new physical mapping); the job's own ambient
         noise is re-merged unchanged.
 
-        Models the real reconfiguration: checkpoint, resize + re-slice,
-        restart from the checkpoint, with the calibrated evict/restore
-        overhead charged to the job's clock.
+        The reconfiguration is its calibrated evict/restore overhead,
+        charged to the job's clock; parameters, optimizer state and the
+        step counter carry over unchanged.
         """
         if self._finished:
             raise ConfigurationError("cannot resize a finished run")
@@ -516,8 +501,6 @@ class ElasticTrainingRun:
         current = self.cluster.n_active
         if n_active == current and contention is None:
             return
-        checkpoints = self.checkpoints
-        checkpoint = checkpoints.save(self.session, tag=f"resize-{n_active}")
         while self.cluster.n_active > n_active:
             self.cluster.evict(max(self.cluster.active_workers))
         while self.cluster.n_active < n_active:
@@ -529,7 +512,6 @@ class ElasticTrainingRun:
             self.set_contention(contention)
         if n_active != current:
             self._charge_resize("evict" if n_active < current else "restore")
-        checkpoints.restore(self.session, checkpoint)
 
     def set_contention(self, contention: StragglerSchedule | None) -> None:
         """Replace the external straggler slice (ambient re-merged)."""
@@ -552,8 +534,8 @@ class ElasticTrainingRun:
     # ------------------------------------------------------------------
     def _copy_memo(self) -> dict[int, object]:
         """Deep-copy memo sharing the immutable substrate (job, model,
-        dataset, timing, straggler schedules, policies, plan) and
-        starting the copy untraced with an empty checkpoint store."""
+        dataset, timing, provisioning, straggler schedules, policies,
+        plan) and starting the copy untraced."""
         memo: dict[int, object] = {}
         for shared in (
             self.job,
@@ -562,6 +544,7 @@ class ElasticTrainingRun:
             self.trainer.model,
             self.trainer.dataset,
             self.trainer.timing,
+            self.provisioning,
         ):
             memo[id(shared)] = shared
         for schedule in (
@@ -571,11 +554,6 @@ class ElasticTrainingRun:
         ):
             if schedule is not None:
                 memo[id(schedule)] = schedule
-        # Past checkpoints hold full parameter snapshots a copy never
-        # restores; it starts with an empty store instead of
-        # duplicating up to keep_last of them.
-        checkpoints = self.checkpoints
-        memo[id(checkpoints)] = CheckpointStore(keep_last=checkpoints.keep_last)
         # Copies are speculative: they start untraced.
         memo[id(self.trainer.tracer)] = NULL_TRACER
         memo[id(self.session.tracer)] = NULL_TRACER
@@ -584,7 +562,7 @@ class ElasticTrainingRun:
     def fork(self) -> "ElasticTrainingRun":
         """Exact independent copy.
 
-        Mutable state — session, cluster, checkpoints, stage cursor —
+        Mutable state — session, cluster, stage cursor —
         is deep-copied at its exact position; the immutable substrate
         is shared.  The copy continues bit-identically to what this run
         would have done.

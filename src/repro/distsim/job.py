@@ -68,6 +68,8 @@ class JobConfig:
             raise ConfigurationError("momentum must be in [0, 1)")
         if self.eval_every <= 0 or self.loss_log_every <= 0:
             raise ConfigurationError("logging cadences must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def with_seed(self, seed: int) -> "JobConfig":
         """Copy of this job with a different seed (repeated runs)."""

@@ -63,12 +63,6 @@ class NullParameterServer:
     def staleness(self, pulled_version: int) -> int:
         return self.version - pulled_version
 
-    def state(self) -> dict:
-        return {"version": self.version}
-
-    def load_state(self, state: dict) -> None:
-        self.version = int(state["version"])
-
 
 class _NullBatcher:
     """The push loop's gradient source, computing nothing."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 
@@ -48,17 +49,17 @@ class ProvisioningModel:
     time_scale: float = 1.0
     bandwidth_factor: float = 1.0
     # Sequential costs: affine in n (fit to Table III).
-    seq_init_base: float = 46.0
-    seq_init_per_worker: float = 13.9
-    seq_switch_base: float = 15.0
-    seq_switch_per_worker: float = 9.4
+    seq_init_base: ClassVar[float] = 46.0
+    seq_init_per_worker: ClassVar[float] = 13.9
+    seq_switch_base: ClassVar[float] = 15.0
+    seq_switch_per_worker: ClassVar[float] = 9.4
     # Parallel costs: affine in log2(n/8) (fit to Table III).
-    par_init_at8: float = 90.0
-    par_init_per_doubling: float = 38.0
-    par_switch_at8: float = 36.0
-    par_switch_per_doubling: float = 17.0
+    par_init_at8: ClassVar[float] = 90.0
+    par_init_per_doubling: ClassVar[float] = 38.0
+    par_switch_at8: ClassVar[float] = 36.0
+    par_switch_per_doubling: ClassVar[float] = 17.0
     # Elastic policy reconfigurations are partial switches.
-    resize_fraction: float = 0.5
+    resize_fraction: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if self.bandwidth_factor <= 0.0:

@@ -2,9 +2,9 @@
 
 This is the substrate equivalent of a TensorFlow training job plus the
 parts of Sync-Switch's runtime that live next to the framework: it
-sequences protocol segments, charges checkpoint/restart overhead at
-every protocol switch (Section V), detects divergence, and assembles
-the final :class:`~repro.distsim.result.TrainingResult`.
+sequences protocol segments, charges the calibrated switch overhead
+(Section V, Table III) at every protocol switch, detects divergence,
+and assembles the final :class:`~repro.distsim.result.TrainingResult`.
 
 Policy *decisions* (which plan, when to react to stragglers) live in
 :mod:`repro.core`; this module only executes them.
@@ -87,28 +87,30 @@ class DistributedTrainer:
         session.tracer = self.tracer
         return session
 
-    def run(
-        self,
-        plan: TrainingPlan,
-        stop: StopCondition | None = None,
-        session: TrainingSession | None = None,
-    ) -> TrainingResult:
-        """Execute ``plan`` to completion (or divergence).
+    def run(self, plan: TrainingPlan) -> TrainingResult:
+        """Execute ``plan`` to completion (or divergence) in a fresh
+        session, charging a switch whenever a segment's protocol
+        differs from the last executed one.
 
-        ``stop`` is an optional per-update hook; when it fires the
-        current segment ends early and the remaining budget continues
-        with the next segment (the plan runner,
+        The plan runner,
         :class:`~repro.core.runtime.elastic.ElasticTrainingRun`, builds
-        the Sync-Switch job on :meth:`run_segment` instead).
+        the Sync-Switch job on :meth:`run_segment` instead.
         """
-        session = session or self.new_session()
+        session = self.new_session()
+        previous = None
         try:
             targets = plan.step_targets(self.job.total_steps)
             for segment, target in zip(plan.segments, targets):
                 steps = target - session.step
                 if steps <= 0:
                     continue
-                self.run_segment(session, segment, steps, stop=stop)
+                if previous is not None and previous != segment.protocol:
+                    seconds = self.provisioning.switch_time(
+                        self.cluster.spec.n_workers
+                    )
+                    self.charge_overhead(session, "switch", seconds)
+                previous = segment.protocol
+                self.run_segment(session, segment, steps)
         except DivergenceError:
             pass
         return self.finalize(session, plan)
@@ -119,23 +121,11 @@ class DistributedTrainer:
         segment: Segment,
         steps: int,
         stop: StopCondition | None = None,
-        charge_switch: bool | None = None,
     ) -> str:
         """Run one protocol segment for up to ``steps`` steps.
 
-        Charges switch overhead when the protocol changes relative to
-        the previously executed segment (override with
-        ``charge_switch``).
+        Charges nothing: the caller pays any protocol switch first.
         """
-        previous = session.telemetry.segments[-1].protocol if (
-            session.telemetry.segments
-        ) else None
-        if charge_switch is None:
-            charge_switch = previous is not None and previous != segment.protocol
-        if charge_switch:
-            # Checkpoint + reconfigure + restart cost of a protocol switch.
-            seconds = self.provisioning.switch_time(self.cluster.spec.n_workers)
-            self.charge_overhead(session, "switch", seconds)
         tracer = self.tracer
         cursor = len(session.telemetry.worker_durations) if tracer.enabled else 0
         session.telemetry.open_segment(

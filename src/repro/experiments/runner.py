@@ -88,6 +88,8 @@ class ExperimentRunner:
     ):
         self.scale = scale if scale is not None else default_scale()
         self.n_seeds = seeds if seeds is not None else default_seeds()
+        if self.n_seeds < 1:
+            raise ConfigurationError("--seeds must be >= 1")
         self.jobs = resolve_jobs(jobs)
         self._memory: dict[str, TrainingResult] = {}
         self._cache_dir = resolve_cache_dir(cache_dir)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.runtime import ParallelActuator, SequentialActuator
+from repro.distsim.overheads import ProvisioningModel
 from repro.experiments.aggregate import (
     accuracy_stats,
     divergence_rate,
@@ -111,12 +111,10 @@ def table_3(runner: ExperimentRunner) -> Report:
     """
     rows = []
     for n_workers in (8, 16):
-        for actuator, label in (
-            (SequentialActuator(), "Sequential"),
-            (ParallelActuator(), "Parallel (Ours)"),
-        ):
-            init = actuator.init_time(n_workers)
-            switch = actuator.switch_time(n_workers)
+        for parallel, label in ((False, "Sequential"), (True, "Parallel (Ours)")):
+            model = ProvisioningModel(parallel=parallel)
+            init = model.init_time(n_workers)
+            switch = model.switch_time(n_workers)
             rows.append(
                 {
                     "cluster": f"{n_workers} K80",

@@ -213,10 +213,10 @@ class RunningJob:
         The live run first trains up to this instant, then the workers
         change hands with ``pool`` and the run is resized on the slice
         of ``contention`` its new physical mapping sees.  Each resize
-        charges its own reconfiguration overhead — two same-pass
-        shrinks are two real checkpoint→reconfigure→restart cycles —
-        but the completion is re-projected by the caller, once per
-        scheduling pass (:meth:`reproject`).
+        charges its own calibrated Table III reconfiguration cost to
+        the job's clock — two same-pass shrinks pay it twice — but the
+        completion is re-projected by the caller, once per scheduling
+        pass (:meth:`reproject`).
 
         Returns whether the resize affected the job's timeline.  The
         pool always changes hands, but when the run completes inside

@@ -7,7 +7,9 @@ The independent reference for the plan runner
 segment (paper Section V): every segment after the first is entered
 through a switch — checkpoint, the parallel actuator's calibrated cost
 from :class:`~repro.distsim.overheads.ProvisioningModel`, restore —
-and then trains up to its step target.  Online straggler policies,
+and then trains up to its step target.  The plan runner charges the
+cost alone, so parity with this transcription also shows that the
+checkpoint round trip changes no number.  Online straggler policies,
 pauses and resizes are out of its scope.
 """
 
@@ -64,9 +66,7 @@ def reference_run(
             # The first segment always opens, even for a zero-step
             # budget; later ones train only while steps remain.
             if index == 0 or session.step < target:
-                trainer.run_segment(
-                    session, segment, target - session.step, charge_switch=False
-                )
+                trainer.run_segment(session, segment, target - session.step)
     except DivergenceError:
         pass
     return trainer.finalize(session, plan)

@@ -190,9 +190,7 @@ class TestGreedyPolicy:
         session = run.session
         bsp = Segment("bsp", 0.5)
         asp = Segment("asp", 0.5)
-        run.trainer.run_segment(
-            session, bsp, run.job.total_steps, charge_switch=False
-        )
+        run.trainer.run_segment(session, bsp, run.job.total_steps)
         assert session.step >= run.job.total_steps
         overhead_before = session.telemetry.total_overhead
         finished = run._greedy_interlude(

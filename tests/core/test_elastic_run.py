@@ -2,8 +2,11 @@
 
 Covers pause/resume parity with the one-shot job (the plain
 per-segment transcription in ``reference_controller.py``, which shares
-no code with the runner), and the elastic shrink -> resume -> restore
-round-trip at the engine level for both ASP and DSSP tails.
+no code with the runner), the elastic shrink -> resume -> restore
+round-trip at the engine level for both ASP and DSSP tails, the
+Table III cost a switch or resize charges to the clock, and
+metamorphic relations over pause, fork and resize that read no golden
+hash (so they also run under ``REPRO_GOLDEN_SKIP``).
 """
 
 import math
@@ -34,13 +37,15 @@ def make_policies(fraction: float, second: str = "asp") -> PolicyManager:
     )
 
 
-def make_run(fraction=0.0625, second="asp", n_workers=8, seed=11):
+def make_run(
+    fraction=0.0625, second="asp", n_workers=8, seed=11, overhead_time_scale=SCALE
+):
     job = scaled_job(SETUPS[1], SCALE, seed)
     return job, ElasticTrainingRun(
         job=job,
         cluster_spec=ClusterSpec(n_workers=n_workers),
         policies=make_policies(fraction, second),
-        overhead_time_scale=SCALE,
+        overhead_time_scale=overhead_time_scale,
     )
 
 
@@ -117,8 +122,8 @@ class TestPauseResume:
         the continuous projection — that is what makes the fleet's
         "projection schedules the finish event, live run replays it to
         the next allocation change" protocol consistent.  (Continuing
-        *past* a pause is a checkpoint restart — workers re-pull — so
-        only the prefix is comparable.)
+        *past* a pause restarts the engine — workers re-pull — so only
+        the prefix is comparable.)
         """
         _, run = make_run()
         run.run_to_tail()
@@ -230,3 +235,118 @@ class TestElasticRoundTrip:
         assert run.advance_to(math.inf) == "finished"
         assert run.finished
         assert run.result().completed_steps == job.total_steps
+
+
+class TestReconfigurationCost:
+    """A switch or resize is its calibrated Table III cost (parallel
+    actuation) charged to the job's clock, and nothing else."""
+
+    @pytest.mark.parametrize("n_workers, table_3", [(8, 36.0), (16, 53.0)])
+    def test_switch_charges_its_table_3_cost(self, n_workers, table_3):
+        _, run = make_run(n_workers=n_workers)
+        assert run.run_to_tail() == "paused"
+        [(time, kind, seconds)] = run.session.telemetry.overheads
+        assert kind == "switch"
+        assert time == run.now
+        assert seconds == run.provisioning.switch_time(n_workers)
+        assert seconds == pytest.approx(table_3 * SCALE)
+
+    def test_overhead_time_scale_scales_the_switch(self):
+        _, run = make_run(overhead_time_scale=0.1)
+        run.run_to_completion()
+        [(_, kind, seconds)] = run.session.telemetry.overheads
+        assert kind == "switch"
+        assert seconds == pytest.approx(3.6)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_single_protocol_plan_charges_no_switch(self, fraction):
+        _, run = make_run(fraction=fraction)
+        run.run_to_completion()
+        assert run.session.telemetry.overheads == []
+
+    def test_resize_charges_evict_and_restore(self):
+        """Shrink and regrow each cost half a switch; a resize to the
+        current allocation costs nothing."""
+        _, run = make_run()
+        run.run_to_tail()
+        run.advance_to(run.now + 0.5)
+        run.resize(3)
+        run.resize(3)
+        run.advance_to(run.now + 0.5)
+        run.resize(8)
+        kinds = [kind for _, kind, _ in run.session.telemetry.overheads]
+        assert kinds == ["switch", "evict", "restore"]
+        [_, evict, restore] = [
+            seconds for _, _, seconds in run.session.telemetry.overheads
+        ]
+        assert evict == run.provisioning.evict_time(8)
+        assert restore == run.provisioning.restore_time(8)
+        assert evict == pytest.approx(18.0 * SCALE)
+        assert restore == pytest.approx(18.0 * SCALE)
+
+
+def ended(run) -> tuple:
+    """Everything a finished run reports: its result and completion."""
+    return run.result().to_dict(), run.completion()
+
+
+def checkpointed_resize(run, n_active) -> None:
+    """A resize wrapped in the real system's checkpoint -> restart: the
+    parameter server's state and the step counter are saved before the
+    reconfiguration and loaded back after it."""
+    session = run.session
+    state, step = session.ps.state(), session.step
+    run.resize(n_active)
+    session.ps.load_state(state)
+    session.step = step
+
+
+class TestMetamorphic:
+    """Relations between runs that must end bit-identically."""
+
+    @pytest.mark.parametrize("second", ["asp", "ssp"])
+    def test_resize_to_current_allocation_is_a_no_op(self, second):
+        def drive(resize):
+            _, run = make_run(second=second, seed=5)
+            assert run.run_to_tail() == "paused"
+            run.advance_to(run.now + 0.5)
+            run.resize(4)
+            assert run.advance_to(run.now + 0.5) == "paused"
+            if resize:
+                run.resize(run.n_active)
+            run.run_to_completion()
+            return ended(run)
+
+        assert drive(resize=True) == drive(resize=False)
+
+    @pytest.mark.parametrize("second", ["asp", "ssp"])
+    def test_fork_then_advance_equals_advance(self, second):
+        _, run = make_run(second=second, seed=6)
+        assert run.run_to_tail() == "paused"
+        assert run.advance_to(run.now + 0.25) == "paused"
+        target = run.now + 0.75
+        copy = run.fork()
+        copy.advance_to(target)
+        copy.run_to_completion()
+        run.advance_to(target)
+        run.run_to_completion()
+        assert ended(copy) == ended(run)
+
+    @pytest.mark.parametrize("second", ["asp", "ssp"])
+    def test_checkpoint_round_trip_around_resize_is_a_no_op(self, second):
+        """Shrink and regrow with and without a save -> load round trip
+        of the parameter server around each resize."""
+
+        def drive(resize):
+            _, run = make_run(second=second, seed=7)
+            assert run.run_to_tail() == "paused"
+            run.advance_to(run.now + 0.5)
+            resize(run, 3)
+            assert run.advance_to(run.now + 0.5) == "paused"
+            resize(run, 8)
+            run.run_to_completion()
+            return ended(run)
+
+        bare = drive(lambda run, n_active: run.resize(n_active))
+        assert drive(checkpointed_resize) == bare
+        assert bare[0]["total_overhead"] > 0

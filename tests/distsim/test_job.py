@@ -39,6 +39,8 @@ class TestJobConfig:
             job(momentum=1.0)
         with pytest.raises(ConfigurationError):
             job(eval_every=0)
+        with pytest.raises(ConfigurationError):
+            job(seed=-1)
 
 
 class TestSegment:

@@ -303,6 +303,38 @@ def test_search_bad_number_is_a_usage_error(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "fig5b", "--seeds", "0"], "--seeds must be >= 1"),
+        (["report", "fig5b", "--seeds", "-1"], "--seeds must be >= 1"),
+        (["report", "tab1", "--seeds", "0"], "--seeds must be >= 1"),
+        (["run", "--setup", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["fig5b-zero", "fig5b-negative", "tab1-zero", "run-negative-seed"],
+)
+def test_bad_seed_flag_is_a_usage_error(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    """No seed count below one renders an empty table, and no negative
+    job seed reaches numpy's generator."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["--quiet", *argv, "--scale", "0.008"]) == 2
+    _assert_one_error_line(capsys, message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fleet_negative_seed_is_valid(tmp_path, monkeypatch):
+    """A fleet seed only roots child seeds, so any integer is valid."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    out_path = tmp_path / "fleet_summary.json"
+    assert main(["--quiet", "fleet", "--scenario", "surge", "--jobs", "2",
+                 "--scheduler", "fifo", "--policy", "sync-switch",
+                 "--scale", "0.008", "--seed", "-3",
+                 "--out", str(out_path)]) == 0
+    assert out_path.exists()
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (None, ": expected a readable JSON file, got FileNotFoundError("),
