@@ -23,7 +23,8 @@ from repro.experiments.fleet import (
     run_traced_fleet,
 )
 from repro.experiments.reporting import render_report
-from repro.fleet.fleet_sim import FleetSimulator
+from repro.experiments.setups import check_scale
+from repro.fleet.fleet_sim import FleetSimulator, check_stream_schedule
 from repro.fleet.policy_store import PolicyStore
 from repro.fleet.scheduler import SCHEDULERS
 from repro.fleet.workload import (
@@ -360,6 +361,7 @@ def run(args) -> int:
             traces = ", ".join(sorted(TRACE_SCENARIOS))
             LOG.error("%s", message.format(args=args, traces=traces))
             return 2
+    check_scale(args.scale)
     protocols = parse_protocols(args.protocols) if args.protocols else None
     try:
         fractions = (
@@ -371,6 +373,9 @@ def run(args) -> int:
             "(e.g. 0.4,0.3,0.3)"
         )
         return 2
+    if protocols:
+        # The stream's own rules, once, before any cell is dispatched.
+        check_stream_schedule(protocols, fractions)
     tiers = None
     if args.tiers is not None:
         try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setups import SETUPS
 
@@ -24,6 +25,10 @@ def configure(parser) -> None:
 def run(args) -> int:
     setup = SETUPS[args.setup]
     percent = args.percent if args.percent is not None else setup.policy_percent
+    if not 0.0 <= percent <= 100.0:
+        raise ConfigurationError(
+            f"--percent must be in [0, 100], got {percent:g}"
+        )
     runner = ExperimentRunner(scale=args.scale, seeds=1)
     spec: dict = {"kind": "switch", "percent": percent}
     if args.online:

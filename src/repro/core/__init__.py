@@ -24,7 +24,7 @@ __all__ = [
     "GreedyPolicy",
     "OfflineTimingSearch",
     "PolicyManager",
-    "ProtocolPolicy",
+    "ProtocolSchedule",
     "SearchCostSimulator",
     "SearchSetting",
     "StragglerDetector",
@@ -41,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(
             "ElasticPolicy",
             "GreedyPolicy",
             "PolicyManager",
-            "ProtocolPolicy",
+            "ProtocolSchedule",
             "TimingPolicy",
         ),
         "repro.core.runtime": (

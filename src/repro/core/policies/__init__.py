@@ -9,7 +9,6 @@ __all__ = [
     "ElasticPolicy",
     "GreedyPolicy",
     "PolicyManager",
-    "ProtocolPolicy",
     "ProtocolSchedule",
     "StragglerPolicy",
     "TimingPolicy",
@@ -23,7 +22,7 @@ __getattr__, __dir__ = lazy_exports(
             "MOMENTUM_MODES",
         ),
         "repro.core.policies.manager": ("PolicyManager",),
-        "repro.core.policies.protocol": ("ProtocolPolicy", "ProtocolSchedule"),
+        "repro.core.policies.protocol": ("ProtocolSchedule",),
         "repro.core.policies.straggler": (
             "BaselinePolicy",
             "ElasticPolicy",

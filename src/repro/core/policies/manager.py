@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.policies.config import ConfigurationPolicy
-from repro.core.policies.protocol import ProtocolPolicy, ProtocolSchedule
+from repro.core.policies.protocol import ProtocolSchedule
 from repro.core.policies.straggler import StragglerPolicy
 from repro.core.policies.timing import TimingPolicy
 from repro.distsim.job import JobConfig, TrainingPlan
@@ -23,16 +23,13 @@ __all__ = ["PolicyManager"]
 class PolicyManager:
     """The complete policy set for one training job.
 
-    ``protocol`` is either the paper's two-protocol
-    :class:`ProtocolPolicy` or an N-protocol
-    :class:`ProtocolSchedule`; both expose ``.protocols`` and pair
-    with the matching :class:`TimingPolicy` shape.
+    ``protocol`` and ``timing`` are aligned: one fraction of the step
+    budget per scheduled protocol (the default schedule is the paper's
+    BSP -> ASP pair).
     """
 
     timing: TimingPolicy
-    protocol: ProtocolPolicy | ProtocolSchedule = field(
-        default_factory=ProtocolPolicy
-    )
+    protocol: ProtocolSchedule = field(default_factory=ProtocolSchedule)
     config: ConfigurationPolicy = field(default_factory=ConfigurationPolicy)
     straggler: StragglerPolicy | None = None
 
@@ -48,11 +45,6 @@ class PolicyManager:
         names = ", ".join(
             protocol.upper() for protocol in self.protocol.protocols
         )
-        if self.timing.fractions is None:
-            return (
-                f"([{names}], "
-                f"{self.timing.switch_percent:g}%, online={online})"
-            )
         shares = "/".join(
             f"{fraction * 100:g}%" for fraction in self.timing.fractions
         )

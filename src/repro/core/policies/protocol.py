@@ -9,12 +9,11 @@ early ASP is wasted even if BSP follows.
 
 Sync-Switch is agnostic to the concrete protocols (Section VI), so the
 policy layer derives everything from the engine registry
-(:mod:`repro.distsim.engines`): :class:`ProtocolPolicy` is the paper's
-two-protocol pair, and :class:`ProtocolSchedule` generalises it to an
-ordered sequence of N protocols whose precision must decrease
-monotonically over the run (the same Remark A.3 argument applied
-segment-wise).  Both keep an ``allow_reversed`` escape hatch for the
-Fig. 5a ablation.
+(:mod:`repro.distsim.engines`): :class:`ProtocolSchedule` is an ordered
+sequence of N protocols whose precision must decrease monotonically
+over the run (the same Remark A.3 argument applied segment-wise).  Its
+default, the pair ``("bsp", "asp")``, is the paper's policy; an
+``allow_reversed`` escape hatch serves the Fig. 5a ablation.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from repro.distsim.engines import known_protocols, precision_rank
 from repro.errors import ConfigurationError
 
-__all__ = ["ProtocolPolicy", "ProtocolSchedule"]
+__all__ = ["ProtocolSchedule"]
 
 
 def _check_known(protocol: str) -> None:
@@ -35,64 +34,14 @@ def _check_known(protocol: str) -> None:
 
 
 @dataclass(frozen=True)
-class ProtocolPolicy:
-    """The ordered protocol pair used by a two-phase switching plan."""
-
-    first: str = "bsp"
-    second: str = "asp"
-
-    def __post_init__(self):
-        for protocol in (self.first, self.second):
-            _check_known(protocol)
-        if self.first == self.second:
-            raise ConfigurationError(
-                "protocol policy needs two distinct protocols"
-            )
-        if not self.follows_paper_order():
-            raise ConfigurationError(
-                f"{self.first}->{self.second} runs the less precise protocol "
-                "first; the paper's protocol policy (Section IV-A, Remark "
-                "A.3) requires the more precise protocol early in training. "
-                "Use allow_reversed() only for ablation studies."
-            )
-
-    @property
-    def protocols(self) -> tuple[str, ...]:
-        """The ordered protocol sequence (pair form)."""
-        return (self.first, self.second)
-
-    def follows_paper_order(self) -> bool:
-        """True when ``first`` is more precise than ``second``."""
-        return precision_rank(self.first) < precision_rank(self.second)
-
-    @classmethod
-    def allow_reversed(cls, first: str, second: str) -> "ProtocolPolicy":
-        """Escape hatch for the ASP->BSP ablation (Fig. 5a).
-
-        Bypasses the precision-order validation so the harness can
-        reproduce the paper's negative result.
-        """
-        policy = object.__new__(cls)
-        object.__setattr__(policy, "first", first)
-        object.__setattr__(policy, "second", second)
-        return policy
-
-    @staticmethod
-    def precision_rank(protocol: str) -> int:
-        """Lower rank = more precise synchronization (registry-derived)."""
-        return precision_rank(protocol)
-
-
-@dataclass(frozen=True)
 class ProtocolSchedule:
     """An ordered sequence of N protocols for an N-segment plan.
 
-    The registry-derived generalisation of :class:`ProtocolPolicy`:
-    precision must decrease strictly across the sequence (each switch
+    Precision must decrease strictly across the sequence (each switch
     trades precision for speed, never the other way), adjacent
     duplicates are rejected, and a single-protocol schedule expresses
-    the static baselines.  The two-protocol schedule is exactly the
-    paper's policy pair.
+    the static baselines.  The two-protocol default is the paper's
+    policy pair.
     """
 
     protocols: tuple[str, ...] = ("bsp", "asp")
@@ -137,7 +86,11 @@ class ProtocolSchedule:
 
     @classmethod
     def allow_reversed(cls, protocols) -> "ProtocolSchedule":
-        """Escape hatch mirroring :meth:`ProtocolPolicy.allow_reversed`."""
+        """Escape hatch for the ASP->BSP ablation (Fig. 5a).
+
+        Bypasses the precision-order validation so the harness can
+        reproduce the paper's negative result.
+        """
         sequence = tuple(protocols)
         for protocol in sequence:
             _check_known(protocol)

@@ -122,34 +122,6 @@ class TrainingPlan:
         return cls((Segment(protocol, 1.0, options),))
 
     @classmethod
-    def switch_at(
-        cls,
-        switch_fraction: float,
-        first: str = "bsp",
-        second: str = "asp",
-        first_options: dict | None = None,
-        second_options: dict | None = None,
-    ) -> "TrainingPlan":
-        """A two-phase plan: ``first`` until ``switch_fraction``, then ``second``.
-
-        ``switch_at(0.0625)`` is the paper's P1 policy (6.25% BSP then
-        ASP); 0.0 degenerates to static ``second`` and 1.0 to static
-        ``first``.
-        """
-        if not 0.0 <= switch_fraction <= 1.0:
-            raise ConfigurationError("switch_fraction must be in [0, 1]")
-        if switch_fraction == 0.0:
-            return cls.static(second, **(second_options or {}))
-        if switch_fraction == 1.0:
-            return cls.static(first, **(first_options or {}))
-        return cls(
-            (
-                Segment(first, switch_fraction, first_options or {}),
-                Segment(second, 1.0 - switch_fraction, second_options or {}),
-            )
-        )
-
-    @classmethod
     def schedule(
         cls,
         protocols: "Sequence[str]",

@@ -54,9 +54,9 @@ class ProvisioningModel:
     seq_switch_base: ClassVar[float] = 15.0
     seq_switch_per_worker: ClassVar[float] = 9.4
     # Parallel costs: affine in log2(n/8) (fit to Table III).
-    par_init_at8: ClassVar[float] = 90.0
+    par_init_base: ClassVar[float] = 90.0
     par_init_per_doubling: ClassVar[float] = 38.0
-    par_switch_at8: ClassVar[float] = 36.0
+    par_switch_base: ClassVar[float] = 36.0
     par_switch_per_doubling: ClassVar[float] = 17.0
     # Elastic policy reconfigurations are partial switches.
     resize_fraction: ClassVar[float] = 0.5
@@ -69,7 +69,7 @@ class ProvisioningModel:
         """Seconds to bring up a fresh training cluster."""
         self._validate(n_workers)
         if self.parallel:
-            seconds = self.par_init_at8 + self.par_init_per_doubling * math.log2(
+            seconds = self.par_init_base + self.par_init_per_doubling * math.log2(
                 n_workers / 8.0
             )
         else:
@@ -81,7 +81,7 @@ class ProvisioningModel:
         self._validate(n_workers)
         if self.parallel:
             seconds = (
-                self.par_switch_at8
+                self.par_switch_base
                 + self.par_switch_per_doubling * math.log2(n_workers / 8.0)
             )
         else:

@@ -37,7 +37,6 @@ from repro.core.policies import (
     ElasticPolicy,
     GreedyPolicy,
     PolicyManager,
-    ProtocolPolicy,
     ProtocolSchedule,
     TimingPolicy,
 )
@@ -127,55 +126,36 @@ def _execute_raw(
 
 
 def _policies(spec: dict) -> PolicyManager:
+    """The policy set of a run spec: every kind is one
+    ``(protocols, fractions)`` schedule."""
     kind = spec["kind"]
-    config = ConfigurationPolicy(
-        momentum_mode=spec.get("momentum_mode", "baseline")
-    )
     online = None
     if spec.get("online") == "greedy":
         online = GreedyPolicy()
     elif spec.get("online") == "elastic":
         online = ElasticPolicy()
 
-    if kind == "switch":
-        timing = TimingPolicy(spec["percent"] / 100.0, source="harness")
-        return PolicyManager(timing=timing, config=config, straggler=online)
-    if kind == "static":
-        protocol = spec["protocol"]
-        if protocol == "bsp":
-            timing = TimingPolicy(1.0, source="static")
-            return PolicyManager(
-                timing=timing, config=config, straggler=online
-            )
-        timing = TimingPolicy(0.0, source="static")
-        protocol_policy = ProtocolPolicy(first="bsp", second=protocol) if (
-            protocol != "bsp"
-        ) else ProtocolPolicy()
-        return PolicyManager(
-            timing=timing,
-            protocol=protocol_policy,
-            config=config,
-            straggler=online,
-        )
-    if kind == "schedule":
+    build = ProtocolSchedule
+    if kind in ("switch", "reversed"):
+        fraction = spec["percent"] / 100.0
+        protocols, fractions = ("bsp", "asp"), (fraction, 1.0 - fraction)
+        if kind == "reversed":  # the Fig. 5a ablation
+            protocols, build = ("asp", "bsp"), ProtocolSchedule.allow_reversed
+    elif kind == "static":
+        protocols, fractions = (spec["protocol"],), (1.0,)
+    elif kind == "schedule":
+        protocols = tuple(str(name) for name in spec["protocols"])
         fractions = tuple(float(value) for value in spec["fractions"])
-        return PolicyManager(
-            timing=TimingPolicy.for_schedule(fractions, source="harness"),
-            protocol=ProtocolSchedule(
-                tuple(str(name) for name in spec["protocols"])
-            ),
-            config=config,
-            straggler=online,
-        )
-    if kind == "reversed":
-        timing = TimingPolicy(spec["percent"] / 100.0, source="ablation")
-        return PolicyManager(
-            timing=timing,
-            protocol=ProtocolPolicy.allow_reversed("asp", "bsp"),
-            config=config,
-            straggler=online,
-        )
-    raise ConfigurationError(f"unknown run-spec kind {kind!r}")
+    else:
+        raise ConfigurationError(f"unknown run-spec kind {kind!r}")
+    return PolicyManager(
+        timing=TimingPolicy.for_schedule(fractions, source="harness"),
+        protocol=build(protocols),
+        config=ConfigurationPolicy(
+            momentum_mode=spec.get("momentum_mode", "baseline")
+        ),
+        straggler=online,
+    )
 
 
 def _straggler_schedule(

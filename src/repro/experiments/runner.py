@@ -50,6 +50,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.setups import (
     ExperimentSetup,
+    check_scale,
     default_scale,
     default_seeds,
     scaled_job,
@@ -87,6 +88,7 @@ class ExperimentRunner:
         jobs: int | None = None,
     ):
         self.scale = scale if scale is not None else default_scale()
+        check_scale(self.scale)
         self.n_seeds = seeds if seeds is not None else default_seeds()
         if self.n_seeds < 1:
             raise ConfigurationError("--seeds must be >= 1")

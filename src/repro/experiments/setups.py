@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentSetup",
     "SETUPS",
     "TRACE_STEP_FLOOR",
+    "check_scale",
     "default_scale",
     "default_seeds",
     "scaled_job",
@@ -190,6 +191,12 @@ def scaled_steps(
     return max(int(round(setup.paper_steps * scale * steps_scale)), floor)
 
 
+def check_scale(scale: float) -> None:
+    """Reject a step-budget ``scale`` outside (0, 1]."""
+    if not 0.0 < scale <= 1.0:
+        raise ConfigurationError(f"scale must be in (0, 1], got {scale:g}")
+
+
 def scaled_job(
     setup: ExperimentSetup,
     scale: float,
@@ -197,8 +204,7 @@ def scaled_job(
     steps_scale: float = 1.0,
 ) -> JobConfig:
     """The job config for ``setup`` at ``scale`` with one seed."""
-    if not 0.0 < scale <= 1.0:
-        raise ConfigurationError("scale must be in (0, 1]")
+    check_scale(scale)
     steps = scaled_steps(setup, scale, steps_scale)
     return JobConfig(
         model=setup.model,

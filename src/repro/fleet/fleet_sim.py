@@ -75,6 +75,7 @@ from dataclasses import dataclass, replace
 from repro.core.search.binary_search import validate_sequences
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.errors import ConfigurationError, FleetError, SearchError
+from repro.experiments.setups import check_scale
 from repro.fleet.invariants import check_invariants
 from repro.fleet.metrics import FleetSummary, JobRecord, summarize_fleet
 from repro.fleet.policy_store import JobClass, PolicyStore
@@ -104,6 +105,7 @@ from repro.obs.tracer import DETAIL_LEVELS, NULL_TRACER, Tracer
 
 __all__ = [
     "FleetConfig",
+    "check_stream_schedule",
     "WorkerPool",
     "FleetSimulator",
     "simulate_fleet",
@@ -182,8 +184,7 @@ class FleetConfig:
             # A trace fixes the stream; a silently ignored n_jobs would
             # still split the cache key per value.
             raise ConfigurationError("n_jobs cannot be combined with a trace")
-        if not 0.0 < self.scale <= 1.0:
-            raise ConfigurationError("scale must be in (0, 1]")
+        check_scale(self.scale)
         if self.tune_runs < 1:
             raise ConfigurationError("tune_runs must be >= 1")
         if self.trace_detail is not None and self.trace_detail not in DETAIL_LEVELS:
@@ -196,27 +197,35 @@ class FleetConfig:
         if self.fractions is not None and self.protocols is None:
             raise ConfigurationError("fractions requires protocols")
         if self.protocols is not None:
-            object.__setattr__(
-                self, "protocols", tuple(str(name) for name in self.protocols)
+            protocols, fractions = check_stream_schedule(
+                self.protocols, self.fractions
             )
-            try:
-                validate_sequences((self.protocols,))
-            except SearchError as exc:
-                raise ConfigurationError(str(exc)) from exc
-            if self.fractions is None:
-                if not self.tune:
-                    raise ConfigurationError(
-                        "protocols without fractions needs tune=True "
-                        "(there is no schedule to train otherwise)"
-                    )
-            else:
-                fractions = tuple(float(value) for value in self.fractions)
-                object.__setattr__(self, "fractions", fractions)
-                if any(not 0.0 <= value <= 1.0 for value in fractions):
-                    raise ConfigurationError(
-                        "schedule fractions must be in [0, 1]"
-                    )
-                check_schedule(self.protocols, fractions)
+            object.__setattr__(self, "protocols", protocols)
+            object.__setattr__(self, "fractions", fractions)
+            if fractions is None and not self.tune:
+                raise ConfigurationError(
+                    "protocols without fractions needs tune=True "
+                    "(there is no schedule to train otherwise)"
+                )
+
+
+def check_stream_schedule(
+    protocols, fractions
+) -> tuple[tuple[str, ...], tuple[float, ...] | None]:
+    """A stream's protocol schedule, normalized and checked: protocols
+    in strictly decreasing precision and, when given, one share in
+    [0, 1] per protocol, summing to 1."""
+    protocols = tuple(str(name) for name in protocols)
+    try:
+        validate_sequences((protocols,))
+    except SearchError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if fractions is not None:
+        fractions = tuple(float(value) for value in fractions)
+        if any(not 0.0 <= value <= 1.0 for value in fractions):
+            raise ConfigurationError("schedule fractions must be in [0, 1]")
+        check_schedule(protocols, fractions)
+    return protocols, fractions
 
 
 @dataclass

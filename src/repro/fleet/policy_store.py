@@ -110,13 +110,16 @@ class ClassPolicy:
     #: shares; recurrences replay the full N-segment plan.
     #: ``fractions=None`` is the paper's percent-only switch point
     #: (also what version-1 payloads load as): recurrences then train
-    #: through the two-phase controller.  For a new policy that form
-    #: is chosen in exactly one place —
+    #: the N=2 schedule ``(f, 1 - f)``, which equals the two-phase
+    #: controller (pinned in ``tests/core/test_reference_controller.py``).
+    #: For a new policy that form is chosen in exactly one place —
     #: :class:`repro.fleet.tuning.InFleetSearch` asks
     #: :func:`policy_from_search` for it when the fleet was given no
-    #: ``protocols`` — and it stays until "an N=2 ``ProtocolSchedule``
-    #: equals the two-phase controller" is pinned (ROADMAP item 5);
-    #: only then may ``(f, 1 - f)`` replace it.
+    #: ``protocols`` — and it is kept only because committed bytes
+    #: carry it: ``"fractions": null`` in
+    #: ``results/fleet_tuning_summary.json``, the pinned ``--policy-store
+    #: --tune`` store and the ``search-trial-done`` trace args.
+    #: Retiring it is a re-pin.
     protocols: tuple[str, ...] = ("bsp", "asp")
     fractions: tuple[float, ...] | None = None
 

@@ -14,12 +14,7 @@ a method needs are handed in.
 
 from __future__ import annotations
 
-from repro.core.policies import (
-    ConfigurationPolicy,
-    PolicyManager,
-    ProtocolSchedule,
-    TimingPolicy,
-)
+from repro.core.policies import PolicyManager, ProtocolSchedule, TimingPolicy
 from repro.core.runtime import ElasticTrainingRun
 from repro.core.runtime.elastic import Completion
 from repro.distsim.cluster import ClusterSpec
@@ -433,24 +428,19 @@ def training_inputs(
 ) -> tuple[object, PolicyManager]:
     """Scaled job config + offline policy set for one admission.
 
-    ``schedule`` is an optional ``(protocols, fractions)`` pair: an
-    N-segment plan built with the registry-validated
-    :class:`ProtocolSchedule`; without one the admission trains the
-    paper's two-phase BSP->ASP switch at ``percent``.
+    ``schedule`` is an optional ``(protocols, fractions)`` pair, built
+    with the registry-validated :class:`ProtocolSchedule`; without one
+    the admission trains the paper's BSP->ASP switch at ``percent``,
+    the N=2 schedule.
     """
     setup = SETUPS[request.setup_index]
     job_seed = child_seed(seed, f"fleet/job/{request.job_id}") % (2**31)
     job = scaled_job(setup, scale, job_seed, request.steps_scale)
-    if schedule is not None:
-        protocols, fractions = schedule
-        policies = PolicyManager(
-            timing=TimingPolicy.for_schedule(fractions, source="fleet"),
-            protocol=ProtocolSchedule(tuple(protocols)),
-            config=ConfigurationPolicy(),
-        )
-    else:
-        policies = PolicyManager(
-            timing=TimingPolicy(percent / 100.0, source="fleet"),
-            config=ConfigurationPolicy(),
-        )
-    return job, policies
+    if schedule is None:
+        fraction = percent / 100.0
+        schedule = (("bsp", "asp"), (fraction, 1.0 - fraction))
+    protocols, fractions = schedule
+    return job, PolicyManager(
+        timing=TimingPolicy.for_schedule(fractions, source="fleet"),
+        protocol=ProtocolSchedule(tuple(protocols)),
+    )

@@ -12,7 +12,7 @@ from hypothesis import settings
 from repro.core.policies import (
     ConfigurationPolicy,
     PolicyManager,
-    ProtocolPolicy,
+    ProtocolSchedule,
     TimingPolicy,
 )
 from repro.core.runtime import ElasticTrainingRun
@@ -95,7 +95,7 @@ def paused_run():
                 timing=TimingPolicy(
                     setup.policy_percent / 100.0, source="fleet"
                 ),
-                protocol=ProtocolPolicy(first="bsp", second="asp"),
+                protocol=ProtocolSchedule(("bsp", "asp")),
                 config=ConfigurationPolicy(),
             ),
             overhead_time_scale=scale,

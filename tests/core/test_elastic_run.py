@@ -17,7 +17,7 @@ from reference_controller import reference_run
 from repro.core.policies import (
     ConfigurationPolicy,
     PolicyManager,
-    ProtocolPolicy,
+    ProtocolSchedule,
     TimingPolicy,
 )
 from repro.core.policies.straggler import GreedyPolicy
@@ -32,7 +32,7 @@ SCALE = 0.008
 def make_policies(fraction: float, second: str = "asp") -> PolicyManager:
     return PolicyManager(
         timing=TimingPolicy(fraction, source="fleet"),
-        protocol=ProtocolPolicy(first="bsp", second=second),
+        protocol=ProtocolSchedule(("bsp", second)),
         config=ConfigurationPolicy(),
     )
 

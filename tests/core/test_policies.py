@@ -9,9 +9,10 @@ from repro.core.policies import (
     ElasticPolicy,
     GreedyPolicy,
     PolicyManager,
-    ProtocolPolicy,
+    ProtocolSchedule,
     TimingPolicy,
 )
+from repro.distsim.engines import precision_rank
 from repro.distsim.job import JobConfig
 from repro.errors import ConfigurationError
 from repro.mlcore.optim import (
@@ -36,38 +37,36 @@ def job(**overrides) -> JobConfig:
     return JobConfig(**base)
 
 
-class TestProtocolPolicy:
+class TestProtocolSchedule:
     def test_default_is_bsp_then_asp(self):
-        policy = ProtocolPolicy()
-        assert (policy.first, policy.second) == ("bsp", "asp")
+        assert ProtocolSchedule().protocols == ("bsp", "asp")
 
     def test_reversed_order_rejected(self):
         with pytest.raises(ConfigurationError, match="less precise"):
-            ProtocolPolicy(first="asp", second="bsp")
+            ProtocolSchedule(("asp", "bsp"))
 
     def test_same_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProtocolPolicy(first="bsp", second="bsp")
+            ProtocolSchedule(("bsp", "bsp"))
 
     def test_ssp_to_asp_allowed(self):
-        policy = ProtocolPolicy(first="ssp", second="asp")
+        policy = ProtocolSchedule(("ssp", "asp"))
         assert policy.follows_paper_order()
 
     def test_allow_reversed_escape_hatch(self):
-        policy = ProtocolPolicy.allow_reversed("asp", "bsp")
-        assert policy.first == "asp"
+        policy = ProtocolSchedule.allow_reversed(("asp", "bsp"))
+        assert policy.protocols == ("asp", "bsp")
         assert not policy.follows_paper_order()
 
     def test_precision_rank_ordering(self):
-        ranks = [
-            ProtocolPolicy.precision_rank(p)
-            for p in ("bsp", "ssp", "dssp", "asp")
-        ]
+        ranks = [precision_rank(p) for p in ("bsp", "ssp", "dssp", "asp")]
         assert ranks == sorted(ranks)
 
     def test_unknown_protocol(self):
         with pytest.raises(ConfigurationError):
-            ProtocolPolicy.precision_rank("gossip")
+            precision_rank("gossip")
+        with pytest.raises(ConfigurationError):
+            ProtocolSchedule(("bsp", "gossip"))
 
 
 class TestConfigurationPolicy:

@@ -26,7 +26,6 @@ from reference_controller import reference_run
 from repro.core.policies import (
     ConfigurationPolicy,
     PolicyManager,
-    ProtocolPolicy,
     ProtocolSchedule,
     TimingPolicy,
 )
@@ -44,12 +43,6 @@ SCALE = 0.004
 REVERSED = ("asp", "bsp")
 
 
-def protocol_pair(protocols):
-    if tuple(protocols) == REVERSED:
-        return ProtocolPolicy.allow_reversed(*protocols)
-    return ProtocolPolicy(*protocols)
-
-
 def protocol_schedule(protocols):
     if tuple(protocols) == REVERSED:
         return ProtocolSchedule.allow_reversed(protocols)
@@ -58,7 +51,7 @@ def protocol_schedule(protocols):
 
 def two_phase(fraction, protocols=("bsp", "asp")):
     return PolicyManager(
-        timing=TimingPolicy(fraction), protocol=protocol_pair(protocols)
+        timing=TimingPolicy(fraction), protocol=protocol_schedule(protocols)
     )
 
 
@@ -74,7 +67,7 @@ STRAGGLER = StragglerSchedule(
 )
 
 #: name -> (protocols, share of the first protocol) of every two-phase
-#: case: the paper's BSP -> X switch at ``p %``.
+#: case: one switch, from the first protocol to the second, at ``p %``.
 TWO_PHASE = {
     "p1": (("bsp", "asp"), 0.0625),
     "bsp-only": (("bsp", "asp"), 1.0),

@@ -56,7 +56,9 @@ PLANS: dict[str, TrainingPlan] = {
     "dssp": TrainingPlan.static("dssp"),
     "osp": TrainingPlan.static("osp"),
     "casp": TrainingPlan.static("casp"),
-    "switch-bsp-asp": TrainingPlan.switch_at(0.25),
+    "switch-bsp-asp": TrainingPlan.schedule(
+        ("bsp", "asp"), (0.25, 0.75)
+    ),
 }
 
 

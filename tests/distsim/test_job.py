@@ -68,19 +68,19 @@ class TestTrainingPlan:
         plan = TrainingPlan.static("ssp", staleness_bound=4)
         assert plan.segments[0].options == {"staleness_bound": 4}
 
-    def test_switch_at_fractions(self):
-        plan = TrainingPlan.switch_at(0.0625)
+    def test_two_phase_schedule_fractions(self):
+        plan = TrainingPlan.schedule(("bsp", "asp"), (0.0625, 0.9375))
         assert plan.segments[0].fraction == pytest.approx(0.0625)
         assert plan.segments[1].fraction == pytest.approx(0.9375)
         assert plan.n_switches == 1
 
-    def test_switch_at_zero_degenerates_to_second(self):
-        plan = TrainingPlan.switch_at(0.0)
+    def test_zero_first_share_degenerates_to_second(self):
+        plan = TrainingPlan.schedule(("bsp", "asp"), (0.0, 1.0))
         assert len(plan.segments) == 1
         assert plan.segments[0].protocol == "asp"
 
-    def test_switch_at_one_degenerates_to_first(self):
-        plan = TrainingPlan.switch_at(1.0)
+    def test_zero_second_share_degenerates_to_first(self):
+        plan = TrainingPlan.schedule(("bsp", "asp"), (1.0, 0.0))
         assert len(plan.segments) == 1
         assert plan.segments[0].protocol == "bsp"
 
@@ -93,12 +93,12 @@ class TestTrainingPlan:
             TrainingPlan(())
 
     def test_describe(self):
-        plan = TrainingPlan.switch_at(0.25)
+        plan = TrainingPlan.schedule(("bsp", "asp"), (0.25, 0.75))
         assert plan.describe() == "bsp:25% -> asp:75%"
 
     def test_custom_protocol_pair(self):
-        plan = TrainingPlan.switch_at(
-            0.1, first="ssp", second="asp", first_options={"staleness_bound": 2}
+        plan = TrainingPlan.schedule(
+            ("ssp", "asp"), (0.1, 0.9), [{"staleness_bound": 2}, None]
         )
         assert plan.segments[0].protocol == "ssp"
         assert plan.segments[0].options == {"staleness_bound": 2}
@@ -116,9 +116,11 @@ class TestStepTargets:
     """The one rounding rule every plan executor shares."""
 
     def test_two_phase_target_is_the_switch_step(self):
-        assert TrainingPlan.switch_at(0.0625).step_targets(6400) == (400, 6400)
+        plan = TrainingPlan.schedule(("bsp", "asp"), (0.0625, 0.9375))
+        assert plan.step_targets(6400) == (400, 6400)
         # int(round(.)) is half-to-even: 0.5 * 3 = 1.5 -> 2
-        assert TrainingPlan.switch_at(0.5).step_targets(3) == (2, 3)
+        plan = TrainingPlan.schedule(("bsp", "asp"), (0.5, 0.5))
+        assert plan.step_targets(3) == (2, 3)
 
     @given(fractions=fraction_vectors(), total_steps=st.integers(1, 10**6))
     def test_targets_are_monotone_exhaustive_and_the_old_formula(

@@ -10,6 +10,9 @@ from repro.distsim import (
 )
 from repro.distsim.overheads import ProvisioningModel
 
+#: BSP for the first quarter of the budget, then ASP.
+SWITCH_AT_QUARTER = TrainingPlan.schedule(("bsp", "asp"), (0.25, 0.75))
+
 
 def job(total_steps=480, seed=0, **overrides) -> JobConfig:
     base = dict(
@@ -45,14 +48,14 @@ class TestPlanExecution:
         assert 481 <= result.completed_steps < 481 + 4
 
     def test_switching_plan_runs_both_segments(self):
-        result = trainer().run(TrainingPlan.switch_at(0.25))
+        result = trainer().run(SWITCH_AT_QUARTER)
         protocols = [record["protocol"] for record in result.segment_summary]
         assert protocols == ["bsp", "asp"]
         bsp_segment = result.segment_summary[0]
         assert bsp_segment["end_step"] == pytest.approx(120, abs=4)
 
     def test_switch_charges_exactly_one_overhead(self):
-        result = trainer().run(TrainingPlan.switch_at(0.25))
+        result = trainer().run(SWITCH_AT_QUARTER)
         assert result.switch_count == 1
         expected = ProvisioningModel(parallel=True).switch_time(4)
         assert result.total_overhead == pytest.approx(expected)
@@ -62,7 +65,7 @@ class TestPlanExecution:
         assert result.total_overhead == 0.0
 
     def test_overhead_included_in_total_time(self):
-        result = trainer().run(TrainingPlan.switch_at(0.25))
+        result = trainer().run(SWITCH_AT_QUARTER)
         segments_time = sum(r["duration"] for r in result.segment_summary)
         assert result.total_time == pytest.approx(
             segments_time + result.total_overhead, rel=0.01
@@ -85,7 +88,7 @@ class TestPlanExecution:
         assert result.loss_values[-1] < result.loss_values[0]
 
     def test_plan_description_recorded(self):
-        plan = TrainingPlan.switch_at(0.0625)
+        plan = TrainingPlan.schedule(("bsp", "asp"), (0.0625, 0.9375))
         result = trainer().run(plan)
         assert result.plan == plan.describe()
 

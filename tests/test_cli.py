@@ -282,6 +282,65 @@ def test_fleet_bad_flag_value_is_a_usage_error(
     assert not out.exists()
 
 
+FLEET = ["fleet", "--jobs", "2", "--procs", "2"]
+PERCENT = "--percent must be in [0, 100]"
+SCALE = "scale must be in (0, 1]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "fig5b", "--scale", "0"], f"{SCALE}, got 0"),
+        (["search", "--scale", "2"], f"{SCALE}, got 2"),
+        (["run", "--scale", "0"], f"{SCALE}, got 0"),
+        ([*FLEET, "--scale", "2"], f"{SCALE}, got 2"),
+        (
+            [*FLEET, "--protocols", "asp,bsp", "--fractions", "0.5,0.5"],
+            "schedule asp -> bsp must move from more to less precise",
+        ),
+        (
+            [*FLEET, "--protocols", "bsp,asp", "--fractions", "0.5,nan"],
+            "schedule fractions must be in [0, 1]",
+        ),
+        (
+            [*FLEET, "--protocols", "bsp,ssp,asp", "--fractions", "0.5,0.5"],
+            "fractions: expected 3 shares",
+        ),
+        (["run", "--percent", "150"], f"{PERCENT}, got 150"),
+        (["run", "--percent", "-5"], f"{PERCENT}, got -5"),
+    ],
+    ids=[
+        "report-scale",
+        "search-scale",
+        "run-scale",
+        "fleet-scale",
+        "fleet-reversed-schedule",
+        "fleet-nan-share",
+        "fleet-share-count",
+        "run-percent-above",
+        "run-percent-below",
+    ],
+)
+def test_bad_value_fails_before_any_cell(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    """One error line and exit 2 before a batch is announced, a pool
+    started or a cell run."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    out = tmp_path / "summary.json"
+    if argv[0] == "fleet":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "batch:" not in captured.out
+    assert message in captured.err
+    assert captured.err.count("error:") == 1
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not cache.exists() or list(cache.iterdir()) == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
