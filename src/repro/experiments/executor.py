@@ -216,6 +216,10 @@ class RunRequest:
         """Cache key of this cell at ``scale`` (the dedup identity)."""
         return cache_key(self.setup, self.spec, self.seed, scale)
 
+    def datasets(self, scale: float) -> frozenset[str]:
+        """Datasets the cell trains on."""
+        return frozenset((self.setup.dataset,))
+
 
 #: The default cell function, named rather than imported: training
 #: cells need the whole training stack, which only a cache miss loads.
@@ -230,8 +234,9 @@ class ParallelExecutor:
     default 1).  ``jobs=1`` executes inline; larger values fan the
     batch out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-    The executor is generic over the cell type: requests only need a
-    ``key(scale)`` identity, ``cell_fn`` is the (picklable, top-level)
+    The executor is generic over the cell type: requests need a
+    ``key(scale)`` identity (and may name their ``datasets(scale)``),
+    ``cell_fn`` is the (picklable, top-level)
     worker receiving ``(scale, cache_dir, request, key)`` and returning
     ``(key, json_dict)`` — or its ``"module:function"`` name, imported
     on the first cache miss — and ``decode`` rebuilds the result object.
@@ -278,6 +283,14 @@ class ParallelExecutor:
             # Imported here, in the parent, so that pool workers fork
             # with the cell function's stack already loaded.
             self.cell_fn = resolve(self.cell_fn)
+        # Built here for the same reason, and before any cell holds
+        # training state: workers share them copy-on-write.
+        datasets = set()
+        for request in pending.values():
+            if hasattr(request, "datasets"):
+                datasets |= request.datasets(self.scale)
+        if datasets:
+            resolve("repro.mlcore.datasets:make_datasets")(datasets)
         workers = min(self._resolved_jobs, len(pending))
         _LOG.info(
             "batch: %d cell(s) requested, %d unique, %d cached, "

@@ -48,6 +48,7 @@ from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Report
 from repro.experiments.runner import CollectionComplete, ExperimentRunner
+from repro.experiments.setups import SETUPS
 from repro.fleet import (
     FLEET_SCENARIOS,
     SCHEDULERS,
@@ -62,6 +63,7 @@ from repro.fleet import (
     simulate_fleet,
     trace_stream,
 )
+from repro.fleet.fleet_sim import realize_stream
 from repro.obs import trace_categories
 
 __all__ = [
@@ -119,6 +121,14 @@ DEFAULT_FLEET_SCALE = 0.008
 #: enough to refresh in about a minute per idle core.
 DEFAULT_TRACE_SCALE_JOBS = 600
 DEFAULT_TRACE_SCALE_SHARDS = 4
+
+
+def _cell_datasets(request, scale: float) -> frozenset[str]:
+    """A fleet cell's ``datasets``: its setups' datasets, read off the
+    stream its configuration realizes (search trials reuse their
+    class's setup)."""
+    stream, _, _ = realize_stream(request.config(scale))
+    return frozenset(SETUPS[job.setup_index].dataset for job in stream)
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,8 @@ class FleetRunRequest:
             scale=scale,
             **{field.name: getattr(self, field.name) for field in fields(self)}
         )
+
+    datasets = _cell_datasets
 
 
 def _execute_fleet_cell(payload: tuple) -> tuple[str, dict]:
@@ -348,6 +360,8 @@ class FleetShardRequest:
             tiers=self.tiers,
             validate=self.validate,
         )
+
+    datasets = _cell_datasets
 
 
 def shard_worker_tiers(

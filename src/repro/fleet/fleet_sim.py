@@ -108,6 +108,7 @@ __all__ = [
     "check_stream_schedule",
     "WorkerPool",
     "FleetSimulator",
+    "realize_stream",
     "simulate_fleet",
 ]
 
@@ -228,6 +229,36 @@ def check_stream_schedule(
     return protocols, fractions
 
 
+def realize_stream(
+    config: FleetConfig,
+) -> tuple[tuple[JobRequest, ...], str, int]:
+    """The job stream ``config`` serves, its scenario name and its
+    default pool size: the trace in arrival order, else the named
+    scenario's generated stream."""
+    if config.trace is not None:
+        if not config.trace:
+            raise ConfigurationError("trace must contain at least one job")
+        stream = tuple(
+            sorted(config.trace, key=lambda job: (job.arrival, job.job_id))
+        )
+        default_pool = max(job.n_workers for job in stream) * 2
+        return stream, config.scenario or "trace", default_pool
+    if config.scenario in TRACE_SCENARIOS:
+        base = TRACE_SCENARIOS[config.scenario]
+        generate = trace_stream
+    else:
+        base = FLEET_SCENARIOS[config.scenario]
+        generate = poisson_stream
+    stream = generate(
+        base,
+        config.scale,
+        config.seed,
+        n_jobs=config.n_jobs,
+        sync_policy=config.sync_policy,
+    )
+    return stream, base.name, base.pool_size
+
+
 @dataclass
 class FleetSimulator:
     """Discrete-event loop serving one stream of training jobs.
@@ -266,41 +297,7 @@ class FleetSimulator:
                 self.metrics = NULL_METRICS
         #: Final metrics dump (set by ``run`` when the registry is on).
         self.metrics_payload: dict | None = None
-        if config.trace is not None:
-            if not config.trace:
-                raise ConfigurationError("trace must contain at least one job")
-            self.stream = tuple(
-                sorted(
-                    config.trace,
-                    key=lambda request: (request.arrival, request.job_id),
-                )
-            )
-            self.scenario_name = config.scenario or "trace"
-            default_pool = (
-                max(request.n_workers for request in self.stream) * 2
-            )
-        elif config.scenario in TRACE_SCENARIOS:
-            base = TRACE_SCENARIOS[config.scenario]
-            self.scenario_name = base.name
-            self.stream = trace_stream(
-                base,
-                config.scale,
-                config.seed,
-                n_jobs=config.n_jobs,
-                sync_policy=config.sync_policy,
-            )
-            default_pool = base.pool_size
-        else:
-            base = FLEET_SCENARIOS[config.scenario]
-            self.scenario_name = base.name
-            self.stream = poisson_stream(
-                base,
-                config.scale,
-                config.seed,
-                n_jobs=config.n_jobs,
-                sync_policy=config.sync_policy,
-            )
-            default_pool = base.pool_size
+        self.stream, self.scenario_name, default_pool = realize_stream(config)
         self.pool_size = config.pool_size or default_pool
         ids = [request.job_id for request in self.stream]
         if len(set(ids)) != len(ids):

@@ -520,17 +520,20 @@ def bounded_pareto(u: float, alpha: float, lo: float, hi: float) -> float:
     """Inverse-CDF sample of a bounded Pareto from uniform ``u``.
 
     The standard truncated-Pareto transform: heavy-tailed within
-    ``[lo, hi]``, exact at both bounds, with the ``alpha == 1``
-    singularity handled by its own closed form.
+    ``[lo, hi]``, exact at both bounds by construction (``1 / (1 /
+    lo)`` is not ``lo``), with the ``alpha == 1`` singularity handled
+    by its own closed form.
     """
     if not 0.0 <= u <= 1.0:
         raise ConfigurationError("u must be in [0, 1]")
-    if lo == hi:
+    if u == 0.0 or lo == hi:
         return lo
+    if u == 1.0:
+        return hi
     # ``(1-u) + u*ratio`` rather than ``1 - u*(1-ratio)``: identical in
     # real arithmetic, but the latter cancels catastrophically for u
     # near 1 when ratio approaches machine epsilon (hypothesis-found),
-    # missing the exact-at-the-bounds guarantee.
+    # landing outside ``[lo, hi]``.
     if alpha == 1.0:
         return 1.0 / ((1.0 - u) / lo + u / hi)
     ratio = (lo / hi) ** alpha

@@ -33,6 +33,7 @@ __all__ = [
     "SyntheticDataset",
     "ShardIndexStream",
     "make_dataset",
+    "make_datasets",
     "DATASET_REGISTRY",
 ]
 
@@ -288,8 +289,10 @@ _CACHE: dict[str, SyntheticDataset] = {}
 def make_dataset(name: str) -> SyntheticDataset:
     """Instantiate (and memoise) a registered dataset by name.
 
-    Generation is deterministic, so the cache only avoids recomputing
-    the teacher forward pass on repeated harness runs.
+    Generation is a pure function of the config, so the memo changes
+    no bit.  :class:`~repro.experiments.executor.ParallelExecutor`
+    fills it before a batch's cells run or its pool forks: every cell
+    and every forked worker reads the one copy.
     """
     if name not in DATASET_REGISTRY:
         raise ConfigurationError(
@@ -298,3 +301,12 @@ def make_dataset(name: str) -> SyntheticDataset:
     if name not in _CACHE:
         _CACHE[name] = SyntheticDataset(DATASET_REGISTRY[name])
     return _CACHE[name]
+
+
+def make_datasets(names: set[str]) -> None:
+    """Memoise every named dataset, largest first: the largest
+    generation transient then lands on top of no other dataset."""
+    configs = [DATASET_REGISTRY[name] for name in names]
+    configs.sort(key=lambda c: (c.train_size + c.test_size) * c.input_dim)
+    for config in reversed(configs):
+        make_dataset(config.name)

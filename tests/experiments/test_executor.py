@@ -6,6 +6,7 @@ import threading
 import pytest
 
 import repro.experiments.executor as executor_module
+import repro.mlcore.datasets as datasets_module
 from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
@@ -270,3 +271,76 @@ class TestRunnerBatchAPI:
                 SETUPS[1], {"kind": "switch", "percent": percent}, 0
             )
             assert [run.to_dict() for run in runs] == [expected.to_dict()]
+
+
+class TestDatasetsBeforeCells:
+    """The executor builds the pending cells' datasets, and only those,
+    before the first cell runs (and before a pool would fork)."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty dataset memo, and the order datasets get built in."""
+        built = []
+        make_dataset = datasets_module.make_dataset
+
+        def recording(name):
+            if name not in datasets_module._CACHE:
+                built.append(name)
+            return make_dataset(name)
+
+        monkeypatch.setattr(datasets_module, "_CACHE", {})
+        monkeypatch.setattr(datasets_module, "make_dataset", recording)
+        return built
+
+    def execute(self, tmp_path, batch):
+        """Run ``batch`` inline; the memo each cell saw on entry."""
+        seen = {}
+
+        def cell(payload):
+            _scale, _cache_dir, request, key = payload
+            seen[request.setup.index] = sorted(datasets_module._CACHE)
+            return key, tiny_result().to_dict()
+
+        ParallelExecutor(
+            scale=SCALE, cache_dir=tmp_path, jobs=1, cell_fn=cell
+        ).execute(batch)
+        return seen
+
+    def test_union_built_largest_first_before_any_cell(self, tmp_path, memo):
+        spec = {"kind": "static", "protocol": "bsp"}
+        batch = [RunRequest(SETUPS[index], spec, 0) for index in (1, 2, 3)]
+        seen = self.execute(tmp_path, batch)
+        assert memo == ["cifar100-sim", "cifar10-sim"]  # 1 and 3 share one
+        both = sorted(memo)
+        assert seen == {1: both, 2: both, 3: both}
+
+    def test_cached_cells_datasets_are_not_built(self, tmp_path, memo):
+        spec = {"kind": "static", "protocol": "bsp"}
+        cached, pending = RunRequest(SETUPS[1], spec, 0), RunRequest(
+            SETUPS[2], spec, 0
+        )
+        disk_store(tmp_path, cached.key(SCALE), tiny_result())
+        seen = self.execute(tmp_path, [cached, pending])
+        assert memo == ["cifar100-sim"]
+        assert seen == {2: ["cifar100-sim"]}
+
+    def test_all_cached_batch_builds_nothing(self, tmp_path, memo):
+        batch = requests()
+        for request in batch:
+            disk_store(tmp_path, request.key(SCALE), tiny_result())
+        assert self.execute(tmp_path, batch) == {}
+        assert memo == [] and datasets_module._CACHE == {}
+
+    def test_requests_without_datasets_build_nothing(self, tmp_path, memo):
+        class Opaque:
+            def key(self, scale):
+                return "opaque"
+
+        ParallelExecutor(
+            scale=SCALE,
+            cache_dir=tmp_path,
+            jobs=1,
+            cell_fn=lambda payload: (payload[3], {}),
+            decode=dict,
+        ).execute([Opaque()])
+        assert memo == []

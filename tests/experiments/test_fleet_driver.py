@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import repro.experiments.fleet as fleet_module
+import repro.mlcore.datasets as datasets_module
 from repro.experiments import ARTIFACTS, ExperimentRunner, prefetch_union
 from repro.experiments.fleet import (
     MODES,
@@ -15,7 +16,8 @@ from repro.experiments.fleet import (
     fleet_report,
     run_mode,
 )
-from repro.fleet import FleetSummary, JobRequest
+from repro.experiments.setups import SETUPS
+from repro.fleet import FleetSimulator, FleetSummary, JobRequest
 
 SCALE = 0.008
 
@@ -96,6 +98,60 @@ class TestCacheKeySchema:
             sync_policy="sync-switch",
         )
         assert shard.key(0.001) == "4a0952191592df03fb2b72d8"
+
+
+class TestCellDatasets:
+    """A fleet cell names the datasets its stream trains on; the
+    executor builds exactly those before the cell runs."""
+
+    @pytest.mark.parametrize(
+        "scenario, expected",
+        [
+            ("rush", {"cifar10-sim"}),
+            ("mixed", {"cifar10-sim", "cifar100-sim"}),
+            ("heavy", {"cifar10-sim"}),  # setups 1 and 3
+            ("trace", {"cifar10-sim", "cifar100-sim"}),
+        ],
+    )
+    def test_run_request_reads_the_simulators_stream(self, scenario, expected):
+        request = FleetRunRequest(scenario, "best-fit", "sync-switch", n_jobs=3)
+        stream = FleetSimulator(request.config(0.002)).stream
+        assert request.datasets(0.002) == expected == {
+            SETUPS[job.setup_index].dataset for job in stream
+        }
+
+    def test_trace_fed_and_shard_cells_read_their_trace(self):
+        trace = (
+            JobRequest(job_id=0, arrival=0.0, setup_index=2, n_workers=8),
+        )
+        cell = FleetRunRequest("trace", "fifo", "bsp", trace=trace)
+        shard = FleetShardRequest(
+            "trace", 0, 1, trace, pool_size=16, scheduler="fifo",
+            sync_policy="bsp",
+        )
+        assert cell.datasets(SCALE) == shard.datasets(SCALE) == {"cifar100-sim"}
+
+    def test_rush_best_fit_cell_builds_no_cifar100(self, tmp_path, monkeypatch):
+        seen = []
+        execute = fleet_module._execute_fleet_cell
+
+        def recording(payload):
+            seen.append(sorted(datasets_module._CACHE))
+            return execute(payload)
+
+        monkeypatch.setattr(datasets_module, "_CACHE", {})
+        monkeypatch.setattr(fleet_module, "_execute_fleet_cell", recording)
+        fleet_grid(
+            scenario="rush",
+            schedulers=("best-fit",),
+            policies=("sync-switch",),
+            scale=0.002,
+            jobs=1,
+            cache_dir=tmp_path,
+            n_jobs=3,
+        )
+        assert seen == [["cifar10-sim"]]  # built before the cell ran
+        assert sorted(datasets_module._CACHE) == ["cifar10-sim"]
 
 
 class TestFleetGrid:

@@ -75,6 +75,7 @@ class TestBoundedPareto:
     @example(u=1.0, alpha=1.6, lo=0.05, span=2.95)  # exact upper bound
     @example(u=0.0, alpha=1.6, lo=0.05, span=2.95)  # exact lower bound
     @example(u=0.7, alpha=1.6, lo=1.0, span=0.0)  # degenerate lo==hi
+    @example(u=0.0, alpha=1.0, lo=3.84375, span=1.0)  # 1/(1/lo) != lo
     @settings(max_examples=100, deadline=None)
     def test_samples_stay_within_bounds(self, u, alpha, lo, span):
         hi = lo + span

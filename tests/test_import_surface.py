@@ -4,9 +4,10 @@ Start-up time is mostly imports, so these tests pin the import surface
 itself (never a timing): ``import repro.cli`` and a cache-hit
 ``report`` stay free of numpy and the training stack, a cache miss
 loads that stack exactly at the runner's miss boundary, and a pooled
-run loads it in the parent before the pool exists, so that no worker
-imports it again.  Each probe runs in a fresh interpreter, because this
-process has long since imported everything.
+run loads it, and builds the batch's datasets, in the parent before
+the pool exists, so that no worker imports it or builds one again.
+Each probe runs in a fresh interpreter, because this process has long
+since imported everything.
 """
 
 import json
@@ -51,13 +52,20 @@ executor.disk_load = disk_load
 executor.ParallelExecutor._execute_inline = _execute_inline
 """
 
-#: Record the loaded modules when the process pool is constructed.
+#: Record the loaded modules and the dataset memo when the process
+#: pool is constructed; from then on building a dataset raises, so a
+#: pool worker that builds one fails the run.
 POOL_PROBE = """
 import concurrent.futures
 from concurrent.futures.process import ProcessPoolExecutor
 class RecordingPool(ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         snapshot("pool_created")
+        datasets = sys.modules["repro.mlcore.datasets"]
+        SNAPSHOTS["pool_datasets"] = sorted(datasets._CACHE)
+        def forbidden(self, config):
+            raise AssertionError(f"{config.name} built after the pool forked")
+        datasets.SyntheticDataset.__init__ = forbidden
         super().__init__(*args, **kwargs)
 concurrent.futures.ProcessPoolExecutor = RecordingPool
 """
@@ -158,12 +166,13 @@ def test_cache_hit_report_never_loads_numpy_or_the_layers_below(cold_sweep):
 
 
 @pytest.mark.parametrize(
-    "argv, needs",
+    "argv, needs, datasets",
     [
         (
             ["--quiet", "report", "fig5b", "--scale", "0.002", "--seeds", "1",
              "--jobs", "2"],
             TRAINING_STACK | {"repro.experiments.materialize"},
+            {"cifar10-sim"},  # setup 1 only
         ),
         (
             ["--quiet", "fleet", "--scenario", "trace", "--jobs", "4",
@@ -172,12 +181,18 @@ def test_cache_hit_report_never_loads_numpy_or_the_layers_below(cold_sweep):
             # the one-shot controller.
             TRAINING_STACK - {"repro.core.runtime.controller"}
             | {"repro.fleet.fleet_sim", "repro.core.runtime.elastic"},
+            {"cifar10-sim", "cifar100-sim"},  # setups 1 and 2
         ),
     ],
     ids=["report-jobs-2", "fleet-procs-2"],
 )
-def test_pooled_runs_load_the_stack_in_the_parent_first(argv, needs, tmp_path):
+def test_pooled_runs_load_the_stack_in_the_parent_first(
+    argv, needs, datasets, tmp_path
+):
     argv = [str(tmp_path / "out.json") if arg == "OUT" else arg for arg in argv]
     snapshots = run_child(argv, tmp_path / "cache", POOL_PROBE)
     assert "pool_created" in snapshots, "the run never created a pool"
     assert needs <= snapshots["pool_created"]
+    # The batch's datasets, and no others, are built before the fork;
+    # the probe fails the run if a worker builds one.
+    assert snapshots["pool_datasets"] == datasets
