@@ -33,7 +33,10 @@ nothing backed by them is returned.  Callers that own a long-lived
 gradient buffer (the engines) pass it as ``grad_out`` to skip the
 output allocation too.  The buffered pass is bit-identical to the
 naive one: every operation, operand order and reduction is unchanged,
-only the destination memory is reused.
+only the destination memory is reused.  The arena keeps only live
+activations: ReLUs run in place and the backward takes its masks from
+the post-ReLU windows, and ``evaluate``/``logits`` run the same
+forward on a forward-only view set.
 
 Two registry entries mirror the paper's workloads:
 
@@ -101,25 +104,11 @@ class ResidualMLPClassifier:
         shapes["w_out"] = (config.hidden_dim, config.n_classes)
         shapes["b_out"] = (config.n_classes,)
         self.layout = ParameterLayout(shapes)
-        # Weight-decay targets (matrices only), in layout order.
-        self._matrix_slices = tuple(
-            self.layout.slice_of(name)
-            for name in self.layout.names
-            if len(self.layout.shape(name)) > 1
-        )
-        # Flat positions of every bias entry: the fused weight-decay
-        # saves these lanes before the full-vector multiply-add and
-        # restores them after (exact no-op on biases, any float values).
-        self._bias_index = np.concatenate(
-            [
-                np.arange(
-                    self.layout.slice_of(name).start,
-                    self.layout.slice_of(name).stop,
-                )
-                for name in self.layout.names
-                if len(self.layout.shape(name)) == 1
-            ]
-        )
+        # Weight-decay targets (matrices only), in layout order, and
+        # the width of the one decay window they share.
+        matrices = [n for n in self.layout.names if len(self.layout.shape(n)) > 1]
+        self._matrix_slices = tuple(map(self.layout.slice_of, matrices))
+        self._decay_width = max(s.stop - s.start for s in self._matrix_slices)
         # Positional layout for the hot path: tensors are accessed by
         # index into the views list, not by f-string dict keys.
         order = {name: position for position, name in enumerate(self.layout.names)}
@@ -136,6 +125,7 @@ class ResidualMLPClassifier:
             )
             for block in range(config.n_blocks)
         )
+        self._matrix_positions = tuple(order[name] for name in matrices)
         # Views of recently seen parameter/gradient stacks, keyed by
         # (data pointer, width).  Entries hold STRONG references (the
         # views pin their base), so the memory behind a live key can
@@ -183,14 +173,14 @@ class ResidualMLPClassifier:
         The result is a fresh array (the forward windows belong to
         the next pass of any model).
         """
-        workspace, _ = self._forward(params[None], inputs[None])
+        workspace, _ = self._forward(params[None], inputs[None], True)
         return workspace.logits[0].copy()
 
     def evaluate(
         self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
     ) -> float:
         """Top-1 accuracy of ``params`` on ``(inputs, labels)``."""
-        workspace, _ = self._forward(params[None], inputs[None])
+        workspace, _ = self._forward(params[None], inputs[None], True)
         return accuracy_from_logits(workspace.logits[0], labels)
 
     def loss_and_grad(
@@ -248,16 +238,18 @@ class ResidualMLPClassifier:
         return self._loss_and_grad(params_stack, inputs, labels, grad_out)
 
     def _forward(
-        self, params_stack: np.ndarray, inputs: np.ndarray
+        self, params_stack: np.ndarray, inputs: np.ndarray,
+        forward_only: bool = False,
     ) -> tuple[scratch.PassViews, list[tuple]]:
         """Forward pass of ``K`` parameter vectors on ``K`` batches.
 
         Returns ``(workspace, tensors)``: the scores are in
         ``workspace.logits``, the last hidden state in
-        ``workspace.h[-1]`` and every pre-activation the backward pass
-        needs in its window; ``tensors`` are the stacked parameter
-        views.  ``x @ W + b`` is a matmul into the window plus an
-        in-place add, which produces the same bits.
+        ``workspace.h[-1]`` and every post-ReLU activation the backward
+        pass needs in its window (``forward_only`` keeps none of them);
+        ``tensors`` are the stacked parameter views.  ``x @ W + b`` is
+        a matmul into the window plus an in-place add, and the ReLU is
+        applied in place; both produce the same bits.
         """
         k, batch = inputs.shape[0], inputs.shape[1]
         if params_stack.shape != (k, self.layout.size):
@@ -265,21 +257,19 @@ class ResidualMLPClassifier:
                 f"parameters have shape {params_stack.shape}, "
                 f"expected {(k, self.layout.size)}"
             )
-        workspace = self._scratch(k, batch, inputs, params_stack)
+        workspace = self._scratch(k, batch, inputs, params_stack, forward_only)
         tensors = self._stacked_views(params_stack, cacheable=True)
-        z_pre = workspace.z_pre
-        np.matmul(inputs, tensors[self._pos_w_in][0], out=z_pre)
-        z_pre += tensors[self._pos_b_in][1]
         h = workspace.h[0]
-        np.maximum(z_pre, 0.0, out=h)
+        np.matmul(inputs, tensors[self._pos_w_in][0], out=h)
+        h += tensors[self._pos_b_in][1]
+        np.maximum(h, 0.0, out=h)
         scale = self.config.residual_scale
         for block in range(self.config.n_blocks):
             pos_a, pos_a_bias, pos_b, pos_b_bias = self._pos_blocks[block]
-            u_pre = workspace.u_pre[block]
-            np.matmul(h, tensors[pos_a][0], out=u_pre)
-            u_pre += tensors[pos_a_bias][1]
             u = workspace.u[block]
-            np.maximum(u_pre, 0.0, out=u)
+            np.matmul(h, tensors[pos_a][0], out=u)
+            u += tensors[pos_a_bias][1]
+            np.maximum(u, 0.0, out=u)
             nxt = workspace.h[block + 1]
             np.matmul(u, tensors[pos_b][0], out=nxt)
             nxt *= scale
@@ -370,37 +360,38 @@ class ResidualMLPClassifier:
         du, mm, mask = workspace.du, workspace.mm, workspace.mask
         for block in reversed(range(self.config.n_blocks)):
             pos_a, pos_a_bias, pos_b, pos_b_bias = self._pos_blocks[block]
-            h_in = workspace.h[block]
-            u_pre, u = workspace.u_pre[block], workspace.u[block]
+            h_in, u = workspace.h[block], workspace.u[block]
             grad_b = grads[pos_b][0]
             np.matmul(transposed(u), dh, out=grad_b)
             grad_b *= scale
             sum_rows(dh, pos_b_bias)
             np.matmul(dh, transposed(tensors[pos_b][0]), out=du)
             du *= scale
-            np.greater(u_pre, 0, out=mask)
+            # max(z, 0) > 0 is z > 0 for every float (-0.0, NaN too).
+            np.greater(u, 0, out=mask)
             du *= mask
             np.matmul(transposed(h_in), du, out=grads[pos_a][0])
             sum_rows(du, pos_a_bias)
             np.matmul(du, transposed(tensors[pos_a][0]), out=mm)
             dh += mm
 
-        np.greater(workspace.z_pre, 0, out=mask)
+        np.greater(workspace.h[0], 0, out=mask)
         dh *= mask
         np.matmul(transposed(inputs), dh, out=grads[self._pos_w_in][0])
         sum_rows(dh, self._pos_b_in)
 
-        # Weight decay, fused: one full-stack multiply + add with the
-        # bias lanes saved before and restored after — an exact no-op
-        # on biases for any float values (signed zeros included), and
-        # elementwise identical to the per-tensor loop on the weight
-        # lanes.  The L2 loss keeps the per-tensor accumulation order.
+        # Weight decay, per matrix: ``grad += weights * decay`` on each
+        # stacked matrix view, the product in a prefix of the one
+        # ``(K, largest matrix)`` window; biases are never touched.
+        # The L2 loss keeps the per-tensor accumulation order.
         decay = self.config.weight_decay
         if decay != 0.0:
-            saved_bias = grads_stack[:, self._bias_index]
-            np.multiply(params_stack, decay, out=workspace.decay)
-            grads_stack += workspace.decay
-            grads_stack[:, self._bias_index] = saved_bias
+            flat = workspace.decay.reshape(-1)
+            for position in self._matrix_positions:
+                weights, grad = tensors[position][0], grads[position][0]
+                product = flat[: weights.size].reshape(weights.shape)
+                np.multiply(weights, decay, out=product)
+                grad += product
             for index in range(k):
                 row = params_stack[index]
                 reg_loss = 0.0
@@ -456,7 +447,8 @@ class ResidualMLPClassifier:
         return views
 
     def _scratch(
-        self, k: int, batch: int, inputs: np.ndarray, params: np.ndarray
+        self, k: int, batch: int, inputs: np.ndarray, params: np.ndarray,
+        forward_only: bool = False,
     ) -> scratch.PassViews:
         """The process arena's windows for a ``k``-wide pass of ``batch``
         rows; valid until the next pass (of any model) asks."""
@@ -464,7 +456,7 @@ class ResidualMLPClassifier:
         dtype = np.result_type(inputs.dtype, params.dtype)
         return scratch.ARENA.views(
             config.hidden_dim, config.n_classes, config.n_blocks, k, batch,
-            dtype, self.layout.size, params.dtype,
+            dtype, self._decay_width, params.dtype, forward_only,
         )
 
     def __repr__(self) -> str:

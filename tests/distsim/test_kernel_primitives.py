@@ -6,6 +6,7 @@ replaced; these tests check exactly that, plus the bookkeeping
 eviction, segment boundaries and buffer reuse.
 """
 
+import multiprocessing
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.distsim.engines.base as session_module
 from repro.distsim.cluster import Cluster, ClusterSpec
@@ -269,11 +271,12 @@ def installed_scratch(arena=None, lender=None):
 
 
 def _windows(views):
-    """Every arena window of a view set, flattened."""
+    """Every arena window of a view set, flattened (a forward-only set
+    leaves most slots unset)."""
     found = []
     for name in scratch.PassViews.__slots__:
-        value = getattr(views, name)
-        if name not in ("rows", "slices"):
+        value = getattr(views, name, None)
+        if value is not None and name not in ("rows", "slices"):
             found.extend(value if isinstance(value, list) else [value])
     return found
 
@@ -328,7 +331,10 @@ class TestCapacityWorkspace:
             assert arena._bytes is block  # a narrower pass fits: no growth
             windows = _windows(narrow)
             assert narrow.dh.shape == (3, 8, 64) and narrow.mask.dtype == bool
-            assert narrow.decay.shape == (3, model.layout.size)
+            # Weight decay runs per matrix through one window as wide
+            # as the largest matrix (a block's 64 x 64), not the whole
+            # parameter vector.
+            assert narrow.decay.shape == (3, 64 * 64)
             spans = []
             for window in windows:
                 assert window.base is block and window.flags.c_contiguous
@@ -420,12 +426,110 @@ class TestCapacityWorkspace:
         assert strided is not narrow
         assert strided[0][0].strides[0] == 2 * stage.strides[0]
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [("resnet32-sim", "cifar10-sim"), ("resnet50-sim", "cifar100-sim")],
+    )
+    def test_a_full_evaluation_fits_in_the_widest_gradient_pass(
+        self, name, data
+    ):
+        """A run's widest gradient pass — eight workers' 128-row
+        batches, stacked — sizes the arena; a 2 000-row evaluation
+        then runs on its forward-only windows inside those bytes."""
+        with installed_scratch() as (arena, _):
+            model = make_model(name)
+            stack, inputs, labels = _stack_inputs(model, 8, np.float32, 128)
+            model.loss_and_grad_batch(stack, inputs, labels)
+            block = arena._bytes
+            dataset = make_dataset(data)
+            assert len(dataset.x_test) == 2000
+            model.evaluate(stack[0], dataset.x_test, dataset.y_test)
+            assert arena._bytes is block
+
+    def test_forward_only_views_are_three_hidden_windows_and_logits(self):
+        model = make_model("resnet50-sim")  # four blocks, five h[]
+        stack, inputs, _ = _stack_inputs(model, 1, np.float32, 2000)
+        with installed_scratch():
+            views = model._scratch(1, 2000, inputs, stack, forward_only=True)
+        windows = {
+            window.__array_interface__["data"][0]: window.shape
+            for window in _windows(views)
+        }
+        assert sorted(windows.values()) == [(1, 2000, 80)] * 3 + [
+            (1, 2000, 100)
+        ]
+        # Three distinct windows: each block reads h[i] while it
+        # writes h[i + 1] and u.
+        assert all(
+            views.h[i] is views.h[i % 2] for i in range(len(views.h))
+        )
+
+    def test_a_forked_child_writes_its_own_copy_of_the_arena(self):
+        """The arena is a private mapping: a pool worker forked after
+        the parent ran a pass writes its own copy on write.  A shared
+        mapping would hand the child's activations to the parent."""
+        model = make_model("resnet32-sim")
+        stack, inputs, labels = _stack_inputs(model, 2, np.float32)
+        with installed_scratch() as (arena, _):
+            model.loss_and_grad_batch(stack, inputs, labels)
+            before = arena._bytes.tobytes()
+            child = multiprocessing.get_context("fork").Process(
+                target=_run_another_pass,
+                args=(model, stack[::-1].copy(), inputs, labels, before),
+            )
+            child.start()
+            child.join()
+            assert child.exitcode == 0
+            assert arena._bytes.tobytes() == before
+
+
+def _run_another_pass(model, stack, inputs, labels, parent_bytes):
+    """Child side of the fork test: a different pass of the same shape,
+    written into the inherited arena (no replacement)."""
+    block = scratch.ARENA._bytes
+    model.loss_and_grad_batch(stack, inputs, labels)
+    assert scratch.ARENA._bytes is block
+    assert block.tobytes() != parent_bytes
+
+
+class TestMaskFromPostActivation:
+    """The backward takes its ReLU masks from the post-activation
+    windows: ``max(z, 0) > 0`` must be ``z > 0`` for every float."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_positive_after_relu_iff_positive_before(self, dtype, data):
+        special = np.array(
+            [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+             np.finfo(dtype).smallest_subnormal,
+             -np.finfo(dtype).smallest_subnormal],
+            dtype=dtype,
+        )
+        drawn = data.draw(
+            hnp.arrays(
+                dtype,
+                st.integers(0, 64),
+                elements=st.floats(
+                    width=np.dtype(dtype).itemsize * 8,
+                    allow_nan=True,
+                    allow_infinity=True,
+                    allow_subnormal=True,
+                ),
+            )
+        )
+        z = np.concatenate([special, drawn])
+        np.testing.assert_array_equal(
+            np.greater(np.maximum(z, 0.0), 0), np.greater(z, 0)
+        )
+
 
 class _PoisonArena(scratch.Arena):
-    """Every arena byte is 0xFF (NaN to a float) when a pass starts."""
+    """Every arena byte is 0xFF (NaN to a float) when a pass starts,
+    forward-only view sets included."""
 
-    def views(self, *request):
-        views = super().views(*request)
+    def views(self, *request, **options):
+        views = super().views(*request, **options)
         self._bytes.fill(0xFF)
         return views
 
