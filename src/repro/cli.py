@@ -7,7 +7,8 @@ simulator:
 * ``sync-switch run`` — train one job under a policy.
 * ``sync-switch search`` — offline binary search for the switch timing.
 * ``sync-switch report`` — regenerate paper tables/figures; several at
-  once (or ``all``) prefetch the union grid as one batch.
+  once (or ``all``) train the union of their declared cells as one
+  batch.
 * ``sync-switch fleet`` — serve a multi-job stream on a shared worker
   pool and write the fleet summary artifact; ``--tune`` runs the
   amortized in-fleet timing search comparison, ``--slo`` serves the

@@ -1,6 +1,7 @@
 """Evaluation harness: the paper's experiment setups, figures and tables.
 
-One generator function exists per paper artifact; each returns a
+One generator function exists per paper artifact; each declares the
+training cells it reads and returns a
 :class:`~repro.experiments.reporting.Report` with measured rows, the
 paper's numbers where applicable, and caveat notes.  All generators
 share an :class:`~repro.experiments.runner.ExperimentRunner`, whose
@@ -45,7 +46,6 @@ ARTIFACTS = LazyTable(
 
 __all__ = [
     "ARTIFACTS",
-    "CollectionComplete",
     "ExperimentRunner",
     "ExperimentSetup",
     "ParallelExecutor",
@@ -118,7 +118,7 @@ __getattr__, __dir__ = lazy_exports(
             "prefetch_union",
             "render_report",
         ),
-        "repro.experiments.runner": ("CollectionComplete", "ExperimentRunner"),
+        "repro.experiments.runner": ("ExperimentRunner",),
         "repro.experiments.search_analysis": (
             "figure_16",
             "table_2",

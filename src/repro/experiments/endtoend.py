@@ -1,8 +1,9 @@
 """End-to-end evaluation figures: Figs. 10, 11, 12, 13 and 14.
 
-Each generator collects its full grid of run specs up front and
-prefetches them as one deduplicated batch (parallel when the runner
-has ``jobs > 1``) before assembling rows from the shared cache.
+Each generator declares its grid of ``(setup, spec)`` cells beside it
+(:func:`~repro.experiments.reporting.declares`); the grid trains as
+one deduplicated batch (parallel when the runner has ``jobs > 1``)
+before the rows are assembled from the shared cache.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from repro.experiments.aggregate import (
     time_stats,
 )
 from repro.experiments.curves import loss_and_accuracy_panels
-from repro.experiments.reporting import Report
+from repro.experiments.reporting import Report, declares
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.setups import SETUPS, ExperimentSetup
+from repro.experiments.setups import SETUPS, ExperimentSetup, switch_spec
 
 __all__ = [
     "figure_10",
@@ -27,23 +28,19 @@ __all__ = [
 ]
 
 
+@declares(
+    (SETUPS[index], switch_spec(percent))
+    for index in (1, 2, 3)
+    for percent in (100.0, 0.0, SETUPS[index].policy_percent)
+)
 def figure_10(runner: ExperimentRunner) -> Report:
     """Fig. 10: end-to-end time and accuracy across all three setups."""
-    runner.prefetch(
-        [
-            (SETUPS[index], {"kind": "switch", "percent": percent})
-            for index in (1, 2, 3)
-            for percent in (100.0, 0.0, SETUPS[index].policy_percent)
-        ]
-    )
     rows = []
     for index in (1, 2, 3):
         setup = SETUPS[index]
-        bsp = runner.run_many(setup, {"kind": "switch", "percent": 100.0})
-        asp = runner.run_many(setup, {"kind": "switch", "percent": 0.0})
-        sync = runner.run_many(
-            setup, {"kind": "switch", "percent": setup.policy_percent}
-        )
+        bsp = runner.run_many(setup, switch_spec(100.0))
+        asp = runner.run_many(setup, switch_spec(0.0))
+        sync = runner.run_many(setup, switch_spec(setup.policy_percent))
         bsp_time = time_stats(bsp)["time_mean"]
         for label, runs in (("BSP", bsp), ("ASP", asp), ("Sync-Switch", sync)):
             stats = accuracy_stats(runs) | time_stats(runs)
@@ -110,25 +107,27 @@ def figure_10(runner: ExperimentRunner) -> Report:
     )
 
 
+def _detail_cells(setup: ExperimentSetup):
+    """The Figs. 11/12/13 grid: the sweep, BSP, ASP and the policy."""
+    percents = dict.fromkeys(
+        (*setup.sweep_percents, 100.0, 0.0, setup.policy_percent)
+    )
+    return ((setup, switch_spec(percent)) for percent in percents)
+
+
 def _setup_detail(
     runner: ExperimentRunner, setup: ExperimentSetup, ident: str
 ) -> Report:
-    """Shared generator for Figs. 11/12/13 (c)+(d) style grids.
+    """Shared builder for Figs. 11/12/13 (c)+(d) style grids.
 
     Per switch timing: converged accuracy and total training time, plus
     best-run loss/accuracy curve endpoints for the (a)/(b) panels.
     """
-    percents = dict.fromkeys(
-        (*setup.sweep_percents, 100.0, 0.0, setup.policy_percent)
-    )
-    runner.prefetch(
-        [(setup, {"kind": "switch", "percent": percent}) for percent in percents]
-    )
     rows = []
-    bsp_runs = runner.run_many(setup, {"kind": "switch", "percent": 100.0})
+    bsp_runs = runner.run_many(setup, switch_spec(100.0))
     bsp_time = time_stats(bsp_runs)["time_mean"]
     for percent in setup.sweep_percents:
-        runs = runner.run_many(setup, {"kind": "switch", "percent": percent})
+        runs = runner.run_many(setup, switch_spec(percent))
         stats = accuracy_stats(runs) | time_stats(runs)
         failed = divergence_rate(runs) == 1.0
         final_losses = [
@@ -162,7 +161,7 @@ def _setup_detail(
         ("ASP", 0.0),
         (f"P ({setup.policy_percent:g}%)", setup.policy_percent),
     ):
-        runs = runner.run_many(setup, {"kind": "switch", "percent": percent})
+        runs = runner.run_many(setup, switch_spec(percent))
         alive = [run for run in runs if not run.diverged]
         if alive:
             best = max(alive, key=lambda run: run.reported_accuracy or 0.0)
@@ -193,16 +192,19 @@ def _setup_detail(
     )
 
 
+@declares(_detail_cells(SETUPS[1]))
 def figure_11(runner: ExperimentRunner) -> Report:
     """Fig. 11: setup 1 detail (accuracy/time/loss vs switch timing)."""
     return _setup_detail(runner, SETUPS[1], "Figure 11")
 
 
+@declares(_detail_cells(SETUPS[2]))
 def figure_12(runner: ExperimentRunner) -> Report:
     """Fig. 12: setup 2 detail."""
     return _setup_detail(runner, SETUPS[2], "Figure 12")
 
 
+@declares(_detail_cells(SETUPS[3]))
 def figure_13(runner: ExperimentRunner) -> Report:
     """Fig. 13: setup 3 detail (divergence below the 50% switch point)."""
     report = _setup_detail(runner, SETUPS[3], "Figure 13")
@@ -213,30 +215,25 @@ def figure_13(runner: ExperimentRunner) -> Report:
     return report
 
 
+#: Fig. 14 policies: setup index -> its searched switch timing.
+_POLICIES = {index: SETUPS[index].policy_percent for index in (1, 2, 3)}
+
+
+@declares(
+    (SETUPS[index], switch_spec(percent))
+    for index in (1, 2, 3)
+    for percent in (100.0, *_POLICIES.values())
+)
 def figure_14(runner: ExperimentRunner) -> Report:
     """Fig. 14: cross-examination of policies across setups."""
     rows = []
-    policies = {
-        1: SETUPS[1].policy_percent,
-        2: SETUPS[2].policy_percent,
-        3: SETUPS[3].policy_percent,
-    }
-    runner.prefetch(
-        [
-            (SETUPS[index], {"kind": "switch", "percent": percent})
-            for index in (1, 2, 3)
-            for percent in (100.0, *policies.values())
-        ]
-    )
     for setup_index in (1, 2, 3):
         setup = SETUPS[setup_index]
-        bsp_time = time_stats(
-            runner.run_many(setup, {"kind": "switch", "percent": 100.0})
-        )["time_mean"]
-        for policy_index, percent in policies.items():
-            runs = runner.run_many(
-                setup, {"kind": "switch", "percent": percent}
-            )
+        bsp_time = time_stats(runner.run_many(setup, switch_spec(100.0)))[
+            "time_mean"
+        ]
+        for policy_index, percent in _POLICIES.items():
+            runs = runner.run_many(setup, switch_spec(percent))
             stats = accuracy_stats(runs) | time_stats(runs)
             failed = divergence_rate(runs) == 1.0
             rows.append(

@@ -1,16 +1,17 @@
 """Motivation and policy-design figures: Figs. 2, 4, 5 and 8.
 
-Each generator collects its full grid of run specs up front and
-prefetches them as one deduplicated batch (parallel when the runner
-has ``jobs > 1``) before assembling rows from the shared cache.
+Each generator declares its grid of ``(setup, spec)`` cells beside it
+(:func:`~repro.experiments.reporting.declares`); the grid trains as
+one deduplicated batch (parallel when the runner has ``jobs > 1``)
+before the rows are assembled from the shared cache.
 """
 
 from __future__ import annotations
 
 from repro.experiments.aggregate import accuracy_stats, mean, time_stats
-from repro.experiments.reporting import Report
+from repro.experiments.reporting import Report, declares
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.setups import SETUPS
+from repro.experiments.setups import SETUPS, switch_spec
 
 __all__ = [
     "figure_2",
@@ -23,28 +24,27 @@ __all__ = [
 ]
 
 
+#: Fig. 2 configurations: (label, BSP percent) on setup 1.
+_FIG2_CONFIGURATIONS = (
+    ("BSP", 100.0),
+    ("ASP", 0.0),
+    ("Switching 25%", 25.0),
+    ("Switching 50%", 50.0),
+)
+
+
+@declares(
+    (SETUPS[1], switch_spec(percent)) for _, percent in _FIG2_CONFIGURATIONS
+)
 def figure_2(runner: ExperimentRunner) -> Report:
     """Fig. 2: benefits of synchronization switching (setup 1).
 
     BSP, ASP, and BSP->ASP switching at 25% / 50%: converged accuracy
     and total training time.
     """
-    setup = SETUPS[1]
-    configurations = [
-        ("BSP", 100.0),
-        ("ASP", 0.0),
-        ("Switching 25%", 25.0),
-        ("Switching 50%", 50.0),
-    ]
-    runner.prefetch(
-        [
-            (setup, {"kind": "switch", "percent": percent})
-            for _, percent in configurations
-        ]
-    )
     rows = []
-    for label, percent in configurations:
-        runs = runner.run_many(setup, {"kind": "switch", "percent": percent})
+    for label, percent in _FIG2_CONFIGURATIONS:
+        runs = runner.run_many(SETUPS[1], switch_spec(percent))
         stats = accuracy_stats(runs) | time_stats(runs)
         rows.append(
             {
@@ -88,15 +88,13 @@ def figure_2(runner: ExperimentRunner) -> Report:
     )
 
 
+@declares(
+    (SETUPS[index], {"kind": "static", "protocol": protocol})
+    for index in (1, 2, 3)
+    for protocol in ("bsp", "asp")
+)
 def figure_4a(runner: ExperimentRunner) -> Report:
     """Fig. 4a: BSP vs ASP training throughput without stragglers."""
-    runner.prefetch(
-        [
-            (SETUPS[index], {"kind": "static", "protocol": protocol})
-            for index in (1, 2, 3)
-            for protocol in ("bsp", "asp")
-        ]
-    )
     rows = []
     for index in (1, 2, 3):
         setup = SETUPS[index]
@@ -140,43 +138,44 @@ def figure_4a(runner: ExperimentRunner) -> Report:
     )
 
 
+#: Fig. 4b straggler scenarios: (label, stragglers, latency in s).
+_FIG4B_SCENARIOS = (
+    ("0 + 0ms", 0, 0.0),
+    ("1 + 10ms", 1, 0.010),
+    ("2 + 10ms", 2, 0.010),
+    ("1 + 30ms", 1, 0.030),
+    ("2 + 30ms", 2, 0.030),
+)
+
+
+def _scenario_spec(protocol: str, count: int, latency: float) -> dict:
+    spec = {"kind": "static", "protocol": protocol, "steps_scale": 0.5}
+    if count:
+        spec["stragglers"] = {
+            "n": count,
+            "latency": latency,
+            "permanent": True,
+        }
+    return spec
+
+
+@declares(
+    (SETUPS[1], _scenario_spec(protocol, count, latency))
+    for _, count, latency in _FIG4B_SCENARIOS
+    for protocol in ("bsp", "asp")
+)
 def figure_4b(runner: ExperimentRunner) -> Report:
     """Fig. 4b: throughput under injected stragglers (setup 1).
 
     Scenarios: {0 stragglers, 1+10ms, 2+10ms, 1+30ms, 2+30ms} with the
     paper's emulated per-packet latency on the straggling workers.
     """
-    setup = SETUPS[1]
-    scenarios = [
-        ("0 + 0ms", 0, 0.0),
-        ("1 + 10ms", 1, 0.010),
-        ("2 + 10ms", 2, 0.010),
-        ("1 + 30ms", 1, 0.030),
-        ("2 + 30ms", 2, 0.030),
-    ]
-    def scenario_spec(protocol: str, count: int, latency: float) -> dict:
-        spec = {"kind": "static", "protocol": protocol, "steps_scale": 0.5}
-        if count:
-            spec["stragglers"] = {
-                "n": count,
-                "latency": latency,
-                "permanent": True,
-            }
-        return spec
-
-    runner.prefetch(
-        [
-            (setup, scenario_spec(protocol, count, latency))
-            for _, count, latency in scenarios
-            for protocol in ("bsp", "asp")
-        ]
-    )
     rows = []
-    for label, count, latency in scenarios:
+    for label, count, latency in _FIG4B_SCENARIOS:
         row = {"scenario": label}
         for protocol in ("bsp", "asp"):
             runs = runner.run_many(
-                setup, scenario_spec(protocol, count, latency)
+                SETUPS[1], _scenario_spec(protocol, count, latency)
             )
             throughputs = [
                 run.segment_throughput(protocol)
@@ -201,19 +200,21 @@ def figure_4b(runner: ExperimentRunner) -> Report:
     )
 
 
+#: Fig. 5a synchronicity orders: (label, spec) on setup 1.
+_FIG5A_ORDERS = (
+    ("BSP", switch_spec(100.0)),
+    ("BSP->ASP", switch_spec(50.0)),
+    ("ASP->BSP", {"kind": "reversed", "percent": 50.0}),
+    ("ASP", switch_spec(0.0)),
+)
+
+
+@declares((SETUPS[1], spec) for _, spec in _FIG5A_ORDERS)
 def figure_5a(runner: ExperimentRunner) -> Report:
     """Fig. 5a: order of synchronicity (BSP, BSP->ASP, ASP->BSP, ASP)."""
-    setup = SETUPS[1]
-    configurations = [
-        ("BSP", {"kind": "switch", "percent": 100.0}),
-        ("BSP->ASP", {"kind": "switch", "percent": 50.0}),
-        ("ASP->BSP", {"kind": "reversed", "percent": 50.0}),
-        ("ASP", {"kind": "switch", "percent": 0.0}),
-    ]
-    runner.prefetch([(setup, spec) for _, spec in configurations])
     rows = []
-    for label, spec in configurations:
-        runs = runner.run_many(setup, spec)
+    for label, spec in _FIG5A_ORDERS:
+        runs = runner.run_many(SETUPS[1], spec)
         stats = accuracy_stats(runs)
         rows.append(
             {
@@ -241,18 +242,14 @@ def figure_5a(runner: ExperimentRunner) -> Report:
     )
 
 
+@declares(
+    (SETUPS[1], switch_spec(percent)) for percent in SETUPS[1].sweep_percents
+)
 def figure_5b(runner: ExperimentRunner) -> Report:
     """Fig. 5b: converged accuracy vs BSP proportion (the knee curve)."""
-    setup = SETUPS[1]
-    runner.prefetch(
-        [
-            (setup, {"kind": "switch", "percent": percent})
-            for percent in setup.sweep_percents
-        ]
-    )
     rows = []
-    for percent in setup.sweep_percents:
-        runs = runner.run_many(setup, {"kind": "switch", "percent": percent})
+    for percent in SETUPS[1].sweep_percents:
+        runs = runner.run_many(SETUPS[1], switch_spec(percent))
         stats = accuracy_stats(runs)
         rows.append(
             {
@@ -274,22 +271,21 @@ def figure_5b(runner: ExperimentRunner) -> Report:
     )
 
 
+def _batch_spec(batch: int) -> dict:
+    return {
+        "kind": "custom_static",
+        "protocol": "asp",
+        "options": {"batch_size": batch},
+        "steps_scale": 0.25,
+    }
+
+
+@declares((SETUPS[1], _batch_spec(batch)) for batch in (1024, 128))
 def figure_8a(runner: ExperimentRunner) -> Report:
     """Fig. 8a: ASP throughput with per-worker batch 1024 vs 128."""
-    setup = SETUPS[1]
-
-    def batch_spec(batch: int) -> dict:
-        return {
-            "kind": "custom_static",
-            "protocol": "asp",
-            "options": {"batch_size": batch},
-            "steps_scale": 0.25,
-        }
-
-    runner.prefetch([(setup, batch_spec(batch)) for batch in (1024, 128)])
     rows = []
     for batch in (1024, 128):
-        runs = runner.run_many(setup, batch_spec(batch))
+        runs = runner.run_many(SETUPS[1], _batch_spec(batch))
         throughputs = [
             run.segment_throughput("asp") for run in runs if not run.diverged
         ]
@@ -318,22 +314,22 @@ def figure_8a(runner: ExperimentRunner) -> Report:
     )
 
 
+#: Fig. 8b momentum handling variants after the switch.
+_FIG8B_MODES = (
+    "baseline", "zero", "fixed-scaled", "nonlinear-ramp", "linear-ramp"
+)
+
+
+def _mode_spec(mode: str) -> dict:
+    return switch_spec(SETUPS[1].policy_percent, momentum_mode=mode)
+
+
+@declares((SETUPS[1], _mode_spec(mode)) for mode in _FIG8B_MODES)
 def figure_8b(runner: ExperimentRunner) -> Report:
     """Fig. 8b: momentum handling after the switch (five variants)."""
-    setup = SETUPS[1]
-    modes = ("baseline", "zero", "fixed-scaled", "nonlinear-ramp", "linear-ramp")
-
-    def mode_spec(mode: str) -> dict:
-        return {
-            "kind": "switch",
-            "percent": setup.policy_percent,
-            "momentum_mode": mode,
-        }
-
-    runner.prefetch([(setup, mode_spec(mode)) for mode in modes])
     rows = []
-    for mode in modes:
-        runs = runner.run_many(setup, mode_spec(mode))
+    for mode in _FIG8B_MODES:
+        runs = runner.run_many(SETUPS[1], _mode_spec(mode))
         stats = accuracy_stats(runs)
         rows.append(
             {

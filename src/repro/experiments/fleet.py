@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -46,8 +45,8 @@ from repro.experiments.executor import (
 from repro.codec import decode, encode
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.errors import ConfigurationError
-from repro.experiments.reporting import Report
-from repro.experiments.runner import CollectionComplete, ExperimentRunner
+from repro.experiments.reporting import Report, declares
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setups import SETUPS
 from repro.fleet import (
     FLEET_SCENARIOS,
@@ -1174,30 +1173,34 @@ MODES = {
 }
 
 
-def _artifact(mode: str, runner: ExperimentRunner, **cells) -> Report:
+def _artifact(mode: str, **cells) -> Callable[[ExperimentRunner], Report]:
     """A registry entry: ``mode`` at its committed cell, refreshing
     ``results/``, on the runner's cache and worker count.  Fleet cells
-    are not training cells, so a collect-only runner gets nothing."""
-    if runner.is_collecting:
-        raise CollectionComplete
-    cache_dir = runner.cache_dir if runner.cache_dir is not None else "off"
-    _, report, target = run_mode(
-        MODES[mode], jobs=runner.jobs, cache_dir=cache_dir, **cells
-    )
-    report.notes.append(f"{MODES[mode].noun} artifact refreshed at {target}")
-    return report
+    are not training cells, so it declares none."""
+
+    @declares(())
+    def artifact(runner: ExperimentRunner) -> Report:
+        cache_dir = runner.cache_dir if runner.cache_dir is not None else "off"
+        _, report, target = run_mode(
+            MODES[mode], jobs=runner.jobs, cache_dir=cache_dir, **cells
+        )
+        report.notes.append(
+            f"{MODES[mode].noun} artifact refreshed at {target}"
+        )
+        return report
+
+    return artifact
 
 
 #: ``report fleet``: every scheduler x sync policy on the rush stream,
 #: at the ``fleet`` CLI's default scale, so the two surfaces agree.
-fleet_artifact = partial(
-    _artifact, "grid", scenario="rush", scale=DEFAULT_FLEET_SCALE, seed=0
+fleet_artifact = _artifact(
+    "grid", scenario="rush", scale=DEFAULT_FLEET_SCALE, seed=0
 )
 
 #: ``report fleet-trace-scale``: a 600-job trace slice on 4 shards
 #: under the SLO scheduler (the trace's prod tier carries deadlines).
-fleet_trace_scale_artifact = partial(
-    _artifact,
+fleet_trace_scale_artifact = _artifact(
     "trace-scale",
     scenario="trace",
     scheduler="slo",
@@ -1212,8 +1215,7 @@ fleet_trace_scale_artifact = partial(
 #: job detail.  The contended rush stream under FIFO keeps the timeline
 #: readable (one admission wave, clear queue build-up) while
 #: Sync-Switch exercises every span category.
-fleet_trace_artifact = partial(
-    _artifact,
+fleet_trace_artifact = _artifact(
     "trace-metrics",
     scenario="rush",
     scheduler="fifo",
@@ -1224,8 +1226,7 @@ fleet_trace_artifact = partial(
 
 #: ``report fleet-search``: the amortized tuning comparison over
 #: :data:`DEFAULT_TUNING_SCENARIOS` x :data:`DEFAULT_TUNING_SEEDS`.
-fleet_tuning_artifact = partial(
-    _artifact,
+fleet_tuning_artifact = _artifact(
     "tuning",
     scenarios=DEFAULT_TUNING_SCENARIOS,
     seeds=DEFAULT_TUNING_SEEDS,

@@ -6,29 +6,27 @@ substitutions or caveats.  ``render_report`` prints the same rows the
 paper's artifact shows, aligned for terminal reading; the benchmark
 harness tees these into ``EXPERIMENTS.md``.
 
-When several artifacts are rendered in one invocation (``report all``
-or ``report fig2 fig5b ...``), :func:`prefetch_union` first collects
-every artifact's experiment grid without executing anything (see
-:meth:`~repro.experiments.runner.ExperimentRunner.collect_only`) and
-submits the *union* as one deduplicated batch, so overlapping grids
-(e.g. Fig. 2 ⊂ Fig. 5b ⊂ Fig. 11) train once and ``--jobs N``
-parallelism spans the whole invocation instead of one artifact at a
-time.
+Every artifact generator is declared with :func:`declares`: the
+``(setup, spec)`` cells it reads are data on the generator, written
+once beside it.  Calling a generator trains those cells as one
+deduplicated batch, then builds its report from the warm cache.  When
+several artifacts are rendered in one invocation (``report all`` or
+``report fig2 fig5b ...``), :func:`prefetch_union` submits the *union*
+of their declared cells first, so overlapping grids (e.g. Fig. 2 ⊂
+Fig. 5b ⊂ Fig. 11) train once and ``--jobs N`` parallelism spans the
+whole invocation instead of one artifact at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
-from repro.experiments.runner import (
-    CollectionComplete,
-    ExperimentRunner,
-    RunRequest,
-)
+from repro.experiments.runner import ExperimentRunner, RunRequest
 
 __all__ = [
     "Report",
-    "collect_artifact_cells",
+    "declares",
     "prefetch_union",
     "render_report",
 ]
@@ -77,37 +75,43 @@ def _render_table(columns: list[str], rows: list[dict]) -> list[str]:
     return lines
 
 
-def collect_artifact_cells(
-    runner: ExperimentRunner, artifact_fn
-) -> list[RunRequest]:
-    """The experiment cells one artifact generator would prefetch.
+def declares(cells):
+    """Declare the ``(setup, spec)`` cells an artifact generator reads.
 
-    Runs the generator under collect-only mode: its prefetch calls
-    record cells, and its first actual execution aborts it.  Artifacts
-    whose work is not expressible as prefetchable cells (the adaptive
-    binary-search tables, the fleet scenario grid) contribute whatever
-    they prefetch before executing — possibly nothing.
+    The decorated generator keeps its name, docstring and call shape
+    ``(runner, **options)``, and carries the declaration as its
+    ``cells`` tuple.  Calling it trains those cells as one batch
+    (:func:`prefetch_union`), then builds the report from the warm
+    cache.  A generator with nothing to train declares ``()``.
     """
-    with runner.collect_only() as collected:
-        try:
-            artifact_fn(runner)
-        except CollectionComplete:
-            pass
-    return collected
+    cells = tuple(cells)
+
+    def declare(build):
+        @wraps(build)
+        def generator(runner: ExperimentRunner, **options) -> Report:
+            prefetch_union(runner, [generator])
+            return build(runner, **options)
+
+        generator.cells = cells
+        return generator
+
+    return declare
 
 
-def prefetch_union(runner: ExperimentRunner, artifact_fns) -> int:
-    """Warm the cache with the union grid of several artifacts.
+def prefetch_union(runner: ExperimentRunner, artifacts) -> int:
+    """Warm the cache with the union of several artifacts' cells.
 
-    Collects every generator's grid, deduplicates across artifacts by
-    cache key, and executes the union as one batch (parallel when the
-    runner has ``jobs > 1``).  Returns the number of unique cells
-    submitted.
+    Expands every declared cell over the runner's seeds, deduplicates
+    across artifacts by cache key, and executes the union as one batch
+    (parallel when the runner has ``jobs > 1``).  Returns the number of
+    unique cells submitted.
     """
     union: dict[str, RunRequest] = {}
-    for artifact_fn in artifact_fns:
-        for request in collect_artifact_cells(runner, artifact_fn):
-            union.setdefault(request.key(runner.scale), request)
+    for artifact in artifacts:
+        for setup, spec in artifact.cells:
+            for seed in range(runner.n_seeds):
+                request = RunRequest(setup, spec, seed)
+                union.setdefault(request.key(runner.scale), request)
     requests = list(union.values())
     if requests:
         runner.run_batch(requests)

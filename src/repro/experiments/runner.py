@@ -15,9 +15,10 @@ Batch execution and parallelism
 :meth:`ExperimentRunner.run_many` and :meth:`ExperimentRunner.sweep`
 collect their full grid of ``(setup, spec, seed)`` cells and submit
 them as one deduplicated batch to a
-:class:`~repro.experiments.executor.ParallelExecutor`; the figure and
-table drivers additionally :meth:`ExperimentRunner.prefetch` every
-cell they will touch up front, so one batch covers the whole artifact.
+:class:`~repro.experiments.executor.ParallelExecutor`; every artifact
+generator declares the cells it reads
+(:func:`~repro.experiments.reporting.declares`), which train as one
+batch before its rows are built.
 The worker count comes from the ``jobs=`` constructor parameter, the
 ``REPRO_JOBS`` environment variable, or defaults to 1 (inline, no
 subprocesses).  Parallel and serial execution are bit-identical
@@ -32,7 +33,6 @@ cell computed by a sibling process is loaded, not recomputed.  See
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 
 from repro.distsim.job import JobConfig
@@ -54,22 +54,10 @@ from repro.experiments.setups import (
     default_scale,
     default_seeds,
     scaled_job,
+    switch_spec,
 )
 
-__all__ = ["ExperimentRunner", "CollectionComplete", "CALIBRATION_VERSION"]
-
-
-class CollectionComplete(Exception):
-    """Raised when a runner in collect-only mode is asked to execute.
-
-    Artifact generators prefetch their full grid before assembling any
-    rows, so under :meth:`ExperimentRunner.collect_only` the prefetch
-    calls record their cells and the first actual execution aborts the
-    generator with this (control-flow, non-error) exception.  The
-    cross-artifact scheduler in :mod:`repro.experiments.reporting` uses
-    this to gather the union grid of many artifacts without running
-    anything.
-    """
+__all__ = ["ExperimentRunner", "CALIBRATION_VERSION"]
 
 
 class ExperimentRunner:
@@ -95,7 +83,6 @@ class ExperimentRunner:
         self.jobs = resolve_jobs(jobs)
         self._memory: dict[str, TrainingResult] = {}
         self._cache_dir = resolve_cache_dir(cache_dir)
-        self._collecting: list[RunRequest] | None = None
         self._executor = ParallelExecutor(
             scale=self.scale, cache_dir=self._cache_dir, jobs=self.jobs
         )
@@ -108,34 +95,10 @@ class ExperimentRunner:
         """Resolved on-disk cache directory (None when disabled)."""
         return self._cache_dir
 
-    @contextmanager
-    def collect_only(self):
-        """Record prefetched cells instead of executing anything.
-
-        Inside the context, :meth:`prefetch` appends its expanded
-        :class:`RunRequest` cells to the yielded list and returns no
-        results, while :meth:`run` and :meth:`run_batch` raise
-        :class:`CollectionComplete`.  Used by the cross-artifact report
-        scheduler to gather the union grid of several artifacts.
-        """
-        collected: list[RunRequest] = []
-        self._collecting = collected
-        try:
-            yield collected
-        finally:
-            self._collecting = None
-
-    @property
-    def is_collecting(self) -> bool:
-        """Whether the runner is inside :meth:`collect_only`."""
-        return self._collecting is not None
-
     def run(
         self, setup: ExperimentSetup, spec: dict, seed: int
     ) -> TrainingResult:
         """Execute one configuration (cached)."""
-        if self._collecting is not None:
-            raise CollectionComplete
         key = self._key(setup, spec, seed)
         if key in self._memory:
             return self._memory[key]
@@ -160,8 +123,6 @@ class ExperimentRunner:
         when ``jobs=1``).  Results come back in request order and are
         bit-identical to serial execution.
         """
-        if self._collecting is not None:
-            raise CollectionComplete
         keyed = [(request.key(self.scale), request) for request in requests]
         missing = {
             key: request for key, request in keyed if key not in self._memory
@@ -177,20 +138,18 @@ class ExperimentRunner:
     ) -> list[TrainingResult]:
         """Warm the cache for every ``(setup, spec)`` cell x seed.
 
-        The figure/table drivers call this with their complete grid so
-        the whole artifact executes as one deduplicated batch; their
-        subsequent :meth:`run_many` calls then assemble from cache.
+        Callers pass their complete grid so it executes as one
+        deduplicated batch; their subsequent :meth:`run_many` calls
+        then assemble from cache.
         """
         count = seeds if seeds is not None else self.n_seeds
-        expanded = [
-            RunRequest(setup, spec, seed)
-            for setup, spec in cells
-            for seed in range(count)
-        ]
-        if self._collecting is not None:
-            self._collecting.extend(expanded)
-            return []
-        return self.run_batch(expanded)
+        return self.run_batch(
+            [
+                RunRequest(setup, spec, seed)
+                for setup, spec in cells
+                for seed in range(count)
+            ]
+        )
 
     def run_many(
         self,
@@ -217,19 +176,16 @@ class ExperimentRunner:
         """
         grid = percents if percents is not None else setup.sweep_percents
         self.prefetch(
-            [(setup, {"kind": "switch", "percent": percent}) for percent in grid],
-            seeds=seeds,
+            [(setup, switch_spec(percent)) for percent in grid], seeds=seeds
         )
         return {
-            percent: self.run_many(
-                setup, {"kind": "switch", "percent": percent}, seeds
-            )
+            percent: self.run_many(setup, switch_spec(percent), seeds)
             for percent in grid
         }
 
     def bsp_mean_accuracy(self, setup: ExperimentSetup) -> float:
         """Mean BSP converged accuracy (TTA threshold base, Section VI-A)."""
-        runs = self.run_many(setup, {"kind": "switch", "percent": 100.0})
+        runs = self.run_many(setup, switch_spec(100.0))
         values = [
             run.reported_accuracy
             for run in runs

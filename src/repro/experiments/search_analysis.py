@@ -5,17 +5,19 @@ searches per setting.  Here the "training logs" are the runner's cached
 switch-timing sweeps; the :class:`ProfileModel` turns them into
 per-fraction accuracy/time distributions for the Monte-Carlo replays.
 
-The multi-setup artifacts (Table II, Fig. 16) prefetch every setup's
-full sweep grid as one deduplicated batch (parallel when the runner
-has ``jobs > 1``) before the per-setup Monte-Carlo loops.
+Each artifact declares the sweep cells it replays
+(:func:`~repro.experiments.reporting.declares`), so the multi-setup
+ones (Table II, Fig. 16) train every setup's full sweep grid as one
+deduplicated batch (parallel when the runner has ``jobs > 1``) before
+the per-setup Monte-Carlo loops.
 """
 
 from __future__ import annotations
 
 from repro.core.search import ProfileModel, SearchCostSimulator, SearchSetting
-from repro.experiments.reporting import Report
+from repro.experiments.reporting import Report, declares
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.setups import SETUPS, ExperimentSetup
+from repro.experiments.setups import SETUPS, ExperimentSetup, switch_spec
 
 __all__ = [
     "profile_model",
@@ -72,14 +74,12 @@ _TABLE_2_PAPER = (
 )
 
 
-def _prefetch_sweeps(runner: ExperimentRunner, setup_indices) -> None:
-    """Submit several setups' sweep grids as one batch."""
-    runner.prefetch(
-        [
-            (SETUPS[index], {"kind": "switch", "percent": percent})
-            for index in dict.fromkeys(setup_indices)
-            for percent in SETUPS[index].sweep_percents
-        ]
+def _sweep_cells(*setup_indices: int):
+    """The switch-timing sweep cells (the training logs) of setups."""
+    return (
+        (SETUPS[index], switch_spec(percent))
+        for index in setup_indices
+        for percent in SETUPS[index].sweep_percents
     )
 
 
@@ -157,9 +157,9 @@ def _settings_report(
     )
 
 
+@declares(_sweep_cells(1, 2, 3))
 def table_2(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     """Table II: selected search settings across all three setups."""
-    _prefetch_sweeps(runner, [index for index, _ in _TABLE_2_SETTINGS])
     rows = []
     for setup_index, setting in _TABLE_2_SETTINGS:
         setup = SETUPS[setup_index]
@@ -204,6 +204,7 @@ def table_2(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     )
 
 
+@declares(_sweep_cells(1))
 def table_4(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     """Table IV: full cost/performance analysis for setup 1."""
     return _settings_report(
@@ -211,6 +212,7 @@ def table_4(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     )
 
 
+@declares(_sweep_cells(2))
 def table_5(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     """Table V: full cost/performance analysis for setup 2."""
     return _settings_report(
@@ -218,6 +220,7 @@ def table_5(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     )
 
 
+@declares(_sweep_cells(3))
 def table_6(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     """Table VI: full cost/performance analysis for setup 3."""
     return _settings_report(
@@ -225,6 +228,7 @@ def table_6(runner: ExperimentRunner, n_simulations: int = 1000) -> Report:
     )
 
 
+@declares(_sweep_cells(1, 2, 3))
 def figure_16(runner: ExperimentRunner, n_simulations: int = 500) -> Report:
     """Fig. 16: search cost vs attempts per setting, three strategies.
 
@@ -232,7 +236,6 @@ def figure_16(runner: ExperimentRunner, n_simulations: int = 500) -> Report:
     ``bn = n`` BSP runs ``(No, r, r)``, and new jobs with a single BSP
     run ``(No, 1, r)``.
     """
-    _prefetch_sweeps(runner, (1, 2, 3))
     rows = []
     for index in (1, 2, 3):
         setup = SETUPS[index]

@@ -35,6 +35,7 @@ __all__ = [
     "default_seeds",
     "scaled_job",
     "scaled_steps",
+    "switch_spec",
 ]
 
 #: Base learning rate shared by all workloads.  The paper uses 0.1 for
@@ -137,6 +138,15 @@ SETUPS: dict[int, ExperimentSetup] = {
         },
     ),
 }
+
+
+def switch_spec(percent: float, **options) -> dict:
+    """Run spec of a BSP->ASP switch at ``percent`` % of the budget.
+
+    ``options`` are the optional spec keys (``momentum_mode``,
+    ``stragglers``, ...; see :mod:`repro.experiments.materialize`).
+    """
+    return {"kind": "switch", "percent": percent, **options}
 
 
 def default_scale() -> float:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from repro.experiments.aggregate import accuracy_stats, time_stats
-from repro.experiments.reporting import Report
+from repro.experiments.reporting import Report, declares
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.setups import SETUPS
+from repro.experiments.setups import SETUPS, switch_spec
 
 __all__ = ["figure_15", "STRAGGLER_SCENARIOS"]
 
@@ -18,33 +18,29 @@ STRAGGLER_SCENARIOS = {
 }
 
 
+def _policy_spec(straggler_spec: dict, policy: str) -> dict:
+    spec = switch_spec(
+        SETUPS[1].policy_percent, stragglers=straggler_spec, ambient=False
+    )
+    if policy != "baseline":
+        spec["online"] = policy
+    return spec
+
+
+@declares(
+    (SETUPS[1], _policy_spec(straggler_spec, policy))
+    for straggler_spec in STRAGGLER_SCENARIOS.values()
+    for policy in ("baseline", "greedy", "elastic")
+)
 def figure_15(runner: ExperimentRunner) -> Report:
     """Compare baseline / greedy / elastic policies per scenario."""
-    setup = SETUPS[1]
-
-    def policy_spec(straggler_spec: dict, policy: str) -> dict:
-        spec = {
-            "kind": "switch",
-            "percent": setup.policy_percent,
-            "stragglers": straggler_spec,
-            "ambient": False,
-        }
-        if policy != "baseline":
-            spec["online"] = policy
-        return spec
-
-    runner.prefetch(
-        [
-            (setup, policy_spec(straggler_spec, policy))
-            for straggler_spec in STRAGGLER_SCENARIOS.values()
-            for policy in ("baseline", "greedy", "elastic")
-        ]
-    )
     rows = []
     for scenario, straggler_spec in STRAGGLER_SCENARIOS.items():
         baseline_time = None
         for policy in ("baseline", "greedy", "elastic"):
-            runs = runner.run_many(setup, policy_spec(straggler_spec, policy))
+            runs = runner.run_many(
+                SETUPS[1], _policy_spec(straggler_spec, policy)
+            )
             stats = accuracy_stats(runs) | time_stats(runs)
             if policy == "baseline":
                 baseline_time = stats["time_mean"]

@@ -9,9 +9,9 @@ from repro.experiments.aggregate import (
     mean_time_to_accuracy,
     time_stats,
 )
-from repro.experiments.reporting import Report
+from repro.experiments.reporting import Report, declares
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.setups import SETUPS
+from repro.experiments.setups import SETUPS, switch_spec
 
 __all__ = ["table_1", "table_3", "TTA_THRESHOLD_FACTOR"]
 
@@ -22,23 +22,19 @@ __all__ = ["table_1", "table_3", "TTA_THRESHOLD_FACTOR"]
 TTA_THRESHOLD_FACTOR = 0.995
 
 
+@declares(
+    (SETUPS[index], switch_spec(percent))
+    for index in (1, 2, 3)
+    for percent in (100.0, 0.0, SETUPS[index].policy_percent)
+)
 def table_1(runner: ExperimentRunner) -> Report:
     """Table I: setups, policies, throughput and TTA speedups."""
-    runner.prefetch(
-        [
-            (SETUPS[index], {"kind": "switch", "percent": percent})
-            for index in (1, 2, 3)
-            for percent in (100.0, 0.0, SETUPS[index].policy_percent)
-        ]
-    )
     rows = []
     for index in (1, 2, 3):
         setup = SETUPS[index]
-        bsp = runner.run_many(setup, {"kind": "switch", "percent": 100.0})
-        asp = runner.run_many(setup, {"kind": "switch", "percent": 0.0})
-        sync = runner.run_many(
-            setup, {"kind": "switch", "percent": setup.policy_percent}
-        )
+        bsp = runner.run_many(setup, switch_spec(100.0))
+        asp = runner.run_many(setup, switch_spec(0.0))
+        sync = runner.run_many(setup, switch_spec(setup.policy_percent))
         bsp_time = time_stats(bsp)["time_mean"]
         asp_failed = divergence_rate(asp) == 1.0
         asp_time = None if asp_failed else time_stats(asp)["time_mean"]
@@ -102,6 +98,7 @@ def table_1(runner: ExperimentRunner) -> Report:
     )
 
 
+@declares([(SETUPS[1], switch_spec(SETUPS[1].policy_percent))])
 def table_3(runner: ExperimentRunner) -> Report:
     """Table III: initialization and switching overhead.
 
@@ -125,10 +122,7 @@ def table_3(runner: ExperimentRunner) -> Report:
                 }
             )
     # Measured share of switching overhead in an actual P1 run.
-    setup = SETUPS[1]
-    sync = runner.run_many(
-        setup, {"kind": "switch", "percent": setup.policy_percent}
-    )
+    sync = runner.run_many(SETUPS[1], switch_spec(SETUPS[1].policy_percent))
     shares = [
         run.total_overhead / run.total_time
         for run in sync

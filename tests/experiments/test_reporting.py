@@ -3,7 +3,7 @@
 import pytest
 
 from repro.distsim.result import TrainingResult
-from repro.experiments import ExperimentRunner
+from repro.experiments import ARTIFACTS, ExperimentRunner
 from repro.experiments.aggregate import (
     accuracy_stats,
     divergence_rate,
@@ -12,14 +12,11 @@ from repro.experiments.aggregate import (
     std,
     time_stats,
 )
+from repro.experiments.executor import RunRequest
 from repro.experiments.figures import figure_2, figure_5b
-from repro.experiments.reporting import (
-    Report,
-    collect_artifact_cells,
-    prefetch_union,
-    render_report,
-)
-from repro.experiments.runner import CollectionComplete
+from repro.experiments.reporting import Report, prefetch_union, render_report
+from repro.experiments.setups import SETUPS, switch_spec
+from repro.experiments.tables import table_3
 
 
 def result(accuracy=0.85, diverged=False, total_time=100.0) -> TrainingResult:
@@ -127,26 +124,6 @@ class TestCrossArtifactScheduling:
             scale=self.SCALE, seeds=1, cache_dir=tmp_path, jobs=1
         )
 
-    def test_collect_only_records_without_executing(self, tmp_path):
-        runner = self.runner(tmp_path)
-        with runner.collect_only() as grid:
-            assert runner.is_collecting
-            runner.prefetch(
-                [(None, None)][:0]  # empty prefetch records nothing
-            )
-            with pytest.raises(CollectionComplete):
-                runner.run_batch([])
-        assert grid == []
-        assert not runner.is_collecting
-        assert list(tmp_path.glob("*.json")) == []  # nothing trained
-
-    def test_collect_artifact_cells_matches_grid(self, tmp_path):
-        runner = self.runner(tmp_path)
-        cells = collect_artifact_cells(runner, figure_2)
-        # Fig. 2: four configurations x one seed, none executed.
-        assert len(cells) == 4
-        assert list(tmp_path.glob("*.json")) == []
-
     def test_prefetch_union_deduplicates_across_artifacts(self, tmp_path):
         runner = self.runner(tmp_path)
         # fig2 uses {0, 25, 50, 100}%; fig5b sweeps 7 percents
@@ -162,3 +139,68 @@ class TestCrossArtifactScheduling:
         report = figure_2(runner)
         assert len(report.rows) == 4
         assert set(tmp_path.glob("*.json")) == cached
+
+    def test_table_3_cell_joins_the_union(self, tmp_path):
+        # Table III reads one P1 run; it must train in the union batch,
+        # not in a second batch once the table is built.
+        runner = self.runner(tmp_path)
+        assert prefetch_union(runner, [table_3]) == 1
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+#: Unique training cells each artifact declares at one seed (the
+#: ``batch:`` line of the artifact rendered alone on a fresh cache).
+DECLARED_CELLS = {
+    "fig2": 4, "fig4a": 6, "fig4b": 10, "fig5a": 4, "fig5b": 7,
+    "fig8a": 2, "fig8b": 5, "fig10": 9, "fig11": 7, "fig12": 6,
+    "fig13": 4, "fig14": 12, "fig15": 6, "fig16": 17,
+    "tab1": 9, "tab2": 17, "tab3": 1, "tab4": 7, "tab5": 6, "tab6": 4,
+    "fleet": 0, "fleet-search": 0, "fleet-trace": 0, "fleet-trace-scale": 0,
+}
+
+
+class _RefusingExecutor:
+    """Any cell that reaches the executor was read but not declared."""
+
+    def execute(self, requests):
+        cells = [(request.setup.index, request.spec) for request in requests]
+        raise AssertionError(f"undeclared cells: {cells}")
+
+
+class TestDeclarations:
+    SCALE = 0.002
+
+    def runner(self) -> ExperimentRunner:
+        return ExperimentRunner(
+            scale=self.SCALE, seeds=1, cache_dir="off", jobs=1
+        )
+
+    @pytest.fixture(scope="class")
+    def trained(self) -> TrainingResult:
+        """One real setup-1 run with both a BSP and an ASP segment,
+        standing in for every declared cell."""
+        return self.runner().run(SETUPS[1], switch_spec(50.0), 0)
+
+    def test_every_artifact_declares_its_cell_count(self):
+        assert set(DECLARED_CELLS) == set(ARTIFACTS)
+        counts = {
+            key: len(
+                {
+                    RunRequest(setup, spec, 0).key(self.SCALE)
+                    for setup, spec in ARTIFACTS[key].cells
+                }
+            )
+            for key in ARTIFACTS
+        }
+        assert counts == DECLARED_CELLS
+
+    @pytest.mark.parametrize(
+        "key", [key for key, count in DECLARED_CELLS.items() if count]
+    )
+    def test_declared_cells_are_all_the_build_reads(self, key, trained):
+        runner = self.runner()
+        artifact = ARTIFACTS[key]
+        for setup, spec in artifact.cells:
+            runner._memory[RunRequest(setup, spec, 0).key(self.SCALE)] = trained
+        runner._executor = _RefusingExecutor()
+        assert artifact(runner).rows
