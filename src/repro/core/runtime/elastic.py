@@ -22,10 +22,15 @@ machine:
   contention schedule may be re-sliced at the same instant (the job's
   own ambient noise is preserved and re-merged).
 * :meth:`project` predicts the completion on the current worker set
-  from a :meth:`timing_fork` — a copy with null numerics whose clock is
-  bit-identical to this run's (the timing model alone decides it) — and
-  leaves this run paused for the next allocation change.  :meth:`fork`
-  is the exact copy with numerics.
+  from a :meth:`fork` — the exact copy — run to the end, and leaves
+  this run paused for the next allocation change.
+
+A run built with ``numerics=False`` is timing-only by construction: no
+model, dataset or parameter server, and a
+:class:`~repro.distsim.numerics_free.NumericsFreeSession` whose clock
+is bit-identical to a numeric run's (the timing model alone decides
+it), at a small fraction of the cost.  The fleet drives each resizable
+job with one (its clock run) and projects from its forks.
 
 The online straggler policies (Section IV-B2) act inside stage 0, the
 precise phase, at update boundaries raised by the profiler/detector
@@ -55,7 +60,6 @@ from repro.core.runtime.profiler import ThroughputProfiler
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous
 from repro.distsim.job import JobConfig, Segment
-from repro.distsim.numerics_free import numerics_free
 from repro.distsim.overheads import ProvisioningModel
 from repro.distsim.stragglers import StragglerSchedule
 from repro.distsim.result import TrainingResult
@@ -98,6 +102,7 @@ class ElasticTrainingRun:
         overhead_time_scale: float = 1.0,
         overhead_bandwidth: float = 1.0,
         tracer=None,
+        numerics: bool = True,
     ):
         self.job = job
         self.cluster_spec = cluster_spec
@@ -117,6 +122,7 @@ class ElasticTrainingRun:
             ambient_noise=ambient_noise,
             provisioning=self.provisioning,
             tracer=tracer,
+            numerics=numerics,
         )
         self.session = self.trainer.new_session()
         self.plan = policies.build_plan(job, cluster_spec.n_workers)
@@ -523,8 +529,8 @@ class ElasticTrainingRun:
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to this run (and its live session).
 
-        Used by the fleet to trace a tail it trains at admission into
-        a buffer, emitted when the job completes.
+        Used by the fleet to trace a job's asynchronous tail into a
+        buffer, emitted when the job completes.
         """
         self.trainer.tracer = tracer
         self.session.tracer = tracer
@@ -532,72 +538,54 @@ class ElasticTrainingRun:
     # ------------------------------------------------------------------
     # copies, projections and results
     # ------------------------------------------------------------------
-    def _copy_memo(self) -> dict[int, object]:
-        """Deep-copy memo sharing the immutable substrate (job, model,
+    def fork(self) -> "ElasticTrainingRun":
+        """Exact independent copy.
+
+        Mutable state — session, cluster, stage cursor — is deep-copied
+        at its exact position; the immutable substrate (job, model,
         dataset, timing, provisioning, straggler schedules, policies,
-        plan) and starting the copy untraced."""
+        plan) is shared, and the copy starts untraced.  The copy
+        continues bit-identically to what this run would have done; a
+        timing-only run's copy is timing-only, and knows the same
+        divergence step.
+        """
+        trainer, session = self.trainer, self.session
         memo: dict[int, object] = {}
         for shared in (
             self.job,
             self.policies,
             self.plan,
-            self.trainer.model,
-            self.trainer.dataset,
-            self.trainer.timing,
+            trainer.model,
+            trainer.dataset,
+            trainer.timing,
             self.provisioning,
+            trainer.stragglers,
+            trainer.ambient,
+            session.stragglers,
         ):
-            memo[id(shared)] = shared
-        for schedule in (
-            self.trainer.stragglers,
-            self.trainer.ambient,
-            self.session.stragglers,
-        ):
-            if schedule is not None:
-                memo[id(schedule)] = schedule
+            if shared is not None:
+                memo[id(shared)] = shared
         # Copies are speculative: they start untraced.
-        memo[id(self.trainer.tracer)] = NULL_TRACER
-        memo[id(self.session.tracer)] = NULL_TRACER
-        return memo
-
-    def fork(self) -> "ElasticTrainingRun":
-        """Exact independent copy.
-
-        Mutable state — session, cluster, stage cursor —
-        is deep-copied at its exact position; the immutable substrate
-        is shared.  The copy continues bit-identically to what this run
-        would have done.
-        """
-        memo = self._copy_memo()
-        # The parameter server's spare push targets are written before
-        # they are read, so the copy allocates its own on demand
-        # instead of duplicating up to n_workers vectors.
-        memo[id(self.session.ps._free)] = []
-        return copy.deepcopy(self, memo)
-
-    def timing_fork(
-        self, diverges_at: int | None = None
-    ) -> "ElasticTrainingRun":
-        """A numerics-free copy: this run's clock without its numbers.
-
-        The copy's session is a
-        :class:`~repro.distsim.numerics_free.NumericsFreeSession`: it
-        advances, pauses, resizes and switches exactly like this run —
-        same clock, steps, segment log and worker-duration log, bit for
-        bit — but computes no gradient, loss or evaluation.  It cannot
-        see a divergence: ``diverges_at`` is the step at which the
-        numeric run is known to diverge, if one is.
-        """
-        memo = self._copy_memo()
-        numerics_free(self.session, memo, diverges_at)
+        memo[id(trainer.tracer)] = NULL_TRACER
+        memo[id(session.tracer)] = NULL_TRACER
+        if session.numerics:
+            # The parameter server's spare push targets are written
+            # before they are read, so the copy allocates its own on
+            # demand instead of duplicating up to n_workers vectors.
+            memo[id(session.ps._free)] = []
         return copy.deepcopy(self, memo)
 
     def project(self, diverges_at: int | None = None) -> Completion:
         """How this run would complete on its current worker set.
 
-        Runs a :meth:`timing_fork` to the end; this run stays where it
-        is, for the next allocation change.
+        Runs a :meth:`fork` to the end; this run stays where it is, for
+        the next allocation change.  ``diverges_at`` overrides, for the
+        projection of a timing-only run, the step at which its numeric
+        counterpart is known to diverge (None: what this run knows).
         """
-        projection = self.timing_fork(diverges_at)
+        projection = self.fork()
+        if diverges_at is not None:
+            projection.session.diverges_at = diverges_at
         projection.run_to_completion()
         return projection.completion()
 

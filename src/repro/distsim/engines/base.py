@@ -9,7 +9,6 @@ session; the trainer sequences engines over plan segments.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable, Protocol
 
@@ -55,33 +54,16 @@ class TrainingSession:
         cluster: Cluster,
         stragglers: StragglerSchedule | None = None,
     ):
-        self.job = job
+        self._init_clock(job, timing, cluster, stragglers)
         self.model = model
         self.dataset = dataset
-        self.timing = timing
-        self.cluster = cluster
-        self.stragglers = stragglers or StragglerSchedule()
         self.ps = ShardedParameterServer(
             model.layout,
             model.init_params(job.seed),
             cluster.spec.n_parameter_servers,
             momentum=job.momentum,
         )
-        self.clock = SimClock()
-        self.telemetry = TrainingTelemetry()
         self.tracker = ConvergenceTracker()
-        # Observational only; never advances the clock or draws RNG.
-        # The trainer installs a live tracer when tracing is on.
-        self.tracer = NULL_TRACER
-        self.lr_schedule = PiecewiseDecaySchedule(job.base_lr)
-        self._lr_steps = tuple(
-            zip(self.lr_schedule.boundaries, self.lr_schedule.factors)
-        )
-        self.step = 0
-        self.async_switch_step: int | None = None
-        self.momentum_schedule: MomentumSchedule | None = None
-        self.diverged = False
-        self.diverged_step: int | None = None
         self._data_rngs = {
             worker: child_rng(job.seed, f"data/{worker}")
             for worker in cluster.all_workers
@@ -95,6 +77,43 @@ class TrainingSession:
             )
             for worker in cluster.all_workers
         }
+        # Dedicated compression streams are created lazily on first
+        # use: runs that never compress draw nothing from them, so the
+        # jitter/data streams (and golden hashes) are untouched.
+        self._compression_rngs: dict[int, np.random.Generator] = {}
+        self._grad_buffer: np.ndarray | None = None
+        self._next_eval = 0
+        self._next_loss_log = 0
+        self._last_loss: float | None = None
+
+    def _init_clock(
+        self,
+        job: JobConfig,
+        timing: TimingModel,
+        cluster: Cluster,
+        stragglers: StragglerSchedule | None,
+    ) -> None:
+        """The timing half of the state: everything the engine loops
+        read to advance the clock (all a
+        :class:`~repro.distsim.numerics_free.NumericsFreeSession` has)."""
+        self.job = job
+        self.timing = timing
+        self.cluster = cluster
+        self.stragglers = stragglers or StragglerSchedule()
+        self.clock = SimClock()
+        self.telemetry = TrainingTelemetry()
+        # Observational only; never advances the clock or draws RNG.
+        # The trainer installs a live tracer when tracing is on.
+        self.tracer = NULL_TRACER
+        self.lr_schedule = PiecewiseDecaySchedule(job.base_lr)
+        self._lr_steps = tuple(
+            zip(self.lr_schedule.boundaries, self.lr_schedule.factors)
+        )
+        self.step = 0
+        self.async_switch_step: int | None = None
+        self.momentum_schedule: MomentumSchedule | None = None
+        self.diverged = False
+        self.diverged_step: int | None = None
         self._time_rngs = {
             worker: child_rng(job.seed, f"time/{worker}")
             for worker in cluster.all_workers
@@ -106,14 +125,6 @@ class TrainingSession:
             worker: ChunkedLognormalNoise(rng, timing.jitter_sigma)
             for worker, rng in self._time_rngs.items()
         }
-        # Dedicated compression streams are created lazily on first
-        # use: runs that never compress draw nothing from them, so the
-        # jitter/data streams (and golden hashes) are untouched.
-        self._compression_rngs: dict[int, np.random.Generator] = {}
-        self._grad_buffer: np.ndarray | None = None
-        self._next_eval = 0
-        self._next_loss_log = 0
-        self._last_loss: float | None = None
 
     # ------------------------------------------------------------------
     # hyper-parameter resolution
@@ -288,36 +299,6 @@ class TrainingSession:
             self.async_switch_step = self.step
         if momentum_schedule is not None:
             self.momentum_schedule = momentum_schedule
-
-    def fork(self) -> "TrainingSession":
-        """An exact, independent copy of this session's mutable state.
-
-        The returned session continues bit-identically to this one: the
-        parameter server, optimizer slots, clock, telemetry, tracker
-        and — crucially — every RNG stream (data index streams, chunked
-        jitter buffers) are deep-copied at their exact positions.  The
-        immutable substrate (job config, model, dataset, timing model,
-        straggler schedule) is shared, not copied: the model's view
-        caches and the schedule's query memos are value-stable, so
-        sharing them never perturbs either run.
-
-        :meth:`repro.core.runtime.elastic.ElasticTrainingRun.fork` does
-        not call this: it deep-copies the whole run, session included,
-        through its own memo with the same sharing rules.
-        """
-        memo: dict[int, object] = {}
-        for shared in (
-            self.job,
-            self.model,
-            self.dataset,
-            self.timing,
-            self.stragglers,
-        ):
-            memo[id(shared)] = shared
-        # Forks are speculative: the copy must not write into the live
-        # trace.
-        memo[id(self.tracer)] = NULL_TRACER
-        return copy.deepcopy(self, memo)
 
 
 class GradientBatcher:

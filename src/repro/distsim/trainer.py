@@ -16,6 +16,7 @@ from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import is_synchronous, make_engine
 from repro.distsim.engines.base import StopCondition, TrainingSession
 from repro.distsim.job import JobConfig, Segment, TrainingPlan
+from repro.distsim.numerics_free import NumericsFreeSession
 from repro.distsim.overheads import ProvisioningModel
 from repro.distsim.stragglers import StragglerSchedule, ambient_contention
 from repro.distsim.result import TrainingResult
@@ -47,13 +48,16 @@ class DistributedTrainer:
         ambient_noise: bool = True,
         provisioning: ProvisioningModel | None = None,
         tracer=None,
+        numerics: bool = True,
     ):
         self.job = job
         self.cluster = cluster if isinstance(cluster, Cluster) else Cluster(cluster)
         self.provisioning = provisioning or ProvisioningModel(parallel=True)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.model = make_model(job.model)
-        self.dataset = make_dataset(job.dataset)
+        # A timing-only trainer (``numerics=False``) builds neither:
+        # its sessions are numerics-free.
+        self.model = make_model(job.model) if numerics else None
+        self.dataset = make_dataset(job.dataset) if numerics else None
         self.timing = timing_for(job.model, self.cluster.spec.gpu)
 
         schedule = stragglers or StragglerSchedule()
@@ -75,15 +79,15 @@ class DistributedTrainer:
         self.stragglers = schedule
 
     def new_session(self) -> TrainingSession:
-        """A fresh session (parameters re-initialised from the job seed)."""
-        session = TrainingSession(
-            job=self.job,
-            model=self.model,
-            dataset=self.dataset,
-            timing=self.timing,
-            cluster=self.cluster,
-            stragglers=self.stragglers,
-        )
+        """A fresh session (parameters re-initialised from the job seed);
+        a :class:`NumericsFreeSession` on a timing-only trainer."""
+        timing, cluster, stragglers = self.timing, self.cluster, self.stragglers
+        if self.model is None:
+            session = NumericsFreeSession(self.job, timing, cluster, stragglers)
+        else:
+            session = TrainingSession(
+                self.job, self.model, self.dataset, timing, cluster, stragglers
+            )
         session.tracer = self.tracer
         return session
 

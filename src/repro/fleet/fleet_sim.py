@@ -14,7 +14,7 @@ utilization) is aggregated into a
 (admit / preempt / rebalance / complete / reject) and policy
 resolution, and hands everything else to collaborators that never see
 it: the physical pool and the contention its tenants share
-(:mod:`repro.fleet.pool`), one job's train / fork / project / resize
+(:mod:`repro.fleet.pool`), one job's clock / project / resize / cell
 lifecycle (:mod:`repro.fleet.running`), the in-fleet Algorithm 1
 search (:class:`repro.fleet.tuning.InFleetSearch`) and the invariant
 checker (:mod:`repro.fleet.invariants`).
@@ -31,27 +31,26 @@ Each admitted job's telemetry yields two phase spans:
   scheduler may elastically preempt.
 
 An allocation change is handled by **event-driven elastic
-re-simulation** (:mod:`repro.fleet.running`): the job's paused run
-trains up to the allocation-change instant, is resized, and a fresh
-projection predicts the new completion, whose finish event supersedes
-the old one (events carry the job's version).
+re-simulation** (:mod:`repro.fleet.running`): the job's *clock run* —
+timing-only, no model, dataset or parameters — advances to the
+allocation-change instant and is resized, and a fresh projection (a
+fork of it, run to the end) predicts the new completion, whose finish
+event supersedes the old one (events carry the job's version).
 
-**Timing first.**  When a job ends is the timing model's alone, so a
-projection is a *numerics-free* fork of the paused run
-(:meth:`~repro.core.runtime.elastic.ElasticTrainingRun.project`) with a
-bit-identical clock, and the live run trains each realized step once:
-up to every allocation change, and to the end at the finish event,
-where it must end as the projection that scheduled the event said.
-Divergence, the one way numerics move the clock, is invisible to a
-projection: when a live run diverges where its projection did not,
-:meth:`FleetSimulator.run` discards the attempt and simulates the
-stream again knowing it (docs/architecture.md, *Timeline model*, has
-the bound and the one residual input class).
+**Timing first.**  When a job ends is the timing model's alone, so the
+loop runs on clock runs and their projections.  A job's numbers come
+from one *cell* at its finish event: a numeric run replaying every
+placement the job held, which must end as the projection that
+scheduled the event said.  Divergence, the one way numerics move the
+clock, is invisible to a projection: when a cell diverges where its
+projection did not, :meth:`FleetSimulator.run` discards the attempt
+and simulates the stream again knowing it (docs/architecture.md,
+*Timeline model*, has the bound and the one residual input class).
 
 Only a preemptive scheduler ever changes an allocation.  Under the
-others the paused run has no second use, so the admission trains the
-tail on the run itself — no projection — and lets go of it at once: a
-running job then holds its result and nothing of its training state.
+others a clock run has no use, so the admission runs the cell at once
+— no projection — and a running job holds its result and nothing of
+its training state.
 
 A job that is never resized is bit-identical to the controller's
 one-shot execution of the same inputs: pinned per run by
@@ -80,12 +79,7 @@ from repro.fleet.invariants import check_invariants
 from repro.fleet.metrics import FleetSummary, JobRecord, summarize_fleet
 from repro.fleet.policy_store import JobClass, PolicyStore
 from repro.fleet.pool import PREEMPTION_FLOOR, WorkerPool, fleet_contention
-from repro.fleet.running import (
-    RunningJob,
-    UnforeseenDivergence,
-    job_record,
-    start_run,
-)
+from repro.fleet.running import RunningJob, UnforeseenDivergence, job_record
 from repro.fleet.scheduler import (
     SchedulerContext,
     SchedulerPolicy,
@@ -367,8 +361,8 @@ class FleetSimulator:
     def run(self) -> FleetSummary:
         """Simulate the whole stream and return the fleet summary.
 
-        An attempt a live run voids (it diverged where its numerics-free
-        projection did not) is discarded — the tracer, the metrics
+        An attempt a job's cell voids (it diverged where its
+        numerics-free projection did not) is discarded — the tracer, the metrics
         registry and the policy store are put back as they were — and
         the stream is simulated again knowing that divergence: at most
         one more attempt per divergence found.
@@ -585,20 +579,17 @@ class FleetSimulator:
             if degraded:
                 metrics.inc("jobs_degraded")
             metrics.observe("queue_delay_s", now - request.arrival)
-        sim = start_run(
-            request, workers, now, percent, schedule, job_tracer,
-            seed=self.config.seed,
-            scale=self.config.scale,
-            pool=self.pool,
-            contention=self.contention,
-        )
         job = RunningJob(
-            request, workers, now, sim, job_tracer,
-            percent=percent, tuned=tuned, degraded=degraded,
+            request, workers, now, job_tracer,
+            percent=percent, schedule=schedule, tuned=tuned, degraded=degraded,
             # _preempt is the only source of allocation changes
             # (_rebalance restores what it shrank).
             resizable=self.scheduler.preemptive,
             diverging=self._diverging,
+            seed=self.config.seed,
+            scale=self.config.scale,
+            pool=self.pool,
+            contention=self.contention,
         )
         self._running[request.job_id] = job
         if job.asp_tail > 0.0 and job.bsp_span > 0.0:
@@ -758,7 +749,7 @@ class FleetSimulator:
         return True
 
     def _complete(self, job: RunningJob, now: float) -> None:
-        result = job.finish()
+        result = job.finish(self.contention)
         self.pool.release(job.workers)
         del self._running[job.request.job_id]
         if self.tracer.enabled:

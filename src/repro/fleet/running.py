@@ -1,18 +1,21 @@
-"""One admitted job's lifecycle: train, project, resize, record.
+"""One admitted job's lifecycle: clock, project, resize, cell, record.
 
-A job trains as a resumable
-:class:`~repro.core.runtime.elastic.ElasticTrainingRun` held paused at
-its ASP-tail boundary (:func:`start_run`).  When the scheduler can
-resize it, :class:`RunningJob` predicts its completion with a
-numerics-free projection — the run's clock without its numbers — and
-the live run trains each realized step once: up to every allocation
-change, and to the end at the finish event, where it must end as the
-projection that scheduled that event said it would.  Nothing here
-knows the event loop: the pool, the contention schedule and the tracer
-a method needs are handed in.
+When the scheduler can resize a job, :class:`RunningJob` drives it with
+a *clock run*: a timing-only
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun` (no model,
+dataset or parameters) paused at the ASP-tail boundary, advanced and
+resized at every allocation change, and projected — forked and run to
+the end — to schedule the finish event.  The job's numbers come from
+one *cell*: a fresh numeric run that replays every recorded placement
+(:meth:`RunningJob.finish`) and must end as the projection said; it
+runs at the finish event, or at admission when no resize can happen.
+Nothing here knows the event loop: the pool, the contention schedule
+and the tracer a method needs are handed in.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.core.policies import PolicyManager, ProtocolSchedule, TimingPolicy
 from repro.core.runtime import ElasticTrainingRun
@@ -33,17 +36,19 @@ __all__ = [
     "RunningJob",
     "UnforeseenDivergence",
     "job_record",
-    "start_run",
+    "resliced",
     "training_inputs",
 ]
 
 
 class UnforeseenDivergence(Exception):
-    """A live run diverged where its numerics-free projection could not
-    see it coming: the fleet timeline built on that projection is void.
+    """A job's cell diverged where its numerics-free projection could
+    not see it coming: the fleet timeline built on that projection is
+    void.
 
-    ``key`` names the live trajectory (:attr:`RunningJob.trajectory`),
-    ``step`` the update at which it diverged.
+    ``key`` names the trajectory the cell had reached when it diverged
+    (:attr:`RunningJob.trajectory`, up to the placement it did not
+    reach), ``step`` the update at which it diverged.
     """
 
     def __init__(self, key: tuple, step: int):
@@ -89,26 +94,29 @@ class RunningJob:
     """One admitted job's fleet timeline.
 
     ``resizable`` says whether the scheduler can ever change this
-    job's allocation.  When it can, ``sim`` is the job's live run,
-    paused at the last allocation change (initially the ASP-tail
-    start), and ``projection`` predicts its completion from there on
-    the current worker set without computing a gradient
-    (:meth:`~repro.core.runtime.elastic.ElasticTrainingRun.project`);
-    the live run trains the steps in between at the next allocation
-    change (:meth:`resize`) or at the finish event (:meth:`finish`).
+    job's allocation.  When it can, ``clock`` is the job's clock run —
+    a timing-only :class:`~repro.core.runtime.elastic.ElasticTrainingRun`
+    paused at the last allocation change (initially the ASP-tail start)
+    — and ``projection`` predicts its completion on the current worker
+    set from a fork of it
+    (:meth:`~repro.core.runtime.elastic.ElasticTrainingRun.project`).
+    The clock is advanced and resized at every allocation change
+    (:meth:`resize`); ``placements`` records each one.  The job's
+    numbers come from its *cell* at the finish event (:meth:`finish`):
+    a numeric run replaying every placement, which must end as the
+    projection that scheduled that event said.  Between events the job
+    holds no parameter vector.
 
-    When it cannot, nothing will ever pause the run again: the tail is
-    trained at admission on the run itself, traced into
-    ``trace_buffer`` (emitted when the job completes), and ``sim`` is
-    None from then on — session and model are released at admission,
-    not at the finish event.  So is a job that arrives finished (no
-    elastic tail: all-BSP, or divergence inside the BSP phase).
+    When it cannot — or when the clock run finishes at the tail (no
+    elastic tail: all-BSP, or a known divergence inside the BSP phase)
+    — the cell runs at admission, its tail traced into
+    ``trace_buffer`` (emitted when the job completes), and ``clock`` is
+    None: the job holds its result and nothing of its training state.
 
-    ``result`` holds the training result once there is one: from
-    admission for those jobs, from :meth:`finish` for resizable ones.
-    ``diverging`` maps live trajectories known to diverge
-    (:attr:`trajectory`) to the step at which they do; a projection of
-    one diverges there too.
+    ``result`` holds the training result once there is one.
+    ``diverging`` maps trajectories known to diverge (:attr:`trajectory`)
+    to the step at which they do; the clock run of one carries that
+    step, and so do its projections.
     """
 
     def __init__(
@@ -116,13 +124,18 @@ class RunningJob:
         request: JobRequest,
         workers: tuple[int, ...],
         start: float,
-        sim: ElasticTrainingRun,
         tracer,
+        *,
         percent: float,
+        schedule: tuple | None,
         tuned: bool,
         degraded: bool,
         resizable: bool,
         diverging: dict[tuple, int],
+        seed: int,
+        scale: float,
+        pool: WorkerPool,
+        contention: StragglerSchedule | None,
     ):
         self.request = request
         self.workers = workers
@@ -135,26 +148,37 @@ class RunningJob:
         self.version = 0
         self.preemptions = 0
         self.restores = 0
+        self.tracer = tracer
         self.trace_buffer = NULL_TRACER
         self.diverging = diverging
         #: Every (instant, physical workers) the job has trained on.
         self.placements = ((start, workers),)
+        job, policies = training_inputs(request, percent, schedule, seed, scale)
         self._plan = tuple(
             (segment.protocol, segment.fraction)
-            for segment in sim.plan.segments
+            for segment in policies.build_plan(job, len(workers)).segments
         )
-        self.sim: ElasticTrainingRun | None = None
+        self._new_run = partial(
+            ElasticTrainingRun,
+            job=job,
+            cluster_spec=ClusterSpec(n_workers=len(workers)),
+            policies=policies,
+            stragglers=job_stragglers(contention, workers, start),
+            overhead_time_scale=scale,
+            overhead_bandwidth=pool.bandwidth_for(workers),
+        )
+        self.clock: ElasticTrainingRun | None = None
         self.result: TrainingResult | None = None
-        if resizable and not sim.finished:
-            self.sim = sim
-            self.projection = sim.project(diverging.get(self.trajectory))
-        else:
-            if not sim.finished:
-                self.trace_buffer = tracer.sandbox()
-                sim.set_tracer(self.trace_buffer)
-                sim.run_to_completion()
-            self.result = sim.result()
-            self.projection = sim.completion()
+        if resizable:
+            clock = self._new_run(numerics=False)
+            clock.session.diverges_at = diverging.get(self.trajectory)
+            if clock.run_to_tail() == "paused":
+                self.clock = clock
+                self.projection = clock.project()
+        if self.clock is None:
+            cell, _ = self._replay(contention)
+            self.result = cell.result()
+            self.projection = cell.completion()
         #: Allocation history: one row per allocation-changing event.
         self.allocations: list[dict] = [
             {"time": start, "workers": len(workers), "cause": "admit"}
@@ -174,8 +198,8 @@ class RunningJob:
 
     @property
     def trajectory(self) -> tuple:
-        """What fixes the live run's numbers: the job, its plan and
-        every placement it has trained on."""
+        """What fixes the job's numbers: the job, its plan and every
+        placement it has trained on."""
         return (self.request.job_id, self._plan, self.placements)
 
     def enter_asp(self) -> None:
@@ -205,24 +229,25 @@ class RunningJob:
     ) -> bool:
         """Change the job's allocation to ``new_count`` workers at ``now``.
 
-        The live run first trains up to this instant, then the workers
-        change hands with ``pool`` and the run is resized on the slice
-        of ``contention`` its new physical mapping sees.  Each resize
-        charges its own calibrated Table III reconfiguration cost to
-        the job's clock — two same-pass shrinks pay it twice — but the
-        completion is re-projected by the caller, once per scheduling
-        pass (:meth:`reproject`).
+        The clock run first advances to this instant, then the workers
+        change hands with ``pool`` and the clock is resized on the
+        slice of ``contention`` its new physical mapping sees
+        (:func:`resliced`).  Each resize charges its own calibrated
+        Table III reconfiguration cost to the job's clock — two
+        same-pass shrinks pay it twice — but the completion is
+        re-projected by the caller, once per scheduling pass
+        (:meth:`reproject`).
 
         Returns whether the resize affected the job's timeline.  The
         pool always changes hands, but when the run completes inside
         the final update interval (a float edge: pauses land on update
         boundaries) the job's training is over and nothing is
-        re-projected — the caller must then not count a
-        preemption/restore, and no allocation segment is recorded.
+        re-projected or recorded — the caller must then not count a
+        preemption/restore.
         """
-        # Train before the pool changes hands: the re-slice below must
-        # see the *new* physical mapping, these steps the old.
-        resumed = self.sim.advance_to(now - self.start)
+        # Advance before the pool changes hands: the re-slice below
+        # must see the *new* physical mapping, these steps the old.
+        resumed = self.clock.advance_to(now - self.start)
         current = len(self.workers)
         if new_count < current:
             released = self.workers[new_count:]
@@ -232,9 +257,7 @@ class RunningJob:
             self.workers = self.workers + pool.allocate(new_count - current)
         if resumed != "paused":
             # The workers change hands but the job's timeline — and
-            # its pending finish event — stay exactly as projected,
-            # provided the projection saw this ending.
-            self._check(self.sim.completion())
+            # its pending finish event — stay exactly as projected.
             return False
         self.placements += ((now, self.workers),)
         self.allocations.append(
@@ -249,52 +272,75 @@ class RunningJob:
                 pid=self.request.job_id + 1,
                 args={"workers": len(self.workers), "was": current},
             )
-        sliced = job_stragglers(
-            contention, self.workers, self.start, active_after=now
+        self.clock.resize(
+            len(self.workers),
+            resliced(contention, self.workers, self.start, now),
         )
-        if sliced is None and contention is not None:
-            # An *empty* re-slice (no events survive the resume
-            # instant) must still replace the stale slice of the
-            # previous physical mapping; None means "keep" to the
-            # sim, which is only right when contention is off.
-            sliced = StragglerSchedule([])
-        self.sim.resize(len(self.workers), sliced)
+        self.clock.session.diverges_at = self.diverging.get(self.trajectory)
         return True
 
     def reproject(self) -> float:
         """Project the completion afresh; returns the new finish time."""
-        self.projection = self.sim.project(
-            self.diverging.get(self.trajectory)
-        )
+        self.projection = self.clock.project()
         return self.finish_time()
 
-    def finish(self) -> TrainingResult:
+    def finish(self, contention: StragglerSchedule | None) -> TrainingResult:
         """The job's training result, at its finish event.
 
-        A resizable job's live run trains its last steps here, and
-        must end as its latest projection said; the result is its own.
+        A resizable job's cell runs here, on ``contention`` (the
+        fleet's), and must end as the latest projection said.
         """
-        if self.sim is not None:
-            self.sim.run_to_completion()
-            self._check(self.sim.completion())
-            self.result = self.sim.result()
-            self.sim = None
+        if self.clock is not None:
+            cell, reached = self._replay(contention)
+            self._check(cell.completion(), self.placements[:reached])
+            self.result = cell.result()
+            self.clock = None
         return self.result
 
-    def _check(self, realized: Completion) -> None:
-        """The live run ends as projected, or the timeline is void.
+    def _replay(
+        self, contention: StragglerSchedule | None
+    ) -> tuple[ElasticTrainingRun, int]:
+        """The job's cell: a fresh numeric run trained through every
+        recorded placement, to completion.
+
+        It runs to the tail, then advances to each later placement's
+        instant and resizes there on the re-slice that placement saw,
+        then runs to the end; the tail is traced into
+        ``trace_buffer``.  Returns the run and how many placements it
+        reached — fewer than all when it ended (diverged) before a
+        later placement's instant.
+        """
+        cell = self._new_run(tracer=self.tracer)
+        if cell.run_to_tail() == "paused":
+            self.trace_buffer = self.tracer.sandbox()
+            cell.set_tracer(self.trace_buffer)
+        for index, (instant, workers) in enumerate(self.placements[1:], 1):
+            if cell.advance_to(instant - self.start) != "paused":
+                return cell, index
+            cell.resize(
+                len(workers), resliced(contention, workers, self.start, instant)
+            )
+        cell.run_to_completion()
+        return cell, len(self.placements)
+
+    def _check(self, realized: Completion, placements: tuple) -> None:
+        """The cell ends as projected, or the timeline is void.
 
         Only a divergence can part the two — the clock is the timing
         model's alone — so any other difference is a defect, raised as
-        one.
+        one.  A divergence is keyed by the ``placements`` the cell had
+        reached when it diverged.
         """
         projected = self.projection
         if realized == projected:
             return
         if realized.diverged and not projected.diverged:
-            raise UnforeseenDivergence(self.trajectory, realized.diverged_step)
+            raise UnforeseenDivergence(
+                (self.request.job_id, self._plan, placements),
+                realized.diverged_step,
+            )
         raise FleetError(
-            f"job {self.request.job_id}: the live run ended at "
+            f"job {self.request.job_id}: the cell ended at "
             f"t={realized.total_time!r} after {realized.completed_steps} "
             f"steps (diverged: {realized.diverged}); its projection said "
             f"t={projected.total_time!r} after {projected.completed_steps} "
@@ -324,10 +370,9 @@ class RunningJob:
 
     def emit_spans(self, tracer, now: float) -> None:
         """Lifecycle spans of the job completing at ``now``: the events
-        of a tail trained at admission, queue wait, the job itself, its
-        BSP/ASP phases, and — at job detail — one span per allocation
-        segment.  (A resizable job's live run traced its last steps at
-        :meth:`finish`, just before.)"""
+        of its cell's tail, queue wait, the job itself, its BSP/ASP
+        phases, and — at job detail — one span per allocation
+        segment."""
         tracer.absorb(self.trace_buffer)
         request = self.request
         pid = request.job_id + 1
@@ -381,42 +426,24 @@ class RunningJob:
                 )
 
 
-def start_run(
-    request: JobRequest,
-    workers: tuple[int, ...],
-    now: float,
-    percent: float,
-    schedule: tuple | None,
-    tracer,
-    *,
-    seed: int,
-    scale: float,
-    pool: WorkerPool,
+def resliced(
     contention: StragglerSchedule | None,
-) -> ElasticTrainingRun:
-    """Start a job's resumable run, paused at the ASP-tail boundary.
+    workers: tuple[int, ...],
+    start: float,
+    now: float,
+) -> StragglerSchedule | None:
+    """The contention slice a job started at ``start`` sees from a
+    placement on ``workers`` at ``now`` on.
 
-    The paused state holds the BSP span, which no allocation change
-    trains again.  Jobs without an elastic tail (all-BSP, or
-    divergence inside the BSP phase) come back already finished.
-    ``percent`` is the effective BSP percentage the admission
-    resolved (tuned / degraded); ``schedule`` replaces the
-    two-phase switch with a full ``(protocols, fractions)`` plan
-    when set.  ``seed``/``scale``/``contention`` are the fleet's.
-    The live run traces through ``tracer`` directly.
+    An *empty* re-slice (no events survive the instant) must still
+    replace the stale slice of the previous physical mapping; None
+    means "keep" to a resize, which is only right when contention is
+    off.
     """
-    job, policies = training_inputs(request, percent, schedule, seed, scale)
-    sim = ElasticTrainingRun(
-        job=job,
-        cluster_spec=ClusterSpec(n_workers=len(workers)),
-        policies=policies,
-        stragglers=job_stragglers(contention, workers, now),
-        overhead_time_scale=scale,
-        overhead_bandwidth=pool.bandwidth_for(workers),
-        tracer=tracer,
-    )
-    sim.run_to_tail()
-    return sim
+    sliced = job_stragglers(contention, workers, start, active_after=now)
+    if sliced is None and contention is not None:
+        return StragglerSchedule([])
+    return sliced
 
 
 def training_inputs(

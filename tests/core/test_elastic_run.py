@@ -120,8 +120,8 @@ class TestPauseResume:
 
         The live trajectory up to the pause instant must be a prefix of
         the continuous projection — that is what makes the fleet's
-        "projection schedules the finish event, live run replays it to
-        the next allocation change" protocol consistent.  (Continuing
+        "projection schedules the finish event, the cell replays it to
+        each allocation change" protocol consistent.  (Continuing
         *past* a pause restarts the engine — workers re-pull — so only
         the prefix is comparable.)
         """

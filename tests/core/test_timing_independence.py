@@ -1,16 +1,18 @@
 """The clock is the timing model's: a numerics-free run keeps it exactly.
 
-The fleet projects a preemptible job's completion from a numerics-free
-copy of its paused run (``ElasticTrainingRun.timing_fork``): the same
-engine loops on a session that computes no gradient, loss or
-evaluation and whose parameter server only counts versions.  That is
-right only if numerics never reach the clock except through
-divergence, and the property here pins it: for every registry engine,
-in two- to four-segment plans, through random ``advance_to`` pauses and
-``resize`` calls, the numerics-free run's clock, step, segment log,
-worker-duration log, overheads and staleness counts equal the numeric
-run's bit for bit.  When the numeric run diverges, a numerics-free run
-told the step diverges at the same update, at the same instant.
+The fleet drives a preemptible job with a timing-only run (its *clock
+run*, ``ElasticTrainingRun(..., numerics=False)``): the same engine
+loops on a session that has no model, dataset or parameter vector,
+computes no gradient, loss or evaluation, and whose parameter server
+only counts versions.  That is right only if numerics never reach the
+clock except through divergence, and the property here pins it: for
+every registry engine, in two- to four-segment plans, after every one
+of random ``advance_to`` pauses and ``resize`` calls, the timing-only
+run's clock, step, active workers, segment log and worker-duration log
+equal the numeric run's bit for bit, and so do the finished runs'
+overheads and staleness counts.  When the numeric run diverges, a
+timing-only run told the step diverges at the same update, at the same
+instant.
 RuntimeWarnings are errors in this module: a null path that pushed
 garbage through the optimizer would show up as NaN warnings.
 
@@ -39,6 +41,7 @@ from repro.core.policies import (
 from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import ClusterSpec
 from repro.distsim.engines import known_protocols
+from repro.distsim.numerics_free import NullParameterServer, NumericsFreeSession
 from repro.distsim.trainer import DistributedTrainer
 from repro.errors import ConfigurationError
 from repro.experiments.setups import SETUPS, scaled_job
@@ -60,7 +63,7 @@ THRESHOLDS = (None, 3.0, 4.5, 6.0)
 DEPTH = max(1, settings.default.max_examples // 100)
 
 
-def make_run(protocols, weights, seed, n_workers, threshold):
+def make_run(protocols, weights, seed, n_workers, threshold, numerics=True):
     job = scaled_job(SETUPS[1], SCALE, seed)
     if threshold is not None:
         job = replace(job, divergence_threshold=threshold)
@@ -76,21 +79,49 @@ def make_run(protocols, weights, seed, n_workers, threshold):
             config=ConfigurationPolicy(),
         ),
         overhead_time_scale=SCALE,
+        numerics=numerics,
     )
 
 
-def drive(run: ElasticTrainingRun, ops) -> list[str]:
-    """Apply ``ops`` at successive pauses, then finish the run."""
-    statuses = []
+def make_clock(*args, diverges_at=None):
+    """``make_run``'s timing-only twin, told where the numeric run
+    diverges (if it does)."""
+    clock = make_run(*args, numerics=False)
+    clock.session.diverges_at = diverges_at
+    return clock
+
+
+def drive(run: ElasticTrainingRun, ops) -> list[tuple]:
+    """Apply ``ops`` at successive pauses, then finish the run; one
+    :func:`position` after every op."""
+    positions = []
     for kind, value in ops:
         if run.finished:
             break
         if kind == "advance":
-            statuses.append(run.advance_to(run.now + value))
+            status = run.advance_to(run.now + value)
         else:
             run.resize(min(value, run.cluster_spec.n_workers))
-    statuses.append(run.run_to_completion())
-    return statuses
+            status = "resized"
+        positions.append(position(run, status))
+    positions.append(position(run, run.run_to_completion()))
+    return positions
+
+
+def position(run: ElasticTrainingRun, status: str) -> tuple:
+    """Where a run stands after an op, as the timing model decides it."""
+    telemetry = run.session.telemetry
+    return (
+        status,
+        run.now,
+        run.session.step,
+        run.n_active,
+        [
+            (r.protocol, r.start_step, r.end_step, r.start_time, r.duration)
+            for r in telemetry.segments
+        ],
+        list(telemetry.worker_durations),
+    )
 
 
 def timeline(run: ElasticTrainingRun) -> tuple:
@@ -156,52 +187,61 @@ class TestNumericsFreeRun:
     @settings(max_examples=6 * DEPTH, deadline=None)
     @given(data=st.data())
     def test_clock_equals_the_numeric_run(self, protocol, data):
-        protocols, weights, seed, n_workers, threshold, ops = data.draw(
-            runs(protocol)
-        )
-        numeric = make_run(protocols, weights, seed, n_workers, threshold)
-        statuses = drive(numeric, ops)
+        args = data.draw(runs(protocol))
+        *inputs, ops = args
+        numeric = make_run(*inputs)
+        positions = drive(numeric, ops)
         realized = timeline(numeric)
-        # The numerics-free copy, taken before the first update and
-        # told where the numeric run diverged, if it did.
-        fresh = make_run(protocols, weights, seed, n_workers, threshold)
-        timing = fresh.timing_fork(numeric.session.diverged_step)
-        assert not timing.session.numerics
-        assert drive(timing, ops) == statuses
-        assert timeline(timing) == realized
+        # The timing-only run, built as such and told where the numeric
+        # run diverged, if it did.
+        clock = make_clock(*inputs, diverges_at=numeric.session.diverged_step)
+        assert not clock.session.numerics
+        assert drive(clock, ops) == positions
+        assert timeline(clock) == realized
+
+    def test_a_clock_run_builds_no_numeric_state(self):
+        clock = make_clock(("bsp", "asp"), (1, 3), 0, 8, None)
+        assert clock.trainer.model is None and clock.trainer.dataset is None
+        assert isinstance(clock.session, NumericsFreeSession)
+        assert isinstance(clock.session.ps, NullParameterServer)
+        for name in ("model", "dataset", "tracker", "_index_streams"):
+            assert not hasattr(clock.session, name), name
 
     def test_forced_divergence_reproduces_a_diverged_run(self):
         args = (("bsp", "asp"), (1, 3), 2, 8, 4.5)
         numeric = make_run(*args)
         ops = [("advance", 2.0), ("resize", 5), ("advance", 1.0)]
-        statuses = drive(numeric, ops)
+        positions = drive(numeric, ops)
         assert numeric.session.diverged
         step = numeric.session.diverged_step
-        unaware = make_run(*args).timing_fork()
+        unaware = make_clock(*args)
         drive(unaware, ops)
         assert not unaware.session.diverged
         assert unaware.session.step > step
-        timing = make_run(*args).timing_fork(step)
-        assert drive(timing, ops) == statuses
-        assert timeline(timing) == timeline(numeric)
-        assert timing.completion().diverged_step == step
+        clock = make_clock(*args, diverges_at=step)
+        assert drive(clock, ops) == positions
+        assert timeline(clock) == timeline(numeric)
+        assert clock.completion().diverged_step == step
 
     def test_fork_of_a_paused_run_projects_its_completion(self):
-        run = make_run(("bsp", "ssp", "asp"), (1, 1, 2), 3, 8, None)
-        run.run_to_tail()
-        run.advance_to(run.now + 1.5)
-        run.resize(6)
-        projection = run.project()
-        exact = run.fork()
-        exact.run_to_completion()
-        assert projection == exact.completion()
-        assert not run.finished  # the projected run stays paused
+        """A clock run's projection is its numeric twin's completion,
+        and projecting leaves the clock run paused."""
+        args = (("bsp", "ssp", "asp"), (1, 1, 2), 3, 8, None)
+        numeric, clock = make_run(*args), make_clock(*args)
+        for run in (numeric, clock):
+            run.run_to_tail()
+            run.advance_to(run.now + 1.5)
+            run.resize(6)
+        projection = clock.project()
+        assert not clock.finished
+        numeric.run_to_completion()
+        assert projection == numeric.completion()
 
     def test_a_numerics_free_run_has_no_training_result(self):
-        timing = make_run(("asp",), (1,), 0, 4, None).timing_fork()
-        timing.run_to_completion()
+        clock = make_clock(("asp",), (1,), 0, 4, None)
+        clock.run_to_completion()
         with pytest.raises(ConfigurationError, match="numerics-free"):
-            timing.result()
+            clock.result()
 
 
 class TestFleetProjections:

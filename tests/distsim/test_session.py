@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.policies import PolicyManager, ProtocolSchedule, TimingPolicy
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.engines import ASPEngine, BSPEngine
 from repro.distsim.engines.base import TrainingSession
@@ -13,8 +15,8 @@ from repro.mlcore.models import make_model
 from repro.mlcore.optim import LinearRampMomentum
 
 
-def make_session(n_workers=4, total_steps=400, eval_every=100, seed=0):
-    job = JobConfig(
+def make_job(total_steps=400, eval_every=100, seed=0):
+    return JobConfig(
         model="resnet32-sim",
         dataset="cifar10-sim",
         total_steps=total_steps,
@@ -23,6 +25,10 @@ def make_session(n_workers=4, total_steps=400, eval_every=100, seed=0):
         loss_log_every=50,
         seed=seed,
     )
+
+
+def make_session(n_workers=4, total_steps=400, eval_every=100, seed=0):
+    job = make_job(total_steps, eval_every, seed)
     return TrainingSession(
         job=job,
         model=make_model("resnet32-sim"),
@@ -120,12 +126,27 @@ class TestLoggingCadence:
 
 
 class TestFork:
-    """Session forks continue bit-identically and independently."""
+    """Session state copies with the run that owns it
+    (``ElasticTrainingRun.fork``, the one copy mechanism): the copy
+    continues bit-identically and independently."""
+
+    @staticmethod
+    def owned_session():
+        """A session and the (never advanced) run that owns it."""
+        run = ElasticTrainingRun(
+            job=make_job(),
+            cluster_spec=ClusterSpec(n_workers=4),
+            policies=PolicyManager(
+                timing=TimingPolicy(0.0),
+                protocol=ProtocolSchedule(("bsp", "asp")),
+            ),
+        )
+        return run, run.session
 
     def test_fork_continues_bit_identically(self):
-        session = make_session(n_workers=4)
+        run, session = self.owned_session()
         ASPEngine().run(session, steps=30)
-        clone = session.fork()
+        clone = run.fork().session
         ASPEngine().run(session, steps=30)
         ASPEngine().run(clone, steps=30)
         assert np.array_equal(session.ps.peek(), clone.ps.peek())
@@ -136,9 +157,9 @@ class TestFork:
         )
 
     def test_fork_shares_substrate_and_copies_mutable_state(self):
-        session = make_session()
+        run, session = self.owned_session()
         ASPEngine().run(session, steps=10)
-        clone = session.fork()
+        clone = run.fork().session
         assert clone.dataset is session.dataset
         assert clone.model is session.model
         assert clone.timing is session.timing
@@ -148,9 +169,9 @@ class TestFork:
         assert clone.cluster is not session.cluster
 
     def test_fork_is_independent(self):
-        session = make_session()
+        run, session = self.owned_session()
         ASPEngine().run(session, steps=10)
-        clone = session.fork()
+        clone = run.fork().session
         before = session.ps.peek().copy()
         ASPEngine().run(clone, steps=40)
         assert np.array_equal(session.ps.peek(), before)

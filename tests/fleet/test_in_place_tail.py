@@ -1,12 +1,13 @@
 """Admissions that can never be resized: no projection, no retained run.
 
 Only a preemptive scheduler changes a running job's allocation.  Under
-the others the fleet trains the asynchronous tail on the job's own run
-and lets go of it at admission; under best-fit it projects the
-completion from a numerics-free fork and keeps the paused run for the
-next resize.  Either way the numbers are the
-committed ones: ``results/fleet_summary.json`` (one rush cell per
-scheduler), the trace-scenario hashes and the trace-file hash in
+the others the fleet trains the job's cell at admission and keeps only
+its result; under best-fit it keeps a timing-only clock run, projects
+the completion from forks of it, and trains the cell at the finish
+event, so no running job holds a parameter vector between events.
+Either way the numbers are the committed ones:
+``results/fleet_summary.json`` (one rush cell per scheduler), the
+trace-scenario hashes and the trace-file hash in
 ``tests/data/fleet_golden_hashes.json``.
 
 Exact float bit patterns, like the other golden suites: set
@@ -15,15 +16,18 @@ Exact float bit patterns, like the other golden suites: set
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+import types
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.runtime import ElasticTrainingRun
+from repro.distsim.parameter_server import ShardedParameterServer
 from repro.experiments.fleet import run_trace_scale
 from repro.fleet import FleetConfig, FleetSimulator, FleetSummary, simulate_fleet
 
@@ -71,14 +75,14 @@ def assert_committed_cell(summary: FleetSummary, scheduler: str) -> None:
 
 
 @pytest.fixture
-def admitted_sims(monkeypatch):
-    """``job.sim`` of every admission, read right after ``_admit``."""
+def admitted_clocks(monkeypatch):
+    """``job.clock`` of every admission, read right after ``_admit``."""
     seen = []
     admit = FleetSimulator._admit
 
     def recording(self, request, now):
         admit(self, request, now)
-        seen.append(self._running[request.job_id].sim)
+        seen.append(self._running[request.job_id].clock)
 
     monkeypatch.setattr(FleetSimulator, "_admit", recording)
     return seen
@@ -90,20 +94,37 @@ def no_fork(monkeypatch):
         raise AssertionError("a job that cannot be resized was forked")
 
     monkeypatch.setattr(ElasticTrainingRun, "fork", fork)
-    monkeypatch.setattr(ElasticTrainingRun, "timing_fork", fork)
+
+
+#: Not followed by :func:`reachable`: their globals reach the whole
+#: program.
+OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through instance state."""
+    seen, stack = set(), [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(value, OPAQUE):
+            continue
+        seen.add(id(value))
+        yield value
+        stack.extend(gc.get_referents(value))
+
 
 
 class TestNonPreemptiveSchedulers:
     @pytest.mark.parametrize("scheduler", ["fifo", "sjf", "slo"])
     def test_rush_cell_without_fork_or_retained_run(
-        self, scheduler, no_fork, admitted_sims
+        self, scheduler, no_fork, admitted_clocks
     ):
         summary = rush_cell(scheduler)
         assert_committed_cell(summary, scheduler)
-        assert len(admitted_sims) == summary.n_jobs
-        assert all(sim is None for sim in admitted_sims)
+        assert len(admitted_clocks) == summary.n_jobs
+        assert all(clock is None for clock in admitted_clocks)
 
-    def test_fifo_trace_run_matches_its_hash(self, no_fork, admitted_sims):
+    def test_fifo_trace_run_matches_its_hash(self, no_fork, admitted_clocks):
         section = GOLDEN["trace_scale"]
         summary = simulate_fleet(
             FleetConfig(
@@ -113,10 +134,10 @@ class TestNonPreemptiveSchedulers:
             )
         )
         assert summary_hash(summary) == section["hashes"]["unsharded"]
-        assert admitted_sims and all(sim is None for sim in admitted_sims)
+        assert admitted_clocks and all(clock is None for clock in admitted_clocks)
 
     def test_slo_sharded_trace_run_matches_its_hash(
-        self, no_fork, admitted_sims
+        self, no_fork, admitted_clocks
     ):
         section = GOLDEN["trace_scale"]
         merged, _ = run_trace_scale(
@@ -129,7 +150,7 @@ class TestNonPreemptiveSchedulers:
             cache_dir="off",
         )
         assert summary_hash(merged) == section["hashes"]["merged"]
-        assert admitted_sims and all(sim is None for sim in admitted_sims)
+        assert admitted_clocks and all(clock is None for clock in admitted_clocks)
 
     def test_trace_file_is_byte_identical(self, no_fork, tmp_path, monkeypatch):
         """``fleet --trace PATH``: the in-place tail's events reach the
@@ -148,24 +169,41 @@ class TestNonPreemptiveSchedulers:
 
 
 class TestPreemptiveScheduler:
-    def test_best_fit_still_forks_and_keeps_the_paused_run(
-        self, admitted_sims, monkeypatch
+    def test_best_fit_holds_no_numeric_state_between_events(
+        self, admitted_clocks, monkeypatch
     ):
-        forks = []
-        fork = ElasticTrainingRun.timing_fork
+        forks, holding = [], []
+        fork = ElasticTrainingRun.fork
 
-        def counting(self, diverges_at=None):
+        def counting(self):
             forks.append(self)
-            return fork(self, diverges_at)
+            return fork(self)
 
-        monkeypatch.setattr(ElasticTrainingRun, "timing_fork", counting)
+        schedule = FleetSimulator._schedule
+
+        def checking(self, now):
+            schedule(self, now)
+            assert not any(
+                isinstance(value, ShardedParameterServer)
+                for value in reachable(self._running)
+            ), f"a running job holds a parameter server at t={now}"
+            holding.append(
+                sum(job.clock is not None for job in self._running.values())
+            )
+
+        monkeypatch.setattr(ElasticTrainingRun, "fork", counting)
+        monkeypatch.setattr(FleetSimulator, "_schedule", checking)
         summary = rush_cell("best-fit")
         assert_committed_cell(summary, "best-fit")
         assert summary.preemptions > 0 and summary.restores > 0
+        assert max(holding) > 1  # the check saw running clock runs
         assert all(
-            isinstance(sim, ElasticTrainingRun) for sim in admitted_sims
+            isinstance(clock, ElasticTrainingRun) and not clock.session.numerics
+            for clock in admitted_clocks
         )
         # One projection per admission plus one per resized job and pass,
-        # each from the job's own kept run.
-        assert len(forks) > len(admitted_sims) == summary.n_jobs
-        assert {id(run) for run in forks} == {id(sim) for sim in admitted_sims}
+        # each a fork of the job's own clock run.
+        assert len(forks) > len(admitted_clocks) == summary.n_jobs
+        assert {id(run) for run in forks} == {
+            id(clock) for clock in admitted_clocks
+        }

@@ -1,11 +1,12 @@
 """A kept paused run costs its state, not a set of kernel scratch.
 
-Best-fit keeps every running job's paused
-:class:`~repro.core.runtime.elastic.ElasticTrainingRun` alive until its
-finish event.  Kernel workspaces and batcher stacks belong to the
-process (:mod:`repro.mlcore.scratch`), so what each further live run
-adds is parameters, optimizer slots, RNG chunks and telemetry — a few
-MB, where per-model workspaces used to add ~21 MB.  numpy reports its
+A paused numeric :class:`~repro.core.runtime.elastic.ElasticTrainingRun`
+(the fleet no longer keeps one between events; a caller of the runtime
+may keep several) holds no kernel workspace: workspaces and batcher
+stacks belong to the process (:mod:`repro.mlcore.scratch`), so what
+each further live run adds is parameters, optimizer slots, RNG chunks
+and telemetry — a few MB, where per-model workspaces used to add
+~21 MB.  numpy reports its
 allocations to ``tracemalloc``, so the measurement is deterministic and
 needs no subprocess.
 """

@@ -10,8 +10,12 @@ Pins:
   ``tests/data/fleet_golden_hashes.json``;
 * a preemption-heavy stream (rush under best-fit) really preempts and
   restores, its allocation history survives the summary round-trip,
-  and its summary — fork, resize, re-project — matches a committed
-  hash, as a two-phase switch and as a three-segment schedule.
+  and its summary — clock run, fork, resize, re-project, cell —
+  matches a committed hash, as a two-phase switch and as a
+  three-segment schedule;
+* every job of a preempting stream equals a numeric run driven live
+  through its placements in event order (``TestResizedJobOracle``, no
+  hash: it runs on every BLAS build).
 
 The golden hashes are exact float bit patterns; like the distsim
 golden suite, set ``REPRO_GOLDEN_SKIP=1`` on machines whose BLAS
@@ -30,17 +34,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import ClusterSpec
 from repro.distsim.engines import synchronous_protocols
+from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
 from repro.fleet import (
     FleetConfig,
     FleetSimulator,
     FleetSummary,
+    JobRequest,
     simulate_fleet,
 )
-from repro.fleet import fleet_sim
 from repro.fleet.pool import job_stragglers
-from repro.fleet.running import training_inputs
+from repro.fleet.running import RunningJob, training_inputs
 
 # The one-shot oracle lives beside the runtime tests (tests/ has no
 # packages; a test directory is importable once it is on the path).
@@ -106,6 +112,21 @@ def preempting(name: str) -> FleetSummary:
     )
 
 
+def admitted(monkeypatch) -> list:
+    """``(job, inputs)`` of every admission any simulator in the test
+    makes: the :class:`RunningJob` and the fleet inputs it was built
+    from, plus its admission ``placement``."""
+    seen = []
+    init = RunningJob.__init__
+
+    def recording(self, request, workers, start, tracer, **fleet):
+        init(self, request, workers, start, tracer, **fleet)
+        seen.append((self, {"placement": (start, workers), **fleet}))
+
+    monkeypatch.setattr(RunningJob, "__init__", recording)
+    return seen
+
+
 @pytest.fixture(scope="module")
 def preempted():
     """Summary of a preemption-heavy stream."""
@@ -115,31 +136,28 @@ def preempted():
 class TestGoldenParity:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
     def test_unresized_jobs_match_one_shot_controller(self, name, monkeypatch):
-        """Independent oracle for the fork-and-project admission path.
+        """Independent oracle for the admission-time cell.
 
         On a preemption-free stream every admitted job is re-trained
         by the one-shot reference on the simulator's own inputs; the
         job record must equal it bit for bit.
         """
         simulator = FleetSimulator(config(n_jobs=GOLDEN_CELLS[name]))
-        admissions = []
-        start_run = fleet_sim.start_run
-
-        def recording(request, workers, now, percent, schedule, tracer, **fleet):
-            admissions.append((request, workers, now, percent, schedule, fleet))
-            return start_run(
-                request, workers, now, percent, schedule, tracer, **fleet
-            )
-
-        monkeypatch.setattr(fleet_sim, "start_run", recording)
+        admissions = admitted(monkeypatch)
         summary = simulator.run()
         assert summary.preemptions == 0 and summary.restores == 0
         records = {job.job_id: job for job in summary.jobs}
         assert len(admissions) == len(records) == GOLDEN_CELLS[name]
+        assert all(job.clock is None for job, _ in admissions)
         synchronous = synchronous_protocols()
-        for request, workers, now, percent, schedule, fleet in admissions:
+        for running_job, fleet in admissions:
+            request, (now, workers) = running_job.request, fleet["placement"]
             job, policies = training_inputs(
-                request, percent, schedule, fleet["seed"], fleet["scale"]
+                request,
+                fleet["percent"],
+                fleet["schedule"],
+                fleet["seed"],
+                fleet["scale"],
             )
             reference = reference_run(
                 job,
@@ -187,7 +205,7 @@ class TestGoldenParity:
         assert summary.preemptions > 0
         assert summary_hash(summary) == golden["preempting"]["hashes"][name], (
             f"{name}: fleet summary changed vs the committed golden "
-            "hash — fork, resize or re-projection moved a bit"
+            "hash — the clock run, a projection or a cell moved a bit"
         )
 
     def test_exact_mode_is_reproducible(self):
@@ -225,10 +243,8 @@ class TestPreemptedDelta:
 class TestContentionReslice:
     def test_empty_reslice_replaces_the_stale_slice(self):
         """A resize whose correct new slice is empty must not keep the
-        admission-time slice of the old physical mapping alive."""
-        from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
-        from repro.fleet import FleetSimulator, JobRequest
-
+        admission-time slice of the old physical mapping alive — in the
+        clock run, and in the cell that replays the placement."""
         trace = (
             JobRequest(job_id=0, arrival=0.0, setup_index=1, n_workers=8,
                        sync_policy="asp"),
@@ -249,16 +265,93 @@ class TestContentionReslice:
         simulator._queue.append(simulator.stream[0])
         simulator._schedule(0.0)
         job = simulator._running[0]
-        assert any(
-            event.slow_factor == 7.0
-            for event in job.sim.session.stragglers.events
-        )
+
+        def stale(run) -> bool:
+            return any(
+                event.slow_factor == 7.0
+                for event in run.session.stragglers.events
+            )
+
+        assert stale(job.clock)
         job.enter_asp()
         simulator._resize(job, 6, 2.0, "preempt", {})
-        assert not any(
-            event.slow_factor == 7.0
-            for event in job.sim.session.stragglers.events
-        ), "stale admission slice survived an empty re-slice"
+        assert len(job.placements) == 2
+        assert not stale(job.clock), (
+            "stale admission slice survived an empty re-slice"
+        )
+        cell, reached = job._replay(simulator.contention)
+        assert reached == 2 and cell.n_active == 6
+        assert not stale(cell), "the cell kept the stale admission slice"
+
+
+class TestResizedJobOracle:
+    """Every job of a preempting stream equals a numeric run driven
+    *live* through its placements in event order — trained up to each
+    allocation change as it happens, resized there on its own re-slice
+    of the contention, finished at the finish event — which shares no
+    code with the clock runs and cells the fleet keeps, and runs on
+    every BLAS build (no golden hash)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_equal_live_runs(self, seed, monkeypatch):
+        live = {}
+        admissions = admitted(monkeypatch)
+        init, resize, finish = (
+            RunningJob.__init__, RunningJob.resize, RunningJob.finish
+        )
+
+        def admitting(self, request, workers, start, tracer, **fleet):
+            init(self, request, workers, start, tracer, **fleet)
+            if self.clock is None:
+                return
+            job, policies = training_inputs(
+                request, fleet["percent"], fleet["schedule"],
+                fleet["seed"], fleet["scale"],
+            )
+            run = ElasticTrainingRun(
+                job=job,
+                cluster_spec=ClusterSpec(n_workers=len(workers)),
+                policies=policies,
+                stragglers=job_stragglers(fleet["contention"], workers, start),
+                overhead_time_scale=fleet["scale"],
+                overhead_bandwidth=fleet["pool"].bandwidth_for(workers),
+            )
+            assert run.run_to_tail() == "paused"
+            live[request.job_id] = run
+
+        def resizing(self, new_count, now, cause, pool, contention, *rest):
+            run = live[self.request.job_id]
+            status = run.advance_to(now - self.start)
+            applied = resize(self, new_count, now, cause, pool, contention, *rest)
+            assert applied == (status == "paused")
+            if applied:
+                sliced = job_stragglers(
+                    contention, self.workers, self.start, active_after=now
+                )
+                if sliced is None and contention is not None:
+                    sliced = StragglerSchedule([])
+                run.resize(len(self.workers), sliced)
+            return applied
+
+        def finishing(self, contention):
+            if self.clock is not None:
+                live[self.request.job_id].run_to_completion()
+            return finish(self, contention)
+
+        monkeypatch.setattr(RunningJob, "__init__", admitting)
+        monkeypatch.setattr(RunningJob, "resize", resizing)
+        monkeypatch.setattr(RunningJob, "finish", finishing)
+        summary = simulate_fleet(
+            config(scheduler="best-fit", seed=seed, scale=0.002, n_jobs=3)
+        )
+        assert summary.preemptions > 0 and len(live) == summary.n_jobs
+        assert len(admissions) == summary.n_jobs
+        for record in summary.jobs:
+            reference = live[record.job_id].result()
+            assert record.accuracy == reference.reported_accuracy
+            assert record.completed_steps == reference.completed_steps
+            assert record.images == reference.images_processed
+            assert record.staleness == dict(reference.staleness)
 
 
 def _regenerate() -> None:

@@ -1,7 +1,7 @@
 """Divergence restarts: the one place numerics move a fleet timeline.
 
 A preemptible job's completion is projected without numerics, so a
-projection cannot see a divergence.  When the live run diverges where
+projection cannot see a divergence.  When the job's cell diverges where
 its projection did not, the attempt is void: ``FleetSimulator.run``
 simulates the stream again knowing that trajectory diverges, at most
 once per such discovery, and a discarded attempt leaves nothing behind.
@@ -11,7 +11,10 @@ generated by the numeric-projection code this design replaced):
 
 * ``heavy`` under best-fit, all-ASP, seed 0 — two divergences
   discovered late, three attempts — as a summary, and traced at update
-  detail with a 1 s metrics interval (events + metrics + summary);
+  detail with a 1 s metrics interval (events + metrics + summary).
+  The traced pin was taken again when the cells moved to the finish
+  event: the summary and metrics were equal, and the events equal as a
+  sorted multiset — only their order moved;
 * ``heavy`` under best-fit, ``bsp,asp`` at ``0.02,0.98``, seeds 1 and 3
   — streams where an admission projection would have diverged only
   after the job's first resize, which no numerics-free projection can
@@ -26,13 +29,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.runtime import ElasticTrainingRun
 from repro.errors import FleetError
-from repro.fleet import FleetConfig, FleetSimulator, running
+from repro.fleet import FleetConfig, FleetSimulator, JobRequest, running
 from repro.fleet.running import UnforeseenDivergence
 
 GOLDEN = json.loads(
@@ -123,13 +127,14 @@ class TestPinnedCells:
         unseen = []
         init = running.RunningJob.__init__
 
-        def admitting(self, request, workers, start, sim, *args, **kwargs):
-            init(self, request, workers, start, sim, *args, **kwargs)
-            if self.sim is not None and not self.projection.diverged:
-                numeric = sim.fork()
-                numeric.run_to_completion()
+        def admitting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.clock is not None and not self.projection.diverged:
+                # The job's cell at admission: the admission projection
+                # trained with numerics.
+                numeric, _ = self._replay(kwargs["contention"])
                 if numeric.completion().diverged:
-                    unseen.append(request.job_id)
+                    unseen.append(self.request.job_id)
 
         monkeypatch.setattr(running.RunningJob, "__init__", admitting)
         summary = FleetSimulator(config(name)).run()
@@ -181,10 +186,36 @@ class TestAttempts:
         assert simulator.metrics_payload == clean.metrics_payload
         assert simulator.store.report() == clean.store.report()
 
+    def test_a_bsp_phase_divergence_of_a_preemptible_job_costs_one_attempt(
+        self, attempts, monkeypatch
+    ):
+        """The clock run pauses at the tail as if the job did not
+        diverge; the cell finds the divergence at the finish event, and
+        the second attempt ends the job where a non-preemptive fleet,
+        which runs the cell at admission, does in one."""
+        inputs = running.training_inputs
+
+        def fragile(*args):
+            job, policies = inputs(*args)
+            return replace(job, divergence_threshold=1.0), policies
+
+        monkeypatch.setattr(running, "training_inputs", fragile)
+        trace = (JobRequest(job_id=0, arrival=0.0),)
+        jobs = {
+            scheduler: FleetSimulator(
+                FleetConfig(scheduler=scheduler, trace=trace, scale=0.002)
+            ).run().jobs
+            for scheduler in ("fifo", "best-fit")
+        }
+        assert len(attempts) == 1 + 2
+        [record] = jobs["best-fit"]
+        assert record.diverged and record.completed_steps > 0
+        assert jobs["best-fit"] == jobs["fifo"]
+
     def test_a_live_run_ending_other_than_projected_is_an_error(
         self, monkeypatch
     ):
-        """Only a divergence may part a live run from its projection."""
+        """Only a divergence may part a job's cell from its projection."""
         project = ElasticTrainingRun.project
 
         def late(self, diverges_at=None):
