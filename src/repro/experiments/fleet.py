@@ -917,16 +917,14 @@ def _aggregate_tuning_classes(summaries: list[FleetSummary]) -> list[dict]:
             for row in rows
             if row["search_cost_x"] is not None
         ]
-        schedules = {row.get("schedule", "BSP -> ASP") for row in rows}
+        schedules = {row["schedule"] for row in rows}
         aggregated.append(
             {
                 "job_class": label,
                 # The protocol sequence is fixed per run configuration,
                 # so seeds only differ in the searched fractions.
                 "schedule": " | ".join(sorted(schedules)),
-                "tuned_fractions_per_seed": [
-                    row.get("fractions") for row in rows
-                ],
+                "tuned_fractions_per_seed": [row["fractions"] for row in rows],
                 "tuned_percent_per_seed": [row["percent"] for row in rows],
                 "search_cost_x_mean": (
                     sum(costs) / len(costs) if costs else None

@@ -610,12 +610,11 @@ class FleetSimulator:
         degraded, schedule)``.
 
         Sync-Switch stream jobs of a tuned class reuse the policy
-        store's searched switch point (the amortized recurrence of
-        Section VI-C) — the full ``(protocols, fractions)`` schedule
-        when the class was schedule-tuned; un-tuned jobs fall back to
+        store's searched ``(protocols, fractions)`` schedule (the
+        amortized recurrence of Section VI-C); un-tuned jobs fall back to
         the config's fixed schedule when one is set.  A job carrying
-        its own schedule (injected schedule-search trials, explicit
-        trace jobs) trains it as-is.  A pending SLO degrade decision
+        its own schedule (in-fleet search trials, explicit trace
+        jobs) trains it as-is.  A pending SLO degrade decision
         overrides everything with its conservative all-BSP percentage.
         """
         percent = request.percent
@@ -632,8 +631,7 @@ class FleetSimulator:
             if policy is not None:
                 self.metrics.inc("policy_store_hits")
                 percent, tuned = policy.percent, True
-                if policy.fractions is not None:
-                    schedule = (policy.protocols, policy.fractions)
+                schedule = (policy.protocols, policy.fractions)
             else:
                 self.metrics.inc("policy_store_misses")
                 if self.config.fractions is not None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.codec import coded, decode, encode
+from repro.codec import coded, decode, encode, reject
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -207,6 +207,13 @@ class FleetSummary:
     #: record carries a tier, so classic-scenario payloads keep their
     #: historical byte shape.
     tiers: tuple[dict, ...] | None = coded(None, omit_none=True)
+
+    def __post_init__(self):
+        # A tuning row without its schedule predates the retired
+        # percent-only form: a cached blob of it is a miss, recomputed.
+        for index, row in enumerate(self.tuning or ()):
+            if row.get("fractions") is None:
+                reject("", f"tuning[{index}].fractions", "a list of shares", None)
 
     def jobs_in(
         self, tier: str | None = None, kind: str | None = None

@@ -56,8 +56,9 @@ __all__ = [
 #: On-disk payload version for persisted stores; bump on any breaking
 #: change to the schema so stale files fail loudly at load time.
 #: Version 2 added the N-segment schedule fields (``protocols`` /
-#: ``fractions``); version-1 payloads are still readable — their
-#: percent-only policies load as two-phase BSP->ASP schedules.
+#: ``fractions``).  A row without fractions (every version-1 row, and
+#: ``"fractions": null`` in older version-2 files) loads as the N=2
+#: schedule ``(percent / 100, 1 - percent / 100)``.
 STORE_FORMAT_VERSION = 2
 
 #: Oldest persisted payload version :meth:`PolicyStore.from_payload`
@@ -106,22 +107,10 @@ class ClassPolicy:
     search_cost: float
     n_trials: int
     tuned_at: float
-    #: The searched protocol sequence and its per-segment budget
-    #: shares; recurrences replay the full N-segment plan.
-    #: ``fractions=None`` is the paper's percent-only switch point
-    #: (also what version-1 payloads load as): recurrences then train
-    #: the N=2 schedule ``(f, 1 - f)``, which equals the two-phase
-    #: controller (pinned in ``tests/core/test_reference_controller.py``).
-    #: For a new policy that form is chosen in exactly one place —
-    #: :class:`repro.fleet.tuning.InFleetSearch` asks
-    #: :func:`policy_from_search` for it when the fleet was given no
-    #: ``protocols`` — and it is kept only because committed bytes
-    #: carry it: ``"fractions": null`` in
-    #: ``results/fleet_tuning_summary.json``, the pinned ``--policy-store
-    #: --tune`` store and the ``search-trial-done`` trace args.
-    #: Retiring it is a re-pin.
+    #: The searched per-segment budget shares of ``protocols``;
+    #: recurrences replay the full N-segment plan.
+    fractions: tuple[float, ...]
     protocols: tuple[str, ...] = ("bsp", "asp")
-    fractions: tuple[float, ...] | None = None
 
     def schedule_label(self) -> str:
         """Display form of the protocol sequence, e.g. ``BSP -> ASP``."""
@@ -152,11 +141,7 @@ class ClassPolicy:
 
 
 def policy_from_search(
-    job_class: JobClass,
-    result: SearchResult,
-    tuned_at: float,
-    *,
-    percent_only: bool,
+    job_class: JobClass, result: SearchResult, tuned_at: float
 ) -> ClassPolicy:
     """Fold a finished Algorithm 1 run into a :class:`ClassPolicy`.
 
@@ -165,8 +150,6 @@ def policy_from_search(
     search); the tuned time is the mean of the sessions trained at the
     winning schedule, falling back to the baseline when the winner is a
     degenerate all-opener schedule that only the target runs visited.
-    ``percent_only`` drops the fraction vector (see
-    :attr:`ClassPolicy.fractions`).
     """
     bsp_times = [
         trial.time for trial in result.trials if trial.switch_fraction == 1.0
@@ -192,7 +175,7 @@ def policy_from_search(
         n_trials=result.n_sessions,
         tuned_at=tuned_at,
         protocols=result.protocols,
-        fractions=None if percent_only else result.fractions,
+        fractions=result.fractions,
     )
 
 
@@ -208,8 +191,8 @@ class _StoredClass:
     """One ``classes`` row of a store file: the class key, the policy's
     columns and the class's ledger state.
 
-    Version-1 rows predate schedules: they lack ``protocols`` and
-    ``fractions`` and load as two-phase percent-only policies.
+    A row without fractions (version 1 predates schedules) is the
+    two-phase switch at ``percent`` and loads as that N=2 schedule.
     """
 
     setup_index: int = coded(min=0)
@@ -230,8 +213,12 @@ class _StoredClass:
     realized_service_count: int = coded(min=0)
 
     def __post_init__(self):
-        if self.fractions is not None:
-            check_schedule(self.protocols, self.fractions)
+        if self.fractions is None:
+            if len(self.protocols) != 2:
+                reject("", "fractions", "a list (null only with two protocols)", None)
+            share = self.percent / 100.0
+            object.__setattr__(self, "fractions", (share, 1.0 - share))
+        check_schedule(self.protocols, self.fractions)
 
 
 @dataclass(frozen=True)
@@ -402,11 +389,7 @@ class PolicyStore:
                     "setup_index": job_class.setup_index,
                     "n_workers": job_class.n_workers,
                     "schedule": policy.schedule_label(),
-                    "fractions": (
-                        None
-                        if policy.fractions is None
-                        else list(policy.fractions)
-                    ),
+                    "fractions": list(policy.fractions),
                     "percent": policy.percent,
                     "target_accuracy": policy.target_accuracy,
                     "bsp_time_s": policy.bsp_time,

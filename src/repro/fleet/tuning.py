@@ -60,12 +60,10 @@ class InFleetSearch:
     The event loop reports "job admitted" / "trial finished" and
     enqueues the trial requests it gets back (ids from
     ``first_trial_id`` up).  ``runs`` is the paper's ``r`` (also the
-    number of static-BSP target runs); with ``protocols`` set the
-    search tunes that sequence's boundaries and everything it emits
-    carries the schedule, otherwise it is the two-phase BSP -> ASP
-    search in its percent-only form: trial jobs pin a switch percent,
-    ``search-trial-done`` names the fraction, and the installed policy
-    has no fraction vector.
+    number of static-BSP target runs).  The search tunes the
+    boundaries of ``protocols`` — the two-phase BSP -> ASP sequence
+    when None — and its trial jobs, ``search-trial-done`` instants and
+    installed policy all carry the ``(protocols, fractions)`` schedule.
     """
 
     def __init__(
@@ -80,7 +78,6 @@ class InFleetSearch:
         self.store = store
         self.runs = runs
         self.sequences = TWO_PHASE if protocols is None else (protocols,)
-        self.percent_only = protocols is None
         self.tracer = tracer
         self.metrics = metrics
         self._searches: dict[JobClass, _OpenSearch] = {}
@@ -159,16 +156,16 @@ class InFleetSearch:
         search.outcomes.append((accuracy, float(service_time)))
         awaiting = batch.count - len(search.outcomes)
         if self.tracer.enabled:
-            trained = (
-                {"fraction": batch.fractions[0]}
-                if self.percent_only
-                else {"protocols": "+".join(batch.protocols)}
-            )
             self.tracer.instant(
                 "search-trial-done",
                 "search",
                 now,
-                args={**trained, "accuracy": accuracy, "awaiting": awaiting},
+                args={
+                    "protocols": "+".join(batch.protocols),
+                    "fractions": list(batch.fractions),
+                    "accuracy": accuracy,
+                    "awaiting": awaiting,
+                },
             )
         self.metrics.inc("search_trials_completed")
         if awaiting:
@@ -180,9 +177,7 @@ class InFleetSearch:
         else:
             return self._open_batch(job_class, search.steps, batch, now)
         del self._searches[job_class]
-        policy = policy_from_search(
-            job_class, found, tuned_at=now, percent_only=self.percent_only
-        )
+        policy = policy_from_search(job_class, found, tuned_at=now)
         self.store.install(policy)
         if self.tracer.enabled:
             self.tracer.instant(
@@ -199,9 +194,9 @@ class InFleetSearch:
     ) -> tuple[JobRequest, ...]:
         """Make ``batch`` the class's open one: a fleet job per session.
 
-        The override always pins the segment-0 share, so service
-        estimates and reports see the familiar BSP percentage; a
-        schedule search's trials also carry the full plan.
+        Each trial carries the batch's full plan; its override pins
+        the segment-0 share, so service estimates and reports see the
+        familiar BSP percentage.
         """
         self._searches[job_class] = _OpenSearch(steps, batch, [])
         trials = []
@@ -215,8 +210,8 @@ class InFleetSearch:
                     sync_policy="sync-switch",
                     kind="search-trial",
                     percent_override=batch.fractions[0] * 100.0,
-                    protocols=None if self.percent_only else batch.protocols,
-                    fractions=None if self.percent_only else batch.fractions,
+                    protocols=batch.protocols,
+                    fractions=batch.fractions,
                 )
             )
             self._trial_class[self._next_trial_id] = job_class

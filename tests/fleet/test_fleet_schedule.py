@@ -77,19 +77,31 @@ class TestTunedScheduleStream:
             assert sum(row["fractions"]) == pytest.approx(1.0)
 
     def test_two_phase_config_unchanged_by_default(self):
-        """No protocols given -> the percent-only two-phase policy."""
-        store = PolicyStore()
-        FleetSimulator(
-            FleetConfig(
-                scenario="rush", scheduler="fifo",
-                sync_policy="sync-switch", seed=0, scale=0.008, n_jobs=3,
-                tune=True,
-            ),
-            store=store,
-        ).run()
-        for row in store.report():
-            assert row["schedule"] == "BSP -> ASP"
-            assert row["fractions"] is None
+        """No protocols given is the ``("bsp", "asp")`` schedule search:
+        the same summary and the same stored policies, seed by seed."""
+
+        def tuned(seed, **schedule):
+            store = PolicyStore()
+            summary = FleetSimulator(
+                FleetConfig(
+                    scenario="recurring", scheduler="fifo",
+                    sync_policy="sync-switch", seed=seed, scale=0.002,
+                    n_jobs=3, tune=True, **schedule,
+                ),
+                store=store,
+            ).run()
+            return summary.to_dict(), store.to_payload()
+
+        for seed in (0, 1):
+            default = tuned(seed)
+            assert default == tuned(seed, protocols=("bsp", "asp"))
+            summary, payload = default
+            assert summary["tuning"] and payload["classes"]
+            for row in summary["tuning"]:
+                assert row["schedule"] == "BSP -> ASP"
+                assert row["fractions"] == [
+                    row["percent"] / 100, 1 - row["percent"] / 100
+                ]
 
 
 class TestRequestLevelSchedules:

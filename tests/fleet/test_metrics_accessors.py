@@ -125,7 +125,9 @@ class TestMergeErrors:
             )
 
     def test_tuned_shards_rejected(self):
-        tuned = summarize([record(0)], tuning=({"searches": 1},))
+        tuned = summarize(
+            [record(0)], tuning=({"searches": 1, "fractions": [0.5, 0.5]},)
+        )
         with pytest.raises(ConfigurationError):
             merge_fleet_summaries([tuned, summarize([record(1)])])
 

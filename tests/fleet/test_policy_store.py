@@ -1,6 +1,5 @@
 """Tests for the per-class policy store and amortization accounting."""
 
-import dataclasses
 import math
 
 import pytest
@@ -36,6 +35,7 @@ def make_policy(
         search_cost=search_cost,
         n_trials=2,
         tuned_at=0.0,
+        fractions=(percent / 100, 1 - percent / 100),
     )
 
 
@@ -104,9 +104,7 @@ class TestAmortizationAccounting:
             SearchConfig(beta=0.01, max_settings=1, runs_per_setting=1,
                          bsp_runs=1),
         ).search()
-        policy = policy_from_search(
-            CLS, result, tuned_at=7.0, percent_only=True
-        )
+        policy = policy_from_search(CLS, result, tuned_at=7.0)
         assert policy.percent == 50.0
         assert policy.bsp_time == pytest.approx(100.0)
         assert policy.policy_time == pytest.approx(60.0)
@@ -114,11 +112,7 @@ class TestAmortizationAccounting:
         assert policy.amortized_recurrences == pytest.approx(4.0)
         assert policy.tuned_at == 7.0
         assert policy.protocols == ("bsp", "asp")
-        assert policy.fractions is None
-        # The schedule form of the same search differs in nothing else.
-        assert policy_from_search(
-            CLS, result, tuned_at=7.0, percent_only=False
-        ) == dataclasses.replace(policy, fractions=(0.5, 0.5))
+        assert policy.fractions == (0.5, 0.5)
 
     def test_never_beating_bsp_is_infinite_and_reported_none(self):
         policy = make_policy(policy_time=100.0)  # no saving at all
@@ -226,7 +220,7 @@ class TestPersistence:
             ClassPolicy(
                 job_class=other, percent=12.5, target_accuracy=0.85,
                 bsp_time=400.0, policy_time=120.0, search_cost=900.0,
-                n_trials=4, tuned_at=10.0,
+                n_trials=4, tuned_at=10.0, fractions=(0.125, 0.875),
             )
         )
         return store

@@ -39,15 +39,18 @@ class TestEquivalenceWithOfflineScheduleSearch:
     """Completions fed one by one must replay ScheduleSearch exactly."""
 
     @pytest.mark.parametrize(
-        "protocols", [("bsp", "asp"), ("bsp", "ssp", "asp"), ("bsp", "dssp")]
+        "protocols",
+        [("bsp", "asp"), ("bsp", "ssp", "asp"), ("bsp", "dssp"), None],
     )
     def test_same_schedule_target_and_trials(self, protocols, drive_search):
-        offline = ScheduleSearch(schedule_trial, CONFIG, (protocols,)).search()
+        # No protocols is the two-phase search, in the same form.
+        sequence = protocols or ("bsp", "asp")
+        offline = ScheduleSearch(schedule_trial, CONFIG, (sequence,)).search()
         store = PolicyStore()
         batches = drive_search(in_fleet(store, protocols), fleet_trial)
         policy = store.lookup(CLS)
         assert policy == policy_from_search(
-            CLS, offline, tuned_at=policy.tuned_at, percent_only=False
+            CLS, offline, tuned_at=policy.tuned_at
         )
         assert policy.protocols == offline.protocols
         assert policy.fractions == offline.fractions

@@ -46,6 +46,7 @@ def tuned_store(policy_time=30.0) -> PolicyStore:
             search_cost=300.0,
             n_trials=6,
             tuned_at=0.0,
+            fractions=(0.0625, 0.9375),
         )
     )
     return store

@@ -25,8 +25,8 @@ def deterministic_trial(fraction, run):
 
 
 def fleet_trial(trial):
-    """``trial(fraction, run)`` as seen through a percent-only trial job."""
-    return lambda job, run: trial(job.percent_override / 100.0, run)
+    """``trial(fraction, run)`` as seen through a two-phase trial job."""
+    return lambda job, run: trial(job.fractions[0], run)
 
 
 #: The configuration ``InFleetSearch(runs=2)`` derives for setup 1.
@@ -58,7 +58,7 @@ class TestEquivalenceWithOfflineSearch:
         )
         policy = store.lookup(CLS)
         assert policy == policy_from_search(
-            CLS, offline, tuned_at=policy.tuned_at, percent_only=True
+            CLS, offline, tuned_at=policy.tuned_at
         )
         assert policy.percent == offline.switch_percent
         assert policy.target_accuracy == offline.target_accuracy
@@ -97,8 +97,11 @@ class TestSessionProtocol:
         for job in first + second:
             assert job.kind == "search-trial"
             assert (job.setup_index, job.n_workers) == (1, 8)
-            # percent-only: the two-phase controller trains the trial
-            assert job.protocols is None and job.fractions is None
+            # the trial carries its N=2 schedule; the override pins
+            # its segment-0 share
+            fraction = job.percent_override / 100.0
+            assert job.protocols == ("bsp", "asp")
+            assert job.fractions == (fraction, 1.0 - fraction)
 
     def test_done_session_yields_empty_batch(self, drive_search, stream_job):
         store = PolicyStore()
@@ -107,7 +110,9 @@ class TestSessionProtocol:
         assert len(batches) == 1 + CONFIG.max_settings
         assert search.open_searches == 0
         assert not store.is_searching(CLS)
-        assert store.lookup(CLS).fractions is None
+        policy = store.lookup(CLS)
+        fraction = policy.percent / 100.0
+        assert policy.fractions == (fraction, 1.0 - fraction)
         # The class is tuned: a recurrence starts no second search.
         assert search.job_admitted(stream_job(job_id=1), now=9.0) == ()
 
@@ -152,17 +157,18 @@ def test_search_instants_of_a_traced_tuned_cell(protocols):
     )
     begin, *trials, complete = instants
     assert begin["args"] == {"setup": 1, "n_workers": 8}
-    described = "fraction" if protocols is None else "protocols"
     for event in trials:
-        assert list(event["args"]) == [described, "accuracy", "awaiting"]
-    if protocols is None:
-        assert [event["args"]["fraction"] for event in trials[:4]] == [
-            1.0, 1.0, 0.5, 0.5
+        assert list(event["args"]) == [
+            "protocols", "fractions", "accuracy", "awaiting"
         ]
-    else:
-        assert {event["args"]["protocols"] for event in trials} == {
-            "bsp+ssp+asp"
-        }
+        assert sum(event["args"]["fractions"]) == pytest.approx(1.0)
+    assert {event["args"]["protocols"] for event in trials} == {
+        "+".join(protocols or ("bsp", "asp"))
+    }
+    if protocols is None:
+        assert [event["args"]["fractions"] for event in trials[:4]] == [
+            [1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]
+        ]
     # Every batch of two counts down to 0 before the next one opens.
     assert [event["args"]["awaiting"] for event in trials] == [1, 0] * batches
     assert list(complete["args"]) == ["percent"]

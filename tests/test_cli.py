@@ -601,11 +601,17 @@ def _store_with(**edits) -> bytes:
         (_store_with(fractions=[0.3, 0.3]),
          ": classes[0].fractions: expected shares summing to 1, "
          "got (0.3, 0.3)"),
+        # A null row is the two-phase switch at its percent; with three
+        # protocols it would train BSP -> ASP and ignore them.
+        (_store_with(protocols=["bsp", "ssp", "asp"]),
+         ": classes[0].fractions: expected a list (null only with two "
+         "protocols), got None"),
     ],
     ids=["non-utf8", "classes-not-a-list", "scale-not-a-number",
          "nan-percent", "percent-640", "string-percent",
          "fractional-workers", "bool-workers", "negative-recurrences",
-         "negative-time", "string-protocols", "fractions-sum"],
+         "negative-time", "string-protocols", "fractions-sum",
+         "null-fractions-three-protocols"],
 )
 def test_fleet_hostile_policy_store_is_a_usage_error(
     content, message, capsys, tmp_path, monkeypatch
@@ -759,6 +765,42 @@ def test_fleet_recomputes_a_summary_blob_that_fails_its_table(
     captured = capsys.readouterr()
     assert captured.out == cold and captured.err == ""
     assert json.loads(blob.read_bytes()) == older
+
+
+@pytest.mark.parametrize("stale", ["null", "missing"])
+def test_fleet_recomputes_a_tuned_blob_without_schedules(
+    stale, capsys, tmp_path, monkeypatch
+):
+    """A tuned cell cached before every policy carried its schedule has
+    ``"fractions": null`` tuning rows under an unchanged cache key: a
+    miss, recomputed and rewritten, not a summary that reads ``null``."""
+    import json
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "tuned.json"
+    argv = ["--quiet", "fleet", "--scenario", "surge", "--jobs", "2",
+            "--scale", "0.001", "--tune", "--seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    cold, written = capsys.readouterr().out, out.read_bytes()
+    blobs = [
+        blob for blob in sorted((tmp_path / "cache").glob("*.json"))
+        if json.loads(blob.read_bytes()).get("tuning")
+    ]
+    assert blobs
+    for blob in blobs:
+        whole = blob.read_bytes()
+        older = json.loads(whole)
+        for row in older["tuning"]:
+            if stale == "null":
+                row["fractions"] = None
+            else:
+                del row["fractions"]
+        blob.write_text(json.dumps(older), encoding="utf-8")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold and captured.err == ""
+        assert blob.read_bytes() == whole
+        assert out.read_bytes() == written
 
 
 #: A minimal ``fleet`` argv that trips each row of the conflict table.

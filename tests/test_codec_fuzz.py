@@ -302,8 +302,7 @@ def populated_store() -> PolicyStore:
             ClassPolicy(
                 job_class=job_class, percent=25.0, target_accuracy=0.5,
                 bsp_time=40.0, policy_time=25.0, search_cost=130.0,
-                n_trials=5, tuned_at=3.5,
-                fractions=(0.25, 0.75) if index else None,
+                n_trials=5, tuned_at=3.5, fractions=(0.25, 0.75),
             )
         )
         for _ in range(2 + 4 * index):
@@ -548,9 +547,7 @@ def literal_store(store: PolicyStore, scale) -> dict:
             "setup_index": job_class.setup_index,
             "n_workers": job_class.n_workers,
             "protocols": list(policy.protocols),
-            "fractions": (
-                None if policy.fractions is None else list(policy.fractions)
-            ),
+            "fractions": list(policy.fractions),
             "percent": policy.percent,
             "target_accuracy": policy.target_accuracy,
             "bsp_time": policy.bsp_time, "policy_time": policy.policy_time,
@@ -649,13 +646,13 @@ def test_training_result_and_traced_run_round_trip(workdir):
 )
 def test_policy_store_round_trip(percent, times, services, scale, fraction):
     bsp_time, policy_time, search_cost, tuned_at = times
+    share = percent / 100 if fraction is None else fraction
     store = PolicyStore()
     job_class = JobClass(1, 8)
     store.install(ClassPolicy(
         job_class=job_class, percent=percent, target_accuracy=0.5,
         bsp_time=bsp_time, policy_time=policy_time, search_cost=search_cost,
-        n_trials=3, tuned_at=tuned_at,
-        fractions=None if fraction is None else (fraction, 1.0 - fraction),
+        n_trials=3, tuned_at=tuned_at, fractions=(share, 1.0 - share),
     ))
     for service in services:
         store.note_recurrence(job_class, service)
@@ -663,3 +660,12 @@ def test_policy_store_round_trip(percent, times, services, scale, fraction):
     again = PolicyStore.from_payload(json.loads(json.dumps(payload)), scale)
     assert again.to_payload(scale=scale) == payload
     same_bytes(payload, literal_store(store, scale))
+    if fraction is None:
+        # Decode-only: a null row (no policy writes one any more) loads
+        # as the N=2 schedule at its percent.
+        payload["classes"][0]["fractions"] = None
+        nulled = PolicyStore.from_payload(json.loads(json.dumps(payload)), scale)
+        assert nulled.lookup(job_class).fractions == (
+            percent / 100, 1 - percent / 100
+        )
+        assert nulled.to_payload(scale=scale) == again.to_payload(scale=scale)

@@ -69,7 +69,7 @@ PINS = {
     },
     "tune": {
         "stdout": "670b9086ccb4ee50ba13ede283dfa53af94d2eb1f8de355416861f7ae2116999",
-        "out.json": "e879682751472e87efacfcf23e6213c0f204c4a6d40fa347a33cc0f72a50fe53",
+        "out.json": "56cd1c1346bcaf7fc4b71c269d779220c8a48b840ecea6ea70a851d8081e599e",
     },
     "sharded": {
         "stdout": "cb995d362d0249ba7b0fb337c54cdc1fcff34a0b233667b41b8c5bc242151bdf",
@@ -78,7 +78,7 @@ PINS = {
     "store": {
         "stdout": "22614c71d5d5eac9b2863d81e6f7f36b8cab212faba09f4670b84b2b56311e2d",
         "out.json": "4ef72a2235cdb4b5c0beb4cf20f5a2df7d704c2fd1eea6f3f484e2da63a8210f",
-        "store.json": "e91b1d12d72a238b990679a6dde8e0f46d4c15a84b1e830d0b8d1e475a8dce0d",
+        "store.json": "8501727fea7dc3e5d95a447cc44ebb6e09b3fc44852dd50ea72335fd05aecdd7",
     },
 }
 
