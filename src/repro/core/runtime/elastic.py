@@ -526,15 +526,6 @@ class ElasticTrainingRun:
             schedule = schedule.merged_with(self.trainer.ambient)
         self.session.stragglers = schedule
 
-    def set_tracer(self, tracer) -> None:
-        """Attach a tracer to this run (and its live session).
-
-        Used by the fleet to trace a job's asynchronous tail into a
-        buffer, emitted when the job completes.
-        """
-        self.trainer.tracer = tracer
-        self.session.tracer = tracer
-
     # ------------------------------------------------------------------
     # copies, projections and results
     # ------------------------------------------------------------------

@@ -8,9 +8,10 @@ resized at every allocation change, and projected — forked and run to
 the end — to schedule the finish event.  The job's numbers come from
 one *cell*: a fresh numeric run that replays every recorded placement
 (:meth:`RunningJob.finish`) and must end as the projection said; it
-runs at the finish event, or at admission when no resize can happen.
-Nothing here knows the event loop: the pool, the contention schedule
-and the tracer a method needs are handed in.
+runs at the finish event, or at admission when no resize can happen,
+and traces straight onto the fleet timeline through the job's scoped
+tracer.  Nothing here knows the event loop: the pool, the contention
+schedule and the tracer a method needs are handed in.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ class RunningJob:
 
     When it cannot — or when the clock run finishes at the tail (no
     elastic tail: all-BSP, or a known divergence inside the BSP phase)
-    — the cell runs at admission, its tail traced into
-    ``trace_buffer`` (emitted when the job completes), and ``clock`` is
-    None: the job holds its result and nothing of its training state.
+    — the cell runs at admission and ``clock`` is None: the job holds
+    its result and nothing of its training state.  Either way the cell
+    traces straight into ``tracer``, the job's scoped fleet tracer.
 
     ``result`` holds the training result once there is one.
     ``diverging`` maps trajectories known to diverge (:attr:`trajectory`)
@@ -149,7 +150,6 @@ class RunningJob:
         self.preemptions = 0
         self.restores = 0
         self.tracer = tracer
-        self.trace_buffer = NULL_TRACER
         self.diverging = diverging
         #: Every (instant, physical workers) the job has trained on.
         self.placements = ((start, workers),)
@@ -305,15 +305,13 @@ class RunningJob:
 
         It runs to the tail, then advances to each later placement's
         instant and resizes there on the re-slice that placement saw,
-        then runs to the end; the tail is traced into
-        ``trace_buffer``.  Returns the run and how many placements it
-        reached — fewer than all when it ended (diverged) before a
-        later placement's instant.
+        then runs to the end, tracing into the job's ``tracer``.
+        Returns the run and how many placements it reached — fewer
+        than all when it ended (diverged) before a later placement's
+        instant.
         """
         cell = self._new_run(tracer=self.tracer)
-        if cell.run_to_tail() == "paused":
-            self.trace_buffer = self.tracer.sandbox()
-            cell.set_tracer(self.trace_buffer)
+        cell.run_to_tail()
         for index, (instant, workers) in enumerate(self.placements[1:], 1):
             if cell.advance_to(instant - self.start) != "paused":
                 return cell, index
@@ -369,11 +367,9 @@ class RunningJob:
         )
 
     def emit_spans(self, tracer, now: float) -> None:
-        """Lifecycle spans of the job completing at ``now``: the events
-        of its cell's tail, queue wait, the job itself, its BSP/ASP
-        phases, and — at job detail — one span per allocation
-        segment."""
-        tracer.absorb(self.trace_buffer)
+        """Lifecycle spans of the job completing at ``now``: queue
+        wait, the job itself, its BSP/ASP phases, and — at job detail
+        — one span per allocation segment."""
         request = self.request
         pid = request.job_id + 1
         arrival = request.arrival

@@ -18,6 +18,12 @@ Three detail levels nest (each includes the previous):
     Plus one span per worker update — BSP barriers and ASP pushes —
     reconstructed from the telemetry worker-duration log.
 
+A fleet job traces through a *scoped* view (:meth:`Tracer.scoped`):
+the same class, appending to the same event list, with the job's pid
+and its admission time as offset.  Every event lands on the fleet
+timeline when it is emitted, so the event list is in emission order,
+not time order; viewers sort by ``ts``.
+
 The :data:`NULL_TRACER` singleton is the system-wide default.  Every
 instrumentation site either goes through a method that no-ops here or
 is guarded by ``tracer.enabled`` / ``tracer.wants(level)``, so the
@@ -26,6 +32,7 @@ vectorized training hot path is untouched when tracing is off.
 
 from __future__ import annotations
 
+import copy
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -42,8 +49,8 @@ class NullTracer:
     """Do-nothing tracer: the default wherever a tracer is accepted.
 
     Every method is a no-op and ``enabled`` is False, so hot loops can
-    guard optional work with a single attribute read.  ``scoped`` and
-    ``sandbox`` return ``self`` so call sites never branch on type.
+    guard optional work with a single attribute read.  ``scoped``
+    returns ``self`` so call sites never branch on type.
     """
 
     enabled = False
@@ -68,12 +75,6 @@ class NullTracer:
 
     def scoped(self, pid: int, offset: float = 0.0) -> "NullTracer":
         return self
-
-    def sandbox(self) -> "NullTracer":
-        return self
-
-    def absorb(self, other: "NullTracer") -> None:
-        pass
 
     @property
     def events(self) -> list[dict]:
@@ -101,6 +102,8 @@ class Tracer:
         self.detail = detail
         self._rank = _DETAIL_RANK[detail]
         self._events: list[dict] = []
+        # (pid, offset) of a scoped view; None leaves times bit-exact.
+        self._scope: tuple[int, float] | None = None
 
     def wants(self, level: str) -> bool:
         """True when the configured detail includes ``level`` events."""
@@ -117,6 +120,9 @@ class Tracer:
         args: dict | None = None,
     ) -> None:
         """A complete ("X") event covering ``[start, start + duration)``."""
+        if self._scope is not None:
+            pid, offset = self._scope
+            start = start + offset
         event = {
             "name": name,
             "cat": cat,
@@ -140,6 +146,9 @@ class Tracer:
         args: dict | None = None,
     ) -> None:
         """A thread-scoped instant ("i") event at virtual time ``t``."""
+        if self._scope is not None:
+            pid, offset = self._scope
+            t = t + offset
         event = {
             "name": name,
             "cat": cat,
@@ -161,6 +170,9 @@ class Tracer:
         pid: int = 0,
     ) -> None:
         """A counter ("C") sample; Perfetto plots one track per key."""
+        if self._scope is not None:
+            pid, offset = self._scope
+            t = t + offset
         self._events.append(
             {
                 "name": name,
@@ -174,6 +186,8 @@ class Tracer:
         )
 
     def process_name(self, pid: int, label: str) -> None:
+        if self._scope is not None:
+            pid = self._scope[0]
         self._events.append(
             {
                 "name": "process_name",
@@ -186,6 +200,8 @@ class Tracer:
         )
 
     def thread_name(self, pid: int, tid: int, label: str) -> None:
+        if self._scope is not None:
+            pid = self._scope[0]
         self._events.append(
             {
                 "name": "thread_name",
@@ -197,95 +213,21 @@ class Tracer:
             }
         )
 
-    def scoped(self, pid: int, offset: float = 0.0) -> "_ScopedTracer":
+    def scoped(self, pid: int, offset: float = 0.0) -> "Tracer":
         """A view that pins ``pid`` and shifts times by ``offset``.
 
         Training sessions run on job-relative clocks; the fleet hands
         each one a scoped view with ``offset = admission time`` so
         session-side emissions land on the fleet timeline untouched.
+        The view is a shallow copy writing to this tracer's event
+        list; scoping a view again adds the offsets.
         """
-        return _ScopedTracer(self, pid, offset)
-
-    def sandbox(self) -> "Tracer":
-        """An independent buffer at the same detail level.
-
-        Speculative work (elastic completion projections) traces into
-        a sandbox; the fleet absorbs the buffer belonging to the
-        projection that actually became the job's realized tail and
-        drops superseded ones.
-        """
-        return Tracer(self.detail)
-
-    def absorb(self, other: "Tracer | NullTracer") -> None:
-        self._events.extend(other.events)
+        view = copy.copy(self)
+        if self._scope is not None:
+            offset = self._scope[1] + offset
+        view._scope = (pid, offset)
+        return view
 
     @property
     def events(self) -> list[dict]:
         return self._events
-
-
-class _ScopedTracer:
-    """Forwards to a base tracer with a fixed pid and a time offset."""
-
-    enabled = True
-
-    def __init__(self, base: Tracer, pid: int, offset: float) -> None:
-        self._base = base
-        self._pid = pid
-        self._offset = offset
-
-    @property
-    def detail(self) -> str:
-        return self._base.detail
-
-    def wants(self, level: str) -> bool:
-        return self._base.wants(level)
-
-    def span(
-        self,
-        name: str,
-        cat: str,
-        start: float,
-        duration: float,
-        pid: int = 0,
-        tid: int = 0,
-        args: dict | None = None,
-    ) -> None:
-        self._base.span(
-            name, cat, start + self._offset, duration, self._pid, tid, args
-        )
-
-    def instant(
-        self,
-        name: str,
-        cat: str,
-        t: float,
-        pid: int = 0,
-        tid: int = 0,
-        args: dict | None = None,
-    ) -> None:
-        self._base.instant(name, cat, t + self._offset, self._pid, tid, args)
-
-    def counter(
-        self, name: str, t: float, values: dict[str, float], pid: int = 0
-    ) -> None:
-        self._base.counter(name, t + self._offset, values, self._pid)
-
-    def process_name(self, pid: int, label: str) -> None:
-        self._base.process_name(self._pid, label)
-
-    def thread_name(self, pid: int, tid: int, label: str) -> None:
-        self._base.thread_name(self._pid, tid, label)
-
-    def scoped(self, pid: int, offset: float = 0.0) -> "_ScopedTracer":
-        return _ScopedTracer(self._base, pid, self._offset + offset)
-
-    def sandbox(self) -> "_ScopedTracer":
-        return _ScopedTracer(Tracer(self._base.detail), self._pid, self._offset)
-
-    def absorb(self, other: "Tracer | _ScopedTracer | NullTracer") -> None:
-        self._base.absorb(other)
-
-    @property
-    def events(self) -> list[dict]:
-        return self._base.events

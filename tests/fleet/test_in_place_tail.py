@@ -153,10 +153,12 @@ class TestNonPreemptiveSchedulers:
         assert admitted_clocks and all(clock is None for clock in admitted_clocks)
 
     def test_trace_file_is_byte_identical(self, no_fork, tmp_path, monkeypatch):
-        """``fleet --trace PATH``: the in-place tail's events reach the
-        file at the job's completion, where a projection's used to.
-        The hash was taken at the commit before the in-place tail
-        existed."""
+        """``fleet --trace PATH``: each cell, run at admission, traces
+        its whole run onto the fleet timeline as it goes, so the file
+        holds its events in emission order.  The hash pins that order;
+        it was re-taken when the tail stopped being buffered to the
+        job's completion, after checking the event multiset, the
+        summary and the metrics file were unchanged."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         section = GOLDEN["trace_file"]
         trace_path = tmp_path / "trace.json"

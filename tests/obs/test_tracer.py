@@ -1,4 +1,6 @@
-"""Tracer unit tests: event shapes, detail gating, scoping, sandboxes."""
+"""Tracer unit tests: event shapes, detail gating, scoping."""
+
+import math
 
 import pytest
 
@@ -21,7 +23,6 @@ def test_null_tracer_is_inert_singleton():
     assert NULL_TRACER.events == []
     assert not NULL_TRACER.wants("fleet")
     assert NULL_TRACER.scoped(1, 0.0) is NULL_TRACER
-    assert NULL_TRACER.sandbox() is NULL_TRACER
 
 
 def test_tracer_rejects_unknown_detail():
@@ -75,11 +76,19 @@ def test_scoped_tracer_shifts_time_and_pins_pid():
     scoped = base.scoped(pid=7, offset=10.0)
     scoped.span("seg", "segment", 1.0, 2.0, tid=1)
     scoped.instant("eval", "eval", 3.0)
-    span, instant = base.events
+    scoped.counter("gauges", 4.0, {"v": 1.0}, pid=2)
+    scoped.process_name(2, "job-6")
+    scoped.thread_name(2, 1, "training")
+    assert scoped.events is base.events
+    span, instant, counter, process, thread = base.events
     assert span["ts"] == pytest.approx(11.0e6)
     assert span["pid"] == 7
     assert instant["ts"] == pytest.approx(13.0e6)
     assert instant["pid"] == 7
+    assert counter["ts"] == pytest.approx(14.0e6)
+    assert counter["pid"] == 7
+    assert process["pid"] == 7 and process["ts"] == 0
+    assert thread["pid"] == 7 and thread["tid"] == 1
 
 
 def test_scoped_composes_offsets():
@@ -88,24 +97,11 @@ def test_scoped_composes_offsets():
     inner.instant("x", "eval", 0.0)
     assert base.events[0]["ts"] == pytest.approx(6.0e6)
     assert base.events[0]["pid"] == 3
-
-
-def test_sandbox_absorb_round_trip():
-    base = Tracer("job")
-    buffer = base.sandbox()
-    buffer.span("seg", "segment", 0.0, 1.0)
-    assert base.events == []  # sandboxed events stay out of the timeline
-    base.absorb(buffer)
-    assert len(base.events) == 1
-
-
-def test_scoped_sandbox_keeps_scope():
-    base = Tracer("job")
-    scoped = base.scoped(pid=9, offset=4.0)
-    buffer = scoped.sandbox()
-    buffer.instant("x", "eval", 1.0)
-    assert base.events == []  # sandboxed events buffered off-timeline
-    scoped.absorb(buffer)
-    (event,) = base.events
-    assert event["ts"] == pytest.approx(5.0e6)
-    assert event["pid"] == 9
+    # offsets are summed first (start + (o1 + o2)), and an unscoped
+    # time keeps every bit, the sign of -0.0 included
+    base.scoped(pid=1, offset=0.1).scoped(pid=1, offset=0.2).span(
+        "y", "segment", 1.0, 0.0
+    )
+    base.instant("z", "eval", -0.0)
+    assert base.events[1]["ts"] == (1.0 + (0.1 + 0.2)) * 1e6
+    assert math.copysign(1.0, base.events[2]["ts"]) == -1.0
