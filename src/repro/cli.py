@@ -11,8 +11,8 @@ simulator:
   batch.
 * ``sync-switch fleet`` — serve a multi-job stream on a shared worker
   pool and write the fleet summary artifact; ``--tune`` runs the
-  amortized in-fleet timing search comparison, ``--slo`` serves the
-  stream through the deadline-aware scheduler.
+  amortized in-fleet timing search comparison, ``--scheduler slo``
+  serves the stream through the deadline-aware scheduler.
 * ``sync-switch lint`` — AST-based determinism & invariant analyzer
   (rules D001–D006) with a ratcheted baseline gate.
 * ``sync-switch list`` — show setups, artifacts and fleet scenarios.

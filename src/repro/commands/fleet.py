@@ -111,12 +111,6 @@ def configure(parser) -> None:
         "tuning summary artifact)",
     )
     parser.add_argument(
-        "--slo",
-        action="store_true",
-        help="serve the stream through the deadline/SLO-aware scheduler "
-        "(shorthand for --scheduler slo)",
-    )
-    parser.add_argument(
         "--seeds",
         type=int,
         default=None,
@@ -248,12 +242,6 @@ CONFLICTS: tuple[tuple, ...] = (
         "without --tune the fleet grid runs the single --seed stream",
     ),
     (
-        "slo-with-scheduler",
-        lambda a: a.slo and a.scheduler not in ("all", "slo"),
-        "error: --slo selects the slo scheduler and cannot be "
-        "combined with --scheduler {args.scheduler}",
-    ),
-    (
         "metrics-interval-without-trace",
         lambda a: a.metrics_interval is not None and not a.trace,
         "error: --metrics-interval tunes the --trace metrics dump; "
@@ -303,9 +291,9 @@ CONFLICTS: tuple[tuple, ...] = (
     _in_process_only("--protocols", lambda a: a.protocols),
     (
         "policy-store-needs-scheduler",
-        lambda a: a.policy_store and not a.slo and a.scheduler == "all",
+        lambda a: a.policy_store and a.scheduler == "all",
         "error: --policy-store runs a single stream; pick one "
-        "--scheduler (or --slo)",
+        "--scheduler",
     ),
     (
         "policy-store-tune-policy",
@@ -419,11 +407,10 @@ def _publish(args, mode: str, extra=None, **cells) -> int:
 def _run_grid(args, mode: str, stream: dict, tiers) -> int:
     """The default: a scheduler x sync-policy grid of cached cells."""
     # fleet_grid reads None as every scheduler / every policy.
-    schedulers = None if args.scheduler == "all" else (args.scheduler,)
     return _publish(
         args,
         mode,
-        schedulers=("slo",) if args.slo else schedulers,
+        schedulers=None if args.scheduler == "all" else (args.scheduler,),
         policies=None if args.policy == "all" else (args.policy,),
         tiers=tiers,
         validate=args.validate,
@@ -498,13 +485,11 @@ def _run_traced(args, mode: str, stream: dict, tiers) -> int:
 def _single_cell(args, default: str, note: str | None = None) -> tuple[str, str]:
     """The one (scheduler, policy) cell a single-stream mode serves.
 
-    ``--slo`` wins and explicit picks are kept; 'all' narrows to the
-    mode's ``default`` scheduler and to sync-switch, each reported at
-    INFO as "``note`` narrows ..." when the mode gives a ``note``.
+    Explicit picks are kept; 'all' narrows to the mode's ``default``
+    scheduler and to sync-switch, each reported at INFO as "``note``
+    narrows ..." when the mode gives a ``note``.
     """
-    if args.slo:
-        scheduler = "slo"
-    elif args.scheduler == "all":
+    if args.scheduler == "all":
         scheduler = default
         if note:
             LOG.info("%s narrows --scheduler all to %s", note, default)

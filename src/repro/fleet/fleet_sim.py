@@ -750,8 +750,9 @@ class FleetSimulator:
         result = job.finish(self.contention)
         self.pool.release(job.workers)
         del self._running[job.request.job_id]
+        record = job.record(now)
         if self.tracer.enabled:
-            job.emit_spans(self.tracer, now)
+            job.emit_spans(self.tracer, record)
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc("jobs_completed")
@@ -761,7 +762,7 @@ class FleetSimulator:
             )
             metrics.inc("overhead_paid_s", result.total_overhead)
             metrics.inc("protocol_switches", result.switch_count)
-        self._records.append(job.record(now))
+        self._records.append(record)
         if job.request.kind == "search-trial":
             for trial in self.search.trial_finished(
                 job.request.job_id, result, now - job.start, now

@@ -27,11 +27,11 @@ cells can share the experiment harness's atomic on-disk cache.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.codec import coded, decode, encode, reject
 from repro.errors import ConfigurationError
+from repro.obs.metrics import percentile
 
 __all__ = [
     "JobRecord",
@@ -215,51 +215,6 @@ class FleetSummary:
             if row.get("fractions") is None:
                 reject("", f"tuning[{index}].fractions", "a list of shares", None)
 
-    def jobs_in(
-        self, tier: str | None = None, kind: str | None = None
-    ) -> tuple[JobRecord, ...]:
-        """Completed jobs filtered by tenant tier and/or job kind."""
-        return tuple(
-            record
-            for record in self.jobs
-            if record.outcome == "completed"
-            and (tier is None or record.tier == tier)
-            and (kind is None or record.kind == kind)
-        )
-
-    def jct_percentile(
-        self, fraction: float, tier: str | None = None
-    ) -> float | None:
-        """Nearest-rank JCT percentile of a (possibly empty) job group.
-
-        Returns None — never raises — when no completed job matches,
-        e.g. a tenant tier whose every job was rejected, or a tier name
-        absent from this shard.
-        """
-        return percentile(
-            [record.jct for record in self.jobs_in(tier=tier)], fraction
-        )
-
-    def attainment(self, tier: str | None = None) -> tuple[float | None, int]:
-        """SLO attainment of one tier (or all jobs): ``(fraction, n)``.
-
-        ``n`` counts the group's deadline-carrying stream jobs;
-        ``fraction`` is the share of them that finished in time, or
-        None when the group has no deadline jobs (0-count, not an
-        error).
-        """
-        deadline_jobs = [
-            record
-            for record in self.jobs
-            if record.deadline is not None
-            and record.kind == "train"
-            and (tier is None or record.tier == tier)
-        ]
-        if not deadline_jobs:
-            return None, 0
-        met = sum(1 for record in deadline_jobs if record.met_deadline)
-        return met / len(deadline_jobs), len(deadline_jobs)
-
     def to_dict(self) -> dict:
         """Plain-python dict for JSON caching and the results artifact."""
         return encode(self)
@@ -270,21 +225,40 @@ class FleetSummary:
         return decode(cls, data, "fleet summary")
 
 
-def percentile(values: list[float], fraction: float) -> float | None:
-    """Nearest-rank percentile of a sample; None on an empty one.
+def _group(records) -> dict:
+    """JCT/SLO/makespan aggregates of one job group, in tier-row order.
 
-    Empty groups are ordinary at trace scale (a tier with every job
-    rejected, a shard without deadline jobs), so the empty case is a
-    None result, not an IndexError.
+    The fold behind both the stream headline and every tenant-tier
+    row.  JCT and makespan cover completed jobs; an empty group has
+    ``p95_jct`` and ``slo_attainment`` None (a tier whose every job
+    was rejected, a shard without deadline jobs), never an error.
     """
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(math.ceil(fraction * len(ordered)) - 1, 0)
-    return ordered[min(rank, len(ordered) - 1)]
-
-
-_percentile = percentile
+    completed = [record for record in records if record.outcome == "completed"]
+    jcts = [record.jct for record in completed]
+    # One record per job id is a simulator invariant (a job is recorded
+    # by exactly one of _reject/_complete), so every deadline job counts
+    # exactly once in attainment whatever its triage path — degraded
+    # then completed, rejected, or plain; pinned by
+    # tests/fleet/test_slo.py::test_degraded_jobs_count_once_in_attainment.
+    deadline_jobs = [
+        record
+        for record in records
+        if record.deadline is not None and record.kind == "train"
+    ]
+    met = sum(1 for record in deadline_jobs if record.met_deadline)
+    return {
+        "n_jobs": len(records),
+        "n_completed": len(completed),
+        "n_rejected": sum(
+            1 for record in records if record.outcome == "rejected"
+        ),
+        "mean_jct": sum(jcts) / len(jcts) if jcts else 0.0,
+        "p95_jct": percentile(jcts, 0.95),
+        "max_jct": max(jcts, default=0.0),
+        "makespan": max((record.finish for record in completed), default=0.0),
+        "n_deadline_jobs": len(deadline_jobs),
+        "slo_attainment": met / len(deadline_jobs) if deadline_jobs else None,
+    }
 
 
 def summarize_fleet(
@@ -298,14 +272,21 @@ def summarize_fleet(
     busy_worker_seconds: float,
     tuning: tuple[dict, ...] | None = None,
 ) -> FleetSummary:
-    """Fold per-job records into one :class:`FleetSummary`."""
+    """Fold per-job records into one :class:`FleetSummary`.
+
+    The headline and each tenant-tier row are the same :func:`_group`
+    fold, over the whole stream and over one tier's jobs.
+    """
     ordered = tuple(sorted(records, key=lambda record: record.job_id))
+    headline = _group(ordered)
+    del headline["n_completed"]  # a tier-row field only
+    if headline["p95_jct"] is None:
+        headline["p95_jct"] = 0.0
+    makespan = headline["makespan"]
     completed = [
         record for record in ordered if record.outcome == "completed"
     ]
-    jcts = [record.jct for record in completed]
     delays = [record.queue_delay for record in completed]
-    makespan = max((record.finish for record in completed), default=0.0)
     capacity = pool_size * makespan
     images = sum(record.images for record in completed)
     accuracies = [
@@ -316,67 +297,12 @@ def summarize_fleet(
     search_trials = [
         record for record in completed if record.kind == "search-trial"
     ]
-    # One record per job id is a simulator invariant (a job is recorded
-    # by exactly one of _reject/_complete), so every deadline job counts
-    # exactly once in attainment whatever its triage path — degraded
-    # then completed, rejected, or plain; pinned by
-    # tests/fleet/test_slo.py::test_degraded_jobs_count_once_in_attainment.
-    deadline_jobs = [
-        record
-        for record in ordered
-        if record.deadline is not None and record.kind == "train"
-    ]
-    met = sum(1 for record in deadline_jobs if record.met_deadline)
     staleness_rows = [
         record.staleness for record in completed if record.staleness
     ]
     tier_names = sorted(
         {record.tier for record in ordered if record.tier is not None}
     )
-    tier_rows: tuple[dict, ...] | None = None
-    if tier_names:
-        rows = []
-        for name in tier_names:
-            members = [record for record in ordered if record.tier == name]
-            done = [
-                record for record in members if record.outcome == "completed"
-            ]
-            tier_jcts = [record.jct for record in done]
-            tier_deadline = [
-                record
-                for record in members
-                if record.deadline is not None and record.kind == "train"
-            ]
-            tier_met = sum(
-                1 for record in tier_deadline if record.met_deadline
-            )
-            rows.append(
-                {
-                    "tier": name,
-                    "n_jobs": len(members),
-                    "n_completed": len(done),
-                    "n_rejected": sum(
-                        1
-                        for record in members
-                        if record.outcome == "rejected"
-                    ),
-                    "mean_jct": (
-                        sum(tier_jcts) / len(tier_jcts) if tier_jcts else 0.0
-                    ),
-                    "p95_jct": percentile(tier_jcts, 0.95),
-                    "max_jct": max(tier_jcts, default=0.0),
-                    "makespan": max(
-                        (record.finish for record in done), default=0.0
-                    ),
-                    "n_deadline_jobs": len(tier_deadline),
-                    "slo_attainment": (
-                        tier_met / len(tier_deadline)
-                        if tier_deadline
-                        else None
-                    ),
-                }
-            )
-        tier_rows = tuple(rows)
     return FleetSummary(
         scenario=scenario,
         scheduler=scheduler,
@@ -384,12 +310,7 @@ def summarize_fleet(
         seed=seed,
         scale=scale,
         pool_size=pool_size,
-        n_jobs=len(ordered),
         jobs=ordered,
-        makespan=makespan,
-        mean_jct=sum(jcts) / len(jcts) if jcts else 0.0,
-        p95_jct=_percentile(jcts, 0.95) if jcts else 0.0,
-        max_jct=max(jcts) if jcts else 0.0,
         mean_queue_delay=sum(delays) / len(delays) if delays else 0.0,
         max_queue_delay=max(delays) if delays else 0.0,
         utilization=busy_worker_seconds / capacity if capacity > 0 else 0.0,
@@ -402,14 +323,7 @@ def summarize_fleet(
         ),
         n_search_jobs=len(search_trials),
         search_time=sum(record.service_time for record in search_trials),
-        n_rejected=sum(
-            1 for record in ordered if record.outcome == "rejected"
-        ),
         n_degraded=sum(1 for record in ordered if record.degraded),
-        n_deadline_jobs=len(deadline_jobs),
-        slo_attainment=(
-            met / len(deadline_jobs) if deadline_jobs else None
-        ),
         tuning=tuning,
         staleness_p50=(
             sum(row.get("p50", 0.0) for row in staleness_rows)
@@ -426,7 +340,15 @@ def summarize_fleet(
         staleness_max=max(
             (row.get("max", 0.0) for row in staleness_rows), default=0.0
         ),
-        tiers=tier_rows,
+        tiers=tuple(
+            {
+                "tier": name,
+                **_group([record for record in ordered if record.tier == name]),
+            }
+            for name in tier_names
+        )
+        or None,
+        **headline,
     )
 
 

@@ -366,59 +366,52 @@ class RunningJob:
             staleness=dict(result.staleness),
         )
 
-    def emit_spans(self, tracer, now: float) -> None:
-        """Lifecycle spans of the job completing at ``now``: queue
+    def emit_spans(self, tracer, record: JobRecord) -> None:
+        """Lifecycle spans of the job completed as ``record``: queue
         wait, the job itself, its BSP/ASP phases, and — at job detail
         — one span per allocation segment."""
-        request = self.request
-        pid = request.job_id + 1
-        arrival = request.arrival
-        cat = "search" if request.kind == "search-trial" else "job"
-        result = self.result
+        pid = record.job_id + 1
+        start, now = record.start, record.finish
+        cat = "search" if record.kind == "search-trial" else "job"
         tracer.span(
-            f"job-{request.job_id}",
+            f"job-{record.job_id}",
             cat,
-            self.start,
-            now - self.start,
+            start,
+            record.service_time,
             pid=pid,
             tid=0,
             args={
-                "sync_policy": request.sync_policy,
-                "accuracy": result.reported_accuracy,
-                "diverged": result.diverged,
-                "preemptions": self.preemptions,
-                "restores": self.restores,
-                "tuned": self.tuned,
-                "degraded": self.degraded,
+                "sync_policy": record.sync_policy,
+                "accuracy": record.accuracy,
+                "diverged": record.diverged,
+                "preemptions": record.preemptions,
+                "restores": record.restores,
+                "tuned": record.tuned,
+                "degraded": record.degraded,
             },
         )
-        if self.start > arrival:
+        if start > record.arrival:
             tracer.span(
-                "queued", "queue", arrival, self.start - arrival, pid=pid, tid=0
+                "queued", "queue", record.arrival, record.queue_delay, pid=pid, tid=0
             )
-        bsp_span = min(self.bsp_span, now - self.start)
+        bsp_span = min(self.bsp_span, record.service_time)
         if bsp_span > 0.0:
-            tracer.span("bsp-phase", "phase", self.start, bsp_span, pid=pid, tid=0)
-        tail_start = self.start + bsp_span
+            tracer.span("bsp-phase", "phase", start, bsp_span, pid=pid, tid=0)
+        tail_start = start + bsp_span
         if now > tail_start:
             tracer.span(
                 "async-tail", "phase", tail_start, now - tail_start, pid=pid, tid=0
             )
         if tracer.wants("job"):
-            for index, row in enumerate(self.allocations):
-                end = (
-                    self.allocations[index + 1]["time"]
-                    if index + 1 < len(self.allocations)
-                    else now
-                )
+            for segment in record.allocation_segments():
                 tracer.span(
-                    f"{row['workers']}w",
+                    f"{segment['workers']}w",
                     "alloc",
-                    row["time"],
-                    end - row["time"],
+                    segment["start"],
+                    segment["end"] - segment["start"],
                     pid=pid,
                     tid=2,
-                    args={"cause": row["cause"]},
+                    args={"cause": segment["cause"]},
                 )
 
 

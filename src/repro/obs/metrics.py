@@ -16,6 +16,7 @@ bit-identical to unmetered ones.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -26,22 +27,31 @@ from repro.errors import ConfigurationError
 DEFAULT_METRICS_INTERVAL = 60.0
 
 
+def percentile(values: list[float], fraction: float) -> float | None:
+    """Nearest-rank percentile of a sample; None on an empty one.
+
+    The smallest value with at least ``fraction`` of the sample at or
+    below it.  Empty groups are ordinary at trace scale (a tier with
+    every job rejected, a shard without deadline jobs), so the empty
+    case is a None result, not an IndexError.
+    """
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(math.ceil(fraction * len(ordered)) - 1, 0)
+    return ordered[min(rank, len(ordered) - 1)]
+
+
 def _histogram_summary(values: list[float]) -> dict[str, float]:
     """Count / mean / p50 / p95 / max via the nearest-rank rule."""
     if not values:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
     ordered = sorted(values)
-    n = len(ordered)
-
-    def rank(fraction: float) -> float:
-        index = min(n - 1, max(0, int(round(fraction * n + 0.5)) - 1))
-        return ordered[index]
-
     return {
-        "count": n,
-        "mean": sum(ordered) / n,
-        "p50": rank(0.50),
-        "p95": rank(0.95),
+        "count": len(ordered),
+        "mean": sum(ordered) / len(ordered),
+        "p50": percentile(ordered, 0.50),
+        "p95": percentile(ordered, 0.95),
         "max": ordered[-1],
     }
 

@@ -1,8 +1,10 @@
-"""Tests for the empty-group-safe FleetSummary accessors and the merge.
+"""Tests for the fleet summary's empty-group aggregates and the merge.
 
-The bugfix under test: percentile/attainment queries on empty job
-groups (a tier whose every job was rejected, a shard without deadline
-jobs) return ``None`` / a 0-count — they never raise.
+The stream headline and each tenant-tier row are one fold over job
+records.  Empty groups are ordinary at trace scale (a tier whose every
+job was rejected, a stream without deadline jobs): their percentile and
+attainment come out ``None`` with a 0 count, never an error, and a tier
+no record carries has no row.
 """
 
 import pytest
@@ -65,24 +67,37 @@ class TestPercentile:
         assert percentile([7.5], 0.95) == 7.5
 
 
+def tier_row(summary, name: str) -> dict | None:
+    """The summary's row for tenant tier ``name``; None without one."""
+    rows = {row["tier"]: row for row in summary.tiers or ()}
+    return rows.get(name)
+
+
 class TestEmptyGroupAccessors:
     def test_unknown_tier_returns_none_not_raise(self):
         summary = summarize([record(0, tier="batch")])
-        assert summary.jct_percentile(0.95, tier="prod") is None
-        assert summary.attainment(tier="prod") == (None, 0)
-        assert summary.jobs_in(tier="prod") == ()
+        assert tier_row(summary, "prod") is None
+        assert tier_row(summary, "batch")["n_jobs"] == 1
 
     def test_all_rejected_tier_returns_none(self):
         summary = summarize(
             [record(0, tier="prod", outcome="rejected", finish=0.0)]
         )
-        assert summary.jct_percentile(0.95, tier="prod") is None
-        assert summary.jobs_in(tier="prod") == ()
+        row = tier_row(summary, "prod")
+        assert row["n_jobs"] == 1 and row["n_rejected"] == 1
+        assert row["n_completed"] == 0
+        assert row["p95_jct"] is None
+        assert row["mean_jct"] == 0.0
+        # The headline keeps its historical 0.0 for an empty p95.
+        assert summary.p95_jct == 0.0
 
     def test_no_deadline_jobs_is_a_zero_count(self):
         summary = summarize([record(0, tier="batch")])
-        fraction, count = summary.attainment()
-        assert fraction is None and count == 0
+        assert summary.n_deadline_jobs == 0
+        assert summary.slo_attainment is None
+        row = tier_row(summary, "batch")
+        assert row["n_deadline_jobs"] == 0
+        assert row["slo_attainment"] is None
 
     def test_populated_group_still_measures(self):
         summary = summarize(
@@ -91,10 +106,12 @@ class TestEmptyGroupAccessors:
                 record(1, tier="prod", deadline=5.0),
             ]
         )
-        fraction, count = summary.attainment(tier="prod")
-        assert count == 2
-        assert fraction == pytest.approx(0.5)
-        assert summary.jct_percentile(0.95, tier="prod") == 10.0
+        row = tier_row(summary, "prod")
+        assert row["n_deadline_jobs"] == 2
+        assert row["slo_attainment"] == pytest.approx(0.5)
+        assert row["p95_jct"] == 10.0
+        assert summary.slo_attainment == pytest.approx(0.5)
+        assert summary.p95_jct == 10.0
 
     def test_tier_rows_only_when_tiers_present(self):
         plain = summarize([record(0)])

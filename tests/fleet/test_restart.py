@@ -14,7 +14,10 @@ generated by the numeric-projection code this design replaced):
   detail with a 1 s metrics interval (events + metrics + summary).
   The traced pin was taken again when the cells moved to the finish
   event: the summary and metrics were equal, and the events equal as a
-  sorted multiset — only their order moved;
+  sorted multiset — only their order moved.  It was taken once more
+  when the metrics histograms moved to the nearest-rank percentile:
+  summary and events were equal, and in the metrics only
+  ``histograms.*.p50`` values moved;
 * ``heavy`` under best-fit, ``bsp,asp`` at ``0.02,0.98``, seeds 1 and 3
   — streams where an admission projection would have diverged only
   after the job's first resize, which no numerics-free projection can

@@ -71,3 +71,25 @@ def test_snapshot_emits_counter_tracks_into_tracer():
 def test_invalid_interval_rejected():
     with pytest.raises(ConfigurationError):
         MetricsRegistry(interval=0.0)
+
+
+@pytest.mark.parametrize(
+    "values, p50, p95",
+    [
+        # f·n is an odd integer (0.5·2 = 1, 0.95·20 = 19): the cases
+        # a round-half-to-even rank puts one place too high.
+        ([2.0, 1.0], 1.0, 2.0),
+        ([float(value) for value in range(20, 0, -1)], 10.0, 19.0),
+    ],
+)
+def test_histogram_percentiles_are_nearest_rank(values, p50, p95):
+    from repro.fleet import percentile
+
+    registry = MetricsRegistry(interval=10.0)
+    for value in values:
+        registry.observe("jct_s", value)
+    histogram = registry.payload(now=0.0)["final"]["histograms"]["jct_s"]
+    assert (histogram["p50"], histogram["p95"]) == (p50, p95)
+    # One rank rule: the fleet's JCT p95 is the same function.
+    assert percentile(values, 0.50) == p50
+    assert percentile(values, 0.95) == p95

@@ -161,14 +161,16 @@ def test_fleet_command_tiny(capsys, tmp_path, monkeypatch):
 
 def test_parser_fleet_tune_and_slo_flags():
     parser = build_parser()
-    args = parser.parse_args(["fleet", "--tune", "--seeds", "2", "--slo"])
-    assert args.tune and args.slo
+    args = parser.parse_args(
+        ["fleet", "--tune", "--seeds", "2", "--scheduler", "slo"]
+    )
+    assert args.tune and args.scheduler == "slo"
     assert args.seeds == 2
     defaults = parser.parse_args(["fleet"])
-    assert not defaults.tune and not defaults.slo
+    assert not defaults.tune and defaults.scheduler == "all"
     assert defaults.seeds is None
-    args = parser.parse_args(["fleet", "--scheduler", "slo"])
-    assert args.scheduler == "slo"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fleet", "--slo"])
 
 
 def test_fleet_seeds_requires_tune(capsys):
@@ -186,13 +188,6 @@ def test_fleet_tune_rejects_seed(capsys):
     # --seed would suggest a varied stream that never ran.
     assert main(["fleet", "--tune", "--seed", "7"]) == 2
     assert "--seed" in capsys.readouterr().err
-
-
-def test_fleet_slo_rejects_conflicting_scheduler(capsys):
-    assert main(["fleet", "--slo", "--scheduler", "best-fit"]) == 2
-    assert "--slo" in capsys.readouterr().err
-    parser = build_parser()
-    assert parser.parse_args(["fleet", "--slo", "--scheduler", "slo"])
 
 
 def test_fleet_tune_command_tiny(capsys, tmp_path, monkeypatch):
@@ -229,7 +224,8 @@ def test_fleet_slo_command_tiny(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     out_path = tmp_path / "fleet_summary.json"
     assert main(["fleet", "--scenario", "deadline", "--jobs", "2",
-                 "--slo", "--policy", "sync-switch", "--scale", "0.008",
+                 "--scheduler", "slo", "--policy", "sync-switch",
+                 "--scale", "0.008",
                  "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "slo" in out
@@ -807,7 +803,6 @@ def test_fleet_recomputes_a_tuned_blob_without_schedules(
 CONFLICT_ARGV = {
     "jobs-with-workload-trace": ["--workload-trace", "t.json", "--jobs", "2"],
     "seeds-without-tune": ["--seeds", "2"],
-    "slo-with-scheduler": ["--slo", "--scheduler", "best-fit"],
     "metrics-interval-without-trace": ["--metrics-interval", "5"],
     "trace-with-tune": ["--trace", "t.json", "--tune"],
     "fractions-without-protocols": ["--fractions", "0.5,0.5"],

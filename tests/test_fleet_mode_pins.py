@@ -65,7 +65,7 @@ PINS = {
         "stdout": "95dd5c487365214237448efa611198b1462105033f9b782d0976583423d4bfa5",
         "out.json": "3e21fdd7c2c7c612eea16333d259e871b07523af7f7d72579764a309dc765afe",
         "trace.json": "7709a44f760e7e2e9a4f7933b38953c1ec460c008a51cf46e96ab280fc07f122",
-        "trace.metrics.json": "f9a206fcdffc325be826a038ec799625f34d5c0ff7eb5cbc72c36f0961c53a6d",
+        "trace.metrics.json": "014ca12c51227b7e2183a57880c4c97e8227755599bf3f9fdf6dc1b764c3fe9b",
     },
     "tune": {
         "stdout": "670b9086ccb4ee50ba13ede283dfa53af94d2eb1f8de355416861f7ae2116999",
