@@ -15,14 +15,12 @@ conventions the reproduction's bit-identity guarantees rest on.
 
 See ``docs/static_analysis.md`` for the rule catalog (with the past
 incident each rule prevents), the suppression-comment syntax and the
-ratchet-baseline workflow.
+gate (``--check`` fails on any unsuppressed finding).
 """
 
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "CacheKeyCompletenessRule",
     "CacheKeyTarget",
     "DEFAULT_TARGETS",
@@ -34,7 +32,6 @@ __all__ = [
     "LintReport",
     "ProjectRule",
     "RULE_REGISTRY",
-    "RatchetResult",
     "Rule",
     "SetIterationRule",
     "WallClockRule",
@@ -42,7 +39,6 @@ __all__ = [
     "check_class",
     "default_rules",
     "json_payload",
-    "ratchet",
     "register",
     "render_text",
     "repo_root",
@@ -53,12 +49,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.analysis.baseline": (
-            "Baseline",
-            "BaselineEntry",
-            "RatchetResult",
-            "ratchet",
-        ),
         "repro.analysis.dataclass_keys": (
             "DEFAULT_TARGETS",
             "CacheKeyCompletenessRule",

@@ -49,7 +49,6 @@ class CacheKeyTarget:
 
     module: str
     class_name: str
-    key_method: str = "key"
 
 
 #: The request dataclasses whose cache keys gate result identity.
@@ -122,13 +121,8 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def check_class(
-    cls: type,
-    root: Path,
-    key_method: str = "key",
-    rule_id: str = "D004",
-) -> list[Finding]:
-    """Findings for one dataclass whose ``key_method`` must be complete."""
+def check_class(cls: type, root: Path) -> list[Finding]:
+    """Findings for one dataclass whose ``key()`` must be complete."""
     qualname = f"{cls.__module__}.{cls.__qualname__}"
     try:
         class_file = Path(inspect.getsourcefile(cls) or "")
@@ -140,19 +134,19 @@ def check_class(
             Finding(
                 path=anchor_path,
                 line=1,
-                rule=rule_id,
+                rule="D004",
                 message=f"{qualname} is not a dataclass; the cache-key "
                 "completeness check needs dataclass field metadata",
             )
         ]
-    key_fn = getattr(cls, key_method, None)
+    key_fn = getattr(cls, "key", None)
     if key_fn is None:
         return [
             Finding(
                 path=anchor_path,
                 line=1,
-                rule=rule_id,
-                message=f"{qualname} has no {key_method}() method to "
+                rule="D004",
+                message=f"{qualname} has no key() method to "
                 "define its cache identity",
             )
         ]
@@ -162,8 +156,8 @@ def check_class(
             Finding(
                 path=anchor_path,
                 line=1,
-                rule=rule_id,
-                message=f"source of {qualname}.{key_method}() is "
+                rule="D004",
+                message=f"source of {qualname}.key() is "
                 "unavailable; cannot verify cache-key completeness",
             )
         ]
@@ -183,7 +177,7 @@ def check_class(
                 suppression_cache[field_file] = table
             if line in table:
                 suppressed = table[line]
-                if suppressed is None or rule_id in suppressed:
+                if suppressed is None or "D004" in suppressed:
                     continue
             path, anchor = _relpath(field_file, root), line
         else:
@@ -192,9 +186,9 @@ def check_class(
             Finding(
                 path=path,
                 line=anchor,
-                rule=rule_id,
+                rule="D004",
                 message=f"dataclass field '{field.name}' of {qualname} is "
-                f"not consumed by {key_method}(); a run varying it would "
+                "not consumed by key(); a run varying it would "
                 "alias another run's cache entry — extend the key payload "
                 "or mark the field '# repro-lint: disable=D004'",
             )
@@ -230,7 +224,5 @@ class CacheKeyCompletenessRule(ProjectRule):
                     )
                 )
                 continue
-            findings.extend(
-                check_class(cls, root, key_method=target.key_method)
-            )
+            findings.extend(check_class(cls, root))
         return findings

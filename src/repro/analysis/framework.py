@@ -15,8 +15,8 @@ per-line suppression comments::
 
 Adding a rule is ~50 lines: subclass :class:`Rule` (per-file AST
 checks) or :class:`ProjectRule` (whole-tree semantic checks), decorate
-with :func:`register`, and it participates in scoping, suppression,
-baselining and reporting for free.
+with :func:`register`, and it participates in scoping, suppression
+and reporting for free.
 
 Paths in findings are **relative to the lint root** with any leading
 ``src/`` stripped, so rule scoping (``repro/distsim/...``) works both
@@ -69,7 +69,7 @@ def resolve_lint_root(paths: Sequence[Path], default: Path) -> Path:
     """The root findings are reported relative to.
 
     ``default`` (the repo root) when every scanned path lives under
-    it — the committed-baseline case; otherwise the single directory
+    it — the CI case; otherwise the single directory
     being linted, or the deepest common ancestor of the paths (the
     fixture-tree case).
     """
@@ -91,7 +91,7 @@ def normalize_relpath(path: Path, root: Path) -> str:
     """POSIX path of ``path`` relative to ``root``, ``src/`` stripped.
 
     Stripping the layout prefix keeps rule scopes (``repro/distsim``)
-    and baseline entries stable whether the tree is linted from the
+    stable whether the tree is linted from the
     repo root or from a fixture directory that mirrors the package.
     """
     relative = path.resolve().relative_to(root.resolve()).as_posix()
@@ -102,13 +102,7 @@ def normalize_relpath(path: Path, root: Path) -> str:
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a source location.
-
-    The ratchet identity (:meth:`identity`) deliberately omits the
-    line number: moving unrelated code around a baselined finding must
-    not trip the gate, while a *new* occurrence of the same message in
-    the same file still counts (the ratchet compares multisets).
-    """
+    """One rule violation at a source location."""
 
     path: str
     line: int
@@ -118,10 +112,6 @@ class Finding:
     def render(self) -> str:
         """``file:line:rule`` text form (the CLI's stdout format)."""
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
-
-    def identity(self) -> tuple[str, str, str]:
-        """Line-free key used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict[str, object]:
         return {

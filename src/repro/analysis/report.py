@@ -1,18 +1,16 @@
 """Text and JSON rendering of ``repro lint`` results.
 
 The text form is one ``file:line: rule: message`` line per finding
-(editor-clickable); the JSON form is the stable machine schema CI
-uploads as an artifact::
+(editor-clickable) plus a one-line verdict; the JSON form is the
+stable machine schema CI uploads as an artifact::
 
     {
-      "version": 1,
+      "version": 2,
       "root": "...",
       "files_scanned": 87,
       "rules": {"D001": "direct RNG ...", ...},
       "findings": [{"rule", "path", "line", "message"}, ...],
-      "summary": {"D001": 2, ...},
-      "ratchet": {"baseline": "...", "matched": 1,
-                  "new": [...], "stale": [...]} | null
+      "summary": {"D001": 2, ...}
     }
 """
 
@@ -22,64 +20,35 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from repro.analysis.baseline import RatchetResult
 from repro.analysis.framework import LintReport, Rule
 
 __all__ = ["json_payload", "render_text", "write_json_report"]
 
-JSON_FORMAT_VERSION = 1
+JSON_FORMAT_VERSION = 2
 
 
-def render_text(
-    report: LintReport,
-    result: RatchetResult | None = None,
-) -> str:
-    """Human-readable lint output.
-
-    Without a ratchet result: every finding.  With one: only the
-    gate-relevant findings (new ones and stale baseline entries), plus
-    a one-line verdict.
-    """
-    lines: list[str] = []
-    if result is None:
-        for finding in report.all_findings:
-            lines.append(finding.render())
+def render_text(report: LintReport) -> str:
+    """Every finding and parse error, then the gate's verdict."""
+    lines = [finding.render() for finding in report.all_findings]
+    if report.all_findings:
         lines.append(
-            f"{len(report.all_findings)} finding(s) in "
+            f"lint check FAILED: {len(report.findings)} finding(s), "
+            f"{len(report.parse_errors)} parse error(s) in "
             f"{report.files_scanned} file(s)"
         )
-        return "\n".join(lines)
-    for finding in sorted(report.parse_errors):
-        lines.append(finding.render())
-    for finding in result.new:
-        lines.append(finding.render())
-    for entry in result.stale:
+    else:
         lines.append(
-            f"{entry.path}: {entry.rule}: stale baseline entry (the "
-            f"finding was fixed — remove it): {entry.message}"
+            f"lint check ok: {report.files_scanned} file(s), 0 finding(s)"
         )
-    verdict_ok = result.clean and not report.parse_errors
-    lines.append(
-        "lint check ok: "
-        f"{report.files_scanned} file(s), {result.matched} baselined "
-        "finding(s), 0 new"
-        if verdict_ok
-        else "lint check FAILED: "
-        f"{len(result.new)} new finding(s), {len(result.stale)} stale "
-        f"baseline entr(ies), {len(report.parse_errors)} parse error(s)"
-    )
     return "\n".join(lines)
 
 
 def json_payload(
-    report: LintReport,
-    rules: tuple[Rule, ...],
-    result: RatchetResult | None = None,
-    baseline_path: Path | None = None,
+    report: LintReport, rules: tuple[Rule, ...]
 ) -> dict[str, object]:
     """The machine-readable report (schema above)."""
     findings = report.all_findings
-    payload: dict[str, object] = {
+    return {
         "version": JSON_FORMAT_VERSION,
         "root": str(report.root),
         "files_scanned": report.files_scanned,
@@ -89,18 +58,6 @@ def json_payload(
             sorted(Counter(finding.rule for finding in findings).items())
         ),
     }
-    if result is None:
-        payload["ratchet"] = None
-    else:
-        payload["ratchet"] = {
-            "baseline": (
-                str(baseline_path) if baseline_path is not None else None
-            ),
-            "matched": result.matched,
-            "new": [finding.to_dict() for finding in result.new],
-            "stale": [entry.to_dict() for entry in result.stale],
-        }
-    return payload
 
 
 def write_json_report(payload: dict[str, object], path: Path) -> Path:

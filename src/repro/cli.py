@@ -14,7 +14,7 @@ simulator:
   amortized in-fleet timing search comparison, ``--scheduler slo``
   serves the stream through the deadline-aware scheduler.
 * ``sync-switch lint`` — AST-based determinism & invariant analyzer
-  (rules D001–D006) with a ratcheted baseline gate.
+  (rules D001–D006); ``--check`` fails on any unsuppressed finding.
 * ``sync-switch list`` — show setups, artifacts and fleet scenarios.
 
 This module is only the command table: each command's arguments and
@@ -53,7 +53,7 @@ COMMANDS = {
     ),
     "lint": (
         "AST-based determinism & invariant analyzer "
-        "(rules D001-D006, ratcheted baseline)",
+        "(rules D001-D006; --check fails on any finding)",
         "repro.commands.lint",
     ),
     "list": (

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, ratchet
 from repro.analysis.framework import (
     analyze_paths,
     default_rules,
@@ -27,21 +25,8 @@ def configure(parser) -> None:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="ratchet mode: exit 1 on any finding not in the baseline "
-        "and on stale baseline entries (the CI gate)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="ratchet baseline JSON "
-        "(default tests/data/lint_baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to tolerate exactly the current "
-        "findings (each entry still needs a why-note before commit)",
+        help="exit 1 on any unsuppressed finding or parse error "
+        "(the CI gate)",
     )
     parser.add_argument(
         "--json",
@@ -60,11 +45,10 @@ def configure(parser) -> None:
 
 
 def run(args) -> int:
-    """Analyze, then ratchet against the baseline.
+    """Analyze and print every finding plus the verdict.
 
-    Without ``--check`` every finding prints (exit 0, informational);
-    with it the committed baseline is applied and any new finding,
-    stale baseline entry or parse error exits 1.
+    Without ``--check`` the run is informational (exit 0); with it any
+    unsuppressed finding or parse error exits 1.
     """
     try:
         rules = default_rules(
@@ -89,38 +73,10 @@ def run(args) -> int:
         return 2
     root = resolve_lint_root(paths, repo_root())
     report = analyze_paths(paths, root, rules)
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else repo_root() / "tests" / "data" / "lint_baseline.json"
-    )
-    if args.write_baseline:
-        baseline = Baseline.from_findings(
-            report.all_findings, note="TODO: justify this entry"
-        )
-        try:
-            target = baseline.save(baseline_path)
-        except ValueError as exc:
-            LOG.error("error: %s", exc)
-            return 2
-        LOG.info("lint baseline written to %s", target)
-        return 0
-    result = None
-    if args.check:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            LOG.error("error: bad lint baseline %s: %s", baseline_path, exc)
-            return 2
-        result = ratchet(report.findings, baseline)
-    print(render_text(report, result))
+    print(render_text(report))
     if args.json:
         target = write_json_report(
-            json_payload(report, rules, result, baseline_path),
-            Path(args.json),
+            json_payload(report, rules), Path(args.json)
         )
         LOG.info("lint JSON report written to %s", target)
-    if args.check:
-        assert result is not None
-        return 0 if result.clean and not report.parse_errors else 1
-    return 0
+    return 1 if args.check and report.all_findings else 0

@@ -70,11 +70,6 @@ class ProtocolSchedule:
                 "ablation studies."
             )
 
-    @property
-    def n_segments(self) -> int:
-        """Number of protocol segments in the schedule."""
-        return len(self.protocols)
-
     def follows_paper_order(self) -> bool:
         """True when precision decreases strictly across the sequence."""
         ranks = [precision_rank(protocol) for protocol in self.protocols]

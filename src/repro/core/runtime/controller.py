@@ -35,11 +35,6 @@ class JobResult:
     bsp_steps: int
     async_steps: int
 
-    @property
-    def intervention_count(self) -> int:
-        """Number of online-policy actions taken."""
-        return len(self.interventions)
-
 
 @dataclass
 class SyncSwitchController:

@@ -36,9 +36,12 @@ The online straggler policies (Section IV-B2) act inside stage 0, the
 precise phase, at update boundaries raised by the profiler/detector
 feed: the greedy policy's interlude is an unplanned segment switch,
 the elastic policy's eviction a resize.  They read mid-segment
-telemetry that no pause boundary preserves, so an online run only runs
-to completion — :class:`~repro.core.runtime.controller.SyncSwitchController`
-is that one-shot wrapper.
+telemetry that no pause boundary preserves, so stage 0 of an online
+run ignores stop conditions: :meth:`run_to_tail` runs it whole (and
+pauses at the tail like any other run), while a finite
+:meth:`advance_to` that would reach it is rejected.  An online run
+paused at its tail and resumed equals the one-shot run
+(``tests/core/test_elastic_run.py::TestOnlineTailPause``).
 
 A run that is never paused or resized is bit-identical to the plain
 per-segment transcription in ``tests/core/reference_controller.py`` —
@@ -179,8 +182,9 @@ class ElasticTrainingRun:
 
         Returns ``"paused"`` with the run held at the instant the
         asynchronous tail would open (the fleet's preemptible span), or
-        ``"finished"`` when the plan has no elastic tail (all-BSP) or
-        training diverged inside the precise phase.  The paused state
+        ``"finished"`` when the plan has no elastic tail (all-BSP),
+        training diverged inside the precise phase, or a greedy
+        interlude finished the job inside it.  The paused state
         holds the BSP span: training resumes from here and never runs
         it again.
         """
@@ -196,11 +200,10 @@ class ElasticTrainingRun:
             while not self._finished and (
                 self._index < tail or not self._switch_paid
             ):
-                self._advance_stage(None, math.inf, pausing=True)
+                self._advance_stage(None, math.inf)
         except DivergenceError:
             self._finished = True
-            return "finished"
-        return "paused"
+        return "finished" if self._finished else "paused"
 
     def advance_to(self, until: float) -> str:
         """Resume training until the clock reaches ``until``.
@@ -222,7 +225,7 @@ class ElasticTrainingRun:
             while True:
                 if not unbounded and session.clock.now >= until:
                     return "paused"
-                if not self._advance_stage(stop, until, pausing=not unbounded):
+                if not self._advance_stage(stop, until):
                     return "paused"
                 if self._finished:
                     return "finished"
@@ -234,7 +237,7 @@ class ElasticTrainingRun:
         """Resume and run the remaining plan to the end."""
         return self.advance_to(math.inf)
 
-    def _advance_stage(self, stop, until: float, pausing: bool) -> bool:
+    def _advance_stage(self, stop, until: float) -> bool:
         """Execute (part of) the current segment's stage.
 
         Returns False when a stop condition paused mid-stage; True when
@@ -242,8 +245,8 @@ class ElasticTrainingRun:
         advanced, or the run finished).  The first segment always opens
         (even for a zero-step budget); every later segment pays its
         switch unconditionally but only trains when steps remain.
-        ``pausing`` says whether the caller will pause the run, which
-        an online straggler policy forbids.
+        An online straggler policy's stage 0 ignores ``stop``, so a
+        finite ``until`` that would reach it is rejected.
         """
         session = self.session
         segments = self.plan.segments
@@ -262,8 +265,14 @@ class ElasticTrainingRun:
         if index == 0 and not self._opened and (
             online is not None and online.reacts_online()
         ):
+            if not math.isinf(until):
+                raise ConfigurationError(
+                    "a run under an online straggler policy cannot pause "
+                    "inside its precise phase: the policy reacts to "
+                    "mid-segment telemetry that no pause boundary preserves"
+                )
             self._opened = True
-            if self._run_online_stage(online, pausing):
+            if self._run_online_stage(online):
                 self._finished = True
                 return True
         elif (index == 0 and not self._opened) or session.step < target:
@@ -296,7 +305,7 @@ class ElasticTrainingRun:
     # ------------------------------------------------------------------
     # online straggler policies (stage 0)
     # ------------------------------------------------------------------
-    def _run_online_stage(self, policy: StragglerPolicy, pausing: bool) -> bool:
+    def _run_online_stage(self, policy: StragglerPolicy) -> bool:
         """The precise phase under an online straggler policy.
 
         Trains the barrier segment while the profiler/detector pipeline
@@ -316,12 +325,6 @@ class ElasticTrainingRun:
                 f"the {policy.name} straggler policy needs a barrier phase "
                 f"followed by an asynchronous one; the plan is "
                 f"{self.plan.describe()}"
-            )
-        if pausing:
-            raise ConfigurationError(
-                "a run under an online straggler policy cannot pause: the "
-                "policy reacts to mid-segment telemetry that no pause "
-                "boundary preserves"
             )
         session = self.session
         precise, fast = segments[0], segments[1]

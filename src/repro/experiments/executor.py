@@ -254,11 +254,6 @@ class ParallelExecutor:
     def __post_init__(self):
         self._resolved_jobs = resolve_jobs(self.jobs)
 
-    @property
-    def effective_jobs(self) -> int:
-        """The resolved worker count used for batches."""
-        return self._resolved_jobs
-
     def execute(self, requests) -> dict:
         """Execute a batch of cells and return ``{cache_key: result}``.
 

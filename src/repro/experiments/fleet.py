@@ -835,11 +835,19 @@ def _bsp_trace(
     A trace fixes each job's sync policy, so the simulator ignores the
     cell-level ``sync_policy``; the baseline cell must rewrite the
     trace itself or it would silently serve the trace's own policies.
+    A pinned ``(protocols, fractions)`` schedule is cleared too: the
+    simulator trains a pinned schedule whatever the sync policy says.
     """
     if trace is None:
         return None
     return tuple(
-        replace(request, sync_policy="bsp", percent_override=None)
+        replace(
+            request,
+            sync_policy="bsp",
+            percent_override=None,
+            protocols=None,
+            fractions=None,
+        )
         for request in trace
     )
 

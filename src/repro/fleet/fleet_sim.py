@@ -353,7 +353,7 @@ class FleetSimulator:
             metrics=self.metrics,
         )
         # SLO state: pending degrade decisions from scheduler triage.
-        self._degraded: dict[int, float] = {}
+        self._degraded: set[int] = set()
 
     # ------------------------------------------------------------------
     # public API
@@ -639,8 +639,8 @@ class FleetSimulator:
                     percent = self.config.fractions[0] * 100.0
         degraded = request.job_id in self._degraded
         if degraded:
-            percent, tuned = self._degraded.pop(request.job_id), False
-            schedule = None
+            self._degraded.discard(request.job_id)
+            percent, tuned, schedule = 100.0, False, None
         return percent, tuned, degraded, schedule
 
     def _reject(self, request: JobRequest, now: float) -> None:
@@ -654,7 +654,7 @@ class FleetSimulator:
             )
         self.metrics.inc("jobs_rejected")
         self._records.append(job_record(request, now, now, "rejected"))
-        self._degraded.pop(request.job_id, None)
+        self._degraded.discard(request.job_id)
 
     def _preempt(
         self,

@@ -100,15 +100,15 @@ class SchedulerPolicy:
         free_workers: int,
         scale: float,
         context: SchedulerContext | None = None,
-    ) -> tuple[list[JobRequest], dict[int, float]]:
+    ) -> tuple[list[JobRequest], set[int]]:
         """SLO pass before admission: ``(rejected, degraded)``.
 
         ``rejected`` jobs are dropped from the queue and recorded as
-        SLO rejections; ``degraded`` maps job ids to the BSP
-        percentage they must train at instead of their requested
-        policy.  The default (non-SLO policies) touches nothing.
+        SLO rejections; ``degraded`` holds the ids of jobs that must
+        train all-BSP instead of their requested policy.  The default
+        (non-SLO policies) touches nothing.
         """
-        return [], {}
+        return [], set()
 
     def preemption_request(
         self,
@@ -267,7 +267,7 @@ class SloAwareScheduler(SchedulerPolicy):
     def triage(self, queue, free_workers, scale, context=None):
         context = context or SchedulerContext(scale=scale)
         rejected: list[JobRequest] = []
-        degraded: dict[int, float] = {}
+        degraded: set[int] = set()
         for request in queue:
             if request.deadline is None or request.kind != "train":
                 continue
@@ -296,7 +296,7 @@ class SloAwareScheduler(SchedulerPolicy):
                 and request.percent_override is None
                 and not self._is_tuned(request, context)
             ):
-                degraded[request.job_id] = 100.0
+                degraded.add(request.job_id)
                 if tracer.enabled:
                     tracer.instant(
                         f"slo-degrade job-{request.job_id}",

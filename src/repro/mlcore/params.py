@@ -9,7 +9,7 @@ vector plus a layout of named slices provides all three.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -146,8 +146,3 @@ class ParameterLayout:
 
     def __repr__(self) -> str:
         return f"ParameterLayout(size={self._size}, tensors={len(self._shapes)})"
-
-
-def total_size(shapes: Iterable[tuple[int, ...]]) -> int:
-    """Sum of element counts over an iterable of shapes."""
-    return int(sum(np.prod(shape, dtype=np.int64) for shape in shapes))

@@ -1,4 +1,4 @@
-"""End-to-end ``repro lint`` CLI: exit codes, JSON schema, baselines.
+"""End-to-end ``repro lint`` CLI: exit codes, JSON schema, flags.
 
 The committed fixture tree lives *inside* the repo, where the CLI
 resolves the lint root to the repo root and the ``tests/...`` relpaths
@@ -30,7 +30,7 @@ def test_check_clean_tree_exits_zero(capsys):
     assert main(["lint", "--check"]) == 0
     out = capsys.readouterr().out
     assert "lint check ok" in out
-    assert "0 new" in out
+    assert "0 finding(s)" in out
 
 
 @pytest.mark.parametrize("rule", ["D001", "D002", "D003", "D005", "D006"])
@@ -58,13 +58,16 @@ def test_missing_path_exits_two(tmp_path):
     assert main(["lint", str(tmp_path / "nope")]) == 2
 
 
-def test_bad_baseline_exits_two(fixture_copy, tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{not json", encoding="utf-8")
-    code = main(
-        ["lint", str(fixture_copy), "--check", "--baseline", str(bad)]
-    )
-    assert code == 2
+@pytest.mark.parametrize(
+    "flags", [["--baseline", "x"], ["--write-baseline"]]
+)
+def test_retired_baseline_flags_are_usage_errors(flags, capsys):
+    # a finding is excused inline (# repro-lint: disable=...) or not at
+    # all: there is no baseline file to point at or write
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--check", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_json_report_schema(fixture_copy, tmp_path):
@@ -81,70 +84,16 @@ def test_json_report_schema(fixture_copy, tmp_path):
         ]
     )
     payload = json.loads(report_path.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
+    assert payload["version"] == 2
+    assert set(payload) == {
+        "version", "root", "files_scanned", "rules", "findings", "summary"
+    }
     assert payload["files_scanned"] > 0
     assert set(payload["rules"]) == {"D001", "D002"}
     for finding in payload["findings"]:
         assert set(finding) == {"rule", "path", "line", "message"}
         assert finding["rule"] in {"D001", "D002"}
     assert payload["summary"]["D001"] >= 5
-    ratchet = payload["ratchet"]
-    assert ratchet is not None
-    assert ratchet["new"] == payload["findings"]
-    assert ratchet["matched"] == 0 and ratchet["stale"] == []
-
-
-def test_write_baseline_then_check_passes(fixture_copy, tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "lint",
-                str(fixture_copy),
-                "--rules",
-                "D001",
-                "--write-baseline",
-                "--baseline",
-                str(baseline_path),
-            ]
-        )
-        == 0
-    )
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert all(entry["note"] for entry in payload["entries"])
-    # the freshly written baseline tolerates exactly those findings
-    assert (
-        main(
-            [
-                "lint",
-                str(fixture_copy),
-                "--check",
-                "--rules",
-                "D001",
-                "--baseline",
-                str(baseline_path),
-            ]
-        )
-        == 0
-    )
-    # ... and flags a stale entry once a violation is fixed
-    violation = fixture_copy / "repro" / "d001_violation.py"
-    violation.write_text("x = 1\n", encoding="utf-8")
-    assert (
-        main(
-            [
-                "lint",
-                str(fixture_copy),
-                "--check",
-                "--rules",
-                "D001",
-                "--baseline",
-                str(baseline_path),
-            ]
-        )
-        == 1
-    )
 
 
 def test_parse_error_fails_check(fixture_copy):

@@ -111,16 +111,11 @@ def test_syntax_error_becomes_parse_finding(tmp_path):
     assert finding.path == "repro/broken.py"
 
 
-def test_finding_render_and_identity():
+def test_finding_render():
     finding = Finding(
         path="repro/x.py", line=12, rule="D001", message="direct call"
     )
     assert finding.render() == "repro/x.py:12: D001: direct call"
-    # the ratchet identity is line-free on purpose
-    moved = Finding(
-        path="repro/x.py", line=99, rule="D001", message="direct call"
-    )
-    assert finding.identity() == moved.identity()
 
 
 def test_project_rule_excluded_from_file_pass(tmp_path):

@@ -4,9 +4,11 @@ Covers pause/resume parity with the one-shot job (the plain
 per-segment transcription in ``reference_controller.py``, which shares
 no code with the runner), the elastic shrink -> resume -> restore
 round-trip at the engine level for both ASP and DSSP tails, the
-Table III cost a switch or resize charges to the clock, and
-metamorphic relations over pause, fork and resize that read no golden
-hash (so they also run under ``REPRO_GOLDEN_SKIP``).
+Table III cost a switch or resize charges to the clock, the tail
+pause of a run under an online straggler policy (equal to its
+one-shot run), and metamorphic relations over pause, fork and resize
+that read no golden hash (so they also run under
+``REPRO_GOLDEN_SKIP``).
 """
 
 import math
@@ -20,9 +22,15 @@ from repro.core.policies import (
     ProtocolSchedule,
     TimingPolicy,
 )
-from repro.core.policies.straggler import GreedyPolicy
+from repro.core.policies.straggler import ElasticPolicy, GreedyPolicy
 from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import ClusterSpec
+from repro.distsim.job import JobConfig
+from repro.distsim.stragglers import (
+    StragglerEvent,
+    StragglerSchedule,
+    tier_slowdown,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.setups import SETUPS, scaled_job
 
@@ -207,7 +215,8 @@ class TestElasticRoundTrip:
 
     def test_online_policies_rejected(self):
         """An online policy reacts to mid-segment telemetry: its run
-        cannot pause, but it runs to completion."""
+        cannot pause inside the precise phase, but it pauses at the
+        tail and runs to completion."""
         job = scaled_job(SETUPS[1], SCALE, 0)
         policies = PolicyManager(
             timing=TimingPolicy(0.0625),
@@ -223,10 +232,9 @@ class TestElasticRoundTrip:
             )
 
         with pytest.raises(ConfigurationError, match="cannot pause"):
-            make().run_to_tail()
-        with pytest.raises(ConfigurationError, match="cannot pause"):
             make().advance_to(1.0)
         run = make()
+        assert run.run_to_tail() == "paused"
         assert run.run_to_completion() == "finished"
         assert run.result().completed_steps == job.total_steps
 
@@ -235,6 +243,68 @@ class TestElasticRoundTrip:
         assert run.advance_to(math.inf) == "finished"
         assert run.finished
         assert run.result().completed_steps == job.total_steps
+
+
+#: Stage-0 slowdowns for the online tail-pause pin: one transient
+#: straggler, two workers slowed twice each, and a slow tier that never
+#: recovers (the greedy interlude then finishes the job in stage 0).
+ONLINE_STRAGGLERS = {
+    "transient": lambda: [
+        StragglerEvent(worker=3, start=3.0, duration=25.0, extra_latency=0.03)
+    ],
+    "repeated": lambda: [
+        StragglerEvent(worker=worker, start=start, duration=6.0,
+                       extra_latency=0.03)
+        for worker in (2, 5)
+        for start in (2.0, 20.0)
+    ],
+    "permanent": lambda: [tier_slowdown(3, extra_latency=0.03)],
+}
+
+
+class TestOnlineTailPause:
+    """An online run paused at its tail, then resumed, is the one-shot run.
+
+    Nothing the policies read crosses the tail-start pause: stage 0 runs
+    whole before it, evicted workers are restored at its end, and the
+    intervention log is plain run state.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(ONLINE_STRAGGLERS))
+    @pytest.mark.parametrize("policy", [GreedyPolicy, ElasticPolicy])
+    def test_tail_pause_matches_one_shot(self, policy, kind, seed):
+        def make():
+            job = JobConfig(
+                model="resnet32-sim",
+                dataset="cifar10-sim",
+                total_steps=640,
+                base_lr=0.004,
+                eval_every=160,
+                loss_log_every=80,
+                seed=seed,
+            )
+            return ElasticTrainingRun(
+                job=job,
+                cluster_spec=ClusterSpec(n_workers=8),
+                policies=PolicyManager(
+                    timing=TimingPolicy(0.5), straggler=policy()
+                ),
+                stragglers=StragglerSchedule(ONLINE_STRAGGLERS[kind]()),
+                ambient_noise=False,
+            )
+
+        one_shot = make()
+        assert one_shot.run_to_completion() == "finished"
+        assert one_shot.interventions, "the case must exercise the policy"
+        paused = make()
+        inside_interlude = policy is GreedyPolicy and kind == "permanent"
+        assert paused.run_to_tail() == (
+            "finished" if inside_interlude else "paused"
+        )
+        assert paused.run_to_completion() == "finished"
+        assert paused.result().to_dict() == one_shot.result().to_dict()
+        assert paused.interventions == one_shot.interventions
 
 
 class TestReconfigurationCost:

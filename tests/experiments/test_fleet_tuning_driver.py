@@ -82,6 +82,30 @@ class TestTuningGrid:
         stream = [r for r in tuned.jobs if r.kind == "train"]
         assert all(r.sync_policy == "sync-switch" for r in stream)
 
+    def test_bsp_baseline_clears_pinned_schedules(self, tmp_path):
+        # A job pinned to its own (protocols, fractions) schedule trains
+        # that schedule whatever its sync policy; the baseline rewrite
+        # must drop the pin, so the rewritten job is a plain BSP job.
+        def bsp_record(request, cache):
+            grid = tuning_grid(
+                scenarios=("trace",), seeds=1, scale=0.002,
+                scheduler="fifo", trace=(request,), cache_dir=cache,
+            )
+            [record] = grid[("trace", "bsp", 0)].jobs
+            return record
+
+        job = dict(job_id=0, arrival=0.0, setup_index=1, n_workers=8)
+        pinned = bsp_record(
+            JobRequest(
+                **job, protocols=("bsp", "asp"), fractions=(0.25, 0.75)
+            ),
+            tmp_path / "pinned",
+        )
+        plain = bsp_record(
+            JobRequest(**job, sync_policy="bsp"), tmp_path / "plain"
+        )
+        assert pinned == plain
+
     def test_identical_summary_at_jobs_1_and_jobs_n(
         self, tmp_path_factory
     ):

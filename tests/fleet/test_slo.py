@@ -86,7 +86,7 @@ class TestSloTriage:
         context = SchedulerContext(now=50.0, scale=SCALE, store=PolicyStore())
         rejected, degraded = scheduler.triage([request], 16, SCALE, context)
         assert rejected == [request]
-        assert degraded == {}
+        assert degraded == set()
 
     def test_untuned_feasible_job_degraded_to_bsp(self):
         scheduler = SloAwareScheduler()
@@ -96,7 +96,7 @@ class TestSloTriage:
         assert rejected == []
         # Un-tuned class: the conservative all-BSP estimate is the only
         # validated prediction, so the job trains at 100% BSP.
-        assert degraded == {0: 100.0}
+        assert degraded == {0}
 
     def test_untuned_infeasible_job_rejected(self):
         scheduler = SloAwareScheduler()
@@ -114,14 +114,14 @@ class TestSloTriage:
         context = SchedulerContext(now=0.0, scale=SCALE, store=store)
         rejected, degraded = scheduler.triage([request], 16, SCALE, context)
         assert rejected == []
-        assert degraded == {}
+        assert degraded == set()
 
     def test_missing_store_falls_back_without_crash(self):
         scheduler = SloAwareScheduler()
         request = deadline_job(0, deadline=10_000.0)
         rejected, degraded = scheduler.triage([request], 16, SCALE, None)
         assert rejected == []
-        assert degraded == {0: 100.0}
+        assert degraded == {0}
 
     def test_deadline_free_and_trial_jobs_ignored(self):
         scheduler = SloAwareScheduler()
@@ -135,7 +135,7 @@ class TestSloTriage:
             [plain, trial], 16, SCALE, context
         )
         assert rejected == []
-        assert degraded == {}
+        assert degraded == set()
 
 
 class TestTriageBoundary:
@@ -159,7 +159,7 @@ class TestTriageBoundary:
         context = SchedulerContext(now=10.0, scale=SCALE, store=store)
         rejected, degraded = scheduler.triage([request], 16, SCALE, context)
         assert rejected == []
-        assert degraded == {}
+        assert degraded == set()
 
     def test_deadline_just_inside_predicted_finish_rejected(self):
         scheduler = SloAwareScheduler()
