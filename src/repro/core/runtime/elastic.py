@@ -30,7 +30,8 @@ model, dataset or parameter server, and a
 :class:`~repro.distsim.numerics_free.NumericsFreeSession` whose clock
 is bit-identical to a numeric run's (the timing model alone decides
 it), at a small fraction of the cost.  The fleet drives each resizable
-job with one (its clock run) and projects from its forks.
+job with one (its clock run) and projects from its forks; its cells
+skip the evaluations no record reads (``skip_unread_evals``).
 
 The online straggler policies (Section IV-B2) act inside stage 0, the
 precise phase, at update boundaries raised by the profiler/detector
@@ -106,6 +107,7 @@ class ElasticTrainingRun:
         overhead_bandwidth: float = 1.0,
         tracer=None,
         numerics: bool = True,
+        skip_unread_evals: bool = False,
     ):
         self.job = job
         self.cluster_spec = cluster_spec
@@ -128,6 +130,8 @@ class ElasticTrainingRun:
             numerics=numerics,
         )
         self.session = self.trainer.new_session()
+        if skip_unread_evals:
+            self.session.skip_unread_evals()
         self.plan = policies.build_plan(job, cluster_spec.n_workers)
         self._targets = self.plan.step_targets(job.total_steps)
         self._index = 0

@@ -44,6 +44,9 @@ class TrainingSession:
     #: Whether updates compute gradients, losses and evaluations (see
     #: :class:`~repro.distsim.numerics_free.NumericsFreeSession`).
     numerics = True
+    #: Whether updates run the periodic evaluations (see
+    #: :meth:`skip_unread_evals`).
+    periodic_evals = True
 
     def __init__(
         self,
@@ -258,8 +261,23 @@ class TrainingSession:
             self.telemetry.record_loss(self.step, self.clock.now, loss)
             self._next_loss_log = self.step + self.job.loss_log_every
         if self.step >= self._next_eval:
-            self.evaluate_now()
+            if self.periodic_evals:
+                self.evaluate_now()
             self._next_eval = self.step + self.job.eval_every
+
+    def skip_unread_evals(self) -> None:
+        """Leave out the periodic evaluations when no reader sees them
+        (fleet cells): a run whose ``(total_steps - 1) // eval_every + 1``
+        periodic evaluations and final one can never fill a convergence
+        window reports its final evaluation alone."""
+        most = (self.job.total_steps - 1) // self.job.eval_every + 2
+        self.periodic_evals = most >= ConvergenceTracker.window
+
+    def evaluate_final(self) -> None:
+        """Evaluate at the final step unless an evaluation covers it."""
+        log = self.telemetry.eval_log
+        if self.step > (log[-1][0] if log else 0):
+            self.evaluate_now()
 
     def evaluate_now(self) -> float:
         """Evaluate test accuracy immediately and record it."""

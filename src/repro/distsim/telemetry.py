@@ -2,9 +2,10 @@
 
 The telemetry object is the simulator's equivalent of the paper's
 profiler data feed (Fig. 9): loss every ``loss_log_every`` steps, test
-accuracy every ``eval_every`` steps, per-worker step durations for the
-straggler detector, realized gradient staleness, protocol-segment
-boundaries and switch overheads.
+accuracy every ``eval_every`` steps (an untraced fleet cell records
+only the evaluations its reported accuracy reads), per-worker step
+durations for the straggler detector, realized gradient staleness,
+protocol-segment boundaries and switch overheads.
 
 The per-update feeds (:meth:`TrainingTelemetry.record_worker_duration`,
 :meth:`~TrainingTelemetry.record_staleness`) are hot-path calls, so

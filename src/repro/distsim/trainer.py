@@ -193,11 +193,8 @@ class DistributedTrainer:
         self, session: TrainingSession, plan: TrainingPlan
     ) -> TrainingResult:
         """Assemble the immutable result from session telemetry."""
-        if not session.diverged and session.telemetry.eval_log:
-            # Record a final evaluation so the curve covers the full run.
-            last_step = session.telemetry.eval_log[-1][0]
-            if last_step < session.step:
-                session.evaluate_now()
+        if not session.diverged:
+            session.evaluate_final()
         telemetry = session.telemetry
         tracker = session.tracker
         segment_summary = tuple(

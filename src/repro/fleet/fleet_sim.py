@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import logging
 import os
 from dataclasses import dataclass, replace
 
@@ -109,6 +110,8 @@ __all__ = [
 #: Event priorities at equal timestamps: completions free workers
 #: before phase flips and new arrivals are considered.
 _FINISH, _PHASE, _ARRIVAL = 0, 1, 2
+
+_LOG = logging.getLogger("repro.fleet.fleet_sim")
 
 
 @dataclass(frozen=True)
@@ -374,6 +377,10 @@ class FleetSimulator:
                 return self._attempt()
             except UnforeseenDivergence as found:
                 self._diverging[found.key] = found.step
+                _LOG.debug(
+                    "attempt %d void: job %d diverged at step %d",
+                    len(self._diverging), found.key[0], found.step,
+                )
             for sink, state in zip(sinks, copy.deepcopy(before)):
                 vars(sink).clear()
                 vars(sink).update(state)

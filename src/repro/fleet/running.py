@@ -166,6 +166,7 @@ class RunningJob:
             stragglers=job_stragglers(contention, workers, start),
             overhead_time_scale=scale,
             overhead_bandwidth=pool.bandwidth_for(workers),
+            skip_unread_evals=not tracer.wants("job"),
         )
         self.clock: ElasticTrainingRun | None = None
         self.result: TrainingResult | None = None

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -188,6 +189,45 @@ class TestAttempts:
         assert simulator.tracer.events == clean.tracer.events
         assert simulator.metrics_payload == clean.metrics_payload
         assert simulator.store.report() == clean.store.report()
+
+    def test_each_voided_attempt_logs_one_debug_line(
+        self, attempts, caplog, monkeypatch
+    ):
+        """The heavy all-ASP stream voids two attempts: one DEBUG line
+        each on the simulator's module logger, naming the attempt, the
+        job and the step its cell diverged at."""
+        name = "repro.fleet.fleet_sim"
+        # An in-process CLI run stops ``repro`` records at its handlers.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        with caplog.at_level(logging.DEBUG, logger=name):
+            simulator = FleetSimulator(config("heavy-asp-seed0"))
+            simulator.run()
+        lines = [
+            (record.levelno, record.getMessage())
+            for record in caplog.records
+            if record.name == name
+        ]
+        found = [(key[0], step) for key, step in simulator._diverging.items()]
+        assert lines == [
+            (logging.DEBUG, f"attempt {n} void: job {job} diverged at step {step}")
+            for n, (job, step) in enumerate(found, 1)
+        ]
+        assert len(attempts) == 1 + len(lines) == 3
+
+    def test_voided_attempts_stay_off_the_default_cli_output(self):
+        """``--log-level info`` (the default) prints no DEBUG line."""
+        from repro import cli
+
+        root = logging.getLogger("repro")
+        handlers, level, propagate = list(root.handlers), root.level, root.propagate
+        try:
+            cli._configure_logging("info", quiet=False)
+            logger = logging.getLogger("repro.fleet.fleet_sim")
+            assert not logger.isEnabledFor(logging.DEBUG)
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)
+            root.propagate = propagate
 
     def test_a_bsp_phase_divergence_of_a_preemptible_job_costs_one_attempt(
         self, attempts, monkeypatch
