@@ -6,8 +6,6 @@ conventions the reproduction's bit-identity guarantees rest on.
 * **D001** — randomness only through :mod:`repro.rng` child streams.
 * **D002** — no wall-clock reads in simulated code.
 * **D003** — no unordered-set iteration in simulation modules.
-* **D004** — request-dataclass cache keys consume every field
-  (semantic: fields via :mod:`dataclasses`, key reads via AST).
 * **D005** — engines draw RNG only via the per-worker session
   accessors.
 * **D006** — package ``__init__`` files and ``cli.py`` import their
@@ -21,22 +19,17 @@ gate (``--check`` fails on any unsuppressed finding).
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "CacheKeyCompletenessRule",
-    "CacheKeyTarget",
-    "DEFAULT_TARGETS",
     "DirectRngRule",
     "EagerPackageImportRule",
     "EngineSharedRngRule",
     "FileContext",
     "Finding",
     "LintReport",
-    "ProjectRule",
     "RULE_REGISTRY",
     "Rule",
     "SetIterationRule",
     "WallClockRule",
     "analyze_paths",
-    "check_class",
     "default_rules",
     "json_payload",
     "register",
@@ -49,18 +42,11 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.analysis.dataclass_keys": (
-            "DEFAULT_TARGETS",
-            "CacheKeyCompletenessRule",
-            "CacheKeyTarget",
-            "check_class",
-        ),
         "repro.analysis.framework": (
             "RULE_REGISTRY",
             "FileContext",
             "Finding",
             "LintReport",
-            "ProjectRule",
             "Rule",
             "analyze_paths",
             "default_rules",

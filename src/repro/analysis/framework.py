@@ -3,9 +3,9 @@
 The determinism guarantees this reproduction leans on — bit-identical
 golden hashes, ``--procs 1`` vs ``N`` equivalence, prefix-stable shard
 assignment — are conventions (all randomness through
-:mod:`repro.rng`, cache keys covering every behavior-affecting field,
-no wall clock in the simulator).  This module machine-checks them: it
-parses every source file once, hands the shared AST to a registry of
+:mod:`repro.rng`, no wall clock in the simulator, lazy package
+imports).  This module machine-checks them: it parses every source
+file once, hands the shared AST to a registry of
 :class:`Rule` objects and collects :class:`Finding` records, honouring
 per-line suppression comments::
 
@@ -13,10 +13,10 @@ per-line suppression comments::
     other = risky_call()  # repro-lint: disable=D001,D002
     third = risky_call()  # repro-lint: disable
 
-Adding a rule is ~50 lines: subclass :class:`Rule` (per-file AST
-checks) or :class:`ProjectRule` (whole-tree semantic checks), decorate
-with :func:`register`, and it participates in scoping, suppression
-and reporting for free.
+Adding a rule is ~50 lines: subclass :class:`Rule`, decorate it with
+:func:`register`, and it participates in scoping, suppression and
+reporting for free.  Every rule reads source only: the analyzer never
+imports the program it lints.
 
 Paths in findings are **relative to the lint root** with any leading
 ``src/`` stripped, so rule scoping (``repro/distsim/...``) works both
@@ -37,7 +37,6 @@ __all__ = [
     "FileContext",
     "Finding",
     "LintReport",
-    "ProjectRule",
     "RULE_REGISTRY",
     "Rule",
     "analyze_paths",
@@ -49,7 +48,7 @@ __all__ = [
     "suppressed_lines",
 ]
 
-#: ``# repro-lint: disable`` (all rules) or ``disable=D001,D004``.
+#: ``# repro-lint: disable`` (all rules) or ``disable=D001,D003``.
 _SUPPRESSION_RE = re.compile(
     r"#\s*repro-lint:\s*disable(?:=(?P<rules>[A-Z0-9,\s]+))?"
 )
@@ -172,17 +171,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A whole-tree semantic check, run once per lint invocation."""
-
-    def check(self, context: FileContext) -> list[Finding]:
-        return []
-
-    def check_project(self, root: Path) -> list[Finding]:
-        """Findings for the tree rooted at ``root`` (override)."""
-        raise NotImplementedError
-
-
 #: Rule id -> rule class, populated by :func:`register`.
 RULE_REGISTRY: dict[str, type[Rule]] = {}
 
@@ -201,7 +189,7 @@ def default_rules(select: Iterable[str] | None = None) -> tuple[Rule, ...]:
     """Instantiate the registered rules (optionally a subset by id)."""
     # Import for the registration side effect; delayed so the registry
     # and the rule modules can import each other's types freely.
-    from repro.analysis import dataclass_keys, rules  # noqa: F401
+    from repro.analysis import rules  # noqa: F401
 
     wanted = None if select is None else set(select)
     if wanted is not None:
@@ -292,14 +280,11 @@ def analyze_paths(
 ) -> LintReport:
     """Run ``rules`` over every Python file under ``paths``.
 
-    Per-file rules share a single parse of each file; project rules
-    (semantic checks like D004) run once against ``root``.  A file
-    that fails to parse yields a synthetic ``E001`` finding rather
-    than aborting the scan.
+    The rules share a single parse of each file.  A file that fails to
+    parse yields a synthetic ``E001`` finding rather than aborting the
+    scan.
     """
     active = default_rules() if rules is None else tuple(rules)
-    file_rules = [rule for rule in active if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in active if isinstance(rule, ProjectRule)]
     report = LintReport(root=root)
     for path in iter_python_files(paths):
         relpath = normalize_relpath(path, root)
@@ -321,13 +306,11 @@ def analyze_paths(
             path=path, relpath=relpath, source=source, tree=tree
         )
         table = suppressed_lines(source)
-        for rule in file_rules:
+        for rule in active:
             if not rule.applies(relpath):
                 continue
             for finding in rule.check(context):
                 if not _is_suppressed(finding, table):
                     report.findings.append(finding)
-    for rule in project_rules:
-        report.findings.extend(rule.check_project(root))
     report.findings.sort()
     return report

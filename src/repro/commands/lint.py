@@ -39,7 +39,7 @@ def configure(parser) -> None:
         "--rules",
         default=None,
         metavar="IDS",
-        help="comma-separated rule subset to run (e.g. D001,D004; "
+        help="comma-separated rule subset to run (e.g. D001,D003; "
         "default: all registered rules)",
     )
 

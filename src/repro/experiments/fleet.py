@@ -42,7 +42,7 @@ from repro.experiments.executor import (
     disk_store,
     resolve_cache_dir,
 )
-from repro.codec import decode, encode
+from repro.codec import coded, decode, encode
 from repro.distsim.cluster import WorkerTier, default_worker_tiers
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Report, declares
@@ -122,6 +122,20 @@ DEFAULT_TRACE_SCALE_JOBS = 600
 DEFAULT_TRACE_SCALE_SHARDS = 4
 
 
+def _key_payload(kind: str, request, scale: float) -> dict:
+    """A fleet cell's cache-key payload: its codec encoding without
+    ``validate`` (which never changes a summary), plus ``kind`` and
+    ``scale``.
+
+    Every other request field is keyed because the codec writes every
+    field; ``TestCacheKeySchema`` checks that each one moves the key.
+    """
+    payload = encode(request)
+    del payload["validate"]
+    # "resim" is frozen: the ledger's pinned digests hash cache file names.
+    return {"kind": kind, "scale": scale, "resim": "exact", **payload}
+
+
 def _cell_datasets(request, scale: float) -> frozenset[str]:
     """A fleet cell's ``datasets``: its setups' datasets, read off the
     stream its configuration realizes (search trials reuse their
@@ -159,46 +173,19 @@ class FleetRunRequest:
     #: Heterogeneous worker tiers (see
     #: :class:`~repro.fleet.fleet_sim.FleetConfig`); keyed only when
     #: set, so pre-existing cache entries keep their identities.
-    tiers: tuple[WorkerTier, ...] | None = None
+    tiers: tuple[WorkerTier, ...] | None = coded(None, omit_none=True)
     #: Invariant checking in the worker (never affects the summary, so
-    #: it is deliberately not part of the cache key).
-    validate: bool = False  # repro-lint: disable=D004
+    #: :func:`_key_payload` leaves it out of the cache key).
+    validate: bool = False
 
     def key(self, scale: float) -> str:
         """Cache key of this cell at ``scale`` (the dedup identity)."""
-        payload = {
-            "kind": "fleet",
-            "scenario": self.scenario,
-            "scheduler": self.scheduler,
-            "sync_policy": self.sync_policy,
-            "seed": self.seed,
-            "n_jobs": self.n_jobs,
-            "scale": scale,
-            "trace": (
-                [request.to_dict() for request in self.trace]
-                if self.trace is not None
-                else None
-            ),
-            "tune": self.tune,
-            "tune_runs": self.tune_runs,
-            # Frozen: the ledger's pinned digests hash cache file names.
-            "resim": "exact",
-            "protocols": (
-                None if self.protocols is None else list(self.protocols)
-            ),
-            "fractions": (
-                None if self.fractions is None else list(self.fractions)
-            ),
-            "trace_detail": self.trace_detail,
-            "metrics_interval": self.metrics_interval,
-        }
-        if self.tiers is not None:
-            payload["tiers"] = [tier.to_dict() for tier in self.tiers]
+        digest = digest_key(_key_payload("fleet", self, scale))
         if self.trace_detail is None:
-            return digest_key(payload)
+            return digest
         # A traced cell stores a TracedFleetRun, not a bare summary, so
         # it gets its own namespace (frozen: TestCacheKeySchema pins it).
-        return digest_key({"kind": "fleet-trace", "cell": digest_key(payload)})
+        return digest_key({"kind": "fleet-trace", "cell": digest})
 
     def config(self, scale: float) -> FleetConfig:
         """The simulator configuration for this cell (every field of
@@ -314,31 +301,11 @@ class FleetShardRequest:
     tiers: tuple[WorkerTier, ...] | None = None
     #: Simulation-neutral (summaries are identical either way), so
     #: deliberately keyless.
-    validate: bool = False  # repro-lint: disable=D004
+    validate: bool = False
 
     def key(self, scale: float) -> str:
         """Cache key of this shard cell (the dedup identity)."""
-        return digest_key(
-            {
-                "kind": "fleet-shard",
-                "scenario": self.scenario,
-                "shard_index": self.shard_index,
-                "n_shards": self.n_shards,
-                "trace": [request.to_dict() for request in self.trace],
-                "pool_size": self.pool_size,
-                "scheduler": self.scheduler,
-                "sync_policy": self.sync_policy,
-                "seed": self.seed,
-                "scale": scale,
-                # Frozen: the ledger's pinned digests hash cache file names.
-                "resim": "exact",
-                "tiers": (
-                    None
-                    if self.tiers is None
-                    else [tier.to_dict() for tier in self.tiers]
-                ),
-            }
-        )
+        return digest_key(_key_payload("fleet-shard", self, scale))
 
     def config(self, scale: float) -> FleetConfig:
         """The simulator configuration for this shard.

@@ -629,11 +629,7 @@ class FleetSimulator:
         schedule = None
         if request.protocols is not None:
             schedule = (request.protocols, request.fractions)
-        elif (
-            request.kind == "train"
-            and request.sync_policy == "sync-switch"
-            and request.percent_override is None
-        ):
+        elif request.tunable:
             policy = self.store.lookup(JobClass.of(request))
             if policy is not None:
                 self.metrics.inc("policy_store_hits")

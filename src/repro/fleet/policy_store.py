@@ -344,12 +344,7 @@ class PolicyStore:
         class: the SLO scheduler must stay usable before (or without)
         tuning.
         """
-        if (
-            request.kind == "train"
-            and request.sync_policy == "sync-switch"
-            and request.percent_override is None
-            and request.protocols is None
-        ):
+        if request.tunable:
             job_class = JobClass.of(request)
             policy = self._policies.get(job_class)
             if policy is not None:

@@ -291,11 +291,7 @@ class SloAwareScheduler(SchedulerPolicy):
                         args={"predicted": predicted, "slack": slack},
                     )
                 continue
-            if (
-                request.sync_policy == "sync-switch"
-                and request.percent_override is None
-                and not self._is_tuned(request, context)
-            ):
+            if request.tunable and not self._is_tuned(request, context):
                 degraded.add(request.job_id)
                 if tracer.enabled:
                     tracer.instant(

@@ -100,9 +100,7 @@ class InFleetSearch:
         its own schedule has nothing left to search) and each class
         searches exactly once.
         """
-        if request.kind != "train" or request.sync_policy != "sync-switch":
-            return ()
-        if request.percent_override is not None or request.protocols is not None:
+        if not request.tunable:
             return ()
         job_class = JobClass.of(request)
         if (

@@ -160,6 +160,18 @@ class JobRequest:
             check_schedule(self.protocols, self.fractions)
 
     @property
+    def tunable(self) -> bool:
+        """Whether the policy store picks this job's schedule: a
+        Sync-Switch stream job that pins neither a BSP percentage nor
+        a schedule of its own."""
+        return (
+            self.kind == "train"
+            and self.sync_policy == "sync-switch"
+            and self.percent_override is None
+            and self.protocols is None
+        )
+
+    @property
     def percent(self) -> float:
         """Resolved BSP percentage: the override, else the policy's."""
         if self.percent_override is not None:

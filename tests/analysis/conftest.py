@@ -1,7 +1,5 @@
 """Shared fixtures for the ``repro lint`` analyzer tests."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,21 +12,3 @@ def fixtures_root() -> Path:
     """The committed fixture mini-tree (mirrors the package layout)."""
     return FIXTURES
 
-
-@pytest.fixture(scope="session")
-def d004_module():
-    """The D004 fixture module, imported the way the rule imports.
-
-    Registered in ``sys.modules`` so :func:`inspect.getsource` can
-    find class sources through ``cls.__module__``.
-    """
-    name = "lint_fixture_d004"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = FIXTURES / "d004_requests.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module

@@ -39,9 +39,7 @@ def test_suppression_parsing():
 
 def test_registry_has_all_shipped_rules():
     default_rules()  # force registration
-    assert {"D001", "D002", "D003", "D004", "D005", "D006"} <= set(
-        RULE_REGISTRY
-    )
+    assert {"D001", "D002", "D003", "D005", "D006"} == set(RULE_REGISTRY)
 
 
 def test_default_rules_subset_and_unknown_id():
@@ -116,15 +114,6 @@ def test_finding_render():
         path="repro/x.py", line=12, rule="D001", message="direct call"
     )
     assert finding.render() == "repro/x.py:12: D001: direct call"
-
-
-def test_project_rule_excluded_from_file_pass(tmp_path):
-    # D004 is a project rule: analyze_paths must not hand it files.
-    (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
-    report = analyze_paths([tmp_path], tmp_path, default_rules(["D004"]))
-    # the default targets resolve against the real repo, which is clean
-    assert report.findings == []
-    assert report.files_scanned == 1
 
 
 def test_analyze_accepts_single_file(fixtures_root):

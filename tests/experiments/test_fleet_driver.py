@@ -1,13 +1,17 @@
 """Tests for the fleet scenario driver and its executor integration."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.experiments.fleet as fleet_module
 import repro.mlcore.datasets as datasets_module
+from repro.distsim.cluster import WorkerTier
 from repro.experiments import ARTIFACTS, ExperimentRunner, prefetch_union
+from repro.experiments.executor import RunRequest, digest_key
 from repro.experiments.fleet import (
     MODES,
     FleetRunRequest,
@@ -17,7 +21,13 @@ from repro.experiments.fleet import (
     run_mode,
 )
 from repro.experiments.setups import SETUPS
-from repro.fleet import FleetSimulator, FleetSummary, JobRequest
+from repro.fleet import (
+    JOB_KINDS,
+    SYNC_POLICIES,
+    FleetSimulator,
+    FleetSummary,
+    JobRequest,
+)
 
 SCALE = 0.008
 
@@ -65,12 +75,216 @@ class TestFleetRunRequest:
         assert fleet_key != training
 
 
+def reference_run_key(self, scale: float) -> str:
+    """``FleetRunRequest.key`` as it was written by hand before the key
+    came from the codec encoding (kept verbatim as the reference)."""
+    payload = {
+        "kind": "fleet",
+        "scenario": self.scenario,
+        "scheduler": self.scheduler,
+        "sync_policy": self.sync_policy,
+        "seed": self.seed,
+        "n_jobs": self.n_jobs,
+        "scale": scale,
+        "trace": (
+            [request.to_dict() for request in self.trace]
+            if self.trace is not None
+            else None
+        ),
+        "tune": self.tune,
+        "tune_runs": self.tune_runs,
+        # Frozen: the ledger's pinned digests hash cache file names.
+        "resim": "exact",
+        "protocols": (
+            None if self.protocols is None else list(self.protocols)
+        ),
+        "fractions": (
+            None if self.fractions is None else list(self.fractions)
+        ),
+        "trace_detail": self.trace_detail,
+        "metrics_interval": self.metrics_interval,
+    }
+    if self.tiers is not None:
+        payload["tiers"] = [tier.to_dict() for tier in self.tiers]
+    if self.trace_detail is None:
+        return digest_key(payload)
+    # A traced cell stores a TracedFleetRun, not a bare summary, so
+    # it gets its own namespace (frozen: TestCacheKeySchema pins it).
+    return digest_key({"kind": "fleet-trace", "cell": digest_key(payload)})
+
+
+def reference_shard_key(self, scale: float) -> str:
+    """``FleetShardRequest.key`` as it was written by hand (verbatim)."""
+    return digest_key(
+        {
+            "kind": "fleet-shard",
+            "scenario": self.scenario,
+            "shard_index": self.shard_index,
+            "n_shards": self.n_shards,
+            "trace": [request.to_dict() for request in self.trace],
+            "pool_size": self.pool_size,
+            "scheduler": self.scheduler,
+            "sync_policy": self.sync_policy,
+            "seed": self.seed,
+            "scale": scale,
+            # Frozen: the ledger's pinned digests hash cache file names.
+            "resim": "exact",
+            "tiers": (
+                None
+                if self.tiers is None
+                else [tier.to_dict() for tier in self.tiers]
+            ),
+        }
+    )
+
+
+SCHEDULES = (
+    (("bsp", "asp"), (0.25, 0.75)),
+    (("bsp", "ssp", "asp"), (0.2, 0.3, 0.5)),
+)
+scenarios = st.sampled_from(["rush", "trace", "deadline/shard-1"])
+sizes = st.floats(0.01, 1e4, allow_nan=False)
+optional_schedules = st.none() | st.sampled_from(SCHEDULES)
+
+
+@st.composite
+def job_requests(draw, job_id):
+    """A valid trace job: N-segment, deadline, tier and size variants."""
+    schedule = draw(optional_schedules)
+    protocols, fractions = schedule or (None, None)
+    return JobRequest(
+        job_id=job_id,
+        arrival=draw(st.floats(0.0, 1e4)),
+        setup_index=draw(st.sampled_from(sorted(SETUPS))),
+        n_workers=draw(st.integers(1, 32)),
+        sync_policy=draw(st.sampled_from(SYNC_POLICIES)),
+        deadline=draw(st.none() | sizes),
+        kind=draw(st.sampled_from(JOB_KINDS)),
+        percent_override=draw(st.none() | st.floats(0.0, 100.0)),
+        protocols=protocols,
+        fractions=fractions,
+        tier=draw(st.none() | st.sampled_from(["prod", "batch"])),
+        steps_scale=draw(sizes),
+    )
+
+
+@st.composite
+def traces(draw):
+    count = draw(st.integers(0, 3))
+    return tuple(draw(job_requests(job_id)) for job_id in range(count))
+
+
+tier_tuples = st.lists(
+    st.builds(
+        WorkerTier,
+        name=st.sampled_from(["cloud", "edge"]),
+        count=st.integers(1, 64),
+        speed_factor=st.floats(1.0, 4.0),
+        bandwidth_factor=st.floats(1.0, 4.0),
+        extra_latency=st.floats(0.0, 1.0),
+    ),
+    max_size=2,
+).map(tuple)
+
+
+@st.composite
+def run_requests(draw):
+    protocols, fractions = draw(optional_schedules) or (None, None)
+    return FleetRunRequest(
+        scenario=draw(scenarios),
+        scheduler=draw(st.sampled_from(["fifo", "best-fit", "slo"])),
+        sync_policy=draw(st.sampled_from(SYNC_POLICIES)),
+        seed=draw(st.integers(0, 5)),
+        n_jobs=draw(st.none() | st.integers(1, 600)),
+        trace=draw(st.none() | traces()),
+        tune=draw(st.booleans()),
+        tune_runs=draw(st.integers(1, 3)),
+        protocols=protocols,
+        fractions=fractions,
+        trace_detail=draw(st.none() | st.sampled_from(["job", "update"])),
+        metrics_interval=draw(
+            st.none() | st.integers(1, 100) | st.floats(0.5, 100.0)
+        ),
+        tiers=draw(st.none() | tier_tuples),
+        validate=draw(st.booleans()),
+    )
+
+
+@st.composite
+def shard_requests(draw):
+    return FleetShardRequest(
+        scenario=draw(scenarios),
+        shard_index=draw(st.integers(0, 7)),
+        n_shards=draw(st.integers(1, 8)),
+        trace=draw(traces()),
+        pool_size=draw(st.integers(1, 256)),
+        scheduler=draw(st.sampled_from(["fifo", "best-fit", "slo"])),
+        sync_policy=draw(st.sampled_from(SYNC_POLICIES)),
+        seed=draw(st.integers(0, 5)),
+        tiers=draw(st.none() | tier_tuples),
+        validate=draw(st.booleans()),
+    )
+
+
+#: Per request class: a base cell and, for every keyed field, another
+#: value of it.  A field added without a variant fails the coverage test.
+KEY_VARIANTS = {
+    RunRequest: (
+        RunRequest(SETUPS[1], {"name": "bsp", "percent": 100.0}, 0),
+        {
+            "setup": SETUPS[2],
+            "spec": {"name": "bsp", "percent": 50.0},
+            "seed": 1,
+        },
+    ),
+    FleetRunRequest: (
+        FleetRunRequest("rush", "best-fit", "sync-switch", 0, n_jobs=3),
+        {
+            "scenario": "mixed",
+            "scheduler": "fifo",
+            "sync_policy": "bsp",
+            "seed": 1,
+            "n_jobs": 4,
+            "trace": (JobRequest(job_id=0, arrival=0.0),),
+            "tune": True,
+            "tune_runs": 2,
+            "protocols": ("bsp", "asp"),
+            "fractions": (0.5, 0.5),
+            "trace_detail": "job",
+            "metrics_interval": 5.0,
+            "tiers": (),
+        },
+    ),
+    FleetShardRequest: (
+        FleetShardRequest(
+            "trace", 0, 2, (JobRequest(job_id=0, arrival=0.0),), 32,
+            "slo", "sync-switch",
+        ),
+        {
+            "scenario": "rush",
+            "shard_index": 1,
+            "n_shards": 3,
+            "trace": (JobRequest(job_id=0, arrival=1.0),),
+            "pool_size": 16,
+            "scheduler": "fifo",
+            "sync_policy": "asp",
+            "seed": 1,
+            "tiers": (WorkerTier("cloud", 32),),
+        },
+    ),
+}
+
+
 class TestCacheKeySchema:
     """Literal digests of the fleet key payloads: plain, traced, shard.
 
     The perf ledger's pinned digests hash cache *file names*, so a
     changed key payload (a field added, dropped or renamed) must fail
     here, in seconds, not as digest mismatches across three workloads.
+    The fleet keys are the codec encoding of their request: they must
+    equal the hand-written payloads they replaced, and every request
+    field but ``validate`` (which never changes a summary) must move
+    its key.
     """
 
     CELL = FleetRunRequest("rush", "best-fit", "sync-switch", 0, n_jobs=3)
@@ -98,6 +312,37 @@ class TestCacheKeySchema:
             sync_policy="sync-switch",
         )
         assert shard.key(0.001) == "4a0952191592df03fb2b72d8"
+
+    @given(request=run_requests(), scale=st.sampled_from([0.001, 0.008, 1.0]))
+    def test_run_key_equals_the_hand_written_payload(self, request, scale):
+        assert request.key(scale) == reference_run_key(request, scale)
+
+    @given(request=shard_requests(), scale=st.sampled_from([0.001, 0.008, 1.0]))
+    def test_shard_key_equals_the_hand_written_payload(self, request, scale):
+        assert request.key(scale) == reference_shard_key(request, scale)
+
+    @pytest.mark.parametrize(
+        "cls", list(KEY_VARIANTS), ids=lambda cls: cls.__name__
+    )
+    def test_every_field_but_validate_moves_the_key(self, cls):
+        base, variants = KEY_VARIANTS[cls]
+        keyed = {field.name for field in fields(cls)} - {"validate"}
+        assert set(variants) == keyed
+        keys = {base.key(SCALE)}
+        for name, value in variants.items():
+            keys.add(replace(base, **{name: value}).key(SCALE))
+        assert len(keys) == len(variants) + 1
+        if "validate" in {field.name for field in fields(cls)}:
+            assert replace(base, validate=True).key(SCALE) == base.key(SCALE)
+
+    def test_run_tiers_keyed_only_when_set(self):
+        # Cells cached before tiers existed keep their identities: an
+        # unset tiers field is absent from the payload, an empty one is not.
+        payload = fleet_module._key_payload("fleet", self.CELL, SCALE)
+        assert "tiers" not in payload and "validate" not in payload
+        empty = replace(self.CELL, tiers=())
+        assert fleet_module._key_payload("fleet", empty, SCALE)["tiers"] == []
+        assert empty.key(SCALE) != self.CELL.key(SCALE)
 
 
 class TestCellDatasets:

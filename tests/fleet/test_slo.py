@@ -123,6 +123,22 @@ class TestSloTriage:
         assert rejected == []
         assert degraded == {0}
 
+    def test_pinned_schedule_and_percent_never_degraded(self):
+        # A job that pins its own schedule or percentage does not follow
+        # the policy store, so there is nothing to fall back from.
+        scheduler = SloAwareScheduler()
+        pinned = deadline_job(
+            0, deadline=10_000.0, protocols=("bsp", "ssp", "asp"),
+            fractions=(0.2, 0.3, 0.5),
+        )
+        override = deadline_job(1, deadline=10_000.0, percent_override=20.0)
+        context = SchedulerContext(now=0.0, scale=SCALE, store=PolicyStore())
+        rejected, degraded = scheduler.triage(
+            [pinned, override], 16, SCALE, context
+        )
+        assert rejected == []
+        assert degraded == set()
+
     def test_deadline_free_and_trial_jobs_ignored(self):
         scheduler = SloAwareScheduler()
         plain = JobRequest(job_id=0, arrival=0.0)
@@ -302,6 +318,27 @@ class TestSloFleetRuns:
             assert record.met_deadline is False
             assert record.completed_steps == 0
             assert record.images == 0
+
+    def test_pinned_schedule_trains_as_under_fifo(self):
+        # An un-tuned deadline job pinning bsp -> ssp -> asp keeps that
+        # schedule under the SLO scheduler: same record as under FIFO.
+        trace = (
+            deadline_job(
+                0, deadline=100_000.0, protocols=("bsp", "ssp", "asp"),
+                fractions=(0.2, 0.3, 0.5),
+            ),
+        )
+        records = [
+            simulate_fleet(
+                FleetConfig(
+                    scenario="trace", scheduler=scheduler,
+                    sync_policy="sync-switch", scale=0.002, trace=trace,
+                )
+            ).jobs[0]
+            for scheduler in ("slo", "fifo")
+        ]
+        assert not records[0].degraded
+        assert records[0].to_dict() == records[1].to_dict()
 
     def test_dead_on_arrival_trace_rejected_by_slo(self):
         trace = (

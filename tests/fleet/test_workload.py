@@ -53,6 +53,22 @@ class TestJobRequest:
     def test_percent_property(self):
         assert JobRequest(job_id=0, arrival=0.0, sync_policy="bsp").percent == 100.0
 
+    @pytest.mark.parametrize(
+        "fields, tunable",
+        [
+            ({}, True),
+            ({"kind": "search-trial"}, False),
+            ({"sync_policy": "bsp"}, False),
+            ({"percent_override": 20.0}, False),
+            ({"protocols": ("bsp", "asp"), "fractions": (0.4, 0.6)}, False),
+        ],
+        ids=["stream", "trial", "bsp", "override", "pinned-schedule"],
+    )
+    def test_tunable_only_without_a_schedule_of_its_own(self, fields, tunable):
+        # The one predicate the store, the search, the simulator and the
+        # SLO scheduler all read: does the policy store pick the schedule?
+        assert JobRequest(job_id=0, arrival=0.0, **fields).tunable is tunable
+
 
 class TestScenarios:
     def test_registry_names_match(self):

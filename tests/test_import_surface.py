@@ -136,6 +136,19 @@ def test_importing_the_cli_loads_no_numpy_and_no_training_stack(tmp_path):
     ) == []
 
 
+def test_the_linter_loads_nothing_of_the_program_it_lints(tmp_path):
+    # Every rule reads source text; none imports the modules it checks.
+    end = run_child(["--quiet", "lint", "--check"], tmp_path)["end"]
+    assert "repro.analysis.rules" in end
+    assert loaded_under(
+        end,
+        "numpy",
+        "repro.experiments",
+        "repro.fleet",
+        "repro.distsim",
+    ) == []
+
+
 def test_cache_miss_loads_the_stack_at_the_miss_boundary(cold_sweep):
     snapshots, _cache_dir = cold_sweep
     # looking the cells up needs none of it ...
