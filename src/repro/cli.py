@@ -14,7 +14,8 @@ simulator:
   amortized in-fleet timing search comparison, ``--scheduler slo``
   serves the stream through the deadline-aware scheduler.
 * ``sync-switch lint`` — AST-based determinism & invariant analyzer
-  (rules D001–D006); ``--check`` fails on any unsuppressed finding.
+  (rules D001–D003, D005, D006); ``--check`` fails on any unsuppressed
+  finding.
 * ``sync-switch list`` — show setups, artifacts and fleet scenarios.
 
 This module is only the command table: each command's arguments and
@@ -53,7 +54,7 @@ COMMANDS = {
     ),
     "lint": (
         "AST-based determinism & invariant analyzer "
-        "(rules D001-D006; --check fails on any finding)",
+        "(rules D001-D003, D005, D006; --check fails on any finding)",
         "repro.commands.lint",
     ),
     "list": (

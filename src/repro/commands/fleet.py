@@ -166,13 +166,6 @@ def configure(parser) -> None:
         "pool; default: trace scenarios get the built-in fast/slow "
         "split, Poisson scenarios stay uniform",
     )
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="run the fleet invariant checker at every event (pool "
-        "conservation, clock monotonicity, queue/running disjointness, "
-        "preemption floor); simulation-neutral but slower",
-    )
 
 
 def _parse_fractions(value: str) -> tuple[float, ...]:
@@ -272,12 +265,12 @@ CONFLICTS: tuple[tuple, ...] = (
         "combined with --tune (which searches for it)",
     ),
     (
-        "tiers-or-validate-with-single-stream",
-        lambda a: (a.tiers is not None or a.validate)
+        "tiers-with-single-stream",
+        lambda a: a.tiers is not None
         and (a.tune or a.trace or a.policy_store),
-        "error: --tiers/--validate apply to the fleet grid and the "
-        "trace scenarios; they do not combine with --tune, --trace "
-        "or --policy-store",
+        "error: --tiers applies to the fleet grid and the trace "
+        "scenarios; it does not combine with --tune, --trace or "
+        "--policy-store",
     ),
     (
         "shards-without-trace-scenario",
@@ -413,7 +406,6 @@ def _run_grid(args, mode: str, stream: dict, tiers) -> int:
         schedulers=None if args.scheduler == "all" else (args.scheduler,),
         policies=None if args.policy == "all" else (args.policy,),
         tiers=tiers,
-        validate=args.validate,
         **stream,
     )
 
@@ -433,7 +425,6 @@ def _run_sharded(args, mode: str, stream: dict, tiers) -> int:
         n_jobs=args.jobs,
         shards=args.shards,
         tiers=tiers,
-        validate=args.validate,
     )
 
 

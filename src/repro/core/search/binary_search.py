@@ -95,6 +95,12 @@ class SearchConfig:
     bsp_runs: int = 5
 
     def __post_init__(self):
+        # A NaN band or target fails every comparison: no setting
+        # would ever be accepted, and the search would end all-BSP.
+        for name in ("beta", "target_accuracy"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SearchError(f"{name} must be finite, got {value}")
         if self.beta < 0:
             raise SearchError("beta must be non-negative")
         if self.max_settings < 1:

@@ -63,6 +63,7 @@ from repro.fleet import (
     trace_stream,
 )
 from repro.fleet.fleet_sim import realize_stream
+from repro.fleet.pool import check_tiers
 from repro.obs import trace_categories
 
 __all__ = [
@@ -123,17 +124,14 @@ DEFAULT_TRACE_SCALE_SHARDS = 4
 
 
 def _key_payload(kind: str, request, scale: float) -> dict:
-    """A fleet cell's cache-key payload: its codec encoding without
-    ``validate`` (which never changes a summary), plus ``kind`` and
-    ``scale``.
+    """A fleet cell's cache-key payload: its codec encoding plus
+    ``kind`` and ``scale``.
 
-    Every other request field is keyed because the codec writes every
-    field; ``TestCacheKeySchema`` checks that each one moves the key.
+    Every request field is keyed because the codec writes every field;
+    ``TestCacheKeySchema`` checks that each one moves the key.
     """
-    payload = encode(request)
-    del payload["validate"]
     # "resim" is frozen: the ledger's pinned digests hash cache file names.
-    return {"kind": kind, "scale": scale, "resim": "exact", **payload}
+    return {"kind": kind, "scale": scale, "resim": "exact", **encode(request)}
 
 
 def _cell_datasets(request, scale: float) -> frozenset[str]:
@@ -174,9 +172,6 @@ class FleetRunRequest:
     #: :class:`~repro.fleet.fleet_sim.FleetConfig`); keyed only when
     #: set, so pre-existing cache entries keep their identities.
     tiers: tuple[WorkerTier, ...] | None = coded(None, omit_none=True)
-    #: Invariant checking in the worker (never affects the summary, so
-    #: :func:`_key_payload` leaves it out of the cache key).
-    validate: bool = False
 
     def key(self, scale: float) -> str:
         """Cache key of this cell at ``scale`` (the dedup identity)."""
@@ -299,9 +294,6 @@ class FleetShardRequest:
     sync_policy: str
     seed: int = 0
     tiers: tuple[WorkerTier, ...] | None = None
-    #: Simulation-neutral (summaries are identical either way), so
-    #: deliberately keyless.
-    validate: bool = False
 
     def key(self, scale: float) -> str:
         """Cache key of this shard cell (the dedup identity)."""
@@ -324,7 +316,6 @@ class FleetShardRequest:
             trace=self.trace,
             pool_size=self.pool_size,
             tiers=self.tiers,
-            validate=self.validate,
         )
 
     datasets = _cell_datasets
@@ -359,7 +350,6 @@ def run_trace_scale(
     tiers: tuple[WorkerTier, ...] | None = None,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    validate: bool = False,
 ) -> tuple[FleetSummary, list[dict]]:
     """Serve a datacenter-scale trace on a sharded heterogeneous pool.
 
@@ -395,6 +385,8 @@ def run_trace_scale(
     per_pool = pool // n_shards
     if tiers is None:
         tiers = default_worker_tiers(pool)
+    # Against the whole pool: the user's counts, not a shard's share.
+    check_tiers(tiers, pool)
     shard_tiers = shard_worker_tiers(tiers, n_shards)
     stream = trace_stream(
         base, scale, seed, n_jobs=n_jobs, sync_policy=sync_policy
@@ -417,7 +409,6 @@ def run_trace_scale(
             sync_policy=sync_policy,
             seed=seed,
             tiers=shard_tiers,
-            validate=validate,
         )
         for index, shard_stream in enumerate(shard_streams)
         if shard_stream

@@ -69,7 +69,6 @@ from __future__ import annotations
 import copy
 import heapq
 import logging
-import os
 from dataclasses import dataclass, replace
 
 from repro.core.search.binary_search import validate_sequences
@@ -132,6 +131,10 @@ class FleetConfig:
     switch point; with ``fractions`` also given, every un-tuned
     Sync-Switch stream job trains the fixed schedule directly.  Both
     default to None — the plain two-phase fleet.
+
+    Every configuration runs the same checked loop: pool-wide ambient
+    contention is always on, and the invariant checker
+    (:mod:`repro.fleet.invariants`) runs at every event.
     """
 
     scenario: str = "rush"
@@ -141,7 +144,6 @@ class FleetConfig:
     scale: float = 0.008
     n_jobs: int | None = None
     pool_size: int | None = None
-    contention: bool = True
     trace: tuple[JobRequest, ...] | None = None
     tune: bool = False
     tune_runs: int = 1
@@ -160,11 +162,6 @@ class FleetConfig:
     #: scenarios stay uniform), an empty tuple forces a uniform pool,
     #: and an explicit tuple must sum to the pool size.
     tiers: tuple[WorkerTier, ...] | None = None
-    #: Debug-mode invariant checking: assert pool/queue/clock
-    #: conservation invariants at every event (see
-    #: :func:`repro.fleet.invariants.check_invariants`).  Also enabled
-    #: suite-wide by the ``REPRO_FLEET_VALIDATE`` environment knob.
-    validate: bool = False
 
     def __post_init__(self):
         if (
@@ -274,24 +271,20 @@ class FleetSimulator:
     #: stores let recurring classes reuse searched policies across
     #: fleet runs — the paper's ``(Yes, 0, r)`` setting.
     store: PolicyStore | None = None
-    #: Observability sinks; default-resolved from the config in
-    #: ``__post_init__`` (null objects when off).  Injectable for tests.
-    tracer: object | None = None
-    metrics: object | None = None
 
     def __post_init__(self):
         config = self.config
-        if self.tracer is None:
-            self.tracer = (
-                Tracer(config.trace_detail) if config.trace_detail else NULL_TRACER
-            )
-        if self.metrics is None:
-            if config.metrics_interval is not None:
-                self.metrics = MetricsRegistry(config.metrics_interval)
-            elif self.tracer.enabled:
-                self.metrics = MetricsRegistry()
-            else:
-                self.metrics = NULL_METRICS
+        #: Observability sinks, resolved from the config (null objects
+        #: when off).
+        self.tracer = (
+            Tracer(config.trace_detail) if config.trace_detail else NULL_TRACER
+        )
+        if config.metrics_interval is not None:
+            self.metrics = MetricsRegistry(config.metrics_interval)
+        elif self.tracer.enabled:
+            self.metrics = MetricsRegistry()
+        else:
+            self.metrics = NULL_METRICS
         #: Final metrics dump (set by ``run`` when the registry is on).
         self.metrics_payload: dict | None = None
         self.stream, self.scenario_name, default_pool = realize_stream(config)
@@ -329,11 +322,7 @@ class FleetSimulator:
             config.scale,
             config.seed,
             self.scenario_name,
-            ambient=config.contention,
         )
-        self._validate = config.validate or os.environ.get(
-            "REPRO_FLEET_VALIDATE", "0"
-        ) not in ("", "0")
 
     def _reset(self) -> None:
         """Loop state of a fresh attempt: nothing queued or running."""
@@ -417,8 +406,7 @@ class FleetSimulator:
                 else:
                     self._complete(job, now)
             self._schedule(now)
-            if self._validate:
-                self._check(now)
+            self._check(now)
         if self._queue or self._running or self.search.open_searches:
             raise FleetError(
                 f"stream ended with {len(self._queue)} queued, "
@@ -457,8 +445,7 @@ class FleetSimulator:
         )
 
     def _advance(self, now: float) -> None:
-        if self._validate:
-            self._check(now)
+        self._check(now)
         self._busy_seconds += self.pool.busy_count * (now - self._last_time)
         self._last_time = now
         metrics = self.metrics
@@ -775,24 +762,13 @@ class FleetSimulator:
             self.store.note_recurrence(JobClass.of(job.request), now - job.start)
 
 
-def simulate_fleet(
-    config: FleetConfig,
-    store: PolicyStore | None = None,
-    tracer=None,
-    metrics=None,
-) -> FleetSummary:
+def simulate_fleet(config: FleetConfig) -> FleetSummary:
     """Run one fleet configuration end to end (one fleet cell).
 
     The unit of the ``fleet``/``fleet-search`` artifacts: a whole
     multi-job stream served on one shared pool (Section VI-C's
-    recurring-job setting), summarized into fleet telemetry.  ``store``
-    warm-starts the run from a persisted
-    :class:`~repro.fleet.policy_store.PolicyStore` (and is mutated
-    in-place, so the caller can persist it afterwards).  ``tracer`` /
-    ``metrics`` override the config-resolved observability sinks (use
+    recurring-job setting), summarized into fleet telemetry (use
     :func:`repro.experiments.fleet.run_traced_fleet` to get the events
     and metrics payload back alongside the summary).
     """
-    return FleetSimulator(
-        config, store=store, tracer=tracer, metrics=metrics
-    ).run()
+    return FleetSimulator(config).run()

@@ -1,11 +1,11 @@
 """Conservation invariants of the fleet loop, as one pure function.
 
-The fleet-wide safety net behind ``FleetConfig(validate=True)``, the
-CLI's ``fleet --validate`` and the ``REPRO_FLEET_VALIDATE`` environment
-knob: :func:`check_invariants` only reads the state it is handed — it
-never touches clocks, RNG or allocation decisions — so arming it at
-every event is simulation-neutral, and it can be driven directly with
-a hand-built state.
+The fleet-wide safety net: every
+:class:`~repro.fleet.fleet_sim.FleetSimulator` run calls
+:func:`check_invariants` at every event.  It only reads the state it
+is handed — it never touches clocks, RNG or allocation decisions — so
+it is simulation-neutral, and it can be driven directly with a
+hand-built state.
 """
 
 from __future__ import annotations

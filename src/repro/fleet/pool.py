@@ -24,6 +24,7 @@ from repro.rng import child_rng
 __all__ = [
     "PREEMPTION_FLOOR",
     "WorkerPool",
+    "check_tiers",
     "fleet_contention",
     "job_stragglers",
 ]
@@ -56,14 +57,7 @@ class WorkerPool:
         #: Tier of each worker id (empty when the pool is uniform).
         self._tier_of: tuple[WorkerTier, ...] = ()
         if self.tiers:
-            total = sum(tier.count for tier in self.tiers)
-            if total != size:
-                raise ConfigurationError(
-                    f"tier counts sum to {total}, pool has {size} workers"
-                )
-            names = [tier.name for tier in self.tiers]
-            if len(set(names)) != len(names):
-                raise ConfigurationError("tier names must be unique")
+            check_tiers(self.tiers, size)
             assignment: list[WorkerTier] = []
             for tier in self.tiers:
                 assignment.extend([tier] * tier.count)
@@ -151,21 +145,35 @@ class WorkerPool:
         self._free.extend(workers)
 
 
+def check_tiers(tiers: tuple[WorkerTier, ...] | None, size: int) -> None:
+    """Hardware tiers (none: a uniform pool) must have unique names and
+    counts summing to the ``size``-worker pool."""
+    if not tiers:
+        return
+    total = sum(tier.count for tier in tiers)
+    if total != size:
+        raise ConfigurationError(
+            f"tier counts sum to {total}, pool has {size} workers"
+        )
+    names = [tier.name for tier in tiers]
+    if len(set(names)) != len(names):
+        raise ConfigurationError("tier names must be unique")
+
+
 def fleet_contention(
     pool: WorkerPool,
     stream: tuple[JobRequest, ...],
     scale: float,
     seed: int,
     scenario_name: str,
-    ambient: bool,
-) -> StragglerSchedule | None:
+) -> StragglerSchedule:
     """Pool-wide contention events shared by co-located jobs.
 
     Two event populations compose by schedule merge: transient
-    ambient bursts (``ambient``, sized from the stream's horizon) and
-    permanent hardware slowdowns of heterogeneous tiers — a slow-tier
-    worker is a straggler that never recovers, so per-job slicing and
-    resume re-slicing treat both uniformly.
+    ambient bursts (sized from the stream's horizon) and permanent
+    hardware slowdowns of heterogeneous tiers — a slow-tier worker is
+    a straggler that never recovers, so per-job slicing and resume
+    re-slicing treat both uniformly.
     """
     hardware = [
         tier_slowdown(worker, tier.speed_factor, tier.extra_latency)
@@ -174,39 +182,33 @@ def fleet_contention(
         if tier is not None
         and (tier.speed_factor > 1.0 or tier.extra_latency > 0.0)
     ]
-    bursts = None
-    if ambient:
-        last_arrival = max((request.arrival for request in stream), default=0.0)
-        longest = max(
-            estimate_service_time(
-                request.setup_index, 100.0, scale, request.steps_scale
-            )
-            for request in stream
+    last_arrival = max((request.arrival for request in stream), default=0.0)
+    longest = max(
+        estimate_service_time(
+            request.setup_index, 100.0, scale, request.steps_scale
         )
-        horizon = last_arrival + 3.0 * longest
-        bursts = ambient_contention(
-            pool.size,
-            horizon,
-            child_rng(seed, f"fleet/{scenario_name}/contention"),
-            mean_interval=horizon / 6.0,
-            mean_duration=max(horizon / 50.0, 0.5),
-            slow_factor=3.0,
-        )
-    if bursts is None and not hardware:
-        return None
+        for request in stream
+    )
+    horizon = last_arrival + 3.0 * longest
+    bursts = ambient_contention(
+        pool.size,
+        horizon,
+        child_rng(seed, f"fleet/{scenario_name}/contention"),
+        mean_interval=horizon / 6.0,
+        mean_duration=max(horizon / 50.0, 0.5),
+        slow_factor=3.0,
+    )
     if not hardware:
         return bursts
-    if bursts is None:
-        return StragglerSchedule(hardware)
     return bursts.merged_with(StragglerSchedule(hardware))
 
 
 def job_stragglers(
-    contention: StragglerSchedule | None,
+    contention: StragglerSchedule,
     workers: tuple[int, ...],
     now: float,
     active_after: float | None = None,
-) -> StragglerSchedule | None:
+) -> StragglerSchedule:
     """Slice of the fleet contention seen by a job starting at ``now``.
 
     Physical-worker events still active (or future) at the cut
@@ -219,10 +221,10 @@ def job_stragglers(
     the portion active after the (later) fleet instant
     ``active_after`` is kept — the elastic re-simulation swaps this
     slice in when an allocation change remaps local workers onto
-    different physical ones mid-run.
+    different physical ones mid-run.  An empty re-slice (no events
+    survive the instant) is still a schedule: it must replace the
+    stale slice of the previous physical mapping.
     """
-    if contention is None:
-        return None
     cut = now if active_after is None else active_after
     events = []
     for local, physical in enumerate(workers):
@@ -239,4 +241,4 @@ def job_stragglers(
                     extra_latency=event.extra_latency,
                 )
             )
-    return StragglerSchedule(events) if events else None
+    return StragglerSchedule(events)

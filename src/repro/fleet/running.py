@@ -37,7 +37,6 @@ __all__ = [
     "RunningJob",
     "UnforeseenDivergence",
     "job_record",
-    "resliced",
     "training_inputs",
 ]
 
@@ -136,7 +135,7 @@ class RunningJob:
         seed: int,
         scale: float,
         pool: WorkerPool,
-        contention: StragglerSchedule | None,
+        contention: StragglerSchedule,
     ):
         self.request = request
         self.workers = workers
@@ -225,7 +224,7 @@ class RunningJob:
         now: float,
         cause: str,
         pool: WorkerPool,
-        contention: StragglerSchedule | None,
+        contention: StragglerSchedule,
         tracer=NULL_TRACER,
     ) -> bool:
         """Change the job's allocation to ``new_count`` workers at ``now``.
@@ -233,10 +232,10 @@ class RunningJob:
         The clock run first advances to this instant, then the workers
         change hands with ``pool`` and the clock is resized on the
         slice of ``contention`` its new physical mapping sees
-        (:func:`resliced`).  Each resize charges its own calibrated
-        Table III reconfiguration cost to the job's clock — two
-        same-pass shrinks pay it twice — but the completion is
-        re-projected by the caller, once per scheduling pass
+        (:func:`~repro.fleet.pool.job_stragglers`).  Each resize charges
+        its own calibrated Table III reconfiguration cost to the job's
+        clock — two same-pass shrinks pay it twice — but the completion
+        is re-projected by the caller, once per scheduling pass
         (:meth:`reproject`).
 
         Returns whether the resize affected the job's timeline.  The
@@ -275,7 +274,9 @@ class RunningJob:
             )
         self.clock.resize(
             len(self.workers),
-            resliced(contention, self.workers, self.start, now),
+            job_stragglers(
+                contention, self.workers, self.start, active_after=now
+            ),
         )
         self.clock.session.diverges_at = self.diverging.get(self.trajectory)
         return True
@@ -285,7 +286,7 @@ class RunningJob:
         self.projection = self.clock.project()
         return self.finish_time()
 
-    def finish(self, contention: StragglerSchedule | None) -> TrainingResult:
+    def finish(self, contention: StragglerSchedule) -> TrainingResult:
         """The job's training result, at its finish event.
 
         A resizable job's cell runs here, on ``contention`` (the
@@ -299,7 +300,7 @@ class RunningJob:
         return self.result
 
     def _replay(
-        self, contention: StragglerSchedule | None
+        self, contention: StragglerSchedule
     ) -> tuple[ElasticTrainingRun, int]:
         """The job's cell: a fresh numeric run trained through every
         recorded placement, to completion.
@@ -317,7 +318,10 @@ class RunningJob:
             if cell.advance_to(instant - self.start) != "paused":
                 return cell, index
             cell.resize(
-                len(workers), resliced(contention, workers, self.start, instant)
+                len(workers),
+                job_stragglers(
+                    contention, workers, self.start, active_after=instant
+                ),
             )
         cell.run_to_completion()
         return cell, len(self.placements)
@@ -414,26 +418,6 @@ class RunningJob:
                     tid=2,
                     args={"cause": segment["cause"]},
                 )
-
-
-def resliced(
-    contention: StragglerSchedule | None,
-    workers: tuple[int, ...],
-    start: float,
-    now: float,
-) -> StragglerSchedule | None:
-    """The contention slice a job started at ``start`` sees from a
-    placement on ``workers`` at ``now`` on.
-
-    An *empty* re-slice (no events survive the instant) must still
-    replace the stale slice of the previous physical mapping; None
-    means "keep" to a resize, which is only right when contention is
-    off.
-    """
-    sliced = job_stragglers(contention, workers, start, active_after=now)
-    if sliced is None and contention is not None:
-        return StragglerSchedule([])
-    return sliced
 
 
 def training_inputs(

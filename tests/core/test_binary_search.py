@@ -35,6 +35,17 @@ class TestSearchConfig:
         with pytest.raises(SearchError):
             SearchConfig(target_accuracy=None, bsp_runs=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("beta", float("nan")), ("beta", float("inf")),
+         ("target_accuracy", float("nan")), ("target_accuracy", float("-inf"))],
+    )
+    def test_non_finite_band_or_target_is_refused(self, field, value):
+        """A NaN band would accept no setting: the search would end
+        all-BSP and report it as found."""
+        with pytest.raises(SearchError, match=f"{field} must be finite"):
+            SearchConfig(**{field: value})
+
 
 class TestOfflineTimingSearch:
     def test_finds_knee_with_five_settings(self):

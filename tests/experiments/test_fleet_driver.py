@@ -20,6 +20,7 @@ from repro.experiments.fleet import (
     fleet_report,
     run_mode,
 )
+from repro.errors import FleetError
 from repro.experiments.setups import SETUPS
 from repro.fleet import (
     JOB_KINDS,
@@ -27,6 +28,7 @@ from repro.fleet import (
     FleetSimulator,
     FleetSummary,
     JobRequest,
+    WorkerPool,
 )
 
 SCALE = 0.008
@@ -206,7 +208,6 @@ def run_requests(draw):
             st.none() | st.integers(1, 100) | st.floats(0.5, 100.0)
         ),
         tiers=draw(st.none() | tier_tuples),
-        validate=draw(st.booleans()),
     )
 
 
@@ -222,7 +223,6 @@ def shard_requests(draw):
         sync_policy=draw(st.sampled_from(SYNC_POLICIES)),
         seed=draw(st.integers(0, 5)),
         tiers=draw(st.none() | tier_tuples),
-        validate=draw(st.booleans()),
     )
 
 
@@ -283,8 +283,7 @@ class TestCacheKeySchema:
     here, in seconds, not as digest mismatches across three workloads.
     The fleet keys are the codec encoding of their request: they must
     equal the hand-written payloads they replaced, and every request
-    field but ``validate`` (which never changes a summary) must move
-    its key.
+    field must move its key.
     """
 
     CELL = FleetRunRequest("rush", "best-fit", "sync-switch", 0, n_jobs=3)
@@ -324,22 +323,19 @@ class TestCacheKeySchema:
     @pytest.mark.parametrize(
         "cls", list(KEY_VARIANTS), ids=lambda cls: cls.__name__
     )
-    def test_every_field_but_validate_moves_the_key(self, cls):
+    def test_every_field_moves_the_key(self, cls):
         base, variants = KEY_VARIANTS[cls]
-        keyed = {field.name for field in fields(cls)} - {"validate"}
-        assert set(variants) == keyed
+        assert set(variants) == {field.name for field in fields(cls)}
         keys = {base.key(SCALE)}
         for name, value in variants.items():
             keys.add(replace(base, **{name: value}).key(SCALE))
         assert len(keys) == len(variants) + 1
-        if "validate" in {field.name for field in fields(cls)}:
-            assert replace(base, validate=True).key(SCALE) == base.key(SCALE)
 
     def test_run_tiers_keyed_only_when_set(self):
         # Cells cached before tiers existed keep their identities: an
         # unset tiers field is absent from the payload, an empty one is not.
         payload = fleet_module._key_payload("fleet", self.CELL, SCALE)
-        assert "tiers" not in payload and "validate" not in payload
+        assert "tiers" not in payload
         empty = replace(self.CELL, tiers=())
         assert fleet_module._key_payload("fleet", empty, SCALE)["tiers"] == []
         assert empty.key(SCALE) != self.CELL.key(SCALE)
@@ -435,6 +431,28 @@ class TestFleetGrid:
             data = json.loads(path.read_text(encoding="utf-8"))
             assert FleetSummary.from_dict(data).scenario == "rush"
         assert not list(cache.glob("*.tmp"))
+
+    def test_a_leaked_worker_fails_the_cell(self, tmp_path, monkeypatch):
+        """Every fleet cell runs the invariant checker, with nothing to
+        arm it: a pool that loses a worker on release fails the cell at
+        the next event instead of serving the stream short-handed."""
+        release = WorkerPool.release
+        monkeypatch.setattr(
+            WorkerPool,
+            "release",
+            lambda pool, workers: release(pool, workers[1:]),
+        )
+        with pytest.raises(FleetError, match="pool partition violated"):
+            fleet_grid(
+                scenario="rush",
+                schedulers=("fifo",),
+                policies=("bsp",),
+                scale=0.002,
+                n_jobs=2,
+                jobs=1,
+                cache_dir=tmp_path,
+            )
+        assert not list(tmp_path.glob("*.json"))
 
 
 class TestFleetReportAndArtifact:

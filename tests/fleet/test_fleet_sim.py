@@ -288,8 +288,3 @@ class TestSharedContention:
         assert sliced.state_at(0, 8.1) == (1.0, 0.0)
         # Worker 7's burst already ended before admission.
         assert sliced is not None and sliced.state_at(1, 0.0) == (1.0, 0.0)
-
-    def test_contention_disabled(self):
-        simulator = FleetSimulator(config(contention=False))
-        assert simulator.contention is None
-        assert job_stragglers(simulator.contention, (0, 1), 0.0) is None

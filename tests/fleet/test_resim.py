@@ -250,13 +250,11 @@ class TestContentionReslice:
                        sync_policy="asp"),
         )
         simulator = FleetSimulator(
-            config(
-                scheduler="best-fit", trace=trace, pool_size=16, n_jobs=None,
-                contention=False,
-            )
+            config(scheduler="best-fit", trace=trace, pool_size=16, n_jobs=None)
         )
-        # One early burst on the job's last worker: present in the
-        # admission slice, long gone by the resize instant.
+        # The fleet's contention, replaced by one early burst on the
+        # job's last worker: present in the admission slice, long gone
+        # by the resize instant.
         simulator.contention = StragglerSchedule(
             [StragglerEvent(worker=7, start=0.0, duration=0.5,
                             slow_factor=7.0)]
@@ -328,8 +326,6 @@ class TestResizedJobOracle:
                 sliced = job_stragglers(
                     contention, self.workers, self.start, active_after=now
                 )
-                if sliced is None and contention is not None:
-                    sliced = StragglerSchedule([])
                 run.resize(len(self.workers), sliced)
             return applied
 

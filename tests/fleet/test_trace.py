@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.fleet import run_traced_fleet
 from repro.fleet import FleetConfig, FleetSimulator, simulate_fleet
-from repro.obs import Tracer, trace_categories, validate_chrome_trace
+from repro.obs import trace_categories, validate_chrome_trace
 
 SCALE = 0.004
 
@@ -168,13 +168,3 @@ def test_job_records_carry_staleness():
         assert staleness["p50"] <= staleness["p95"] <= staleness["max"]
     assert summary.staleness_p95 > 0.0
     assert summary.staleness_max >= summary.staleness_p95
-
-
-def test_external_tracer_and_metrics_passthrough():
-    tracer = Tracer("fleet")
-    config = FleetConfig(
-        scenario="rush", scheduler="fifo", sync_policy="bsp", scale=SCALE
-    )
-    simulate_fleet(config, tracer=tracer)
-    assert tracer.events
-    assert validate_chrome_trace(tracer.events) == []

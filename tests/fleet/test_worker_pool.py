@@ -95,23 +95,17 @@ class TestWorkerPool:
 
 class TestInvariantChecker:
     def test_clean_run_passes(self):
-        summary = FleetSimulator(
-            FleetConfig(scenario="rush", n_jobs=2, validate=True)
-        ).run()
+        summary = FleetSimulator(FleetConfig(scenario="rush", n_jobs=2)).run()
         assert summary.n_jobs == 2
 
     def test_corrupted_pool_is_caught(self):
-        simulator = FleetSimulator(
-            FleetConfig(scenario="rush", n_jobs=2, validate=True)
-        )
+        simulator = FleetSimulator(FleetConfig(scenario="rush", n_jobs=2))
         simulator.pool.allocate(3)  # workers busy that no job owns
         with pytest.raises(FleetError):
             simulator.run()
 
     def test_backwards_clock_is_caught(self):
-        simulator = FleetSimulator(
-            FleetConfig(scenario="rush", n_jobs=2, validate=True)
-        )
+        simulator = FleetSimulator(FleetConfig(scenario="rush", n_jobs=2))
         simulator._last_time = 1e12
         with pytest.raises(FleetError):
             simulator.run()
@@ -174,11 +168,3 @@ class TestInvariantChecker:
         assert text.startswith("t=7.5: ")
         for job_id in jobs:
             assert str(job_id) in text.removeprefix("t=7.5: ")
-
-    def test_validate_flag_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLEET_VALIDATE", raising=False)
-        plain = FleetSimulator(FleetConfig(scenario="rush", n_jobs=3)).run()
-        checked = FleetSimulator(
-            FleetConfig(scenario="rush", n_jobs=3, validate=True)
-        ).run()
-        assert plain.to_dict() == checked.to_dict()

@@ -262,11 +262,16 @@ def _assert_one_error_line(capsys, message):
         (["--procs", "0"], "--procs must be >= 1"),
         (["--tiers", "fast:3:1.0:1.0"], "tier counts sum to 3"),
         (
+            # the whole pool's numbers, not one of its 4 shards'
+            ["--scenario", "trace", "--jobs", "4", "--tiers", "fast:32:1:1"],
+            "tier counts sum to 32, pool has 64 workers",
+        ),
+        (
             ["--scenario", "trace", "--shards", "3"],
             "pool size 64 not divisible into 3 shards",
         ),
     ],
-    ids=["scale", "jobs", "procs", "tiers", "shards"],
+    ids=["scale", "jobs", "procs", "tiers", "trace-tiers", "shards"],
 )
 def test_fleet_bad_flag_value_is_a_usage_error(
     argv, message, capsys, tmp_path, monkeypatch
@@ -276,6 +281,15 @@ def test_fleet_bad_flag_value_is_a_usage_error(
     assert main(["--quiet", "fleet", *argv, "--out", str(out)]) == 2
     _assert_one_error_line(capsys, message)
     assert not out.exists()
+
+
+def test_retired_validate_flag_is_a_usage_error(capsys):
+    """The invariant checker runs in every fleet simulation: there is
+    nothing left to switch on."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fleet", "--validate"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --validate" in capsys.readouterr().err
 
 
 FLEET = ["fleet", "--jobs", "2", "--procs", "2"]
@@ -342,10 +356,11 @@ def test_bad_value_fails_before_any_cell(
     [
         (["--runs", "0"], "runs_per_setting must be >= 1"),
         (["--beta", "-1"], "beta must be non-negative"),
+        (["--beta", "nan", "--scale", "0.002"], "beta must be finite, got nan"),
         (["--protocols", "bsp,asp", "--runs", "0"],
          "runs_per_setting must be >= 1"),
     ],
-    ids=["runs", "beta", "schedule-runs"],
+    ids=["runs", "beta", "beta-nan", "schedule-runs"],
 )
 def test_search_bad_number_is_a_usage_error(
     argv, message, capsys, tmp_path, monkeypatch
@@ -809,7 +824,7 @@ CONFLICT_ARGV = {
     "protocols-without-fractions": ["--protocols", "bsp,asp"],
     "fractions-with-tune": ["--tune", "--protocols", "bsp,asp",
                             "--fractions", "0.5,0.5"],
-    "tiers-or-validate-with-single-stream": ["--validate", "--tune"],
+    "tiers-with-single-stream": ["--tiers", "none", "--tune"],
     "shards-without-trace-scenario": ["--shards", "2"],
     "sharded-trace-with-tune": ["--scenario", "trace", "--tune"],
     "sharded-trace-with-trace": ["--scenario", "trace", "--trace", "t.json"],
