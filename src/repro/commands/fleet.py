@@ -265,6 +265,15 @@ CONFLICTS: tuple[tuple, ...] = (
         "combined with --tune (which searches for it)",
     ),
     (
+        "protocols-with-static-policy",
+        lambda a: a.protocols
+        and a.policy in ("bsp", "asp")
+        and not a.workload_trace,
+        "error: --protocols schedules sync-switch jobs; a --policy "
+        "{args.policy} stream has none (a --workload-trace keeps each "
+        "job's own policy)",
+    ),
+    (
         "tiers-with-single-stream",
         lambda a: a.tiers is not None
         and (a.tune or a.trace or a.policy_store),

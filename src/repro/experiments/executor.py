@@ -35,7 +35,7 @@ safe to share between concurrent processes:
   if a writer is killed mid-dump.
 * **Re-read before execute** — every worker re-checks the disk cache
   immediately before training (see
-  :meth:`~repro.experiments.runner.ExperimentRunner.run`), so a cell
+  :func:`~repro.experiments.materialize.execute_cell`), so a cell
   that a sibling worker or process finished in the meantime is loaded
   instead of recomputed.  Duplicate concurrent writes of the same cell
   are harmless: both writers publish byte-identical JSON.

@@ -4,10 +4,10 @@ A *run spec* is a plain JSON-able dict describing one training
 configuration; :func:`execute_spec` turns it into policies + controller
 (or a raw trainer plan for engine-level ablations) and trains it.  This
 module imports the whole training stack (policies, runtime, engines,
-numpy), so :class:`~repro.experiments.runner.ExperimentRunner` and
-:class:`~repro.experiments.executor.ParallelExecutor` load it on their
-first cache miss — in the parent process, before any worker pool is
-created — and a run served from the cache never does.
+numpy), so :class:`~repro.experiments.executor.ParallelExecutor` loads
+it on its first cache miss — in the parent process, before any worker
+pool is created — and a run served from the cache never does.
+:func:`execute_cell` is that executor's training cell.
 
 Spec reference::
 
@@ -49,7 +49,7 @@ from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
 from repro.distsim.timing import timing_for
 from repro.distsim.trainer import DistributedTrainer
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.executor import disk_load, disk_store
 from repro.experiments.setups import ExperimentSetup, scaled_job
 from repro.rng import child_rng
 
@@ -57,19 +57,14 @@ __all__ = ["execute_cell", "execute_spec", "with_steps_scale"]
 
 
 def execute_cell(payload: tuple) -> tuple[str, dict]:
-    """Pool worker: train one cell through a fresh single-seed runner.
-
-    The runner's :meth:`~ExperimentRunner.run` re-checks the shared
-    disk cache before executing (a sibling may have finished the cell
-    meanwhile) and stores the result atomically on completion.
-    """
+    """Pool worker: load one cell from the shared disk cache (a sibling
+    may have finished it meanwhile), else train it and store it."""
     scale, cache_dir, request, key = payload
-    runner = ExperimentRunner(
-        scale=scale,
-        seeds=1,
-        cache_dir=cache_dir if cache_dir is not None else "off",
-    )
-    return key, runner.run(request.setup, request.spec, request.seed).to_dict()
+    result = disk_load(cache_dir, key)
+    if result is None:
+        result = execute_spec(request.setup, request.spec, request.seed, scale)
+        disk_store(cache_dir, key, result)
+    return key, result.to_dict()
 
 
 def execute_spec(

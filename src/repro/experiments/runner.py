@@ -12,39 +12,33 @@ A run served entirely from the cache never imports the training stack.
 Batch execution and parallelism
 -------------------------------
 
+Every cell trains in a
+:class:`~repro.experiments.executor.ParallelExecutor` batch:
+:meth:`ExperimentRunner.run` is a batch of one, and
 :meth:`ExperimentRunner.run_many` and :meth:`ExperimentRunner.sweep`
-collect their full grid of ``(setup, spec, seed)`` cells and submit
-them as one deduplicated batch to a
-:class:`~repro.experiments.executor.ParallelExecutor`; every artifact
-generator declares the cells it reads
-(:func:`~repro.experiments.reporting.declares`), which train as one
-batch before its rows are built.
-The worker count comes from the ``jobs=`` constructor parameter, the
-``REPRO_JOBS`` environment variable, or defaults to 1 (inline, no
-subprocesses).  Parallel and serial execution are bit-identical
-because every cell is seeded independently.
+submit their full grid of ``(setup, spec, seed)`` cells as one
+deduplicated batch; every artifact generator declares the cells it
+reads (:func:`~repro.experiments.reporting.declares`), which train as
+one batch before its rows are built.  The worker count comes from the
+``jobs=`` constructor parameter, the ``REPRO_JOBS`` environment
+variable, or defaults to 1 (inline, no subprocesses).  Parallel and
+serial execution are bit-identical because every cell is seeded
+independently.
 
-The on-disk cache (``<cache_dir>/<key>.json``) is concurrency-safe:
-writes go through a temp file + :func:`os.replace` (never a partial
-entry) and workers re-read the cache immediately before training so a
-cell computed by a sibling process is loaded, not recomputed.  See
-:mod:`repro.experiments.executor` for the full guarantees.
+The on-disk cache (``<cache_dir>/<key>.json``) is concurrency-safe;
+:mod:`repro.experiments.executor` states its guarantees.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.distsim.job import JobConfig
 from repro.distsim.result import TrainingResult
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     CALIBRATION_VERSION,
     ParallelExecutor,
     RunRequest,
-    cache_key,
-    disk_load,
-    disk_store,
     resolve_cache_dir,
     resolve_jobs,
 )
@@ -53,7 +47,6 @@ from repro.experiments.setups import (
     check_scale,
     default_scale,
     default_seeds,
-    scaled_job,
     switch_spec,
 )
 
@@ -98,22 +91,8 @@ class ExperimentRunner:
     def run(
         self, setup: ExperimentSetup, spec: dict, seed: int
     ) -> TrainingResult:
-        """Execute one configuration (cached)."""
-        key = self._key(setup, spec, seed)
-        if key in self._memory:
-            return self._memory[key]
-        disk = self._disk_load(key)
-        if disk is not None:
-            self._memory[key] = disk
-            return disk
-        # The cache-miss boundary: only a run that must train loads the
-        # training stack (see repro._lazy).
-        from repro.experiments.materialize import execute_spec
-
-        result = execute_spec(setup, spec, seed, self.scale)
-        self._memory[key] = result
-        self._disk_store(key, result)
-        return result
+        """Execute one configuration (cached): a batch of one cell."""
+        return self.run_batch([RunRequest(setup, spec, seed)])[0]
 
     def run_batch(self, requests: list[RunRequest]) -> list[TrainingResult]:
         """Execute a batch of cells, deduplicated, optionally in parallel.
@@ -158,10 +137,7 @@ class ExperimentRunner:
         seeds: int | None = None,
     ) -> list[TrainingResult]:
         """Execute one configuration across repeated seeds (one batch)."""
-        count = seeds if seeds is not None else self.n_seeds
-        return self.run_batch(
-            [RunRequest(setup, spec, seed) for seed in range(count)]
-        )
+        return self.prefetch([(setup, spec)], seeds)
 
     def sweep(
         self,
@@ -182,31 +158,3 @@ class ExperimentRunner:
             percent: self.run_many(setup, switch_spec(percent), seeds)
             for percent in grid
         }
-
-    def bsp_mean_accuracy(self, setup: ExperimentSetup) -> float:
-        """Mean BSP converged accuracy (TTA threshold base, Section VI-A)."""
-        runs = self.run_many(setup, switch_spec(100.0))
-        values = [
-            run.reported_accuracy
-            for run in runs
-            if run.reported_accuracy is not None
-        ]
-        if not values:
-            raise ConfigurationError("all BSP runs failed; cannot set target")
-        return sum(values) / len(values)
-
-    def job(self, setup: ExperimentSetup, seed: int) -> JobConfig:
-        """The scaled job config used for ``setup``."""
-        return scaled_job(setup, self.scale, seed)
-
-    # ------------------------------------------------------------------
-    # caching
-    # ------------------------------------------------------------------
-    def _key(self, setup: ExperimentSetup, spec: dict, seed: int) -> str:
-        return cache_key(setup, spec, seed, self.scale)
-
-    def _disk_load(self, key: str) -> TrainingResult | None:
-        return disk_load(self._cache_dir, key)
-
-    def _disk_store(self, key: str, result: TrainingResult) -> None:
-        disk_store(self._cache_dir, key, result)

@@ -10,8 +10,8 @@ which is why every report prints paper-vs-measured.
 Environment knobs:
 
 * ``REPRO_SCALE`` — step-budget scale factor (default ``0.0625``).
-* ``REPRO_SEEDS`` — repetitions per configuration (default 5, like the
-  paper).
+* ``REPRO_SEEDS`` — repetitions per configuration (default 3; the
+  paper repeats 5 times).
 * ``REPRO_CACHE_DIR`` — on-disk result cache location (default
   ``<repo>/.exp_cache``; set to ``0``/``off`` to disable).
 * ``REPRO_JOBS`` — worker processes for batched experiment execution

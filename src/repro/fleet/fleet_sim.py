@@ -69,6 +69,7 @@ from __future__ import annotations
 import copy
 import heapq
 import logging
+import math
 from dataclasses import dataclass, replace
 
 from repro.core.search.binary_search import validate_sequences
@@ -187,8 +188,11 @@ class FleetConfig:
                 f"unknown trace detail {self.trace_detail!r}; "
                 f"known: {DETAIL_LEVELS}"
             )
-        if self.metrics_interval is not None and self.metrics_interval <= 0:
-            raise ConfigurationError("metrics_interval must be positive")
+        interval = self.metrics_interval
+        if interval is not None and not (math.isfinite(interval) and interval > 0):
+            raise ConfigurationError(
+                f"metrics_interval must be finite and positive, got {interval}"
+            )
         if self.fractions is not None and self.protocols is None:
             raise ConfigurationError("fractions requires protocols")
         if self.protocols is not None:

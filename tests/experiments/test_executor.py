@@ -255,7 +255,9 @@ class TestRunnerBatchAPI:
         assert len(runner._memory) == 2
         cached = runner.run(SETUPS[1], {"kind": "switch", "percent": 0.0}, 0)
         assert cached is runner._memory[
-            runner._key(SETUPS[1], {"kind": "switch", "percent": 0.0}, 0)
+            RunRequest(SETUPS[1], {"kind": "switch", "percent": 0.0}, 0).key(
+                SCALE
+            )
         ]
 
     def test_sweep_matches_serial_per_cell_runs(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the experiment runner and its cache."""
 
+import logging
+
 import pytest
 
 from repro.distsim.job import JobConfig
@@ -36,6 +38,36 @@ def test_disk_cache_survives_new_runner(tmp_path):
         SETUPS[1], spec, 0
     )
     assert reloaded.to_dict() == first.to_dict()
+
+
+def test_run_trains_through_one_executor_batch(tmp_path, caplog, monkeypatch):
+    """A miss is announced as a batch of one; a disk hit trains nothing."""
+    logger = logging.getLogger("repro.experiments.executor")
+    batches = []
+    handler = logging.Handler()
+    handler.emit = lambda record: batches.append(record.getMessage())
+    caplog.set_level(logging.INFO, logger=logger.name)
+    # An in-process CLI run may have left handlers on "repro" that
+    # write to a closed stream.
+    monkeypatch.setattr(logger, "propagate", False)
+    logger.addHandler(handler)
+    spec = {"kind": "switch", "percent": 0.0}
+    try:
+        first = ExperimentRunner(scale=0.008, seeds=1, cache_dir=tmp_path).run(
+            SETUPS[1], spec, 0
+        )
+        assert [line for line in batches if line.startswith("batch:")] == [
+            "batch: 1 cell(s) requested, 1 unique, 0 cached, "
+            "executing 1 with 1 job(s)"
+        ]
+        batches.clear()
+        again = ExperimentRunner(scale=0.008, seeds=1, cache_dir=tmp_path).run(
+            SETUPS[1], spec, 0
+        )
+    finally:
+        logger.removeHandler(handler)
+    assert batches == []
+    assert again.to_dict() == first.to_dict()
 
 
 def test_cache_key_distinguishes_specs(runner):
@@ -148,11 +180,6 @@ def test_online_policy_spec_executes(runner):
 def test_unknown_spec_kind_rejected(runner):
     with pytest.raises(ConfigurationError):
         runner.run(SETUPS[1], {"kind": "mystery"}, 0)
-
-
-def test_bsp_mean_accuracy(runner):
-    value = runner.bsp_mean_accuracy(SETUPS[1])
-    assert 0.0 < value <= 1.0
 
 
 def test_cache_disable(tmp_path, monkeypatch):

@@ -293,6 +293,9 @@ def test_retired_validate_flag_is_a_usage_error(capsys):
 
 
 FLEET = ["fleet", "--jobs", "2", "--procs", "2"]
+TRACED = ["fleet", "--scheduler", "fifo", "--policy", "sync-switch",
+          "--trace", "trace.json"]
+INTERVAL = "metrics_interval must be finite and positive"
 PERCENT = "--percent must be in [0, 100]"
 SCALE = "scale must be in (0, 1]"
 
@@ -318,6 +321,8 @@ SCALE = "scale must be in (0, 1]"
         ),
         (["run", "--percent", "150"], f"{PERCENT}, got 150"),
         (["run", "--percent", "-5"], f"{PERCENT}, got -5"),
+        ([*TRACED, "--metrics-interval", "nan"], f"{INTERVAL}, got nan"),
+        ([*TRACED, "--metrics-interval", "inf"], f"{INTERVAL}, got inf"),
     ],
     ids=[
         "report-scale",
@@ -329,6 +334,8 @@ SCALE = "scale must be in (0, 1]"
         "fleet-share-count",
         "run-percent-above",
         "run-percent-below",
+        "fleet-nan-metrics-interval",
+        "fleet-inf-metrics-interval",
     ],
 )
 def test_bad_value_fails_before_any_cell(
@@ -338,6 +345,7 @@ def test_bad_value_fails_before_any_cell(
     started or a cell run."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "summary.json"
     if argv[0] == "fleet":
         argv = [*argv, "--out", str(out)]
@@ -349,6 +357,7 @@ def test_bad_value_fails_before_any_cell(
     assert len(captured.err.strip().splitlines()) == 1
     assert not cache.exists() or list(cache.iterdir()) == []
     assert not out.exists()
+    assert not (tmp_path / "trace.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -824,6 +833,8 @@ CONFLICT_ARGV = {
     "protocols-without-fractions": ["--protocols", "bsp,asp"],
     "fractions-with-tune": ["--tune", "--protocols", "bsp,asp",
                             "--fractions", "0.5,0.5"],
+    "protocols-with-static-policy": ["--policy", "bsp", "--protocols",
+                                     "bsp,asp", "--fractions", "0.5,0.5"],
     "tiers-with-single-stream": ["--tiers", "none", "--tune"],
     "shards-without-trace-scenario": ["--shards", "2"],
     "sharded-trace-with-tune": ["--scenario", "trace", "--tune"],
