@@ -66,15 +66,18 @@ COMMANDS = {
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
-def _configure_logging(level_name: str, quiet: bool) -> None:
+def _configure_logging(level_name: str, quiet: bool) -> tuple:
     """Route ``repro`` logging: INFO->stdout, WARNING+->stderr.
 
-    Reconfigures idempotently on every :func:`main` call so repeated
-    in-process invocations (tests, notebooks) rebind to the *current*
-    ``sys.stdout``/``sys.stderr`` and never stack duplicate handlers.
+    Binds to the *current* ``sys.stdout``/``sys.stderr`` and returns
+    the logger's previous ``(handlers, level, propagate)``, which
+    :func:`main` restores when it returns: an in-process invocation
+    (tests, notebooks) leaves no handler on a stream that may close,
+    and later records propagate as before.
     """
     level = logging.WARNING if quiet else getattr(logging, level_name.upper())
     logger = logging.getLogger("repro")
+    previous = (logger.handlers[:], logger.level, logger.propagate)
     logger.handlers.clear()
     logger.setLevel(level)
     logger.propagate = False
@@ -84,6 +87,7 @@ def _configure_logging(level_name: str, quiet: bool) -> None:
     stderr_handler.setLevel(logging.WARNING)
     logger.addHandler(stdout_handler)
     logger.addHandler(stderr_handler)
+    return previous
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -125,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     # reports the error against the full parser.
     invoked = next((arg for arg in argv if arg in COMMANDS), None)
     args = build_parser(only=invoked).parse_args(argv)
-    _configure_logging(args.log_level, args.quiet)
+    handlers, level, propagate = _configure_logging(args.log_level, args.quiet)
     from repro.errors import ConfigurationError
 
     try:
@@ -135,6 +139,11 @@ def main(argv: list[str] | None = None) -> int:
         # is a usage error; any other failure keeps its traceback.
         logging.getLogger("repro.cli").error("error: %s", exc)
         return 2
+    finally:
+        logger = logging.getLogger("repro")
+        logger.handlers[:] = handlers
+        logger.setLevel(level)
+        logger.propagate = propagate
 
 
 if __name__ == "__main__":

@@ -25,6 +25,13 @@ machine:
   from a :meth:`fork` — the exact copy — run to the end, and leaves
   this run paused for the next allocation change.
 
+:meth:`branch_opening` trains one BSP opening for several plans: up
+to its switch step, every plan that opens with the same BSP segment
+trains the same run bit for bit, so one run trains the longest opening
+and, from inside its round loop, forks a run per shorter plan at that
+plan's switch step.  Each branch then pays its own switch and trains
+its own tail (``tests/core/test_branch_opening.py``).
+
 A run built with ``numerics=False`` is timing-only by construction: no
 model, dataset or parameter server, and a
 :class:`~repro.distsim.numerics_free.NumericsFreeSession` whose clock
@@ -79,6 +86,12 @@ _PAUSE = "elastic-pause"
 #: Sliding-window length (updates per worker) of the online policies'
 #: throughput profiler.
 PROFILER_WINDOW = 5
+
+
+def _online(policies: PolicyManager) -> bool:
+    """Whether ``policies`` react to stragglers during training."""
+    straggler = policies.straggler
+    return straggler is not None and straggler.reacts_online()
 
 
 class Completion(NamedTuple):
@@ -265,10 +278,7 @@ class ElasticTrainingRun:
             self._switch_paid = True
             return True
         target = self._targets[index]
-        online = self.policies.straggler
-        if index == 0 and not self._opened and (
-            online is not None and online.reacts_online()
-        ):
+        if index == 0 and not self._opened and _online(self.policies):
             if not math.isinf(until):
                 raise ConfigurationError(
                     "a run under an online straggler policy cannot pause "
@@ -276,7 +286,7 @@ class ElasticTrainingRun:
                     "mid-segment telemetry that no pause boundary preserves"
                 )
             self._opened = True
-            if self._run_online_stage(online):
+            if self._run_online_stage(self.policies.straggler):
                 self._finished = True
                 return True
         elif (index == 0 and not self._opened) or session.step < target:
@@ -572,6 +582,94 @@ class ElasticTrainingRun:
             # demand instead of duplicating up to n_workers vectors.
             memo[id(session.ps._free)] = []
         return copy.deepcopy(self, memo)
+
+    def branch_opening(
+        self, members: "list[PolicyManager]"
+    ) -> "list[ElasticTrainingRun]":
+        """Train this run's opening once; one run per member of
+        ``members``, branched at that member's switch step.
+
+        Every member's plan must open with this run's opening — a BSP
+        segment with equal options — and end it no later than this run
+        does; neither side may carry an online straggler policy (its
+        stage 0 reads telemetry a branch does not share).  A BSP
+        opening is a prefix of every longer one: the same rounds on the
+        same parameters, data and jitter draws.  (An OSP opening is
+        not: it trims its last super-round to the budget.)
+
+        This run trains the opening through ``run_segment``'s stop
+        hook.  After the first round that reaches a member's switch
+        step, the hook takes a :meth:`fork` that carries the member's
+        policies, plan and step targets and closes the opening's
+        telemetry record at that step and instant, as the member's own
+        ``run_segment`` would.  The branch waits before its switch;
+        this run keeps the one record of its whole opening and stays
+        at the opening's end, ready to continue.  If the opening
+        diverges, every member not yet branched gets the diverged state
+        under its own plan, which is how its own run would end.
+        Branches start untraced; returned in ``members`` order.
+        """
+        if self._opened or self._finished:
+            raise ConfigurationError(
+                "a run branches its opening before it starts training"
+            )
+        opening, own_target = self.plan.segments[0], self._targets[0]
+        if opening.protocol != "bsp" or _online(self.policies):
+            raise ConfigurationError(
+                f"only a BSP opening without an online straggler policy "
+                f"can be shared; this run's plan is {self.plan.describe()}"
+            )
+        branches = []
+        for policies in members:
+            plan = policies.build_plan(self.job, self.cluster_spec.n_workers)
+            targets = plan.step_targets(self.job.total_steps)
+            first = plan.segments[0]
+            if (
+                (first.protocol, first.options)
+                != (opening.protocol, opening.options)
+                or targets[0] > own_target
+                or _online(policies)
+            ):
+                raise ConfigurationError(
+                    f"plan {plan.describe()} does not open with a prefix of "
+                    f"{self.plan.describe()}"
+                )
+            branches.append((policies, plan, targets))
+        order = sorted(
+            range(len(branches)), key=lambda index: branches[index][2][0]
+        )
+        runs: list = [None] * len(branches)
+        taken = 0
+
+        def take(reached: float) -> None:
+            """Branch every member whose switch step is ``reached``."""
+            nonlocal taken
+            while taken < len(order):
+                index = order[taken]
+                if branches[index][2][0] > reached:
+                    return
+                runs[index] = self._branch(*branches[index])
+                taken += 1
+
+        try:
+            take(0)  # members whose opening is empty
+            self._advance_stage(lambda session: take(session.step), math.inf)
+        except DivergenceError:
+            self._finished = True
+            take(math.inf)
+        return runs
+
+    def _branch(self, policies, plan, targets) -> "ElasticTrainingRun":
+        """A fork continuing under ``policies``' plan from this run's
+        opening."""
+        branch = self.fork()
+        branch.policies, branch.plan, branch._targets = policies, plan, targets
+        session = branch.session
+        # Inside the opening: end its record here, as the member's own
+        # run_segment would (a no-op once the record is closed).
+        if branch._opened:
+            session.telemetry.close_segment(session.step, session.clock.now)
+        return branch
 
     def project(self, diverges_at: int | None = None) -> Completion:
         """How this run would complete on its current worker set.

@@ -40,6 +40,17 @@ safe to share between concurrent processes:
   instead of recomputed.  Duplicate concurrent writes of the same cell
   are harmless: both writers publish byte-identical JSON.
 
+Shared work
+-----------
+
+An inline batch of the default training cell trains the pending cells
+that share a BSP opening
+(:func:`~repro.experiments.materialize.opening_key`) as one work item:
+:func:`~repro.experiments.materialize.execute_group` re-reads each
+member from the cache, trains the opening once and stores each member
+as soon as it is trained.  A pool, and any other ``cell_fn``, runs one
+cell per item.
+
 Execution is deterministic per cell — every stochastic component is
 seeded from the ``(seed, label)`` pair (see :mod:`repro.rng`) — so
 ``jobs=N`` and ``jobs=1`` produce bit-identical
@@ -51,6 +62,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
@@ -224,6 +236,15 @@ class RunRequest:
 #: The default cell function, named rather than imported: training
 #: cells need the whole training stack, which only a cache miss loads.
 TRAINING_CELL = "repro.experiments.materialize:execute_cell"
+#: How an inline batch of training cells shares work ("Shared work").
+OPENING_KEY = "repro.experiments.materialize:opening_key"
+TRAINING_GROUP = "repro.experiments.materialize:execute_group"
+
+
+def _loaded(name: str):
+    """What ``"module:attr"`` names if its module is imported, else None."""
+    module, _, attr = name.partition(":")
+    return getattr(sys.modules.get(module), attr, None)
 
 
 @dataclass
@@ -305,15 +326,48 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # execution strategies
     # ------------------------------------------------------------------
-    def _payload(self, key: str, request) -> tuple:
+    def _payload(self, key, request) -> tuple:
+        """A cell's payload; a group's is its keys' and requests'."""
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
         return (self.scale, cache_dir, request, key)
 
     def _execute_inline(self, pending, results) -> None:
-        for done, (key, request) in enumerate(pending.items(), start=1):
-            _, data = self.cell_fn(self._payload(key, request))
-            results[key] = self.decode(data)
-            _LOG.info("batch progress: %d/%d cells done", done, len(pending))
+        done = 0
+        for item in self._work_items(pending):
+            for key, data in self._train(item):
+                results[key] = self.decode(data)
+                done += 1
+                _LOG.info(
+                    "batch progress: %d/%d cells done", done, len(pending)
+                )
+
+    def _work_items(self, pending: dict) -> list[list[tuple[str, object]]]:
+        """The pending cells as inline work items of ``(key, request)``
+        pairs: training cells that share a BSP opening are one item,
+        every other cell is its own."""
+        opening_key = None
+        if self.cell_fn is _loaded(TRAINING_CELL):
+            opening_key = resolve(OPENING_KEY)
+        items: list[list[tuple[str, object]]] = []
+        groups: dict[tuple, list[tuple[str, object]]] = {}
+        for key, request in pending.items():
+            group = opening_key(request, self.scale) if opening_key else None
+            if group is None:
+                items.append([(key, request)])
+            elif group in groups:
+                groups[group].append((key, request))
+            else:
+                groups[group] = [(key, request)]
+                items.append(groups[group])
+        return items
+
+    def _train(self, item: list[tuple[str, object]]):
+        """The ``(key, json_dict)`` pairs of one work item's cells."""
+        if len(item) == 1:
+            key, request = item[0]
+            return [self.cell_fn(self._payload(key, request))]
+        keys, requests = zip(*item)
+        return resolve(TRAINING_GROUP)(self._payload(keys, requests))
 
     def _execute_pool(self, pending, results, workers: int) -> None:
         # multiprocessing is a sixth of a cache-hit run's start-up;

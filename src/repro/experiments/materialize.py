@@ -1,13 +1,34 @@
 """Run-spec materialisation: the cache-miss half of the experiment runner.
 
 A *run spec* is a plain JSON-able dict describing one training
-configuration; :func:`execute_spec` turns it into policies + controller
-(or a raw trainer plan for engine-level ablations) and trains it.  This
+configuration; :func:`execute_spec` turns it into policies and an
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun` (or a raw
+trainer plan for engine-level ablations) and trains it.  This
 module imports the whole training stack (policies, runtime, engines,
 numpy), so :class:`~repro.experiments.executor.ParallelExecutor` loads
 it on its first cache miss — in the parent process, before any worker
 pool is created — and a run served from the cache never does.
 :func:`execute_cell` is that executor's training cell.
+
+Cells that open with the same BSP segment of the same job train that
+opening once.  :func:`opening_key` names the opening a cell's plan
+starts with (None when the cell must train alone), an inline executor
+batch makes its pending cells of one key a work item, and
+:func:`execute_group` trains it: the member with the latest switch step is the *trunk*, and
+:meth:`~repro.core.runtime.elastic.ElasticTrainingRun.branch_opening`
+forks every other member from inside the trunk's opening at its switch
+step.  Each member's result is bit-identical to its own
+:func:`execute_spec` run.  A cell shares its opening only when all of
+these hold:
+
+* its kind is ``switch``, ``static`` or ``schedule`` and its plan opens
+  with ``bsp`` (``reversed``, pure-ASP and ``custom_static`` cells, and
+  OSP openers, whose last super-round is trimmed to the budget, train
+  alone);
+* it has no ``online`` policy and no ``stragglers`` (the straggler
+  window depends on the switch percent);
+* its setup, seed, ``steps_scale``, ``ambient`` and opening options
+  match the other members' (the executor batch fixes the scale).
 
 Spec reference::
 
@@ -30,6 +51,7 @@ Spec reference::
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
 
 from repro.core.policies import (
@@ -40,7 +62,7 @@ from repro.core.policies import (
     ProtocolSchedule,
     TimingPolicy,
 )
-from repro.core.runtime import SyncSwitchController
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import Cluster, ClusterSpec
 from repro.distsim.job import JobConfig, Segment, TrainingPlan
 from repro.distsim.overheads import ProvisioningModel
@@ -53,7 +75,18 @@ from repro.experiments.executor import disk_load, disk_store
 from repro.experiments.setups import ExperimentSetup, scaled_job
 from repro.rng import child_rng
 
-__all__ = ["execute_cell", "execute_spec", "with_steps_scale"]
+__all__ = [
+    "execute_cell",
+    "execute_group",
+    "execute_spec",
+    "opening_key",
+    "train_group",
+    "with_steps_scale",
+]
+
+#: Run-spec kinds whose plan is a protocol schedule under offline
+#: policies only: the kinds whose BSP opening can be shared.
+_SHAREABLE_KINDS = ("switch", "static", "schedule")
 
 
 def execute_cell(payload: tuple) -> tuple[str, dict]:
@@ -67,29 +100,93 @@ def execute_cell(payload: tuple) -> tuple[str, dict]:
     return key, result.to_dict()
 
 
+def execute_group(payload: tuple) -> Iterator[tuple[str, dict]]:
+    """Inline worker for cells of one :func:`opening_key`: yield the
+    ``(key, json_dict)`` of every member, loading those already cached
+    and training the rest as one group (:func:`train_group`), each
+    stored as soon as it is trained."""
+    scale, cache_dir, requests, keys = payload
+    missing = []
+    for request, key in zip(requests, keys):
+        result = disk_load(cache_dir, key)
+        if result is None:
+            missing.append((request, key))
+        else:
+            yield key, result.to_dict()
+    if not missing:
+        return
+    trained = train_group([request for request, _ in missing], scale)
+    for index, result in trained:
+        key = missing[index][1]
+        disk_store(cache_dir, key, result)
+        yield key, result.to_dict()
+
+
+def opening_key(request, scale: float) -> tuple | None:
+    """The BSP opening the cell of ``request`` trains first, as the
+    identity of the cells it shares that opening with; None when it
+    trains alone (see the module docstring for the rule)."""
+    spec = request.spec
+    if (
+        spec["kind"] not in _SHAREABLE_KINDS
+        or spec.get("online")
+        or spec.get("stragglers")
+    ):
+        return None
+    setup = request.setup
+    job = _job(setup, spec, request.seed, scale)
+    opening = _policies(spec).build_plan(job, setup.n_workers).segments[0]
+    if opening.protocol != "bsp":
+        return None
+    return (
+        setup.key,
+        request.seed,
+        float(spec.get("steps_scale", 1.0)),
+        bool(spec.get("ambient", True)),
+        tuple(sorted(opening.options.items())),
+    )
+
+
+def train_group(
+    requests: list, scale: float
+) -> Iterator[tuple[int, TrainingResult]]:
+    """Train cells of one :func:`opening_key` at ``scale``, their shared
+    BSP opening once; yields ``(index into requests, result)`` as each
+    cell finishes, each result bit-identical to the cell's
+    :func:`execute_spec` run."""
+    keys = {opening_key(request, scale) for request in requests}
+    if None in keys or len(keys) > 1:
+        raise ConfigurationError(
+            "a group shares one BSP opening of one job; got openings "
+            f"{sorted(map(str, keys))}"
+        )
+    first = requests[0]
+    setup, seed = first.setup, first.seed
+    job = _job(setup, first.spec, seed, scale)
+    policies = [_policies(request.spec) for request in requests]
+    switch_steps = [
+        manager.build_plan(job, setup.n_workers).step_targets(
+            job.total_steps
+        )[0]
+        for manager in policies
+    ]
+    trunk = switch_steps.index(max(switch_steps))
+    run = _run(setup, requests[trunk].spec, seed, scale, policies[trunk])
+    others = [index for index in range(len(requests)) if index != trunk]
+    branches = run.branch_opening([policies[index] for index in others])
+    for index in others:
+        # Popped, so each branch is released once it has its result.
+        yield index, _finish(branches.pop(0))
+    yield trunk, _finish(run)
+
+
 def execute_spec(
     setup: ExperimentSetup, spec: dict, seed: int, scale: float
 ) -> TrainingResult:
     """Train the configuration ``spec`` describes on ``setup`` at ``scale``."""
-    job = scaled_job(setup, scale, seed)
-    steps_scale = float(spec.get("steps_scale", 1.0))
-    if steps_scale != 1.0:
-        job = with_steps_scale(job, steps_scale)
-    ambient = bool(spec.get("ambient", True))
-    stragglers = _straggler_schedule(setup, spec, job, seed)
-
     if spec["kind"] == "custom_static":
-        return _execute_raw(setup, spec, job, stragglers, ambient, scale)
-
-    controller = SyncSwitchController(
-        job=job,
-        cluster_spec=ClusterSpec(n_workers=setup.n_workers),
-        policies=_policies(spec),
-        stragglers=stragglers,
-        ambient_noise=ambient,
-        overhead_time_scale=scale,
-    )
-    return controller.run_job().result
+        return _execute_raw(setup, spec, seed, scale)
+    return _finish(_run(setup, spec, seed, scale, _policies(spec)))
 
 
 def with_steps_scale(job: JobConfig, steps_scale: float) -> JobConfig:
@@ -103,18 +200,54 @@ def with_steps_scale(job: JobConfig, steps_scale: float) -> JobConfig:
     )
 
 
-def _execute_raw(
-    setup, spec, job, stragglers, ambient, scale: float
-) -> TrainingResult:
+def _job(
+    setup: ExperimentSetup, spec: dict, seed: int, scale: float
+) -> JobConfig:
+    """The job of a run spec: the setup's at ``scale``, shortened by its
+    ``steps_scale``."""
+    job = scaled_job(setup, scale, seed)
+    steps_scale = float(spec.get("steps_scale", 1.0))
+    if steps_scale != 1.0:
+        job = with_steps_scale(job, steps_scale)
+    return job
+
+
+def _run(
+    setup: ExperimentSetup,
+    spec: dict,
+    seed: int,
+    scale: float,
+    policies: PolicyManager,
+) -> ElasticTrainingRun:
+    """The run a spec trains under ``policies``, not yet started."""
+    job = _job(setup, spec, seed, scale)
+    return ElasticTrainingRun(
+        job=job,
+        cluster_spec=ClusterSpec(n_workers=setup.n_workers),
+        policies=policies,
+        stragglers=_straggler_schedule(setup, spec, job, seed),
+        ambient_noise=bool(spec.get("ambient", True)),
+        overhead_time_scale=scale,
+    )
+
+
+def _finish(run: ElasticTrainingRun) -> TrainingResult:
+    """Train ``run`` to its end and return its result."""
+    run.run_to_completion()
+    return run.result()
+
+
+def _execute_raw(setup, spec, seed, scale: float) -> TrainingResult:
     """Engine-level run for ablations outside the policy space."""
+    job = _job(setup, spec, seed, scale)
     protocol = spec["protocol"]
     options = dict(spec.get("options", {}))
     plan = TrainingPlan((Segment(protocol, 1.0, options),))
     trainer = DistributedTrainer(
         job,
         Cluster(ClusterSpec(n_workers=setup.n_workers)),
-        stragglers=stragglers,
-        ambient_noise=ambient,
+        stragglers=_straggler_schedule(setup, spec, job, seed),
+        ambient_noise=bool(spec.get("ambient", True)),
         provisioning=ProvisioningModel(time_scale=scale),
     )
     return trainer.run(plan)

@@ -40,33 +40,32 @@ def test_disk_cache_survives_new_runner(tmp_path):
     assert reloaded.to_dict() == first.to_dict()
 
 
-def test_run_trains_through_one_executor_batch(tmp_path, caplog, monkeypatch):
+def test_run_trains_through_one_executor_batch(tmp_path, caplog):
     """A miss is announced as a batch of one; a disk hit trains nothing."""
-    logger = logging.getLogger("repro.experiments.executor")
-    batches = []
-    handler = logging.Handler()
-    handler.emit = lambda record: batches.append(record.getMessage())
-    caplog.set_level(logging.INFO, logger=logger.name)
-    # An in-process CLI run may have left handlers on "repro" that
-    # write to a closed stream.
-    monkeypatch.setattr(logger, "propagate", False)
-    logger.addHandler(handler)
-    spec = {"kind": "switch", "percent": 0.0}
-    try:
-        first = ExperimentRunner(scale=0.008, seeds=1, cache_dir=tmp_path).run(
-            SETUPS[1], spec, 0
-        )
-        assert [line for line in batches if line.startswith("batch:")] == [
-            "batch: 1 cell(s) requested, 1 unique, 0 cached, "
-            "executing 1 with 1 job(s)"
+    name = "repro.experiments.executor"
+    caplog.set_level(logging.INFO, logger=name)
+
+    def batches() -> list[str]:
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == name
+            and record.getMessage().startswith("batch")
         ]
-        batches.clear()
-        again = ExperimentRunner(scale=0.008, seeds=1, cache_dir=tmp_path).run(
-            SETUPS[1], spec, 0
-        )
-    finally:
-        logger.removeHandler(handler)
-    assert batches == []
+
+    spec = {"kind": "switch", "percent": 0.0}
+    first = ExperimentRunner(scale=0.008, seeds=1, cache_dir=tmp_path).run(
+        SETUPS[1], spec, 0
+    )
+    assert [line for line in batches() if line.startswith("batch:")] == [
+        "batch: 1 cell(s) requested, 1 unique, 0 cached, "
+        "executing 1 with 1 job(s)"
+    ]
+    caplog.clear()
+    again = ExperimentRunner(scale=0.008, seeds=1, cache_dir=tmp_path).run(
+        SETUPS[1], spec, 0
+    )
+    assert batches() == []
     assert again.to_dict() == first.to_dict()
 
 

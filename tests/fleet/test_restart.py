@@ -190,15 +190,11 @@ class TestAttempts:
         assert simulator.metrics_payload == clean.metrics_payload
         assert simulator.store.report() == clean.store.report()
 
-    def test_each_voided_attempt_logs_one_debug_line(
-        self, attempts, caplog, monkeypatch
-    ):
+    def test_each_voided_attempt_logs_one_debug_line(self, attempts, caplog):
         """The heavy all-ASP stream voids two attempts: one DEBUG line
         each on the simulator's module logger, naming the attempt, the
         job and the step its cell diverged at."""
         name = "repro.fleet.fleet_sim"
-        # An in-process CLI run stops ``repro`` records at its handlers.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         with caplog.at_level(logging.DEBUG, logger=name):
             simulator = FleetSimulator(config("heavy-asp-seed0"))
             simulator.run()

@@ -1,5 +1,7 @@
 """Tests for the sync-switch CLI."""
 
+import logging
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -87,6 +89,21 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     assert "exp1" in out
     assert "fig11" in out
+
+
+def test_records_after_an_in_process_main_reach_caplog(capsys, caplog):
+    """main() hands the ``repro`` logger back as it found it: a record
+    logged afterwards propagates and is not written to the stream
+    main() bound (which pytest may have closed by then)."""
+    logger = logging.getLogger("repro")
+    before = (logger.handlers[:], logger.level, logger.propagate)
+    assert main(["list"]) == 0
+    assert (logger.handlers, logger.level, logger.propagate) == before
+    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="repro.experiments.executor")
+    logging.getLogger("repro.experiments.executor").info("after main")
+    assert [record.getMessage() for record in caplog.records] == ["after main"]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_run_command_tiny(capsys, tmp_path, monkeypatch):

@@ -72,7 +72,7 @@ concurrent.futures.ProcessPoolExecutor = RecordingPool
 
 TRAINING_STACK = {
     "numpy",
-    "repro.core.runtime.controller",
+    "repro.core.runtime.elastic",
     "repro.distsim.engines.registry",
     "repro.distsim.trainer",
     "repro.mlcore.models",
@@ -190,10 +190,7 @@ def test_cache_hit_report_never_loads_numpy_or_the_layers_below(cold_sweep):
         (
             ["--quiet", "fleet", "--scenario", "trace", "--jobs", "4",
              "--scale", "0.001", "--procs", "2", "--out", "OUT"],
-            # The fleet trains through the elastic run, never through
-            # the one-shot controller.
-            TRAINING_STACK - {"repro.core.runtime.controller"}
-            | {"repro.fleet.fleet_sim", "repro.core.runtime.elastic"},
+            TRAINING_STACK | {"repro.fleet.fleet_sim"},
             {"cifar10-sim", "cifar100-sim"},  # setups 1 and 2
         ),
     ],
