@@ -39,7 +39,7 @@ def _compression_report(runner) -> Report:
     rows = []
     for label, protocol, compression in VARIANTS:
         spec = {
-            "kind": "custom_static",
+            "kind": "static",
             "protocol": protocol,
             "steps_scale": 0.5,
         }

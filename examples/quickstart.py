@@ -16,7 +16,7 @@ minute of wall-clock).
 import sys
 
 from repro.core.policies import PolicyManager, TimingPolicy
-from repro.core.runtime import SyncSwitchController
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import ClusterSpec
 from repro.experiments.setups import SETUPS, scaled_job
 
@@ -39,14 +39,14 @@ def main() -> None:
     ]
     rows = []
     for label, timing in configurations:
-        controller = SyncSwitchController(
+        run = ElasticTrainingRun(
             job=job,
             cluster_spec=spec,
             policies=PolicyManager(timing=timing),
             overhead_time_scale=scale,
         )
-        outcome = controller.run_job()
-        result = outcome.result
+        run.run_to_completion()
+        result = run.result()
         rows.append(
             (
                 label,

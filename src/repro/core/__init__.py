@@ -5,10 +5,9 @@
     configuration, and online straggler policies.
 
 ``repro.core.runtime``
-    The system half of Fig. 9: profiler, straggler detector,
+    The system half of Fig. 9: profiler, straggler detector and
     the :class:`~repro.core.runtime.elastic.ElasticTrainingRun` that
-    ties policies to the execution substrate and the one-shot
-    :class:`~repro.core.runtime.controller.SyncSwitchController` around it.
+    ties policies to the execution substrate.
 
 ``repro.core.search``
     The offline binary-search timing algorithm (Algorithm 1) and the
@@ -28,7 +27,6 @@ __all__ = [
     "SearchCostSimulator",
     "SearchSetting",
     "StragglerDetector",
-    "SyncSwitchController",
     "ThroughputProfiler",
     "TimingPolicy",
 ]
@@ -46,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.core.runtime": (
             "StragglerDetector",
-            "SyncSwitchController",
             "ThroughputProfiler",
         ),
         "repro.core.search": (

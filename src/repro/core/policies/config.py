@@ -45,6 +45,9 @@ class ConfigurationPolicy:
     """Maps (protocol, job, cluster size) to engine segment options."""
 
     momentum_mode: str = "baseline"
+    #: Segment options that replace the adjustment rules' values: a
+    #: static run spec's ``options`` (Fig. 8a's per-worker batch size).
+    overrides: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
         if self.momentum_mode not in MOMENTUM_MODES:
@@ -60,15 +63,17 @@ class ConfigurationPolicy:
         if n_workers <= 0:
             raise ConfigurationError("n_workers must be positive")
         if is_synchronous(protocol):  # BSP-family: linear scaling rule
-            return {
+            options = {
                 "batch_size": job.batch_size,
                 "lr_multiplier": float(n_workers),
             }
-        return {
-            "batch_size": job.batch_size,
-            "lr_multiplier": 1.0,
-            "momentum_schedule": self.momentum_schedule(job, n_workers),
-        }
+        else:
+            options = {
+                "batch_size": job.batch_size,
+                "lr_multiplier": 1.0,
+                "momentum_schedule": self.momentum_schedule(job, n_workers),
+            }
+        return options | dict(self.overrides)
 
     def momentum_schedule(
         self, job: JobConfig, n_workers: int
@@ -85,11 +90,3 @@ class ConfigurationPolicy:
                 momentum=job.momentum, n_workers=n_workers
             )
         return LinearRampMomentum(momentum=job.momentum, n_workers=n_workers)
-
-    def global_batch(self, job: JobConfig, n_workers: int) -> int:
-        """The BSP global batch size ``n*B`` (Section IV-C)."""
-        return n_workers * job.batch_size
-
-    def bsp_learning_rate(self, job: JobConfig, n_workers: int) -> float:
-        """The linearly-scaled BSP learning rate ``n*eta``."""
-        return n_workers * job.base_lr

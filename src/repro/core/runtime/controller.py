@@ -1,13 +1,12 @@
-"""The Sync-Switch controller: policies applied to a live training job.
+"""A one-shot wrapper: a job run to completion as a :class:`JobResult`.
 
-This is the user-facing entry point of the reproduction, equivalent to
-the paper's standalone cluster manager plus its in-framework hooks
-(Fig. 9).  Given a job, a cluster and a :class:`PolicyManager`, it runs
-the job to completion through the plan runner,
-:class:`~repro.core.runtime.elastic.ElasticTrainingRun` — the offline
-plan, the online straggler policies, every protocol switch charged at
-its calibrated Table III cost — and returns a :class:`JobResult`
-combining the training outcome with the intervention log.
+Given a job, a cluster and a :class:`PolicyManager`, it runs the job
+through the plan runner,
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun`, and returns the
+training outcome with the intervention log.  No ``src/`` path calls it:
+a run spec, a fleet job and the examples drive the plan runner
+directly.  ``benchmarks/ledger/layers.py`` is its last importer (it
+wraps ``run_job`` by name); ROADMAP item 6 deletes this module with it.
 """
 
 from __future__ import annotations

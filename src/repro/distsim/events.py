@@ -62,12 +62,6 @@ class EventQueue:
         time, _, payload = heapq.heappop(self._heap)
         return time, payload
 
-    def peek_time(self) -> float:
-        """Time of the earliest event without removing it."""
-        if not self._heap:
-            raise ConfigurationError("peek on empty event queue")
-        return self._heap[0][0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

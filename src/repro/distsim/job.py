@@ -10,7 +10,7 @@ trainer executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -70,10 +70,6 @@ class JobConfig:
             raise ConfigurationError("logging cadences must be positive")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-
-    def with_seed(self, seed: int) -> "JobConfig":
-        """Copy of this job with a different seed (repeated runs)."""
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -155,11 +151,6 @@ class TrainingPlan:
             if fraction > 0.0
         )
         return cls(segments)
-
-    @property
-    def n_switches(self) -> int:
-        """Number of protocol transitions in the plan."""
-        return len(self.segments) - 1
 
     def step_targets(self, total_steps: int) -> tuple[int, ...]:
         """Cumulative step target of each segment (for the two-phase

@@ -24,8 +24,6 @@ the tests; numerically the vector behaves as one array.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -50,7 +48,6 @@ class ShardedParameterServer:
         self.layout = layout
         self.n_shards = int(n_shards)
         self.shard_bounds = layout.shard_bounds(self.n_shards)
-        self._shard_starts = [lo for lo, _ in self.shard_bounds]
         self.params = initial_params.copy()
         self.optimizer = MomentumSGD(
             layout.size, momentum=momentum, dtype=initial_params.dtype
@@ -155,17 +152,6 @@ class ShardedParameterServer:
         if pulled_version > self.version:
             raise ConfigurationError("pulled version is from the future")
         return self.version - pulled_version
-
-    def shard_of(self, index: int) -> int:
-        """Which shard owns flat-vector position ``index``.
-
-        Binary search over the shard start offsets — O(log n_shards),
-        not a linear scan (shard counts equal worker counts, and fleet
-        routing calls this per key).
-        """
-        if not 0 <= index < self.layout.size:
-            raise ConfigurationError("index out of range")
-        return bisect_right(self._shard_starts, index) - 1
 
     def state(self) -> dict:
         """Checkpointable snapshot (parameters, optimizer, version)."""

@@ -192,11 +192,6 @@ class StragglerSchedule:
             or time >= self._last_end
         )
 
-    def is_straggling(self, worker: int, time: float) -> bool:
-        """Whether ``worker`` is slowed at ``time``."""
-        factor, latency = self.state_at(worker, time)
-        return factor > 1.0 or latency > 0.0
-
     def events_for(self, worker: int) -> tuple[StragglerEvent, ...]:
         """All events of ``worker``, sorted by start time."""
         if self._dirty:
@@ -220,24 +215,6 @@ class StragglerSchedule:
                     active.add(worker)
                     break
         return active
-
-    def next_clear_time(self, time: float) -> float | None:
-        """Earliest future time at which no event is active (None if clear)."""
-        active = [e for e in self.events if e.start <= time < e.end]
-        if not active:
-            return None
-        horizon = max(e.end for e in active)
-        # Events may chain: keep extending while another event overlaps
-        # or starts exactly at the horizon (event starts are inclusive,
-        # so a zero-overlap adjacent event still keeps a worker slow).
-        changed = True
-        while changed:
-            changed = False
-            for event in self.events:
-                if event.start <= horizon and event.end > horizon:
-                    horizon = event.end
-                    changed = True
-        return horizon
 
     def merged_with(self, other: "StragglerSchedule") -> "StragglerSchedule":
         """A new schedule containing both event sets."""

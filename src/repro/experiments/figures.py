@@ -273,7 +273,7 @@ def figure_5b(runner: ExperimentRunner) -> Report:
 
 def _batch_spec(batch: int) -> dict:
     return {
-        "kind": "custom_static",
+        "kind": "static",
         "protocol": "asp",
         "options": {"batch_size": batch},
         "steps_scale": 0.25,

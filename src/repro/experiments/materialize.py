@@ -2,9 +2,8 @@
 
 A *run spec* is a plain JSON-able dict describing one training
 configuration; :func:`execute_spec` turns it into policies and an
-:class:`~repro.core.runtime.elastic.ElasticTrainingRun` (or a raw
-trainer plan for engine-level ablations) and trains it.  This
-module imports the whole training stack (policies, runtime, engines,
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun` and trains it.
+This module imports the whole training stack (policies, runtime, engines,
 numpy), so :class:`~repro.experiments.executor.ParallelExecutor` loads
 it on its first cache miss — in the parent process, before any worker
 pool is created — and a run served from the cache never does.
@@ -22,9 +21,8 @@ step.  Each member's result is bit-identical to its own
 these hold:
 
 * its kind is ``switch``, ``static`` or ``schedule`` and its plan opens
-  with ``bsp`` (``reversed``, pure-ASP and ``custom_static`` cells, and
-  OSP openers, whose last super-round is trimmed to the budget, train
-  alone);
+  with ``bsp`` (``reversed`` and pure-ASP cells, and OSP openers,
+  whose last super-round is trimmed to the budget, train alone);
 * it has no ``online`` policy and no ``stragglers`` (the straggler
   window depends on the switch percent);
 * its setup, seed, ``steps_scale``, ``ambient`` and opening options
@@ -36,11 +34,11 @@ Spec reference::
     {"kind": "switch", "percent": 6.25,
      "momentum_mode": "zero"}                            # Fig 8b ablation
     {"kind": "static", "protocol": "bsp"}                # baselines
+    {"kind": "static", "protocol": "asp",
+     "options": {"batch_size": 1024}}                    # Fig 8a ablation
     {"kind": "schedule", "protocols": ["bsp", "ssp", "asp"],
      "fractions": [0.1, 0.3, 0.6]}                       # N-segment plan
     {"kind": "reversed", "percent": 50.0}                # ASP->BSP ablation
-    {"kind": "custom_static", "protocol": "asp",
-     "options": {"batch_size": 1024}}                    # Fig 8a ablation
     + optional keys:
       "steps_scale": 0.25          # shorten the run (throughput probes)
       "ambient": false             # disable background cloud noise
@@ -63,13 +61,11 @@ from repro.core.policies import (
     TimingPolicy,
 )
 from repro.core.runtime import ElasticTrainingRun
-from repro.distsim.cluster import Cluster, ClusterSpec
-from repro.distsim.job import JobConfig, Segment, TrainingPlan
-from repro.distsim.overheads import ProvisioningModel
+from repro.distsim.cluster import ClusterSpec
+from repro.distsim.job import JobConfig
 from repro.distsim.result import TrainingResult
 from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
 from repro.distsim.timing import timing_for
-from repro.distsim.trainer import DistributedTrainer
 from repro.errors import ConfigurationError
 from repro.experiments.executor import disk_load, disk_store
 from repro.experiments.setups import ExperimentSetup, scaled_job
@@ -184,8 +180,6 @@ def execute_spec(
     setup: ExperimentSetup, spec: dict, seed: int, scale: float
 ) -> TrainingResult:
     """Train the configuration ``spec`` describes on ``setup`` at ``scale``."""
-    if spec["kind"] == "custom_static":
-        return _execute_raw(setup, spec, seed, scale)
     return _finish(_run(setup, spec, seed, scale, _policies(spec)))
 
 
@@ -237,22 +231,6 @@ def _finish(run: ElasticTrainingRun) -> TrainingResult:
     return run.result()
 
 
-def _execute_raw(setup, spec, seed, scale: float) -> TrainingResult:
-    """Engine-level run for ablations outside the policy space."""
-    job = _job(setup, spec, seed, scale)
-    protocol = spec["protocol"]
-    options = dict(spec.get("options", {}))
-    plan = TrainingPlan((Segment(protocol, 1.0, options),))
-    trainer = DistributedTrainer(
-        job,
-        Cluster(ClusterSpec(n_workers=setup.n_workers)),
-        stragglers=_straggler_schedule(setup, spec, job, seed),
-        ambient_noise=bool(spec.get("ambient", True)),
-        provisioning=ProvisioningModel(time_scale=scale),
-    )
-    return trainer.run(plan)
-
-
 def _policies(spec: dict) -> PolicyManager:
     """The policy set of a run spec: every kind is one
     ``(protocols, fractions)`` schedule."""
@@ -263,7 +241,7 @@ def _policies(spec: dict) -> PolicyManager:
     elif spec.get("online") == "elastic":
         online = ElasticPolicy()
 
-    build = ProtocolSchedule
+    build, overrides = ProtocolSchedule, ()
     if kind in ("switch", "reversed"):
         fraction = spec["percent"] / 100.0
         protocols, fractions = ("bsp", "asp"), (fraction, 1.0 - fraction)
@@ -271,6 +249,7 @@ def _policies(spec: dict) -> PolicyManager:
             protocols, build = ("asp", "bsp"), ProtocolSchedule.allow_reversed
     elif kind == "static":
         protocols, fractions = (spec["protocol"],), (1.0,)
+        overrides = tuple(sorted(spec.get("options", {}).items()))
     elif kind == "schedule":
         protocols = tuple(str(name) for name in spec["protocols"])
         fractions = tuple(float(value) for value in spec["fractions"])
@@ -280,7 +259,8 @@ def _policies(spec: dict) -> PolicyManager:
         timing=TimingPolicy.for_schedule(fractions, source="harness"),
         protocol=build(protocols),
         config=ConfigurationPolicy(
-            momentum_mode=spec.get("momentum_mode", "baseline")
+            momentum_mode=spec.get("momentum_mode", "baseline"),
+            overrides=overrides,
         ),
         straggler=online,
     )

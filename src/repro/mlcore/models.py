@@ -138,11 +138,6 @@ class ResidualMLPClassifier:
         """Total scalar parameter count."""
         return self.layout.size
 
-    @property
-    def flops_per_sample(self) -> float:
-        """Rough forward+backward FLOPs per sample (3 x 2 x weights)."""
-        return 6.0 * self.layout.size
-
     def init_params(
         self,
         seed: int | np.random.Generator,

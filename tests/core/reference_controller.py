@@ -1,9 +1,8 @@
 """A plain transcription of the one-shot Sync-Switch job, for oracles.
 
 The independent reference for the plan runner
-(:class:`~repro.core.runtime.elastic.ElasticTrainingRun`, which
-``SyncSwitchController.run_job`` wraps): it imports nothing from
-``repro.core.runtime``.  A job is its offline plan walked segment by
+(:class:`~repro.core.runtime.elastic.ElasticTrainingRun`): it imports
+nothing from ``repro.core.runtime``.  A job is its offline plan walked segment by
 segment (paper Section V): every segment after the first is entered
 through a switch — checkpoint, the parallel actuator's calibrated cost
 from :class:`~repro.distsim.overheads.ProvisioningModel`, restore —

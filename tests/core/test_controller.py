@@ -1,7 +1,8 @@
-"""End-to-end tests for the Sync-Switch controller.
+"""End-to-end tests for Sync-Switch jobs run by the plan runner.
 
-The online straggler policies are pinned by sha256 hashes of their
-``JobResult`` (``tests/data/golden_hashes.json``, section ``online``).
+The online straggler policies are pinned by sha256 hashes of a
+finished :class:`ElasticTrainingRun`'s result plus its intervention log
+(``tests/data/golden_hashes.json``, section ``online``).
 Like the distsim golden suite, set ``REPRO_GOLDEN_SKIP=1`` on machines
 whose BLAS rounds differently.  Regenerate after an intentional numeric
 change::
@@ -27,10 +28,10 @@ from repro.core.policies import (
 from repro.core.runtime import (
     ElasticTrainingRun,
     StragglerDetector,
-    SyncSwitchController,
     ThroughputProfiler,
 )
 from repro.distsim.cluster import ClusterSpec
+from repro.distsim.engines import synchronous_protocols
 from repro.distsim.job import JobConfig, Segment
 from repro.distsim.stragglers import StragglerEvent, StragglerSchedule
 
@@ -47,14 +48,27 @@ def job(total_steps=640, seed=0) -> JobConfig:
     )
 
 
-def controller(policies, stragglers=None, total_steps=640, **kwargs):
-    return SyncSwitchController(
+def trained(policies, stragglers=None, total_steps=640, **kwargs):
+    """A job run to completion: its result and its intervention log."""
+    run = ElasticTrainingRun(
         job=job(total_steps=total_steps),
         cluster_spec=ClusterSpec(n_workers=8),
         policies=policies,
         stragglers=stragglers,
         ambient_noise=False,
         **kwargs,
+    )
+    run.run_to_completion()
+    return run.result(), tuple(run.interventions)
+
+
+def synchronous_steps(result) -> int:
+    """Steps trained under barrier-style protocols."""
+    synchronous = synchronous_protocols()
+    return sum(
+        record["end_step"] - record["start_step"]
+        for record in result.segment_summary
+        if record["protocol"] in synchronous and record["end_step"] is not None
     )
 
 
@@ -77,25 +91,25 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_hashes.json
 #: stragglers (two evictions, one restore), and the greedy policy on a
 #: three-segment schedule (its interlude runs SSP).
 ONLINE_CASES = {
-    "greedy-bsp-straggler": lambda: controller(
+    "greedy-bsp-straggler": lambda: trained(
         PolicyManager(timing=TimingPolicy(0.5), straggler=GreedyPolicy()),
         stragglers=straggler_during_bsp(),
     ),
-    "elastic-bsp-straggler": lambda: controller(
+    "elastic-bsp-straggler": lambda: trained(
         PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
         stragglers=straggler_during_bsp(),
     ),
-    "elastic-long-straggler": lambda: controller(
+    "elastic-long-straggler": lambda: trained(
         PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
         stragglers=straggler_during_bsp(duration=120.0),
         total_steps=960,
         overhead_time_scale=0.05,
     ),
-    "elastic-two-stragglers": lambda: controller(
+    "elastic-two-stragglers": lambda: trained(
         PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
         stragglers=straggler_during_bsp(workers=(3, 5)),
     ),
-    "greedy-bsp-ssp-asp": lambda: controller(
+    "greedy-bsp-ssp-asp": lambda: trained(
         PolicyManager(
             timing=TimingPolicy.for_schedule((0.5, 0.25, 0.25)),
             protocol=ProtocolSchedule(("bsp", "ssp", "asp")),
@@ -106,12 +120,12 @@ ONLINE_CASES = {
 }
 
 
-def outcome_hash(outcome) -> str:
-    """Canonical sha256 of a ``JobResult``: result plus interventions."""
+def outcome_hash(result, interventions) -> str:
+    """Canonical sha256 of a finished job: result plus interventions."""
     payload = json.dumps(
         {
-            "result": outcome.result.to_dict(),
-            "interventions": list(outcome.interventions),
+            "result": result.to_dict(),
+            "interventions": list(interventions),
         },
         sort_keys=True,
     )
@@ -120,62 +134,59 @@ def outcome_hash(outcome) -> str:
 
 class TestOfflinePlans:
     def test_static_bsp_job(self):
-        outcome = controller(PolicyManager(timing=TimingPolicy(1.0))).run_job()
-        assert outcome.result.completed_steps >= 640
-        assert outcome.result.switch_count == 0
-        assert outcome.bsp_steps == outcome.result.completed_steps
+        result, _ = trained(PolicyManager(timing=TimingPolicy(1.0)))
+        assert result.completed_steps >= 640
+        assert result.switch_count == 0
+        assert synchronous_steps(result) == result.completed_steps
 
     def test_switching_job_charges_switch(self):
-        outcome = controller(
-            PolicyManager(timing=TimingPolicy(0.25))
-        ).run_job()
-        assert outcome.result.switch_count == 1
-        assert outcome.bsp_steps == pytest.approx(160, abs=8)
-        assert outcome.async_steps == pytest.approx(480, abs=8)
+        result, _ = trained(PolicyManager(timing=TimingPolicy(0.25)))
+        assert result.switch_count == 1
+        bsp_steps = synchronous_steps(result)
+        assert bsp_steps == pytest.approx(160, abs=8)
+        assert result.completed_steps - bsp_steps == pytest.approx(480, abs=8)
 
     def test_policy_description_attached(self):
-        outcome = controller(
-            PolicyManager(timing=TimingPolicy(0.0625))
-        ).run_job()
-        assert "6.25%" in outcome.policy_description
+        result, _ = trained(PolicyManager(timing=TimingPolicy(0.0625)))
+        assert result.plan == "bsp:6.25% -> asp:93.75%"
 
     def test_intervention_free_without_online_policy(self):
-        outcome = controller(
+        _, interventions = trained(
             PolicyManager(timing=TimingPolicy(0.25)),
             stragglers=straggler_during_bsp(),
-        ).run_job()
-        assert outcome.interventions == ()
+        )
+        assert interventions == ()
 
 
 class TestGreedyPolicy:
     def test_switches_to_asp_on_detection(self):
-        outcome = controller(
+        result, interventions = trained(
             PolicyManager(
                 timing=TimingPolicy(0.5), straggler=GreedyPolicy()
             ),
             stragglers=straggler_during_bsp(),
-        ).run_job()
-        kinds = [entry["kind"] for entry in outcome.interventions]
+        )
+        kinds = [entry["kind"] for entry in interventions]
         assert "greedy-switch-to-asp" in kinds
-        assert outcome.result.switch_count >= 2  # round trip + planned switch
+        assert result.switch_count >= 2  # round trip + planned switch
 
     def test_switches_back_after_clearance(self):
-        outcome = controller(
+        result, interventions = trained(
             PolicyManager(
                 timing=TimingPolicy(0.5), straggler=GreedyPolicy()
             ),
             stragglers=straggler_during_bsp(),
-        ).run_job()
-        kinds = [entry["kind"] for entry in outcome.interventions]
+        )
+        kinds = [entry["kind"] for entry in interventions]
         assert "greedy-switch-back-to-bsp" in kinds
         # BSP budget eventually fulfilled despite the interlude
-        assert outcome.bsp_steps >= 0.5 * 640 - 8
+        assert synchronous_steps(result) >= 0.5 * 640 - 8
 
     def test_no_interventions_without_stragglers(self):
-        outcome = controller(
+        _, interventions = trained(
             PolicyManager(timing=TimingPolicy(0.5), straggler=GreedyPolicy())
-        ).run_job()
-        assert outcome.interventions == ()
+        )
+        assert interventions == ()
 
     def test_interlude_at_exhausted_budget_is_free(self):
         """Regression: no switch may be charged (or logged) once the job
@@ -215,61 +226,63 @@ class TestOnlineGolden:
         if os.environ.get("REPRO_GOLDEN_SKIP", "") not in ("", "0"):
             pytest.skip("REPRO_GOLDEN_SKIP set (BLAS float bits differ here)")
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        outcome = ONLINE_CASES[name]().run_job()
-        assert outcome.interventions, f"{name}: the policy never intervened"
-        assert outcome_hash(outcome) == golden["online"]["hashes"][name], (
-            f"{name}: JobResult changed vs the committed golden hash — "
+        result, interventions = ONLINE_CASES[name]()
+        assert interventions, f"{name}: the policy never intervened"
+        assert outcome_hash(result, interventions) == (
+            golden["online"]["hashes"][name]
+        ), (
+            f"{name}: the job changed vs the committed golden hash — "
             "the online stage is no longer bit-identical"
         )
 
 
 class TestElasticPolicy:
     def test_evicts_and_restores(self):
-        outcome = controller(
+        _, interventions = trained(
             PolicyManager(
                 timing=TimingPolicy(0.5), straggler=ElasticPolicy()
             ),
             stragglers=straggler_during_bsp(),
-        ).run_job()
-        kinds = [entry["kind"] for entry in outcome.interventions]
+        )
+        kinds = [entry["kind"] for entry in interventions]
         assert "elastic-evict" in kinds
         assert "elastic-restore" in kinds
         evicted = [
             entry["worker"]
-            for entry in outcome.interventions
+            for entry in interventions
             if entry["kind"] == "elastic-evict"
         ]
         assert evicted == [3]
 
     def test_completes_full_budget(self):
-        outcome = controller(
+        result, _ = trained(
             PolicyManager(
                 timing=TimingPolicy(0.5), straggler=ElasticPolicy()
             ),
             stragglers=straggler_during_bsp(),
-        ).run_job()
-        assert outcome.result.completed_steps >= 640
+        )
+        assert result.completed_steps >= 640
 
     def test_faster_than_baseline_under_long_straggler(self):
         schedule = straggler_during_bsp(duration=120.0)
-        baseline = controller(
+        baseline, _ = trained(
             PolicyManager(timing=TimingPolicy(0.5)),
             stragglers=schedule,
             total_steps=960,
             overhead_time_scale=0.05,
-        ).run_job()
-        elastic = controller(
+        )
+        elastic, _ = trained(
             PolicyManager(timing=TimingPolicy(0.5), straggler=ElasticPolicy()),
             stragglers=schedule,
             total_steps=960,
             overhead_time_scale=0.05,
-        ).run_job()
-        assert elastic.result.total_time < baseline.result.total_time
+        )
+        assert elastic.total_time < baseline.total_time
 
 
 def _regenerate() -> None:
     hashes = {
-        name: outcome_hash(ONLINE_CASES[name]().run_job())
+        name: outcome_hash(*ONLINE_CASES[name]())
         for name in sorted(ONLINE_CASES)
     }
     # Read-modify-write: the distsim golden suite owns the other keys.

@@ -82,10 +82,24 @@ class TestConfigurationPolicy:
         assert isinstance(options["momentum_schedule"], ConstantMomentum)
         assert options["momentum_schedule"].value(0) == 0.9
 
-    def test_global_batch_and_bsp_lr(self):
-        policy = ConfigurationPolicy()
-        assert policy.global_batch(job(), 8) == 1024
-        assert policy.bsp_learning_rate(job(), 8) == pytest.approx(0.8)
+    def test_overrides_are_set_over_the_rules(self):
+        policy = ConfigurationPolicy(overrides=(("batch_size", 1024),))
+        options = policy.options_for("asp", job(), 8)
+        assert options["batch_size"] == 1024
+        assert options["lr_multiplier"] == 1.0
+        assert isinstance(options["momentum_schedule"], ConstantMomentum)
+
+    def test_overrides_win_over_the_linear_scaling_rule(self):
+        policy = ConfigurationPolicy(overrides=(("lr_multiplier", 2.0),))
+        assert policy.options_for("bsp", job(), 8)["lr_multiplier"] == 2.0
+        assert policy.options_for("asp", job(), 8)["lr_multiplier"] == 2.0
+
+    def test_overrides_win_over_the_momentum_mode(self):
+        slow = ConstantMomentum(momentum=0.5)
+        policy = ConfigurationPolicy(
+            momentum_mode="zero", overrides=(("momentum_schedule", slow),)
+        )
+        assert policy.options_for("asp", job(), 8)["momentum_schedule"] is slow
 
     @pytest.mark.parametrize(
         "mode,expected_type",

@@ -1,18 +1,19 @@
-"""The plain per-segment reference equals the controller, bit for bit.
+"""The plain per-segment reference equals the plan runner, bit for bit.
 
 ``reference_controller.py`` is the independent oracle the one-shot
 parity tests (``test_elastic_run.py::TestOneShotParity``, the fleet's
 ``test_unresized_jobs_match_one_shot_controller``) compare against.
-This module checks it against :class:`SyncSwitchController` itself on
-every offline plan shape: static, two-phase, N-segment with a dropped
+This module checks it against
+:class:`~repro.core.runtime.elastic.ElasticTrainingRun` itself on every
+offline plan shape: static, two-phase, N-segment with a dropped
 zero share, reversed, a zero-step precise phase, a diverging tail,
 stragglers on a thin link.  It compares two runs made on the same
 machine, so it never consults ``REPRO_GOLDEN_SKIP``.
 
 It also pins that the paper's two-phase switch (a single switch
 fraction) is the N=2 protocol schedule: equal plans over every registry
-pair and a fraction grid, and equal controller results on every
-two-phase case.
+pair and a fraction grid, and equal run results on every two-phase
+case.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.policies import (
     ProtocolSchedule,
     TimingPolicy,
 )
-from repro.core.runtime import SyncSwitchController
+from repro.core.runtime import ElasticTrainingRun
 from repro.distsim.cluster import ClusterSpec
 from repro.distsim.engines import known_protocols, precision_rank
 from repro.distsim.job import Segment, TrainingPlan
@@ -113,16 +114,18 @@ def case_inputs(name):
     }
 
 
-def controller_result(name, policies):
+def run_result(name, policies):
     job, spec, options = case_inputs(name)
-    return SyncSwitchController(
+    run = ElasticTrainingRun(
         job=job, cluster_spec=spec, policies=policies, **options
-    ).run_job().result
+    )
+    run.run_to_completion()
+    return run.result()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_reference_matches_controller(name):
-    expected = controller_result(name, CASES[name])
+def test_reference_matches_the_plan_runner(name):
+    expected = run_result(name, CASES[name])
     job, spec, options = case_inputs(name)
     reference = reference_run(job, spec, CASES[name], **options)
     assert reference.to_dict() == expected.to_dict()
@@ -185,9 +188,9 @@ def test_two_phase_plan_is_the_n2_schedule_plan(protocols):
 
 
 @pytest.mark.parametrize("name", sorted(TWO_PHASE))
-def test_two_phase_controller_is_the_n2_schedule_controller(name):
+def test_two_phase_run_is_the_n2_schedule_run(name):
     protocols, fraction = TWO_PHASE[name]
     n2 = schedule(protocols, (fraction, 1.0 - fraction))
-    assert controller_result(name, CASES[name]).to_dict() == (
-        controller_result(name, n2).to_dict()
+    assert run_result(name, CASES[name]).to_dict() == (
+        run_result(name, n2).to_dict()
     )

@@ -47,18 +47,10 @@ class TestEventQueue:
         assert queue.pop()[1] == "first"
         assert queue.pop()[1] == "second"
 
-    def test_peek_does_not_remove(self):
-        queue = EventQueue()
-        queue.push(2.0, "x")
-        assert queue.peek_time() == 2.0
-        assert len(queue) == 1
-
     def test_empty_queue_errors(self):
         queue = EventQueue()
         with pytest.raises(ConfigurationError):
             queue.pop()
-        with pytest.raises(ConfigurationError):
-            queue.peek_time()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):

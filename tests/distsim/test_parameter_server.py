@@ -147,36 +147,19 @@ def test_state_is_deep_copy():
 @settings(max_examples=30)
 def test_every_index_owned_by_exactly_one_shard(size, n_shards):
     ps = make_ps(size=size, n_shards=min(n_shards, size))
-    owners = [ps.shard_of(index) for index in range(size)]
-    assert min(owners) == 0
-    assert max(owners) == ps.n_shards - 1
+    owners = []
+    for index in range(size):
+        shards = [
+            shard
+            for shard, (lo, hi) in enumerate(ps.shard_bounds)
+            if lo <= index < hi
+        ]
+        assert len(shards) == 1, f"index {index} owned by {shards}"
+        owners.extend(shards)
+    assert owners[0] == 0
+    assert owners[-1] == ps.n_shards - 1
     # ownership is monotone non-decreasing over the flat vector
     assert owners == sorted(owners)
-
-
-@given(
-    st.integers(min_value=1, max_value=257),
-    st.integers(min_value=1, max_value=16),
-)
-@settings(max_examples=50)
-def test_shard_of_bisect_matches_linear_scan(size, n_shards):
-    """The bisect lookup equals the O(n) scan on uneven layouts."""
-    ps = make_ps(size=size, n_shards=min(n_shards, size))
-
-    def linear(index):
-        for shard, (lo, hi) in enumerate(ps.shard_bounds):
-            if lo <= index < hi:
-                return shard
-        raise AssertionError("shards do not cover the vector")
-
-    for index in range(size):
-        assert ps.shard_of(index) == linear(index)
-
-
-def test_shard_of_out_of_range():
-    ps = make_ps()
-    with pytest.raises(ConfigurationError):
-        ps.shard_of(10)
 
 
 def test_push_validation():

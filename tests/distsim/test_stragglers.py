@@ -49,8 +49,7 @@ class TestStragglerSchedule:
             ]
         )
         assert schedule.state_at(2, 5.0) == (2.0, 0.01)
-        assert schedule.is_straggling(2, 5.0)
-        assert not schedule.is_straggling(2, 11.0)
+        assert schedule.state_at(2, 11.0) == (1.0, 0.0)
 
     def test_overlapping_events_compound(self):
         schedule = StragglerSchedule(
@@ -77,30 +76,18 @@ class TestStragglerSchedule:
         assert schedule.active_workers(7.0) == {0, 3}
         assert schedule.active_workers(20.0) == set()
 
-    def test_next_clear_time(self):
+    def test_event_start_is_inclusive(self):
         schedule = StragglerSchedule(
-            [
-                StragglerEvent(worker=0, start=0.0, duration=10.0, slow_factor=2.0),
-                StragglerEvent(worker=1, start=8.0, duration=10.0, slow_factor=2.0),
-            ]
+            [StragglerEvent(worker=0, start=5.0, duration=5.0, slow_factor=2.0)]
         )
-        assert schedule.next_clear_time(5.0) == pytest.approx(18.0)  # chained
-        assert schedule.next_clear_time(20.0) is None
+        assert schedule.active_workers(4.9) == set()  # not yet active
+        assert schedule.active_workers(5.0) == {0}  # inclusive
+        assert schedule.state_at(0, 5.0) == (2.0, 0.0)
+        assert schedule.active_workers(10.0) == set()  # end exclusive
 
-    def test_next_clear_time_event_starting_exactly_at_horizon(self):
-        """Zero-overlap adjacency: starts are inclusive, so an event
-        beginning exactly when the previous one ends keeps chaining."""
-        schedule = StragglerSchedule(
-            [
-                StragglerEvent(worker=0, start=0.0, duration=10.0, slow_factor=2.0),
-                StragglerEvent(worker=1, start=10.0, duration=8.0, slow_factor=2.0),
-            ]
-        )
-        # At t=10 the second event is already active (start <= t < end).
-        assert schedule.is_straggling(1, 10.0)
-        assert schedule.next_clear_time(5.0) == pytest.approx(18.0)
-
-    def test_next_clear_time_multi_link_adjacent_chain(self):
+    def test_adjacent_events_leave_no_clear_instant(self):
+        """Zero-overlap adjacency: an event beginning exactly when the
+        previous one ends is already active at the joint."""
         schedule = StragglerSchedule(
             [
                 StragglerEvent(worker=0, start=0.0, duration=5.0, slow_factor=2.0),
@@ -108,17 +95,10 @@ class TestStragglerSchedule:
                 StragglerEvent(worker=2, start=10.0, duration=5.0, slow_factor=2.0),
             ]
         )
-        assert schedule.next_clear_time(0.0) == pytest.approx(15.0)
+        assert schedule.active_workers(5.0) == {1}
+        assert schedule.active_workers(10.0) == {2}
         # Queried exactly at the final end, the cluster is clear.
-        assert schedule.next_clear_time(15.0) is None
-
-    def test_next_clear_time_at_event_boundaries(self):
-        schedule = StragglerSchedule(
-            [StragglerEvent(worker=0, start=5.0, duration=5.0, slow_factor=2.0)]
-        )
-        assert schedule.next_clear_time(4.9) is None  # not yet active
-        assert schedule.next_clear_time(5.0) == pytest.approx(10.0)  # inclusive
-        assert schedule.next_clear_time(10.0) is None  # end exclusive
+        assert schedule.active_workers(15.0) == set()
 
     def test_events_for(self):
         late = StragglerEvent(worker=0, start=9.0, duration=1.0, slow_factor=2.0)

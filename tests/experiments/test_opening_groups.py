@@ -109,7 +109,6 @@ BASE = RunRequest(SETUPS[1], switch_spec(25.0), 0)
             "fractions": [0.5, 0.5],
         },
         {"kind": "static", "protocol": "asp"},
-        {"kind": "custom_static", "protocol": "bsp"},
         switch_spec(0.0),
     ],
     ids=[
@@ -119,7 +118,6 @@ BASE = RunRequest(SETUPS[1], switch_spec(25.0), 0)
         "reversed",
         "osp-opener",
         "pure-asp",
-        "custom-static",
         "switch-at-0",
     ],
 )
@@ -134,14 +132,31 @@ def test_an_ineligible_cell_trains_alone(spec):
         RunRequest(SETUPS[1], switch_spec(50.0, ambient=False), 0),
         RunRequest(SETUPS[1], switch_spec(50.0), 1),
         RunRequest(SETUPS[3], switch_spec(50.0), 0),
+        RunRequest(
+            SETUPS[1],
+            {"kind": "static", "protocol": "bsp", "options": {"batch_size": 64}},
+            0,
+        ),
     ],
-    ids=["steps-scale", "ambient", "seed", "setup"],
+    ids=["steps-scale", "ambient", "seed", "setup", "options"],
 )
 def test_a_differing_job_is_another_group(other):
     assert opening_key(other, SCALE) is not None
     assert opening_key(other, SCALE) != opening_key(BASE, SCALE)
     with pytest.raises(ConfigurationError):
         list(train_group([BASE, other], SCALE))
+
+
+def test_the_order_of_options_names_one_opening():
+    def static(options):
+        spec = {"kind": "static", "protocol": "bsp", "options": options}
+        return RunRequest(SETUPS[1], spec, 0)
+
+    first = static({"batch_size": 64, "lr_multiplier": 4.0})
+    second = static({"lr_multiplier": 4.0, "batch_size": 64})
+    assert opening_key(first, SCALE) is not None
+    assert opening_key(first, SCALE) == opening_key(second, SCALE)
+    assert first.key(SCALE) == second.key(SCALE)
 
 
 def test_equal_openings_are_one_group():

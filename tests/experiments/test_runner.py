@@ -103,11 +103,11 @@ def test_reversed_spec_runs_asp_first(runner):
     assert result.plan.startswith("asp")
 
 
-def test_custom_static_spec_with_options(runner):
+def test_static_spec_options_set_the_segment(runner):
     result = runner.run(
         SETUPS[1],
         {
-            "kind": "custom_static",
+            "kind": "static",
             "protocol": "asp",
             "options": {"batch_size": 256},
             "steps_scale": 0.5,
@@ -115,6 +115,14 @@ def test_custom_static_spec_with_options(runner):
         0,
     )
     assert result.images_processed == result.completed_steps * 256
+
+
+def test_static_spec_options_are_part_of_the_cache_key(runner):
+    spec = {"kind": "static", "protocol": "asp", "steps_scale": 0.5}
+    plain = runner.run(SETUPS[1], spec, 0)
+    batched = runner.run(SETUPS[1], spec | {"options": {"batch_size": 256}}, 0)
+    assert plain.images_processed == plain.completed_steps * 128
+    assert batched.images_processed == batched.completed_steps * 256
 
 
 def test_steps_scale_preserves_all_job_fields():

@@ -39,7 +39,6 @@ def test_resnet50_is_bigger_than_resnet32():
     small = make_model("resnet32-sim")
     large = make_model("resnet50-sim")
     assert large.n_parameters > small.n_parameters
-    assert large.flops_per_sample > small.flops_per_sample
 
 
 def test_init_params_deterministic_per_seed():
